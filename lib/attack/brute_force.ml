@@ -100,6 +100,7 @@ let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
   else begin
     let total = Int64.shift_left 1L bits in
     let rec search i =
+      Sttc_util.Budget.check ();
       if i >= total then None
       else
         let bitstream = bitstream_of_index luts arities i in

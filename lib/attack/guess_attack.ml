@@ -90,6 +90,7 @@ let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
   let rounds_used = ref 0 in
   (try
      for _round = 1 to rounds do
+       Sttc_util.Budget.check ();
        incr rounds_used;
        let improved = ref false in
        List.iter

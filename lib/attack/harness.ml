@@ -156,45 +156,36 @@ module Config = struct
     | _ -> Error "harness config: not a JSON object"
 end
 
-(* Every attack runs under the wall-clock budget.  The SAT variants
-   check their own deadline between solver iterations; the rest are
-   interrupted by {!Sttc_util.Timing.with_timeout}.  A zero (or
-   negative) budget means "don't even start": the attacker got no CPU,
-   so the design trivially resisted.
+let resisted attack detail =
+  {
+    attack;
+    verdict = Resisted;
+    seconds = 0.;
+    oracle_queries = 0;
+    detail;
+    sat_stats = None;
+  }
 
-   [with_timeout] arms a per-process setitimer, which only the main
-   domain may do — when the campaign runs inside a {!Sttc_util.Pool}
-   task the budget is instead enforced cooperatively: an attack that
-   returns past its budget is classified as exhausted, and attack code
-   that polls [Pool.check_deadline] is interrupted at the poll. *)
+(* Every attack runs under the wall-clock budget.  A zero (or negative)
+   budget means "don't even start": the attacker got no CPU, so the
+   design trivially resisted. *)
 let budgeted ~budget attack f =
-  let skip detail =
-    {
-      attack;
-      verdict = Resisted;
-      seconds = 0.;
-      oracle_queries = 0;
-      detail;
-      sat_stats = None;
-    }
-  in
-  let exhausted () =
-    {
-      (skip (Printf.sprintf "wall-clock budget (%.1fs) exhausted" budget)) with
-      seconds = budget;
-    }
-  in
-  if budget <= 0. then skip "zero budget"
-  else if Domain.is_main_domain () then
-    match Sttc_util.Timing.with_timeout ~seconds:budget f with
-    | Ok entry -> entry
-    | Error `Timeout -> exhausted ()
-  else
-    let t0 = Sttc_util.Pool.now_s () in
-    match f () with
-    | entry ->
-        if Sttc_util.Pool.now_s () -. t0 > budget then exhausted () else entry
-    | exception Sttc_util.Pool.Deadline_exceeded -> exhausted ()
+  if budget <= 0. then resisted attack "zero budget" else f ()
+
+(* The SAT attacks take their budget themselves, so that an expiry still
+   reports their iterations and solver statistics; the others run under
+   a {!Sttc_util.Budget} here. *)
+let interruptible ~budget attack f =
+  budgeted ~budget attack (fun () ->
+      match Sttc_util.Budget.run ~seconds:budget f with
+      | Ok entry -> entry
+      | Error `Timeout ->
+          {
+            (resisted attack
+               (Printf.sprintf "wall-clock budget (%.1fs) exhausted" budget))
+            with
+            seconds = budget;
+          })
 
 let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.default)
     ~circuit ~algorithm hybrid =
@@ -229,20 +220,11 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
      and must not share one arena. *)
   let solver = if jobs <= 1 then solver else None in
   let sat_entry () =
-    if sat_timeout_s <= 0. then
-      {
-        attack = "sat";
-        verdict = Resisted;
-        seconds = 0.;
-        oracle_queries = 0;
-        detail = "zero budget";
-        sat_stats = None;
-      }
-    else
-      match
-        Sat_attack.run ~timeout_s:sat_timeout_s ~candidates ~mode:solver_mode
-          ?solver hybrid
-      with
+    budgeted ~budget:sat_timeout_s "sat" @@ fun () ->
+    match
+      Sat_attack.run ~timeout_s:sat_timeout_s ~candidates ~mode:solver_mode
+        ?solver hybrid
+    with
     | Sat_attack.Broken b ->
         {
           attack = "sat";
@@ -257,16 +239,13 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
         }
     | Sat_attack.Exhausted e ->
         {
-          attack = "sat";
-          verdict = Resisted;
+          (resisted "sat" e.reason) with
           seconds = e.seconds;
-          oracle_queries = 0;
-          detail = e.reason;
           sat_stats = Some (snapshot_of_sat_stats e.stats);
         }
   in
   let tt_entry () =
-    budgeted ~budget:sat_timeout_s "truth-table" (fun () ->
+    interruptible ~budget:sat_timeout_s "truth-table" (fun () ->
         let r = Tt_attack.run ~budget_patterns:tt_budget ~seed hybrid in
         {
           attack = "truth-table";
@@ -282,7 +261,7 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
         })
   in
   let tt_atpg_entry () =
-    budgeted ~budget:sat_timeout_s "tt-atpg" (fun () ->
+    interruptible ~budget:sat_timeout_s "tt-atpg" (fun () ->
         let r =
           Tt_attack.run ~budget_patterns:(tt_budget / 4) ~targeted:true ~seed
             hybrid
@@ -302,7 +281,7 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
         })
   in
   let guess_entry () =
-    budgeted ~budget:sat_timeout_s "hill-climb" (fun () ->
+    interruptible ~budget:sat_timeout_s "hill-climb" (fun () ->
         let r = Guess_attack.run ~rounds:guess_rounds ~seed hybrid in
         {
           attack = "hill-climb";
@@ -318,7 +297,7 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
         })
   in
   let brute_entry () =
-    budgeted ~budget:sat_timeout_s "brute-force" (fun () ->
+    interruptible ~budget:sat_timeout_s "brute-force" (fun () ->
         match Brute_force.run ~max_bits:brute_max_bits ~seed hybrid with
         | Brute_force.Broken b ->
             {
@@ -346,40 +325,28 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
             })
   in
   let seq_entry () =
-    if seq_timeout_s <= 0. then
-      {
-        attack = "sat-seq";
-        verdict = Resisted;
-        seconds = 0.;
-        oracle_queries = 0;
-        detail = "zero budget";
-        sat_stats = None;
-      }
-    else
-      match
-        Sat_attack.run_sequential ~frames:seq_frames ~timeout_s:seq_timeout_s
-          ~candidates ~mode:solver_mode ?solver hybrid
-      with
-      | Sat_attack.Broken b ->
-          {
-            attack = "sat-seq";
-            verdict = Recovered;
-            seconds = b.seconds;
-            oracle_queries = b.queries;
-            detail =
-              Printf.sprintf "%d iterations, %d-cycle sequences" b.iterations
-                seq_frames;
-            sat_stats = Some (snapshot_of_sat_stats b.stats);
-          }
-      | Sat_attack.Exhausted e ->
-          {
-            attack = "sat-seq";
-            verdict = Resisted;
-            seconds = e.seconds;
-            oracle_queries = 0;
-            detail = e.reason;
-            sat_stats = Some (snapshot_of_sat_stats e.stats);
-          }
+    budgeted ~budget:seq_timeout_s "sat-seq" @@ fun () ->
+    match
+      Sat_attack.run_sequential ~frames:seq_frames ~timeout_s:seq_timeout_s
+        ~candidates ~mode:solver_mode ?solver hybrid
+    with
+    | Sat_attack.Broken b ->
+        {
+          attack = "sat-seq";
+          verdict = Recovered;
+          seconds = b.seconds;
+          oracle_queries = b.queries;
+          detail =
+            Printf.sprintf "%d iterations, %d-cycle sequences" b.iterations
+              seq_frames;
+          sat_stats = Some (snapshot_of_sat_stats b.stats);
+        }
+    | Sat_attack.Exhausted e ->
+        {
+          (resisted "sat-seq" e.reason) with
+          seconds = e.seconds;
+          sat_stats = Some (snapshot_of_sat_stats e.stats);
+        }
   in
   let instrumented name f () =
     Sttc_obs.Span.with_ "harness.attack" ~cat:"attack"

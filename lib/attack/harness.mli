@@ -83,10 +83,12 @@ val attack :
     (default 4), random truth-table extraction, SAT-targeted truth-table
     extraction (ATPG), hill-climbing and brute force.
 
-    [sat_timeout_s] is the wall-clock budget for {e every} attack: the
-    SAT variants check it between solver iterations, the others are
-    interrupted through {!Sttc_util.Timing.with_timeout} and classified
-    [Resisted] on expiry.  [seq_timeout_s] gives the sequential SAT
+    [sat_timeout_s] is the wall-clock budget for {e every} attack, a
+    {!Sttc_util.Budget} nested in any enclosing one: the SAT variants
+    report expiry as their own [Exhausted "timeout"], the others are
+    classified [Resisted] with a "wall-clock budget exhausted" detail.
+    Either way an attack stops at its next poll after the deadline, on
+    any domain.  [seq_timeout_s] gives the sequential SAT
     attack its own budget (it does bounded-unrolling work per iteration,
     so the combinational budget is usually too tight); it defaults to
     [sat_timeout_s].  A zero or negative budget skips the attack
@@ -99,10 +101,7 @@ val attack :
 
     [jobs > 1] runs the six attacks concurrently on a
     {!Sttc_util.Pool}; every attack is seeded from [seed] alone, so the
-    campaign is identical at any job count.  Off the main domain —
-    under [jobs > 1], or when the whole campaign runs inside a pool
-    task — budgets are enforced cooperatively instead of by signal: an
-    attack that overruns is reported as exhausted when it returns.
+    campaign is identical at any job count.
 
     [solver] recycles a persistent {!Sttc_logic.Sat.Solver} arena for
     the SAT attacks (the serve daemon holds one per worker).  It is

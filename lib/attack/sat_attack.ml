@@ -126,10 +126,64 @@ let restrict_keys cnf keys candidates =
           Cnf.add_clause cnf selectors)
     keys
 
+(* What an attack has done so far, readable when its budget cuts it
+   short. *)
+type progress = {
+  t0 : float;
+  mutable iterations : int;
+  mutable stats : unit -> Sat.stats;
+}
+
+let elapsed p = Unix.gettimeofday () -. p.t0
+
+let exhausted p reason =
+  Exhausted
+    { iterations = p.iterations; seconds = elapsed p; reason; stats = p.stats () }
+
+(* The whole attack (encoding, DIP loop, key extraction, verification)
+   runs under one wall-clock budget.  The solver polls it, so even one
+   long solve is cut at the deadline. *)
+let budgeted ~timeout_s attack =
+  let p =
+    {
+      t0 = Unix.gettimeofday ();
+      iterations = 0;
+      stats = (fun () -> Sat.zero_stats);
+    }
+  in
+  match Sttc_util.Budget.run ~seconds:timeout_s (fun () -> attack p) with
+  | Ok outcome -> outcome
+  | Error `Timeout -> exhausted p "timeout"
+
+(* The DIP loop both attacks share: each model of the miter under [act]
+   is a distinguishing pattern that [learn] pins with the oracle's
+   response; once none is left, [conclude] extracts the key. *)
+let dip_loop p
+    ~(solve :
+       ?assumptions:Cnf.lit list -> ?max_conflicts:int -> unit -> Sat.result)
+    ~act ~max_iterations ~max_conflicts_per_call ~learn ~conclude =
+  let rec loop () =
+    if p.iterations >= max_iterations then exhausted p "iteration limit"
+    else
+      match
+        Sttc_obs.Span.with_ "sat.dip_iteration" ~cat:"attack"
+          ~attrs:[ ("iteration", string_of_int (p.iterations + 1)) ]
+          (fun () ->
+            solve ~assumptions:[ act ] ~max_conflicts:max_conflicts_per_call ())
+      with
+      | Sat.Unknown _ -> exhausted p "conflict budget"
+      | Sat.Unsat -> conclude ()
+      | Sat.Sat model ->
+          learn model;
+          p.iterations <- p.iterations + 1;
+          loop ()
+  in
+  loop ()
+
 let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
     ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) ?solver hybrid
     =
-  let t0 = Unix.gettimeofday () in
+  budgeted ~timeout_s @@ fun p ->
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
   (* Copy 1 and copy 2 share inputs, have independent keys. *)
@@ -154,6 +208,7 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
   let act = Cnf.fresh_var cnf in
   Cnf.add_clause cnf (-act :: diffs);
   let solve, stats = make_solver ?reuse:solver mode cnf in
+  p.stats <- stats;
   (* Constrain both key copies with an observed I/O pair.  The miter's
      inputs must stay free, so each observation gets fresh circuit copies
      sharing only the key variables; the incremental solver just absorbs
@@ -178,72 +233,29 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
       fresh2.Encode.outputs
   in
   let input_count = List.length c1.Encode.inputs in
-  let rec loop iteration =
-    let elapsed = Unix.gettimeofday () -. t0 in
-    if iteration > max_iterations then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "iteration limit";
-          stats = stats ();
-        }
-    else if elapsed > timeout_s then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "timeout";
-          stats = stats ();
-        }
-    else
-      match
-        Sttc_obs.Span.with_ "sat.dip_iteration" ~cat:"attack"
-          ~attrs:[ ("iteration", string_of_int iteration) ]
-          (fun () ->
-            solve ~assumptions:[ act ] ~max_conflicts:max_conflicts_per_call ())
-      with
-      | Sat.Unknown _ ->
-          Exhausted
+  dip_loop p ~solve ~act ~max_iterations ~max_conflicts_per_call
+    ~learn:(fun model ->
+      (* distinguishing input from the model *)
+      let input_bits = Array.make input_count false in
+      List.iteri
+        (fun i (_, l) -> input_bits.(i) <- Sat.model_value model l)
+        c1.Encode.inputs;
+      constrain_io input_bits (Oracle.query oracle input_bits))
+    ~conclude:(fun () ->
+      (* No distinguishing input: every key consistent with the recorded
+         I/O pairs is functionally correct; extract the canonical one
+         under the deactivated miter. *)
+      match canonical_key solve c1.Encode.keys ~act with
+      | Some model ->
+          Broken
             {
-              iterations = iteration - 1;
-              seconds = Unix.gettimeofday () -. t0;
-              reason = "conflict budget";
+              bitstream = Encode.key_of_model c1 model;
+              queries = Oracle.queries oracle;
+              iterations = p.iterations;
+              seconds = elapsed p;
               stats = stats ();
             }
-      | Sat.Unsat -> (
-          (* No distinguishing input: every key consistent with the
-             recorded I/O pairs is functionally correct; extract the
-             canonical one under the deactivated miter. *)
-          match canonical_key solve c1.Encode.keys ~act with
-          | Some model ->
-              Broken
-                {
-                  bitstream = Encode.key_of_model c1 model;
-                  queries = Oracle.queries oracle;
-                  iterations = iteration - 1;
-                  seconds = Unix.gettimeofday () -. t0;
-                  stats = stats ();
-                }
-          | None ->
-              Exhausted
-                {
-                  iterations = iteration - 1;
-                  seconds = Unix.gettimeofday () -. t0;
-                  reason = "no consistent key (internal error)";
-                  stats = stats ();
-                })
-      | Sat.Sat model ->
-          (* distinguishing input from the model *)
-          let input_bits = Array.make input_count false in
-          List.iteri
-            (fun i (_, l) -> input_bits.(i) <- Sat.model_value model l)
-            c1.Encode.inputs;
-          let output_bits = Oracle.query oracle input_bits in
-          constrain_io input_bits output_bits;
-          loop (iteration + 1)
-  in
-  loop 1
+      | None -> exhausted p "no consistent key (internal error)")
 
 let verify_break hybrid bitstream =
   let candidate = Hybrid.program_with hybrid bitstream in
@@ -254,7 +266,7 @@ let verify_break hybrid bitstream =
 let run_sequential ?(frames = 5) ?(max_iterations = 500)
     ?(max_conflicts_per_call = 200_000) ?(timeout_s = 60.) ?(candidates = [])
     ?(mode = Incremental) ?solver hybrid =
-  let t0 = Unix.gettimeofday () in
+  budgeted ~timeout_s @@ fun p ->
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
   let c1 = Encode.encode_unrolled ~frames foundry in
@@ -280,6 +292,7 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
   let act = Cnf.fresh_var cnf in
   Cnf.add_clause cnf (-act :: !diffs);
   let solve, stats = make_solver ?reuse:solver mode cnf in
+  p.stats <- stats;
   (* pin an observed sequence into fresh unrolled copies of both keys *)
   let constrain_io pi_seq po_seq =
     let fresh1 =
@@ -304,91 +317,41 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
       pi_seq
   in
   let pi_count = List.length c1.Encode.frame_pis.(0) in
-  let rec loop iteration =
-    let elapsed = Unix.gettimeofday () -. t0 in
-    if iteration > max_iterations then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "iteration limit";
-          stats = stats ();
-        }
-    else if elapsed > timeout_s then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "timeout";
-          stats = stats ();
-        }
-    else
-      match
-        Sttc_obs.Span.with_ "sat.dip_iteration" ~cat:"attack"
-          ~attrs:[ ("iteration", string_of_int iteration) ]
-          (fun () ->
-            solve ~assumptions:[ act ] ~max_conflicts:max_conflicts_per_call ())
-      with
-      | Sat.Unknown _ ->
-          Exhausted
+  dip_loop p ~solve ~act ~max_iterations ~max_conflicts_per_call
+    ~learn:(fun model ->
+      (* distinguishing sequence from the model *)
+      let pi_seq =
+        List.init frames (fun frame ->
+            let bits = Array.make pi_count false in
+            List.iteri
+              (fun i (_, l) -> bits.(i) <- Sat.model_value model l)
+              c1.Encode.frame_pis.(frame);
+            bits)
+      in
+      constrain_io pi_seq (Oracle.query_sequence oracle pi_seq))
+    ~conclude:(fun () ->
+      (* no distinguishing sequence of this length remains; extract the
+         canonical consistent key and verify it *)
+      match canonical_key solve c1.Encode.u_keys ~act with
+      | Some model ->
+          let fake_keyed =
             {
-              iterations = iteration - 1;
-              seconds = Unix.gettimeofday () -. t0;
-              reason = "conflict budget";
-              stats = stats ();
+              Encode.cnf;
+              inputs = [];
+              outputs = [];
+              keys = c1.Encode.u_keys;
+              node_lits = [||];
             }
-      | Sat.Unsat -> (
-          (* no distinguishing sequence of this length remains; extract
-             the canonical consistent key and verify it *)
-          match canonical_key solve c1.Encode.u_keys ~act with
-          | Some model ->
-              let fake_keyed =
-                {
-                  Encode.cnf;
-                  inputs = [];
-                  outputs = [];
-                  keys = c1.Encode.u_keys;
-                  node_lits = [||];
-                }
-              in
-              let bitstream = Encode.key_of_model fake_keyed model in
-              if verify_break hybrid bitstream then
-                Broken
-                  {
-                    bitstream;
-                    queries = Oracle.queries oracle;
-                    iterations = iteration - 1;
-                    seconds = Unix.gettimeofday () -. t0;
-                    stats = stats ();
-                  }
-              else
-                Exhausted
-                  {
-                    iterations = iteration - 1;
-                    seconds = Unix.gettimeofday () -. t0;
-                    reason = "sequence-length limit";
-                    stats = stats ();
-                  }
-          | None ->
-              Exhausted
-                {
-                  iterations = iteration - 1;
-                  seconds = Unix.gettimeofday () -. t0;
-                  reason = "no consistent key (internal error)";
-                  stats = stats ();
-                })
-      | Sat.Sat model ->
-          (* distinguishing sequence from the model *)
-          let pi_seq =
-            List.init frames (fun frame ->
-                let bits = Array.make pi_count false in
-                List.iteri
-                  (fun i (_, l) -> bits.(i) <- Sat.model_value model l)
-                  c1.Encode.frame_pis.(frame);
-                bits)
           in
-          let po_seq = Oracle.query_sequence oracle pi_seq in
-          constrain_io pi_seq po_seq;
-          loop (iteration + 1)
-  in
-  loop 1
+          let bitstream = Encode.key_of_model fake_keyed model in
+          if verify_break hybrid bitstream then
+            Broken
+              {
+                bitstream;
+                queries = Oracle.queries oracle;
+                iterations = p.iterations;
+                seconds = elapsed p;
+                stats = stats ();
+              }
+          else exhausted p "sequence-length limit"
+      | None -> exhausted p "no consistent key (internal error)")

@@ -80,6 +80,7 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
   ignore out_count;
   let patterns = ref 0 in
   while !patterns < budget_patterns do
+    Sttc_util.Budget.check ();
     incr patterns;
     (* random primary/state assignment *)
     let assignment = Array.init n_in (fun _ -> Rng.bool rng) in
@@ -178,6 +179,7 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
         let attempt = ref 0 in
         let blocked = ref [] in
         while table.(row) = None && !attempt < target_attempts do
+          Sttc_util.Budget.check ();
           incr attempt;
           (* copy A forces the LUT low, copy B high; other keys shared *)
           let c1 = Encode.encode foundry in

@@ -150,6 +150,7 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
     not (Select.timing_ok ctx ~clock_ps (Int_set.elements set))
   in
   while (not (Int_set.is_empty !replaced)) && !repair_budget > 0 && violated !replaced do
+    Sttc_util.Budget.check ();
     decr repair_budget;
     let _, critical = Select.trial_critical ctx (Int_set.elements !replaced) in
     let on_critical =

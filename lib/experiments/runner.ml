@@ -1,7 +1,7 @@
 module Flow = Sttc_core.Flow
 module Report = Sttc_core.Report
 module Profiles = Sttc_netlist.Iscas_profiles
-module Timing = Sttc_util.Timing
+module Budget = Sttc_util.Budget
 module Pool = Sttc_util.Pool
 module Backend = Sttc_backend.Backend
 
@@ -217,43 +217,23 @@ let exn_reason = function
   | e -> Printexc.to_string e
 
 (* A guarded stage either yields a value, overruns its budget, or (when
-   isolating) crashes with a captured reason.  The serial guard enforces
-   the budget preemptively with the setitimer-based [Timing.with_timeout];
-   the pool guard cannot (signals are per-process), so it reports an
-   overrun when the stage returns, and honours the pool's cooperative
-   deadline if the stage polls it. *)
-let serial_guard ~timeout_s ~isolate f =
-  match timeout_s with
-  | None -> (
-      match f () with
-      | v -> `Ok v
-      | exception e when isolate -> `Crash (exn_reason e))
-  | Some budget -> (
-      match Timing.with_timeout ~seconds:budget f with
-      | Ok v -> `Ok v
-      | Error `Timeout -> `Timeout budget
-      | exception e when isolate -> `Crash (exn_reason e))
-
-(* one guard value is used at both the build and the protect result
-   types, so it needs an explicitly polymorphic field *)
-type guard = {
-  guard :
-    'a.
-    (unit -> 'a) -> [ `Ok of 'a | `Timeout of float | `Crash of string ];
-}
-
-let pool_guard ~timeout_s ~isolate f =
-  match timeout_s with
-  | None -> (
-      match f () with
-      | v -> `Ok v
-      | exception e when isolate -> `Crash (exn_reason e))
-  | Some budget -> (
-      let t0 = Pool.now_s () in
-      match f () with
-      | v -> if Pool.now_s () -. t0 > budget then `Timeout budget else `Ok v
-      | exception Pool.Deadline_exceeded -> `Timeout budget
-      | exception e when isolate -> `Crash (exn_reason e))
+   isolating) crashes with a captured reason.  The stage budget nests in
+   any enclosing one; the enclosing budget's expiry belongs to its owner,
+   so the guard polls it on entry and lets it through isolation. *)
+let guard ~timeout_s ~isolate f =
+  Budget.check ();
+  match
+    match timeout_s with
+    | None -> `Ok (f ())
+    | Some budget -> (
+        match Budget.run ~seconds:budget f with
+        | Ok v -> `Ok v
+        | Error `Timeout -> `Timeout budget)
+  with
+  | outcome -> outcome
+  | exception e when isolate ->
+      Budget.check ();
+      `Crash (exn_reason e)
 
 let attempt_reason label = function
   | `Timeout budget -> Printf.sprintf "%s: timeout after %.1fs" label budget
@@ -284,13 +264,14 @@ let assemble_row info outcomes =
   { Report.circuit = info.Profiles.name; size = info.Profiles.n_gates;
     results; failures }
 
-let protect_outcome ~guard ~emit ~seed ~backend ~name nl alg =
+let protect_outcome ~timeout_s ~isolate ~emit ~seed ~backend ~name nl alg =
   let alg_name = Flow.algorithm_name alg in
   let t0 = Pool.now_s () in
   let outcome =
     Sttc_obs.Span.with_ "runner.protect" ~cat:"experiments"
       ~attrs:[ ("benchmark", name); ("algorithm", alg_name) ]
-      (fun () -> guard.guard (fun () -> strict ~seed ~backend alg nl))
+      (fun () ->
+        guard ~timeout_s ~isolate (fun () -> strict ~seed ~backend alg nl))
   in
   Sttc_obs.Metrics.observe "runner.protect_seconds" (Pool.now_s () -. t0);
   match outcome with
@@ -299,18 +280,18 @@ let protect_outcome ~guard ~emit ~seed ~backend ~name nl alg =
       emit_attempt emit ~benchmark:name ~stage:(Protect alg_name) a;
       Error (alg_name, attempt_reason "protect" a)
 
-let guarded_build ~guard info =
+let guarded_build ~timeout_s ~isolate info =
   let name = info.Profiles.name in
   let t0 = Pool.now_s () in
   let b =
     Sttc_obs.Span.with_ "runner.build" ~cat:"experiments"
       ~attrs:[ ("benchmark", name) ]
-      (fun () -> guard.guard (fun () -> Profiles.build info))
+      (fun () -> guard ~timeout_s ~isolate (fun () -> Profiles.build info))
   in
   Sttc_obs.Metrics.observe "runner.build_seconds" (Pool.now_s () -. t0);
   b
 
-let run_benchmark_serial ~guard ~emit ~seed ~backend info =
+let run_benchmark_serial ~timeout_s ~isolate ~emit ~seed ~backend info =
   let name = info.Profiles.name in
   emit (Started name);
   Sttc_obs.Metrics.incr "runner.benchmarks";
@@ -322,13 +303,14 @@ let run_benchmark_serial ~guard ~emit ~seed ~backend info =
     Sttc_obs.Metrics.observe "runner.row_seconds" (Pool.now_s () -. t0);
     row
   in
-  match guarded_build ~guard info with
+  match guarded_build ~timeout_s ~isolate info with
   | (`Timeout _ | `Crash _) as a ->
       emit_attempt emit ~benchmark:name ~stage:Build a;
       finish (build_failed_row info (attempt_reason "build" a))
   | `Ok nl ->
       let outcomes =
-        List.map (protect_outcome ~guard ~emit ~seed ~backend ~name nl)
+        List.map
+          (protect_outcome ~timeout_s ~isolate ~emit ~seed ~backend ~name nl)
           Flow.default_algorithms
       in
       let row = assemble_row info outcomes in
@@ -342,7 +324,6 @@ let rows_serial ~cfg ~backend infos completed0 =
   let { Config.seed; timeout_s; isolate; checkpoint; on_event = emit; _ } =
     cfg
   in
-  let guard = { guard = (fun f -> serial_guard ~timeout_s ~isolate f) } in
   let completed = ref completed0 in
   List.map
     (fun info ->
@@ -352,7 +333,9 @@ let rows_serial ~cfg ~backend infos completed0 =
           emit (Restored name);
           row
       | None ->
-          let row = run_benchmark_serial ~guard ~emit ~seed ~backend info in
+          let row =
+            run_benchmark_serial ~timeout_s ~isolate ~emit ~seed ~backend info
+          in
           (* rows that failed outright are not checkpointed, so a rerun
              with a longer budget recomputes them *)
           if row.Report.failures = [] then begin
@@ -380,7 +363,6 @@ let rows_parallel ~cfg ~backend infos completed0 =
       Mutex.lock m;
       Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> on_event ev)
   in
-  let guard = { guard = (fun f -> pool_guard ~timeout_s ~isolate f) } in
   let todo =
     List.filter
       (fun i -> not (List.mem_assoc i.Profiles.name completed0))
@@ -389,12 +371,12 @@ let rows_parallel ~cfg ~backend infos completed0 =
   let computed =
     Pool.with_pool ~jobs (fun pool ->
         let builds =
-          Pool.map_exn ?deadline_s:timeout_s pool
+          Pool.map_exn pool
             (fun info ->
               let name = info.Profiles.name in
               emit (Started name);
               Sttc_obs.Metrics.incr "runner.benchmarks";
-              match guarded_build ~guard info with
+              match guarded_build ~timeout_s ~isolate info with
               | `Ok nl ->
                   (* force the lazy topology caches while the netlist is
                      still private to this task: the protect tasks read
@@ -416,10 +398,12 @@ let rows_parallel ~cfg ~backend infos completed0 =
             builds
         in
         let protects =
-          Pool.map_exn ?deadline_s:timeout_s pool
+          Pool.map_exn pool
             (fun (info, nl, alg) ->
               let name = info.Profiles.name in
-              (name, protect_outcome ~guard ~emit ~seed ~backend ~name nl alg))
+              ( name,
+                protect_outcome ~timeout_s ~isolate ~emit ~seed ~backend ~name
+                  nl alg ))
             protect_tasks
         in
         List.map
@@ -521,7 +505,7 @@ let run_unit ?timeout_s ?fraction ?hardening ?backend ~seed ~benchmark alg =
   @@ fun () ->
   let t0 = Pool.now_s () in
   let outcome =
-    serial_guard ~timeout_s ~isolate:true (fun () ->
+    guard ~timeout_s ~isolate:true (fun () ->
         let nl = build_circuit benchmark in
         (Flow.run ~seed ?fraction ?hardening ?backend ~policy:Flow.Strict alg
            nl)
@@ -569,8 +553,7 @@ let attack_campaign ?(seed = master_seed) ?(sat_timeout_s = 15.) ?(jobs = 1)
     else begin
       Sttc_netlist.Netlist.warm nl;
       (* one campaign per algorithm; each harness runs serially inside
-         its task and enforces budgets cooperatively off the main
-         domain *)
+         its task *)
       Pool.with_pool ~jobs (fun pool ->
           Pool.map_exn pool campaign Flow.default_algorithms)
     end

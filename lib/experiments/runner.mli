@@ -99,7 +99,10 @@ val rows : Config.t -> Sttc_core.Report.benchmark_row list
 (** Protect every selected benchmark with the paper's three algorithms.
 
     Crash tolerance (see the {!Config} fields): [timeout_s] budgets each
-    build and protect stage, [isolate] degrades crashes to partial rows
+    build and protect stage with a {!Sttc_util.Budget} (a stage stops at
+    its next poll after the deadline, or is reported as timed out when
+    it returns past it, on any domain), [isolate] degrades crashes to
+    partial rows
     (rendered as ["-"] cells with a footnote), and [checkpoint] lets a
     killed run resume where it stopped — a corrupt, foreign or
     different-seed or different-backend checkpoint is ignored, and
@@ -115,9 +118,6 @@ val rows : Config.t -> Sttc_core.Report.benchmark_row list
     final checkpoint file) are bit-identical to a serial run because
     each task's result depends only on [seed]; three differences are
     semantic, not numeric:
-    - stage budgets are enforced cooperatively (an overrunning stage is
-      reported as timed out when it completes) rather than interrupted
-      by [setitimer], which does not compose with domains;
     - the checkpoint is written as results are merged after the fan-out
       rather than after each benchmark;
     - [on_event] may be invoked from worker domains (calls are
@@ -154,9 +154,8 @@ val run_unit :
     with the reason — the caller (a campaign worker) records it as a
     footnoted partial row rather than dying.  Deterministic in [seed]
     when no timeout fires.  [backend] selects the protection technology
-    (default STT).  The timeout uses
-    {!Sttc_util.Timing.with_timeout} and is therefore main-domain
-    only — exactly the situation of a worker process. *)
+    (default STT).  The timeout is a {!Sttc_util.Budget}, so the unit
+    may run on any domain. *)
 
 val fig1 : unit -> string
 val table1 : Sttc_core.Report.benchmark_row list -> string
@@ -172,8 +171,7 @@ val attack_campaign :
   string
 (** Protect an 80-gate circuit three ways and run the SAT / truth-table /
     hill-climb / brute-force attacks against each.  [jobs > 1] runs one
-    pool task per algorithm (each campaign's attacks then enforce their
-    budgets cooperatively).  [backend] (default STT) applies to both the
+    pool task per algorithm.  [backend] (default STT) applies to both the
     defence and the attacker model. *)
 
 val sweep :

@@ -136,6 +136,7 @@ let pass ~budget ~seed nl =
 
 let run ?(budget = 50_000) ?(seed = 0) ?(max_rounds = 4) nl =
   let rec go nl round constants duplicates dead =
+    Sttc_util.Budget.check ();
     if round >= max_rounds then (nl, { rounds = round; constants; duplicates; dead })
     else
       match pass ~budget ~seed nl with

@@ -599,6 +599,7 @@ module Solver = struct
   exception Done of result
 
   let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
+    Sttc_util.Budget.check ();
     let at_entry = stats s in
     let finish r =
       let now = stats s in
@@ -662,6 +663,10 @@ module Solver = struct
             decay s;
             if s.s_conflicts - conflicts0 >= max_conflicts then
               raise (Done (Unknown "conflict budget"));
+            (* an exhausted wall-clock budget abandons the search
+               mid-tree; the next call's backtrack to level 0 makes the
+               solver reusable *)
+            if s.s_conflicts land 255 = 0 then Sttc_util.Budget.check ();
             decr until_restart;
             if !until_restart <= 0 then begin
               s.s_restarts <- s.s_restarts + 1;

@@ -86,7 +86,9 @@ module Solver : sig
       "unsatisfiable under these assumptions"; once [Unsat] is derived
       with no assumptions the solver is permanently unsatisfiable.
       [max_conflicts] bounds this call's conflicts; exhaustion returns
-      {!Unknown}. *)
+      {!Unknown}.  The wall-clock {!Sttc_util.Budget} is polled on entry
+      and every 256 conflicts; its exhaustion unwinds the call, and the
+      solver stays usable for later calls. *)
 
   val stats : t -> stats
   (** Cumulative statistics over the solver's lifetime; [kept] is the

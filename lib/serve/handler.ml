@@ -9,27 +9,13 @@ module Metrics = Sttc_obs.Metrics
 
 let timeout_message s = Printf.sprintf "request budget (%.1fs) exhausted" s
 
-(* [Timing.with_timeout] arms a per-process [setitimer]: only the main
-   domain may use it, and it must not nest (the attack harness arms it
-   internally for its per-attack budgets).  Everywhere else the budget
-   is enforced cooperatively — the request is classified as exhausted
-   when it returns past its budget.  Both paths produce the identical
-   error message, so daemon (worker-domain) and offline (main-domain)
-   transports stay byte-compatible. *)
-let with_budget ?(internal_timer = false) timeout_s f =
+let with_budget timeout_s f =
   match timeout_s with
   | None -> f ()
-  | Some s when s <= 0. -> Error (timeout_message s)
-  | Some s ->
-      if Domain.is_main_domain () && not internal_timer then
-        match Sttc_util.Timing.with_timeout ~seconds:s f with
-        | Ok r -> r
-        | Error `Timeout -> Error (timeout_message s)
-      else
-        let t0 = Sttc_util.Pool.now_s () in
-        let r = f () in
-        if Sttc_util.Pool.now_s () -. t0 > s then Error (timeout_message s)
-        else r
+  | Some s -> (
+      match Sttc_util.Budget.run ~seconds:s f with
+      | Ok r -> r
+      | Error `Timeout -> Error (timeout_message s))
 
 (* ---------- protect ---------- *)
 
@@ -215,7 +201,7 @@ let handle ?solver session (req : Request.t) =
     | Request.Protect p ->
         with_budget req.Request.timeout_s (fun () -> do_protect session p)
     | Request.Attack a ->
-        with_budget ~internal_timer:true req.Request.timeout_s (fun () ->
+        with_budget req.Request.timeout_s (fun () ->
             do_attack ?solver session a)
     | Request.Lint l ->
         with_budget req.Request.timeout_s (fun () -> do_lint session l)

@@ -6,12 +6,10 @@
     difference between the two would be a bug — the CI serve gate diffs
     their responses byte for byte.
 
-    Budgets: a request's [timeout_s] is enforced with
-    {!Sttc_util.Timing.with_timeout} on the main domain and
-    cooperatively (overrun classified on return) on worker domains —
-    identical [Error] text either way.  The [attack] verb is always
-    budgeted cooperatively, because the harness arms the process timer
-    internally for its per-attack budgets and the timer does not nest.
+    Budgets: a request's [timeout_s] is a {!Sttc_util.Budget} around
+    the whole request, enforced identically on the main domain (offline)
+    and on worker domains (daemon), with the same [Error] text; the
+    attack harness's per-attack budgets nest inside it.
 
     Metrics: [serve.requests], [serve.errors] and the
     [serve.request_seconds] histogram. *)

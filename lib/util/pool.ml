@@ -10,26 +10,8 @@ type error = {
 }
 
 exception Task_error of error
-exception Deadline_exceeded
 
-(* ---------- monotonic clock + cooperative deadlines ---------- *)
-
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-(* The deadline lives in domain-local storage so task code can poll it
-   without threading a handle through every call. *)
-let deadline_key : float option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let set_deadline d = Domain.DLS.get deadline_key := d
-
-let check_deadline () =
-  match !(Domain.DLS.get deadline_key) with
-  | Some d when now_s () > d -> raise Deadline_exceeded
-  | _ -> ()
-
-let remaining_s () =
-  Option.map (fun d -> d -. now_s ()) !(Domain.DLS.get deadline_key)
+let now_s = Deadline.now_s
 
 (* ---------- instrumentation probe ---------- *)
 
@@ -132,7 +114,7 @@ let with_pool ?chunk ~jobs f =
   let t = create ?chunk ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let map ?deadline_s t f items =
+let map t f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
   if n = 0 then []
@@ -145,11 +127,15 @@ let map ?deadline_s t f items =
     in
     let nchunks = (n + chunk - 1) / chunk in
     let pending = ref nchunks in
+    (* every task runs under the submitter's budget, and a task started
+       past the deadline is abandoned at once *)
+    let deadline = Domain.DLS.get Deadline.key in
     let run_range lo hi =
+      Domain.DLS.set Deadline.key deadline;
       for i = lo to hi do
         let outcome =
           match
-            set_deadline (Option.map (fun s -> now_s () +. s) deadline_s);
+            Budget.check ();
             f arr.(i)
           with
           | v -> Ok v
@@ -161,7 +147,6 @@ let map ?deadline_s t f items =
                   backtrace = Printexc.get_backtrace ();
                 }
         in
-        set_deadline None;
         (* distinct indices per worker; the caller only reads them after
            synchronizing on [pending] under the mutex *)
         results.(i) <- Some outcome
@@ -196,6 +181,9 @@ let map ?deadline_s t f items =
       Condition.wait t.done_cond t.mutex
     done;
     Mutex.unlock t.mutex;
+    (* a task that exhausted the shared deadline exhausted the
+       submitter's: raise it here rather than report a task error *)
+    Budget.check ();
     Array.to_list
       (Array.map
          (function
@@ -207,15 +195,12 @@ let map ?deadline_s t f items =
 let first_error outcomes =
   List.find_map (function Error e -> Some e | Ok _ -> None) outcomes
 
-let map_exn ?deadline_s t f items =
-  let outcomes = map ?deadline_s t f items in
+let map_exn t f items =
+  let outcomes = map t f items in
   match first_error outcomes with
   | Some e -> raise (Task_error e)
   | None ->
       List.map (function Ok v -> v | Error _ -> assert false) outcomes
 
-let map_reduce ?deadline_s t ~map:f ~reduce ~init items =
-  List.fold_left
-    (fun acc v -> reduce acc v)
-    init
-    (map_exn ?deadline_s t f items)
+let map_reduce t ~map:f ~reduce ~init items =
+  List.fold_left (fun acc v -> reduce acc v) init (map_exn t f items)

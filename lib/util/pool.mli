@@ -12,11 +12,8 @@
     share mutable state; netlists shared read-only across tasks should
     have their lazy caches forced first ({!Sttc_netlist.Netlist.warm}).
 
-    Deadlines: [setitimer]-based {!Timing.with_timeout} is per-process
-    and does not compose with domains, so the pool instead carries a
-    cooperative per-task deadline on a monotonic clock.  Long-running
-    task code polls {!check_deadline} at convenient points; expiry is
-    reported as an ordinary captured task error. *)
+    Budgets: every task runs under the submitting domain's {!Budget}, so
+    a deadline set around a fan-out covers the work on every domain. *)
 
 type error = {
   index : int;  (** submission position of the failed task *)
@@ -27,10 +24,6 @@ type error = {
 exception Task_error of error
 (** Raised by {!map_exn} / {!map_reduce} for the failed task with the
     smallest submission index. *)
-
-exception Deadline_exceeded
-(** Raised by {!check_deadline} when the current task is past its
-    deadline; captured per task like any other exception. *)
 
 type t
 
@@ -57,22 +50,24 @@ val worthwhile :
     that can't estimate work should pass [work = infinity] and rely on
     the task count alone. *)
 
-val map : ?deadline_s:float -> t -> ('a -> 'b) -> 'a list -> ('b, error) result list
+val map : t -> ('a -> 'b) -> 'a list -> ('b, error) result list
 (** [map t f items] applies [f] to every item on the worker domains and
-    returns the outcomes in submission order.  Exceptions (including
-    {!Deadline_exceeded}) are captured per task: one failed task never
-    aborts the bag.  [deadline_s] arms each task's cooperative deadline,
-    starting when the task starts.
+    returns the outcomes in submission order.  Exceptions are captured
+    per task: one failed task never aborts the bag.
+
+    Tasks inherit the caller's {!Budget} deadline, and each polls it
+    before starting.  Exhausting it is not a task failure: once the bag
+    has settled, [map] polls the deadline itself, so the exhaustion
+    surfaces on the caller as if the work had run there.
 
     Must not be called from inside a pool task of the same pool (the
     worker would wait on itself); nested fan-outs run serially instead. *)
 
-val map_exn : ?deadline_s:float -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_exn : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Like {!map}, but re-raises the first (by submission index) captured
     failure as {!Task_error} after the whole bag has settled. *)
 
 val map_reduce :
-  ?deadline_s:float ->
   t ->
   map:('a -> 'b) ->
   reduce:('acc -> 'b -> 'acc) ->
@@ -114,17 +109,8 @@ val set_probe : probe option -> unit
 (** Install or remove the global probe.  Affects subsequent {!map}
     calls; intended for process startup, not mid-run toggling. *)
 
-(** {1 Cooperative deadlines}
-
-    Available to task code regardless of which pool runs it. *)
-
-val check_deadline : unit -> unit
-(** Raise {!Deadline_exceeded} if the current task's deadline has
-    passed.  No-op outside a deadline-armed task. *)
-
-val remaining_s : unit -> float option
-(** Seconds until the current task's deadline ([None] when no deadline
-    is armed).  Negative once expired. *)
+(** {1 Clock} *)
 
 val now_s : unit -> float
-(** The pool's monotonic clock, in seconds from an arbitrary origin. *)
+(** The monotonic clock {!Budget} deadlines are kept on, in seconds from
+    an arbitrary origin. *)

@@ -4,51 +4,6 @@ let time f =
   let t1 = Unix.gettimeofday () in
   (result, t1 -. t0)
 
-exception Timed_out
-
-(* One ITIMER_REAL per process: a nested call would silently clobber the
-   outer timer (the second setitimer overwrites the first and the outer
-   stop () then disarms the inner one too).  The flag needs no atomics —
-   only the main domain may get past the domain check below. *)
-let timer_armed = ref false
-
-let with_timeout ~seconds f =
-  if not (Domain.is_main_domain ()) then
-    invalid_arg
-      "Timing.with_timeout: SIGALRM timers are per-process and only the main \
-       domain may arm one; pool tasks must poll Pool.check_deadline instead";
-  if !timer_armed then
-    invalid_arg
-      "Timing.with_timeout: nested call would clobber the armed timer; use \
-       one outer budget or cooperative Pool deadlines";
-  if seconds <= 0. then Error `Timeout
-  else begin
-    timer_armed := true;
-    let old_handler =
-      Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
-    in
-    let stop () =
-      ignore
-        (Unix.setitimer Unix.ITIMER_REAL
-           { Unix.it_value = 0.; it_interval = 0. });
-      Sys.set_signal Sys.sigalrm old_handler;
-      timer_armed := false
-    in
-    ignore
-      (Unix.setitimer Unix.ITIMER_REAL
-         { Unix.it_value = seconds; it_interval = 0. });
-    match f () with
-    | v ->
-        stop ();
-        Ok v
-    | exception Timed_out ->
-        stop ();
-        Error `Timeout
-    | exception e ->
-        stop ();
-        raise e
-  end
-
 let format_min_sec seconds =
   if seconds < 0. then invalid_arg "Timing.format_min_sec: negative";
   let minutes = int_of_float (seconds /. 60.) in

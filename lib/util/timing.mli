@@ -1,24 +1,9 @@
-(** Wall-clock measurement used for the Table II reproduction. *)
+(** Wall-clock measurement used for the Table II reproduction.  Wall-clock
+    {e limits} are {!Budget}'s job. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed
     wall-clock seconds. *)
-
-val with_timeout : seconds:float -> (unit -> 'a) -> ('a, [ `Timeout ]) result
-(** [with_timeout ~seconds f] runs [f ()] under a wall-clock budget
-    enforced with [ITIMER_REAL]/[SIGALRM]: if [f] has not returned after
-    [seconds], it is interrupted at its next allocation point and
-    [Error `Timeout] is returned.  A budget [<= 0] refuses to run [f] at
-    all.  Exceptions raised by [f] propagate; the previous signal
-    disposition is restored either way.
-
-    Not reentrant, and enforced as such: there is one process-wide
-    timer, so a nested call — which would silently clobber the outer
-    budget — raises [Invalid_argument].  Likewise the signal-based
-    mechanism does not compose with domains: calling from any domain but
-    the main one raises [Invalid_argument].  Code running inside a
-    {!Pool} task must use the pool's cooperative deadlines
-    ({!Pool.check_deadline}) instead. *)
 
 val format_min_sec : float -> string
 (** Render seconds as the paper's Table II format ["MM:SS.d"], e.g.

@@ -468,6 +468,73 @@ let test_sequential_attack_small () =
            [ "timeout"; "iteration limit"; "conflict budget";
              "sequence-length limit" ])
 
+(* ---------- wall-clock budgets ---------- *)
+
+module Runner = Sttc_experiments.Runner
+module Budget = Sttc_util.Budget
+
+let now = Sttc_util.Pool.now_s
+
+(* s641 under independent selection at the master seed: the sequential
+   attack needs tens of seconds, most of it in one final UNSAT solve *)
+let hard_hybrid =
+  lazy
+    (protect ~seed:Runner.master_seed (Flow.Independent { count = 5 })
+       (Runner.build_circuit "s641"))
+      .Flow.hybrid
+
+let within ~budget ~slack what f =
+  let t0 = now () in
+  let r = f () in
+  let dt = now () -. t0 in
+  if dt > budget +. slack then
+    Alcotest.failf "%s returned after %.2fs (budget %.2fs)" what dt budget;
+  r
+
+let test_sequential_budget_regression () =
+  match
+    within ~budget:2. ~slack:1. "run_sequential" (fun () ->
+        Sat_attack.run_sequential ~timeout_s:2. (Lazy.force hard_hybrid))
+  with
+  | Sat_attack.Exhausted { reason; _ } ->
+      Alcotest.(check string) "reason" "timeout" reason
+  | Sat_attack.Broken _ -> Alcotest.fail "must not finish inside 2 s"
+
+(* Every budgeted entry point returns within budget + slack on a hard
+   instance, whatever the job count. *)
+let test_budget_table () =
+  let budget = 0.3 and slack = 1. in
+  let h = Lazy.force hard_hybrid in
+  let exhausted what = function
+    | Sat_attack.Exhausted { reason = "timeout"; _ } -> ()
+    | _ -> Alcotest.failf "%s must time out" what
+  in
+  exhausted "run"
+    (within ~budget ~slack "run" (fun () ->
+         (* a 1-cycle-deep miter is easy; the scratch engine rebuilds the
+            solver per call, which is what makes it slow enough *)
+         Sat_attack.run ~timeout_s:budget ~mode:Sat_attack.Scratch h));
+  exhausted "run_sequential"
+    (within ~budget ~slack "run_sequential" (fun () ->
+         Sat_attack.run_sequential ~timeout_s:budget h));
+  let timed_out what f =
+    match within ~budget ~slack what (fun () -> Budget.run ~seconds:budget f) with
+    | Error `Timeout -> ()
+    | Ok _ -> Alcotest.failf "%s must exhaust the enclosing budget" what
+  in
+  List.iter
+    (fun jobs ->
+      timed_out (Printf.sprintf "Harness.attack jobs %d" jobs) (fun () ->
+          Harness.attack
+            ~config:Harness.Config.(default |> with_jobs jobs)
+            ~circuit:"s641" ~algorithm:"independent" h))
+    [ 1; 4 ];
+  List.iter
+    (fun jobs ->
+      timed_out (Printf.sprintf "Runner.rows -j%d" jobs) (fun () ->
+          Runner.rows Runner.Config.(default |> with_jobs jobs)))
+    [ 1; 2 ]
+
 (* ---------- DPA ---------- *)
 
 let test_dpa_deterministic_and_sane () =
@@ -745,6 +812,13 @@ let () =
           Alcotest.test_case "unrolled true key" `Quick
             test_encode_unrolled_true_key_matches_oracle;
           Alcotest.test_case "attack small" `Slow test_sequential_attack_small;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "s641 sequential stops at 2 s" `Slow
+            test_sequential_budget_regression;
+          Alcotest.test_case "entry points return within budget" `Slow
+            test_budget_table;
         ] );
       ( "scan_oracle",
         [

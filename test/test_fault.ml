@@ -7,7 +7,6 @@ module Netlist = Sttc_netlist.Netlist
 module Generator = Sttc_netlist.Generator
 module Truth = Sttc_logic.Truth
 module Rng = Sttc_util.Rng
-module Timing = Sttc_util.Timing
 module Mtj = Sttc_fault.Mtj
 module Ecc = Sttc_fault.Ecc
 module Inject = Sttc_fault.Inject
@@ -416,30 +415,6 @@ let test_program_ideal_channel_matches_apply () =
         (equivalent (Provision.apply foundry entries) view)
   | None -> Alcotest.fail "view missing"
 
-(* ---------- Timing.with_timeout ---------- *)
-
-let test_with_timeout () =
-  (match Timing.with_timeout ~seconds:5. (fun () -> 42) with
-  | Ok v -> Alcotest.(check int) "fast f returns" 42 v
-  | Error `Timeout -> Alcotest.fail "must not time out");
-  (match
-     Timing.with_timeout ~seconds:0.05 (fun () ->
-         while true do
-           ignore (Sys.opaque_identity (ref 0))
-         done)
-   with
-  | Ok () -> Alcotest.fail "infinite loop cannot return"
-  | Error `Timeout -> ());
-  (match Timing.with_timeout ~seconds:0. (fun () -> 1) with
-  | Ok _ -> Alcotest.fail "zero budget must refuse to run"
-  | Error `Timeout -> ());
-  (* exceptions propagate, they are not misreported as timeouts *)
-  Alcotest.(check bool) "exception escapes" true
-    (try
-       ignore (Timing.with_timeout ~seconds:5. (fun () -> failwith "boom"));
-       false
-     with Failure m -> m = "boom")
-
 (* ---------- Runner: isolation, timeout, checkpoint ---------- *)
 
 let test_runner_zero_timeout_partial_rows () =
@@ -457,6 +432,33 @@ let test_runner_zero_timeout_partial_rows () =
       Alcotest.(check bool) "rendered as partial" true
         (contains t1 "partial results:")
   | _ -> Alcotest.fail "expected exactly one row"
+
+(* A stage that overruns its budget is a timeout, never an isolation
+   crash, and the rows and events are the same at any job count. *)
+let test_runner_tiny_budget_isolated () =
+  let run jobs =
+    let events = ref [] in
+    let m = Mutex.create () in
+    let rows =
+      Runner.rows
+        Runner.Config.(
+          default |> with_only [ "s641" ] |> with_timeout_s 1e-6
+          |> with_isolate true |> with_jobs jobs
+          |> with_on_event (fun ev ->
+                 Mutex.protect m (fun () -> events := ev :: !events)))
+    in
+    (Runner.table1 rows, List.rev !events)
+  in
+  let table_j1, events_j1 = run 1 and table_j2, events_j2 = run 2 in
+  Alcotest.(check string) "rows byte-identical at -j1 and -j2" table_j1
+    table_j2;
+  Alcotest.(check (list string)) "same events at -j1 and -j2"
+    (List.sort compare (List.map Runner.string_of_event events_j1))
+    (List.sort compare (List.map Runner.string_of_event events_j2));
+  Alcotest.(check bool) "the overrun is reported as Timed_out" true
+    (List.exists (function Runner.Timed_out _ -> true | _ -> false) events_j1);
+  Alcotest.(check bool) "never as a crash" false
+    (List.exists (function Runner.Failed _ -> true | _ -> false) events_j1)
 
 let test_runner_unknown_benchmark_rejected () =
   Alcotest.(check bool) "unknown name raises before any work" true
@@ -581,14 +583,14 @@ let () =
           Alcotest.test_case "ideal channel = apply" `Quick
             test_program_ideal_channel_matches_apply;
         ] );
-      ( "timeout",
-        [ Alcotest.test_case "with_timeout" `Quick test_with_timeout ] );
       ( "runner",
         [
           Alcotest.test_case "zero timeout partial rows" `Quick
             test_runner_zero_timeout_partial_rows;
           Alcotest.test_case "unknown benchmark rejected" `Quick
             test_runner_unknown_benchmark_rejected;
+          Alcotest.test_case "tiny budget is a timeout, not a crash" `Quick
+            test_runner_tiny_budget_isolated;
           Alcotest.test_case "checkpoint resume" `Slow
             test_runner_checkpoint_resume;
           Alcotest.test_case "event strings" `Quick test_event_strings;

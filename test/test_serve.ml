@@ -488,6 +488,51 @@ let test_cache_hits_via_stats () =
           (try ignore (shutdown_server socket d) with _ -> ());
           Alcotest.fail "stats verb returned an unexpected payload")
 
+(* A request budget stops the attack verb on time on both transports:
+   the in-process handler on the main domain and a daemon worker
+   domain answer with the same error, well inside the budget's slack. *)
+let test_attack_request_budget () =
+  let request =
+    req ~id:"slow" ~timeout_s:0.5
+      (Request.Attack
+         {
+           source = Request.Named "s641";
+           algorithm = Flow.Independent { count = 5 };
+           seed = 1;
+           backend = "stt";
+           config = Harness.Config.default;
+           timing = false;
+         })
+  in
+  let timed what f =
+    let t0 = Sttc_util.Pool.now_s () in
+    let line = f () in
+    let dt = Sttc_util.Pool.now_s () -. t0 in
+    if dt > 1.5 then Alcotest.failf "%s answered after %.2fs" what dt;
+    line
+  in
+  let offline =
+    timed "offline handler" (fun () ->
+        Response.to_string (Handler.handle (Session.create ()) request))
+  in
+  Alcotest.(check string) "offline error text"
+    {|{"id":"slow","status":"error","message":"request budget (0.5s) exhausted"}|}
+    offline;
+  let socket = fresh_socket () in
+  let d =
+    start_server Server.Config.(default |> with_socket socket |> with_jobs 1)
+  in
+  let daemon =
+    timed "daemon worker" (fun () ->
+        match
+          Client.with_connection socket (fun c -> Client.request c request)
+        with
+        | Ok r -> Response.to_string r
+        | Error e -> Alcotest.failf "daemon request failed: %s" e)
+  in
+  shutdown_server socket d;
+  Alcotest.(check string) "daemon matches offline" offline daemon
+
 let () =
   Alcotest.run "serve"
     [
@@ -518,5 +563,7 @@ let () =
             test_backpressure_overloaded;
           Alcotest.test_case "cache hits via stats" `Quick
             test_cache_hits_via_stats;
+          Alcotest.test_case "attack request budget" `Quick
+            test_attack_request_budget;
         ] );
     ]

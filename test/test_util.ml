@@ -1,5 +1,5 @@
 (* Unit and property tests for Sttc_util: Lognum, Rng, Stats, Growable,
-   Timing, Table. *)
+   Timing, Budget, Pool, Table. *)
 
 module Lognum = Sttc_util.Lognum
 module Rng = Sttc_util.Rng
@@ -258,42 +258,6 @@ let test_timing_time () =
   Alcotest.(check int) "result" 42 x;
   Alcotest.(check bool) "non-negative" true (dt >= 0.)
 
-let test_timing_nested_rejected () =
-  (* a nested with_timeout would clobber the single process timer; it
-     must be refused loudly instead of silently disarming the outer
-     budget *)
-  Alcotest.(check bool) "nested call raises Invalid_argument" true
-    (match
-       Timing.with_timeout ~seconds:5. (fun () ->
-           try
-             ignore (Timing.with_timeout ~seconds:1. (fun () -> 0));
-             false
-           with Invalid_argument _ -> true)
-     with
-    | Ok flagged -> flagged
-    | Error `Timeout -> false);
-  (* the guard is released on the way out: a fresh outer call works *)
-  match Timing.with_timeout ~seconds:5. (fun () -> 41 + 1) with
-  | Ok n -> Alcotest.(check int) "timer re-armable" 42 n
-  | Error `Timeout -> Alcotest.fail "trivial body timed out"
-
-let test_timing_off_main_domain_rejected () =
-  (* SIGALRM timers are per-process: arming one from a worker domain
-     would race the main domain's budget, so it must be refused *)
-  let raised =
-    Domain.spawn (fun () ->
-        try
-          ignore (Timing.with_timeout ~seconds:1. (fun () -> 0));
-          false
-        with Invalid_argument _ -> true)
-    |> Domain.join
-  in
-  Alcotest.(check bool) "non-main domain raises" true raised;
-  (* the refusal leaves the main domain's timer usable *)
-  match Timing.with_timeout ~seconds:5. (fun () -> 6 * 7) with
-  | Ok n -> Alcotest.(check int) "main domain still works" 42 n
-  | Error `Timeout -> Alcotest.fail "trivial body timed out"
-
 (* ---------- Pool ---------- *)
 
 module Pool = Sttc_util.Pool
@@ -357,33 +321,6 @@ let test_pool_map_exn_raises_first_error () =
       | exception Pool.Task_error e ->
           Alcotest.(check int) "smallest failing index" 5 e.Pool.index)
 
-let test_pool_deadline_expires () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let out =
-        Pool.map ~deadline_s:0.005 pool
-          (fun slow ->
-            if slow then begin
-              let stop = Pool.now_s () +. 0.05 in
-              while Pool.now_s () < stop do
-                Pool.check_deadline ()
-              done;
-              "survived"
-            end
-            else "fast")
-          [ true; false ]
-      in
-      match out with
-      | [ Error e; Ok "fast" ] ->
-          Alcotest.(check bool) "deadline error" true
-            (e.Pool.exn = Printexc.to_string Pool.Deadline_exceeded)
-      | _ -> Alcotest.fail "slow task must expire, fast task must pass")
-
-let test_pool_deadline_noop_outside_tasks () =
-  (* polling from ordinary code (no armed deadline) must be harmless *)
-  Pool.check_deadline ();
-  Alcotest.(check (option (float 1.))) "no deadline armed" None
-    (Pool.remaining_s ())
-
 let test_pool_map_reduce_order_stable () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let words = List.init 26 (fun i -> String.make 1 (Char.chr (65 + i))) in
@@ -428,6 +365,83 @@ let test_pool_worthwhile () =
   (* callers with no estimate pass infinity and rely on the task count *)
   Alcotest.(check bool) "unknown work fans out" true
     (Pool.worthwhile ~jobs:2 ~tasks:2 ~work:infinity ())
+
+(* ---------- Budget ---------- *)
+
+module Budget = Sttc_util.Budget
+
+(* spin until [seconds] have passed, polling the budget on the way *)
+let spin seconds =
+  let stop = Pool.now_s () +. seconds in
+  while Pool.now_s () < stop do
+    Budget.check ()
+  done
+
+let test_budget_run () =
+  (match Budget.run ~seconds:5. (fun () -> 42) with
+  | Ok v -> Alcotest.(check int) "fast f returns" 42 v
+  | Error `Timeout -> Alcotest.fail "must not time out");
+  (match Budget.run ~seconds:0. (fun () -> Alcotest.fail "ran at zero budget") with
+  | Ok () -> Alcotest.fail "zero budget must refuse to run"
+  | Error `Timeout -> ());
+  (match Budget.run ~seconds:0.02 (fun () -> spin 5.) with
+  | Ok () -> Alcotest.fail "the poll must abandon the spin"
+  | Error `Timeout -> ());
+  (* a body that returns past its deadline without polling still times out *)
+  (match Budget.run ~seconds:0.01 (fun () -> Unix.sleepf 0.03) with
+  | Ok () -> Alcotest.fail "late return must time out"
+  | Error `Timeout -> ());
+  (* exceptions propagate, they are not misreported as timeouts *)
+  Alcotest.(check bool) "exception escapes" true
+    (try
+       ignore (Budget.run ~seconds:5. (fun () -> failwith "boom"));
+       false
+     with Failure m -> m = "boom");
+  (* outside any budget the poll is harmless *)
+  Budget.check ()
+
+let test_budget_nesting () =
+  (* the inner budget takes the min of its own and the outer deadline *)
+  let t0 = Pool.now_s () in
+  let inner = ref None in
+  let outer =
+    Budget.run ~seconds:0.05 (fun () ->
+        inner := Some (Budget.run ~seconds:10. (fun () -> spin 5.)))
+  in
+  Alcotest.(check bool) "outer fired" true (outer = Error `Timeout);
+  Alcotest.(check bool) "inner cut at the outer deadline" true
+    (!inner = Some (Error `Timeout) && Pool.now_s () -. t0 < 1.);
+  (* a shorter inner budget fires first; the outer one still fires *)
+  match
+    Budget.run ~seconds:0.1 (fun () ->
+        let inner = Budget.run ~seconds:0.01 (fun () -> spin 5.) in
+        Alcotest.(check bool) "inner fired" true (inner = Error `Timeout);
+        spin 5.)
+  with
+  | Ok () -> Alcotest.fail "outer budget must still fire"
+  | Error `Timeout -> ()
+
+let test_budget_pool_inheritance () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let t0 = Pool.now_s () in
+          (match
+             Budget.run ~seconds:0.05 (fun () ->
+                 Pool.map pool (fun slow -> if slow then spin 5.) [ true; false ])
+           with
+          | Ok _ -> Alcotest.failf "-j%d: task must inherit the deadline" jobs
+          | Error `Timeout -> ());
+          Alcotest.(check bool)
+            (Printf.sprintf "-j%d: bag abandoned at the deadline" jobs)
+            true
+            (Pool.now_s () -. t0 < 1.);
+          (* no budget installed: tasks run to completion *)
+          Alcotest.(check (list int))
+            (Printf.sprintf "-j%d: unbudgeted bag" jobs)
+            [ 1; 2 ]
+            (Pool.map_exn pool (fun x -> x) [ 1; 2 ])))
+    [ 1; 4 ]
 
 (* ---------- Table ---------- *)
 
@@ -497,10 +511,6 @@ let () =
         [
           Alcotest.test_case "format_min_sec" `Quick test_timing_format;
           Alcotest.test_case "time" `Quick test_timing_time;
-          Alcotest.test_case "nested timeout rejected" `Quick
-            test_timing_nested_rejected;
-          Alcotest.test_case "off-main-domain timeout rejected" `Quick
-            test_timing_off_main_domain_rejected;
         ] );
       ( "pool",
         [
@@ -514,10 +524,6 @@ let () =
             test_pool_captures_exceptions;
           Alcotest.test_case "map_exn raises first error" `Quick
             test_pool_map_exn_raises_first_error;
-          Alcotest.test_case "cooperative deadline expires" `Quick
-            test_pool_deadline_expires;
-          Alcotest.test_case "deadline no-op outside tasks" `Quick
-            test_pool_deadline_noop_outside_tasks;
           Alcotest.test_case "map_reduce order stable" `Quick
             test_pool_map_reduce_order_stable;
           Alcotest.test_case "shutdown refuses new work" `Quick
@@ -526,6 +532,14 @@ let () =
             test_pool_empty_and_chunked;
           Alcotest.test_case "worthwhile heuristic" `Quick
             test_pool_worthwhile;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "fast, zero and raising bodies" `Quick
+            test_budget_run;
+          Alcotest.test_case "nesting takes the min" `Quick test_budget_nesting;
+          Alcotest.test_case "inherited through Pool.map" `Quick
+            test_budget_pool_inheritance;
         ] );
       ( "table",
         [

@@ -163,6 +163,16 @@ cat > "$tmpdir/serve.requests" <<EOF
 EOF
 "$STTC_BIN" client --offline --request-file "$tmpdir/serve.requests" \
   > "$tmpdir/serve.offline" 2> /dev/null
+# A request budget must cut a long attack off on time, with the same
+# answer from the in-process handler as from a daemon worker domain.
+BUDGET_REQ='{"verb":"attack","netlist":"s641","algorithm":"independent","seed":1,"timeout_s":0.5}'
+BUDGET_ERR='{"status":"error","message":"request budget (0.5s) exhausted"}'
+budget_out=$(timeout 10 "$STTC_BIN" client --offline --request "$BUDGET_REQ" \
+  2> /dev/null || true)
+if [ "$budget_out" != "$BUDGET_ERR" ]; then
+  echo "BUDGET GATE FAILED: offline 0.5 s attack request answered '$budget_out'" >&2
+  exit 1
+fi
 "$STTC_BIN" serve --socket "$SOCK" -j 2 --metrics "$SERVE_METRICS" \
   2> "$tmpdir/serve.log" &
 SERVE_PID=$!
@@ -197,6 +207,12 @@ for c in 1 2 3 4; do
     exit 1
   fi
 done
+budget_out=$(timeout 10 "$STTC_BIN" client --socket "$SOCK" \
+  --request "$BUDGET_REQ" 2> /dev/null || true)
+if [ "$budget_out" != "$BUDGET_ERR" ]; then
+  echo "BUDGET GATE FAILED: daemon 0.5 s attack request answered '$budget_out'" >&2
+  exit 1
+fi
 "$STTC_BIN" client --socket "$SOCK" --request '{"verb":"shutdown"}' > /dev/null
 serve_status=0
 wait $SERVE_PID || serve_status=$?
@@ -211,6 +227,28 @@ if [ -e "$SOCK" ]; then
 fi
 sttc obs-check --metrics "$SERVE_METRICS" \
   --require serve.requests,serve.cache_hits,serve.overloaded,serve.queue_depth
+
+echo "== budget gate (zero budget identical at any -j; one budget mechanism)"
+# A zero budget starts no attack: all six report "zero budget", and the
+# serial and parallel harness render the same bytes.
+sttc attack -i "$tmpdir/s27.bench" --timeout 0 -j 1 > "$tmpdir/zero.j1"
+sttc attack -i "$tmpdir/s27.bench" --timeout 0 -j 4 > "$tmpdir/zero.j4"
+if ! diff -u "$tmpdir/zero.j1" "$tmpdir/zero.j4"; then
+  echo "BUDGET GATE FAILED: --timeout 0 output differs between -j 1 and -j 4" >&2
+  exit 1
+fi
+if [ "$(grep -c 'zero budget' "$tmpdir/zero.j1")" -ne 6 ]; then
+  echo "BUDGET GATE FAILED: --timeout 0 must report six zero-budget attacks" >&2
+  cat "$tmpdir/zero.j1" >&2
+  exit 1
+fi
+# Every wall-clock limit goes through Sttc_util.Budget: the retired
+# mechanisms must not come back.
+if grep -rnE 'setitimer|ITIMER_REAL|sigalrm|Timing\.with_timeout|check_deadline|Deadline_exceeded|deadline_s|internal_timer|serial_guard|pool_guard' \
+     lib bin test; then
+  echo "BUDGET GATE FAILED: a retired timeout mechanism is back (see above)" >&2
+  exit 1
+fi
 
 echo "== scale gate (5e4-gate family: incremental protect under ceiling, byte-identical to full STA)"
 # A 50k-gate s-like family circuit must protect inside a hard wall-clock

@@ -35,30 +35,17 @@ let bitstream_of_index luts arities index =
   in
   go luts arities index []
 
-let candidate_matches ~vectors ~rng oracle sim_template hybrid bitstream =
-  ignore sim_template;
-  let candidate = Hybrid.program_with hybrid bitstream in
-  let sim = Sttc_sim.Simulator.create candidate in
-  let nl = candidate in
-  let pis = Array.of_list (Netlist.pis nl) in
-  let dffs = Array.of_list (Netlist.dffs nl) in
+let candidate_matches ~vectors ~rng oracle hybrid bitstream =
+  let candidate = Oracle.of_netlist (Hybrid.program_with hybrid bitstream) in
+  let width = List.length (Oracle.input_names oracle) in
   let batches = max 1 (vectors / 64) in
   let ok = ref true in
   let b = ref 0 in
   while !ok && !b < batches do
     incr b;
-    let pi_lanes = Array.map (fun _ -> Rng.int64 rng) pis in
-    let st_lanes = Array.map (fun _ -> Rng.int64 rng) dffs in
-    Sttc_sim.Simulator.set_state sim st_lanes;
-    let pos = Sttc_sim.Simulator.eval_comb sim pi_lanes in
-    let values = Sttc_sim.Simulator.node_values sim in
-    let next =
-      Array.of_list
-        (List.map (fun ff -> values.((Netlist.fanins nl ff).(0))) (Netlist.dffs nl))
-    in
-    let ours = Array.append pos next in
-    let theirs = Oracle.query_lanes oracle (Array.append pi_lanes st_lanes) in
-    if ours <> theirs then ok := false
+    let inputs = Array.init width (fun _ -> Rng.int64 rng) in
+    if Oracle.query_lanes candidate inputs <> Oracle.query_lanes oracle inputs
+    then ok := false
   done;
   !ok
 
@@ -84,7 +71,7 @@ let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
     let t1 = Unix.gettimeofday () in
     for i = 0 to sample - 1 do
       ignore
-        (candidate_matches ~vectors:64 ~rng oracle () hybrid
+        (candidate_matches ~vectors:64 ~rng oracle hybrid
            (bitstream_of_index luts arities (Int64.of_int i)))
     done;
     let dt = Unix.gettimeofday () -. t1 in
@@ -105,7 +92,7 @@ let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
       else
         let bitstream = bitstream_of_index luts arities i in
         if
-          candidate_matches ~vectors:check_vectors ~rng oracle () hybrid
+          candidate_matches ~vectors:check_vectors ~rng oracle hybrid
             bitstream
           && Sat_attack.verify_break hybrid bitstream
         then Some (bitstream, i)

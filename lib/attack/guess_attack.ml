@@ -60,29 +60,16 @@ let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
   in
   let score bitstream =
     (* lanes of agreement across the probe set *)
-    let candidate = Hybrid.program_with hybrid bitstream in
-    let sim = Sttc_sim.Simulator.create candidate in
+    let candidate = Oracle.of_netlist (Hybrid.program_with hybrid bitstream) in
     let agree = ref 0 and total = ref 0 in
     Array.iteri
       (fun b inputs ->
-        let pi_lanes = Array.sub inputs 0 (Array.length pis) in
-        let st_lanes = Array.sub inputs (Array.length pis) (Array.length dffs) in
-        Sttc_sim.Simulator.set_state sim st_lanes;
-        let pos = Sttc_sim.Simulator.eval_comb sim pi_lanes in
-        let values = Sttc_sim.Simulator.node_values sim in
-        let next =
-          Array.of_list
-            (List.map
-               (fun ff -> values.((Netlist.fanins candidate ff).(0)))
-               (Netlist.dffs candidate))
-        in
-        let ours = Array.append pos next in
         Array.iteri
           (fun i v ->
             let diff = Int64.logxor v probe_outputs.(b).(i) in
             agree := !agree + (64 - popcount64 diff);
             total := !total + 64)
-          ours)
+          (Oracle.query_lanes candidate inputs))
       probe_inputs;
     if !total = 0 then 0. else float_of_int !agree /. float_of_int !total
   in

@@ -36,15 +36,9 @@ let query_lanes t inputs =
   let pis = Array.sub inputs 0 t.n_pis in
   let state = Array.sub inputs t.n_pis t.n_dffs in
   Simulator.set_state t.sim state;
-  let pos = Simulator.eval_comb t.sim pis in
-  (* next-state = D-input values *)
-  let values = Simulator.node_values t.sim in
-  let next =
-    Array.of_list
-      (List.map
-         (fun ff -> values.((Netlist.fanins t.nl ff).(0)))
-         (Netlist.dffs t.nl))
-  in
+  let pos = Simulator.step t.sim pis in
+  (* next-state = the state the step latched *)
+  let next = Simulator.state t.sim in
   Array.append pos next
 
 let query t inputs =

@@ -1,6 +1,6 @@
 module Netlist = Sttc_netlist.Netlist
-module Ternary = Sttc_logic.Ternary
-module Ternary_sim = Sttc_sim.Ternary_sim
+module Simulator = Sttc_sim.Simulator
+module Truth = Sttc_logic.Truth
 module Rng = Sttc_util.Rng
 module Lognum = Sttc_util.Lognum
 module Hybrid = Sttc_core.Hybrid
@@ -47,110 +47,113 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
       Hashtbl.add resolved id (Array.make (1 lsl arity_of id) None);
       Hashtbl.add unreachable id (Array.make (1 lsl arity_of id) false))
     luts;
-  (* Pre-build, per LUT, the two foundry variants where the LUT is forced
-     to constant 0 / 1 (every other LUT stays unknown).  These do not
-     depend on the pattern. *)
+  (* Per LUT, two ternary simulators of the foundry view where the LUT is
+     forced to constant 0 / 1 (every other LUT stays unknown). *)
   let forced =
     List.map
       (fun id ->
-        let const v =
-          (if v then Sttc_logic.Truth.const_true
-           else Sttc_logic.Truth.const_false)
-            ~arity:(arity_of id)
+        let sim v =
+          let const = if v then Truth.const_true else Truth.const_false in
+          Simulator.create_ternary ~configs:[ (id, const ~arity:(arity_of id)) ] foundry
         in
-        ( id,
-          ( Sttc_netlist.Transform.program_luts foundry [ (id, const false) ],
-            Sttc_netlist.Transform.program_luts foundry [ (id, const true) ] ) ))
+        (id, (sim false, sim true)))
       luts
   in
-  let row_of_fanins values id =
+  let n_pis = Array.length pi_ids in
+  (* observation points: the primary outputs, then the flip-flop D inputs
+     (observable via scan); point j is the oracle's output j *)
+  let points =
+    Array.append
+      (Array.map snd (Netlist.outputs foundry))
+      (Array.map (fun ff -> (Netlist.fanins foundry ff).(0)) dff_ids)
+  in
+  let bit w lane = Int64.logand (Int64.shift_right_logical w lane) 1L = 1L in
+  (* evaluate both forcings on a batch of assignments, one per lane *)
+  let evaluate batch (s0, s1) =
+    let word j =
+      let w = ref 0L in
+      Array.iteri
+        (fun lane a -> if a.(j) then w := Int64.logor !w (Int64.shift_left 1L lane))
+        batch;
+      !w
+    in
+    let pis = Array.init n_pis word
+    and state = Array.init (Array.length dff_ids) (fun i -> word (n_pis + i)) in
+    List.iter
+      (fun s ->
+        Simulator.set_state s state;
+        ignore (Simulator.eval_comb s pis))
+      [ s0; s1 ]
+  in
+  let row_of_fanins (s0, _) id lane =
     (* the row index addressed by the LUT's (known) fanin values *)
     let fanins = Netlist.fanins foundry id in
     let rec go k acc =
       if k >= Array.length fanins then Some acc
-      else
-        match values.(fanins.(k)) with
-        | Ternary.Zero -> go (k + 1) acc
-        | Ternary.One -> go (k + 1) (acc lor (1 lsl k))
-        | Ternary.X -> None
+      else if bit (Simulator.ones s0 fanins.(k)) lane then
+        go (k + 1) (acc lor (1 lsl k))
+      else if bit (Simulator.zeros s0 fanins.(k)) lane then go (k + 1) acc
+      else None
     in
     go 0 0
   in
-  let out_count = List.length (Oracle.output_names oracle) in
-  ignore out_count;
+  (* are the two forcings known and different at point j? *)
+  let differs (s0, s1) lane j =
+    let d = points.(j) in
+    bit
+      (Int64.logor
+         (Int64.logand (Simulator.ones s0 d) (Simulator.zeros s1 d))
+         (Int64.logand (Simulator.zeros s0 d) (Simulator.ones s1 d)))
+      lane
+  in
+  (* the first observation point from j on, stepping by [by], that tells
+     the forcings apart.  Any such point yields the same row value; the
+     random phase takes the last one and certification the first. *)
+  let rec find sims lane j ~by =
+    if j < 0 || j >= Array.length points then None
+    else if differs sims lane j then Some j
+    else find sims lane (j + by) ~by
+  in
+  (* the oracle's value at point j tells which forcing matches reality,
+     i.e. the row's truth value: agreeing with the 0-forcing means 0 *)
+  let row_value (s0, _) lane j observed =
+    observed <> bit (Simulator.ones s0 points.(j)) lane
+  in
   let patterns = ref 0 in
   while !patterns < budget_patterns do
-    Sttc_util.Budget.check ();
-    incr patterns;
-    (* random primary/state assignment *)
-    let assignment = Array.init n_in (fun _ -> Rng.bool rng) in
-    let pis =
-      Array.init (Array.length pi_ids) (fun i ->
-          Ternary.of_bool assignment.(i))
+    (* random primary/state assignments, PIs then state, up to 64 per
+       batch *)
+    let batch =
+      Array.init (min 64 (budget_patterns - !patterns)) (fun _ ->
+          Array.init n_in (fun _ -> Rng.bool rng))
     in
-    let state =
-      Array.init (Array.length dff_ids) (fun i ->
-          Ternary.of_bool assignment.(Array.length pi_ids + i))
+    (* a LUT whose table is complete has nothing left to test *)
+    let open_luts =
+      List.filter
+        (fun (id, _) -> Array.mem None (Hashtbl.find resolved id))
+        forced
     in
-    (* For each LUT with unresolved rows, test observability of the row
-       this pattern justifies. *)
-    List.iter
-      (fun (id, (nl0, nl1)) ->
-        let table = Hashtbl.find resolved id in
-        (* ternary sim with LUT id forced to 0 / 1, everything else X *)
-        let v0 = Ternary_sim.eval_comb ~state nl0 pis
-        and v1 = Ternary_sim.eval_comb ~state nl1 pis in
-        match row_of_fanins v0 id with
-        | None -> ()
-        | Some row when table.(row) <> None -> ()
-        | Some row ->
-            (* find an observation point where the two forcings are known
-               and different *)
-            let obs =
-              let outs0 = Ternary_sim.outputs foundry v0
-              and outs1 = Ternary_sim.outputs foundry v1 in
-              let candidates = ref [] in
-              Array.iteri
-                (fun i a ->
-                  let b = outs1.(i) in
-                  match (a, b) with
-                  | Ternary.Zero, Ternary.One | Ternary.One, Ternary.Zero ->
-                      candidates := `Po (i, a) :: !candidates
-                  | _ -> ())
-                outs0;
-              (* flip-flop D inputs are also observable via scan *)
-              List.iteri
-                (fun i ff ->
-                  let d = (Netlist.fanins foundry ff).(0) in
-                  match (v0.(d), v1.(d)) with
-                  | Ternary.Zero, Ternary.One | Ternary.One, Ternary.Zero ->
-                      candidates := `Ff (i, v0.(d)) :: !candidates
-                  | _ -> ())
-                (Netlist.dffs foundry);
-              !candidates
-            in
-            (match obs with
-            | [] -> ()
-            | point :: _ ->
-                (* query the oracle; the observed value tells which forcing
-                   matches reality, i.e. the row's truth value *)
-                let out = Oracle.query oracle assignment in
-                let n_pos = Array.length (Netlist.outputs foundry) in
-                let observed, zero_value =
-                  match point with
-                  | `Po (i, a) -> (out.(i), a)
-                  | `Ff (i, a) -> (out.(n_pos + i), a)
-                in
-                let row_value =
-                  (* if the oracle agrees with the v:=0 simulation, the
-                     row is 0 *)
-                  match zero_value with
-                  | Ternary.Zero -> observed
-                  | Ternary.One -> not observed
-                  | Ternary.X -> assert false
-                in
-                table.(row) <- Some row_value))
-      forced
+    List.iter (fun (_, sims) -> evaluate batch sims) open_luts;
+    Array.iteri
+      (fun lane assignment ->
+        Sttc_util.Budget.check ();
+        incr patterns;
+        (* For each LUT with unresolved rows, test observability of the
+           row this pattern justifies. *)
+        List.iter
+          (fun (id, sims) ->
+            let table = Hashtbl.find resolved id in
+            match row_of_fanins sims id lane with
+            | None -> ()
+            | Some row when table.(row) <> None -> ()
+            | Some row -> (
+                match find sims lane (Array.length points - 1) ~by:(-1) with
+                | None -> ()
+                | Some j ->
+                    let out = Oracle.query oracle assignment in
+                    table.(row) <- Some (row_value sims lane j out.(j))))
+          open_luts)
+      batch
   done;
   (* ---------- targeted ATPG phase ---------- *)
   if targeted then begin
@@ -233,60 +236,20 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
                      (fun (_, l) -> Sat.model_value model l)
                      c1.Encode.inputs)
               in
-              (* certify under all other-key assignments with ternary sim *)
-              let nl0, nl1 = List.assoc id forced in
-              let pis_t =
-                Array.init (Array.length pi_ids) (fun i ->
-                    Ternary.of_bool bits.(i))
+              (* certify under all other-key assignments with ternary
+                 simulation *)
+              let sims = List.assoc id forced in
+              evaluate [| bits |] sims;
+              let certified =
+                match row_of_fanins sims id 0 with
+                | Some r when r = row -> find sims 0 0 ~by:1
+                | _ -> None
               in
-              let state_t =
-                Array.init (Array.length dff_ids) (fun i ->
-                    Ternary.of_bool bits.(Array.length pi_ids + i))
-              in
-              let v0 = Ternary_sim.eval_comb ~state:state_t nl0 pis_t in
-              let v1 = Ternary_sim.eval_comb ~state:state_t nl1 pis_t in
-              let certified = ref None in
-              (match row_of_fanins v0 id with
-              | Some r when r = row ->
-                  let outs0 = Ternary_sim.outputs foundry v0
-                  and outs1 = Ternary_sim.outputs foundry v1 in
-                  Array.iteri
-                    (fun i a ->
-                      if !certified = None then
-                        match (a, outs1.(i)) with
-                        | Ternary.Zero, Ternary.One
-                        | Ternary.One, Ternary.Zero ->
-                            certified := Some (`Po (i, a))
-                        | _ -> ())
-                    outs0;
-                  List.iteri
-                    (fun i ff ->
-                      if !certified = None then
-                        let d = (Netlist.fanins foundry ff).(0) in
-                        match (v0.(d), v1.(d)) with
-                        | Ternary.Zero, Ternary.One
-                        | Ternary.One, Ternary.Zero ->
-                            certified := Some (`Ff (i, v0.(d)))
-                        | _ -> ())
-                    (Netlist.dffs foundry)
-              | _ -> ());
-              (match !certified with
+              (match certified with
               | None -> blocked := bits :: !blocked
-              | Some point ->
+              | Some j ->
                   let out = Oracle.query oracle bits in
-                  let n_pos = Array.length (Netlist.outputs foundry) in
-                  let observed, zero_value =
-                    match point with
-                    | `Po (i, a) -> (out.(i), a)
-                    | `Ff (i, a) -> (out.(n_pos + i), a)
-                  in
-                  let row_value =
-                    match zero_value with
-                    | Ternary.Zero -> observed
-                    | Ternary.One -> not observed
-                    | Ternary.X -> assert false
-                  in
-                  table.(row) <- Some row_value)
+                  table.(row) <- Some (row_value sims 0 j out.(j)))
         done
       end
     in

@@ -4,6 +4,7 @@ module Ternary = Sttc_logic.Ternary
 module Truth = Sttc_logic.Truth
 module Gate_fn = Sttc_logic.Gate_fn
 module Rng = Sttc_util.Rng
+module Simulator = Sttc_sim.Simulator
 
 let infinite = 1_000_000
 
@@ -25,32 +26,6 @@ type t = {
 (* saturating arithmetic in the SCOAP cost domain *)
 let ( +! ) a b = if a >= infinite || b >= infinite then infinite else a + b
 let sat v = if v >= infinite then infinite else v
-
-(* ---------- ternary evaluation under one source assignment ---------- *)
-
-(* [eval_pass nl source_value] evaluates every node: sources take
-   [source_value id], unconfigured LUTs yield X, everything else follows
-   the pessimistic three-valued gate semantics of {!Sttc_logic.Ternary}. *)
-let eval_pass nl order source_value =
-  let n = Netlist.node_count nl in
-  let v = Array.make n Ternary.X in
-  Array.iter
-    (fun id ->
-      let node = Netlist.node nl id in
-      match node.Netlist.kind with
-      | Netlist.Pi | Netlist.Dff -> v.(id) <- source_value id
-      | Netlist.Const b -> v.(id) <- Ternary.of_bool b
-      | Netlist.Gate fn ->
-          v.(id) <-
-            Ternary.eval_gate fn
-              (Array.map (fun s -> v.(s)) node.Netlist.fanins)
-      | Netlist.Lut { config = Some c; _ } ->
-          v.(id) <-
-            Ternary.eval_truth c
-              (Array.map (fun s -> v.(s)) node.Netlist.fanins)
-      | Netlist.Lut { config = None; _ } -> v.(id) <- Ternary.X)
-    order;
-  v
 
 (* ---------- LUT taint: combinationally downstream of a missing gate *)
 
@@ -266,33 +241,62 @@ let compute_live nl order const =
 
 let max_patterns = 30 (* 2 bits per pattern must fit an OCaml int *)
 
+(* lane [lane] of a node after a ternary evaluation *)
+let lane_value sim id lane =
+  let bit w = Int64.logand (Int64.shift_right_logical w lane) 1L = 1L in
+  if bit (Simulator.ones sim id) then Ternary.One
+  else if bit (Simulator.zeros sim id) then Ternary.Zero
+  else Ternary.X
+
 let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   let patterns = max 1 (min patterns max_patterns) in
   Netlist.warm nl;
   let order = Netlist.topo_order nl in
   let n = Netlist.node_count nl in
+  let sim = Simulator.create_ternary nl in
+  let pis = Netlist.pis nl and dffs = Netlist.dffs nl in
   (* constant propagation: every source unknown *)
-  let const = eval_pass nl order (fun _ -> Ternary.X) in
+  let unknown ids = Array.make (List.length ids) 0L in
+  Simulator.set_state_rails sim ~ones:(unknown dffs) ~zeros:(unknown dffs);
+  Simulator.eval_rails sim ~ones:(unknown pis) ~zeros:(unknown pis);
+  let const = Array.init n (fun id -> lane_value sim id 0) in
   let tainted = compute_taint nl order in
-  (* random known-source sampling: signatures and stuck-at candidates *)
+  (* random known-source sampling, one pattern per lane: signatures and
+     stuck-at candidates.  Bits are drawn pattern by pattern, sources in
+     topological order. *)
   let rng = Rng.make seed in
+  let lanes = Array.make n 0L in
+  for p = 0 to patterns - 1 do
+    Array.iter
+      (fun id ->
+        match Netlist.kind nl id with
+        | Netlist.Pi | Netlist.Dff ->
+            if Rng.bool rng then
+              lanes.(id) <- Int64.logor lanes.(id) (Int64.shift_left 1L p)
+        | _ -> ())
+      order
+  done;
+  let lanes_of ids = Array.of_list (List.map (fun id -> lanes.(id)) ids) in
+  Simulator.set_state sim (lanes_of dffs);
+  ignore (Simulator.eval_comb sim (lanes_of pis));
+  let used = Int64.pred (Int64.shift_left 1L patterns) in
   let signature = Array.make n 0 in
   let stuck = Array.make n Ternary.X in
-  let varied = Array.make n false in
-  for p = 0 to patterns - 1 do
-    let v = eval_pass nl order (fun _ -> Ternary.of_bool (Rng.bool rng)) in
-    for id = 0 to n - 1 do
-      let code =
-        match v.(id) with Ternary.Zero -> 1 | Ternary.One -> 2 | Ternary.X -> 3
-      in
-      signature.(id) <- signature.(id) lor (code lsl (2 * p));
-      (if p = 0 then stuck.(id) <- v.(id)
-       else if not (Ternary.equal stuck.(id) v.(id)) then varied.(id) <- true);
-      if not (Ternary.is_known v.(id)) then varied.(id) <- true
-    done
-  done;
   for id = 0 to n - 1 do
-    if varied.(id) then stuck.(id) <- Ternary.X
+    for p = 0 to patterns - 1 do
+      let code =
+        match lane_value sim id p with
+        | Ternary.Zero -> 1
+        | Ternary.One -> 2
+        | Ternary.X -> 3
+      in
+      signature.(id) <- signature.(id) lor (code lsl (2 * p))
+    done;
+    (* a stuck-at candidate is the same known value in every sample *)
+    if Int64.logand (Simulator.ones sim id) used = used then
+      stuck.(id) <- Ternary.One
+    else if Int64.logand (Simulator.zeros sim id) used = used then
+      stuck.(id) <- Ternary.Zero
   done;
   let cc0, cc1, co = compute_scoap nl order in
   let live = compute_live nl order const in

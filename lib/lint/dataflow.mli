@@ -7,10 +7,12 @@
       contents);
     - a {e taint} bit per node: combinationally downstream of an
       unconfigured LUT, where no two-valued claim is sound;
-    - random known-source {e sampling}: a per-node response signature
-      (the equivalence pre-filter) and a stuck-at candidate value
-      (a net that varied in any sample is definitely not constant, so
-      the SAT prover is only consulted about the survivors);
+    - random known-source {e sampling}, one 64-lane pass of the
+      ternary {!Sttc_sim.Simulator} with one sample per lane: a per-node
+      response signature (the equivalence pre-filter) and a stuck-at
+      candidate value (a net that varied in any sample is definitely not
+      constant, so the SAT prover is only consulted about the
+      survivors);
     - SCOAP-style {e controllability/observability} costs with X
       blocking: unconfigured LUT outputs are uncontrollable and
       unobservable-through, which makes finite [cc]/[co] a cheap

@@ -79,15 +79,11 @@ let check_random ?(vectors = 4096) ~seed a b =
              let st_b = Array.make (Array.length dff_order_b) 0L in
              Array.iteri (fun i bi -> st_b.(bi) <- st_lanes.(i)) dff_order_b;
              Simulator.set_state sim_b st_b;
-             let outs_a = Simulator.eval_comb sim_a pi_lanes in
-             let outs_b = Simulator.eval_comb sim_b pi_lanes in
-             (* also compare next-state functions *)
-             let next_a = Simulator.state (let _ = Simulator.step sim_a pi_lanes in sim_a) in
-             Simulator.set_state sim_b st_b;
-             let next_b_raw =
-               let _ = Simulator.step sim_b pi_lanes in
-               Simulator.state sim_b
-             in
+             (* outputs and next-state functions from one step each *)
+             let outs_a = Simulator.step sim_a pi_lanes in
+             let outs_b = Simulator.step sim_b pi_lanes in
+             let next_a = Simulator.state sim_a in
+             let next_b_raw = Simulator.state sim_b in
              let next_b = Array.make (Array.length next_a) 0L in
              Array.iteri (fun i bi -> next_b.(i) <- next_b_raw.(bi)) dff_order_b;
              let report signal diff =

@@ -1,11 +1,24 @@
-(** Bit-parallel logic simulation: 64 independent patterns per step.
+(** Bit-parallel logic simulation: 64 independent patterns per step, in
+    two- or three-valued logic.  This is the only netlist evaluator.
 
-    Lane [i] of every [int64] word is pattern [i].  Flip-flops hold state
-    across {!step} calls; {!reset} clears them to 0.  LUT slots evaluate
-    their programmed configuration; simulating a netlist containing an
-    unprogrammed LUT raises unless an override configuration is supplied
-    at creation — this is exactly the information asymmetry the defence
-    creates, and the attack code exploits the same interface. *)
+    {!create} compiles the netlist once into a flat, topologically
+    ordered program (one instruction per combinational node, a flat
+    fanin array, LUT tables).  Every node holds two rails of 64 lanes:
+    [ones] (lane known 1) and [zeros] (lane known 0); a lane set in
+    neither is X.  Gates follow the pessimistic semantics of
+    {!Sttc_logic.Ternary.eval_gate}, configured LUTs those of
+    {!Sttc_logic.Ternary.eval_truth}, which stay as the scalar reference
+    the tests compare against lane by lane.
+
+    The two-valued interface ({!step}, {!eval_comb}, ...) runs the same
+    loop with [zeros = lnot ones]: lane [i] of every [int64] word is
+    pattern [i].  Flip-flops hold state across {!step} calls; {!reset}
+    clears them to 0.  LUT slots evaluate their programmed configuration;
+    {!create} raises on an unprogrammed LUT unless an override
+    configuration is supplied — this is exactly the information asymmetry
+    the defence creates, and the attack code exploits the same interface.
+    {!create_ternary} instead lets unprogrammed LUTs output X, the
+    attacker's view of the foundry netlist. *)
 
 type t
 
@@ -17,6 +30,12 @@ val create :
     netlist.  Raises [Invalid_argument] if any LUT remains unconfigured or
     an override has the wrong arity. *)
 
+val create_ternary :
+  ?configs:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t) list ->
+  Sttc_netlist.Netlist.t ->
+  t
+(** Like {!create}, but a LUT left unconfigured outputs X in every lane. *)
+
 val netlist : t -> Sttc_netlist.Netlist.t
 
 val reset : t -> unit
@@ -26,6 +45,7 @@ val set_state : t -> int64 array -> unit
 (** Flip-flop values in [Netlist.dffs] order. *)
 
 val state : t -> int64 array
+(** The flip-flops' [ones] rail. *)
 
 val step : t -> int64 array -> int64 array
 (** [step t pis] evaluates one clock cycle: combinational logic under the
@@ -45,6 +65,22 @@ val run_sequence : t -> int64 array list -> int64 array list
 (** Feed a sequence of PI lane-vectors, one per cycle, from reset; collect
     the PO lane-vectors. *)
 
-val eval_truth_lanes : Sttc_logic.Truth.t -> int64 array -> int64
-(** Bit-parallel truth-table evaluation (exposed for tests and for the
-    attack code): input [k]'s lanes in element [k]. *)
+(** {2 Rails}
+
+    Three-valued access.  A lane must not be set in both rails of one
+    input. *)
+
+val set_state_rails : t -> ones:int64 array -> zeros:int64 array -> unit
+(** Flip-flop rails in [Netlist.dffs] order; [zeros = ones = 0] makes the
+    state X. *)
+
+val eval_rails : t -> ones:int64 array -> zeros:int64 array -> unit
+(** Evaluate the combinational logic under primary-input rails (in
+    [Netlist.pis] order) and the current state rails.  Read the result
+    with {!ones} and {!zeros}. *)
+
+val ones : t -> Sttc_netlist.Netlist.node_id -> int64
+(** Lanes where the node was known 1 in the latest evaluation. *)
+
+val zeros : t -> Sttc_netlist.Netlist.node_id -> int64
+(** Lanes where the node was known 0 in the latest evaluation. *)

@@ -327,6 +327,45 @@ let test_tt_attack_degrades_on_dependent () =
     true
     (r_dep.Tt_attack.resolution <= r_indep.Tt_attack.resolution +. 0.15)
 
+(* Pinned results on the s641 independent hybrid at the paper's master
+   seed, recorded from the scalar one-pattern-at-a-time implementation:
+   batching patterns 64 to a word must not change any field (the RNG
+   stream, the oracle queries and their order), including the one-pattern
+   tail of a 65-pattern budget and the targeted phase. *)
+let test_tt_attack_pinned () =
+  let h =
+    (Flow.run ~seed:Sttc_experiments.Runner.master_seed ~policy:Flow.Strict
+       (Flow.Independent { count = 5 })
+       (Sttc_experiments.Runner.build_circuit "s641"))
+      .Flow.accepted.Flow.hybrid
+  in
+  let fingerprint (r : Tt_attack.result) =
+    Printf.sprintf "%d/%d res=%.17g fres=%.17g pat=%d q=%d %s"
+      r.Tt_attack.fully_resolved r.lut_count r.resolution
+      r.functional_resolution r.patterns_tried r.oracle_queries
+      (String.concat " "
+         (List.map
+            (fun (p : Tt_attack.lut_progress) ->
+              Printf.sprintf "%d:%d/%d,%d,%s" p.lut p.resolved_rows
+                p.total_rows p.unreachable_rows
+                (Sttc_util.Lognum.to_string p.candidates_left))
+            r.per_lut))
+  in
+  List.iter
+    (fun ((budget_patterns, targeted), expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "budget %d targeted %b" budget_patterns targeted)
+        expected
+        (fingerprint (Tt_attack.run ~budget_patterns ~targeted h)))
+    [
+      ((64, false), "1/5 res=0.45833333333333331 fres=0.45833333333333331 pat=64 q=11 66:8/8,0,1 86:0/4,0,16 317:0/4,0,16 333:0/4,0,16 334:3/4,0,2");
+      ((64, true), "2/5 res=0.5 fres=0.58333333333333337 pat=64 q=12 66:8/8,0,1 86:0/4,0,16 317:0/4,2,16 333:0/4,0,16 334:4/4,0,1");
+      ((65, false), "1/5 res=0.45833333333333331 fres=0.45833333333333331 pat=65 q=11 66:8/8,0,1 86:0/4,0,16 317:0/4,0,16 333:0/4,0,16 334:3/4,0,2");
+      ((65, true), "2/5 res=0.5 fres=0.58333333333333337 pat=65 q=12 66:8/8,0,1 86:0/4,0,16 317:0/4,2,16 333:0/4,0,16 334:4/4,0,1");
+      ((300, false), "2/5 res=0.5 fres=0.5 pat=300 q=12 66:8/8,0,1 86:0/4,0,16 317:0/4,0,16 333:0/4,0,16 334:4/4,0,1");
+      ((300, true), "2/5 res=0.5 fres=0.58333333333333337 pat=300 q=12 66:8/8,0,1 86:0/4,0,16 317:0/4,2,16 333:0/4,0,16 334:4/4,0,1");
+    ]
+
 (* ---------- brute force ---------- *)
 
 let test_brute_force_tiny () =
@@ -796,6 +835,7 @@ let () =
             test_tt_attack_targeted_improves;
           Alcotest.test_case "functional resolution bounds" `Slow
             test_tt_attack_functional_resolution_bounds;
+          Alcotest.test_case "pinned s641" `Slow test_tt_attack_pinned;
         ] );
       ( "brute_force",
         [

@@ -821,6 +821,70 @@ let lint_props =
              po_o po_s));
   ]
 
+(* Dataflow's constants, stuck-at candidates and signatures on the s641
+   independent hybrid's lint view (paper's master seed), against a scalar
+   reference: one Ternary.eval_gate / eval_truth pass per sample, source
+   bits drawn pattern by pattern in topological order. *)
+let test_sem_dataflow_pinned () =
+  let module Ternary = Sttc_logic.Ternary in
+  let module Dataflow = Sttc_lint.Dataflow in
+  let h =
+    (Flow.run ~seed:Sttc_experiments.Runner.master_seed ~policy:Flow.Strict
+       (Flow.Independent { count = 5 })
+       (Sttc_experiments.Runner.build_circuit "s641"))
+      .Flow.accepted.Flow.hybrid
+  in
+  let view =
+    Sem.view ~luts:(Sttc_core.Hybrid.lut_ids h)
+      ~configs:(Sttc_core.Hybrid.bitstream h)
+      (Sttc_core.Hybrid.foundry_view h)
+  in
+  let nl = view.Sem.netlist in
+  let pass source =
+    let v = Array.make (Netlist.node_count nl) Ternary.X in
+    Array.iter
+      (fun id ->
+        let node = Netlist.node nl id in
+        let ins () = Array.map (fun s -> v.(s)) node.Netlist.fanins in
+        v.(id) <-
+          (match node.Netlist.kind with
+          | Netlist.Pi | Netlist.Dff -> source ()
+          | Netlist.Const b -> Ternary.of_bool b
+          | Netlist.Gate fn -> Ternary.eval_gate fn (ins ())
+          | Netlist.Lut { config = Some c; _ } -> Ternary.eval_truth c (ins ())
+          | Netlist.Lut { config = None; _ } -> Ternary.X))
+      (Netlist.topo_order nl);
+    v
+  in
+  let const = pass (fun () -> Ternary.X) in
+  let rng = Sttc_util.Rng.make 0xda7a in
+  let samples =
+    Array.init 24 (fun _ -> pass (fun () -> Ternary.of_bool (Sttc_util.Rng.bool rng)))
+  in
+  let d = Dataflow.compute nl in
+  Alcotest.(check int) "24 samples" 24 (Dataflow.patterns d);
+  let tv = Alcotest.testable Ternary.pp Ternary.equal in
+  for id = 0 to Netlist.node_count nl - 1 do
+    let name = Netlist.name nl id in
+    Alcotest.check tv ("const " ^ name) const.(id) (Dataflow.const d id);
+    let signature = ref 0 in
+    Array.iteri
+      (fun p v ->
+        let code =
+          match v.(id) with Ternary.Zero -> 1 | Ternary.One -> 2 | Ternary.X -> 3
+        in
+        signature := !signature lor (code lsl (2 * p)))
+      samples;
+    Alcotest.(check int) ("signature " ^ name) !signature (Dataflow.signature d id);
+    let first = samples.(0).(id) in
+    let stuck =
+      if Ternary.is_known first && Array.for_all (fun v -> Ternary.equal v.(id) first) samples
+      then first
+      else Ternary.X
+    in
+    Alcotest.check tv ("stuck " ^ name) stuck (Dataflow.stuck d id)
+  done
+
 let () =
   Alcotest.run "sttc_lint"
     [
@@ -864,6 +928,7 @@ let () =
           Alcotest.test_case "budget" `Quick test_sem_budget;
           Alcotest.test_case "differential" `Slow test_sem_differential;
           Alcotest.test_case "s27-gate" `Slow test_sem_s27_gate;
+          Alcotest.test_case "dataflow pinned" `Slow test_sem_dataflow_pinned;
         ] );
       ("properties", lint_props);
     ]

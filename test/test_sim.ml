@@ -1,4 +1,4 @@
-(* Tests for Sttc_sim: bit-parallel simulation, ternary simulation of
+(* Tests for Sttc_sim: bit-parallel two- and three-valued simulation of
    hybrids, and the three equivalence-checking engines. *)
 
 module Netlist = Sttc_netlist.Netlist
@@ -8,7 +8,6 @@ module Gate_fn = Sttc_logic.Gate_fn
 module Truth = Sttc_logic.Truth
 module Ternary = Sttc_logic.Ternary
 module Simulator = Sttc_sim.Simulator
-module Ternary_sim = Sttc_sim.Ternary_sim
 module Equiv = Sttc_sim.Equiv
 
 let full = -1L
@@ -92,13 +91,24 @@ let test_sim_lut_config () =
   let outs = Simulator.eval_comb sim [| 0b0101L; 0b0011L |] in
   Alcotest.(check int64) "xor restored" 0b0110L (Int64.logand outs.(0) 0xFL)
 
-let test_sim_eval_truth_lanes () =
+let test_sim_lut_lanes () =
+  (* a lone LUT evaluated on all four input rows at once *)
+  let lut table =
+    let b = Netlist.Builder.create ~design_name:"lut" () in
+    let ins =
+      List.init (Truth.arity table) (fun k ->
+          Netlist.Builder.add_pi b (Printf.sprintf "i%d" k))
+    in
+    let y = Netlist.Builder.add_lut b "y" ~config:table ins in
+    Netlist.Builder.add_output b "y" y;
+    Simulator.create (Netlist.Builder.finalize b)
+  in
   let xor2 = Truth.of_string "0110" in
   Alcotest.(check int64) "lanes" 0b0110L
-    (Int64.logand (Simulator.eval_truth_lanes xor2 [| 0b0101L; 0b0011L |]) 0xFL);
+    (Int64.logand (Simulator.eval_comb (lut xor2) [| 0b0101L; 0b0011L |]).(0) 0xFL);
   let const1 = Truth.const_true ~arity:1 in
   Alcotest.(check int64) "const" (-1L)
-    (Simulator.eval_truth_lanes const1 [| 0b01L |])
+    (Simulator.eval_comb (lut const1) [| 0b01L |]).(0)
 
 let test_sim_run_sequence () =
   let nl = counter () in
@@ -140,42 +150,162 @@ let test_sim_matches_gate_semantics () =
       (Netlist.outputs nl)
   done
 
-(* ---------- Ternary_sim ---------- *)
+(* ---------- three-valued rails ---------- *)
 
-let test_ternary_sim_known_inputs () =
+(* scalar value of one lane of a node's rails *)
+let lane_value sim id lane =
+  let bit w = Int64.logand (Int64.shift_right_logical w lane) 1L = 1L in
+  if bit (Simulator.ones sim id) then Ternary.One
+  else if bit (Simulator.zeros sim id) then Ternary.Zero
+  else Ternary.X
+
+(* rails holding one scalar value in every lane *)
+let rails vs =
+  let word v = Array.map (fun x -> if Ternary.equal x v then full else 0L) vs in
+  (word Ternary.One, word Ternary.Zero)
+
+let eval_scalar sim ?state pis =
+  (match state with
+  | Some st ->
+      let ones, zeros = rails st in
+      Simulator.set_state_rails sim ~ones ~zeros
+  | None -> ());
+  let ones, zeros = rails pis in
+  Simulator.eval_rails sim ~ones ~zeros;
+  let nl = Simulator.netlist sim in
+  Array.map (fun (_, d) -> lane_value sim d 0) (Netlist.outputs nl)
+
+let test_ternary_known_inputs () =
   let nl = half_adder () in
-  let values = Ternary_sim.eval_comb nl [| Ternary.One; Ternary.One |] in
-  let outs = Ternary_sim.outputs nl values in
+  let outs = eval_scalar (Simulator.create_ternary nl) [| Ternary.One; Ternary.One |] in
   Alcotest.(check bool) "sum 0" true (Ternary.equal outs.(0) Ternary.Zero);
   Alcotest.(check bool) "carry 1" true (Ternary.equal outs.(1) Ternary.One)
 
-let test_ternary_sim_missing_lut_propagates_x () =
+let test_ternary_missing_lut_propagates_x () =
   let nl = half_adder () in
   let s = Netlist.find_exn nl "s" in
   let foundry = Transform.replace_many ~keep_function:false nl [ s ] in
-  let values = Ternary_sim.eval_comb foundry [| Ternary.One; Ternary.One |] in
-  let outs = Ternary_sim.outputs foundry values in
+  let outs =
+    eval_scalar (Simulator.create_ternary foundry) [| Ternary.One; Ternary.One |]
+  in
   Alcotest.(check bool) "sum unknown" true (Ternary.equal outs.(0) Ternary.X);
   Alcotest.(check bool) "carry still known" true
     (Ternary.equal outs.(1) Ternary.One);
-  Alcotest.(check int) "one unknown output" 1
-    (Ternary_sim.unknown_outputs foundry values);
-  Alcotest.(check bool) "x reaches observation" true
-    (Ternary_sim.x_reaches_observation foundry values)
+  (* a configuration override resolves the missing gate *)
+  let sim = Simulator.create_ternary ~configs:[ (s, Truth.of_string "0110") ] foundry in
+  let outs = eval_scalar sim [| Ternary.One; Ternary.Zero |] in
+  Alcotest.(check bool) "override known" true (Ternary.equal outs.(0) Ternary.One)
 
-let test_ternary_sim_default_state_is_x () =
+let test_ternary_x_state () =
   let nl = counter () in
-  let values = Ternary_sim.eval_comb nl [| Ternary.One |] in
-  let outs = Ternary_sim.outputs nl values in
-  Alcotest.(check bool) "outputs unknown without state" true
+  let sim = Simulator.create_ternary nl in
+  let outs = eval_scalar sim ~state:[| Ternary.X; Ternary.X |] [| Ternary.One |] in
+  Alcotest.(check bool) "outputs unknown under X state" true
     (Ternary.equal outs.(0) Ternary.X);
-  let values =
-    Ternary_sim.eval_comb ~state:[| Ternary.Zero; Ternary.Zero |] nl
-      [| Ternary.One |]
+  let outs =
+    eval_scalar sim ~state:[| Ternary.Zero; Ternary.Zero |] [| Ternary.One |]
   in
-  let outs = Ternary_sim.outputs nl values in
   Alcotest.(check bool) "known with state" true
     (Ternary.equal outs.(0) Ternary.Zero)
+
+(* Random sequential netlists with configured and unprogrammed LUTs (one
+   of them supplied as an override) under random 0/1/X sources: every
+   lane of every node must equal the scalar Ternary.eval_gate /
+   eval_truth reference. *)
+let prop_rails_match_scalar =
+  QCheck2.Test.make ~name:"lanes match scalar Ternary" ~count:200
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let nl =
+        Generator.generate ~seed
+          {
+            Generator.design_name = "tern";
+            n_pi = 6;
+            n_po = 5;
+            n_ff = 3;
+            n_gates = 40;
+            levels = 5;
+          }
+      in
+      let rng = Sttc_util.Rng.make seed in
+      let gates = Array.of_list (Netlist.gates nl) in
+      let pick k = Array.to_list (Sttc_util.Rng.sample rng k gates) in
+      let nl = Transform.replace_many ~keep_function:true nl (pick 4) in
+      let missing = pick 4 in
+      let nl =
+        Transform.replace_many ~keep_function:false nl
+          (List.filter
+             (fun id ->
+               match Netlist.kind nl id with Netlist.Gate _ -> true | _ -> false)
+             missing)
+      in
+      let configs =
+        match
+          List.filter
+            (fun id ->
+              match Netlist.kind nl id with
+              | Netlist.Lut { config = None; _ } -> true
+              | _ -> false)
+            (Netlist.luts nl)
+        with
+        | id :: _ ->
+            let arity = Array.length (Netlist.fanins nl id) in
+            [ (id, Truth.random rng ~arity) ]
+        | [] -> []
+      in
+      let sim = Simulator.create_ternary ~configs nl in
+      (* 0, 1 or X per lane, X a quarter of the time *)
+      let draw ids =
+        let ones = Array.make (List.length ids) 0L
+        and zeros = Array.make (List.length ids) 0L in
+        List.iteri
+          (fun i _ ->
+            let x = Int64.logand (Sttc_util.Rng.int64 rng) (Sttc_util.Rng.int64 rng) in
+            let v = Sttc_util.Rng.int64 rng in
+            ones.(i) <- Int64.logand v (Int64.lognot x);
+            zeros.(i) <- Int64.logand (Int64.lognot v) (Int64.lognot x))
+          ids;
+        (ones, zeros)
+      in
+      let st_ones, st_zeros = draw (Netlist.dffs nl) in
+      Simulator.set_state_rails sim ~ones:st_ones ~zeros:st_zeros;
+      let pi_ones, pi_zeros = draw (Netlist.pis nl) in
+      Simulator.eval_rails sim ~ones:pi_ones ~zeros:pi_zeros;
+      let source ids (ones, zeros) =
+        List.mapi (fun i id -> (id, (ones.(i), zeros.(i)))) ids
+      in
+      let sources =
+        source (Netlist.pis nl) (pi_ones, pi_zeros)
+        @ source (Netlist.dffs nl) (st_ones, st_zeros)
+      in
+      let ok = ref true in
+      for lane = 0 to 63 do
+        let bit w = Int64.logand (Int64.shift_right_logical w lane) 1L = 1L in
+        let v = Array.make (Netlist.node_count nl) Ternary.X in
+        Array.iter
+          (fun id ->
+            let node = Netlist.node nl id in
+            let ins () = Array.map (fun s -> v.(s)) node.Netlist.fanins in
+            v.(id) <-
+              (match node.Netlist.kind with
+              | Netlist.Pi | Netlist.Dff ->
+                  let o, z = List.assoc id sources in
+                  if bit o then Ternary.One
+                  else if bit z then Ternary.Zero
+                  else Ternary.X
+              | Netlist.Const b -> Ternary.of_bool b
+              | Netlist.Gate fn -> Ternary.eval_gate fn (ins ())
+              | Netlist.Lut { config; _ } -> (
+                  match (List.assoc_opt id configs, config) with
+                  | Some c, _ | None, Some c -> Ternary.eval_truth c (ins ())
+                  | None, None -> Ternary.X)))
+          (Netlist.topo_order nl);
+        Array.iteri
+          (fun id x ->
+            if not (Ternary.equal x (lane_value sim id lane)) then ok := false)
+          v
+      done;
+      !ok)
 
 (* ---------- Equiv ---------- *)
 
@@ -292,18 +422,18 @@ let () =
           Alcotest.test_case "counter sequence" `Quick test_sim_counter_sequence;
           Alcotest.test_case "reset/state" `Quick test_sim_reset_and_state;
           Alcotest.test_case "lut config" `Quick test_sim_lut_config;
-          Alcotest.test_case "eval_truth_lanes" `Quick test_sim_eval_truth_lanes;
+          Alcotest.test_case "lut lanes" `Quick test_sim_lut_lanes;
           Alcotest.test_case "run_sequence" `Quick test_sim_run_sequence;
           Alcotest.test_case "matches gate semantics" `Quick
             test_sim_matches_gate_semantics;
         ] );
-      ( "ternary_sim",
+      ( "dual-rail",
         [
-          Alcotest.test_case "known inputs" `Quick test_ternary_sim_known_inputs;
+          Alcotest.test_case "known inputs" `Quick test_ternary_known_inputs;
           Alcotest.test_case "missing lut X" `Quick
-            test_ternary_sim_missing_lut_propagates_x;
-          Alcotest.test_case "default state X" `Quick
-            test_ternary_sim_default_state_is_x;
+            test_ternary_missing_lut_propagates_x;
+          Alcotest.test_case "X state" `Quick test_ternary_x_state;
+          QCheck_alcotest.to_alcotest prop_rails_match_scalar;
         ] );
       ( "equiv",
         [

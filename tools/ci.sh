@@ -24,6 +24,18 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+echo "== evaluator gate (Simulator is the only netlist evaluator)"
+# Two- and three-valued simulation share one compiled dual-rail loop in
+# Sttc_sim.Simulator; the retired scalar evaluators must not come back.
+if grep -rnE 'Ternary_sim|eval_pass|gate_lanes|eval_truth_lanes' \
+     lib bin test bench/main.ml examples; then
+  echo "EVALUATOR GATE FAILED: a retired netlist evaluator is back (see above)" >&2
+  exit 1
+fi
+
+echo "== dune build @bench/ledger/smoke (every ledger workload at toy size)"
+dune build @bench/ledger/smoke
+
 echo "== dune build @fault (fault sweep + checkpoint/resume round-trip)"
 timeout 600 dune build @fault
 

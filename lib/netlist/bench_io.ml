@@ -201,54 +201,55 @@ let parse_file path =
   parse_string ~design_name text
 
 let to_string t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "# %s\n" (Netlist.design_name t));
+  (* a generated gate line ("g123 = NAND(g45, pi6)") is about 25 bytes;
+     sizing for it up front skips most of the Buffer's regrowth copies *)
+  let buf = Buffer.create (32 * Netlist.node_count t) in
+  let line parts =
+    List.iter (Buffer.add_string buf) parts;
+    Buffer.add_char buf '\n'
+  in
+  line [ "# "; Netlist.design_name t ];
   List.iter
-    (fun id ->
-      Buffer.add_string buf (Printf.sprintf "INPUT(%s)\n" (Netlist.name t id)))
+    (fun id -> line [ "INPUT("; Netlist.name t id; ")" ])
     (Netlist.pis t);
   Array.iter
-    (fun (name, _) -> Buffer.add_string buf (Printf.sprintf "OUTPUT(%s)\n" name))
+    (fun (name, _) -> line [ "OUTPUT("; name; ")" ])
     (Netlist.outputs t);
-  (* Emit an alias assignment when an output name differs from its driver
-     node: OUTPUT(z) with driver n -> z = BUFF(n). *)
-  let aliases =
-    Array.to_list (Netlist.outputs t)
-    |> List.filter (fun (name, id) -> name <> Netlist.name t id)
+  (* [lhs = op(fanin, fanin, ...)] *)
+  let assign lhs op fanins =
+    Buffer.add_string buf lhs;
+    Buffer.add_string buf " = ";
+    Buffer.add_string buf op;
+    Buffer.add_char buf '(';
+    Array.iteri
+      (fun i src ->
+        if i > 0 then Buffer.add_string buf ", ";
+        Buffer.add_string buf (Netlist.name t src))
+      fanins;
+    Buffer.add_string buf ")\n"
   in
   Netlist.iter
-    (fun id n ->
-      let args () =
-        Netlist.fanins t id |> Array.to_list
-        |> List.map (Netlist.name t)
-        |> String.concat ", "
-      in
+    (fun _ n ->
       match n.Netlist.kind with
       | Netlist.Pi -> ()
       | Netlist.Const v ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s = %s()\n" n.Netlist.name
-               (if v then "VCC" else "GND"))
+          assign n.Netlist.name (if v then "VCC" else "GND") [||]
       | Netlist.Gate fn ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s = %s(%s)\n" n.Netlist.name
-               (Sttc_logic.Gate_fn.name fn) (args ()))
+          assign n.Netlist.name (Sttc_logic.Gate_fn.name fn) n.Netlist.fanins
       | Netlist.Lut { config = None; _ } ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s = LUT(%s)\n" n.Netlist.name (args ()))
+          assign n.Netlist.name "LUT" n.Netlist.fanins
       | Netlist.Lut { config = Some c; _ } ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s = LUT \"%s\"(%s)\n" n.Netlist.name
-               (Sttc_logic.Truth.to_string c) (args ()))
-      | Netlist.Dff ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s = DFF(%s)\n" n.Netlist.name (args ())))
+          assign n.Netlist.name
+            ("LUT \"" ^ Sttc_logic.Truth.to_string c ^ "\"")
+            n.Netlist.fanins
+      | Netlist.Dff -> assign n.Netlist.name "DFF" n.Netlist.fanins)
     t;
-  List.iter
+  (* Emit an alias assignment when an output name differs from its driver
+     node: OUTPUT(z) with driver n -> z = BUFF(n). *)
+  Array.iter
     (fun (name, id) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s = BUFF(%s)\n" name (Netlist.name t id)))
-    aliases;
+      if name <> Netlist.name t id then assign name "BUFF" [| id |])
+    (Netlist.outputs t);
   Buffer.contents buf
 
 let write_file path t =

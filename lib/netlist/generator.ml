@@ -84,9 +84,21 @@ let generate_internal ?hub_bias ~seed spec =
   done;
   let gate_count = ref 0 in
   (* [prior_signals] only ever contains signals from strictly earlier
-     levels, so every fanin draw keeps the levelized depth bound intact *)
+     levels, so every fanin draw keeps the levelized depth bound intact.
+     It grows only between levels, so a draw below its current length is
+     a draw from the signals of the earlier levels. *)
   let prior_signals = Sttc_util.Growable.create () in
-  let consumed = Hashtbl.create 256 in
+  let pick_prior () =
+    Sttc_util.Growable.get prior_signals
+      (Rng.int rng (Sttc_util.Growable.length prior_signals))
+  in
+  let pick_level level =
+    let pool = by_level.(level) in
+    if Array.length pool > 0 then Rng.pick rng pool else pick_prior ()
+  in
+  (* consumed.[id] <> '\000' once some gate reads node [id]; ids are
+     dense from 0 in creation order: PIs, FFs, then gates *)
+  let consumed = Bytes.make (spec.n_pi + spec.n_ff + spec.n_gates) '\000' in
   Array.iter (fun id -> ignore (Sttc_util.Growable.push prior_signals id)) by_level.(0);
   let hubs =
     match hub_bias with
@@ -95,57 +107,56 @@ let generate_internal ?hub_bias ~seed spec =
         let l0 = by_level.(0) in
         Some (pct, Array.sub l0 0 (min 64 (Array.length l0)))
   in
+  (* the fanins of the gate being built (arity <= 4) *)
+  let fanins = Array.make 4 0 in
+  let among_first n c =
+    let rec scan i = i < n && (fanins.(i) = c || scan (i + 1)) in
+    scan 0
+  in
   for l = 1 to levels do
-    (* snapshot once per level: [prior_signals] only grows between levels,
-       so this is identical to converting at each use, without the O(n)
-       copy inside the retry loops (which matters at 10^6 gates) *)
-    let prior_arr = Sttc_util.Growable.to_array prior_signals in
     let created = Sttc_util.Growable.create () in
     for _ = 1 to per_level.(l) do
       let arity = pick_arity rng in
       let fn = pick_fn rng arity in
       (* first fanin from level l-1 (pins this gate's level); fall back to
          any earlier level when l-1 is empty *)
-      let prev =
-        if Array.length by_level.(l - 1) > 0 then by_level.(l - 1)
-        else prior_arr
-      in
-      let first = Rng.pick rng prev in
-      let rest =
-        List.init (arity - 1) (fun _ ->
-            match hubs with
-            | Some (pct, pool) when Rng.int rng 100 < pct -> Rng.pick rng pool
-            | _ ->
-                (* bias towards recent levels for locality, fall back
-                   uniform *)
-                let source_level =
-                  if Rng.int rng 100 < 60 then l - 1 else Rng.int rng l
-                in
-                let pool =
-                  if Array.length by_level.(source_level) > 0 then
-                    by_level.(source_level)
-                  else prior_arr
-                in
-                Rng.pick rng pool)
-      in
+      fanins.(0) <- pick_level (l - 1);
+      for k = 1 to arity - 1 do
+        fanins.(k) <-
+          (match hubs with
+          | Some (pct, pool) when Rng.int rng 100 < pct -> Rng.pick rng pool
+          | _ ->
+              (* bias towards recent levels for locality, fall back
+                 uniform *)
+              pick_level
+                (if Rng.int rng 100 < 60 then l - 1 else Rng.int rng l))
+      done;
       (* gates must have distinct fanins to be meaningful; retry duplicates
          cheaply by drawing from the global pool *)
-      let inputs =
-        let seen = Hashtbl.create 4 in
-        List.map
-          (fun cand ->
-            let cand = ref cand in
-            let attempts = ref 0 in
-            while Hashtbl.mem seen !cand && !attempts < 10 do
-              cand := Rng.pick rng prior_arr;
-              incr attempts
-            done;
-            Hashtbl.replace seen !cand ();
-            !cand)
-          (first :: rest)
-      in
-      (* degenerate duplicates may survive in tiny circuits; drop repeats *)
-      let inputs = List.sort_uniq Int.compare inputs in
+      for k = 1 to arity - 1 do
+        let attempts = ref 0 in
+        while among_first k fanins.(k) && !attempts < 10 do
+          fanins.(k) <- pick_prior ();
+          incr attempts
+        done
+      done;
+      (* degenerate duplicates may survive in tiny circuits: sort the
+         fanins in place (insertion sort, arity <= 4) and drop repeats *)
+      for k = 1 to arity - 1 do
+        let v = fanins.(k) in
+        let j = ref (k - 1) in
+        while !j >= 0 && fanins.(!j) > v do
+          fanins.(!j + 1) <- fanins.(!j);
+          decr j
+        done;
+        fanins.(!j + 1) <- v
+      done;
+      let inputs = ref [] in
+      for k = arity - 1 downto 0 do
+        if k = arity - 1 || fanins.(k) <> fanins.(k + 1) then
+          inputs := fanins.(k) :: !inputs
+      done;
+      let inputs = !inputs in
       let arity = List.length inputs in
       let fn =
         if arity = 1 then
@@ -168,9 +179,9 @@ let generate_internal ?hub_bias ~seed spec =
           | Sttc_logic.Gate_fn.Xnor _ -> Sttc_logic.Gate_fn.Xnor arity
       in
       let id =
-        Netlist.Builder.add_gate b (Printf.sprintf "g%d" !gate_count) fn inputs
+        Netlist.Builder.add_gate b ("g" ^ string_of_int !gate_count) fn inputs
       in
-      List.iter (fun src -> Hashtbl.replace consumed src ()) inputs;
+      List.iter (fun src -> Bytes.set consumed src '\001') inputs;
       incr gate_count;
       ignore (Sttc_util.Growable.push created id)
     done;
@@ -186,7 +197,7 @@ let generate_internal ?hub_bias ~seed spec =
   for l = levels downto 1 do
     Array.iter
       (fun id ->
-        if not (Hashtbl.mem consumed id) then
+        if Bytes.get consumed id = '\000' then
           ignore (Sttc_util.Growable.push dangling id))
       by_level.(l)
   done;

@@ -16,11 +16,15 @@ type node = {
   fanins : node_id array;
 }
 
+(* Name tables compare keys with [String.equal] instead of the polymorphic
+   compare of [Hashtbl]'s generic interface. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
   design_name : string;
   nodes : node array;
   outs : (string * node_id) array;
-  by_name : (string, node_id) Hashtbl.t;
+  by_name : node_id Names.t;
   mutable fanout_cache : node_id list array option;
   mutable topo_cache : node_id array option;
 }
@@ -36,7 +40,7 @@ let node t id =
 let kind t id = (node t id).kind
 let name t id = (node t id).name
 let fanins t id = (node t id).fanins
-let find t n = Hashtbl.find_opt t.by_name n
+let find t n = Names.find_opt t.by_name n
 
 let find_exn t n =
   match find t n with
@@ -109,47 +113,56 @@ let compute_topo t =
       let n = Array.length t.nodes in
       let state = Array.make n 0 in
       (* 0 unvisited, 1 on stack, 2 done *)
-      let order = Sttc_util.Growable.create () in
+      let order = Array.make n 0 in
+      let placed = ref 0 in
+      let place id =
+        order.(!placed) <- id;
+        incr placed
+      in
       (* Sources first, in id order. *)
       Array.iteri
         (fun id nd ->
           if not (is_combinational nd.kind) then begin
             state.(id) <- 2;
-            ignore (Sttc_util.Growable.push order id)
+            place id
           end)
         t.nodes;
-      (* Iterative DFS over combinational fanin edges. *)
-      let visit root =
+      (* Iterative DFS over combinational fanin edges.  A node is on the
+         stack at most once (state 1), so two arrays of [n] slots hold it:
+         the node and the index of its next fanin to explore. *)
+      let stack_id = Array.make n 0 and stack_next = Array.make n 0 in
+      let depth = ref 0 in
+      let push id =
+        state.(id) <- 1;
+        stack_id.(!depth) <- id;
+        stack_next.(!depth) <- 0;
+        incr depth
+      in
+      for root = 0 to n - 1 do
         if state.(root) = 0 then begin
-          let stack = Sttc_util.Growable.create () in
-          ignore (Sttc_util.Growable.push stack (root, 0));
-          state.(root) <- 1;
-          while not (Sttc_util.Growable.is_empty stack) do
-            let id, next = Sttc_util.Growable.pop stack in
+          push root;
+          while !depth > 0 do
+            let top = !depth - 1 in
+            let id = stack_id.(top) and next = stack_next.(top) in
             let fi = t.nodes.(id).fanins in
             if next < Array.length fi then begin
-              ignore (Sttc_util.Growable.push stack (id, next + 1));
+              stack_next.(top) <- next + 1;
               let src = fi.(next) in
               match state.(src) with
-              | 0 ->
-                  state.(src) <- 1;
-                  ignore (Sttc_util.Growable.push stack (src, 0))
+              | 0 -> push src
               | 1 -> raise (Cycle src)
               | _ -> ()
             end
             else begin
               state.(id) <- 2;
-              ignore (Sttc_util.Growable.push order id)
+              place id;
+              depth := top
             end
           done
         end
-      in
-      Array.iteri
-        (fun id nd -> if is_combinational nd.kind then visit id)
-        t.nodes;
-      let o = Sttc_util.Growable.to_array order in
-      t.topo_cache <- Some o;
-      o
+      done;
+      t.topo_cache <- Some order;
+      order
 
 let topo_order t = compute_topo t
 
@@ -167,16 +180,10 @@ let stats t =
     (List.length (luts t))
 
 module Builder = struct
-  type pending = {
-    p_name : string;
-    p_kind : kind;
-    mutable p_fanins : node_id array;
-  }
-
   type t = {
     b_design : string;
-    b_nodes : pending Sttc_util.Growable.t;
-    b_names : (string, node_id) Hashtbl.t;
+    b_nodes : node Sttc_util.Growable.t;
+    b_names : node_id Names.t;
     mutable b_outs : (string * node_id) list; (* reversed *)
     b_out_names : (string, unit) Hashtbl.t;
   }
@@ -185,7 +192,7 @@ module Builder = struct
     {
       b_design = design_name;
       b_nodes = Sttc_util.Growable.create ();
-      b_names = Hashtbl.create 64;
+      b_names = Names.create 64;
       b_outs = [];
       b_out_names = Hashtbl.create 16;
     }
@@ -194,13 +201,10 @@ module Builder = struct
 
   let add_node b name kind fanins =
     if name = "" then invalid_arg "Builder: empty node name";
-    if Hashtbl.mem b.b_names name then
+    if Names.mem b.b_names name then
       invalid_arg ("Builder: duplicate node name " ^ name);
-    let id =
-      Sttc_util.Growable.push b.b_nodes
-        { p_name = name; p_kind = kind; p_fanins = fanins }
-    in
-    Hashtbl.add b.b_names name id;
+    let id = Sttc_util.Growable.push b.b_nodes { name; kind; fanins } in
+    Names.add b.b_names name id;
     id
 
   let check_ref b id ctx =
@@ -237,11 +241,11 @@ module Builder = struct
   let set_dff_input b ff d =
     check_ref b ff "set_dff_input";
     check_ref b d "set_dff_input";
-    let p = Sttc_util.Growable.get b.b_nodes ff in
-    (match p.p_kind with
+    let n = Sttc_util.Growable.get b.b_nodes ff in
+    (match n.kind with
     | Dff -> ()
     | _ -> invalid_arg "Builder.set_dff_input: not a DFF");
-    p.p_fanins <- [| d |]
+    Sttc_util.Growable.set b.b_nodes ff { n with fanins = [| d |] }
 
   let add_output b name id =
     check_ref b id ("output " ^ name);
@@ -252,22 +256,20 @@ module Builder = struct
 
   let finalize b =
     if b.b_outs = [] then invalid_arg "Builder.finalize: no outputs";
-    let nodes =
-      Array.map
-        (fun p ->
-          (match p.p_kind with
-          | Dff when Array.exists (fun i -> i < 0) p.p_fanins ->
-              invalid_arg ("Builder.finalize: unwired DFF " ^ p.p_name)
-          | _ -> ());
-          { name = p.p_name; kind = p.p_kind; fanins = p.p_fanins })
-        (Sttc_util.Growable.to_array b.b_nodes)
-    in
+    let nodes = Sttc_util.Growable.to_array b.b_nodes in
+    Array.iter
+      (fun n ->
+        match n.kind with
+        | Dff when Array.exists (fun i -> i < 0) n.fanins ->
+            invalid_arg ("Builder.finalize: unwired DFF " ^ n.name)
+        | _ -> ())
+      nodes;
     let t =
       {
         design_name = b.b_design;
         nodes;
         outs = Array.of_list (List.rev b.b_outs);
-        by_name = Hashtbl.copy b.b_names;
+        by_name = Names.copy b.b_names;
         fanout_cache = None;
         topo_cache = None;
       }

@@ -3,9 +3,7 @@ type 'a t = {
   mutable len : int;
 }
 
-let create ?(capacity = 8) () =
-  ignore capacity;
-  { data = [||]; len = 0 }
+let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0

@@ -2,21 +2,29 @@
    generation; chosen over [Random.State] to guarantee stream stability
    across OCaml releases. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte [Bytes]: with a
+   [mutable int64] field every draw would allocate a fresh boxed state,
+   and netlist generation draws several times per gate. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_raw t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
+
+let[@inline] next_raw t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let make seed = { state = Int64.of_int seed }
+let make seed = of_state (Int64.of_int seed)
 
-let split t = { state = next_raw t }
-let copy t = { state = t.state }
+let split t = of_state (next_raw t)
+let copy t = Bytes.copy t
 
 let int64 t = next_raw t
 

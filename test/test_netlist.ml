@@ -71,15 +71,48 @@ let test_builder_combinational_cycle () =
      cycle must be rejected: build via with_kinds rewiring *)
   let nl = small_circuit () in
   let g1 = Netlist.find_exn nl "g1" and g2 = Netlist.find_exn nl "g2" in
-  Alcotest.(check bool) "cycle rejected" true
-    (try
-       (* rewire g1 to read g2: combinational loop g1 -> g2 -> g1 *)
-       ignore
-         (Netlist.with_kinds nl (fun id kind fanins ->
-              if id = g1 then (kind, [| fanins.(0); g2 |])
-              else (kind, fanins)));
-       false
-     with Invalid_argument _ -> true)
+  (* rewire g1 to read g2: combinational loop g1 -> g2 -> g1, found as a
+     back edge into g1 by the DFS rooted at g1 *)
+  Alcotest.check_raises "cycle rejected"
+    (Invalid_argument "Netlist.with_kinds: combinational cycle through g1")
+    (fun () ->
+      ignore
+        (Netlist.with_kinds nl (fun id kind fanins ->
+             if id = g1 then (kind, [| fanins.(0); g2 |])
+             else (kind, fanins))));
+  (* the builder cannot close a loop at all: a fanin must already exist
+     when its reader is added, so "Builder.finalize: combinational cycle
+     through <name>" is unreachable through this interface *)
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_pi b "a" in
+  Alcotest.check_raises "forward fanin refused"
+    (Invalid_argument "Builder: undefined node reference in g") (fun () ->
+      ignore (Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a; a + 1 ]))
+
+(* A 10^6-node Buf chain: built forward, the topological order is id
+   order; rewired backward (node i reads node i+1), the DFS must go 10^6
+   deep and emit the ids in reverse. *)
+let test_topo_deep_chain () =
+  let n = 1_000_000 in
+  let b = Netlist.Builder.create ~design_name:"chain" () in
+  let prev = ref (Netlist.Builder.add_pi b "a") in
+  for i = 1 to n - 1 do
+    prev :=
+      Netlist.Builder.add_gate b ("c" ^ string_of_int i) Gate_fn.Buf [ !prev ]
+  done;
+  Netlist.Builder.add_output b "y" !prev;
+  let nl = Netlist.Builder.finalize b in
+  Alcotest.(check bool) "forward chain in id order" true
+    (Netlist.topo_order nl = Array.init n Fun.id);
+  let back =
+    Netlist.with_kinds nl (fun id kind fanins ->
+        if id = 0 then (kind, fanins)
+        else if id = n - 1 then (kind, [| 0 |])
+        else (kind, [| id + 1 |]))
+  in
+  Alcotest.(check bool) "backward chain in reverse id order" true
+    (Netlist.topo_order back
+    = Array.init n (fun i -> if i = 0 then 0 else n - i))
 
 let test_fanouts () =
   let nl = small_circuit () in
@@ -639,6 +672,121 @@ let test_generator_combinational () =
   Alcotest.(check int) "no ffs" 0 (List.length (Netlist.dffs nl));
   Alcotest.(check int) "gates" 40 (List.length (Netlist.gates nl))
 
+(* ---------- pinned bytes ---------- *)
+
+(* [Bench_io.to_string] and [topo_order] digests recorded before netlist
+   construction was made allocation-lean.  Generation, the builder, the
+   topological sort and the writer must keep every byte: the paper twins,
+   the scale families and every seeded result downstream depend on them. *)
+let topo_digest nl =
+  Netlist.topo_order nl |> Array.to_list
+  |> List.map string_of_int |> String.concat ","
+  |> Digest.string |> Digest.to_hex
+
+let check_pinned (name, bench, topo) nl =
+  Alcotest.(check string) (name ^ " .bench digest") bench
+    (Digest.to_hex (Digest.string (Bench_io.to_string nl)));
+  Alcotest.(check string) (name ^ " topo digest") topo (topo_digest nl)
+
+(* (profile, gates, .bench digest, topo digest) at seed 1 *)
+let pinned_families =
+  [
+    ( Generator.Slike, 1_000,
+      "b8e3ed7ac406a60d4190f0340baa172b", "0e39c70b3bd2bc3c7c9ef96d1c9c633c" );
+    ( Generator.Wide, 1_000,
+      "3fd3c97c82b7378342ebc2a715ade17b", "a432f36736acc2b4dd650e13aeef4c52" );
+    ( Generator.Deep, 1_000,
+      "31453ab14f25c4a9a94ecf232fec8d47", "a85bc464bfef1557fdbcd4b6b9128900" );
+    ( Generator.Fanout_heavy, 1_000,
+      "fcefa7d50d5df3ba7d129e6a8ea9f9cb", "0e39c70b3bd2bc3c7c9ef96d1c9c633c" );
+    ( Generator.Slike, 10_000,
+      "ce0ce897d60c55c9cd1beea1c37f3fd9", "ad5e0f5c55c9674eeb27c5178704360e" );
+    ( Generator.Wide, 10_000,
+      "2c0b60fca1fb8b9d1c07ec174c73843c", "2487f3e7a4bfae740da2feafe490a8a3" );
+    ( Generator.Deep, 10_000,
+      "413fdcc2b673e16879c2eb1f0dbc7c39", "c66737f408cf79f8717d30de856dc79d" );
+    ( Generator.Fanout_heavy, 10_000,
+      "3e76587466d1f984442dbc699f5fff69", "ad5e0f5c55c9674eeb27c5178704360e" );
+  ]
+
+let pinned_twins =
+  [
+    ( "s641", "c9fb8beff7453f7b7d152ce7adbde3ce",
+      "52e5cf51a54bf878b7d18262a7571af3" );
+    ( "s820", "13f0ca64a63f5bec7e2b795571fb48c8",
+      "9a589d63758a69c030815dbaeea045bc" );
+    ( "s832", "e6b18ac92ec7671b3a40a02d92c54acb",
+      "249a41037aff4916920a12145de58bc8" );
+    ( "s953", "5fe0d5f113c346b2f71825826ce6790d",
+      "44e4fa48b101f624313007a995214fc2" );
+    ( "s1196", "bd06d4314d40e8f11667d9aa93c208fa",
+      "5d6a3f180c1f5e13924aeb61f4ff50b2" );
+    ( "s1238", "66aa8da0e3060c5a2e32330654fed763",
+      "5722a0fd927a351fc0776009432c786d" );
+    ( "s1488", "5c3525ff4af7bd51829c50a533ac4ad6",
+      "f54ec34776ac9f5ee38608990f99cca5" );
+    ( "s5378a", "d8fd905440bfb9f364d715b518af9d2c",
+      "b4385efe3c2ed814f35030f012ebb3a0" );
+    ( "s9234a", "8a7d0d36915aeca3783152949bc9d1c1",
+      "99f88f3b68575e2cbf9d6dbf9130d71c" );
+    ( "s13207", "c268317f0f0997296e9e8a2c7450b9df",
+      "b6bb5fe87bc1638b391186fa48d96229" );
+    ( "s15850a", "301fe8cc4406c645907e728cee658ea5",
+      "04df5c461091975a6551a3607ebd0296" );
+    ( "s38584", "7ca43bd40ce0c3d8e303c1c297f47369",
+      "4dc9340d403dfe6b2882b45241e1b5f9" );
+  ]
+
+let pinned_genuine =
+  [
+    ( "s27", "24b5ed3f688fce1bb8730b2ab2a1e9e6",
+      "1d560e80a6b804ef5d4bd9ca0ff1bc30" );
+    ( "c17", "f84787e9ff4f7952b22be5aa8632d0a0",
+      "3beaa07c71ffbbd70b2b7a083c177d02" );
+  ]
+
+let test_pinned_families () =
+  List.iter
+    (fun (profile, gates, bench, topo) ->
+      let name = Printf.sprintf "%s%d" (Generator.profile_name profile) gates in
+      check_pinned (name, bench, topo)
+        (Generator.generate_family ~seed:1 ~profile ~gates ()))
+    pinned_families
+
+let test_pinned_twins () =
+  List.iter
+    (fun ((name, _, _) as pin) ->
+      check_pinned pin (Profiles.build_by_name name))
+    pinned_twins;
+  Alcotest.(check (list string)) "every twin pinned" Profiles.names
+    (List.map (fun (name, _, _) -> name) pinned_twins)
+
+let test_pinned_genuine () =
+  List.iter
+    (fun ((name, _, _) as pin) ->
+      check_pinned pin ((List.assoc name Sttc_netlist.Iscas_data.all) ()))
+    pinned_genuine
+
+(* LUT (configured, unconfigured, widened) and constant lines *)
+let test_pinned_writer_kinds () =
+  let s641 = Profiles.build_by_name "s641" in
+  let g = Array.of_list (Netlist.gates s641) in
+  let h = Transform.replace_gate_with_lut s641 g.(0) in
+  let h = Transform.replace_gate_with_lut ~keep_function:false h g.(1) in
+  let h =
+    Transform.replace_gate_with_lut ~extra_inputs:[ List.hd (Netlist.pis s641) ]
+      h g.(2)
+  in
+  check_pinned
+    ("s641-hybrid", "4eed4e8b8835a6eca173d800fb655d6b",
+     "52e5cf51a54bf878b7d18262a7571af3")
+    h;
+  check_pinned
+    ("consts", "a015bd803269d8522f350c6ff9de0a79",
+     "37770ad1bcf26046c97ffab80fefb809")
+    (Bench_io.parse_string ~design_name:"consts"
+       "INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\nk = VCC()\nz = GND()\ny = AND(a, k)\n")
+
 (* ---------- profiles ---------- *)
 
 let test_profiles_match_paper_sizes () =
@@ -763,6 +911,7 @@ let () =
           Alcotest.test_case "combinational cycle" `Quick test_builder_combinational_cycle;
           Alcotest.test_case "fanouts" `Quick test_fanouts;
           Alcotest.test_case "topo order" `Quick test_topo_order;
+          Alcotest.test_case "topo deep chain" `Quick test_topo_deep_chain;
         ] );
       ( "query",
         [
@@ -792,6 +941,13 @@ let () =
           Alcotest.test_case "absorb driver" `Quick test_transform_absorb_driver;
           Alcotest.test_case "absorb rejections" `Quick test_transform_absorb_rejections;
           Alcotest.test_case "sweep" `Quick test_transform_sweep;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "families" `Quick test_pinned_families;
+          Alcotest.test_case "iscas twins" `Quick test_pinned_twins;
+          Alcotest.test_case "genuine iscas" `Quick test_pinned_genuine;
+          Alcotest.test_case "writer kinds" `Quick test_pinned_writer_kinds;
         ] );
       ( "iscas_data",
         [

@@ -178,6 +178,39 @@ let test_rng_uniformity () =
         (abs (c - expected) < expected / 5))
     buckets
 
+(* The exact stream of [make 42], recorded before the state moved from a
+   boxed [int64] field into [Bytes].  Every seeded result in the repository
+   (generated netlists, selections, attack patterns) hangs off this
+   stream, so a representation change must reproduce it draw for draw. *)
+let test_rng_pinned_stream () =
+  let r = Rng.make 42 in
+  let ints n rng bound = List.init n (fun _ -> Rng.int rng bound) in
+  Alcotest.(check (list int)) "int" [ 853; 72; 964; 941; 812; 265 ]
+    (ints 6 r 1000);
+  Alcotest.(check (list int64)) "int64"
+    [ 4028864712777624925L; -3677692746721775708L; 6270620877612482005L ]
+    (List.init 3 (fun _ -> Rng.int64 r));
+  Alcotest.(check (list (float 0.))) "float"
+    [ 0x1.3ca9ae7052feep-1; 0x1.a3a39253bad8cp-3; 0x1.f8d2283914594p-2 ]
+    (List.init 3 (fun _ -> Rng.float r 1.0));
+  Alcotest.(check (list bool)) "bool"
+    [ false; true; false; false; true; true; true; false ]
+    (List.init 8 (fun _ -> Rng.bool r));
+  let child = Rng.split r in
+  Alcotest.(check (list int)) "split child" [ 774; 382; 418; 890 ]
+    (ints 4 child 1000);
+  Alcotest.(check (list int)) "parent after split" [ 910; 981; 732; 188 ]
+    (ints 4 r 1000);
+  let twin = Rng.copy r in
+  Alcotest.(check (list int)) "copy" [ 596; 749; 247; 65 ] (ints 4 twin 1000);
+  Alcotest.(check (list int)) "original after copy" [ 596; 749; 247; 65 ]
+    (ints 4 r 1000);
+  let arr = Array.init 10 Fun.id in
+  Rng.shuffle r arr;
+  Alcotest.(check (array int)) "shuffle" [| 9; 3; 4; 8; 1; 5; 0; 7; 6; 2 |] arr;
+  Alcotest.(check (array int)) "sample" [| 16; 1; 4; 17 |]
+    (Rng.sample r 4 (Array.init 20 Fun.id))
+
 (* ---------- Stats ---------- *)
 
 let test_stats_mean () =
@@ -492,6 +525,7 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
           Alcotest.test_case "coarse uniformity" `Quick test_rng_uniformity;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
         ] );
       ( "stats",
         [

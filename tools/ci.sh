@@ -49,6 +49,28 @@ STTC_BIN="$PWD/_build/default/bin/sttc.exe"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
+echo "== byte-identity gate (generated netlists keep their pinned bytes)"
+# Every protect, paper and lint run starts from a generated netlist, so
+# generation, the builder and the .bench writer must not move a byte.
+# The digests were recorded before construction was made allocation-lean.
+GEN_MD5=123d99787bb3987efab34802dad5a051
+TWINS_MD5=5248fac88ee2ab5c64a7750ebf60cb04
+gen_md5=$(sttc gen -b custom --profile slike --gates 100000 --seed 20160605 \
+  | md5sum | cut -d' ' -f1)
+if [ "$gen_md5" != "$GEN_MD5" ]; then
+  echo "BYTE-IDENTITY GATE FAILED: 1e5-gate slike family (seed 20160605)" \
+    "md5 $gen_md5, pinned $GEN_MD5" >&2
+  exit 1
+fi
+# QUICK and FULL together are the twelve ISCAS'89 twins
+twins_md5=$(for b in $QUICK $FULL; do sttc gen -b "$b"; done \
+  | md5sum | cut -d' ' -f1)
+if [ "$twins_md5" != "$TWINS_MD5" ]; then
+  echo "BYTE-IDENTITY GATE FAILED: the 12 ISCAS'89 twins' .bench md5" \
+    "$twins_md5, pinned $TWINS_MD5" >&2
+  exit 1
+fi
+
 echo "== parallel smoke (sttc table1 --quick -j 2 must match -j 1 byte for byte)"
 sttc table1 --quick -j 1 > "$tmpdir/table1.j1"
 sttc table1 --quick -j 2 > "$tmpdir/table1.j2"

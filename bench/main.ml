@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- table1 table2 fig3 attacks faults micro
      dune exec bench/main.exe -- quick table1   # small-benchmark subset
      dune exec bench/main.exe -- -j 4 table1    # 4 worker domains
-     dune exec bench/main.exe -- parallel       # serial-vs-parallel record
+     dune exec bench/main.exe -- parallel       # serial-vs-parallel record (full table)
      dune exec bench/main.exe -- lint           # semantic-lint record
      dune exec bench/main.exe -- --trace t.json --metrics m.json quick table1
                                            # record observability output *)
@@ -30,10 +30,8 @@ let cached_rows = ref None
 
 let run_config ~quick ~jobs =
   Runner.Config.(
-    default |> with_quick quick |> with_jobs jobs
-    |> with_on_event (function
-         | Runner.Started _ -> ()
-         | ev -> Printf.printf "  %s\n%!" (Runner.string_of_event ev)))
+    default |> with_jobs jobs
+    |> if quick then with_only Runner.quick_benchmarks else Fun.id)
 
 let rows ~quick ~jobs () =
   match !cached_rows with
@@ -74,12 +72,7 @@ let baselines () =
 let faults ~jobs () =
   section
     "Fault injection: stochastic MTJ writes, provisioning yield and repair";
-  print_string (Runner.fault_sweep ~jobs ());
-  match Runner.resume_selftest () with
-  | Ok msg -> Printf.printf "\n%s\n" msg
-  | Error m ->
-      Printf.printf "\nresume self-test FAILED: %s\n" m;
-      exit 1
+  print_string (Runner.fault_sweep ~jobs ())
 
 let ablations () =
   section "Ablation: parametric timing-constraint factor (s1196)";
@@ -91,38 +84,59 @@ let ablations () =
 
 (* ---------- serial vs parallel speedup record ---------- *)
 
-(* Times the quick Table I fan-out at one worker and at [jobs] workers,
-   checks the rows are byte-identical (the Pool determinism contract),
-   and leaves a machine-readable record in BENCH_parallel.json. *)
+(* Times the full Table I sweep (12 twins x 3 algorithms, a bag large
+   enough to fan out) at one worker and at [jobs] workers, alternating
+   the two for [repeats] rounds, checks the tables are byte-identical
+   (the Pool determinism contract), and leaves the medians and spread in
+   BENCH_parallel.json. *)
 let parallel ~jobs () =
   let jobs = if jobs > 1 then jobs else Sttc_util.Pool.default_jobs () in
+  let repeats = 5 in
   section
-    (Printf.sprintf "Parallel speedup - quick Table I rows, 1 vs %d workers"
-       jobs);
-  let time f =
+    (Printf.sprintf
+       "Parallel speedup - full Table I rows, 1 vs %d workers, %d rounds" jobs
+       repeats);
+  let run j =
     let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    let rows = Runner.rows (run_config ~quick:false ~jobs:j) in
+    (Runner.table1 rows, Unix.gettimeofday () -. t0)
   in
-  let run j = Runner.rows Runner.Config.(default |> with_quick true |> with_jobs j) in
-  let serial_rows, serial_s = time (fun () -> run 1) in
-  let par_rows, parallel_s = time (fun () -> run jobs) in
-  let identical = Runner.table1 serial_rows = Runner.table1 par_rows in
+  let rounds = List.init repeats (fun _ -> (run 1, run jobs)) in
+  let reference = fst (fst (List.hd rounds)) in
+  let identical =
+    List.for_all
+      (fun ((s, _), (p, _)) -> s = reference && p = reference)
+      rounds
+  in
+  let median xs =
+    let a = Array.of_list (List.sort compare xs) in
+    a.(Array.length a / 2)
+  in
+  let serial = List.map (fun ((_, t), _) -> t) rounds in
+  let par = List.map (fun (_, (_, t)) -> t) rounds in
+  let serial_s = median serial and parallel_s = median par in
   let speedup = serial_s /. parallel_s in
   Printf.printf
-    "  serial %.2fs, %d workers %.2fs -> %.2fx; rows identical: %b\n" serial_s
-    jobs parallel_s speedup identical;
-  Sttc_obs.Export.write_text "BENCH_parallel.json"
-    (Printf.sprintf
-       "{\n\
-       \  \"experiment\": \"table1-quick\",\n\
-       \  \"jobs\": %d,\n\
-       \  \"serial_s\": %.3f,\n\
-       \  \"parallel_s\": %.3f,\n\
-       \  \"speedup\": %.3f,\n\
-       \  \"rows_identical\": %b\n\
-        }\n"
-       jobs serial_s parallel_s speedup identical);
+    "  median serial %.2fs, %d workers %.2fs -> %.2fx; rows identical: %b\n"
+    serial_s jobs parallel_s speedup identical;
+  let module J = Sttc_obs.Json in
+  let ms t = J.Float (Float.round (t *. 1000.) /. 1000.) in
+  let times xs = J.List (List.map ms xs) in
+  Sttc_obs.Export.write_file "BENCH_parallel.json"
+    (J.Obj
+       ([
+          ("experiment", J.String "table1-full");
+          ("cores", J.Int (Domain.recommended_domain_count ()));
+          ("jobs", J.Int jobs);
+          ("repeats", J.Int repeats);
+          ("serial_s", ms serial_s);
+          ("parallel_s", ms parallel_s);
+          ("speedup", ms speedup);
+          ("serial_runs_s", times serial);
+          ("parallel_runs_s", times par);
+          ("rows_identical", J.Bool identical);
+        ]
+       @ Sttc_obs.Build_info.to_fields ()));
   Printf.printf "  wrote BENCH_parallel.json\n";
   if not identical then begin
     Printf.printf "parallel rows DIFFER from serial rows\n";

@@ -723,14 +723,6 @@ let attack_cmd =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Only the sub-1000-gate benchmarks.")
 
-let checkpoint_arg =
-  let doc =
-    "Checkpoint file: completed benchmarks are snapshotted there \
-     atomically, and a rerun against the same file (and seed) skips \
-     them."
-  in
-  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~doc)
-
 let timeout_arg =
   let doc =
     "Wall-clock budget in seconds per benchmark stage; expired stages \
@@ -746,23 +738,17 @@ let isolate_arg =
   Arg.(value & flag & info [ "isolate" ] ~doc)
 
 let experiment_cmd name doc render =
-  let run quick seed backend checkpoint timeout isolate jobs trace metrics =
+  let run quick seed backend timeout isolate jobs trace metrics =
     Sttc_obs.Obs.with_run ?trace ?metrics @@ fun () ->
     let module R = Sttc_experiments.Runner in
     let cfg =
       {
-        R.Config.quick;
-        seed;
-        only = None;
+        R.Config.seed;
+        only = (if quick then Some R.quick_benchmarks else None);
         timeout_s = timeout;
         isolate;
-        checkpoint;
         jobs = resolve_jobs jobs;
         backend = Sttc_backend.Backend.name backend;
-        on_event =
-          (function
-          | R.Started _ -> ()
-          | ev -> Printf.eprintf "  %s\n%!" (R.string_of_event ev));
       }
     in
     print_string (render (R.rows cfg));
@@ -770,8 +756,8 @@ let experiment_cmd name doc render =
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ quick_arg $ seed_arg $ backend_arg $ checkpoint_arg
-      $ timeout_arg $ isolate_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      const run $ quick_arg $ seed_arg $ backend_arg $ timeout_arg
+      $ isolate_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let fig1_cmd =
   Cmd.v
@@ -837,34 +823,21 @@ let faults_cmd =
          & info [ "retries" ]
              ~doc:"Retry budget per cell for the resilient provisioner.")
   in
-  let resume_check =
-    Arg.(value & flag
-         & info [ "resume-check" ]
-             ~doc:"Run the checkpoint/resume self-test instead of the sweep.")
-  in
-  let run bench rates stuck dies retries seed resume_check jobs trace metrics =
+  let run bench rates stuck dies retries seed jobs trace metrics =
     Sttc_obs.Obs.with_run ?trace ?metrics @@ fun () ->
     exit_of_result
-      (if resume_check then
-         match Sttc_experiments.Runner.resume_selftest ~seed () with
-         | Ok msg ->
-             print_endline msg;
-             Ok ()
-         | Error m -> Error ("resume self-test failed: " ^ m)
-       else
-         try
-           let resilience =
-             {
-               Sttc_core.Provision.default_resilience with
-               Sttc_core.Provision.retry_budget = retries;
-             }
-           in
-           print_string
-             (Sttc_experiments.Runner.fault_sweep ~seed ~bench ~rates
-                ~stuck_rate:stuck ~dies ~resilience
-                ~jobs:(resolve_jobs jobs) ());
-           Ok ()
-         with Invalid_argument m -> Error m)
+      (try
+         let resilience =
+           {
+             Sttc_core.Provision.default_resilience with
+             Sttc_core.Provision.retry_budget = retries;
+           }
+         in
+         print_string
+           (Sttc_experiments.Runner.fault_sweep ~seed ~bench ~rates
+              ~stuck_rate:stuck ~dies ~resilience ~jobs:(resolve_jobs jobs) ());
+         Ok ()
+       with Invalid_argument m -> Error m)
   in
   Cmd.v
     (Cmd.info "faults"
@@ -873,7 +846,7 @@ let faults_cmd =
           repair cost and post-repair equivalence of the provisioned part.")
     Term.(
       const run $ bench $ rates $ stuck $ dies $ retries $ seed_arg
-      $ resume_check $ jobs_arg $ trace_arg $ metrics_arg)
+      $ jobs_arg $ trace_arg $ metrics_arg)
 
 let ablation_cmd =
   string_cmd "ablation"

@@ -144,7 +144,7 @@ let fig3 rows =
               algorithms)
         @ [ para_years ]))
     rows;
-  Table.render t
+  Table.render t ^ failure_notes rows
 
 let fig1 () =
   let headers =

@@ -13,204 +13,42 @@ let master_seed = 20160605 (* DAC'16 *)
 let strict ~seed ?hardening ?backend alg nl =
   (Flow.run ~seed ?hardening ?backend ~policy:Flow.Strict alg nl).Flow.accepted
 
-(* ---------- progress events ---------- *)
-
-type stage = Build | Protect of string
-
-type exn_info = { benchmark : string; stage : stage; reason : string }
-
-type event =
-  | Started of string
-  | Restored of string
-  | Timed_out of { benchmark : string; stage : stage; budget_s : float }
-  | Failed of exn_info
-  | Finished of Report.benchmark_row
-
-let stage_label = function Build -> "build" | Protect _ -> "protect"
-
-let stage_target benchmark = function
-  | Build -> benchmark
-  | Protect alg -> benchmark ^ "/" ^ alg
-
-let string_of_event = function
-  | Started b -> b ^ ": starting"
-  | Restored b -> b ^ ": restored from checkpoint"
-  | Timed_out { benchmark; stage; budget_s } ->
-      Printf.sprintf "FAILED %s: %s: timeout after %.1fs"
-        (stage_target benchmark stage) (stage_label stage) budget_s
-  | Failed { benchmark; stage; reason } ->
-      Printf.sprintf "FAILED %s: %s: %s"
-        (stage_target benchmark stage) (stage_label stage) reason
-  | Finished row ->
-      let failed = List.length row.Report.failures in
-      let total = failed + List.length row.Report.results in
-      Printf.sprintf "protected %s (%d gates)%s" row.Report.circuit
-        row.Report.size
-        (if failed = 0 then ""
-         else Printf.sprintf " — %d of %d algorithms failed" failed total)
-
 (* ---------- configuration ---------- *)
 
 module Config = struct
   type t = {
-    quick : bool;
     seed : int;
     only : string list option;
     timeout_s : float option;
     isolate : bool;
-    checkpoint : string option;
     jobs : int;
     backend : string;
-    on_event : event -> unit;
   }
 
   let default =
     {
-      quick = false;
       seed = master_seed;
       only = None;
       timeout_s = None;
       isolate = false;
-      checkpoint = None;
       jobs = 1;
       backend = "stt";
-      on_event = ignore;
     }
 
-  let with_quick quick t = { t with quick }
   let with_seed seed t = { t with seed }
   let with_only names t = { t with only = Some names }
   let with_timeout_s s t = { t with timeout_s = Some s }
   let with_isolate isolate t = { t with isolate }
-  let with_checkpoint p t = { t with checkpoint = Some p }
   let with_jobs jobs t = { t with jobs }
   let with_backend backend t = { t with backend }
-  let with_on_event on_event t = { t with on_event }
-
-  module Json = Sttc_obs.Json
-
-  let to_json t =
-    Json.Obj
-      ([ ("quick", Json.Bool t.quick); ("seed", Json.Int t.seed) ]
-      @ (match t.only with
-        | Some names ->
-            [ ("only", Json.List (List.map (fun n -> Json.String n) names)) ]
-        | None -> [])
-      @ (match t.timeout_s with
-        | Some s -> [ ("timeout_s", Json.Float s) ]
-        | None -> [])
-      @ [ ("isolate", Json.Bool t.isolate) ]
-      @ (match t.checkpoint with
-        | Some p -> [ ("checkpoint", Json.String p) ]
-        | None -> [])
-      @ [ ("jobs", Json.Int t.jobs) ]
-      @
-      if t.backend = default.backend then []
-      else [ ("backend", Json.String t.backend) ])
-
-  let ( let* ) = Result.bind
-  let mem name j = Option.value (Json.member name j) ~default:Json.Null
-
-  let of_json j =
-    match j with
-    | Json.Obj _ ->
-        let bool_field name dflt =
-          match mem name j with
-          | Json.Null -> Ok dflt
-          | Json.Bool b -> Ok b
-          | _ -> Error (Printf.sprintf "runner config: %S must be a boolean" name)
-        in
-        let* quick = bool_field "quick" default.quick in
-        let* seed =
-          match mem "seed" j with
-          | Json.Null -> Ok default.seed
-          | Json.Int n -> Ok n
-          | _ -> Error "runner config: \"seed\" must be an integer"
-        in
-        let* only =
-          match mem "only" j with
-          | Json.Null -> Ok None
-          | Json.List items ->
-              let rec go acc = function
-                | [] -> Ok (Some (List.rev acc))
-                | Json.String s :: rest -> go (s :: acc) rest
-                | _ -> Error "runner config: \"only\" must list strings"
-              in
-              go [] items
-          | _ -> Error "runner config: \"only\" must be a list"
-        in
-        let* timeout_s =
-          match mem "timeout_s" j with
-          | Json.Null -> Ok None
-          | Json.Int n -> Ok (Some (float_of_int n))
-          | Json.Float f -> Ok (Some f)
-          | _ -> Error "runner config: \"timeout_s\" must be a number"
-        in
-        let* isolate = bool_field "isolate" default.isolate in
-        let* checkpoint =
-          match mem "checkpoint" j with
-          | Json.Null -> Ok None
-          | Json.String s -> Ok (Some s)
-          | _ -> Error "runner config: \"checkpoint\" must be a string"
-        in
-        let* jobs =
-          match mem "jobs" j with
-          | Json.Null -> Ok default.jobs
-          | Json.Int n -> Ok n
-          | _ -> Error "runner config: \"jobs\" must be an integer"
-        in
-        let* backend =
-          match mem "backend" j with
-          | Json.Null -> Ok default.backend
-          | Json.String s -> (
-              match Backend.find s with
-              | Some _ -> Ok s
-              | None -> Error ("runner config: unknown backend " ^ s))
-          | _ -> Error "runner config: \"backend\" must be a string"
-        in
-        Ok
-          {
-            quick;
-            seed;
-            only;
-            timeout_s;
-            isolate;
-            checkpoint;
-            jobs;
-            backend;
-            on_event = ignore;
-          }
-    | _ -> Error "runner config: not a JSON object"
 end
 
-(* ---------- crash-tolerant benchmark driver ---------- *)
+let quick_benchmarks =
+  List.filter_map
+    (fun i -> if i.Profiles.n_gates <= 1000 then Some i.Profiles.name else None)
+    Profiles.all
 
-(* The checkpoint is a whole-state snapshot rewritten atomically after
-   every completed benchmark: a kill at any point leaves either the
-   previous or the new snapshot, never a torn file.  The payload sits
-   behind {!Sttc_util.Ckpt}'s format-version header, validated before
-   any unmarshalling: a checkpoint from an older build (or plain
-   garbage at the path) is rejected cleanly and the run recomputes from
-   scratch instead of feeding [Marshal] undefined bytes.  A stale-seed
-   file likewise degrades to an empty checkpoint. *)
-let checkpoint_magic = "benchmark-rows-v3"
-
-let load_checkpoint path seed backend =
-  match Sttc_util.Ckpt.load path ~magic:checkpoint_magic with
-  | Ok
-      ((ckpt_seed, ckpt_backend, rows) :
-        int * string * (string * Report.benchmark_row) list) ->
-      if ckpt_seed = seed && ckpt_backend = backend then rows else []
-  | Error `Missing -> []
-  | Error (`Rejected _) ->
-      Sttc_obs.Metrics.incr "runner.checkpoint_rejected";
-      []
-
-let save_checkpoint path seed backend rows =
-  Sttc_util.Ckpt.save path ~magic:checkpoint_magic (seed, backend, rows);
-  Sttc_obs.Metrics.incr "runner.checkpoint_saves";
-  Sttc_obs.Span.instant "runner.checkpoint_save" ~cat:"experiments"
-    ~attrs:[ ("rows", string_of_int (List.length rows)) ]
+(* ---------- the guarded unit of work ---------- *)
 
 let exn_reason = function
   | Invalid_argument m | Failure m -> m
@@ -220,273 +58,144 @@ let exn_reason = function
    isolating) crashes with a captured reason.  The stage budget nests in
    any enclosing one; the enclosing budget's expiry belongs to its owner,
    so the guard polls it on entry and lets it through isolation. *)
-let guard ~timeout_s ~isolate f =
+let guard ~timeout_s ~isolate ~label f =
   Budget.check ();
   match
     match timeout_s with
-    | None -> `Ok (f ())
+    | None -> Ok (f ())
     | Some budget -> (
         match Budget.run ~seconds:budget f with
-        | Ok v -> `Ok v
-        | Error `Timeout -> `Timeout budget)
+        | Ok v -> Ok v
+        | Error `Timeout ->
+            Error (Printf.sprintf "%s: timeout after %.1fs" label budget))
   with
   | outcome -> outcome
   | exception e when isolate ->
       Budget.check ();
-      `Crash (exn_reason e)
+      Error (label ^ ": " ^ exn_reason e)
 
-let attempt_reason label = function
-  | `Timeout budget -> Printf.sprintf "%s: timeout after %.1fs" label budget
-  | `Crash m -> label ^ ": " ^ m
+(* One strict protect run under the stage budget: the unit of work of
+   both [rows] and the campaign's [run_unit].  Deterministic in [seed]
+   alone, so it gives the same result on any domain. *)
+let protect_unit ~timeout_s ~isolate ~label ?fraction ?hardening ?backend
+    ~seed alg netlist =
+  guard ~timeout_s ~isolate ~label (fun () ->
+      (Flow.run ~seed ?fraction ?hardening ?backend ~policy:Flow.Strict alg
+         (netlist ()))
+        .Flow.accepted)
 
-let emit_attempt emit ~benchmark ~stage = function
-  | `Timeout budget_s -> emit (Timed_out { benchmark; stage; budget_s })
-  | `Crash reason -> emit (Failed { benchmark; stage; reason })
-
-let build_failed_row info reason =
-  {
-    Report.circuit = info.Profiles.name;
-    size = info.Profiles.n_gates;
-    results = [];
-    failures =
-      List.map
-        (fun alg -> (Flow.algorithm_name alg, reason))
-        Flow.default_algorithms;
-  }
-
-let assemble_row info outcomes =
-  let results =
-    List.filter_map (function Ok p -> Some p | Error _ -> None) outcomes
-  in
-  let failures =
-    List.filter_map (function Error p -> Some p | Ok _ -> None) outcomes
-  in
-  { Report.circuit = info.Profiles.name; size = info.Profiles.n_gates;
-    results; failures }
-
-let protect_outcome ~timeout_s ~isolate ~emit ~seed ~backend ~name nl alg =
-  let alg_name = Flow.algorithm_name alg in
+let timed name f =
   let t0 = Pool.now_s () in
-  let outcome =
-    Sttc_obs.Span.with_ "runner.protect" ~cat:"experiments"
-      ~attrs:[ ("benchmark", name); ("algorithm", alg_name) ]
-      (fun () ->
-        guard ~timeout_s ~isolate (fun () -> strict ~seed ~backend alg nl))
-  in
-  Sttc_obs.Metrics.observe "runner.protect_seconds" (Pool.now_s () -. t0);
-  match outcome with
-  | `Ok r -> Ok (alg_name, r)
-  | (`Timeout _ | `Crash _) as a ->
-      emit_attempt emit ~benchmark:name ~stage:(Protect alg_name) a;
-      Error (alg_name, attempt_reason "protect" a)
+  let v = f () in
+  Sttc_obs.Metrics.observe name (Pool.now_s () -. t0);
+  v
 
-let guarded_build ~timeout_s ~isolate info =
-  let name = info.Profiles.name in
-  let t0 = Pool.now_s () in
-  let b =
-    Sttc_obs.Span.with_ "runner.build" ~cat:"experiments"
-      ~attrs:[ ("benchmark", name) ]
-      (fun () -> guard ~timeout_s ~isolate (fun () -> Profiles.build info))
-  in
-  Sttc_obs.Metrics.observe "runner.build_seconds" (Pool.now_s () -. t0);
-  b
+(* ---------- the paper sweep ---------- *)
 
-let run_benchmark_serial ~timeout_s ~isolate ~emit ~seed ~backend info =
-  let name = info.Profiles.name in
-  emit (Started name);
-  Sttc_obs.Metrics.incr "runner.benchmarks";
-  Sttc_obs.Span.with_ "runner.row" ~cat:"experiments"
-    ~attrs:[ ("benchmark", name) ]
-  @@ fun () ->
-  let t0 = Pool.now_s () in
-  let finish row =
-    Sttc_obs.Metrics.observe "runner.row_seconds" (Pool.now_s () -. t0);
-    row
-  in
-  match guarded_build ~timeout_s ~isolate info with
-  | (`Timeout _ | `Crash _) as a ->
-      emit_attempt emit ~benchmark:name ~stage:Build a;
-      finish (build_failed_row info (attempt_reason "build" a))
-  | `Ok nl ->
-      let outcomes =
-        List.map
-          (protect_outcome ~timeout_s ~isolate ~emit ~seed ~backend ~name nl)
-          Flow.default_algorithms
-      in
-      let row = assemble_row info outcomes in
-      emit (Finished row);
-      Sttc_obs.Metrics.incr "runner.rows";
-      finish row
-
-(* Serial: benchmarks run one after the other, incrementally
-   checkpointed — byte-for-byte the historical behaviour. *)
-let rows_serial ~cfg ~backend infos completed0 =
-  let { Config.seed; timeout_s; isolate; checkpoint; on_event = emit; _ } =
-    cfg
-  in
-  let completed = ref completed0 in
-  List.map
-    (fun info ->
-      let name = info.Profiles.name in
-      match List.assoc_opt name !completed with
-      | Some row ->
-          emit (Restored name);
-          row
-      | None ->
-          let row =
-            run_benchmark_serial ~timeout_s ~isolate ~emit ~seed ~backend info
-          in
-          (* rows that failed outright are not checkpointed, so a rerun
-             with a longer budget recomputes them *)
-          if row.Report.failures = [] then begin
-            completed := !completed @ [ (name, row) ];
-            Option.iter
-              (fun p ->
-                save_checkpoint p seed cfg.Config.backend !completed)
-              checkpoint
-          end;
-          row)
-    infos
-
-(* Parallel: a build task per benchmark, then a protect task per
-   benchmark × algorithm.  Each task depends only on [seed], so results
-   merge in submission order into exactly the serial rows; the
-   checkpoint is written during the merge, in the same benchmark order
-   a serial run would use. *)
-let rows_parallel ~cfg ~backend infos completed0 =
-  let { Config.seed; timeout_s; isolate; checkpoint; jobs; on_event; _ } =
-    cfg
-  in
-  let emit =
-    let m = Mutex.create () in
-    fun ev ->
-      Mutex.lock m;
-      Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> on_event ev)
-  in
-  let todo =
-    List.filter
-      (fun i -> not (List.mem_assoc i.Profiles.name completed0))
-      infos
-  in
-  let computed =
-    Pool.with_pool ~jobs (fun pool ->
-        let builds =
-          Pool.map_exn pool
-            (fun info ->
-              let name = info.Profiles.name in
-              emit (Started name);
-              Sttc_obs.Metrics.incr "runner.benchmarks";
-              match guarded_build ~timeout_s ~isolate info with
-              | `Ok nl ->
-                  (* force the lazy topology caches while the netlist is
-                     still private to this task: the protect tasks read
-                     it from several domains concurrently *)
-                  Sttc_netlist.Netlist.warm nl;
-                  (info, `Ok nl)
-              | (`Timeout _ | `Crash _) as a ->
-                  emit_attempt emit ~benchmark:name ~stage:Build a;
-                  (info, a))
-            todo
-        in
-        let protect_tasks =
-          List.concat_map
-            (fun (info, b) ->
-              match b with
-              | `Ok nl ->
-                  List.map (fun alg -> (info, nl, alg)) Flow.default_algorithms
-              | `Timeout _ | `Crash _ -> [])
-            builds
-        in
-        let protects =
-          Pool.map_exn pool
-            (fun (info, nl, alg) ->
-              let name = info.Profiles.name in
-              ( name,
-                protect_outcome ~timeout_s ~isolate ~emit ~seed ~backend ~name
-                  nl alg ))
-            protect_tasks
-        in
-        List.map
-          (fun (info, b) ->
-            let name = info.Profiles.name in
-            match b with
-            | (`Timeout _ | `Crash _) as a ->
-                (name, build_failed_row info (attempt_reason "build" a))
-            | `Ok _ ->
-                let outcomes =
-                  List.filter_map
-                    (fun (n, o) -> if n = name then Some o else None)
-                    protects
-                in
-                let row = assemble_row info outcomes in
-                emit (Finished row);
-                Sttc_obs.Metrics.incr "runner.rows";
-                (name, row))
-          builds)
-  in
-  let completed = ref completed0 in
-  List.map
-    (fun info ->
-      let name = info.Profiles.name in
-      match List.assoc_opt name !completed with
-      | Some row ->
-          emit (Restored name);
-          row
-      | None ->
-          let row = List.assoc name computed in
-          if row.Report.failures = [] then begin
-            completed := !completed @ [ (name, row) ];
-            Option.iter
-              (fun p ->
-                save_checkpoint p seed cfg.Config.backend !completed)
-              checkpoint
-          end;
-          row)
-    infos
-
+(* One body at every job count: a build task per benchmark, then a
+   protect task per benchmark x algorithm, then the rows assembled here
+   in benchmark order.  The executor is the only thing [jobs] changes:
+   each task depends on [seed] alone, so a pool gives the serial rows. *)
 let rows (cfg : Config.t) =
-  if cfg.Config.jobs < 1 then invalid_arg "Runner.rows: jobs must be >= 1";
-  let backend = Backend.find_exn cfg.Config.backend in
+  let { Config.seed; only; timeout_s; isolate; jobs; backend } = cfg in
+  if jobs < 1 then invalid_arg "Runner.rows: jobs must be >= 1";
+  let backend = Backend.find_exn backend in
   let infos =
-    match cfg.Config.only with
+    match only with
     | Some names ->
         List.iter (fun n -> ignore (Profiles.find_exn n)) names;
         List.filter (fun i -> List.mem i.Profiles.name names) Profiles.all
-    | None ->
-        if cfg.Config.quick then
-          List.filter (fun i -> i.Profiles.n_gates <= 1000) Profiles.all
-        else Profiles.all
+    | None -> Profiles.all
   in
-  let completed =
-    match cfg.Config.checkpoint with
-    | Some p -> load_checkpoint p cfg.Config.seed cfg.Config.backend
-    | None -> []
+  let build info =
+    Sttc_obs.Metrics.incr "runner.benchmarks";
+    let built =
+      timed "runner.build_seconds" (fun () ->
+          Sttc_obs.Span.with_ "runner.build" ~cat:"experiments"
+            ~attrs:[ ("benchmark", info.Profiles.name) ]
+            (fun () ->
+              guard ~timeout_s ~isolate ~label:"build" (fun () ->
+                  Profiles.build info)))
+    in
+    (* force the lazy topology caches while the netlist is still private
+       to this task: the protect tasks read it from several domains *)
+    Result.iter Sttc_netlist.Netlist.warm built;
+    (info, built)
   in
-  if completed <> [] then begin
-    Sttc_obs.Metrics.incr "runner.checkpoint_restores";
-    Sttc_obs.Span.instant "runner.checkpoint_restore" ~cat:"experiments"
-      ~attrs:[ ("rows", string_of_int (List.length completed)) ]
-  end;
-  (* Work left after checkpoint restore, in gate-level units: protect +
-     re-simulate cost scales with circuit size times the algorithm
-     count.  Small bags (the quick Table I set is ~9k units) lose more
-     to domain spawning than they gain, so they run serially even when
-     the caller asked for workers. *)
-  let pending =
-    List.filter
-      (fun i -> not (List.mem_assoc i.Profiles.name completed))
-      infos
+  let protect (info, nl, alg) =
+    let name = Flow.algorithm_name alg in
+    let outcome =
+      timed "runner.protect_seconds" (fun () ->
+          Sttc_obs.Span.with_ "runner.protect" ~cat:"experiments"
+            ~attrs:[ ("benchmark", info.Profiles.name); ("algorithm", name) ]
+            (fun () ->
+              protect_unit ~timeout_s ~isolate ~label:"protect" ~backend ~seed
+                alg (fun () -> nl)))
+    in
+    (info.Profiles.name, (name, outcome))
   in
+  let row protects (info, built) =
+    let name = info.Profiles.name in
+    Sttc_obs.Span.with_ "runner.row" ~cat:"experiments"
+      ~attrs:[ ("benchmark", name) ]
+    @@ fun () ->
+    let outcomes =
+      match built with
+      | Ok _ ->
+          List.filter_map
+            (fun (n, o) -> if n = name then Some o else None)
+            protects
+      | Error reason ->
+          List.map
+            (fun alg -> (Flow.algorithm_name alg, Error reason))
+            Flow.default_algorithms
+    in
+    if Result.is_ok built then Sttc_obs.Metrics.incr "runner.rows";
+    {
+      Report.circuit = name;
+      size = info.Profiles.n_gates;
+      results =
+        List.filter_map
+          (function n, Ok r -> Some (n, r) | _, Error _ -> None)
+          outcomes;
+      failures =
+        List.filter_map
+          (function n, Error m -> Some (n, m) | _, Ok _ -> None)
+          outcomes;
+    }
+  in
+  let sweep pool =
+    let map f xs =
+      match pool with None -> List.map f xs | Some p -> Pool.map_exn p f xs
+    in
+    let builds = map build infos in
+    let units =
+      List.concat_map
+        (fun (info, built) ->
+          match built with
+          | Ok nl -> List.map (fun alg -> (info, nl, alg)) Flow.default_algorithms
+          | Error _ -> [])
+        builds
+    in
+    let protects = map protect units in
+    List.map (row protects) builds
+  in
+  (* Work in gate-level units: protect + re-simulate cost scales with
+     circuit size times the algorithm count.  Small bags (the quick
+     Table I set is ~9k units) lose more to domain spawning than they
+     gain, so they run on the calling domain even when the caller asked
+     for workers.  Chunks of one task keep a worker from being handed
+     several large consecutive units. *)
   let work =
     float_of_int
-      (List.fold_left (fun acc i -> acc + i.Profiles.n_gates) 0 pending
+      (List.fold_left (fun acc i -> acc + i.Profiles.n_gates) 0 infos
       * List.length Flow.default_algorithms)
   in
   if
-    Pool.worthwhile ~min_work:30_000. ~jobs:cfg.Config.jobs
-      ~tasks:(List.length pending) ~work ()
-  then rows_parallel ~cfg ~backend infos completed
-  else rows_serial ~cfg ~backend infos completed
+    Pool.worthwhile ~min_work:30_000. ~jobs ~tasks:(List.length infos) ~work
+      ()
+  then Pool.with_pool ~chunk:1 ~jobs (fun p -> sweep (Some p))
+  else sweep None
 
 (* ---------- shard-scoped entry points (campaign engine) ---------- *)
 
@@ -503,18 +212,9 @@ let run_unit ?timeout_s ?fraction ?hardening ?backend ~seed ~benchmark alg =
     ~attrs:
       [ ("benchmark", benchmark); ("algorithm", Flow.algorithm_name alg) ]
   @@ fun () ->
-  let t0 = Pool.now_s () in
-  let outcome =
-    guard ~timeout_s ~isolate:true (fun () ->
-        let nl = build_circuit benchmark in
-        (Flow.run ~seed ?fraction ?hardening ?backend ~policy:Flow.Strict alg
-           nl)
-          .Flow.accepted)
-  in
-  Sttc_obs.Metrics.observe "runner.unit_seconds" (Pool.now_s () -. t0);
-  match outcome with
-  | `Ok r -> Ok r
-  | (`Timeout _ | `Crash _) as a -> Error (attempt_reason "run" a)
+  timed "runner.unit_seconds" (fun () ->
+      protect_unit ~timeout_s ~isolate:true ~label:"run" ?fraction ?hardening
+        ?backend ~seed alg (fun () -> build_circuit benchmark))
 
 let fig1 () = Report.fig1 ()
 let table1 rows = Report.table1 rows
@@ -985,43 +685,6 @@ let fault_sweep ?(seed = master_seed) ?(bench = "s641")
   Buffer.add_string buf "\nprogramming yield over dies:\n";
   Buffer.add_string buf (Sttc_util.Table.render t2);
   Buffer.contents buf
-
-(* ---------- checkpoint/resume self-test (CI smoke) ---------- *)
-
-let resume_selftest ?(seed = master_seed) () =
-  let path = Filename.temp_file "sttc-resume" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists path then Sys.remove path;
-      if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
-    (fun () ->
-      let run cfg names = rows Config.(cfg |> with_seed seed |> with_only names) in
-      let first = run Config.(default |> with_checkpoint path) [ "s641" ] in
-      let restored = ref 0 in
-      let resumed =
-        run
-          Config.(
-            default |> with_checkpoint path
-            |> with_on_event (function
-                 | Restored _ -> incr restored
-                 | _ -> ()))
-          [ "s641"; "s820" ]
-      in
-      let fresh = run Config.default [ "s641"; "s820" ] in
-      if List.length first <> 1 then Error "first pass must produce one row"
-      else if !restored <> 1 then
-        Error
-          (Printf.sprintf
-             "resume must restore exactly the checkpointed benchmark (got %d)"
-             !restored)
-      else if Report.table1 resumed <> Report.table1 fresh then
-        Error "resumed rows differ from a fresh run"
-      else
-        Ok
-          (Printf.sprintf
-             "checkpoint round-trip: 1 benchmark restored, %d recomputed, \
-              Table I identical to a fresh run"
-             (List.length resumed - 1)))
 
 let sweep ?(seed = master_seed) nl ~counts =
   let t =

@@ -12,46 +12,15 @@
 val master_seed : int
 (** 20160605 — fixed so published output is reproducible. *)
 
-(** {1 Progress events}
-
-    The run reports progress as a typed stream instead of pre-rendered
-    strings, so the CLI, the bench harness and future tracing can each
-    render (or aggregate) it their own way. *)
-
-type stage =
-  | Build  (** constructing the benchmark netlist *)
-  | Protect of string  (** running one named selection algorithm *)
-
-type exn_info = {
-  benchmark : string;
-  stage : stage;
-  reason : string;  (** the exception message, without the stage label *)
-}
-
-type event =
-  | Started of string  (** benchmark name, before any work on it *)
-  | Restored of string  (** benchmark row loaded from the checkpoint *)
-  | Timed_out of { benchmark : string; stage : stage; budget_s : float }
-  | Failed of exn_info  (** stage crashed (isolation captured it) *)
-  | Finished of Sttc_core.Report.benchmark_row
-      (** benchmark done (only when its build stage succeeded; the row
-          may still carry per-algorithm failures) *)
-
-val string_of_event : event -> string
-(** The classic progress-line rendering of an event, e.g.
-    ["s641: restored from checkpoint"] or
-    ["FAILED s641/dependent: protect: timeout after 2.0s"]. *)
-
 (** {1 Configuration}
 
     The driver's knobs as one value instead of a growing pile of
     optional arguments.  Build one with {!Config.default} and the
     [with_*] setters:
-    {[ Config.(default |> with_quick true |> with_jobs 4) ]} *)
+    {[ Config.(default |> with_only quick_benchmarks |> with_jobs 4) ]} *)
 
 module Config : sig
   type t = {
-    quick : bool;  (** restrict to the sub-1000-gate benchmarks *)
     seed : int;  (** master seed; every row is deterministic in it *)
     only : string list option;
         (** restrict to these benchmarks (unknown names raise up front) *)
@@ -60,71 +29,55 @@ module Config : sig
     isolate : bool;
         (** turn per-benchmark crashes into partial rows instead of
             aborting the whole table *)
-    checkpoint : string option;
-        (** snapshot file rewritten atomically as benchmarks complete *)
     jobs : int;
         (** worker domains; [1] = serial (identical rows either way) *)
     backend : string;
         (** protection backend name ({!Sttc_backend.Backend.names});
             default ["stt"] *)
-    on_event : event -> unit;  (** progress stream consumer *)
   }
 
   val default : t
-  (** quick=false, seed={!master_seed}, no restriction, no timeout, no
-      isolation, no checkpoint, jobs=1, backend="stt", events dropped. *)
+  (** seed={!master_seed}, every benchmark, no timeout, no isolation,
+      jobs=1, backend="stt". *)
 
-  val with_quick : bool -> t -> t
   val with_seed : int -> t -> t
   val with_only : string list -> t -> t
   val with_timeout_s : float -> t -> t
   val with_isolate : bool -> t -> t
-  val with_checkpoint : string -> t -> t
   val with_jobs : int -> t -> t
   val with_backend : string -> t -> t
-  val with_on_event : (event -> unit) -> t -> t
-
-  val to_json : t -> Sttc_obs.Json.t
-  (** The data fields only — [on_event] is a function and has no wire
-      form.  Optional fields ([only], [timeout_s], [checkpoint]) are
-      omitted when unset, and [backend] is omitted at its default, so
-      historical configs render byte-identically. *)
-
-  val of_json : Sttc_obs.Json.t -> (t, string) result
-  (** Missing fields take their {!default}s; [on_event] is always
-      [ignore] (attach one with {!with_on_event} after parsing). *)
 end
+
+val quick_benchmarks : string list
+(** The sub-1000-gate twins, in table order: what [--quick] selects. *)
 
 val rows : Config.t -> Sttc_core.Report.benchmark_row list
 (** Protect every selected benchmark with the paper's three algorithms.
 
+    One body at every job count: a build task per benchmark, then a
+    protect task per benchmark x algorithm (the guarded unit
+    {!run_unit} also runs), then the rows are assembled on the calling
+    domain in benchmark order.  With [jobs > 1] and a bag large enough
+    to pay for the domains ({!Sttc_util.Pool.worthwhile}) the tasks run
+    on a {!Sttc_util.Pool}, one task per chunk; otherwise they run in
+    order on the calling domain.  Rows are bit-identical either way,
+    because each task's result depends only on [seed].
+
     Crash tolerance (see the {!Config} fields): [timeout_s] budgets each
     build and protect stage with a {!Sttc_util.Budget} (a stage stops at
     its next poll after the deadline, or is reported as timed out when
-    it returns past it, on any domain), [isolate] degrades crashes to
-    partial rows
-    (rendered as ["-"] cells with a footnote), and [checkpoint] lets a
-    killed run resume where it stopped — a corrupt, foreign or
-    different-seed or different-backend checkpoint is ignored, and
-    partial rows are never checkpointed, so a rerun with a longer budget
-    recomputes them.
+    it returns past it, on any domain), and [isolate] degrades crashes
+    to partial rows.  Either failure lands in [row.failures] as
+    ["build: ..."] or ["protect: ..."], rendered as ["-"] cells with a
+    footnote.  Without [isolate], a crashing stage raises: the original
+    exception on the calling domain, {!Sttc_util.Pool.Task_error} from
+    a pool.  Resumable sweeps are the campaign engine's job
+    ({!Sttc_campaign}; [examples/paper.json] is this sweep as a
+    manifest).
 
     [backend] selects the protection technology for every protect stage
     (resolved up front with {!Sttc_backend.Backend.find_exn}, so an
-    unknown name raises before any work starts).
-
-    Parallelism: with [jobs > 1] the build stages and the benchmark ×
-    algorithm protect stages run on a {!Sttc_util.Pool}.  Rows (and the
-    final checkpoint file) are bit-identical to a serial run because
-    each task's result depends only on [seed]; three differences are
-    semantic, not numeric:
-    - the checkpoint is written as results are merged after the fan-out
-      rather than after each benchmark;
-    - [on_event] may be invoked from worker domains (calls are
-      serialized by a mutex), and event order across benchmarks is not
-      deterministic;
-    - without [isolate], a crashing stage surfaces as
-      {!Sttc_util.Pool.Task_error} instead of the original exception. *)
+    unknown name raises before any work starts). *)
 
 (** {1 Shard-scoped entry points}
 
@@ -231,12 +184,6 @@ val fault_sweep :
     dies per rate.  [jobs > 1] programs the yield table's dies in
     parallel; every die's channel seed is derived up front, so the
     output is identical at any job count. *)
-
-val resume_selftest : ?seed:int -> unit -> (string, string) result
-(** Checkpoint round-trip smoke test (the [@fault] alias): run s641
-    into a fresh checkpoint, rerun s641+s820 against it, and require
-    exactly one restore plus a Table I byte-identical to a fresh run.
-    [Error] carries the first violated expectation. *)
 
 val ablation_constants : ?seed:int -> unit -> string
 (** Eq. (2) attack cost under the paper's published alpha/P constants

@@ -10,7 +10,7 @@
     {v sttc-ckpt/1 <magic>\n<marshal bytes> v}
 
     where [<magic>] names the payload type and its format version
-    (e.g. ["benchmark-rows-v2"]).  A file whose header does not match
+    (e.g. ["campaign-shard-rows-v1"]).  A file whose header does not match
     byte-for-byte is rejected without ever reaching [Marshal]; a file
     whose payload is truncated or corrupt is rejected by the exception
     fence around the unmarshal itself.

@@ -2,7 +2,7 @@
    the cross-backend invariants of the flow (selection is a pure
    function of (netlist, algorithm, seed) — never of the cell
    technology), the restricted SAT attacker model, and the [backend]
-   field threaded through the Runner/Manifest/serve JSON schemas. *)
+   field threaded through the Manifest/serve JSON schemas. *)
 
 module Backend = Sttc_backend.Backend
 module Flow = Sttc_core.Flow
@@ -13,7 +13,6 @@ module Gate_fn = Sttc_logic.Gate_fn
 module Truth = Sttc_logic.Truth
 module Lognum = Sttc_util.Lognum
 module Sat_attack = Sttc_attack.Sat_attack
-module Runner = Sttc_experiments.Runner
 module Manifest = Sttc_campaign.Manifest
 module Request = Sttc_serve.Request
 module Json = Sttc_obs.Json
@@ -193,20 +192,6 @@ let has_backend_field = function
   | Json.Obj fields -> List.mem_assoc "backend" fields
   | _ -> Alcotest.fail "expected an object"
 
-let test_runner_config_json () =
-  let module C = Runner.Config in
-  Alcotest.(check bool) "default omits backend" false
-    (has_backend_field (C.to_json C.default));
-  let tvd = C.with_backend "tvd" C.default in
-  Alcotest.(check bool) "non-default emits backend" true
-    (has_backend_field (C.to_json tvd));
-  (match C.of_json (C.to_json tvd) with
-  | Ok c -> Alcotest.(check string) "round trip" "tvd" c.C.backend
-  | Error e -> Alcotest.fail e);
-  match C.of_json (Json.Obj [ ("backend", Json.String "sram") ]) with
-  | Ok _ -> Alcotest.fail "unknown backend must be rejected"
-  | Error e -> Alcotest.(check bool) "error names it" true (contains e "sram")
-
 let test_manifest_json () =
   let stt = Manifest.make ~name:"m" ~circuits:[ "s27" ] ~seeds:[ 1 ] () in
   Alcotest.(check bool) "default omits backend" false
@@ -268,7 +253,6 @@ let () =
       ("attack", [ to_case prop_sat_breaks_both_backends ]);
       ( "json",
         [
-          Alcotest.test_case "runner config" `Quick test_runner_config_json;
           Alcotest.test_case "manifest" `Quick test_manifest_json;
           Alcotest.test_case "serve request" `Quick test_request_json;
         ] );

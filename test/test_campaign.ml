@@ -14,6 +14,7 @@ module Ckpt = Sttc_util.Ckpt
 module Flow = Sttc_core.Flow
 module Metrics = Sttc_obs.Metrics
 module Obs = Sttc_obs.Obs
+module Runner = Sttc_experiments.Runner
 
 let fresh_dir =
   let n = ref 0 in
@@ -468,6 +469,79 @@ let test_aggregate_json_rejects_inconsistency () =
       | Ok _ -> Alcotest.fail "inconsistent counts accepted")
   | _ -> Alcotest.fail "report is not an object"
 
+(* ---------- the paper sweep as a manifest ---------- *)
+
+(* examples/paper.json is the Table I / Fig. 3 sweep as a campaign: the
+   resumable way to run it.  Its s641 and s820 runs through the campaign
+   engine must give the same cells as Runner.rows, the other executor
+   of the same protect unit. *)
+let test_paper_manifest_matches_runner =
+  scrubbed @@ fun () ->
+  let m =
+    match Manifest.load "../examples/paper.json" with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  (match Manifest.validate m with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "the twelve twins" 12 (List.length m.circuits);
+  Alcotest.(check (list int)) "the master seed" [ Runner.master_seed ] m.seeds;
+  Alcotest.(check (list string))
+    "the paper's algorithms"
+    (List.map Flow.algorithm_name Flow.default_algorithms)
+    (List.map Flow.algorithm_name m.algorithms);
+  let circuits = [ "s641"; "s820" ] in
+  let m = { m with circuits } in
+  let dir = fresh_dir () in
+  Manifest.save (Shard.manifest_path dir) m;
+  let outcome =
+    Supervisor.run
+      (Supervisor.config ~jobs:1 ~worker:Supervisor.In_process ~dir
+         ~manifest:m ())
+  in
+  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  let campaign =
+    List.map
+      (fun (r : Shard.row) ->
+        match r.outcome with
+        | Shard.Done x ->
+            ( r.circuit,
+              r.algorithm,
+              [
+                string_of_int x.luts;
+                Printf.sprintf "%.2f" x.perf_pct;
+                Printf.sprintf "%.2f" x.power_pct;
+                Printf.sprintf "%.2f" x.area_pct;
+                x.n_indep;
+                x.n_dep;
+                x.n_bf;
+              ] )
+        | Shard.Failed reason -> Alcotest.failf "%s failed: %s" r.circuit reason)
+      (Aggregate.collect ~dir m).rows
+  in
+  let lognum = Sttc_util.Lognum.to_string in
+  let runner =
+    List.concat_map
+      (fun (row : Sttc_core.Report.benchmark_row) ->
+        List.map
+          (fun (alg, (r : Flow.result)) ->
+            let o = r.overhead and sec = r.security in
+            ( row.circuit,
+              alg,
+              [
+                string_of_int o.n_stts;
+                Printf.sprintf "%.2f" o.performance_pct;
+                Printf.sprintf "%.2f" o.power_pct;
+                Printf.sprintf "%.2f" o.area_pct;
+                lognum sec.n_indep;
+                lognum sec.n_dep;
+                lognum sec.n_bf;
+              ] ))
+          row.results)
+      (Runner.rows Runner.Config.(default |> with_only circuits))
+  in
+  Alcotest.(check (list (triple string string (list string))))
+    "campaign cells = Runner.rows cells" runner campaign
+
 (* ---------- metrics snapshots across processes ---------- *)
 
 let test_metrics_snapshot_round_trip_and_merge =
@@ -533,6 +607,11 @@ let () =
             test_aggregate_degraded_footnotes;
           Alcotest.test_case "rejects inconsistency" `Quick
             test_aggregate_json_rejects_inconsistency;
+        ] );
+      ( "paper",
+        [
+          Alcotest.test_case "manifest cells match Runner.rows" `Slow
+            test_paper_manifest_matches_runner;
         ] );
       ( "metrics",
         [

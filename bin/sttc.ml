@@ -788,6 +788,12 @@ let string_cmd name doc render =
           0)
       $ seed_arg)
 
+let attacks_cmd =
+  string_cmd "attacks"
+    "Attack campaign: six attacks against the three hybrids of an 80-gate \
+     circuit (beyond the paper)."
+    (fun ~seed () -> Sttc_experiments.Runner.attack_campaign ~seed ())
+
 let sidechannel_cmd =
   string_cmd "sidechannel" "DPA leakage: CMOS vs hybrid (beyond the paper)."
     (fun ~seed () -> Sttc_experiments.Runner.sidechannel ~seed ())
@@ -1285,6 +1291,7 @@ let () =
             table1_cmd;
             table2_cmd;
             fig3_cmd;
+            attacks_cmd;
             sidechannel_cmd;
             baseline_cmd;
             ablation_cmd;

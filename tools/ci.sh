@@ -45,6 +45,7 @@ sttc() {
 
 # timeout(1) needs a real executable, not a shell function.
 STTC_BIN="$PWD/_build/default/bin/sttc.exe"
+BENCH_BIN="$PWD/_build/default/bench/main.exe"
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
@@ -97,6 +98,24 @@ echo "== sweep gate (one Runner.rows path; resume belongs to the campaign engine
 if grep -rnE 'rows_serial|rows_parallel|benchmark-rows-v3|string_of_event|resume_selftest' \
      lib bin | grep -vE '^lib/campaign/supervisor\.mli?:|Supervisor\.string_of_event'; then
   echo "SWEEP GATE FAILED: a retired Runner mechanism is back (see above)" >&2
+  exit 1
+fi
+
+echo "== harness gate (one benchmark harness: the ledger, plus bench/main.exe's three records)"
+# The ledger (bench/ledger, ledger.exe compare) times protect, lint,
+# attack and serve; bench/main.exe keeps only the parallel, scale and
+# backend records no ledger workload covers yet.  The retired timing
+# sections, their BENCH files and the flat-threshold comparator must not
+# come back, and a retired section name is a usage error.
+if grep -rnE 'bench_diff|Bechamel|BENCH_(sat|lint|serve|campaign)' \
+     bench/main.ml bench/dune bin lib tools | grep -v '^tools/ci\.sh:'; then
+  echo "HARNESS GATE FAILED: a retired benchmark section is back (see above)" >&2
+  exit 1
+fi
+retired_status=0
+"$BENCH_BIN" sat > /dev/null 2>&1 || retired_status=$?
+if [ "$retired_status" -ne 64 ]; then
+  echo "HARNESS GATE FAILED: bench/main.exe sat must exit 64, got $retired_status" >&2
   exit 1
 fi
 
@@ -338,6 +357,16 @@ if ! cmp -s "$tmpdir/scale.inc.bits" "$tmpdir/scale.full.bits"; then
 fi
 sttc obs-check --metrics "$SCALE_METRICS" \
   --require sta.retime.cone,sta.retime.cone_nodes
+# The scale record's own checks at two small sizes: the incremental
+# hybrid equals the full-STA hybrid, and Sta.trial delays equal
+# from-scratch delays.  It runs from $tmpdir so the BENCH_scale.json it
+# writes leaves the committed one alone.
+if ! (cd "$tmpdir" && STTC_SCALE_SIZES=1000,10000 "$BENCH_BIN" scale \
+        > "$tmpdir/scale.record.out" 2>&1); then
+  echo "SCALE GATE FAILED: bench/main.exe scale failed its identity checks" >&2
+  cat "$tmpdir/scale.record.out" >&2
+  exit 1
+fi
 
 echo "== serve sta-cache gate (repeated protect of one netlist must hit the base-STA memo)"
 # Two protect requests for the same circuit under different seeds: the

@@ -2,77 +2,98 @@ module Netlist = Sttc_netlist.Netlist
 module Truth = Sttc_logic.Truth
 module Gate_fn = Sttc_logic.Gate_fn
 
+type params = {
+  pi_probability : float;
+  max_iterations : int;
+  tolerance : float;
+}
+
+let defaults = { pi_probability = 0.5; max_iterations = 40; tolerance = 1e-4 }
+
 type t = {
   netlist : Netlist.t;
+  prog : Netlist.program;  (* what the sweeps ran over *)
+  params : params;
   prob : float array;
   converged : bool;
 }
 
-(* Exact output probability of a truth table given independent input
-   one-probabilities. *)
-let truth_probability table input_probs =
-  let n = Truth.arity table in
-  assert (Array.length input_probs = n);
+(* The truth bits a node's probability is computed from.  A node without
+   them keeps its initial probability: sources, constants and
+   unconfigured LUTs. *)
+let table = function
+  | Netlist.Gate fn -> Some (Truth.bits (Gate_fn.truth fn))
+  | Netlist.Lut { config = Some c; _ } -> Some (Truth.bits c)
+  | Netlist.Lut { config = None; _ } | Netlist.Pi | Netlist.Const _
+  | Netlist.Dff ->
+      None
+
+let initial ~pi_probability = function
+  | Netlist.Pi -> pi_probability
+  | Netlist.Const v -> if v then 1. else 0.
+  | Netlist.Gate _ | Netlist.Lut _ | Netlist.Dff -> 0.5
+
+(* Exact probability of node [d] from its table [bits] over the inputs
+   [fanin.(a)] .. [fanin.(b - 1)], assumed independent: the sum over the
+   on-set rows, ascending, of the product over the inputs, ascending;
+   then the clamp, as rounding across many rows can drift a hair outside
+   [0,1].  Reads and writes [prob] in place and allocates nothing. *)
+let propagate prob fanin a b bits d =
   let total = ref 0. in
-  for r = 0 to (1 lsl n) - 1 do
-    if Truth.row table r then begin
+  for r = 0 to (1 lsl (b - a)) - 1 do
+    if Int64.logand (Int64.shift_right_logical bits r) 1L = 1L then begin
       let p = ref 1. in
-      for k = 0 to n - 1 do
-        let pk = input_probs.(k) in
-        p := !p *. (if (r lsr k) land 1 = 1 then pk else 1. -. pk)
+      for k = a to b - 1 do
+        let pk = prob.(fanin.(k)) in
+        p := !p *. (if (r lsr (k - a)) land 1 = 1 then pk else 1. -. pk)
       done;
       total := !total +. !p
     end
   done;
-  (* rounding across many rows can drift a hair outside [0,1] *)
-  Float.min 1. (Float.max 0. !total)
+  prob.(d) <- Float.min 1. (Float.max 0. !total)
 
-let analyze ?(pi_probability = 0.5) ?(max_iterations = 40) ?(tolerance = 1e-4)
-    nl =
+let analyze ?(pi_probability = defaults.pi_probability)
+    ?(max_iterations = defaults.max_iterations)
+    ?(tolerance = defaults.tolerance) nl =
   if pi_probability < 0. || pi_probability > 1. then
     invalid_arg "Activity.analyze: pi_probability";
-  let n = Netlist.node_count nl in
-  let prob = Array.make n 0.5 in
-  let order = Netlist.topo_order nl in
-  Netlist.iter
-    (fun id node ->
-      match node.Netlist.kind with
-      | Netlist.Pi -> prob.(id) <- pi_probability
-      | Netlist.Const v -> prob.(id) <- (if v then 1. else 0.)
-      | _ -> ())
-    nl;
-  let propagate_comb () =
-    Array.iter
-      (fun id ->
-        let node = Netlist.node nl id in
-        match node.Netlist.kind with
-        | Netlist.Gate fn ->
-            let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-            prob.(id) <- truth_probability (Gate_fn.truth fn) ip
-        | Netlist.Lut { config = Some c; _ } ->
-            let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-            prob.(id) <- truth_probability c ip
-        | Netlist.Lut { config = None; _ } -> prob.(id) <- 0.5
-        | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ())
-      order
+  let prog = Netlist.program nl in
+  let { Netlist.dst; first; fanin; dffs; d_inputs; _ } = prog in
+  let prob =
+    Array.init (Netlist.node_count nl) (fun id ->
+        initial ~pi_probability (Netlist.kind nl id))
   in
-  let dffs = Netlist.dffs nl in
+  let tables = Array.map (fun id -> table (Netlist.kind nl id)) dst in
+  let propagate_comb () =
+    for i = 0 to Array.length dst - 1 do
+      match tables.(i) with
+      | Some bits -> propagate prob fanin first.(i) first.(i + 1) bits dst.(i)
+      | None -> ()
+    done
+  in
   let rec iterate k =
     propagate_comb ();
     let delta = ref 0. in
-    List.iter
-      (fun ff ->
-        let d = (Netlist.fanins nl ff).(0) in
-        let next = prob.(d) in
-        delta := Float.max !delta (Float.abs (next -. prob.(ff)));
-        prob.(ff) <- next)
-      dffs;
+    for j = 0 to Array.length dffs - 1 do
+      let ff = dffs.(j) in
+      let next = prob.(d_inputs.(j)) in
+      delta := Float.max !delta (Float.abs (next -. prob.(ff)));
+      prob.(ff) <- next
+    done;
     if !delta <= tolerance then true
     else if k >= max_iterations then false
     else iterate (k + 1)
   in
-  let converged = if dffs = [] then (propagate_comb (); true) else iterate 1 in
-  { netlist = nl; prob; converged }
+  let converged =
+    if Array.length dffs = 0 then (propagate_comb (); true) else iterate 1
+  in
+  {
+    netlist = nl;
+    prog;
+    params = { pi_probability; max_iterations; tolerance };
+    prob;
+    converged;
+  }
 
 (* True when two kinds denote the same probability transfer function, so
    swapping one for the other cannot change any computed probability.
@@ -101,6 +122,9 @@ let refine t nl ~changed =
   in
   match Netlist.kind_delta t.netlist nl with
   | None -> full ()
+  | Some _ when t.params <> defaults ->
+      (* reusing the base replays the default fixpoint only *)
+      full ()
   | Some delta ->
       let n = Array.length t.prob in
       let dirty = Array.make n false in
@@ -122,7 +146,7 @@ let refine t nl ~changed =
            on [nl] retraces the base trajectory bit for bit *)
         Metrics.incr "activity.refine.cone";
         Metrics.observe "activity.refine.cone_nodes" 0.;
-        { netlist = nl; prob = Array.copy t.prob; converged = t.converged }
+        { t with netlist = nl; prob = Array.copy t.prob }
       end
       else begin
         (* Forward cone of the dirty nodes (iterative; fanout caches of
@@ -163,24 +187,22 @@ let refine t nl ~changed =
         done;
         if not !sealed then full ()
         else begin
+          (* [kind_delta] keeps the base's program valid for [nl] *)
           let prob = Array.copy t.prob in
-          Array.iter
-            (fun id ->
-              if in_cone.(id) then
-                let node = Netlist.node nl id in
-                match node.Netlist.kind with
-                | Netlist.Gate fn ->
-                    let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-                    prob.(id) <- truth_probability (Gate_fn.truth fn) ip
-                | Netlist.Lut { config = Some c; _ } ->
-                    let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-                    prob.(id) <- truth_probability c ip
-                | Netlist.Lut { config = None; _ } -> prob.(id) <- 0.5
-                | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ())
-            (Netlist.topo_order nl);
+          let { Netlist.dst; first; fanin; _ } = t.prog in
+          for i = 0 to Array.length dst - 1 do
+            let d = dst.(i) in
+            if in_cone.(d) then
+              let kind = Netlist.kind nl d in
+              match table kind with
+              | Some bits -> propagate prob fanin first.(i) first.(i + 1) bits d
+              | None ->
+                  prob.(d) <-
+                    initial ~pi_probability:defaults.pi_probability kind
+          done;
           Metrics.incr "activity.refine.cone";
           Metrics.observe "activity.refine.cone_nodes" (float_of_int !cone);
-          { netlist = nl; prob; converged = t.converged }
+          { t with netlist = nl; prob }
         end
       end
 
@@ -206,3 +228,4 @@ let average_switching t =
       /. float_of_int (List.length ids)
 
 let converged t = t.converged
+let program t = t.prog

@@ -5,7 +5,12 @@
     independence assumption; sequential feedback is resolved by fixpoint
     iteration over the flip-flop state probabilities.  Switching activity
     per node is the temporal-independence estimate [2 p (1 - p)] — the
-    alpha of the paper's Fig. 1 power columns. *)
+    alpha of the paper's Fig. 1 power columns.
+
+    Every sweep runs over the netlist's cached
+    {!Sttc_netlist.Netlist.program}, the same compiled form
+    {!Sttc_sim.Simulator} evaluates, with each node's truth bits looked
+    up once per call. *)
 
 type t
 
@@ -20,15 +25,16 @@ val analyze :
 
 val refine :
   t -> Sttc_netlist.Netlist.t -> changed:Sttc_netlist.Netlist.node_id list -> t
-(** [refine t nl ~changed] is [analyze nl] (default parameters — which the
-    base must also have been computed with), reusing [t]'s solution when
+(** [refine t nl ~changed] is [analyze nl] (default parameters), reusing
+    [t]'s solution when
     that is provably exact: when [nl] is id-compatible with [t]'s netlist
     ({!Sttc_netlist.Netlist.kind_delta}) and every changed node keeps the
     same probability transfer function (e.g. gate→LUT replacements that
     keep the function), the base solution is returned as-is; when the
     transfer functions of some nodes did change but their forward cone
     neither reads nor feeds a flip-flop, only that cone is re-propagated.
-    Any other case falls back to a full fixpoint.  The result is
+    Any other case falls back to a full fixpoint, as does a base computed
+    with non-default parameters.  The result is
     bit-identical to [analyze nl] in all cases.  Counters:
     [activity.refine.cone] / [activity.refine.full], with the visited-node
     count under [activity.refine.cone_nodes]. *)
@@ -45,3 +51,7 @@ val average_switching : t -> float
 val converged : t -> bool
 (** False when the flip-flop fixpoint hit the iteration limit (the result
     is still usable as an estimate). *)
+
+val program : t -> Sttc_netlist.Netlist.program
+(** The shared program the sweeps ran over: [Netlist.program] of the
+    analysed netlist, or of the base for a {!refine}d result. *)

@@ -74,9 +74,15 @@ type hardening = {
 
 let no_hardening = { extra_inputs_per_lut = 0; absorb_drivers = false }
 
+(* The default backend prices with the caller's library as given (it may
+   deliberately carry the SRAM style for the Section II comparison); any
+   other backend forces its own cell technology. *)
+let eval_library ?(library = Sttc_tech.Library.cmos90) backend =
+  if backend == Backend.stt then library else Backend.eval_library backend library
+
 let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
     ?(fraction = 0.02) ?(hardening = no_hardening) ?(semantic = false)
-    ?(backend = Backend.stt) ?base_sta algorithm netlist =
+    ?(backend = Backend.stt) ?baseline algorithm netlist =
   Sttc_obs.Span.with_ "flow.protect" ~cat:"core"
     ~attrs:
       [
@@ -95,10 +101,20 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
     invalid_arg
       ("Flow.run: hardening requires a free-function backend, not "
       ^ Backend.name backend);
+  (* a supplied baseline stands in for what it was computed for *)
+  let supplied lib =
+    match baseline with
+    | Some bl when Ppa.matches bl lib netlist -> Some bl
+    | Some _ | None -> None
+  in
   let rng = Rng.make (seed lxor Hashtbl.hash (algorithm_name algorithm)) in
-  let (hybrid, meta, base_sta), selection_seconds =
+  let (hybrid, meta, sta), selection_seconds =
     Sttc_util.Timing.time (fun () ->
-        let ctx = Select.prepare ~rng ~fraction ?sta:base_sta library netlist in
+        let ctx =
+          Select.prepare ~rng ~fraction
+            ?sta:(Option.map Ppa.baseline_sta (supplied library))
+            library netlist
+        in
         let gates, meta =
           match algorithm with
           | Independent { count } ->
@@ -213,14 +229,14 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
       (Hybrid.foundry_view hybrid) ~luts:(Hybrid.lut_ids hybrid)
   in
   let overhead =
-    (* The default backend prices with the caller's library as given (it
-       may deliberately carry the SRAM style for the Section II
-       comparison); any other backend forces its own cell technology. *)
-    let eval_library =
-      if backend == Backend.stt then library
-      else Backend.eval_library backend library
+    let eval_library = eval_library ~library backend in
+    let baseline =
+      match supplied eval_library with
+      | Some bl ->
+          Sttc_obs.Metrics.incr "flow.baseline_reused";
+          bl
+      | None -> Ppa.baseline ~sta eval_library netlist
     in
-    let baseline = Ppa.baseline ~sta:base_sta eval_library netlist in
     Ppa.evaluate ~baseline eval_library ~base:netlist
       ~hybrid:(Hybrid.programmed hybrid)
   in
@@ -267,7 +283,7 @@ let degradation_chain = function
   | Independent _ as i -> [ i ]
 
 let protect_resilient ?(seed = 1) ?library ?fraction ?hardening ?semantic
-    ?backend ?base_sta ?(max_reseeds = 2) algorithm netlist =
+    ?backend ?baseline ?(max_reseeds = 2) algorithm netlist =
   let rejections = ref [] in
   let reject attempted attempt_seed reason =
     rejections := { attempted; attempt_seed; reason } :: !rejections
@@ -275,7 +291,7 @@ let protect_resilient ?(seed = 1) ?library ?fraction ?hardening ?semantic
   let try_once alg attempt_seed =
     match
       protect ~seed:attempt_seed ?library ?fraction ?hardening ?semantic
-        ?backend ?base_sta alg netlist
+        ?backend ?baseline alg netlist
     with
     | r -> (
         match meets_timing alg r with
@@ -326,7 +342,7 @@ let default_resilience = { max_reseeds = 2 }
 
 type policy = Strict | Resilient of resilience
 
-let run ?seed ?library ?fraction ?hardening ?semantic ?backend ?base_sta
+let run ?seed ?library ?fraction ?hardening ?semantic ?backend ?baseline
     ~policy algorithm netlist =
   Sttc_obs.Span.with_ "flow.run" ~cat:"core"
     ~attrs:
@@ -340,12 +356,12 @@ let run ?seed ?library ?fraction ?hardening ?semantic ?backend ?base_sta
   | Strict ->
       let accepted =
         protect ?seed ?library ?fraction ?hardening ?semantic ?backend
-          ?base_sta algorithm netlist
+          ?baseline algorithm netlist
       in
       { accepted; requested = algorithm; rejections = []; degraded = false }
   | Resilient { max_reseeds } ->
       protect_resilient ?seed ?library ?fraction ?hardening ?semantic ?backend
-        ?base_sta ~max_reseeds algorithm netlist
+        ?baseline ~max_reseeds algorithm netlist
 
 let lint_view ?(library = Sttc_tech.Library.cmos90) r =
   let algorithm =

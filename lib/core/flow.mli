@@ -103,7 +103,7 @@ val run :
   ?hardening:hardening ->
   ?semantic:bool ->
   ?backend:Sttc_backend.Backend.t ->
-  ?base_sta:Sttc_analysis.Sta.t ->
+  ?baseline:Ppa.baseline ->
   policy:policy ->
   algorithm ->
   Sttc_netlist.Netlist.t ->
@@ -119,10 +119,14 @@ val run :
     raises [Invalid_argument] under a candidate-restricted backend
     (e.g. [tvd]): its cells cannot realize the expanded functions.
 
-    [base_sta] supplies a memoized timing analysis of the input netlist
-    (e.g. the serve session cache); it is used only when it was computed
-    on this exact netlist value, so it can never change results — only
-    skip the base [Sta.analyze].
+    [baseline] supplies the input netlist's memoized PPA baseline (e.g.
+    from [Runner.rows]' build task or the serve session cache), computed
+    once per netlist instead of once per run.  It is used only where it
+    {!Ppa.matches} — this exact netlist value and an equal library: its
+    timing analysis for selection under [library], the whole baseline
+    for the evaluation under the backend's pricing library (counter
+    [flow.baseline_reused]).  So it can never change results, only skip
+    the base [Sta.analyze] and [Activity.analyze].
 
     [semantic] (default [false]) additionally gates every attempt on the
     {!Sttc_lint.Semantic_rules} pack run against the foundry view with
@@ -142,6 +146,13 @@ val run :
     per step.  Raises [Invalid_argument] only when every attempt of
     every step failed (e.g. a netlist with no replaceable gates), with
     the full rejection list in the message. *)
+
+val eval_library :
+  ?library:Sttc_tech.Library.t -> Sttc_backend.Backend.t -> Sttc_tech.Library.t
+(** The library {!run} prices the PPA overheads under: [library] (default
+    {!Sttc_tech.Library.cmos90}) as given for the default backend, the
+    backend's own cell technology otherwise.  A shared [?baseline] is
+    computed under it. *)
 
 val meets_timing : algorithm -> result -> (unit, string) Stdlib.result
 (** Parametric results must keep measured performance degradation within

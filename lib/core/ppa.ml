@@ -19,6 +19,7 @@ type overhead = {
 
 type baseline = {
   b_netlist : Netlist.t;
+  b_library : Sttc_tech.Library.t;
   b_sta : Sta.t;
   b_activity : Activity.t;
   b_power : Power.report;
@@ -34,16 +35,20 @@ let baseline ?sta lib nl =
   let b_activity = Activity.analyze nl in
   {
     b_netlist = nl;
+    b_library = lib;
     b_sta;
     b_activity;
     b_power = Power.estimate ~activity:b_activity lib nl;
     b_area = Area.estimate lib nl;
   }
 
+let matches bl lib nl = bl.b_netlist == nl && bl.b_library = lib
+let baseline_sta bl = bl.b_sta
+
 let evaluate ?baseline:b lib ~base ~hybrid =
   let bl =
     match b with
-    | Some bl when bl.b_netlist == base -> bl
+    | Some bl when matches bl lib base -> bl
     | Some _ | None -> baseline lib base
   in
   let sta_h, act_h =

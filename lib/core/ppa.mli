@@ -16,8 +16,9 @@ type overhead = {
 }
 
 type baseline
-(** Cached base-side analyses (STA, activity, power, area) so repeated
-    evaluations against the same original pay for them once. *)
+(** Cached base-side analyses (STA, activity, power, area) of one
+    netlist under one library, so repeated evaluations against the same
+    original pay for them once. *)
 
 val baseline :
   ?sta:Sttc_analysis.Sta.t ->
@@ -26,6 +27,14 @@ val baseline :
   baseline
 (** [?sta] reuses a precomputed timing analysis when it was computed on
     this exact netlist value (physical equality). *)
+
+val matches :
+  baseline -> Sttc_tech.Library.t -> Sttc_netlist.Netlist.t -> bool
+(** Built on this exact netlist value (physical equality) under an equal
+    library: the only case in which a supplied baseline is reused. *)
+
+val baseline_sta : baseline -> Sttc_analysis.Sta.t
+(** The base timing analysis the baseline holds. *)
 
 val evaluate :
   ?baseline:baseline ->
@@ -37,8 +46,8 @@ val evaluate :
     signal activities (the foundry view works too: unknown LUTs default to
     activity 0.5, and STT LUT power is activity-independent anyway).
 
-    A supplied [?baseline] is used when it was built on [base] itself
-    (physical equality; otherwise it is rebuilt).  The hybrid side is
+    A supplied [?baseline] is used when it {!matches} [lib] and [base]
+    (otherwise it is rebuilt).  The hybrid side is
     analyzed incrementally ({!Sttc_analysis.Sta.retime} /
     {!Sttc_analysis.Activity.refine}) when the hybrid is id-compatible
     with the base — bit-identical to the full analyses, which remain the

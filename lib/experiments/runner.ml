@@ -78,10 +78,10 @@ let guard ~timeout_s ~isolate ~label f =
    both [rows] and the campaign's [run_unit].  Deterministic in [seed]
    alone, so it gives the same result on any domain. *)
 let protect_unit ~timeout_s ~isolate ~label ?fraction ?hardening ?backend
-    ~seed alg netlist =
+    ?baseline ~seed alg netlist =
   guard ~timeout_s ~isolate ~label (fun () ->
-      (Flow.run ~seed ?fraction ?hardening ?backend ~policy:Flow.Strict alg
-         (netlist ()))
+      (Flow.run ~seed ?fraction ?hardening ?backend ?baseline
+         ~policy:Flow.Strict alg (netlist ()))
         .Flow.accepted)
 
 let timed name f =
@@ -107,6 +107,7 @@ let rows (cfg : Config.t) =
         List.filter (fun i -> List.mem i.Profiles.name names) Profiles.all
     | None -> Profiles.all
   in
+  let pricing = Flow.eval_library backend in
   let build info =
     Sttc_obs.Metrics.incr "runner.benchmarks";
     let built =
@@ -115,22 +116,26 @@ let rows (cfg : Config.t) =
             ~attrs:[ ("benchmark", info.Profiles.name) ]
             (fun () ->
               guard ~timeout_s ~isolate ~label:"build" (fun () ->
-                  Profiles.build info)))
+                  let nl = Profiles.build info in
+                  (* force the lazy caches while the netlist is still
+                     private to this task: the protect tasks read it from
+                     several domains *)
+                  Sttc_netlist.Netlist.warm nl;
+                  (* the unprotected design's PPA, the same for every
+                     algorithm: computed once, shared by its protects *)
+                  (nl, Sttc_core.Ppa.baseline pricing nl))))
     in
-    (* force the lazy topology caches while the netlist is still private
-       to this task: the protect tasks read it from several domains *)
-    Result.iter Sttc_netlist.Netlist.warm built;
     (info, built)
   in
-  let protect (info, nl, alg) =
+  let protect (info, (nl, baseline), alg) =
     let name = Flow.algorithm_name alg in
     let outcome =
       timed "runner.protect_seconds" (fun () ->
           Sttc_obs.Span.with_ "runner.protect" ~cat:"experiments"
             ~attrs:[ ("benchmark", info.Profiles.name); ("algorithm", name) ]
             (fun () ->
-              protect_unit ~timeout_s ~isolate ~label:"protect" ~backend ~seed
-                alg (fun () -> nl)))
+              protect_unit ~timeout_s ~isolate ~label:"protect" ~backend
+                ~baseline ~seed alg (fun () -> nl)))
     in
     (info.Profiles.name, (name, outcome))
   in

@@ -34,7 +34,19 @@ let eval t inputs =
   | Xor _ -> parity ()
   | Xnor _ -> not (parity ())
 
-let truth t = Truth.create ~arity:(arity t) (eval t)
+let tabulate t = Truth.create ~arity:(arity t) (eval t)
+
+let index t =
+  validate t;
+  match t with
+  | Buf -> 0
+  | Not -> 1
+  | And n -> 2 + (6 * (n - 2))
+  | Nand n -> 3 + (6 * (n - 2))
+  | Or n -> 4 + (6 * (n - 2))
+  | Nor n -> 5 + (6 * (n - 2))
+  | Xor n -> 6 + (6 * (n - 2))
+  | Xnor n -> 7 + (6 * (n - 2))
 
 let name = function
   | Buf -> "BUFF"
@@ -78,6 +90,17 @@ let all_of_arity n =
   else if n >= 2 && n <= Truth.max_arity then
     [ And n; Nand n; Or n; Nor n; Xor n; Xnor n ]
   else invalid_arg "Gate_fn.all_of_arity"
+
+let all = List.concat_map all_of_arity (List.init Truth.max_arity succ)
+
+(* the tables of every valid function, built once: the per-node analyses
+   ask for them on every call *)
+let truths = Array.of_list (List.map tabulate all)
+
+let truth t =
+  match index t with
+  | i -> truths.(i)
+  | exception Invalid_argument _ -> tabulate t
 
 let similarity a b = Truth.agreement (truth a) (truth b)
 

@@ -32,7 +32,17 @@ val validate : t -> unit
     multi-input gates. *)
 
 val eval : t -> bool array -> bool
+
 val truth : t -> Truth.t
+(** The function's table (shared, built once for every valid function). *)
+
+val all : t list
+(** Every valid function: [Buf], [Not], then AND, NAND, OR, NOR, XOR and
+    XNOR at each arity 2..{!Truth.max_arity}, in {!index} order. *)
+
+val index : t -> int
+(** Position in {!all}, for tables indexed by gate function.  Raises
+    [Invalid_argument] as {!validate} does. *)
 
 val name : t -> string
 (** ISCAS'89 [.bench] keyword, e.g. [And 3 -> "AND"]. *)

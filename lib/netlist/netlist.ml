@@ -20,6 +20,16 @@ type node = {
    compare of [Hashtbl]'s generic interface. *)
 module Names = Hashtbl.Make (String)
 
+type program = {
+  dst : node_id array;
+  first : int array;
+  fanin : node_id array;
+  pis : node_id array;
+  dffs : node_id array;
+  d_inputs : node_id array;
+  out_drivers : node_id array;
+}
+
 type t = {
   design_name : string;
   nodes : node array;
@@ -27,6 +37,7 @@ type t = {
   by_name : node_id Names.t;
   mutable fanout_cache : node_id list array option;
   mutable topo_cache : node_id array option;
+  mutable program_cache : program option;
 }
 
 let design_name t = t.design_name
@@ -166,9 +177,52 @@ let compute_topo t =
 
 let topo_order t = compute_topo t
 
+let compute_program t =
+  match t.program_cache with
+  | Some p -> p
+  | None ->
+      let is_source id =
+        match t.nodes.(id).kind with
+        | Pi | Dff -> true
+        | Const _ | Gate _ | Lut _ -> false
+      in
+      let dst =
+        Array.of_seq
+          (Seq.filter (fun id -> not (is_source id))
+             (Array.to_seq (compute_topo t)))
+      in
+      let n_instr = Array.length dst in
+      let first = Array.make (n_instr + 1) 0 in
+      Array.iteri
+        (fun i id -> first.(i + 1) <- first.(i) + Array.length t.nodes.(id).fanins)
+        dst;
+      let fanin = Array.make first.(n_instr) 0 in
+      Array.iteri
+        (fun i id ->
+          let fi = t.nodes.(id).fanins in
+          Array.blit fi 0 fanin first.(i) (Array.length fi))
+        dst;
+      let dffs = Array.of_list (dffs t) in
+      let p =
+        {
+          dst;
+          first;
+          fanin;
+          pis = Array.of_list (pis t);
+          dffs;
+          d_inputs = Array.map (fun ff -> t.nodes.(ff).fanins.(0)) dffs;
+          out_drivers = Array.map snd t.outs;
+        }
+      in
+      t.program_cache <- Some p;
+      p
+
+let program t = compute_program t
+
 let warm t =
   ignore (compute_fanouts t);
-  ignore (compute_topo t)
+  ignore (compute_topo t);
+  ignore (compute_program t)
 
 let stats t =
   Printf.sprintf "%s: %d nodes (%d PI, %d PO, %d DFF, %d gates, %d LUTs)"
@@ -272,6 +326,7 @@ module Builder = struct
         by_name = Names.copy b.b_names;
         fanout_cache = None;
         topo_cache = None;
+        program_cache = None;
       }
     in
     (* cycle check via topo computation *)
@@ -328,6 +383,7 @@ let with_kinds t f =
       by_name = t.by_name;
       fanout_cache = None;
       topo_cache = None;
+      program_cache = None;
     }
   in
   (try ignore (compute_topo t')

@@ -73,11 +73,33 @@ val topo_order : t -> node_id array
     fanins.  DFF D-inputs do not constrain the order (they are sequential
     edges). *)
 
+type program = {
+  dst : node_id array;
+      (** instruction [i] computes node [dst.(i)], in {!topo_order};
+          sources (PIs, flip-flops) have no instruction, constants do *)
+  first : int array;
+      (** instruction [i] reads [fanin.(first.(i))] ..
+          [fanin.(first.(i + 1) - 1)], its node's fanins in order;
+          [Array.length first = Array.length dst + 1] *)
+  fanin : node_id array;
+  pis : node_id array;  (** as {!pis} *)
+  dffs : node_id array;  (** as {!dffs} *)
+  d_inputs : node_id array;  (** D input of [dffs.(j)] *)
+  out_drivers : node_id array;  (** driver of each of {!outputs} *)
+}
+(** The structure of one combinational evaluation sweep, flattened:
+    what {!Sttc_sim.Simulator} and {!Sttc_analysis.Activity} iterate.
+    Read-only: the arrays are shared by every reader of the netlist. *)
+
+val program : t -> program
+(** The compiled sweep (computed once, cached like {!topo_order}). *)
+
 val warm : t -> unit
-(** Force the lazily-computed fanout and topological-order caches.
-    A netlist is otherwise immutable, so after [warm] it can be shared
-    read-only across domains (e.g. {!Sttc_util.Pool} tasks) without the
-    unsynchronized lazy-initialization race the caches would cause. *)
+(** Force the lazily-computed fanout, topological-order and {!program}
+    caches.  A netlist is otherwise immutable, so after [warm] it can be
+    shared read-only across domains (e.g. {!Sttc_util.Pool} tasks)
+    without the unsynchronized lazy-initialization race the caches would
+    cause. *)
 
 val stats : t -> string
 (** One-line summary for logs. *)
@@ -124,7 +146,8 @@ val kind_delta : t -> t -> node_id list option
     kind change crosses the combinational/sequential/source boundary.
     This is the compatibility test behind the incremental re-analysis
     paths ({!Sttc_analysis.Sta.retime} and friends): [Some] guarantees the
-    fanout and topological-order caches of [a] remain valid for [b]. *)
+    fanout, topological-order and {!program} caches of [a] remain valid
+    for [b]. *)
 
 val with_kinds :
   t -> (node_id -> kind -> node_id array -> kind * node_id array) -> t

@@ -27,7 +27,7 @@ let do_protect session (p : Request.protect) =
   match Session.netlist session p.source with
   | Error _ as e -> e
   | Ok nl -> (
-      let base_sta = Session.sta session p.source nl in
+      let baseline = Session.baseline session p.source nl in
       match Sttc_backend.Backend.find_exn p.backend with
       | exception Invalid_argument m -> Error m
       | backend -> (
@@ -35,7 +35,7 @@ let do_protect session (p : Request.protect) =
         Flow.run ~seed:p.seed
           ?fraction:p.config.Sttc_campaign.Manifest.fraction
           ~hardening:(hardening_of_config p.config)
-          ~backend ~base_sta ~policy:Flow.Strict p.algorithm nl
+          ~backend ~baseline ~policy:Flow.Strict p.algorithm nl
       with
       | exception Invalid_argument m -> Error m
       | resilient ->

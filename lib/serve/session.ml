@@ -1,11 +1,11 @@
 module Metrics = Sttc_obs.Metrics
 module Netlist = Sttc_netlist.Netlist
-module Sta = Sttc_analysis.Sta
+module Ppa = Sttc_core.Ppa
 
 type entry = {
   netlist : Netlist.t;
   mutable stamp : int;
-  mutable sta : Sta.t option;
+  mutable baseline : Ppa.baseline option;
 }
 
 type t = {
@@ -94,12 +94,14 @@ let netlist t source =
                 | None ->
                     t.tick <- t.tick + 1;
                     Hashtbl.replace t.table k
-                      { netlist = nl; stamp = t.tick; sta = None };
+                      { netlist = nl; stamp = t.tick; baseline = None };
                     evict_over_capacity t);
                 Ok nl))
 
-let sta t source nl =
-  let compute () = Sta.analyze Sttc_tech.Library.cmos90 nl in
+(* The counters are named for the base timing analysis the baseline
+   holds; the performance ledger reads them under these names. *)
+let baseline t source nl =
+  let compute () = Ppa.baseline Sttc_tech.Library.cmos90 nl in
   if t.capacity <= 0 then begin
     Metrics.incr "serve.sta_cache_misses";
     compute ()
@@ -109,21 +111,23 @@ let sta t source nl =
     let cached =
       locked t (fun () ->
           match Hashtbl.find_opt t.table k with
-          | Some e when e.netlist == nl -> e.sta
+          | Some e when e.netlist == nl -> e.baseline
           | Some _ | None -> None)
     in
     match cached with
-    | Some s ->
+    | Some b ->
         Metrics.incr "serve.sta_cache_hits";
-        s
+        b
     | None ->
         Metrics.incr "serve.sta_cache_misses";
         (* analyze outside the lock; concurrent misses both compute the
            same deterministic result and one insert wins harmlessly *)
-        let s = compute () in
+        let b = compute () in
         locked t (fun () ->
             (match Hashtbl.find_opt t.table k with
             | Some e when e.netlist == nl -> (
-                match e.sta with None -> e.sta <- Some s | Some _ -> ())
+                match e.baseline with
+                | None -> e.baseline <- Some b
+                | Some _ -> ())
             | Some _ | None -> ());
-            s)
+            b)

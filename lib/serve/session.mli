@@ -13,9 +13,10 @@
     {!Request.Inline} ones — so two clients shipping the same netlist
     text share one entry.
 
-    Each entry also memoizes the base timing analysis of its netlist
-    (computed on first use by a protect request), so repeated requests on
-    a warm entry skip the base [Sta.analyze] entirely.
+    Each entry also memoizes the PPA baseline of its netlist (timing,
+    activity, power and area, computed on first use by a protect
+    request), so repeated requests on a warm entry skip the base
+    [Sta.analyze] and [Activity.analyze] entirely.
 
     Metrics: [serve.cache_hits], [serve.cache_misses],
     [serve.cache_evictions], [serve.sta_cache_hits],
@@ -40,11 +41,13 @@ val netlist : t -> Request.source -> (Sttc_netlist.Netlist.t, string) result
     so a slow parse never blocks cache hits.  Errors are unknown
     benchmark names or .bench parse failures. *)
 
-val sta : t -> Request.source -> Sttc_netlist.Netlist.t -> Sttc_analysis.Sta.t
-(** The base timing analysis (default {!Sttc_tech.Library.cmos90}) of a
-    netlist previously resolved with {!netlist}, memoized on its cache
-    entry.  The memo is used only when the entry still holds this exact
-    netlist value, so a stale or evicted entry can never serve a wrong
-    analysis — it just recomputes.  Thread-safe; the analysis runs
-    outside the lock.  Counters: [serve.sta_cache_hits] /
-    [serve.sta_cache_misses]. *)
+val baseline :
+  t -> Request.source -> Sttc_netlist.Netlist.t -> Sttc_core.Ppa.baseline
+(** The PPA baseline (under {!Sttc_tech.Library.cmos90}, the protect
+    flow's default library) of a netlist previously resolved with
+    {!netlist}, memoized on its cache entry.  The memo is used only when
+    the entry still holds this exact netlist value, so a stale or evicted
+    entry can never serve a wrong analysis — it just recomputes.
+    Thread-safe; the analysis runs outside the lock.  Counters (named
+    for the base timing analysis the baseline holds):
+    [serve.sta_cache_hits] / [serve.sta_cache_misses]. *)

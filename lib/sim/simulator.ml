@@ -7,18 +7,10 @@ type rail = (int64, Bigarray.int64_elt, Bigarray.c_layout) A.t
 
 type t = {
   nl : Netlist.t;
-  (* The compiled program: instruction i writes node dst.(i) from the
-     nodes fanin.(first.(i)) .. fanin.(first.(i + 1) - 1), in topological
-     order.  Sources (PIs, flip-flops) have no instruction; a LUT's op
-     carries its effective configuration, [None] evaluating to X. *)
+  prog : Netlist.program;
+  (* per instruction of [prog]: the node's kind, a LUT carrying its
+     effective configuration ([None] evaluates to X) *)
   op : Netlist.kind array;
-  dst : int array;
-  first : int array;
-  fanin : int array;
-  pis : int array;
-  d_inputs : int array;
-  out_drivers : int array;
-  dffs : int array;
   (* per node: lanes known 1 / known 0; a lane in neither is X *)
   ones : rail;
   zeros : rail;
@@ -51,30 +43,13 @@ let compile ~ternary ~configs nl =
   in
   (* reject in node-id order, as the error names the first such LUT *)
   Netlist.iter (fun id _ -> ignore (kind id)) nl;
-  let prog =
-    Array.of_list
-      (List.filter
-         (fun id ->
-           match Netlist.kind nl id with Netlist.Pi | Netlist.Dff -> false | _ -> true)
-         (Array.to_list (Netlist.topo_order nl)))
-  in
-  let first = Array.make (Array.length prog + 1) 0 in
-  Array.iteri
-    (fun i id -> first.(i + 1) <- first.(i) + Array.length (Netlist.fanins nl id))
-    prog;
-  let dffs = Array.of_list (Netlist.dffs nl) in
-  let n = Netlist.node_count nl and n_dffs = Array.length dffs in
+  let prog = Netlist.program nl in
+  let n = Netlist.node_count nl and n_dffs = Array.length prog.Netlist.dffs in
   let t =
     {
       nl;
-      op = Array.map kind prog;
-      dst = prog;
-      first;
-      fanin = Array.concat (List.map (Netlist.fanins nl) (Array.to_list prog));
-      pis = Array.of_list (Netlist.pis nl);
-      d_inputs = Array.map (fun ff -> (Netlist.fanins nl ff).(0)) dffs;
-      out_drivers = Array.map snd (Netlist.outputs nl);
-      dffs;
+      prog;
+      op = Array.map kind prog.Netlist.dst;
       ones = rail n;
       zeros = rail n;
       st_ones = rail n_dffs;
@@ -90,6 +65,7 @@ let compile ~ternary ~configs nl =
 let create ?(configs = []) nl = compile ~ternary:false ~configs nl
 let create_ternary ?(configs = []) nl = compile ~ternary:true ~configs nl
 let netlist t = t.nl
+let program t = t.prog
 
 let reset t =
   A.fill t.st_ones 0L;
@@ -108,12 +84,12 @@ let state t = Array.init (A.dim t.st_ones) (A.get t.st_ones)
 (* The one evaluation loop, over the rails of every node. *)
 let run t =
   let ones = t.ones and zeros = t.zeros in
-  let fanin = t.fanin and first = t.first and dst = t.dst in
+  let { Netlist.fanin; first; dst; dffs; _ } = t.prog in
   Array.iteri
     (fun i ff ->
       A.unsafe_set ones ff (A.unsafe_get t.st_ones i);
       A.unsafe_set zeros ff (A.unsafe_get t.st_zeros i))
-    t.dffs;
+    dffs;
   for i = 0 to Array.length t.op - 1 do
     let d = dst.(i) and a = first.(i) and b = first.(i + 1) in
     match t.op.(i) with
@@ -183,14 +159,15 @@ let run t =
   done
 
 let eval_rails t ~ones ~zeros =
-  let n = Array.length t.pis in
+  let pis = t.prog.Netlist.pis in
+  let n = Array.length pis in
   if Array.length ones <> n || Array.length zeros <> n then
     invalid_arg "Simulator: PI count mismatch";
   Array.iteri
     (fun i pi ->
       A.unsafe_set t.ones pi ones.(i);
       A.unsafe_set t.zeros pi zeros.(i))
-    t.pis;
+    pis;
   run t
 
 let ones t id = A.get t.ones id
@@ -198,7 +175,7 @@ let zeros t id = A.get t.zeros id
 
 let eval_comb t pi_lanes =
   eval_rails t ~ones:pi_lanes ~zeros:(Array.map Int64.lognot pi_lanes);
-  Array.map (A.get t.ones) t.out_drivers
+  Array.map (A.get t.ones) t.prog.Netlist.out_drivers
 
 let step t pi_lanes =
   let outs = eval_comb t pi_lanes in
@@ -206,7 +183,7 @@ let step t pi_lanes =
     (fun i d ->
       A.unsafe_set t.st_ones i (A.unsafe_get t.ones d);
       A.unsafe_set t.st_zeros i (A.unsafe_get t.zeros d))
-    t.d_inputs;
+    t.prog.Netlist.d_inputs;
   outs
 
 let node_values t = Array.init (A.dim t.ones) (A.get t.ones)

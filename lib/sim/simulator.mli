@@ -1,9 +1,12 @@
 (** Bit-parallel logic simulation: 64 independent patterns per step, in
     two- or three-valued logic.  This is the only netlist evaluator.
 
-    {!create} compiles the netlist once into a flat, topologically
-    ordered program (one instruction per combinational node, a flat
-    fanin array, LUT tables).  Every node holds two rails of 64 lanes:
+    The loop runs over the netlist's cached flat program
+    ({!Sttc_netlist.Netlist.program}: one instruction per combinational
+    node in topological order, a flat fanin array), shared with
+    {!Sttc_analysis.Activity} and every other simulator of the same
+    netlist; {!create} adds only the per-instance LUT configurations and
+    the rails.  Every node holds two rails of 64 lanes:
     [ones] (lane known 1) and [zeros] (lane known 0); a lane set in
     neither is X.  Gates follow the pessimistic semantics of
     {!Sttc_logic.Ternary.eval_gate}, configured LUTs those of
@@ -37,6 +40,10 @@ val create_ternary :
 (** Like {!create}, but a LUT left unconfigured outputs X in every lane. *)
 
 val netlist : t -> Sttc_netlist.Netlist.t
+
+val program : t -> Sttc_netlist.Netlist.program
+(** The netlist's shared program this simulator runs (physically
+    [Netlist.program (netlist t)]). *)
 
 val reset : t -> unit
 (** All flip-flops to 0 in every lane. *)

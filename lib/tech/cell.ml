@@ -14,6 +14,10 @@ type t = {
   area_um2 : float;
 }
 
+let by_arity make =
+  let cells = Array.init Sttc_logic.Truth.max_arity (fun i -> make (i + 1)) in
+  fun n -> if n >= 1 && n <= Array.length cells then cells.(n - 1) else make n
+
 let activity_independent c =
   match c.style with Stt_lut -> true | Cmos | Tvd | Sequential -> false
 

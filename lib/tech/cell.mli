@@ -25,6 +25,12 @@ type t = {
   area_um2 : float;
 }
 
+val by_arity : (int -> t) -> int -> t
+(** [by_arity make] behaves as [make], with the cells of arity
+    1..{!Sttc_logic.Truth.max_arity} built once up front: the analyses
+    look a cell up per node.  Other arities still go to [make] (which
+    raises on them). *)
+
 val activity_independent : t -> bool
 (** True for STT LUTs: their active power does not depend on input data
     activity (Section III), the property that hardens them against

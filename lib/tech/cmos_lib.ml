@@ -44,8 +44,7 @@ let leakage_nw fn =
 
 let area_um2 fn = area_unit_um2 *. float_of_int (transistor_count fn)
 
-let gate fn =
-  Gate_fn.validate fn;
+let make_gate fn =
   {
     Cell.cell_name = Gate_fn.to_string fn;
     style = Cell.Cmos;
@@ -55,6 +54,11 @@ let gate fn =
     leakage_nw = leakage_nw fn;
     area_um2 = area_um2 fn;
   }
+
+(* every valid gate built once, as the analyses look a cell up per node;
+   [Gate_fn.index] raises on the others as [make_gate] did *)
+let gate_cells = Array.of_list (List.map make_gate Gate_fn.all)
+let gate fn = gate_cells.(Gate_fn.index fn)
 
 let inverter = gate Gate_fn.Not
 

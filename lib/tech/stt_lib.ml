@@ -125,7 +125,8 @@ let fig1_model fn =
 
 (* --- 90 nm-calibrated LUT cells for the hybrid flow --- *)
 
-let lut n =
+let lut =
+  Cell.by_arity @@ fun n ->
   if n < 1 || n > Sttc_logic.Truth.max_arity then
     invalid_arg "Stt_lib.lut: arity out of range";
   let fn = float_of_int n in

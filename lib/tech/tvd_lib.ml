@@ -1,4 +1,5 @@
-let lut n =
+let lut =
+  Cell.by_arity @@ fun n ->
   if n < 1 || n > Sttc_logic.Truth.max_arity then
     invalid_arg "Tvd_lib.lut: arity out of range";
   let fn = float_of_int n in

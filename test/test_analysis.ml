@@ -298,6 +298,230 @@ let test_activity_bounds_property () =
       nl
   done
 
+(* ---------- Activity: the compiled sweep ---------- *)
+
+module Truth = Sttc_logic.Truth
+module Profiles = Sttc_netlist.Iscas_profiles
+
+(* The per-node fixpoint the compiled sweep replaced, kept here as the
+   reference: a fanin-probability array and a gate table per node per
+   sweep, rows read through [Truth.row]. *)
+let reference_analyze ?(pi_probability = 0.5) ?(max_iterations = 40)
+    ?(tolerance = 1e-4) nl =
+  let truth_probability table input_probs =
+    let n = Truth.arity table in
+    let total = ref 0. in
+    for r = 0 to (1 lsl n) - 1 do
+      if Truth.row table r then begin
+        let p = ref 1. in
+        for k = 0 to n - 1 do
+          let pk = input_probs.(k) in
+          p := !p *. (if (r lsr k) land 1 = 1 then pk else 1. -. pk)
+        done;
+        total := !total +. !p
+      end
+    done;
+    Float.min 1. (Float.max 0. !total)
+  in
+  let prob = Array.make (Netlist.node_count nl) 0.5 in
+  Netlist.iter
+    (fun id node ->
+      match node.Netlist.kind with
+      | Netlist.Pi -> prob.(id) <- pi_probability
+      | Netlist.Const v -> prob.(id) <- (if v then 1. else 0.)
+      | _ -> ())
+    nl;
+  let propagate_comb () =
+    Array.iter
+      (fun id ->
+        let node = Netlist.node nl id in
+        let ip () = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
+        match node.Netlist.kind with
+        | Netlist.Gate fn -> prob.(id) <- truth_probability (Gate_fn.truth fn) (ip ())
+        | Netlist.Lut { config = Some c; _ } -> prob.(id) <- truth_probability c (ip ())
+        | Netlist.Lut { config = None; _ } -> prob.(id) <- 0.5
+        | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ())
+      (Netlist.topo_order nl)
+  in
+  let dffs = Netlist.dffs nl in
+  let rec iterate k =
+    propagate_comb ();
+    let delta = ref 0. in
+    List.iter
+      (fun ff ->
+        let next = prob.((Netlist.fanins nl ff).(0)) in
+        delta := Float.max !delta (Float.abs (next -. prob.(ff)));
+        prob.(ff) <- next)
+      dffs;
+    if !delta <= tolerance then true
+    else if k >= max_iterations then false
+    else iterate (k + 1)
+  in
+  let converged = if dffs = [] then (propagate_comb (); true) else iterate 1 in
+  (prob, converged)
+
+let same_bits act (prob, converged) =
+  Activity.converged act = converged
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun id p ->
+            Int64.equal (Int64.bits_of_float p)
+              (Int64.bits_of_float (Activity.probability act id)))
+          prob)
+
+(* A random sequential netlist drawing on every node kind the sweep
+   distinguishes: constants, every valid gate function, configured LUTs
+   of arity 1..6, unconfigured LUTs, and flip-flops fed back from
+   anywhere in the logic. *)
+let random_sequential seed =
+  let rng = Rng.make seed in
+  let b = Netlist.Builder.create ~design_name:"sweep" () in
+  let signals = ref [] in
+  let add id = signals := id :: !signals in
+  for i = 0 to Rng.int rng 4 do
+    add (Netlist.Builder.add_pi b (Printf.sprintf "pi%d" i))
+  done;
+  for i = 0 to Rng.int rng 2 - 1 do
+    add (Netlist.Builder.add_const b (Printf.sprintf "k%d" i) (Rng.bool rng))
+  done;
+  let ffs =
+    List.init (Rng.int rng 4) (fun i ->
+        Netlist.Builder.add_dff_deferred b (Printf.sprintf "ff%d" i))
+  in
+  List.iter add ffs;
+  let gates = Array.of_list Gate_fn.all in
+  for i = 0 to 10 + Rng.int rng 30 do
+    let pool = Array.of_list !signals in
+    let fanins n = List.init n (fun _ -> Rng.pick rng pool) in
+    let name = Printf.sprintf "n%d" i in
+    add
+      (match Rng.int rng 4 with
+      | 0 | 1 ->
+          let fn = Rng.pick rng gates in
+          Netlist.Builder.add_gate b name fn (fanins (Gate_fn.arity fn))
+      | 2 ->
+          let arity = 1 + Rng.int rng Truth.max_arity in
+          (* the top 2^arity bits of a random word, as the table *)
+          let config =
+            Truth.of_bits ~arity
+              (Int64.shift_right_logical (Rng.int64 rng) (64 - (1 lsl arity)))
+          in
+          Netlist.Builder.add_lut b name ~config (fanins arity)
+      | _ -> Netlist.Builder.add_lut b name (fanins (1 + Rng.int rng 3)))
+  done;
+  let pool = Array.of_list !signals in
+  List.iter (fun ff -> Netlist.Builder.set_dff_input b ff (Rng.pick rng pool)) ffs;
+  Netlist.Builder.add_output b "y" (List.hd !signals);
+  Netlist.Builder.finalize b
+
+let prop_sweep_matches_reference =
+  QCheck2.Test.make
+    ~name:"compiled sweep is bit-identical to the per-node reference"
+    ~count:300
+    QCheck2.Gen.(
+      triple (int_range 0 1_000_000) (float_range 0. 1.) (int_range 1 40))
+    (fun (seed, pi_probability, max_iterations) ->
+      let nl = random_sequential seed in
+      same_bits (Activity.analyze nl) (reference_analyze nl)
+      && same_bits
+           (Activity.analyze ~pi_probability ~max_iterations ~tolerance:1e-9 nl)
+           (reference_analyze ~pi_probability ~max_iterations ~tolerance:1e-9 nl))
+
+(* Digests of every probability's bits (and the convergence flag),
+   recorded on the per-node fixpoint before the sweep was compiled. *)
+let probability_digest nl =
+  let act = Activity.analyze nl in
+  let b = Buffer.create 4096 in
+  for id = 0 to Netlist.node_count nl - 1 do
+    Buffer.add_string b
+      (Printf.sprintf "%Lx," (Int64.bits_of_float (Activity.probability act id)))
+  done;
+  Buffer.add_string b (string_of_bool (Activity.converged act));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_twin_probabilities =
+  [
+    ("s641", "a51612a86d07243ee7cb2575f7297d30");
+    ("s820", "91e2b498747b154469cd17a50a979eb6");
+    ("s832", "aa1d6943238cb5a8f6c0294698e2be70");
+    ("s953", "face68bc92a0a52d06a8962ff026a06a");
+    ("s1196", "5cbdf52efe68afa960dc479f5f69fb90");
+    ("s1238", "313a25a506229919c9c5ba22d872d2fb");
+    ("s1488", "24527b69a259d93002315cd51ac01203");
+    ("s5378a", "af1ab62608902e7596b5aba32010d11d");
+    ("s9234a", "59d596a1be1dc6827e6b53517b52f68a");
+    ("s13207", "313d694099596df7a7cc26b579addf4d");
+    ("s15850a", "f103b96b0b027983ccb11c86d8ce841e");
+    ("s38584", "49b04898658fcde49ca27ade8a9ff94a");
+  ]
+
+(* the 10^4-gate families at seed 1 *)
+let pinned_family_probabilities =
+  [
+    (Generator.Slike, "263b59714de8d52fc893bc16e3ea2f3a");
+    (Generator.Wide, "67800c1a6963af5769975d9061fc93a8");
+    (Generator.Deep, "4a795aefbc6221b1c23ba2c85082f2d1");
+    (Generator.Fanout_heavy, "078841fb33d13d7ef56558a5422eabad");
+  ]
+
+let test_sweep_pinned () =
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) name digest
+        (probability_digest (Profiles.build_by_name name)))
+    pinned_twin_probabilities;
+  Alcotest.(check (list string)) "every twin pinned" Profiles.names
+    (List.map fst pinned_twin_probabilities);
+  List.iter
+    (fun (profile, digest) ->
+      Alcotest.(check string)
+        (Generator.profile_name profile ^ "10000")
+        digest
+        (probability_digest
+           (Generator.generate_family ~seed:1 ~profile ~gates:10_000 ())))
+    pinned_family_probabilities
+
+let test_sweep_shares_program () =
+  let nl = random_sequential 7 in
+  let act = Activity.analyze nl in
+  let sim = Sttc_sim.Simulator.create_ternary nl in
+  Alcotest.(check bool) "Activity runs the netlist's program" true
+    (Activity.program act == Netlist.program nl);
+  Alcotest.(check bool) "Simulator runs the same program" true
+    (Sttc_sim.Simulator.program sim == Activity.program act);
+  (* a refined result keeps the base's program: id-compatible netlists
+     share its structure *)
+  let g = List.hd (Netlist.gates nl) in
+  let refined =
+    Activity.refine act (Transform.replace_gate_with_lut nl g) ~changed:[ g ]
+  in
+  Alcotest.(check bool) "refine reuses the base program" true
+    (Activity.program refined == Activity.program act)
+
+let test_refine_non_default_base () =
+  (* a base computed with other parameters cannot be reused: refine must
+     return the default analysis, counted as a full fallback *)
+  let nl = inverter_chain 3 in
+  let base = Activity.analyze ~pi_probability:0.9 nl in
+  let module Obs = Sttc_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let refined, snap =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let r = Activity.refine base nl ~changed:[] in
+        (r, Sttc_obs.Metrics.snapshot ()))
+  in
+  Alcotest.(check int) "counted as activity.refine.full" 1
+    (Sttc_obs.Metrics.counter_value snap "activity.refine.full");
+  Alcotest.(check bool) "equals the default analysis" true
+    (same_bits refined (reference_analyze nl));
+  Alcotest.(check (float 0.)) "n1 at the default PI probability" 0.5
+    (Activity.probability refined (Netlist.find_exn nl "n1"))
+
 (* ---------- Power ---------- *)
 
 let test_power_report_consistency () =
@@ -381,6 +605,15 @@ let () =
           Alcotest.test_case "unconfigured lut" `Quick test_activity_unconfigured_lut;
           Alcotest.test_case "bounds on random circuits" `Quick
             test_activity_bounds_property;
+          Alcotest.test_case "refine with a non-default base" `Quick
+            test_refine_non_default_base;
+        ] );
+      ( "activity sweep",
+        [
+          QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
+          Alcotest.test_case "pinned probabilities" `Slow test_sweep_pinned;
+          Alcotest.test_case "one shared program" `Quick
+            test_sweep_shares_program;
         ] );
       ( "power",
         [

@@ -152,6 +152,53 @@ let test_runner_quick_rows () =
   Alcotest.(check bool) "table2" true (String.length (Runner.table2 rows) > 0);
   Alcotest.(check bool) "fig3" true (String.length (Runner.fig3 rows) > 0)
 
+(* Runner.rows computes each benchmark's PPA baseline once, in its build
+   task, and its three protects reuse it; the rows must equal those of
+   protects that each compute their own. *)
+let test_rows_share_baseline () =
+  let module Obs = Sttc_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let shared, reused =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let rows =
+          Runner.rows Runner.Config.(default |> with_only [ "s641"; "s820" ])
+        in
+        ( rows,
+          Sttc_obs.Metrics.(counter_value (snapshot ()) "flow.baseline_reused")
+        ))
+  in
+  Alcotest.(check int) "one reuse per protect" 6 reused;
+  let unshared =
+    List.map
+      (fun (row : Sttc_core.Report.benchmark_row) ->
+        let nl = Profiles.build_by_name row.circuit in
+        {
+          row with
+          results =
+            List.map
+              (fun alg ->
+                ( Flow.algorithm_name alg,
+                  protect ~seed:Runner.master_seed alg nl ))
+              Flow.default_algorithms;
+        })
+      shared
+  in
+  Alcotest.(check string) "Table I" (Runner.table1 unshared) (Runner.table1 shared);
+  Alcotest.(check string) "Fig. 3" (Runner.fig3 unshared) (Runner.fig3 shared);
+  List.iter2
+    (fun (s : Sttc_core.Report.benchmark_row) (u : Sttc_core.Report.benchmark_row) ->
+      List.iter2
+        (fun (name, rs) (_, ru) ->
+          Alcotest.(check bool) (s.circuit ^ "/" ^ name ^ " overhead") true
+            (rs.Flow.overhead = ru.Flow.overhead))
+        s.results u.results)
+    shared unshared
+
 (* Table I and Fig. 3 depend only on the seed, so a pool fan-out must
    render them byte-identically to a serial run.  Table II carries wall
    clock, so only its deterministic shape is compared.  s9234a + s13207
@@ -276,6 +323,8 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "quick rows" `Slow test_runner_quick_rows;
+          Alcotest.test_case "rows share one baseline" `Slow
+            test_rows_share_baseline;
           Alcotest.test_case "parallel rows match serial" `Slow
             test_parallel_rows_match_serial;
           Alcotest.test_case "fig1" `Quick test_fig1_renders;

@@ -161,6 +161,24 @@ let test_gate_validation () =
     (Invalid_argument "Gate_fn.validate: arity out of [2, 6]") (fun () ->
       Gate_fn.validate (Gate_fn.Xor 7))
 
+(* [all] and [index] agree, and the shared tables are the tabulated
+   functions; invalid gates keep raising like [validate] *)
+let test_gate_tables () =
+  Alcotest.(check int) "2 + 6 kinds x 5 arities" 32 (List.length Gate_fn.all);
+  List.iteri
+    (fun i fn ->
+      let name = Gate_fn.to_string fn in
+      Alcotest.(check int) (name ^ " index") i (Gate_fn.index fn);
+      Alcotest.(check bool) (name ^ " table") true
+        (Truth.equal (Gate_fn.truth fn)
+           (Truth.create ~arity:(Gate_fn.arity fn) (Gate_fn.eval fn))))
+    Gate_fn.all;
+  Alcotest.check_raises "index of an invalid gate"
+    (Invalid_argument "Gate_fn.validate: arity out of [2, 6]") (fun () ->
+      ignore (Gate_fn.index (Gate_fn.Nor 7)));
+  Alcotest.(check string) "an invalid gate is still tabulated" "01"
+    (Truth.to_string (Gate_fn.truth (Gate_fn.And 1)))
+
 (* ---------- Ternary ---------- *)
 
 let test_ternary_ops () =
@@ -740,6 +758,7 @@ let () =
           Alcotest.test_case "similarity metrics" `Quick test_gate_similarity_metrics;
           Alcotest.test_case "paper constants" `Quick test_gate_paper_constants;
           Alcotest.test_case "validation" `Quick test_gate_validation;
+          Alcotest.test_case "shared tables" `Quick test_gate_tables;
         ] );
       ( "ternary",
         [

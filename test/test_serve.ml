@@ -280,6 +280,50 @@ let test_session_bad_source () =
         (String.length m >= 4 && String.sub m 0 4 = "bad:")
   | Ok _ -> Alcotest.fail "garbage netlist accepted"
 
+(* A second protect of the same named netlist (another seed) reuses the
+   entry's memoized PPA baseline, and answers exactly what a session that
+   memoizes nothing answers. *)
+let test_session_baseline_memo () =
+  let protect ?(backend = "stt") seed =
+    req
+      (Request.Protect
+         {
+           source = Request.Named "s641";
+           algorithm = Flow.Dependent;
+           config = Manifest.default_config;
+           seed;
+           backend;
+           sign_off = false;
+           emit_foundry = true;
+           emit_bitstream = true;
+           emit_verilog = false;
+           timing = false;
+         })
+  in
+  let answer session r = Response.to_string (Handler.handle session r) in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let warm = Session.create ~capacity:4 () in
+      ignore (answer warm (protect 1));
+      let hits () =
+        Metrics.counter_value (Metrics.snapshot ()) "serve.sta_cache_hits"
+      in
+      let before = hits () in
+      List.iter
+        (fun (backend, r) ->
+          let cached = answer warm r in
+          Alcotest.(check string)
+            (backend ^ " reply as from a capacity-0 session")
+            (answer (Session.create ~capacity:0 ()) r)
+            cached)
+        [ ("stt", protect 2); ("tvd", protect ~backend:"tvd" 3) ];
+      Alcotest.(check int) "two memo hits" (before + 2) (hits ()))
+
 (* ---------- daemon integration ---------- *)
 
 let start_server cfg =
@@ -554,6 +598,7 @@ let () =
           Alcotest.test_case "capacity zero" `Quick test_session_capacity_zero;
           Alcotest.test_case "lru eviction" `Quick test_session_eviction;
           Alcotest.test_case "bad sources" `Quick test_session_bad_source;
+          Alcotest.test_case "baseline memo" `Quick test_session_baseline_memo;
         ] );
       ( "server",
         [

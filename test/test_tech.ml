@@ -197,6 +197,43 @@ let test_library_lookup () =
   | None -> Alcotest.fail "expected cell");
   check_float "pi delay" 0. (Library.node_delay_ps lib Sttc_netlist.Netlist.Pi)
 
+(* Cells are built once per gate function and LUT arity; lookups return
+   the shared cell, and invalid arities raise as before. *)
+let test_memoized_cells () =
+  List.iter
+    (fun fn ->
+      let c = Cmos.gate fn in
+      Alcotest.(check string) "gate cell name" (Gate_fn.to_string fn) c.Cell.cell_name;
+      Alcotest.(check int) "gate cell arity" (Gate_fn.arity fn) c.Cell.arity;
+      Alcotest.(check bool) "gate cell shared" true (Cmos.gate fn == c))
+    Gate_fn.all;
+  List.iter
+    (fun fn ->
+      Alcotest.check_raises (Gate_fn.to_string fn)
+        (Invalid_argument "Gate_fn.validate: arity out of [2, 6]") (fun () ->
+          ignore (Cmos.gate fn)))
+    [ Gate_fn.And 1; Gate_fn.Xnor 7 ];
+  List.iter
+    (fun (prefix, lut, who) ->
+      for n = 1 to Sttc_logic.Truth.max_arity do
+        let c = lut n in
+        Alcotest.(check string) "lut cell name" (Printf.sprintf "%s%d" prefix n)
+          c.Cell.cell_name;
+        Alcotest.(check bool) "lut cell shared" true (lut n == c)
+      done;
+      List.iter
+        (fun n ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s arity %d" who n)
+            (Invalid_argument (who ^ ".lut: arity out of range"))
+            (fun () -> ignore (lut n)))
+        [ 0; 7 ])
+    [
+      ("STT_LUT", Stt.lut, "Stt_lib");
+      ("SRAM_LUT", Sttc_tech.Sram_lib.lut, "Sram_lib");
+      ("TVD_CAMO", Sttc_tech.Tvd_lib.lut, "Tvd_lib");
+    ]
+
 let () =
   Alcotest.run "sttc_tech"
     [
@@ -226,6 +263,10 @@ let () =
           Alcotest.test_case "monotone in fan-in" `Quick test_lut_cells_monotone;
           Alcotest.test_case "calibration vs CMOS" `Quick test_lut_vs_cmos_calibration;
         ] );
-      ("library", [ Alcotest.test_case "lookup" `Quick test_library_lookup ]);
+      ( "library",
+        [
+          Alcotest.test_case "lookup" `Quick test_library_lookup;
+          Alcotest.test_case "memoized cells" `Quick test_memoized_cells;
+        ] );
       ("sram", [ Alcotest.test_case "baseline trade-offs" `Quick test_sram_baseline ]);
     ]

@@ -16,9 +16,62 @@ type node = {
   fanins : node_id array;
 }
 
-(* Name tables compare keys with [String.equal] instead of the polymorphic
-   compare of [Hashtbl]'s generic interface. *)
-module Names = Hashtbl.Make (String)
+(* The name index: open addressing with linear probing over a
+   power-of-two table kept at most half full.  A slot packs a name's
+   30-bit hash above its node id (-1 when empty: ids are non-negative and
+   below 2^32, and ints have 63 bits).  The key string is the node's own
+   name, read through [name_of] only on a hash match, so the index holds
+   one int array; growing moves slots without hashing a name again. *)
+module Names = struct
+  type t = {
+    mutable slots : int array;
+    mutable size : int;
+  }
+
+  let create () = { slots = Array.make 64 (-1); size = 0 }
+  let id_of slot = slot land 0xFFFF_FFFF
+
+  let rec probe slots name_of key h mask i =
+    let s = slots.(i) in
+    if s < 0 || (s lsr 32 = h && String.equal (name_of (id_of s)) key) then i
+    else probe slots name_of key h mask ((i + 1) land mask)
+
+  (* the slot bound to [key], or the empty slot that ends its probe *)
+  let slot t name_of key h =
+    let mask = Array.length t.slots - 1 in
+    probe t.slots name_of key h mask (h land mask)
+
+  let find_opt t name_of key =
+    let s = t.slots.(slot t name_of key (Hashtbl.hash key)) in
+    if s < 0 then None else Some (id_of s)
+
+  let rec free slots mask i =
+    if slots.(i) < 0 then i else free slots mask ((i + 1) land mask)
+
+  let grow t =
+    let slots = Array.make (2 * Array.length t.slots) (-1) in
+    let mask = Array.length slots - 1 in
+    Array.iter
+      (fun s ->
+        if s >= 0 then slots.(free slots mask ((s lsr 32) land mask)) <- s)
+      t.slots;
+    t.slots <- slots
+
+  (* Binds [key] to [id] and returns true, or returns false and leaves
+     [t] unchanged when [key] is already bound. *)
+  let add_new t name_of key id =
+    let h = Hashtbl.hash key in
+    let i = slot t name_of key h in
+    if t.slots.(i) >= 0 then false
+    else begin
+      t.slots.(i) <- (h lsl 32) lor id;
+      t.size <- t.size + 1;
+      if 2 * t.size > Array.length t.slots then grow t;
+      true
+    end
+
+  let copy t = { t with slots = Array.copy t.slots }
+end
 
 type program = {
   dst : node_id array;
@@ -34,7 +87,7 @@ type t = {
   design_name : string;
   nodes : node array;
   outs : (string * node_id) array;
-  by_name : node_id Names.t;
+  by_name : Names.t;
   mutable fanout_cache : node_id list array option;
   mutable topo_cache : node_id array option;
   mutable program_cache : program option;
@@ -51,7 +104,7 @@ let node t id =
 let kind t id = (node t id).kind
 let name t id = (node t id).name
 let fanins t id = (node t id).fanins
-let find t n = Names.find_opt t.by_name n
+let find t n = Names.find_opt t.by_name (fun id -> t.nodes.(id).name) n
 
 let find_exn t n =
   match find t n with
@@ -237,16 +290,19 @@ module Builder = struct
   type t = {
     b_design : string;
     b_nodes : node Sttc_util.Growable.t;
-    b_names : node_id Names.t;
+    b_names : Names.t;
+    b_name_of : node_id -> string;  (* [Names]' view of [b_nodes] *)
     mutable b_outs : (string * node_id) list; (* reversed *)
     b_out_names : (string, unit) Hashtbl.t;
   }
 
   let create ?(design_name = "design") () =
+    let nodes = Sttc_util.Growable.create () in
     {
       b_design = design_name;
-      b_nodes = Sttc_util.Growable.create ();
-      b_names = Names.create 64;
+      b_nodes = nodes;
+      b_name_of = (fun id -> (Sttc_util.Growable.get nodes id).name);
+      b_names = Names.create ();
       b_outs = [];
       b_out_names = Hashtbl.create 16;
     }
@@ -255,11 +311,9 @@ module Builder = struct
 
   let add_node b name kind fanins =
     if name = "" then invalid_arg "Builder: empty node name";
-    if Names.mem b.b_names name then
+    if not (Names.add_new b.b_names b.b_name_of name (node_count b)) then
       invalid_arg ("Builder: duplicate node name " ^ name);
-    let id = Sttc_util.Growable.push b.b_nodes { name; kind; fanins } in
-    Names.add b.b_names name id;
-    id
+    Sttc_util.Growable.push b.b_nodes { name; kind; fanins }
 
   let check_ref b id ctx =
     if id < 0 || id >= node_count b then
@@ -311,30 +365,34 @@ module Builder = struct
   let finalize b =
     if b.b_outs = [] then invalid_arg "Builder.finalize: no outputs";
     let nodes = Sttc_util.Growable.to_array b.b_nodes in
-    Array.iter
-      (fun n ->
-        match n.kind with
-        | Dff when Array.exists (fun i -> i < 0) n.fanins ->
-            invalid_arg ("Builder.finalize: unwired DFF " ^ n.name)
-        | _ -> ())
-      nodes;
-    let t =
-      {
-        design_name = b.b_design;
-        nodes;
-        outs = Array.of_list (List.rev b.b_outs);
-        by_name = Names.copy b.b_names;
-        fanout_cache = None;
-        topo_cache = None;
-        program_cache = None;
-      }
+    (* A fanin exists before its reader is added, so every combinational
+       node comes after its combinational fanins in id order: the
+       topological order [compute_topo] would find is the sources in id
+       order, then the combinational nodes in id order, and no
+       combinational cycle can exist. *)
+    let order = Array.make (Array.length nodes) 0 and placed = ref 0 in
+    let place id =
+      order.(!placed) <- id;
+      incr placed
     in
-    (* cycle check via topo computation *)
-    (try ignore (compute_topo t)
-     with Cycle id ->
-       invalid_arg
-         ("Builder.finalize: combinational cycle through " ^ t.nodes.(id).name));
-    t
+    Array.iteri
+      (fun id n ->
+        match n.kind with
+        | Dff when n.fanins.(0) < 0 ->
+            invalid_arg ("Builder.finalize: unwired DFF " ^ n.name)
+        | Pi | Const _ | Dff -> place id
+        | Gate _ | Lut _ -> ())
+      nodes;
+    Array.iteri (fun id n -> if is_combinational n.kind then place id) nodes;
+    {
+      design_name = b.b_design;
+      nodes;
+      outs = Array.of_list (List.rev b.b_outs);
+      by_name = Names.copy b.b_names;
+      fanout_cache = None;
+      topo_cache = Some order;
+      program_cache = None;
+    }
 end
 
 let rename t new_name = { t with design_name = new_name }
@@ -364,33 +422,52 @@ let validate_node n ~node_total ~who =
           invalid_arg (who ^ ": LUT config arity mismatch at " ^ n.name)
       | _ -> ())
 
+(* What the caches read of a kind: [compute_topo] orders by
+   [is_combinational], and [compute_program] also tells the sources
+   ([Pi], [Dff]) from [Const] and lists the PIs and flip-flops. *)
+let kind_class = function
+  | Pi -> 0
+  | Dff -> 1
+  | Const _ -> 2
+  | Gate _ | Lut _ -> 3
+
 let with_kinds t f =
   let node_total = Array.length t.nodes in
+  let same_structure = ref true in
   let nodes =
     Array.mapi
       (fun id n ->
         let kind, fanins = f id n.kind n.fanins in
-        let n' = { n with kind; fanins } in
-        validate_node n' ~node_total ~who:"Netlist.with_kinds";
-        n')
+        if kind == n.kind && fanins == n.fanins then n
+        else begin
+          let n' = { n with kind; fanins } in
+          validate_node n' ~node_total ~who:"Netlist.with_kinds";
+          if fanins != n.fanins || kind_class kind <> kind_class n.kind then
+            same_structure := false;
+          n'
+        end)
       t.nodes
   in
-  let t' =
-    {
-      design_name = t.design_name;
-      nodes;
-      outs = t.outs;
-      by_name = t.by_name;
-      fanout_cache = None;
-      topo_cache = None;
-      program_cache = None;
-    }
-  in
-  (try ignore (compute_topo t')
-   with Cycle id ->
-     invalid_arg
-       ("Netlist.with_kinds: combinational cycle through " ^ nodes.(id).name));
-  t'
+  if !same_structure then
+    (* the fanout, topological-order and program caches of [t] hold for
+       [nodes], which are acyclic because [t]'s are *)
+    { t with nodes }
+  else begin
+    let t' =
+      {
+        t with
+        nodes;
+        fanout_cache = None;
+        topo_cache = None;
+        program_cache = None;
+      }
+    in
+    (try ignore (compute_topo t')
+     with Cycle id ->
+       invalid_arg
+         ("Netlist.with_kinds: combinational cycle through " ^ nodes.(id).name));
+    t'
+  end
 
 let kind_delta a b =
   if Array.length a.nodes <> Array.length b.nodes then None

@@ -128,9 +128,13 @@ module Builder : sig
   val node_count : t -> int
 
   val finalize : t -> netlist
-  (** Validates and freezes.  Raises [Invalid_argument] on: duplicate
-      names, dangling DFF inputs, arity mismatches, references to
-      undefined nodes, combinational cycles, or empty output list. *)
+  (** Validates and freezes.  Raises [Invalid_argument] on dangling DFF
+      inputs or an empty output list.  Duplicate names, arity mismatches
+      and references to undefined nodes are refused earlier, by the
+      [add_*] call that makes them.  A combinational cycle cannot be
+      built: every fanin exists before its reader is added, which also
+      gives {!topo_order} directly (sources in id order, then
+      combinational nodes in id order). *)
 end
 
 val rename : t -> string -> t
@@ -152,7 +156,12 @@ val kind_delta : t -> t -> node_id list option
 val with_kinds :
   t -> (node_id -> kind -> node_id array -> kind * node_id array) -> t
 (** [with_kinds t f] copies [t], rewriting each node's kind and fanins with
-    [f] while preserving node ids and names.  The result is re-validated
-    (fanin arities, reference ranges, combinational acyclicity); raises
-    [Invalid_argument] on violation.  This is the primitive beneath
-    [Transform]. *)
+    [f] while preserving node ids and names.  Every node [f] changes is
+    re-validated (fanin arities, reference ranges), and so is
+    combinational acyclicity; raises [Invalid_argument] on violation.  A
+    node for which [f] returns its own kind and fanin array (physically)
+    keeps its record unchecked.  When no fanin array changes physically
+    and no kind moves between [Pi], [Dff], [Const] and [Gate]/[Lut], the
+    copy inherits [t]'s fanout, topological-order and {!program} caches
+    as they stand (physically shared) and skips the cycle check.  This is
+    the primitive beneath [Transform]. *)

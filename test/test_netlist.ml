@@ -38,10 +38,33 @@ let test_builder_basic () =
 
 let test_builder_duplicate_name () =
   let b = Netlist.Builder.create () in
-  ignore (Netlist.Builder.add_pi b "a");
+  let a = Netlist.Builder.add_pi b "a" in
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Builder: duplicate node name a") (fun () ->
-      ignore (Netlist.Builder.add_pi b "a"))
+      ignore (Netlist.Builder.add_pi b "a"));
+  (* the rejected add leaves the builder as it was *)
+  Netlist.Builder.add_output b "y" a;
+  let nl = Netlist.Builder.finalize b in
+  Alcotest.(check int) "one node" 1 (Netlist.node_count nl);
+  Alcotest.(check (option int)) "first id" (Some a) (Netlist.find nl "a");
+  (* 2 x 10^4 names grow the name index many times over *)
+  let n = 20_000 in
+  let b = Netlist.Builder.create () in
+  let ids =
+    Array.init n (fun i -> Netlist.Builder.add_pi b ("n" ^ string_of_int i))
+  in
+  Netlist.Builder.add_output b "y" ids.(0);
+  let nl = Netlist.Builder.finalize b in
+  Array.iteri
+    (fun i id ->
+      if Netlist.find_exn nl ("n" ^ string_of_int i) <> id then
+        Alcotest.failf "n%d resolves to the wrong id" i)
+    ids;
+  Alcotest.(check (option int)) "absent name" None (Netlist.find nl "n20000");
+  (* the netlist keeps its own copy of the builder's index *)
+  ignore (Netlist.Builder.add_pi b "late");
+  Alcotest.(check (option int)) "added after finalize" None
+    (Netlist.find nl "late")
 
 let test_builder_arity_mismatch () =
   let b = Netlist.Builder.create () in
@@ -81,8 +104,7 @@ let test_builder_combinational_cycle () =
              if id = g1 then (kind, [| fanins.(0); g2 |])
              else (kind, fanins))));
   (* the builder cannot close a loop at all: a fanin must already exist
-     when its reader is added, so "Builder.finalize: combinational cycle
-     through <name>" is unreachable through this interface *)
+     when its reader is added, so finalize has no cycle to look for *)
   let b = Netlist.Builder.create () in
   let a = Netlist.Builder.add_pi b "a" in
   Alcotest.check_raises "forward fanin refused"
@@ -113,6 +135,40 @@ let test_topo_deep_chain () =
   Alcotest.(check bool) "backward chain in reverse id order" true
     (Netlist.topo_order back
     = Array.init n (fun i -> if i = 0 then 0 else n - i))
+
+(* [with_kinds] with fresh fanin arrays takes its full path: the copy
+   drops every cache, and its topological order comes from the DFS. *)
+let dfs_reference nl = Netlist.with_kinds nl (fun _ k f -> (k, Array.copy f))
+
+let same_caches_as_dfs nl =
+  let r = dfs_reference nl in
+  Netlist.topo_order nl = Netlist.topo_order r
+  && Netlist.program nl = Netlist.program r
+
+(* [Builder.finalize] sets the topological order from the builder's id
+   invariant instead of running the DFS; it must be the DFS's order *)
+let builder_topo_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"builder topo order and program equal the DFS's"
+       ~count:20 (QCheck2.Gen.int_range 0 10_000) (fun seed ->
+         let spec =
+           {
+             Generator.design_name = "prop";
+             n_pi = 6;
+             n_po = 5;
+             n_ff = 6;
+             n_gates = 80;
+             levels = 7;
+           }
+         in
+         same_caches_as_dfs
+           (Generator.random_combinational ~seed ~n_pi:6 ~n_gates:40 ~n_po:5)
+         && same_caches_as_dfs (Generator.generate ~seed spec)
+         && List.for_all
+              (fun profile ->
+                same_caches_as_dfs
+                  (Generator.generate_family ~seed ~profile ~gates:1_000 ()))
+              Generator.all_profiles))
 
 let test_fanouts () =
   let nl = small_circuit () in
@@ -429,6 +485,69 @@ let test_transform_sweep () =
   match Sttc_sim.Equiv.check_sat nl swept with
   | Sttc_sim.Equiv.Equivalent -> ()
   | _ -> Alcotest.fail "sweep changed the function"
+
+(* A rewrite that keeps every fanin array and every kind's class
+   inherits the warmed parent's caches; any other gets fresh ones. *)
+let test_transform_caches () =
+  let nl = Generator.generate_family ~seed:3 ~gates:1_000 () in
+  Netlist.warm nl;
+  let p = Netlist.program nl and order = Netlist.topo_order nl in
+  let inherits what child =
+    Alcotest.(check bool) (what ^ " shares the program") true
+      (Netlist.program child == p);
+    Alcotest.(check bool) (what ^ " shares the order") true
+      (Netlist.topo_order child == order)
+  in
+  let fresh parent what child =
+    Alcotest.(check bool) (what ^ " has its own program") true
+      (Netlist.program child != Netlist.program parent);
+    Alcotest.(check bool) (what ^ " caches equal the DFS's") true
+      (same_caches_as_dfs child)
+  in
+  let gates = Array.of_list (Netlist.gates nl) in
+  let hybrid =
+    Transform.replace_many nl [ gates.(3); gates.(100); gates.(500) ]
+  in
+  inherits "replace_many" hybrid;
+  let foundry = Transform.strip_configs hybrid in
+  inherits "strip_configs" foundry;
+  inherits "program_luts"
+    (Transform.program_luts foundry
+       (List.map
+          (fun id ->
+            match Netlist.kind hybrid id with
+            | Netlist.Lut { config = Some c; _ } -> (id, c)
+            | _ -> Alcotest.fail "expected a configured LUT")
+          (Netlist.luts hybrid)));
+  fresh nl "extra inputs"
+    (Transform.replace_gate_with_lut
+       ~extra_inputs:[ List.hd (Netlist.pis nl) ]
+       nl gates.(100));
+  (match
+     Array.find_map
+       (fun g ->
+         Option.map (fun d -> (g, d)) (Transform.absorbable_driver nl g))
+       gates
+   with
+  | Some (g, driver) ->
+      fresh nl "absorb_driver" (Transform.absorb_driver nl g ~driver)
+  | None -> Alcotest.fail "no absorbable driver");
+  (* a PI turned constant keeps its (empty) fanin array but becomes an
+     instruction of the program *)
+  let pi = List.hd (Netlist.pis nl) in
+  fresh nl "pi to const"
+    (Netlist.with_kinds nl (fun id kind fanins ->
+         if id = pi then (Netlist.Const true, fanins) else (kind, fanins)));
+  (* const_fold turns gates into constants *)
+  let b = Netlist.Builder.create ~design_name:"cf" () in
+  let a = Netlist.Builder.add_pi b "a" in
+  let zero = Netlist.Builder.add_const b "zero" false in
+  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a; zero ] in
+  let h = Netlist.Builder.add_gate b "h" (Gate_fn.Or 2) [ a; g ] in
+  Netlist.Builder.add_output b "y" h;
+  let cf = Netlist.Builder.finalize b in
+  Netlist.warm cf;
+  fresh cf "const_fold" (Sttc_netlist.Opt.const_fold cf)
 
 let test_transform_replace_not_a_gate () =
   let nl = small_circuit () in
@@ -912,6 +1031,7 @@ let () =
           Alcotest.test_case "fanouts" `Quick test_fanouts;
           Alcotest.test_case "topo order" `Quick test_topo_order;
           Alcotest.test_case "topo deep chain" `Quick test_topo_deep_chain;
+          builder_topo_prop;
         ] );
       ( "query",
         [
@@ -941,6 +1061,7 @@ let () =
           Alcotest.test_case "absorb driver" `Quick test_transform_absorb_driver;
           Alcotest.test_case "absorb rejections" `Quick test_transform_absorb_rejections;
           Alcotest.test_case "sweep" `Quick test_transform_sweep;
+          Alcotest.test_case "with_kinds caches" `Quick test_transform_caches;
         ] );
       ( "pinned",
         [

@@ -71,6 +71,26 @@ if [ "$twins_md5" != "$TWINS_MD5" ]; then
     "$twins_md5, pinned $TWINS_MD5" >&2
   exit 1
 fi
+# A hardened protect runs both paths of Netlist.with_kinds: replace_many
+# and strip/program keep every fanin array and inherit the parent's
+# caches, while extra LUT inputs and driver absorption rewire and rebuild
+# them.  The foundry view plus bitstream digests were recorded before
+# with_kinds inherited caches.
+sttc gen -b custom --profile fanout --gates 10000 --seed 20160605 \
+  -o "$tmpdir/fanout.bench" > /dev/null
+check_protect_pin() { # algorithm, pinned md5
+  sttc protect -i "$tmpdir/fanout.bench" -a "$1" --harden --seed 20160605 \
+    -o "$tmpdir/fanout.$1.bench" --bitstream "$tmpdir/fanout.$1.bits" > /dev/null
+  got=$(cat "$tmpdir/fanout.$1.bench" "$tmpdir/fanout.$1.bits" \
+    | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$2" ]; then
+    echo "BYTE-IDENTITY GATE FAILED: protect --harden -a $1 on the 1e4-gate" \
+      "fanout family (seed 20160605) md5 $got, pinned $2" >&2
+    exit 1
+  fi
+}
+check_protect_pin dependent fc32686f2eb4127b8adb2ee2ce5a34d0
+check_protect_pin parametric 7cab0d6852ab11d7c4e320d7b555dd08
 
 echo "== parallel gate (full sttc table1: -j 2 fans out and must match -j 1 byte for byte)"
 # The quick set is too small a bag to fan out (Pool.worthwhile keeps it

@@ -10,8 +10,14 @@ let master_seed = 20160605 (* DAC'16 *)
 (* Every stage below is deterministic in its seed alone, so protecting a
    benchmark on a worker domain gives the same result as on the main
    one. *)
-let strict ~seed ?hardening ?backend alg nl =
-  (Flow.run ~seed ?hardening ?backend ~policy:Flow.Strict alg nl).Flow.accepted
+let strict ~seed ?hardening ?backend ?baseline alg nl =
+  (Flow.run ~seed ?hardening ?backend ?baseline ~policy:Flow.Strict alg nl)
+    .Flow.accepted
+
+(* The unprotected [nl]'s PPA under [backend]'s pricing, computed once by
+   a loop that protects [nl] several times and passed to each [strict]. *)
+let baseline_of ?(backend = Backend.stt) nl =
+  Sttc_core.Ppa.baseline (Flow.eval_library backend) nl
 
 (* ---------- configuration ---------- *)
 
@@ -107,7 +113,6 @@ let rows (cfg : Config.t) =
         List.filter (fun i -> List.mem i.Profiles.name names) Profiles.all
     | None -> Profiles.all
   in
-  let pricing = Flow.eval_library backend in
   let build info =
     Sttc_obs.Metrics.incr "runner.benchmarks";
     let built =
@@ -123,7 +128,7 @@ let rows (cfg : Config.t) =
                   Sttc_netlist.Netlist.warm nl;
                   (* the unprotected design's PPA, the same for every
                      algorithm: computed once, shared by its protects *)
-                  (nl, Sttc_core.Ppa.baseline pricing nl))))
+                  (nl, baseline_of ~backend nl))))
     in
     (info, built)
   in
@@ -239,11 +244,15 @@ let attack_campaign ?(seed = master_seed) ?(sat_timeout_s = 15.) ?(jobs = 1)
     }
   in
   let nl = Sttc_netlist.Generator.generate ~seed:11 spec in
+  (* force the lazy caches before the campaigns share [nl] and its
+     baseline across domains *)
+  Sttc_netlist.Netlist.warm nl;
+  let baseline = baseline_of ~backend nl in
   let campaign alg =
     Sttc_obs.Span.with_ "runner.campaign" ~cat:"experiments"
       ~attrs:[ ("algorithm", Flow.algorithm_name alg) ]
     @@ fun () ->
-    let r = strict ~seed ~backend alg nl in
+    let r = strict ~seed ~backend ~baseline alg nl in
     let config =
       Sttc_attack.Harness.Config.(
         default |> with_sat_timeout_s sat_timeout_s |> with_tt_budget 3000
@@ -255,13 +264,11 @@ let attack_campaign ?(seed = master_seed) ?(sat_timeout_s = 15.) ?(jobs = 1)
   in
   let campaigns =
     if jobs <= 1 then List.map campaign Flow.default_algorithms
-    else begin
-      Sttc_netlist.Netlist.warm nl;
+    else
       (* one campaign per algorithm; each harness runs serially inside
          its task *)
       Pool.with_pool ~jobs (fun pool ->
           Pool.map_exn pool campaign Flow.default_algorithms)
-    end
   in
   Sttc_attack.Harness.to_table campaigns
 
@@ -278,6 +285,7 @@ let sidechannel ?(seed = master_seed) () =
     }
   in
   let nl = Sttc_netlist.Generator.generate ~seed:21 spec in
+  let baseline = baseline_of nl in
   let t =
     Sttc_util.Table.create
       ~headers:
@@ -291,7 +299,7 @@ let sidechannel ?(seed = master_seed) () =
   in
   List.iter
     (fun alg ->
-      let r = strict ~seed alg nl in
+      let r = strict ~seed ~baseline alg nl in
       let hybrid = Sttc_core.Hybrid.programmed r.Flow.hybrid in
       (* target the first replaced gate's signal: the value the defence
          hides inside an STT LUT *)
@@ -318,6 +326,7 @@ let sidechannel ?(seed = master_seed) () =
 
 let ablation_parametric ?(seed = master_seed) () =
   let nl = Profiles.build_by_name "s1196" in
+  let baseline = baseline_of nl in
   let t =
     Sttc_util.Table.create
       ~headers:
@@ -337,7 +346,7 @@ let ablation_parametric ?(seed = master_seed) () =
           Sttc_core.Algorithms.clock_factor = factor;
         }
       in
-      let r = strict ~seed (Flow.Parametric options) nl in
+      let r = strict ~seed ~baseline (Flow.Parametric options) nl in
       Sttc_util.Table.add_row t
         [
           Printf.sprintf "%.2f" factor;
@@ -361,6 +370,7 @@ let ablation_hardening ?(seed = master_seed) () =
     }
   in
   let nl = Sttc_netlist.Generator.generate ~seed:31 spec in
+  let baseline = baseline_of nl in
   let t =
     Sttc_util.Table.create
       ~headers:
@@ -383,7 +393,9 @@ let ablation_hardening ?(seed = master_seed) () =
   in
   List.iter
     (fun (label, hardening) ->
-      let r = strict ~seed ~hardening (Flow.Independent { count = 5 }) nl in
+      let r =
+        strict ~seed ~hardening ~baseline (Flow.Independent { count = 5 }) nl
+      in
       let g = Sttc_attack.Guess_attack.run ~rounds:5 r.Flow.hybrid in
       Sttc_util.Table.add_row t
         [
@@ -692,6 +704,7 @@ let fault_sweep ?(seed = master_seed) ?(bench = "s641")
   Buffer.contents buf
 
 let sweep ?(seed = master_seed) nl ~counts =
+  let baseline = baseline_of nl in
   let t =
     Sttc_util.Table.create
       ~headers:
@@ -707,7 +720,7 @@ let sweep ?(seed = master_seed) nl ~counts =
   in
   List.iter
     (fun count ->
-      let r = strict ~seed (Flow.Independent { count }) nl in
+      let r = strict ~seed ~baseline (Flow.Independent { count }) nl in
       let o = r.Flow.overhead and s = r.Flow.security in
       Sttc_util.Table.add_row t
         [

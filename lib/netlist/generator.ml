@@ -44,6 +44,25 @@ let pick_fn rng arity =
     else if r < 92 then Sttc_logic.Gate_fn.Xor arity
     else Sttc_logic.Gate_fn.Xnor arity
 
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [prefix ^ string_of_int i] for [i >= 0], written in one allocation *)
+let numbered prefix i =
+  let p = String.length prefix in
+  let len = p + digits i in
+  let s = Bytes.create len in
+  Bytes.blit_string prefix 0 s 0 p;
+  let r = ref i in
+  for k = len - 1 downto p do
+    Bytes.set s k (Char.unsafe_chr (48 + (!r mod 10)));
+    r := !r / 10
+  done;
+  Bytes.unsafe_to_string s
+
+(* whether [c] is among [fanins.(0 .. n - 1)] *)
+let rec among_first fanins n c =
+  n > 0 && (fanins.(n - 1) = c || among_first fanins (n - 1) c)
+
 (* [hub_bias = Some pct] redirects [pct]% of non-level-pinning fanin draws
    to a small fixed pool of level-0 "hub" signals (clock enables, resets —
    the high-fanout nets of real netlists).  [None] performs no extra RNG
@@ -54,11 +73,11 @@ let generate_internal ?hub_bias ~seed spec =
   let rng = Rng.make (seed lxor Hashtbl.hash spec.design_name) in
   let b = Netlist.Builder.create ~design_name:spec.design_name () in
   let pis =
-    Array.init spec.n_pi (fun i -> Netlist.Builder.add_pi b (Printf.sprintf "pi%d" i))
+    Array.init spec.n_pi (fun i -> Netlist.Builder.add_pi b (numbered "pi" i))
   in
   let ffs =
     Array.init spec.n_ff (fun i ->
-        Netlist.Builder.add_dff_deferred b (Printf.sprintf "ff%d" i))
+        Netlist.Builder.add_dff_deferred b (numbered "ff" i))
   in
   (* by_level.(l) = signals whose combinational level is l *)
   let levels = max 1 spec.levels in
@@ -78,7 +97,8 @@ let generate_internal ?hub_bias ~seed spec =
     (* Bias towards shallow levels (min of two uniform draws): real
        synthesized circuits are wide near the inputs and narrow at the
        deepest logic levels, leaving only a few near-critical paths. *)
-    let l = 1 + min (Rng.int rng levels) (Rng.int rng levels) in
+    let x = Rng.int rng levels and y = Rng.int rng levels in
+    let l = 1 + if x < y then x else y in
     per_level.(l) <- per_level.(l) + 1;
     decr remaining
   done;
@@ -109,10 +129,6 @@ let generate_internal ?hub_bias ~seed spec =
   in
   (* the fanins of the gate being built (arity <= 4) *)
   let fanins = Array.make 4 0 in
-  let among_first n c =
-    let rec scan i = i < n && (fanins.(i) = c || scan (i + 1)) in
-    scan 0
-  in
   for l = 1 to levels do
     let created = Sttc_util.Growable.create () in
     for _ = 1 to per_level.(l) do
@@ -135,7 +151,7 @@ let generate_internal ?hub_bias ~seed spec =
          cheaply by drawing from the global pool *)
       for k = 1 to arity - 1 do
         let attempts = ref 0 in
-        while among_first k fanins.(k) && !attempts < 10 do
+        while among_first fanins k fanins.(k) && !attempts < 10 do
           fanins.(k) <- pick_prior ();
           incr attempts
         done
@@ -153,6 +169,7 @@ let generate_internal ?hub_bias ~seed spec =
       done;
       let inputs = ref [] in
       for k = arity - 1 downto 0 do
+        Bytes.set consumed fanins.(k) '\001';
         if k = arity - 1 || fanins.(k) <> fanins.(k + 1) then
           inputs := fanins.(k) :: !inputs
       done;
@@ -168,6 +185,7 @@ let generate_internal ?hub_bias ~seed spec =
           | Sttc_logic.Gate_fn.And _ | Sttc_logic.Gate_fn.Or _
           | Sttc_logic.Gate_fn.Xor _ ->
               Sttc_logic.Gate_fn.Buf)
+        else if Sttc_logic.Gate_fn.arity fn = arity then fn
         else
           match fn with
           | Sttc_logic.Gate_fn.Buf | Sttc_logic.Gate_fn.Not -> fn
@@ -178,10 +196,7 @@ let generate_internal ?hub_bias ~seed spec =
           | Sttc_logic.Gate_fn.Xor _ -> Sttc_logic.Gate_fn.Xor arity
           | Sttc_logic.Gate_fn.Xnor _ -> Sttc_logic.Gate_fn.Xnor arity
       in
-      let id =
-        Netlist.Builder.add_gate b ("g" ^ string_of_int !gate_count) fn inputs
-      in
-      List.iter (fun src -> Bytes.set consumed src '\001') inputs;
+      let id = Netlist.Builder.add_gate b (numbered "g" !gate_count) fn inputs in
       incr gate_count;
       ignore (Sttc_util.Growable.push created id)
     done;
@@ -244,7 +259,7 @@ let generate_internal ?hub_bias ~seed spec =
       Netlist.Builder.set_dff_input b ff d)
     ffs;
   for i = 0 to spec.n_po - 1 do
-    Netlist.Builder.add_output b (Printf.sprintf "po%d" i) (next_sink ())
+    Netlist.Builder.add_output b (numbered "po" i) (next_sink ())
   done;
   Netlist.Builder.finalize b
 

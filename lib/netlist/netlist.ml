@@ -322,23 +322,37 @@ module Builder = struct
   let add_pi b name = add_node b name Pi [||]
   let add_const b name v = add_node b name (Const v) [||]
 
+  (* The [Gate fn] kind of every valid function, built once and stored by
+     every gate of that function. *)
+  let gate_kinds =
+    Array.of_list (List.map (fun fn -> Gate fn) Sttc_logic.Gate_fn.all)
+
+  (* Adds a combinational node whose fanin count its caller has checked:
+     every fanin must already exist. *)
+  let add_comb b name kind fanins =
+    for k = 0 to Array.length fanins - 1 do
+      check_ref b fanins.(k) name
+    done;
+    add_node b name kind fanins
+
   let add_gate b name fn inputs =
-    Sttc_logic.Gate_fn.validate fn;
-    if List.length inputs <> Sttc_logic.Gate_fn.arity fn then
+    (* [index] validates [fn] *)
+    let kind = gate_kinds.(Sttc_logic.Gate_fn.index fn) in
+    let fanins = Array.of_list inputs in
+    if Array.length fanins <> Sttc_logic.Gate_fn.arity fn then
       invalid_arg ("Builder.add_gate: arity mismatch at " ^ name);
-    List.iter (fun i -> check_ref b i name) inputs;
-    add_node b name (Gate fn) (Array.of_list inputs)
+    add_comb b name kind fanins
 
   let add_lut b name ?config inputs =
-    let arity = List.length inputs in
+    let fanins = Array.of_list inputs in
+    let arity = Array.length fanins in
     if arity < 1 || arity > Sttc_logic.Truth.max_arity then
       invalid_arg ("Builder.add_lut: arity out of range at " ^ name);
     (match config with
     | Some c when Sttc_logic.Truth.arity c <> arity ->
         invalid_arg ("Builder.add_lut: config arity mismatch at " ^ name)
     | _ -> ());
-    List.iter (fun i -> check_ref b i name) inputs;
-    add_node b name (Lut { arity; config }) (Array.of_list inputs)
+    add_comb b name (Lut { arity; config }) fanins
 
   let add_dff b name d =
     check_ref b d name;

@@ -115,6 +115,12 @@ module Builder : sig
   val add_pi : t -> string -> node_id
   val add_const : t -> string -> bool -> node_id
   val add_gate : t -> string -> Sttc_logic.Gate_fn.t -> node_id list -> node_id
+  (** Stores the one shared [Gate fn] kind value of [fn]: every gate of
+      the same function, from any builder, has a physically equal
+      {!kind}.  Raises [Invalid_argument] for an invalid [fn] (as
+      {!Sttc_logic.Gate_fn.validate}), then for a fanin count other than
+      [fn]'s arity, then for a reference to a node not yet added. *)
+
   val add_lut :
     t -> string -> ?config:Sttc_logic.Truth.t -> node_id list -> node_id
 

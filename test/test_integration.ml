@@ -205,6 +205,27 @@ let test_rows_share_baseline () =
    is a bag big enough to fan out (40 644 gate-units, over the 30 000
    threshold; the quick set stays serial), and recording with the pool
    probe attached counts the fan-outs in [pool.submits]. *)
+(* Runner's single-netlist loops compute the netlist's baseline once:
+   each of ablation_parametric's five clock factors reuses it. *)
+let test_ablation_shares_baseline () =
+  let module Obs = Sttc_obs.Obs in
+  let reused () =
+    Sttc_obs.Metrics.(counter_value (snapshot ()) "flow.baseline_reused")
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let before, after =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let before = reused () in
+        ignore (Runner.ablation_parametric ());
+        (before, reused ()))
+  in
+  Alcotest.(check int) "one reuse per clock factor" 5 (after - before)
+
 let test_parallel_rows_match_serial () =
   let module Obs = Sttc_obs.Obs in
   let run jobs =
@@ -325,6 +346,8 @@ let () =
           Alcotest.test_case "quick rows" `Slow test_runner_quick_rows;
           Alcotest.test_case "rows share one baseline" `Slow
             test_rows_share_baseline;
+          Alcotest.test_case "ablation shares one baseline" `Slow
+            test_ablation_shares_baseline;
           Alcotest.test_case "parallel rows match serial" `Slow
             test_parallel_rows_match_serial;
           Alcotest.test_case "fig1" `Quick test_fig1_renders;

@@ -66,12 +66,36 @@ let test_builder_duplicate_name () =
   Alcotest.(check (option int)) "added after finalize" None
     (Netlist.find nl "late")
 
+(* The add-time rejections, message for message: an invalid function
+   first, then the fanin count, then the references. *)
 let test_builder_arity_mismatch () =
   let b = Netlist.Builder.create () in
   let a = Netlist.Builder.add_pi b "a" in
-  Alcotest.check_raises "arity"
-    (Invalid_argument "Builder.add_gate: arity mismatch at g") (fun () ->
-      ignore (Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a ]))
+  let rejects what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  rejects "arity" "Builder.add_gate: arity mismatch at g" (fun () ->
+      Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a ]);
+  let bad_fn = "Gate_fn.validate: arity out of [2, 6]" in
+  rejects "And 7" bad_fn (fun () ->
+      Netlist.Builder.add_gate b "g" (Gate_fn.And 7) [ a; a; a; a; a; a; a ]);
+  rejects "Nand 1" bad_fn (fun () ->
+      Netlist.Builder.add_gate b "g" (Gate_fn.Nand 1) [ a ]);
+  rejects "invalid function before references" bad_fn (fun () ->
+      Netlist.Builder.add_gate b "g" (Gate_fn.Nand 1) [ a + 1 ]);
+  rejects "arity before references" "Builder.add_gate: arity mismatch at g"
+    (fun () -> Netlist.Builder.add_gate b "g" (Gate_fn.Or 3) [ a; a + 1 ]);
+  rejects "lut arity" "Builder.add_lut: arity out of range at l" (fun () ->
+      Netlist.Builder.add_lut b "l" []);
+  rejects "lut config before references"
+    "Builder.add_lut: config arity mismatch at l" (fun () ->
+      Netlist.Builder.add_lut b "l"
+        ~config:(Gate_fn.truth (Gate_fn.And 3))
+        [ a; a + 1 ]);
+  rejects "lut reference" "Builder: undefined node reference in l" (fun () ->
+      Netlist.Builder.add_lut b "l" [ a; a + 1 ]);
+  (* every rejected add leaves the builder as it was *)
+  Alcotest.(check int) "nodes" 1 (Netlist.Builder.node_count b)
 
 let test_builder_unwired_dff () =
   let b = Netlist.Builder.create () in
@@ -110,6 +134,31 @@ let test_builder_combinational_cycle () =
   Alcotest.check_raises "forward fanin refused"
     (Invalid_argument "Builder: undefined node reference in g") (fun () ->
       ignore (Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a; a + 1 ]))
+
+(* Every builder user stores one shared kind value per gate function. *)
+let test_builder_shared_kinds () =
+  let two_of fn nl =
+    match
+      List.filter (fun id -> Netlist.kind nl id = Netlist.Gate fn) (Netlist.gates nl)
+    with
+    | a :: b :: _ -> (Netlist.kind nl a, Netlist.kind nl b)
+    | _ -> Alcotest.failf "fewer than two %s gates" (Gate_fn.to_string fn)
+  in
+  let shared what (ka, kb) =
+    Alcotest.(check bool) (what ^ ": one kind value") true (ka == kb)
+  in
+  shared "generator"
+    (two_of (Gate_fn.Nand 2) (Generator.generate_family ~seed:1 ~gates:1_000 ()));
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_pi b "a" and c = Netlist.Builder.add_pi b "c" in
+  let g1 = Netlist.Builder.add_gate b "g1" (Gate_fn.Xor 2) [ a; c ] in
+  let g2 = Netlist.Builder.add_gate b "g2" (Gate_fn.Xor 2) [ g1; c ] in
+  Netlist.Builder.add_output b "y" g2;
+  shared "builder" (two_of (Gate_fn.Xor 2) (Netlist.Builder.finalize b));
+  shared "bench_io"
+    (two_of (Gate_fn.Nand 2)
+       (Bench_io.parse_string
+          "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NAND(a, b)\ny = NAND(n, b)\n"))
 
 (* A 10^6-node Buf chain: built forward, the topological order is id
    order; rewired backward (node i reads node i+1), the DFS must go 10^6
@@ -786,6 +835,27 @@ let test_generator_validation () =
         (Generator.generate ~seed:1
            { Generator.default_spec with Generator.n_pi = 0 }))
 
+(* Generation allocates little beyond the netlist it returns. *)
+let test_generator_allocation () =
+  let gates = 10_000 in
+  let family () = Generator.generate_family ~seed:1 ~gates () in
+  ignore (family ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (family ()));
+  let per_gate = (Gc.minor_words () -. before) /. float_of_int gates in
+  if per_gate > 40. then
+    Alcotest.failf "%.1f minor words per gate, budget 40" per_gate
+
+(* Names of six digits and more: 2 x 10^5 gates, 5000 PIs, 6666 FFs. *)
+let test_generator_large_names () =
+  let nl = Generator.generate_family ~seed:1 ~gates:200_000 () in
+  List.iter
+    (fun name ->
+      Alcotest.(check string) name name
+        (Netlist.name nl (Netlist.find_exn nl name)))
+    [ "g99999"; "g100000"; "g199999"; "pi4999"; "ff6665" ];
+  Alcotest.(check (option int)) "g200000" None (Netlist.find nl "g200000")
+
 let test_generator_combinational () =
   let nl = Generator.random_combinational ~seed:2 ~n_pi:6 ~n_gates:40 ~n_po:5 in
   Alcotest.(check int) "no ffs" 0 (List.length (Netlist.dffs nl));
@@ -1028,6 +1098,7 @@ let () =
           Alcotest.test_case "unwired dff" `Quick test_builder_unwired_dff;
           Alcotest.test_case "no outputs" `Quick test_builder_no_outputs;
           Alcotest.test_case "combinational cycle" `Quick test_builder_combinational_cycle;
+          Alcotest.test_case "shared kinds" `Quick test_builder_shared_kinds;
           Alcotest.test_case "fanouts" `Quick test_fanouts;
           Alcotest.test_case "topo order" `Quick test_topo_order;
           Alcotest.test_case "topo deep chain" `Quick test_topo_deep_chain;
@@ -1097,6 +1168,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_generator_determinism;
           Alcotest.test_case "validation" `Quick test_generator_validation;
           Alcotest.test_case "combinational" `Quick test_generator_combinational;
+          Alcotest.test_case "allocation budget" `Quick test_generator_allocation;
+          Alcotest.test_case "large names" `Quick test_generator_large_names;
         ] );
       ( "profiles",
         [

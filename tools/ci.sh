@@ -63,6 +63,17 @@ if [ "$gen_md5" != "$GEN_MD5" ]; then
     "md5 $gen_md5, pinned $GEN_MD5" >&2
   exit 1
 fi
+# The 1e5 family names its gates g0..g99999; 2e5 gates also write six-digit
+# names (g100000..g199999), across the name writer's digit-count boundary.
+# Recorded before the generator wrote names without Printf.
+GEN200K_MD5=1cd4a55b71e0a34f5e064c0ce3234ff1
+gen200k_md5=$(sttc gen -b custom --profile slike --gates 200000 --seed 20160605 \
+  | md5sum | cut -d' ' -f1)
+if [ "$gen200k_md5" != "$GEN200K_MD5" ]; then
+  echo "BYTE-IDENTITY GATE FAILED: 2e5-gate slike family (seed 20160605)" \
+    "md5 $gen200k_md5, pinned $GEN200K_MD5" >&2
+  exit 1
+fi
 # QUICK and FULL together are the twelve ISCAS'89 twins
 twins_md5=$(for b in $QUICK $FULL; do sttc gen -b "$b"; done \
   | md5sum | cut -d' ' -f1)

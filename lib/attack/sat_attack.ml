@@ -2,6 +2,7 @@ module Netlist = Sttc_netlist.Netlist
 module Cnf = Sttc_logic.Cnf
 module Sat = Sttc_logic.Sat
 module Hybrid = Sttc_core.Hybrid
+module Encode = Sttc_sim.Encode
 
 type solver_mode = Incremental | Scratch
 
@@ -198,12 +199,8 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
      so the DIP search (assumption [act]) and the final key extraction
      (assumption [-act]) run on the same solver and the same clauses. *)
   let diffs =
-    List.map2
-      (fun (_, l1) (_, l2) ->
-        let d = Cnf.fresh_var cnf in
-        Cnf.encode_xor cnf d l1 l2;
-        d)
-      c1.Encode.outputs c2.Encode.outputs
+    Encode.miter cnf (List.map snd c1.Encode.outputs)
+      (List.map snd c2.Encode.outputs)
   in
   let act = Cnf.fresh_var cnf in
   Cnf.add_clause cnf (-act :: diffs);
@@ -219,18 +216,9 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
       Encode.encode ~cnf ~share_inputs:fresh1.Encode.inputs
         ~share_keys:c2.Encode.keys foundry
     in
-    List.iteri
-      (fun i (_, l) ->
-        Cnf.add_clause cnf [ (if input_bits.(i) then l else -l) ])
-      fresh1.Encode.inputs;
-    List.iteri
-      (fun i (_, l) ->
-        Cnf.add_clause cnf [ (if output_bits.(i) then l else -l) ])
-      fresh1.Encode.outputs;
-    List.iteri
-      (fun i (_, l) ->
-        Cnf.add_clause cnf [ (if output_bits.(i) then l else -l) ])
-      fresh2.Encode.outputs
+    Encode.pin cnf (List.map snd fresh1.Encode.inputs) input_bits;
+    Encode.pin cnf (List.map snd fresh1.Encode.outputs) output_bits;
+    Encode.pin cnf (List.map snd fresh2.Encode.outputs) output_bits
   in
   let input_count = List.length c1.Encode.inputs in
   dip_loop p ~solve ~act ~max_iterations ~max_conflicts_per_call
@@ -249,7 +237,7 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
       | Some model ->
           Broken
             {
-              bitstream = Encode.key_of_model c1 model;
+              bitstream = Encode.key_of_model c1.Encode.keys model;
               queries = Oracle.queries oracle;
               iterations = p.iterations;
               seconds = elapsed p;
@@ -278,19 +266,17 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
   restrict_keys cnf c1.Encode.u_keys candidates;
   restrict_keys cnf c2.Encode.u_keys candidates;
   (* miter: some primary output differs in some frame, under [act] *)
-  let diffs = ref [] in
-  Array.iteri
-    (fun frame pos1 ->
-      List.iter2
-        (fun (_, l1) (_, l2) ->
-          let d = Cnf.fresh_var cnf in
-          Cnf.encode_xor cnf d l1 l2;
-          diffs := d :: !diffs)
-        pos1
-        c2.Encode.frame_pos.(frame))
-    c1.Encode.frame_pos;
+  let diffs =
+    List.concat
+      (Array.to_list
+         (Array.map2
+            (fun pos1 pos2 ->
+              Encode.miter cnf (List.map snd pos1) (List.map snd pos2))
+            c1.Encode.frame_pos c2.Encode.frame_pos))
+  in
   let act = Cnf.fresh_var cnf in
-  Cnf.add_clause cnf (-act :: !diffs);
+  (* the clause lists the XORs in reverse order, as it always has *)
+  Cnf.add_clause cnf (-act :: List.rev diffs);
   let solve, stats = make_solver ?reuse:solver mode cnf in
   p.stats <- stats;
   (* pin an observed sequence into fresh unrolled copies of both keys *)
@@ -304,16 +290,10 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
     in
     List.iteri
       (fun frame pis ->
-        List.iteri
-          (fun i (_, l) -> Cnf.add_clause cnf [ (if pis.(i) then l else -l) ])
-          fresh1.Encode.frame_pis.(frame);
         let pos = List.nth po_seq frame in
-        List.iteri
-          (fun i (_, l) -> Cnf.add_clause cnf [ (if pos.(i) then l else -l) ])
-          fresh1.Encode.frame_pos.(frame);
-        List.iteri
-          (fun i (_, l) -> Cnf.add_clause cnf [ (if pos.(i) then l else -l) ])
-          fresh2.Encode.frame_pos.(frame))
+        Encode.pin cnf (List.map snd fresh1.Encode.frame_pis.(frame)) pis;
+        Encode.pin cnf (List.map snd fresh1.Encode.frame_pos.(frame)) pos;
+        Encode.pin cnf (List.map snd fresh2.Encode.frame_pos.(frame)) pos)
       pi_seq
   in
   let pi_count = List.length c1.Encode.frame_pis.(0) in
@@ -334,16 +314,7 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
          canonical consistent key and verify it *)
       match canonical_key solve c1.Encode.u_keys ~act with
       | Some model ->
-          let fake_keyed =
-            {
-              Encode.cnf;
-              inputs = [];
-              outputs = [];
-              keys = c1.Encode.u_keys;
-              node_lits = [||];
-            }
-          in
-          let bitstream = Encode.key_of_model fake_keyed model in
+          let bitstream = Encode.key_of_model c1.Encode.u_keys model in
           if verify_break hybrid bitstream then
             Broken
               {

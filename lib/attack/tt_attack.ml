@@ -4,6 +4,7 @@ module Truth = Sttc_logic.Truth
 module Rng = Sttc_util.Rng
 module Lognum = Sttc_util.Lognum
 module Hybrid = Sttc_core.Hybrid
+module Encode = Sttc_sim.Encode
 
 type lut_progress = {
   lut : Netlist.node_id;
@@ -159,19 +160,21 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
   if targeted then begin
     let module Cnf = Sttc_logic.Cnf in
     let module Sat = Sttc_logic.Sat in
+    let justify (c : Encode.keyed) id row =
+      (* pin the LUT's fanins in copy [c] to the row's bits *)
+      let fanins = Netlist.fanins foundry id in
+      Encode.pin c.Encode.cnf
+        (Array.to_list (Array.map (fun src -> c.Encode.node_lits.(src)) fanins))
+        (Array.init (Array.length fanins) (fun k -> (row lsr k) land 1 = 1))
+    in
     (* order of oracle inputs: PIs then state, as the random phase uses *)
     let justifiable id row =
       (* can the row even occur at the LUT's fanins? *)
       let c = Encode.encode foundry in
-      Array.iteri
-        (fun k src ->
-          let l = c.Encode.node_lits.(src) in
-          Sttc_logic.Cnf.add_clause c.Encode.cnf
-            [ (if (row lsr k) land 1 = 1 then l else -l) ])
-        (Netlist.fanins foundry id);
-      match Sttc_logic.Sat.solve ~max_conflicts:50_000 c.Encode.cnf with
-      | Sttc_logic.Sat.Unsat -> false
-      | Sttc_logic.Sat.Sat _ | Sttc_logic.Sat.Unknown _ -> true
+      justify c id row;
+      match Sat.solve ~max_conflicts:50_000 c.Encode.cnf with
+      | Sat.Unsat -> false
+      | Sat.Sat _ | Sat.Unknown _ -> true
     in
     let resolve_row id row =
       let table = Hashtbl.find resolved id in
@@ -194,31 +197,20 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
             Encode.encode ~cnf ~share_inputs:c1.Encode.inputs
               ~share_keys:other_keys foundry
           in
-          Cnf.add_clause cnf [ -c1.Encode.node_lits.(id) ];
-          Cnf.add_clause cnf [ c2.Encode.node_lits.(id) ];
-          (* justify the row at the LUT fanins *)
-          Array.iteri
-            (fun k src ->
-              let l = c1.Encode.node_lits.(src) in
-              Cnf.add_clause cnf [ (if (row lsr k) land 1 = 1 then l else -l) ])
-            (Netlist.fanins foundry id);
+          Encode.pin cnf
+            [ c1.Encode.node_lits.(id); c2.Encode.node_lits.(id) ]
+            [| false; true |];
+          justify c1 id row;
           (* sensitize: some observation point differs *)
-          let diffs =
-            List.map2
-              (fun (_, l1) (_, l2) ->
-                let d = Cnf.fresh_var cnf in
-                Cnf.encode_xor cnf d l1 l2;
-                d)
-              c1.Encode.outputs c2.Encode.outputs
-          in
-          Cnf.add_clause cnf diffs;
+          Cnf.add_clause cnf
+            (Encode.miter cnf (List.map snd c1.Encode.outputs)
+               (List.map snd c2.Encode.outputs));
           (* block previously failed patterns *)
           List.iter
             (fun bits ->
               Cnf.add_clause cnf
-                (List.mapi
-                   (fun i (_, l) -> if bits.(i) then -l else l)
-                   c1.Encode.inputs))
+                (List.map Int.neg
+                   (Encode.bit_lits (List.map snd c1.Encode.inputs) bits)))
             !blocked;
           match Sat.solve ~max_conflicts:50_000 cnf with
           | Sat.Unsat when !blocked = [] ->

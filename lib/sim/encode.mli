@@ -1,5 +1,11 @@
-(** CNF encoding of a hybrid (foundry view) with {e symbolic} LUT
-    configurations — the formula substrate of the SAT attack.
+(** The netlist-to-CNF (Tseitin) encoder, and the miter and pin helpers
+    every formula over it is built with.
+
+    This is the only code that encodes a netlist as clauses.  Its callers:
+    {!Equiv.check_sat} (the sign-off miter of two programmed netlists),
+    [Sttc_attack.Sat_attack] (the combinational and the time-unrolled
+    oracle-guided attacks) and [Sttc_attack.Tt_attack] (the targeted
+    justify/sensitize phase).  [Sttc_attack.Encode] re-exports it.
 
     Each unprogrammed LUT contributes [2^arity] key variables, one per
     truth-table row; programmed LUTs and CMOS gates encode as fixed
@@ -13,7 +19,8 @@ type keyed = {
       (** PO literals then flip-flop D-input literals, by name
           (matching [Oracle.output_names] order) *)
   keys : (Sttc_netlist.Netlist.node_id * Sttc_logic.Cnf.lit array) list;
-      (** per-LUT key literals, row 0 first *)
+      (** per-LUT key literals, row 0 first, in topological order; empty
+          exactly when every LUT is programmed *)
   node_lits : Sttc_logic.Cnf.lit array;
       (** the literal carrying each node's signal, indexed by node id —
           lets callers constrain internal nets (targeted ATPG) *)
@@ -31,8 +38,31 @@ val encode :
     literals. *)
 
 val key_of_model :
-  keyed -> bool array -> (Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t) list
-(** Extract a candidate bitstream from a SAT model. *)
+  (Sttc_netlist.Netlist.node_id * Sttc_logic.Cnf.lit array) list ->
+  bool array ->
+  (Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t) list
+(** [key_of_model keys model]: the bitstream a SAT model assigns to the
+    key literals [keys] (a {!keyed} or {!unrolled} key list). *)
+
+val miter :
+  Sttc_logic.Cnf.t ->
+  Sttc_logic.Cnf.lit list ->
+  Sttc_logic.Cnf.lit list ->
+  Sttc_logic.Cnf.lit list
+(** [miter cnf xs ys] encodes one fresh XOR variable per pair of
+    literals at the same position of [xs] and [ys], in list order, and
+    returns them.  It adds no disjunction clause: the caller adds one,
+    with or without an activation literal in front.  Raises
+    [Invalid_argument] when the lists differ in length. *)
+
+val bit_lits : Sttc_logic.Cnf.lit list -> bool array -> Sttc_logic.Cnf.lit list
+(** [bit_lits lits bits]: for each literal [l] at position [i], [l] when
+    [bits.(i)] holds and [-l] otherwise — the literals that are all true
+    exactly when [lits] take the observed bits. *)
+
+val pin : Sttc_logic.Cnf.t -> Sttc_logic.Cnf.lit list -> bool array -> unit
+(** [pin cnf lits bits] adds one unit clause per literal of
+    [bit_lits lits bits], fixing [lits] to the observed bits. *)
 
 type unrolled = {
   u_cnf : Sttc_logic.Cnf.t;

@@ -12,28 +12,52 @@ type failure = {
 
 type result = Equivalent | Different of failure | Inconclusive of string
 
-(* ---------- shared input space ---------- *)
+(* ---------- interface pairing ---------- *)
 
-let input_names nl =
-  List.map (Netlist.name nl) (Netlist.pis nl)
-  @ List.map (Netlist.name nl) (Netlist.dffs nl)
+(* Where each of [a]'s primary inputs, primary outputs and flip-flops
+   sits in [b]: the index of the same-named item in [Netlist.pis b],
+   [Netlist.outputs b] and [Netlist.dffs b].  Every engine pairs the two
+   netlists through this, never by position. *)
+type pairing = { pis : int array; pos : int array; dffs : int array }
 
-let check_interfaces a b =
-  let sort = List.sort String.compare in
-  let ins_a = sort (input_names a) and ins_b = sort (input_names b) in
-  if ins_a <> ins_b then Some "primary input / state spaces differ"
-  else
-    let outs nl =
-      sort (Array.to_list (Array.map fst (Netlist.outputs nl)))
-    in
-    if outs a <> outs b then Some "primary output sets differ" else None
+let pair a b =
+  (* for each name of [xs], its position in [ys] (names are unique in a
+     netlist); None unless the two hold the same names *)
+  let positions xs ys =
+    let sort names = List.sort String.compare (Array.to_list names) in
+    if sort xs <> sort ys then None
+    else begin
+      let at = Hashtbl.create (Array.length ys) in
+      Array.iteri (fun i n -> Hashtbl.replace at n i) ys;
+      Some (Array.map (Hashtbl.find at) xs)
+    end
+  in
+  let names nl ids = Array.of_list (List.map (Netlist.name nl) ids) in
+  let outs nl = Array.map fst (Netlist.outputs nl) in
+  match
+    ( positions (names a (Netlist.pis a)) (names b (Netlist.pis b)),
+      positions (names a (Netlist.dffs a)) (names b (Netlist.dffs b)) )
+  with
+  | Some pis, Some dffs -> (
+      match positions (outs a) (outs b) with
+      | Some pos -> Ok { pis; pos; dffs }
+      | None -> Error "primary output sets differ")
+  | _ -> Error "primary input / state spaces differ"
+
+(* [b]'s values in [a]'s order, and [a]'s values in [b]'s order *)
+let gather index vb = Array.map (fun j -> vb.(j)) index
+
+let scatter index va =
+  let vb = Array.make (Array.length va) 0L in
+  Array.iteri (fun i j -> vb.(j) <- va.(i)) index;
+  vb
 
 (* ---------- random simulation ---------- *)
 
 let check_random ?(vectors = 4096) ~seed a b =
-  match check_interfaces a b with
-  | Some m -> Inconclusive m
-  | None -> (
+  match pair a b with
+  | Error m -> Inconclusive m
+  | Ok p -> (
       match (Simulator.create a, Simulator.create b) with
       | exception Invalid_argument m -> Inconclusive m
       | sim_a, sim_b ->
@@ -42,30 +66,7 @@ let check_random ?(vectors = 4096) ~seed a b =
           let pi_names = Array.map (Netlist.name a) pis_a in
           let dffs_a = Array.of_list (Netlist.dffs a) in
           let dff_names = Array.map (Netlist.name a) dffs_a in
-          (* order B's state to match A's names *)
           let out_names = Array.map fst (Netlist.outputs a) in
-          let out_index_b =
-            let names_b = Array.map fst (Netlist.outputs b) in
-            Array.map
-              (fun n ->
-                let rec find i =
-                  if names_b.(i) = n then i else find (i + 1)
-                in
-                find 0)
-              out_names
-          in
-          let dff_order_b =
-            let names_b =
-              Array.of_list (List.map (Netlist.name b) (Netlist.dffs b))
-            in
-            Array.map
-              (fun n ->
-                let rec find i =
-                  if names_b.(i) = n then i else find (i + 1)
-                in
-                find 0)
-              dff_names
-          in
           let batches = max 1 ((vectors + 63) / 64) in
           let failure = ref None in
           (let batch = ref 0 in
@@ -76,16 +77,15 @@ let check_random ?(vectors = 4096) ~seed a b =
              in
              let st_lanes = Array.map (fun _ -> Rng.int64 rng) dffs_a in
              Simulator.set_state sim_a st_lanes;
-             let st_b = Array.make (Array.length dff_order_b) 0L in
-             Array.iteri (fun i bi -> st_b.(bi) <- st_lanes.(i)) dff_order_b;
-             Simulator.set_state sim_b st_b;
-             (* outputs and next-state functions from one step each *)
+             Simulator.set_state sim_b (scatter p.dffs st_lanes);
+             (* outputs and next-state functions from one step each, read
+                back in [a]'s order *)
              let outs_a = Simulator.step sim_a pi_lanes in
-             let outs_b = Simulator.step sim_b pi_lanes in
+             let outs_b =
+               gather p.pos (Simulator.step sim_b (scatter p.pis pi_lanes))
+             in
              let next_a = Simulator.state sim_a in
-             let next_b_raw = Simulator.state sim_b in
-             let next_b = Array.make (Array.length next_a) 0L in
-             Array.iteri (fun i bi -> next_b.(i) <- next_b_raw.(bi)) dff_order_b;
+             let next_b = gather p.dffs (Simulator.state sim_b) in
              let report signal diff =
                (* extract the first differing lane as a witness *)
                let lane =
@@ -107,117 +107,66 @@ let check_random ?(vectors = 4096) ~seed a b =
                in
                failure := Some { witness; signal }
              in
-             Array.iteri
-               (fun i name ->
-                 if !failure = None then begin
-                   let diff =
-                     Int64.logxor outs_a.(i) outs_b.(out_index_b.(i))
-                   in
-                   if diff <> 0L then report name diff
-                 end)
-               out_names;
-             Array.iteri
-               (fun i name ->
-                 if !failure = None then begin
-                   let diff = Int64.logxor next_a.(i) next_b.(i) in
-                   if diff <> 0L then report name diff
-                 end)
-               dff_names
+             let compare names va vb =
+               Array.iteri
+                 (fun i name ->
+                   if !failure = None then begin
+                     let diff = Int64.logxor va.(i) vb.(i) in
+                     if diff <> 0L then report name diff
+                   end)
+                 names
+             in
+             compare out_names outs_a outs_b;
+             compare dff_names next_a next_b
            done);
           (match !failure with
           | Some f -> Different f
           | None -> Equivalent))
 
-(* ---------- CNF encoding ---------- *)
-
-let encode_fixed_lut cnf out table inputs =
-  let n = Array.length inputs in
-  if Truth.arity table <> n then invalid_arg "Equiv: LUT arity";
-  for r = 0 to (1 lsl n) - 1 do
-    let antecedent =
-      List.init n (fun k ->
-          let l = inputs.(k) in
-          if (r lsr k) land 1 = 1 then -l else l)
-    in
-    let head = if Truth.row table r then out else -out in
-    Cnf.add_clause cnf (head :: antecedent)
-  done
-
-let encode_netlist cnf ~input_var nl =
-  let n = Netlist.node_count nl in
-  let lit = Array.make n 0 in
-  Array.iter
-    (fun id ->
-      let node = Netlist.node nl id in
-      match node.Netlist.kind with
-      | Netlist.Pi | Netlist.Dff -> lit.(id) <- input_var node.Netlist.name
-      | Netlist.Const v ->
-          let x = Cnf.fresh_var cnf in
-          Cnf.add_clause cnf [ (if v then x else -x) ];
-          lit.(id) <- x
-      | Netlist.Gate fn ->
-          let x = Cnf.fresh_var cnf in
-          let ins =
-            Array.to_list (Array.map (fun s -> lit.(s)) node.Netlist.fanins)
-          in
-          Cnf.encode_gate cnf x fn ins;
-          lit.(id) <- x
-      | Netlist.Lut { config = Some c; _ } ->
-          let x = Cnf.fresh_var cnf in
-          let ins = Array.map (fun s -> lit.(s)) node.Netlist.fanins in
-          encode_fixed_lut cnf x c ins;
-          lit.(id) <- x
-      | Netlist.Lut { config = None; _ } ->
-          invalid_arg
-            ("Equiv.encode_netlist: unprogrammed LUT " ^ node.Netlist.name))
-    (Netlist.topo_order nl);
-  let pos =
-    Array.to_list
-      (Array.map (fun (name, id) -> (name, lit.(id))) (Netlist.outputs nl))
-  in
-  let ff_inputs =
-    List.map
-      (fun ff -> (Netlist.name nl ff, lit.((Netlist.fanins nl ff).(0))))
-      (Netlist.dffs nl)
-  in
-  (pos, ff_inputs)
+(* ---------- SAT miter ---------- *)
 
 let check_sat ?(max_conflicts = max_int) a b =
-  match check_interfaces a b with
-  | Some m -> Inconclusive m
-  | None -> (
-      let cnf = Cnf.create () in
-      let vars = Hashtbl.create 64 in
-      let input_var name =
-        match Hashtbl.find_opt vars name with
-        | Some v -> v
-        | None ->
-            let v = Cnf.fresh_var cnf in
-            Hashtbl.add vars name v;
-            v
+  match pair a b with
+  | Error m -> Inconclusive m
+  | Ok p -> (
+      (* [b] takes the first variables, [a] reuses its input literals:
+         the order the formula has always had (the two encodings were
+         the scrutinee of a [match] with an exception case, which OCaml
+         evaluates right to left) *)
+      let cb = Encode.encode b in
+      let cnf = cb.Encode.cnf in
+      let ca = Encode.encode ~cnf ~share_inputs:cb.Encode.inputs a in
+      let unprogrammed nl id =
+        Inconclusive ("Equiv.check_sat: unprogrammed LUT " ^ Netlist.name nl id)
       in
-      match
-        ( encode_netlist cnf ~input_var a,
-          encode_netlist cnf ~input_var b )
-      with
-      | exception Invalid_argument m -> Inconclusive m
-      | (pos_a, ffs_a), (pos_b, ffs_b) ->
-          let assoc name l = List.assoc name l in
+      match (cb.Encode.keys, ca.Encode.keys) with
+      | (id, _) :: _, _ -> unprogrammed b id
+      | [], (id, _) :: _ -> unprogrammed a id
+      | [], [] ->
+          (* both output lists are POs then flip-flop D inputs; [lits_b]
+             is [b]'s in [a]'s order *)
+          let n_pos = Array.length p.pos in
+          let lits_a = Array.of_list (List.map snd ca.Encode.outputs) in
+          let lits_b =
+            gather
+              (Array.append p.pos (Array.map (( + ) n_pos) p.dffs))
+              (Array.of_list (List.map snd cb.Encode.outputs))
+          in
+          let slice lits lo hi = Array.to_list (Array.sub lits lo (hi - lo)) in
+          let n = Array.length lits_a in
+          (* The flip-flop XORs take their variables before the PO XORs,
+             while the clause lists the PO diffs first: the order the
+             formula has always had (it was built as [pos @ ffs], and
+             OCaml evaluates the right operand of [@] first).  Changing
+             either order changes the solver's work. *)
+          let ff_diffs =
+            Encode.miter cnf (slice lits_a n_pos n) (slice lits_b n_pos n)
+          in
+          let po_diffs =
+            Encode.miter cnf (slice lits_a 0 n_pos) (slice lits_b 0 n_pos)
+          in
           let diffs =
-            List.map
-              (fun (name, la) ->
-                let lb = assoc name pos_b in
-                let d = Cnf.fresh_var cnf in
-                Cnf.encode_xor cnf d la lb;
-                (name, d))
-              pos_a
-            @ List.map
-                (fun (name, la) ->
-                  let lb = assoc name ffs_b in
-                  let d = Cnf.fresh_var cnf in
-                  Cnf.encode_xor cnf d la lb;
-                  (name, d))
-                ffs_a
+            List.combine (List.map fst ca.Encode.outputs) (po_diffs @ ff_diffs)
           in
           Cnf.add_clause cnf (List.map snd diffs);
           let solver = Sat.Solver.of_cnf cnf in
@@ -226,9 +175,9 @@ let check_sat ?(max_conflicts = max_int) a b =
           | Sat.Unsat -> Equivalent
           | Sat.Sat model ->
               let witness =
-                Hashtbl.fold
-                  (fun name v acc -> (name, Sat.model_value model v) :: acc)
-                  vars []
+                List.map
+                  (fun (name, v) -> (name, Sat.model_value model v))
+                  cb.Encode.inputs
                 |> List.sort (fun (x, _) (y, _) -> String.compare x y)
               in
               let signal =
@@ -242,10 +191,12 @@ let check_sat ?(max_conflicts = max_int) a b =
               in
               Different { witness; signal }))
 
+(* ---------- BDDs ---------- *)
+
 let check_bdd a b =
-  match check_interfaces a b with
-  | Some m -> Inconclusive m
-  | None -> (
+  match pair a b with
+  | Error m -> Inconclusive m
+  | Ok p -> (
       let m = Bdd.manager () in
       let vars = Hashtbl.create 64 in
       let next = ref 0 in
@@ -312,33 +263,20 @@ let check_bdd a b =
       match (build a, build b) with
       | exception Invalid_argument msg -> Inconclusive msg
       | lit_a, lit_b ->
-          let signals =
-            Array.to_list
-              (Array.map
-                 (fun (name, id) -> (name, lit_a.(id), `B id))
-                 (Netlist.outputs a))
-          in
-          ignore signals;
+          let outs_b = Netlist.outputs b in
+          let dffs_b = Array.of_list (Netlist.dffs b) in
+          let d_input nl lit ff = lit.((Netlist.fanins nl ff).(0)) in
           let pairs =
             Array.to_list
-              (Array.map
-                 (fun (name, id) ->
-                   let id_b =
-                     let rec find i =
-                       let name_b, idb = (Netlist.outputs b).(i) in
-                       if name_b = name then idb else find (i + 1)
-                     in
-                     find 0
-                   in
-                   (name, lit_a.(id), lit_b.(id_b)))
+              (Array.mapi
+                 (fun i (name, id) ->
+                   (name, lit_a.(id), lit_b.(snd outs_b.(p.pos.(i)))))
                  (Netlist.outputs a))
-            @ List.map
-                (fun ff ->
-                  let name = Netlist.name a ff in
-                  let da = lit_a.((Netlist.fanins a ff).(0)) in
-                  let ffb = Netlist.find_exn b name in
-                  let db = lit_b.((Netlist.fanins b ffb).(0)) in
-                  (name, da, db))
+            @ List.mapi
+                (fun i ff ->
+                  ( Netlist.name a ff,
+                    d_input a lit_a ff,
+                    d_input b lit_b dffs_b.(p.dffs.(i)) ))
                 (Netlist.dffs a)
           in
           let rec check = function

@@ -10,7 +10,9 @@
 
     Three engines with different scale/assurance trade-offs:
     random bit-parallel simulation (fast, incomplete), BDDs (complete,
-    small circuits), and a SAT miter (complete, scales furthest). *)
+    small circuits), and a SAT miter over {!Encode}'s formula (complete,
+    scales furthest).  All three pair the two netlists' inputs, outputs
+    and flip-flops by name, never by position. *)
 
 type failure = {
   witness : (string * bool) list;
@@ -35,15 +37,3 @@ val check_sat :
 val check_bdd : Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.t -> result
 (** Complete; practical up to a few thousand gates on well-behaved
     circuits. *)
-
-val encode_netlist :
-  Sttc_logic.Cnf.t ->
-  input_var:(string -> Sttc_logic.Cnf.lit) ->
-  Sttc_netlist.Netlist.t ->
-  (string * Sttc_logic.Cnf.lit) list * (string * Sttc_logic.Cnf.lit) list
-(** Tseitin-encode the combinational view of a netlist into an existing
-    formula.  [input_var] supplies literals for PIs and flip-flop outputs
-    (by name, enabling variable sharing across netlists).  Returns the
-    (PO name, literal) and (flip-flop name, D-input literal) associations.
-    Raises [Invalid_argument] on unprogrammed LUTs.  Exposed for the SAT
-    attack, which builds its own miters. *)

@@ -16,7 +16,7 @@ let protect ?seed ?fraction ?hardening alg nl =
     .Flow.accepted
 
 module Oracle = Sttc_attack.Oracle
-module Encode = Sttc_attack.Encode
+module Encode = Sttc_sim.Encode
 module Sat_attack = Sttc_attack.Sat_attack
 module Tt_attack = Sttc_attack.Tt_attack
 module Brute_force = Sttc_attack.Brute_force
@@ -103,6 +103,15 @@ let test_encode_key_structure () =
       | _ -> Alcotest.fail "key target must be a LUT")
     keyed.Encode.keys
 
+(* fix every key literal to the hybrid's secret configuration *)
+let pin_true_key cnf h keys =
+  List.iter
+    (fun (id, key) ->
+      let config = List.assoc id (Hybrid.bitstream h) in
+      Encode.pin cnf (Array.to_list key)
+        (Array.init (Array.length key) (Truth.row config)))
+    keys
+
 let test_encode_correct_key_is_consistent () =
   (* pin the true bitstream into the key variables and a random I/O pair:
      the formula must be satisfiable and the outputs must match the
@@ -111,21 +120,12 @@ let test_encode_correct_key_is_consistent () =
   let h = protect_n nl 2 4 in
   let keyed = Encode.encode (Hybrid.foundry_view h) in
   let cnf = keyed.Encode.cnf in
-  List.iter
-    (fun (id, key) ->
-      let config = List.assoc id (Hybrid.bitstream h) in
-      Array.iteri
-        (fun r l ->
-          Sttc_logic.Cnf.add_clause cnf [ (if Truth.row config r then l else -l) ])
-        key)
-    keyed.Encode.keys;
+  pin_true_key cnf h keyed.Encode.keys;
   let o = Oracle.create h in
-  let inputs = Array.make (List.length keyed.Encode.inputs) false in
-  Array.iteri (fun i _ -> inputs.(i) <- i mod 2 = 0) inputs;
-  List.iteri
-    (fun i (_, l) ->
-      Sttc_logic.Cnf.add_clause cnf [ (if inputs.(i) then l else -l) ])
-    keyed.Encode.inputs;
+  let inputs =
+    Array.init (List.length keyed.Encode.inputs) (fun i -> i mod 2 = 0)
+  in
+  Encode.pin cnf (List.map snd keyed.Encode.inputs) inputs;
   let expected = Oracle.query o inputs in
   match Sttc_logic.Sat.solve cnf with
   | Sttc_logic.Sat.Unsat -> Alcotest.fail "true key must satisfy"
@@ -195,6 +195,55 @@ let test_sat_attack_modes_agree () =
       Alcotest.(check string) "same reason" s.reason i.reason
   | _ -> Alcotest.fail "solver modes reached different verdicts"
 
+(* The trajectories of both SAT attacks and of the targeted truth-table
+   attack on the s27 hybrids, pinned: iterations, oracle queries, solver
+   decisions and conflicts, and the md5 of the recovered key.  Any change
+   to the attack formulas (variable order, clause order, miter shape)
+   moves them. *)
+let test_attack_trajectories_pinned () =
+  let module Runner = Sttc_experiments.Runner in
+  let nl = Runner.build_circuit "s27" in
+  let hybrid alg = (protect ~seed:Runner.master_seed alg nl).Flow.hybrid in
+  let key_md5 bitstream =
+    String.concat ";"
+      (List.map
+         (fun (id, t) -> Printf.sprintf "%d:%s" id (Truth.to_string t))
+         bitstream)
+    |> Digest.string |> Digest.to_hex
+    |> fun h -> String.sub h 0 8
+  in
+  let trajectory label = function
+    | Sat_attack.Broken b ->
+        Printf.sprintf "%d/%d/%d/%d/%s" b.iterations b.queries
+          b.stats.Sttc_logic.Sat.decisions b.stats.Sttc_logic.Sat.conflicts
+          (key_md5 b.bitstream)
+    | Sat_attack.Exhausted e ->
+        Alcotest.fail (label ^ ": exhausted " ^ e.reason)
+  in
+  List.iter2
+    (fun alg (comb, seq) ->
+      let h = hybrid alg in
+      let name = Flow.algorithm_name alg in
+      Alcotest.(check string) (name ^ " run") comb
+        (trajectory name (Sat_attack.run ~timeout_s:60. h));
+      Alcotest.(check string) (name ^ " run_sequential") seq
+        (trajectory name (Sat_attack.run_sequential ~timeout_s:60. h)))
+    Flow.default_algorithms
+    [
+      ("12/12/894/321/59ab28bf", "7/35/2349/912/59ab28bf");
+      ("21/21/1725/551/628b5797", "9/45/5512/2589/628b5797");
+      ("4/4/73/23/7aa67298", "5/25/377/113/7aa67298");
+    ];
+  let parametric = List.nth Flow.default_algorithms 2 in
+  let r =
+    Tt_attack.run ~targeted:true ~budget_patterns:400 ~seed:1
+      (hybrid parametric)
+  in
+  Alcotest.(check (triple int int int))
+    "parametric targeted tt-attack" (1, 400, 4)
+    (r.Tt_attack.fully_resolved, r.Tt_attack.patterns_tried,
+     r.Tt_attack.oracle_queries)
+
 (* Property (satellite of the incremental-solver rework): on random
    netlist miters — the exact formula shape the SAT attack feeds the
    solver — [solve ~assumptions] on one persistent solver agrees with a
@@ -211,12 +260,8 @@ let incremental_miter_props =
     let c1 = Encode.encode ~cnf fv in
     let c2 = Encode.encode ~cnf ~share_inputs:c1.Encode.inputs fv in
     let diffs =
-      List.map2
-        (fun (_, l1) (_, l2) ->
-          let d = Cnf.fresh_var cnf in
-          Cnf.encode_xor cnf d l1 l2;
-          d)
-        c1.Encode.outputs c2.Encode.outputs
+      Encode.miter cnf (List.map snd c1.Encode.outputs)
+        (List.map snd c2.Encode.outputs)
     in
     let act = Cnf.fresh_var cnf in
     Cnf.add_clause cnf (-act :: diffs);
@@ -454,26 +499,14 @@ let test_encode_unrolled_true_key_matches_oracle () =
   let frames = 3 in
   let u = Encode.encode_unrolled ~frames (Hybrid.foundry_view h) in
   let cnf = u.Encode.u_cnf in
-  List.iter
-    (fun (id, key) ->
-      let config = List.assoc id (Hybrid.bitstream h) in
-      Array.iteri
-        (fun r l ->
-          Sttc_logic.Cnf.add_clause cnf
-            [ (if Truth.row config r then l else -l) ])
-        key)
-    u.Encode.u_keys;
+  pin_true_key cnf h u.Encode.u_keys;
   let n_pi = List.length (Netlist.pis nl) in
   let rng = Rng.make 5 in
   let pi_seq =
     List.init frames (fun _ -> Array.init n_pi (fun _ -> Rng.bool rng))
   in
   List.iteri
-    (fun frame pis ->
-      List.iteri
-        (fun i (_, l) ->
-          Sttc_logic.Cnf.add_clause cnf [ (if pis.(i) then l else -l) ])
-        u.Encode.frame_pis.(frame))
+    (fun frame pis -> Encode.pin cnf (List.map snd u.Encode.frame_pis.(frame)) pis)
     pi_seq;
   let o = Oracle.create h in
   let po_seq = Oracle.query_sequence o pi_seq in
@@ -823,6 +856,8 @@ let () =
           Alcotest.test_case "respects limits" `Quick test_sat_attack_respects_limits;
           Alcotest.test_case "solver modes agree" `Quick
             test_sat_attack_modes_agree;
+          Alcotest.test_case "pinned s27 trajectories" `Quick
+            test_attack_trajectories_pinned;
         ]
         @ incremental_miter_props );
       ( "tt_attack",

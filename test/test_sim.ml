@@ -413,6 +413,58 @@ let test_equiv_three_engines_agree () =
       (to_bool (Equiv.check_random ~vectors:512 ~seed nl nl2))
   done
 
+(* Two netlists with the same function and interface but their primary
+   inputs declared in opposite orders: every engine must pair the inputs
+   by name, not by position. *)
+let test_equiv_pi_order () =
+  let text first second =
+    Printf.sprintf
+      "INPUT(%s)\nINPUT(%s)\nOUTPUT(z)\nz = AND(a, n)\nn = NOT(b)\n" first
+      second
+  in
+  let a = Sttc_netlist.Bench_io.parse_string (text "a" "b")
+  and b = Sttc_netlist.Bench_io.parse_string (text "b" "a") in
+  let verdict = function
+    | Equiv.Equivalent -> "equivalent"
+    | Equiv.Different f -> "different(" ^ f.Equiv.signal ^ ")"
+    | Equiv.Inconclusive m -> "inconclusive: " ^ m
+  in
+  Alcotest.(check string) "sat" "equivalent" (verdict (Equiv.check_sat a b));
+  Alcotest.(check string) "bdd" "equivalent" (verdict (Equiv.check_bdd a b));
+  Alcotest.(check string) "random" "equivalent"
+    (verdict (Equiv.check_random ~seed:1 a b))
+
+(* The solver work of the sign-off miter (original vs programmed hybrid)
+   at seed 1, per algorithm: any change to the formula's variable or
+   clause order moves these counts. *)
+let test_equiv_signoff_solver_work () =
+  let module Flow = Sttc_core.Flow in
+  let module Sat = Sttc_logic.Sat in
+  List.iter
+    (fun (bench, pins) ->
+      let nl = Sttc_experiments.Runner.build_circuit bench in
+      List.iter2
+        (fun algorithm (decisions, propagations, conflicts) ->
+          let r = Flow.run ~seed:1 ~policy:Flow.Strict algorithm nl in
+          let programmed =
+            Sttc_core.Hybrid.programmed r.Flow.accepted.Flow.hybrid
+          in
+          let label = bench ^ " " ^ Flow.algorithm_name algorithm in
+          (match Equiv.check_sat nl programmed with
+          | Equiv.Equivalent -> ()
+          | _ -> Alcotest.fail (label ^ ": sign-off must be equivalent"));
+          let s = Sat.last_stats () in
+          Alcotest.(check (triple int int int))
+            label
+            (decisions, propagations, conflicts)
+            (s.Sat.decisions, s.Sat.propagations, s.Sat.conflicts))
+        Flow.default_algorithms pins)
+    [
+      ("s27", [ (32, 462, 26); (28, 369, 22); (28, 355, 19) ]);
+      ( "s641",
+        [ (6871, 514507, 3550); (7288, 478203, 3631); (6373, 459326, 3155) ] );
+    ]
+
 let () =
   Alcotest.run "sttc_sim"
     [
@@ -444,5 +496,8 @@ let () =
           Alcotest.test_case "unprogrammed lut" `Quick test_equiv_unprogrammed_lut;
           Alcotest.test_case "three engines agree" `Quick
             test_equiv_three_engines_agree;
+          Alcotest.test_case "pi order" `Quick test_equiv_pi_order;
+          Alcotest.test_case "sign-off solver work" `Quick
+            test_equiv_signoff_solver_work;
         ] );
     ]

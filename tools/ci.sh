@@ -33,6 +33,19 @@ if grep -rnE 'Ternary_sim|eval_pass|gate_lanes|eval_truth_lanes' \
   exit 1
 fi
 
+echo "== encoder gate (Sttc_sim.Encode is the only netlist-to-CNF encoder)"
+# Sign-off and every SAT attack share one Tseitin encoder and one miter
+# helper; no second encoder, and no hand-written XOR miter, may return.
+if grep -rnE 'Cnf\.encode_(gate|truth_lut|xor)\b' lib bin \
+     | grep -vE '^lib/(sim/encode\.ml|logic/cnf\.mli?):'; then
+  echo "ENCODER GATE FAILED: netlist clauses encoded outside lib/sim/encode.ml (see above)" >&2
+  exit 1
+fi
+if grep -rnE 'encode_netlist|encode_fixed_lut' lib bin test bench/main.ml examples; then
+  echo "ENCODER GATE FAILED: the retired Equiv encoder is back (see above)" >&2
+  exit 1
+fi
+
 echo "== dune build @bench/ledger/smoke (every ledger workload at toy size)"
 dune build @bench/ledger/smoke
 

@@ -87,6 +87,21 @@ if [ "$gen200k_md5" != "$GEN200K_MD5" ]; then
     "md5 $gen200k_md5, pinned $GEN200K_MD5" >&2
   exit 1
 fi
+# The other profiles reach what slike does not at scale: wide's and deep's
+# late and shallow ranges and fanout's hub range.  Recorded before the
+# generator drew from id ranges.
+check_gen_pin() { # profile, pinned md5
+  got=$(sttc gen -b custom --profile "$1" --gates 100000 --seed 20160605 \
+    | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$2" ]; then
+    echo "BYTE-IDENTITY GATE FAILED: 1e5-gate $1 family (seed 20160605)" \
+      "md5 $got, pinned $2" >&2
+    exit 1
+  fi
+}
+check_gen_pin wide 11a5e54cb8524e0ebabcdacbc7ef30fa
+check_gen_pin deep fe73a0f600d434436b8c69cf2fecb503
+check_gen_pin fanout 23533e19bb6d7f5fefce12399f83f2d3
 # QUICK and FULL together are the twelve ISCAS'89 twins
 twins_md5=$(for b in $QUICK $FULL; do sttc gen -b "$b"; done \
   | md5sum | cut -d' ' -f1)

@@ -24,20 +24,20 @@ let build_circuit () =
   let b1 = Netlist.Builder.add_pi b "b1" in
   let en = Netlist.Builder.add_pi b "en" in
   (* stage 1: a XOR b per bit, gated by enable *)
-  let x0 = Netlist.Builder.add_gate b "x0" (Gate_fn.Xor 2) [ a0; b0 ] in
-  let x1 = Netlist.Builder.add_gate b "x1" (Gate_fn.Xor 2) [ a1; b1 ] in
-  let g0 = Netlist.Builder.add_gate b "g0" (Gate_fn.And 2) [ x0; en ] in
-  let g1 = Netlist.Builder.add_gate b "g1" (Gate_fn.And 2) [ x1; en ] in
+  let x0 = Netlist.Builder.add_gate b "x0" (Gate_fn.Xor 2) [| a0; b0 |] in
+  let x1 = Netlist.Builder.add_gate b "x1" (Gate_fn.Xor 2) [| a1; b1 |] in
+  let g0 = Netlist.Builder.add_gate b "g0" (Gate_fn.And 2) [| x0; en |] in
+  let g1 = Netlist.Builder.add_gate b "g1" (Gate_fn.And 2) [| x1; en |] in
   (* registers *)
   let r0 = Netlist.Builder.add_dff b "r0" g0 in
   let r1 = Netlist.Builder.add_dff b "r1" g1 in
   (* stage 2: carry-ish logic feeding the outputs and a feedback register *)
-  let c = Netlist.Builder.add_gate b "c" (Gate_fn.And 2) [ r0; r1 ] in
+  let c = Netlist.Builder.add_gate b "c" (Gate_fn.And 2) [| r0; r1 |] in
   let fb = Netlist.Builder.add_dff_deferred b "fb" in
-  let m = Netlist.Builder.add_gate b "m" (Gate_fn.Xor 2) [ c; fb ] in
+  let m = Netlist.Builder.add_gate b "m" (Gate_fn.Xor 2) [| c; fb |] in
   Netlist.Builder.set_dff_input b fb m;
-  let out0 = Netlist.Builder.add_gate b "out0" (Gate_fn.Or 2) [ r0; m ] in
-  let out1 = Netlist.Builder.add_gate b "out1" (Gate_fn.Nand 2) [ r1; m ] in
+  let out0 = Netlist.Builder.add_gate b "out0" (Gate_fn.Or 2) [| r0; m |] in
+  let out1 = Netlist.Builder.add_gate b "out1" (Gate_fn.Nand 2) [| r1; m |] in
   Netlist.Builder.add_output b "y0" out0;
   Netlist.Builder.add_output b "y1" out1;
   Netlist.Builder.finalize b

@@ -123,7 +123,7 @@ let parse_string ?(design_name = "bench") text =
         | None -> fail ln ("undefined signal " ^ signal)
         | Some (ln', op, config, args) ->
             Hashtbl.add building signal ();
-            let arg_ids = List.map (node_of ln') args in
+            let arg_ids = Array.of_list (List.map (node_of ln') args) in
             let id = build_assign ln' signal op config arg_ids in
             Hashtbl.remove building signal;
             Hashtbl.add ids signal id;
@@ -137,7 +137,7 @@ let parse_string ?(design_name = "bench") text =
       match op with
       | "DFF" -> assert false (* pre-declared *)
       | "LUT" ->
-          let arity = List.length args in
+          let arity = Array.length args in
           let config =
             Option.map
               (fun s ->
@@ -151,10 +151,10 @@ let parse_string ?(design_name = "bench") text =
           in
           Netlist.Builder.add_lut b lhs ?config args
       | "VCC" | "ONE" | "GND" | "ZERO" ->
-          if args <> [] then fail ln (op ^ " takes no arguments");
+          if args <> [||] then fail ln (op ^ " takes no arguments");
           Netlist.Builder.add_const b lhs (op = "VCC" || op = "ONE")
       | _ -> (
-          let arity = List.length args in
+          let arity = Array.length args in
           match Sttc_logic.Gate_fn.of_bench_name op ~arity with
           | Some fn -> Netlist.Builder.add_gate b lhs fn args
           | None ->

@@ -67,25 +67,28 @@ let rec among_first fanins n c =
    to a small fixed pool of level-0 "hub" signals (clock enables, resets —
    the high-fanout nets of real netlists).  [None] performs no extra RNG
    draws, so circuits generated before this parameter existed are
-   bit-identical. *)
+   bit-identical.
+
+   Node ids are dense in creation order: the PIs, then the flip-flops
+   (level 0), then each level's gates in turn.  Every pool a draw reads is
+   therefore an id range [lo, lo + len), and [lo + Rng.int rng len] is the
+   draw [Rng.pick] makes on the array of those ids. *)
 let generate_internal ?hub_bias ~seed spec =
   validate spec;
   let rng = Rng.make (seed lxor Hashtbl.hash spec.design_name) in
   let b = Netlist.Builder.create ~design_name:spec.design_name () in
-  let pis =
-    Array.init spec.n_pi (fun i -> Netlist.Builder.add_pi b (numbered "pi" i))
-  in
-  let ffs =
-    Array.init spec.n_ff (fun i ->
-        Netlist.Builder.add_dff_deferred b (numbered "ff" i))
-  in
-  (* by_level.(l) = signals whose combinational level is l *)
+  for i = 0 to spec.n_pi - 1 do
+    ignore (Netlist.Builder.add_pi b (numbered "pi" i))
+  done;
+  for i = 0 to spec.n_ff - 1 do
+    ignore (Netlist.Builder.add_dff_deferred b (numbered "ff" i))
+  done;
+  let first_ff = spec.n_pi and n_level0 = spec.n_pi + spec.n_ff in
   let levels = max 1 spec.levels in
-  let by_level = Array.make (levels + 1) [||] in
-  by_level.(0) <- Array.append pis ffs;
   (* Distribute gates over levels 1..levels, at least one per level while
      the budget lasts. *)
   let per_level = Array.make (levels + 1) 0 in
+  per_level.(0) <- n_level0;
   let remaining = ref spec.n_gates in
   for l = 1 to levels do
     if !remaining > 0 then begin
@@ -102,49 +105,47 @@ let generate_internal ?hub_bias ~seed spec =
     per_level.(l) <- per_level.(l) + 1;
     decr remaining
   done;
-  let gate_count = ref 0 in
-  (* [prior_signals] only ever contains signals from strictly earlier
-     levels, so every fanin draw keeps the levelized depth bound intact.
-     It grows only between levels, so a draw below its current length is
-     a draw from the signals of the earlier levels. *)
-  let prior_signals = Sttc_util.Growable.create () in
-  let pick_prior () =
-    Sttc_util.Growable.get prior_signals
-      (Rng.int rng (Sttc_util.Growable.length prior_signals))
+  (* level l holds the ids [start.(l), start.(l + 1)); start.(levels + 1)
+     is the node count *)
+  let start = Array.make (levels + 2) 0 in
+  for l = 0 to levels do
+    start.(l + 1) <- start.(l) + per_level.(l)
+  done;
+  let n_nodes = start.(levels + 1) in
+  (* Drawing below [start.(l)] while level [l] is built reads only
+     signals of strictly earlier levels, so every fanin draw keeps the
+     levelized depth bound intact. *)
+  let pick_prior l = Rng.int rng start.(l) in
+  let pick_level l level =
+    if per_level.(level) > 0 then start.(level) + Rng.int rng per_level.(level)
+    else pick_prior l
   in
-  let pick_level level =
-    let pool = by_level.(level) in
-    if Array.length pool > 0 then Rng.pick rng pool else pick_prior ()
-  in
-  (* consumed.[id] <> '\000' once some gate reads node [id]; ids are
-     dense from 0 in creation order: PIs, FFs, then gates *)
-  let consumed = Bytes.make (spec.n_pi + spec.n_ff + spec.n_gates) '\000' in
-  Array.iter (fun id -> ignore (Sttc_util.Growable.push prior_signals id)) by_level.(0);
+  (* consumed.[id] <> '\000' once some gate reads node [id] *)
+  let consumed = Bytes.make n_nodes '\000' in
+  (* the hubs are the first (at most 64) level-0 ids *)
   let hubs =
     match hub_bias with
     | None -> None
-    | Some pct ->
-        let l0 = by_level.(0) in
-        Some (pct, Array.sub l0 0 (min 64 (Array.length l0)))
+    | Some pct -> Some (pct, min 64 n_level0)
   in
   (* the fanins of the gate being built (arity <= 4) *)
   let fanins = Array.make 4 0 in
+  let gate_count = ref 0 in
   for l = 1 to levels do
-    let created = Sttc_util.Growable.create () in
     for _ = 1 to per_level.(l) do
       let arity = pick_arity rng in
       let fn = pick_fn rng arity in
       (* first fanin from level l-1 (pins this gate's level); fall back to
          any earlier level when l-1 is empty *)
-      fanins.(0) <- pick_level (l - 1);
+      fanins.(0) <- pick_level l (l - 1);
       for k = 1 to arity - 1 do
         fanins.(k) <-
           (match hubs with
-          | Some (pct, pool) when Rng.int rng 100 < pct -> Rng.pick rng pool
+          | Some (pct, n_hubs) when Rng.int rng 100 < pct -> Rng.int rng n_hubs
           | _ ->
               (* bias towards recent levels for locality, fall back
                  uniform *)
-              pick_level
+              pick_level l
                 (if Rng.int rng 100 < 60 then l - 1 else Rng.int rng l))
       done;
       (* gates must have distinct fanins to be meaningful; retry duplicates
@@ -152,7 +153,7 @@ let generate_internal ?hub_bias ~seed spec =
       for k = 1 to arity - 1 do
         let attempts = ref 0 in
         while among_first fanins k fanins.(k) && !attempts < 10 do
-          fanins.(k) <- pick_prior ();
+          fanins.(k) <- pick_prior l;
           incr attempts
         done
       done;
@@ -167,14 +168,16 @@ let generate_internal ?hub_bias ~seed spec =
         done;
         fanins.(!j + 1) <- v
       done;
-      let inputs = ref [] in
-      for k = arity - 1 downto 0 do
-        Bytes.set consumed fanins.(k) '\001';
-        if k = arity - 1 || fanins.(k) <> fanins.(k + 1) then
-          inputs := fanins.(k) :: !inputs
+      let distinct = ref 0 in
+      for k = 0 to arity - 1 do
+        let v = fanins.(k) in
+        Bytes.set consumed v '\001';
+        if !distinct = 0 || fanins.(!distinct - 1) <> v then begin
+          fanins.(!distinct) <- v;
+          incr distinct
+        end
       done;
-      let inputs = !inputs in
-      let arity = List.length inputs in
+      let arity = !distinct in
       let fn =
         if arity = 1 then
           (match fn with
@@ -196,68 +199,57 @@ let generate_internal ?hub_bias ~seed spec =
           | Sttc_logic.Gate_fn.Xor _ -> Sttc_logic.Gate_fn.Xor arity
           | Sttc_logic.Gate_fn.Xnor _ -> Sttc_logic.Gate_fn.Xnor arity
       in
-      let id = Netlist.Builder.add_gate b (numbered "g" !gate_count) fn inputs in
-      incr gate_count;
-      ignore (Sttc_util.Growable.push created id)
-    done;
-    by_level.(l) <- Sttc_util.Growable.to_array created;
-    Array.iter
-      (fun id -> ignore (Sttc_util.Growable.push prior_signals id))
-      by_level.(l)
+      ignore
+        (Netlist.Builder.add_gate b (numbered "g" !gate_count) fn
+           (Array.sub fanins 0 arity));
+      incr gate_count
+    done
   done;
   (* Sinks: FF inputs and POs.  First consume gates that no other gate
      reads (they would otherwise dangle), deepest level first; then fall
      back to random late-level gates. *)
   let dangling = Sttc_util.Growable.create () in
   for l = levels downto 1 do
-    Array.iter
-      (fun id ->
-        if Bytes.get consumed id = '\000' then
-          ignore (Sttc_util.Growable.push dangling id))
-      by_level.(l)
+    for id = start.(l) to start.(l + 1) - 1 do
+      if Bytes.get consumed id = '\000' then
+        ignore (Sttc_util.Growable.push dangling id)
+    done
   done;
-  let late_pool =
-    let acc = Sttc_util.Growable.create () in
-    let lo = max 1 (levels / 2) in
-    for l = lo to levels do
-      Array.iter (fun id -> ignore (Sttc_util.Growable.push acc id)) by_level.(l)
-    done;
-    if Sttc_util.Growable.is_empty acc then
-      Sttc_util.Growable.to_array prior_signals
-    else Sttc_util.Growable.to_array acc
+  (* the gates of the later half of the levels, or every node when those
+     levels are empty *)
+  let late_lo =
+    let lo = start.(max 1 (levels / 2)) in
+    if lo < n_nodes then lo else 0
   in
   let dangle_pos = ref 0 in
-  let next_sink ?(pool = late_pool) () =
+  let next_sink () =
     if !dangle_pos < Sttc_util.Growable.length dangling then begin
       let id = Sttc_util.Growable.get dangling !dangle_pos in
       incr dangle_pos;
       id
     end
-    else Rng.pick rng pool
+    else late_lo + Rng.int rng (n_nodes - late_lo)
   in
   (* Flip-flops split between short-hop state chains (D driven from a
      shallow level, as in counters and shift registers) and deep datapath
      capture; without the short hops every FF-to-FF segment would span the
-     whole combinational depth, which real circuits do not do. *)
-  let shallow_pool =
-    let acc = Sttc_util.Growable.create () in
-    let hi = max 1 (min levels 3) in
-    for l = 1 to hi do
-      Array.iter (fun id -> ignore (Sttc_util.Growable.push acc id)) by_level.(l)
-    done;
-    if Sttc_util.Growable.is_empty acc then late_pool
-    else Sttc_util.Growable.to_array acc
+     whole combinational depth, which real circuits do not do.  The
+     shallow pool is the gates of levels 1..3, or the late pool when those
+     levels are empty. *)
+  let shallow_lo, shallow_len =
+    let hi = start.(max 1 (min levels 3) + 1) in
+    if hi > start.(1) then (start.(1), hi - start.(1))
+    else (late_lo, n_nodes - late_lo)
   in
-  Array.iter
-    (fun ff ->
-      (* Short-hop FFs draw straight from the shallow pool (bypassing the
-         dangling queue, which is dominated by deep gates). *)
-      let d =
-        if Rng.int rng 100 < 55 then Rng.pick rng shallow_pool
-        else next_sink ()
-      in
-      Netlist.Builder.set_dff_input b ff d)
-    ffs;
+  for ff = first_ff to first_ff + spec.n_ff - 1 do
+    (* Short-hop FFs draw straight from the shallow pool (bypassing the
+       dangling queue, which is dominated by deep gates). *)
+    let d =
+      if Rng.int rng 100 < 55 then shallow_lo + Rng.int rng shallow_len
+      else next_sink ()
+    in
+    Netlist.Builder.set_dff_input b ff d
+  done;
   for i = 0 to spec.n_po - 1 do
     Netlist.Builder.add_output b (numbered "po" i) (next_sink ())
   done;

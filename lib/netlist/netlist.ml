@@ -17,18 +17,14 @@ type node = {
 }
 
 (* The name index: open addressing with linear probing over a
-   power-of-two table kept at most half full.  A slot packs a name's
-   30-bit hash above its node id (-1 when empty: ids are non-negative and
-   below 2^32, and ints have 63 bits).  The key string is the node's own
-   name, read through [name_of] only on a hash match, so the index holds
-   one int array; growing moves slots without hashing a name again. *)
+   power-of-two table at most half full.  A slot packs a name's 30-bit
+   hash above its node id (-1 when empty: ids are non-negative and below
+   2^32, and ints have 63 bits).  The key string is the node's own name,
+   read through [name_of] only on a hash match, so the index is one int
+   array.  It is built once, from the finished node array. *)
 module Names = struct
-  type t = {
-    mutable slots : int array;
-    mutable size : int;
-  }
+  type t = int array
 
-  let create () = { slots = Array.make 64 (-1); size = 0 }
   let id_of slot = slot land 0xFFFF_FFFF
 
   let rec probe slots name_of key h mask i =
@@ -36,41 +32,74 @@ module Names = struct
     if s < 0 || (s lsr 32 = h && String.equal (name_of (id_of s)) key) then i
     else probe slots name_of key h mask ((i + 1) land mask)
 
-  (* the slot bound to [key], or the empty slot that ends its probe *)
-  let slot t name_of key h =
-    let mask = Array.length t.slots - 1 in
-    probe t.slots name_of key h mask (h land mask)
-
-  let find_opt t name_of key =
-    let s = t.slots.(slot t name_of key (Hashtbl.hash key)) in
+  let find_opt slots name_of key =
+    let h = Hashtbl.hash key and mask = Array.length slots - 1 in
+    let s = slots.(probe slots name_of key h mask (h land mask)) in
     if s < 0 then None else Some (id_of s)
 
-  let rec free slots mask i =
-    if slots.(i) < 0 then i else free slots mask ((i + 1) land mask)
+  let radix_bits = 11
 
-  let grow t =
-    let slots = Array.make (2 * Array.length t.slots) (-1) in
-    let mask = Array.length slots - 1 in
+  (* [entries] stably ordered by home slot [(e lsr 32) land mask], with
+     LSD radix passes of [radix_bits] bits (one pass of a bucket per slot
+     for a table smaller than that) *)
+  let sort_by_home entries mask =
+    let buckets = min (1 lsl radix_bits) (mask + 1) in
+    let count = Array.make buckets 0 in
+    let src = ref entries and dst = ref (Array.make (Array.length entries) 0) in
+    let shift = ref 0 in
+    while mask lsr !shift > 0 do
+      let digit e = (((e lsr 32) land mask) lsr !shift) land (buckets - 1) in
+      Array.fill count 0 buckets 0;
+      Array.iter
+        (fun e ->
+          let d = digit e in
+          count.(d) <- count.(d) + 1)
+        !src;
+      let at = ref 0 in
+      for d = 0 to buckets - 1 do
+        let c = count.(d) in
+        count.(d) <- !at;
+        at := !at + c
+      done;
+      let out = !dst in
+      Array.iter
+        (fun e ->
+          let d = digit e in
+          out.(count.(d)) <- e;
+          count.(d) <- count.(d) + 1)
+        !src;
+      dst := !src;
+      src := out;
+      shift := !shift + radix_bits
+    done;
+    !src
+
+  (* The index of the [n] nodes named [name_of 0 .. n - 1].  Inserting
+     in home-slot order makes every probe walk the table forward.  Equal
+     names share a home slot, where the stable order keeps them in id
+     order, so a duplicate meets the earlier holder of its name; raises
+     for the smallest such id. *)
+  let build n name_of =
+    let len = ref 64 in
+    while !len < 2 * n do
+      len := 2 * !len
+    done;
+    let mask = !len - 1 in
+    let entries =
+      sort_by_home
+        (Array.init n (fun id -> (Hashtbl.hash (name_of id) lsl 32) lor id))
+        mask
+    in
+    let slots = Array.make !len (-1) and dup = ref n in
     Array.iter
-      (fun s ->
-        if s >= 0 then slots.(free slots mask ((s lsr 32) land mask)) <- s)
-      t.slots;
-    t.slots <- slots
-
-  (* Binds [key] to [id] and returns true, or returns false and leaves
-     [t] unchanged when [key] is already bound. *)
-  let add_new t name_of key id =
-    let h = Hashtbl.hash key in
-    let i = slot t name_of key h in
-    if t.slots.(i) >= 0 then false
-    else begin
-      t.slots.(i) <- (h lsl 32) lor id;
-      t.size <- t.size + 1;
-      if 2 * t.size > Array.length t.slots then grow t;
-      true
-    end
-
-  let copy t = { t with slots = Array.copy t.slots }
+      (fun e ->
+        let h = e lsr 32 and id = id_of e in
+        let i = probe slots name_of (name_of id) h mask (h land mask) in
+        if slots.(i) < 0 then slots.(i) <- e else if id < !dup then dup := id)
+      entries;
+    if !dup < n then
+      invalid_arg ("Builder: duplicate node name " ^ name_of !dup);
+    slots
 end
 
 type program = {
@@ -290,29 +319,23 @@ module Builder = struct
   type t = {
     b_design : string;
     b_nodes : node Sttc_util.Growable.t;
-    b_names : Names.t;
-    b_name_of : node_id -> string;  (* [Names]' view of [b_nodes] *)
     mutable b_outs : (string * node_id) list; (* reversed *)
     b_out_names : (string, unit) Hashtbl.t;
   }
 
   let create ?(design_name = "design") () =
-    let nodes = Sttc_util.Growable.create () in
     {
       b_design = design_name;
-      b_nodes = nodes;
-      b_name_of = (fun id -> (Sttc_util.Growable.get nodes id).name);
-      b_names = Names.create ();
+      b_nodes = Sttc_util.Growable.create ();
       b_outs = [];
       b_out_names = Hashtbl.create 16;
     }
 
   let node_count b = Sttc_util.Growable.length b.b_nodes
 
+  (* names are checked for duplicates and indexed by [finalize] *)
   let add_node b name kind fanins =
     if name = "" then invalid_arg "Builder: empty node name";
-    if not (Names.add_new b.b_names b.b_name_of name (node_count b)) then
-      invalid_arg ("Builder: duplicate node name " ^ name);
     Sttc_util.Growable.push b.b_nodes { name; kind; fanins }
 
   let check_ref b id ctx =
@@ -335,16 +358,14 @@ module Builder = struct
     done;
     add_node b name kind fanins
 
-  let add_gate b name fn inputs =
+  let add_gate b name fn fanins =
     (* [index] validates [fn] *)
     let kind = gate_kinds.(Sttc_logic.Gate_fn.index fn) in
-    let fanins = Array.of_list inputs in
     if Array.length fanins <> Sttc_logic.Gate_fn.arity fn then
       invalid_arg ("Builder.add_gate: arity mismatch at " ^ name);
     add_comb b name kind fanins
 
-  let add_lut b name ?config inputs =
-    let fanins = Array.of_list inputs in
+  let add_lut b name ?config fanins =
     let arity = Array.length fanins in
     if arity < 1 || arity > Sttc_logic.Truth.max_arity then
       invalid_arg ("Builder.add_lut: arity out of range at " ^ name);
@@ -377,8 +398,11 @@ module Builder = struct
     b.b_outs <- (name, id) :: b.b_outs
 
   let finalize b =
-    if b.b_outs = [] then invalid_arg "Builder.finalize: no outputs";
     let nodes = Sttc_util.Growable.to_array b.b_nodes in
+    let by_name =
+      Names.build (Array.length nodes) (fun id -> nodes.(id).name)
+    in
+    if b.b_outs = [] then invalid_arg "Builder.finalize: no outputs";
     (* A fanin exists before its reader is added, so every combinational
        node comes after its combinational fanins in id order: the
        topological order [compute_topo] would find is the sources in id
@@ -402,7 +426,7 @@ module Builder = struct
       design_name = b.b_design;
       nodes;
       outs = Array.of_list (List.rev b.b_outs);
-      by_name = Names.copy b.b_names;
+      by_name;
       fanout_cache = None;
       topo_cache = Some order;
       program_cache = None;

@@ -114,15 +114,21 @@ module Builder : sig
 
   val add_pi : t -> string -> node_id
   val add_const : t -> string -> bool -> node_id
-  val add_gate : t -> string -> Sttc_logic.Gate_fn.t -> node_id list -> node_id
-  (** Stores the one shared [Gate fn] kind value of [fn]: every gate of
-      the same function, from any builder, has a physically equal
-      {!kind}.  Raises [Invalid_argument] for an invalid [fn] (as
+  val add_gate :
+    t -> string -> Sttc_logic.Gate_fn.t -> node_id array -> node_id
+  (** [add_gate b name fn fanins] stores [fanins] itself as the node's
+      fanin array: the caller passes a fresh array and does not mutate it
+      afterwards.  Stores the one shared [Gate fn] kind value of [fn]:
+      every gate of the same function, from any builder, has a physically
+      equal {!kind}.  Raises [Invalid_argument] for an invalid [fn] (as
       {!Sttc_logic.Gate_fn.validate}), then for a fanin count other than
       [fn]'s arity, then for a reference to a node not yet added. *)
 
   val add_lut :
-    t -> string -> ?config:Sttc_logic.Truth.t -> node_id list -> node_id
+    t -> string -> ?config:Sttc_logic.Truth.t -> node_id array -> node_id
+  (** Keeps [fanins] as {!add_gate} does.  Raises [Invalid_argument] for
+      an arity outside [1, Truth.max_arity], then for a [config] of
+      another arity, then for a reference to a node not yet added. *)
 
   val add_dff : t -> string -> node_id -> node_id
   val add_dff_deferred : t -> string -> node_id
@@ -134,13 +140,16 @@ module Builder : sig
   val node_count : t -> int
 
   val finalize : t -> netlist
-  (** Validates and freezes.  Raises [Invalid_argument] on dangling DFF
-      inputs or an empty output list.  Duplicate names, arity mismatches
-      and references to undefined nodes are refused earlier, by the
-      [add_*] call that makes them.  A combinational cycle cannot be
-      built: every fanin exists before its reader is added, which also
-      gives {!topo_order} directly (sources in id order, then
-      combinational nodes in id order). *)
+  (** Validates, indexes the node names and freezes.  Raises
+      [Invalid_argument "Builder: duplicate node name n"] when two nodes
+      share a name, naming the duplicate with the smallest id (the later
+      node of its pair); then on an empty output list or dangling DFF
+      inputs.  The [add_*] calls only record a name (refusing the empty
+      one): arity mismatches and references to undefined nodes are
+      refused earlier, by the call that makes them.  A combinational
+      cycle cannot be built: every fanin exists before its reader is
+      added, which also gives {!topo_order} directly (sources in id
+      order, then combinational nodes in id order). *)
 end
 
 val rename : t -> string -> t

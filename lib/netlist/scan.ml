@@ -41,15 +41,15 @@ let insert nl =
       | Netlist.Gate fn ->
           map.(id) <-
             Netlist.Builder.add_gate b node.Netlist.name fn
-              (Array.to_list (Array.map (fun s -> map.(s)) node.Netlist.fanins))
+              (Array.map (fun s -> map.(s)) node.Netlist.fanins)
       | Netlist.Lut { config; _ } ->
           map.(id) <-
             Netlist.Builder.add_lut b node.Netlist.name ?config
-              (Array.to_list (Array.map (fun s -> map.(s)) node.Netlist.fanins))
+              (Array.map (fun s -> map.(s)) node.Netlist.fanins)
       | _ -> ())
     (Netlist.topo_order nl);
   (* scan muxes: shared NOT(scan_en), per-FF (d AND nse) OR (prev AND se) *)
-  let nse = Netlist.Builder.add_gate b "scan_nen" Gate_fn.Not [ scan_en ] in
+  let nse = Netlist.Builder.add_gate b "scan_nen" Gate_fn.Not [| scan_en |] in
   let prev = ref scan_in in
   let order = ref [] in
   List.iter
@@ -57,14 +57,14 @@ let insert nl =
       let name = Netlist.name nl ff in
       let d = map.((Netlist.fanins nl ff).(0)) in
       let m1 =
-        Netlist.Builder.add_gate b (name ^ "_sd") (Gate_fn.And 2) [ d; nse ]
+        Netlist.Builder.add_gate b (name ^ "_sd") (Gate_fn.And 2) [| d; nse |]
       in
       let m2 =
         Netlist.Builder.add_gate b (name ^ "_ss") (Gate_fn.And 2)
-          [ !prev; scan_en ]
+          [| !prev; scan_en |]
       in
       let mux =
-        Netlist.Builder.add_gate b (name ^ "_sm") (Gate_fn.Or 2) [ m1; m2 ]
+        Netlist.Builder.add_gate b (name ^ "_sm") (Gate_fn.Or 2) [| m1; m2 |]
       in
       Netlist.Builder.set_dff_input b map.(ff) mux;
       order := map.(ff) :: !order;

@@ -254,11 +254,11 @@ let sweep t =
         | Netlist.Gate fn ->
             map.(id) <-
               Netlist.Builder.add_gate b node.Netlist.name fn
-                (Array.to_list (Array.map (fun s -> map.(s)) node.Netlist.fanins))
+                (Array.map (fun s -> map.(s)) node.Netlist.fanins)
         | Netlist.Lut { config; _ } ->
             map.(id) <-
               Netlist.Builder.add_lut b node.Netlist.name ?config
-                (Array.to_list (Array.map (fun s -> map.(s)) node.Netlist.fanins))
+                (Array.map (fun s -> map.(s)) node.Netlist.fanins)
         | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ())
     (Netlist.topo_order t);
   (* pass 3: wire flip-flops and outputs *)

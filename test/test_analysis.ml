@@ -21,7 +21,7 @@ let inverter_chain n =
   let a = Netlist.Builder.add_pi b "a" in
   let last = ref a in
   for i = 1 to n do
-    last := Netlist.Builder.add_gate b (Printf.sprintf "n%d" i) Gate_fn.Not [ !last ]
+    last := Netlist.Builder.add_gate b (Printf.sprintf "n%d" i) Gate_fn.Not [| !last |]
   done;
   Netlist.Builder.add_output b "y" !last;
   Netlist.Builder.finalize b
@@ -31,11 +31,11 @@ let pipeline_circuit () =
   let b = Netlist.Builder.create ~design_name:"pipe" () in
   let a = Netlist.Builder.add_pi b "a" in
   let c = Netlist.Builder.add_pi b "c" in
-  let g1 = Netlist.Builder.add_gate b "g1" (Gate_fn.And 2) [ a; c ] in
+  let g1 = Netlist.Builder.add_gate b "g1" (Gate_fn.And 2) [| a; c |] in
   let ff1 = Netlist.Builder.add_dff b "ff1" g1 in
-  let g2 = Netlist.Builder.add_gate b "g2" (Gate_fn.Or 2) [ ff1; c ] in
+  let g2 = Netlist.Builder.add_gate b "g2" (Gate_fn.Or 2) [| ff1; c |] in
   let ff2 = Netlist.Builder.add_dff b "ff2" g2 in
-  let g3 = Netlist.Builder.add_gate b "g3" (Gate_fn.Xor 2) [ ff2; a ] in
+  let g3 = Netlist.Builder.add_gate b "g3" (Gate_fn.Xor 2) [| ff2; a |] in
   Netlist.Builder.add_output b "y" g3;
   Netlist.Builder.finalize b
 
@@ -223,7 +223,7 @@ let test_activity_constants () =
   let b = Netlist.Builder.create () in
   let a = Netlist.Builder.add_pi b "a" in
   let c1 = Netlist.Builder.add_const b "c1" true in
-  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a; c1 ] in
+  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [| a; c1 |] in
   Netlist.Builder.add_output b "y" g;
   let nl = Netlist.Builder.finalize b in
   let act = Activity.analyze nl in
@@ -236,8 +236,8 @@ let test_activity_gate_probabilities () =
   let b = Netlist.Builder.create () in
   let x = Netlist.Builder.add_pi b "x" in
   let y = Netlist.Builder.add_pi b "y" in
-  let and_g = Netlist.Builder.add_gate b "and_g" (Gate_fn.And 2) [ x; y ] in
-  let xor_g = Netlist.Builder.add_gate b "xor_g" (Gate_fn.Xor 2) [ x; y ] in
+  let and_g = Netlist.Builder.add_gate b "and_g" (Gate_fn.And 2) [| x; y |] in
+  let xor_g = Netlist.Builder.add_gate b "xor_g" (Gate_fn.Xor 2) [| x; y |] in
   Netlist.Builder.add_output b "o1" and_g;
   Netlist.Builder.add_output b "o2" xor_g;
   let nl = Netlist.Builder.finalize b in
@@ -259,7 +259,7 @@ let test_activity_sequential_fixpoint () =
   let a = Netlist.Builder.add_pi b "a" in
   ignore a;
   let ff = Netlist.Builder.add_dff_deferred b "ff" in
-  let inv = Netlist.Builder.add_gate b "inv" Gate_fn.Not [ ff ] in
+  let inv = Netlist.Builder.add_gate b "inv" Gate_fn.Not [| ff |] in
   Netlist.Builder.set_dff_input b ff inv;
   Netlist.Builder.add_output b "y" inv;
   let nl = Netlist.Builder.finalize b in
@@ -392,7 +392,7 @@ let random_sequential seed =
   let gates = Array.of_list Gate_fn.all in
   for i = 0 to 10 + Rng.int rng 30 do
     let pool = Array.of_list !signals in
-    let fanins n = List.init n (fun _ -> Rng.pick rng pool) in
+    let fanins n = Array.init n (fun _ -> Rng.pick rng pool) in
     let name = Printf.sprintf "n%d" i in
     add
       (match Rng.int rng 4 with

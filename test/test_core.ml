@@ -218,8 +218,8 @@ let test_timing_ok_early_out () =
   let b = B.create ~design_name:"dangling" () in
   let a = B.add_pi b "a" in
   let c = B.add_pi b "c" in
-  let g1 = B.add_gate b "g1" (Gate_fn.And 2) [ a; c ] in
-  let g2 = B.add_gate b "g2" (Gate_fn.Or 2) [ a; c ] in
+  let g1 = B.add_gate b "g1" (Gate_fn.And 2) [| a; c |] in
+  let g2 = B.add_gate b "g2" (Gate_fn.Or 2) [| a; c |] in
   B.add_output b "o" g1;
   let nl = B.finalize b in
   let clock_ps = 1000. in
@@ -267,7 +267,7 @@ let test_security_formulas_tiny () =
   let b = Netlist.Builder.create () in
   let x = Netlist.Builder.add_pi b "x" in
   let y = Netlist.Builder.add_pi b "y" in
-  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ x; y ] in
+  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [| x; y |] in
   Netlist.Builder.add_output b "o" g;
   let nl = Netlist.Builder.finalize b in
   let h = Hybrid.make nl [ g ] in

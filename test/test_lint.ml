@@ -229,7 +229,7 @@ let tiny_comb () =
   let b = Netlist.Builder.create ~design_name:"tiny" () in
   let a = Netlist.Builder.add_pi b "a" in
   let bb = Netlist.Builder.add_pi b "b" in
-  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a; bb ] in
+  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [| a; bb |] in
   Netlist.Builder.add_output b "y" g;
   (Netlist.Builder.finalize b, g)
 
@@ -244,8 +244,8 @@ let test_sec_broken_chain () =
   let b = Netlist.Builder.create ~design_name:"split" () in
   let a = Netlist.Builder.add_pi b "a" in
   let c = Netlist.Builder.add_pi b "c" in
-  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [ a ] in
-  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Not [ c ] in
+  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [| a |] in
+  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Not [| c |] in
   Netlist.Builder.add_output b "y1" g1;
   Netlist.Builder.add_output b "y2" g2;
   let nl = Netlist.Builder.finalize b in
@@ -260,8 +260,8 @@ let test_sec_broken_chain () =
   (* a genuine chain g1 -> g2 is clean *)
   let b = Netlist.Builder.create ~design_name:"chain" () in
   let a = Netlist.Builder.add_pi b "a" in
-  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [ a ] in
-  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Buf [ g1 ] in
+  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [| a |] in
+  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Buf [| g1 |] in
   Netlist.Builder.add_output b "y" g2;
   let nl = Netlist.Builder.finalize b in
   let foundry = Transform.replace_many ~keep_function:false nl [ g1; g2 ] in
@@ -291,8 +291,8 @@ let test_sec_unobservable () =
   (* dead = NOT(a) reaches no PO; replacing it buys nothing *)
   let b = Netlist.Builder.create ~design_name:"dead" () in
   let a = Netlist.Builder.add_pi b "a" in
-  let live = Netlist.Builder.add_gate b "live" Gate_fn.Buf [ a ] in
-  let dead = Netlist.Builder.add_gate b "dead" Gate_fn.Not [ a ] in
+  let live = Netlist.Builder.add_gate b "live" Gate_fn.Buf [| a |] in
+  let dead = Netlist.Builder.add_gate b "dead" Gate_fn.Not [| a |] in
   Netlist.Builder.add_output b "y" live;
   let nl = Netlist.Builder.finalize b in
   let foundry = Transform.replace_many ~keep_function:false nl [ dead ] in
@@ -308,8 +308,8 @@ let test_sec_timing () =
      error, otherwise a warning *)
   let b = Netlist.Builder.create ~design_name:"slow" () in
   let a = Netlist.Builder.add_pi b "a" in
-  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [ a ] in
-  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Not [ g1 ] in
+  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [| a |] in
+  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Not [| g1 |] in
   Netlist.Builder.add_output b "y" g2;
   let nl = Netlist.Builder.finalize b in
   let foundry = Transform.replace_many ~keep_function:false nl [ g2 ] in
@@ -373,9 +373,9 @@ let test_sem_const_net () =
   let b = Netlist.Builder.create ~design_name:"const" () in
   let a = Netlist.Builder.add_pi b "a" in
   let bb = Netlist.Builder.add_pi b "b" in
-  let na = Netlist.Builder.add_gate b "na" Gate_fn.Not [ a ] in
-  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a; na ] in
-  let o = Netlist.Builder.add_gate b "o" (Gate_fn.Or 2) [ g; bb ] in
+  let na = Netlist.Builder.add_gate b "na" Gate_fn.Not [| a |] in
+  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [| a; na |] in
+  let o = Netlist.Builder.add_gate b "o" (Gate_fn.Or 2) [| g; bb |] in
   Netlist.Builder.add_output b "y" o;
   let nl = Netlist.Builder.finalize b in
   let ds = sem nl in
@@ -396,9 +396,9 @@ let masked_lut () =
   let a = Netlist.Builder.add_pi b "a" in
   let bb = Netlist.Builder.add_pi b "b" in
   let z = Netlist.Builder.add_const b "z" false in
-  let l = Netlist.Builder.add_lut b "l" [ a; bb ] in
-  let m = Netlist.Builder.add_gate b "m" (Gate_fn.And 2) [ l; z ] in
-  let o = Netlist.Builder.add_gate b "o" (Gate_fn.Or 2) [ m; bb ] in
+  let l = Netlist.Builder.add_lut b "l" [| a; bb |] in
+  let m = Netlist.Builder.add_gate b "m" (Gate_fn.And 2) [| l; z |] in
+  let o = Netlist.Builder.add_gate b "o" (Gate_fn.Or 2) [| m; bb |] in
   Netlist.Builder.add_output b "y" o;
   (Netlist.Builder.finalize b, l)
 
@@ -431,9 +431,9 @@ let test_sem_redundant_node () =
   let b = Netlist.Builder.create ~design_name:"dup" () in
   let a = Netlist.Builder.add_pi b "a" in
   let bb = Netlist.Builder.add_pi b "b" in
-  let g1 = Netlist.Builder.add_gate b "g1" (Gate_fn.Or 2) [ a; bb ] in
-  let g2 = Netlist.Builder.add_gate b "g2" (Gate_fn.Or 2) [ bb; a ] in
-  let g3 = Netlist.Builder.add_gate b "g3" Gate_fn.Buf [ g1 ] in
+  let g1 = Netlist.Builder.add_gate b "g1" (Gate_fn.Or 2) [| a; bb |] in
+  let g2 = Netlist.Builder.add_gate b "g2" (Gate_fn.Or 2) [| bb; a |] in
+  let g3 = Netlist.Builder.add_gate b "g3" Gate_fn.Buf [| g1 |] in
   Netlist.Builder.add_output b "y1" g1;
   Netlist.Builder.add_output b "y2" g2;
   Netlist.Builder.add_output b "y3" g3;
@@ -453,9 +453,9 @@ let test_sem_redundant_node () =
 let test_sem_const_lut_input () =
   let b = Netlist.Builder.create ~design_name:"clutin" () in
   let a = Netlist.Builder.add_pi b "a" in
-  let na = Netlist.Builder.add_gate b "na" Gate_fn.Not [ a ] in
-  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ a; na ] in
-  let l = Netlist.Builder.add_lut b "l" [ a; g ] in
+  let na = Netlist.Builder.add_gate b "na" Gate_fn.Not [| a |] in
+  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [| a; na |] in
+  let l = Netlist.Builder.add_lut b "l" [| a; g |] in
   Netlist.Builder.add_output b "y" l;
   let nl = Netlist.Builder.finalize b in
   let ds = sem nl in
@@ -469,8 +469,8 @@ let test_sem_const_lut_input () =
 let not_chain () =
   let b = Netlist.Builder.create ~design_name:"chain2" () in
   let a = Netlist.Builder.add_pi b "a" in
-  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [ a ] in
-  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Not [ g1 ] in
+  let g1 = Netlist.Builder.add_gate b "g1" Gate_fn.Not [| a |] in
+  let g2 = Netlist.Builder.add_gate b "g2" Gate_fn.Not [| g1 |] in
   Netlist.Builder.add_output b "y1" g1;
   Netlist.Builder.add_output b "y2" g2;
   (Netlist.Builder.finalize b, g1, g2)

@@ -17,8 +17,8 @@ let half_adder () =
   let b = Netlist.Builder.create ~design_name:"ha" () in
   let x = Netlist.Builder.add_pi b "x" in
   let y = Netlist.Builder.add_pi b "y" in
-  let s = Netlist.Builder.add_gate b "s" (Gate_fn.Xor 2) [ x; y ] in
-  let c = Netlist.Builder.add_gate b "c" (Gate_fn.And 2) [ x; y ] in
+  let s = Netlist.Builder.add_gate b "s" (Gate_fn.Xor 2) [| x; y |] in
+  let c = Netlist.Builder.add_gate b "c" (Gate_fn.And 2) [| x; y |] in
   Netlist.Builder.add_output b "s" s;
   Netlist.Builder.add_output b "c" c;
   Netlist.Builder.finalize b
@@ -29,9 +29,9 @@ let counter () =
   let en = Netlist.Builder.add_pi b "en" in
   let ff0 = Netlist.Builder.add_dff_deferred b "ff0" in
   let ff1 = Netlist.Builder.add_dff_deferred b "ff1" in
-  let t0 = Netlist.Builder.add_gate b "t0" (Gate_fn.Xor 2) [ ff0; en ] in
-  let carry = Netlist.Builder.add_gate b "carry" (Gate_fn.And 2) [ ff0; en ] in
-  let t1 = Netlist.Builder.add_gate b "t1" (Gate_fn.Xor 2) [ ff1; carry ] in
+  let t0 = Netlist.Builder.add_gate b "t0" (Gate_fn.Xor 2) [| ff0; en |] in
+  let carry = Netlist.Builder.add_gate b "carry" (Gate_fn.And 2) [| ff0; en |] in
+  let t1 = Netlist.Builder.add_gate b "t1" (Gate_fn.Xor 2) [| ff1; carry |] in
   Netlist.Builder.set_dff_input b ff0 t0;
   Netlist.Builder.set_dff_input b ff1 t1;
   Netlist.Builder.add_output b "q0" ff0;
@@ -96,7 +96,7 @@ let test_sim_lut_lanes () =
   let lut table =
     let b = Netlist.Builder.create ~design_name:"lut" () in
     let ins =
-      List.init (Truth.arity table) (fun k ->
+      Array.init (Truth.arity table) (fun k ->
           Netlist.Builder.add_pi b (Printf.sprintf "i%d" k))
     in
     let y = Netlist.Builder.add_lut b "y" ~config:table ins in

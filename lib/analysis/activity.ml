@@ -33,29 +33,96 @@ let initial ~pi_probability = function
   | Netlist.Const v -> if v then 1. else 0.
   | Netlist.Gate _ | Netlist.Lut _ | Netlist.Dff -> 0.5
 
-(* Exact probability of node [d] from its table [bits] over the inputs
+(* Exact probability of node [d] from its table over the inputs
    [fanin.(a)] .. [fanin.(b - 1)], assumed independent: the sum over the
-   on-set rows, ascending, of the product over the inputs, ascending;
-   then the clamp, as rounding across many rows can drift a hair outside
-   [0,1].  Reads and writes [prob] in place and allocates nothing. *)
-let propagate prob fanin a b bits d =
-  let total = ref 0. in
-  for r = 0 to (1 lsl (b - a)) - 1 do
-    if Int64.logand (Int64.shift_right_logical bits r) 1L = 1L then begin
-      let p = ref 1. in
-      for k = a to b - 1 do
-        let pk = prob.(fanin.(k)) in
-        p := !p *. (if (r lsr (k - a)) land 1 = 1 then pk else 1. -. pk)
-      done;
-      total := !total +. !p
-    end
-  done;
-  prob.(d) <- Float.min 1. (Float.max 0. !total)
+   on-set rows, ascending from [0.], of the product over the inputs,
+   ascending; then the clamp, as rounding across many rows can drift a
+   hair outside [0,1].  Arities 1-4 read the on-set from [mask] (the
+   table's bits as an int) and spell the rows out: each row's product is
+   the loop's product without its leading [1. *.], which is exact, so the
+   result is the loop's to the bit.  Wider tables run the row loop over
+   [bits].  Reads and writes [prob] in place and allocates nothing. *)
+let propagate prob fanin a b bits mask d =
+  let total =
+    match b - a with
+    | 1 ->
+        let x0 = prob.(fanin.(a)) in
+        let c0 = 1. -. x0 in
+        let t = 0. in
+        let t = if mask land 1 <> 0 then t +. c0 else t in
+        if mask land 2 <> 0 then t +. x0 else t
+    | 2 ->
+        let x0 = prob.(fanin.(a)) and x1 = prob.(fanin.(a + 1)) in
+        let c0 = 1. -. x0 and c1 = 1. -. x1 in
+        let t = 0. in
+        let t = if mask land 1 <> 0 then t +. (c0 *. c1) else t in
+        let t = if mask land 2 <> 0 then t +. (x0 *. c1) else t in
+        let t = if mask land 4 <> 0 then t +. (c0 *. x1) else t in
+        if mask land 8 <> 0 then t +. (x0 *. x1) else t
+    | 3 ->
+        let x0 = prob.(fanin.(a))
+        and x1 = prob.(fanin.(a + 1))
+        and x2 = prob.(fanin.(a + 2)) in
+        let c0 = 1. -. x0 and c1 = 1. -. x1 and c2 = 1. -. x2 in
+        let t = 0. in
+        let t = if mask land 1 <> 0 then t +. (c0 *. c1 *. c2) else t in
+        let t = if mask land 2 <> 0 then t +. (x0 *. c1 *. c2) else t in
+        let t = if mask land 4 <> 0 then t +. (c0 *. x1 *. c2) else t in
+        let t = if mask land 8 <> 0 then t +. (x0 *. x1 *. c2) else t in
+        let t = if mask land 16 <> 0 then t +. (c0 *. c1 *. x2) else t in
+        let t = if mask land 32 <> 0 then t +. (x0 *. c1 *. x2) else t in
+        let t = if mask land 64 <> 0 then t +. (c0 *. x1 *. x2) else t in
+        if mask land 128 <> 0 then t +. (x0 *. x1 *. x2) else t
+    | 4 ->
+        let x0 = prob.(fanin.(a))
+        and x1 = prob.(fanin.(a + 1))
+        and x2 = prob.(fanin.(a + 2))
+        and x3 = prob.(fanin.(a + 3)) in
+        let c0 = 1. -. x0 and c1 = 1. -. x1 in
+        let c2 = 1. -. x2 and c3 = 1. -. x3 in
+        let t = 0. in
+        let t = if mask land 1 <> 0 then t +. (c0 *. c1 *. c2 *. c3) else t in
+        let t = if mask land 2 <> 0 then t +. (x0 *. c1 *. c2 *. c3) else t in
+        let t = if mask land 4 <> 0 then t +. (c0 *. x1 *. c2 *. c3) else t in
+        let t = if mask land 8 <> 0 then t +. (x0 *. x1 *. c2 *. c3) else t in
+        let t = if mask land 16 <> 0 then t +. (c0 *. c1 *. x2 *. c3) else t in
+        let t = if mask land 32 <> 0 then t +. (x0 *. c1 *. x2 *. c3) else t in
+        let t = if mask land 64 <> 0 then t +. (c0 *. x1 *. x2 *. c3) else t in
+        let t = if mask land 128 <> 0 then t +. (x0 *. x1 *. x2 *. c3) else t in
+        let t = if mask land 256 <> 0 then t +. (c0 *. c1 *. c2 *. x3) else t in
+        let t = if mask land 512 <> 0 then t +. (x0 *. c1 *. c2 *. x3) else t in
+        let t = if mask land 1024 <> 0 then t +. (c0 *. x1 *. c2 *. x3) else t in
+        let t = if mask land 2048 <> 0 then t +. (x0 *. x1 *. c2 *. x3) else t in
+        let t = if mask land 4096 <> 0 then t +. (c0 *. c1 *. x2 *. x3) else t in
+        let t = if mask land 8192 <> 0 then t +. (x0 *. c1 *. x2 *. x3) else t in
+        let t = if mask land 16384 <> 0 then t +. (c0 *. x1 *. x2 *. x3) else t in
+        if mask land 32768 <> 0 then t +. (x0 *. x1 *. x2 *. x3) else t
+    | _ ->
+        let total = ref 0. in
+        for r = 0 to (1 lsl (b - a)) - 1 do
+          if Int64.logand (Int64.shift_right_logical bits r) 1L = 1L then begin
+            let p = ref 1. in
+            for k = a to b - 1 do
+              let pk = prob.(fanin.(k)) in
+              p := !p *. (if (r lsr (k - a)) land 1 = 1 then pk else 1. -. pk)
+            done;
+            total := !total +. !p
+          end
+        done;
+        !total
+  in
+  (* [Float.min 1. (Float.max 0. total)], spelt out as the comparisons
+     those two make against 1. and 0. (NaN passes, -0. becomes 0.): the
+     same value for every float, without their two [sign_bit] calls *)
+  prob.(d) <-
+    (if total > 0. then if total > 1. then 1. else total
+     else if Float.is_nan total then total
+     else 0.)
 
 let analyze ?(pi_probability = defaults.pi_probability)
     ?(max_iterations = defaults.max_iterations)
     ?(tolerance = defaults.tolerance) nl =
-  if pi_probability < 0. || pi_probability > 1. then
+  if not (0. <= pi_probability && pi_probability <= 1.) then
     invalid_arg "Activity.analyze: pi_probability";
   let prog = Netlist.program nl in
   let { Netlist.dst; first; fanin; dffs; d_inputs; _ } = prog in
@@ -64,10 +131,14 @@ let analyze ?(pi_probability = defaults.pi_probability)
         initial ~pi_probability (Netlist.kind nl id))
   in
   let tables = Array.map (fun id -> table (Netlist.kind nl id)) dst in
+  let masks =
+    Array.map (function Some bits -> Int64.to_int bits | None -> 0) tables
+  in
   let propagate_comb () =
     for i = 0 to Array.length dst - 1 do
       match tables.(i) with
-      | Some bits -> propagate prob fanin first.(i) first.(i + 1) bits dst.(i)
+      | Some bits ->
+          propagate prob fanin first.(i) first.(i + 1) bits masks.(i) dst.(i)
       | None -> ()
     done
   in
@@ -195,7 +266,9 @@ let refine t nl ~changed =
             if in_cone.(d) then
               let kind = Netlist.kind nl d in
               match table kind with
-              | Some bits -> propagate prob fanin first.(i) first.(i + 1) bits d
+              | Some bits ->
+                  propagate prob fanin first.(i) first.(i + 1) bits
+                    (Int64.to_int bits) d
               | None ->
                   prob.(d) <-
                     initial ~pi_probability:defaults.pi_probability kind
@@ -215,17 +288,16 @@ let switching t id =
   let p = probability t id in
   2. *. p *. (1. -. p)
 
+(* Summed over descending ids: the mean's low bits depend on the order. *)
 let average_switching t =
-  let ids =
-    Netlist.fold
-      (fun id n acc -> if Netlist.is_combinational n.Netlist.kind then id :: acc else acc)
-      t.netlist []
-  in
-  match ids with
-  | [] -> 0.
-  | _ ->
-      List.fold_left (fun acc id -> acc +. switching t id) 0. ids
-      /. float_of_int (List.length ids)
+  let sum = ref 0. and count = ref 0 in
+  for id = Array.length t.prob - 1 downto 0 do
+    if Netlist.is_combinational (Netlist.kind t.netlist id) then begin
+      sum := !sum +. switching t id;
+      incr count
+    end
+  done;
+  if !count = 0 then 0. else !sum /. float_of_int !count
 
 let converged t = t.converged
 let program t = t.prog

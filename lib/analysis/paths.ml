@@ -12,106 +12,180 @@ type segment = {
   captures_at_ff : bool;
 }
 
-let is_po_driver nl =
-  let set = Hashtbl.create 32 in
-  List.iter (fun id -> Hashtbl.replace set id ()) (Netlist.pos nl);
-  fun id -> Hashtbl.mem set id
+(* The state every walk of one [sample] shares.  A node is visited by
+   the current walk iff its stamp equals the walk's generation, so
+   starting a walk is one increment, not a fresh table.  A walk records
+   its nodes in [back] or [fwd], start first; it visits each node at
+   most once, so [n] slots hold it.  A path's list is built only when it
+   beats the best of its attempts. *)
+type walker = {
+  po_driver : bool array;
+  stamp : int array;
+  mutable gen : int;
+  back : Netlist.node_id array;
+  mutable back_len : int;
+  fwd : Netlist.node_id array;
+  mutable fwd_len : int;
+}
 
-(* Random backward walk from [start] to a primary input.  Returns the node
-   list PI..start (inclusive).  Walks through flip-flops (sequential
-   edges), failing on revisits to avoid looping in FF cycles. *)
-let walk_back ~rng nl start =
-  let visited = Hashtbl.create 64 in
-  let rec go id acc =
-    if Hashtbl.mem visited id then None
-    else begin
-      Hashtbl.add visited id ();
-      let acc = id :: acc in
-      match Netlist.kind nl id with
-      | Netlist.Pi -> Some acc
-      | Netlist.Const _ -> None
-      | Netlist.Gate _ | Netlist.Lut _ | Netlist.Dff ->
-          let fanins = Netlist.fanins nl id in
-          if Array.length fanins = 0 then None
-          else go (Rng.pick rng fanins) acc
-    end
-  in
-  go start []
+let walker nl =
+  let n = Netlist.node_count nl in
+  let po_driver = Array.make n false in
+  Array.iter (fun (_, id) -> po_driver.(id) <- true) (Netlist.outputs nl);
+  {
+    po_driver;
+    stamp = Array.make n 0;
+    gen = 0;
+    back = Array.make n 0;
+    back_len = 0;
+    fwd = Array.make n 0;
+    fwd_len = 0;
+  }
 
-(* Random forward walk from [start] to a primary-output driver.  Returns
-   the node list start..PO-driver (inclusive). *)
-let walk_fwd ~rng nl ~po_driver start =
-  let visited = Hashtbl.create 64 in
-  let rec go id acc =
-    if Hashtbl.mem visited id then None
-    else begin
-      Hashtbl.add visited id ();
-      let acc = id :: acc in
-      if po_driver id then Some (List.rev acc)
-      else
-        match Netlist.fanouts nl id with
-        | [] -> None
-        | outs -> go (Rng.pick_list rng outs) acc
-    end
-  in
-  go start []
+(* Marks [id] visited; false when the current walk has been there. *)
+let first_visit w id =
+  w.stamp.(id) <> w.gen
+  && begin
+    w.stamp.(id) <- w.gen;
+    true
+  end
 
-let count_ffs nl nodes =
-  List.fold_left
-    (fun acc id ->
-      match Netlist.kind nl id with Netlist.Dff -> acc + 1 | _ -> acc)
-    0 nodes
+let rec back_from ~rng w nl id =
+  first_visit w id
+  && begin
+    w.back.(w.back_len) <- id;
+    w.back_len <- w.back_len + 1;
+    let node = Netlist.node nl id in
+    match node.Netlist.kind with
+    | Netlist.Pi -> true
+    | Netlist.Const _ -> false
+    | Netlist.Gate _ | Netlist.Lut _ | Netlist.Dff ->
+        let fanins = node.Netlist.fanins in
+        Array.length fanins > 0 && back_from ~rng w nl (Rng.pick rng fanins)
+  end
 
-(* [po_driver] is hoisted to the caller: building the PO-driver set is
-   O(#POs), and [sample] calls this once per sampled component — paying
-   it per call made sampling quadratic on the 10^5..10^6-gate scale
-   families. *)
-let find_io_path_with ~rng ~po_driver nl start =
+let rec fwd_from ~rng w nl id =
+  first_visit w id
+  && begin
+    w.fwd.(w.fwd_len) <- id;
+    w.fwd_len <- w.fwd_len + 1;
+    w.po_driver.(id)
+    ||
+    match Netlist.fanouts nl id with
+    | [] -> false
+    | outs -> fwd_from ~rng w nl (Rng.pick_list rng outs)
+  end
+
+(* Random backward walk from [start] to a primary input into [w.back]
+   (start..PI).  Walks through flip-flops (sequential edges), failing on
+   revisits to avoid looping in FF cycles. *)
+let walk_back ~rng w nl start =
+  w.gen <- w.gen + 1;
+  w.back_len <- 0;
+  back_from ~rng w nl start
+
+(* Random forward walk from [start] to a primary-output driver into
+   [w.fwd] (start..PO driver). *)
+let walk_fwd ~rng w nl start =
+  w.gen <- w.gen + 1;
+  w.fwd_len <- 0;
+  fwd_from ~rng w nl start
+
+let is_dff nl id = match Netlist.kind nl id with Netlist.Dff -> true | _ -> false
+
+(* The walked path PI..start..PO driver: [back] reversed, then [fwd]
+   past its start. *)
+let path_nodes w =
+  let nodes = ref [] in
+  for j = w.fwd_len - 1 downto 1 do
+    nodes := w.fwd.(j) :: !nodes
+  done;
+  for j = 0 to w.back_len - 1 do
+    nodes := w.back.(j) :: !nodes
+  done;
+  !nodes
+
+let path_ffs w nl =
+  let ffs = ref 0 in
+  for j = 0 to w.back_len - 1 do
+    if is_dff nl w.back.(j) then incr ffs
+  done;
+  for j = 1 to w.fwd_len - 1 do
+    if is_dff nl w.fwd.(j) then incr ffs
+  done;
+  !ffs
+
+(* [w] is hoisted to the caller: it is O(nodes) to build, and [sample]
+   calls this once per sampled component — paying that per call made
+   sampling quadratic on the 10^5..10^6-gate scale families. *)
+let find_io_path_with ~rng w nl start =
   (* Several random walks; keep the flip-flop-richest path found, since the
      selection procedure wants paths "containing at least two flip-flops". *)
   let attempts = 8 in
   let best = ref None in
   for _ = 1 to attempts do
-    match walk_back ~rng nl start with
-    | None -> ()
-    | Some back -> (
-        match walk_fwd ~rng nl ~po_driver start with
-        | None -> ()
-        | Some fwd ->
-            (* [back] ends with start; [fwd] begins with start *)
-            let nodes = back @ List.tl fwd in
-            let candidate = { nodes; ff_count = count_ffs nl nodes } in
-            (match !best with
-            | Some b when b.ff_count >= candidate.ff_count -> ()
-            | _ -> best := Some candidate))
+    if walk_back ~rng w nl start && walk_fwd ~rng w nl start then begin
+      let ff_count = path_ffs w nl in
+      match !best with
+      | Some b when b.ff_count >= ff_count -> ()
+      | _ -> best := Some { nodes = path_nodes w; ff_count }
+    end
   done;
   !best
 
-let find_io_path ~rng nl start =
-  find_io_path_with ~rng ~po_driver:(is_po_driver nl) nl start
+let find_io_path ~rng nl start = find_io_path_with ~rng (walker nl) nl start
 
-let path_key nodes = String.concat "," (List.map string_of_int nodes)
+(* Paths keyed by their node lists. *)
+module Path_table = Hashtbl.Make (struct
+  type t = Netlist.node_id list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h id -> (h * 31) + id) (-1)
+end)
 
 let sample ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?(exclude_critical = []) nl =
-  if fraction <= 0. || fraction > 1. then invalid_arg "Paths.sample: fraction";
-  let components = Array.of_list (Netlist.gates nl @ Netlist.luts nl) in
+  if not (0. < fraction && fraction <= 1.) then
+    invalid_arg "Paths.sample: fraction";
+  (* the gates, then the LUTs, each in id order *)
+  let components =
+    let n = Netlist.node_count nl in
+    let gates = ref 0 and luts = ref 0 in
+    for id = 0 to n - 1 do
+      match Netlist.kind nl id with
+      | Netlist.Gate _ -> incr gates
+      | Netlist.Lut _ -> incr luts
+      | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ()
+    done;
+    let ids = Array.make (!gates + !luts) 0 in
+    let g = ref 0 and l = ref !gates in
+    for id = 0 to n - 1 do
+      match Netlist.kind nl id with
+      | Netlist.Gate _ ->
+          ids.(!g) <- id;
+          incr g
+      | Netlist.Lut _ ->
+          ids.(!l) <- id;
+          incr l
+      | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ()
+    done;
+    ids
+  in
   if Array.length components = 0 then []
   else begin
     let count =
       max 8 (int_of_float (fraction *. float_of_int (Array.length components)))
     in
     let picked = Rng.sample rng count components in
-    let po_driver = is_po_driver nl in
-    let seen = Hashtbl.create 64 in
+    let w = walker nl in
+    let seen = Path_table.create 64 in
     let paths = ref [] in
     Array.iter
       (fun id ->
-        match find_io_path_with ~rng ~po_driver nl id with
+        match find_io_path_with ~rng w nl id with
         | None -> ()
         | Some p ->
-            let key = path_key p.nodes in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.add seen key ();
+            if not (Path_table.mem seen p.nodes) then begin
+              Path_table.add seen p.nodes ();
               paths := p :: !paths
             end)
       picked;

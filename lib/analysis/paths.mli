@@ -6,7 +6,9 @@
     components, DFS-walks each sample backward to a primary input and
     forward to a primary output, deduplicates the collected paths, drops
     any path containing the critical (timing) path, and sorts the rest by
-    depth (number of flip-flops crossed).
+    depth (number of flip-flops crossed).  Here the walks are random:
+    eight attempts per sample, through flip-flops, failing on a revisit,
+    keeping the path with the most flip-flops.
 
     A path is stored as the ordered node list from PI to PO; its
     {e timing paths} are the combinational segments between consecutive

@@ -23,24 +23,25 @@ let estimate ?activity lib nl =
     match activity with Some a -> a | None -> Activity.analyze nl
   in
   let clock_ghz = Library.clock_ghz lib in
+  (* summed over ascending ids in a plain loop, which keeps the sums
+     unboxed (refs captured by a closure box every update) *)
   let dynamic = ref 0. and leakage = ref 0. in
   let cmos = ref 0. and stt = ref 0. in
-  Netlist.iter
-    (fun id node ->
-      match Library.cell_of_kind lib node.Netlist.kind with
-      | None -> ()
-      | Some cell ->
-          let a = Activity.switching act id in
-          let dyn = Cell.dynamic_power_uw cell ~activity:a ~clock_ghz in
-          let leak = cell.Cell.leakage_nw /. 1000. in
-          dynamic := !dynamic +. dyn;
-          leakage := !leakage +. leak;
-          let total = dyn +. leak in
-          (* the reconfigurable bucket, whatever the backend technology *)
-          (match cell.Cell.style with
-          | Cell.Stt_lut | Cell.Tvd -> stt := !stt +. total
-          | Cell.Cmos | Cell.Sequential -> cmos := !cmos +. total))
-    nl;
+  for id = 0 to Netlist.node_count nl - 1 do
+    match Library.cell_of_kind lib (Netlist.kind nl id) with
+    | None -> ()
+    | Some cell ->
+        let a = Activity.switching act id in
+        let dyn = Cell.dynamic_power_uw cell ~activity:a ~clock_ghz in
+        let leak = cell.Cell.leakage_nw /. 1000. in
+        dynamic := !dynamic +. dyn;
+        leakage := !leakage +. leak;
+        let total = dyn +. leak in
+        (* the reconfigurable bucket, whatever the backend technology *)
+        (match cell.Cell.style with
+        | Cell.Stt_lut | Cell.Tvd -> stt := !stt +. total
+        | Cell.Cmos | Cell.Sequential -> cmos := !cmos +. total)
+  done;
   {
     dynamic_uw = !dynamic;
     leakage_uw = !leakage;

@@ -19,11 +19,16 @@ type t = {
   outputs : (string * int) array;
 }
 
+(* The [Gate fn] kind of every valid function, shared by every gate of
+   that function, as in [Netlist.Builder]. *)
+let gate_kinds =
+  Array.of_list (List.map (fun fn -> Gate fn) Sttc_logic.Gate_fn.all)
+
 let of_netlist nl =
   let kind_of = function
     | Netlist.Pi -> Pi
     | Netlist.Const v -> Const v
-    | Netlist.Gate fn -> Gate fn
+    | Netlist.Gate fn -> gate_kinds.(Sttc_logic.Gate_fn.index fn)
     | Netlist.Lut { arity; config } ->
         Lut { arity; configured = config <> None }
     | Netlist.Dff -> Dff
@@ -34,7 +39,7 @@ let of_netlist nl =
         {
           name = n.Netlist.name;
           kind = kind_of n.Netlist.kind;
-          fanins = Array.copy n.Netlist.fanins;
+          fanins = n.Netlist.fanins;
         })
   in
   { design = Netlist.design_name nl; nodes; outputs = Netlist.outputs nl }

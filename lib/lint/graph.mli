@@ -31,6 +31,10 @@ type t = {
 }
 
 val of_netlist : Sttc_netlist.Netlist.t -> t
+(** The mirror of a finalized netlist.  Its nodes share the netlist's
+    fanin arrays (the ones {!Sttc_netlist.Netlist.fanins} returns) rather
+    than copying them: they are read-only here, and no lint rule writes
+    them.  Gates of one function share one [Gate] kind. *)
 
 val is_combinational : kind -> bool
 (** True for [Gate] and [Lut]. *)

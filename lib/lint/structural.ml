@@ -92,94 +92,113 @@ let diag rule ?node detail =
 (* Edges: src -> dst for every valid fanin reference of a combinational
    dst.  Flip-flops break loops (their D input is a sequential edge), so
    any SCC of size > 1 — or a combinational self-loop — is a
-   combinational cycle. *)
+   combinational cycle.  Successors are CSR rows, each source's readers
+   in descending id; the DFS takes them in that order from roots in
+   ascending id, and findings come out latest-completed SCC first. *)
 let check_comb_loop (g : Graph.t) =
-  let n = Array.length g.Graph.nodes in
-  let succs =
-    (* src -> combinational readers *)
-    let f = Array.make n [] in
-    Array.iteri
-      (fun dst node ->
-        if Graph.is_combinational node.Graph.kind then
-          Array.iter
-            (fun src -> if Graph.valid_ref g src then f.(src) <- dst :: f.(src))
-            node.Graph.fanins)
-      g.Graph.nodes;
-    f
+  let nodes = g.Graph.nodes in
+  let n = Array.length nodes in
+  let comb_fanins dst =
+    match nodes.(dst).Graph.kind with
+    | Graph.Gate _ | Graph.Lut _ -> nodes.(dst).Graph.fanins
+    | Graph.Pi | Graph.Const _ | Graph.Dff -> [||]
   in
+  (* [start.(v)] counts v's readers, then sums them up to v; the fill
+     walks readers in ascending id and steps each row's end back, which
+     leaves row v at [start.(v)] .. [start.(v + 1) - 1] in descending id *)
+  let start = Array.make (n + 1) 0 in
+  for dst = 0 to n - 1 do
+    let fi = comb_fanins dst in
+    for k = 0 to Array.length fi - 1 do
+      let src = fi.(k) in
+      if src >= 0 && src < n then start.(src) <- start.(src) + 1
+    done
+  done;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let succ = Array.make start.(n) 0 in
+  let self_loops = ref false in
+  for dst = 0 to n - 1 do
+    let fi = comb_fanins dst in
+    for k = 0 to Array.length fi - 1 do
+      let src = fi.(k) in
+      if src >= 0 && src < n then begin
+        start.(src) <- start.(src) - 1;
+        succ.(start.(src)) <- dst;
+        if src = dst then self_loops := true
+      end
+    done
+  done;
+  let self_loop v =
+    let rec go k = k < start.(v + 1) && (succ.(k) = v || go (k + 1)) in
+    !self_loops && go start.(v)
+  in
+  (* Iterative Tarjan: the work stack holds each open node and the CSR
+     position of its next successor; a node enters each stack once.  A
+     node whose SCC is complete gets index [n], above every lowlink, so
+     the on-stack test is the lowlink comparison itself. *)
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let work = Array.make n 0 and work_pos = Array.make n 0 and wp = ref 0 in
   let next_index = ref 0 in
   let sccs = ref [] in
-  (* Iterative Tarjan: the work stack holds (node, remaining succs). *)
-  let strongconnect root =
-    let work = ref [ (root, succs.(root)) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
+  let visit v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !work <> [] do
-      match !work with
-      | [] -> ()
-      | (v, remaining) :: rest -> (
-          match remaining with
-          | w :: tail ->
-              work := (v, tail) :: rest;
-              if index.(w) < 0 then begin
-                index.(w) <- !next_index;
-                lowlink.(w) <- !next_index;
-                incr next_index;
-                stack := w :: !stack;
-                on_stack.(w) <- true;
-                work := (w, succs.(w)) :: !work
-              end
-              else if on_stack.(w) then
-                lowlink.(v) <- min lowlink.(v) index.(w)
-          | [] ->
-              work := rest;
-              (match rest with
-              | (p, _) :: _ -> lowlink.(p) <- min lowlink.(p) lowlink.(v)
-              | [] -> ());
-              if lowlink.(v) = index.(v) then begin
-                (* pop the SCC rooted at v *)
-                let scc = ref [] in
-                let continue = ref true in
-                while !continue do
-                  match !stack with
-                  | [] -> continue := false
-                  | w :: tl ->
-                      stack := tl;
-                      on_stack.(w) <- false;
-                      scc := w :: !scc;
-                      if w = v then continue := false
-                done;
-                sccs := !scc :: !sccs
-              end)
-    done
+    stack.(!sp) <- v;
+    incr sp;
+    work.(!wp) <- v;
+    work_pos.(!wp) <- start.(v);
+    incr wp
   in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strongconnect v
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      visit root;
+      while !wp > 0 do
+        let top = !wp - 1 in
+        let v = work.(top) and pos = work_pos.(top) in
+        if pos < start.(v + 1) then begin
+          work_pos.(top) <- pos + 1;
+          let w = succ.(pos) in
+          if index.(w) < 0 then visit w
+          else if index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
+        end
+        else begin
+          wp := top;
+          (if top > 0 then
+             let p = work.(top - 1) in
+             if lowlink.(v) < lowlink.(p) then lowlink.(p) <- lowlink.(v));
+          if lowlink.(v) = index.(v) then begin
+            (* the SCC rooted at v is the node stack from v up *)
+            let k = ref (!sp - 1) in
+            while stack.(!k) <> v do
+              decr k
+            done;
+            for j = !k to !sp - 1 do
+              index.(stack.(j)) <- n
+            done;
+            let size = !sp - !k in
+            if size > 1 || self_loop v then
+              sccs := Array.sub stack !k size :: !sccs;
+            sp := !k
+          end
+        end
+      done
+    end
   done;
-  let self_loop v = List.mem v succs.(v) in
-  List.filter_map
-    (fun scc ->
-      match scc with
-      | [] -> None
-      | [ v ] when not (self_loop v) -> None
-      | members ->
-          let names =
-            List.map (fun v -> g.Graph.nodes.(v).Graph.name) members
-            |> List.sort String.compare
-          in
-          let anchor = List.hd names in
-          Some
-            (diag r_comb_loop ~node:anchor
-               (Printf.sprintf
-                  "combinational cycle through %d node(s): %s" (List.length members)
-                  (String.concat " -> " names))))
+  List.map
+    (fun members ->
+      let names =
+        Array.to_list (Array.map (fun v -> nodes.(v).Graph.name) members)
+        |> List.sort String.compare
+      in
+      diag r_comb_loop ~node:(List.hd names)
+        (Printf.sprintf "combinational cycle through %d node(s): %s"
+           (Array.length members)
+           (String.concat " -> " names)))
     !sccs
 
 (* ---------- STR002: undriven / floating references ---------- *)
@@ -188,14 +207,15 @@ let check_undriven (g : Graph.t) =
   let bad = ref [] in
   Array.iter
     (fun node ->
-      let missing =
-        Array.to_list node.Graph.fanins
-        |> List.filter (fun src -> not (Graph.valid_ref g src))
-      in
-      if missing <> [] then
+      let fanins = node.Graph.fanins in
+      let missing = ref 0 in
+      for k = 0 to Array.length fanins - 1 do
+        if not (Graph.valid_ref g fanins.(k)) then incr missing
+      done;
+      if !missing > 0 then
         bad :=
           diag r_undriven ~node:node.Graph.name
-            (Printf.sprintf "%d fanin(s) have no driver" (List.length missing))
+            (Printf.sprintf "%d fanin(s) have no driver" !missing)
           :: !bad)
     g.Graph.nodes;
   Array.iter
@@ -210,22 +230,41 @@ let check_undriven (g : Graph.t) =
 
 (* ---------- STR003: multiple drivers of one name ---------- *)
 
+(* Open addressing over node ids, at most half full: a name hashes once
+   and its first holder counts the nodes that carry it. *)
 let check_multi_driver (g : Graph.t) =
-  let seen = Hashtbl.create 64 in
-  Array.iter
-    (fun node ->
-      let name = node.Graph.name in
-      Hashtbl.replace seen name (1 + Option.value (Hashtbl.find_opt seen name) ~default:0))
-    g.Graph.nodes;
-  Hashtbl.fold
-    (fun name count acc ->
-      if count > 1 then
-        diag r_multi_driver ~node:name
-          (Printf.sprintf "signal is driven by %d nodes" count)
-        :: acc
-      else acc)
-    seen []
-  |> List.sort D.compare
+  let nodes = g.Graph.nodes in
+  let n = Array.length nodes in
+  let len = ref 16 in
+  while !len < 2 * n do
+    len := 2 * !len
+  done;
+  let mask = !len - 1 in
+  let slots = Array.make !len (-1) and count = Array.make n 0 in
+  for id = 0 to n - 1 do
+    let name = nodes.(id).Graph.name in
+    let i = ref (Hashtbl.hash name land mask) in
+    while
+      slots.(!i) >= 0 && not (String.equal nodes.(slots.(!i)).Graph.name name)
+    do
+      i := (!i + 1) land mask
+    done;
+    let holder = slots.(!i) in
+    if holder < 0 then begin
+      slots.(!i) <- id;
+      count.(id) <- 1
+    end
+    else count.(holder) <- count.(holder) + 1
+  done;
+  let out = ref [] in
+  for id = n - 1 downto 0 do
+    if count.(id) > 1 then
+      out :=
+        diag r_multi_driver ~node:nodes.(id).Graph.name
+          (Printf.sprintf "signal is driven by %d nodes" count.(id))
+        :: !out
+  done;
+  List.sort D.compare !out
 
 (* ---------- STR004: dangling combinational nodes ---------- *)
 
@@ -233,9 +272,12 @@ let check_dangling (g : Graph.t) =
   let n = Array.length g.Graph.nodes in
   let useful = Array.make n false in
   let rec mark v =
-    if Graph.valid_ref g v && not (useful.(v)) then begin
+    if Graph.valid_ref g v && not useful.(v) then begin
       useful.(v) <- true;
-      Array.iter mark g.Graph.nodes.(v).Graph.fanins
+      let fi = g.Graph.nodes.(v).Graph.fanins in
+      for k = 0 to Array.length fi - 1 do
+        mark fi.(k)
+      done
     end
   in
   Array.iter (fun (_, drv) -> mark drv) g.Graph.outputs;

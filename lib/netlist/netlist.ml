@@ -181,12 +181,16 @@ let compute_fanouts t =
   match t.fanout_cache with
   | Some f -> f
   | None ->
-      let f = Array.make (Array.length t.nodes) [] in
-      Array.iteri
-        (fun id n -> Array.iter (fun src -> f.(src) <- id :: f.(src)) n.fanins)
-        t.nodes;
-      (* restore ascending order *)
-      Array.iteri (fun i l -> f.(i) <- List.rev l) f;
+      let n = Array.length t.nodes in
+      let f = Array.make n [] in
+      (* readers in descending id, each consed on: ascending lists *)
+      for id = n - 1 downto 0 do
+        let fi = t.nodes.(id).fanins in
+        for k = Array.length fi - 1 downto 0 do
+          let src = fi.(k) in
+          f.(src) <- id :: f.(src)
+        done
+      done;
       t.fanout_cache <- Some f;
       f
 
@@ -263,36 +267,58 @@ let compute_program t =
   match t.program_cache with
   | Some p -> p
   | None ->
-      let is_source id =
-        match t.nodes.(id).kind with
-        | Pi | Dff -> true
-        | Const _ | Gate _ | Lut _ -> false
-      in
-      let dst =
-        Array.of_seq
-          (Seq.filter (fun id -> not (is_source id))
-             (Array.to_seq (compute_topo t)))
-      in
-      let n_instr = Array.length dst in
-      let first = Array.make (n_instr + 1) 0 in
-      Array.iteri
-        (fun i id -> first.(i + 1) <- first.(i) + Array.length t.nodes.(id).fanins)
-        dst;
-      let fanin = Array.make first.(n_instr) 0 in
-      Array.iteri
-        (fun i id ->
-          let fi = t.nodes.(id).fanins in
-          Array.blit fi 0 fanin first.(i) (Array.length fi))
-        dst;
-      let dffs = Array.of_list (dffs t) in
+      let nodes = t.nodes in
+      let n = Array.length nodes in
+      let n_instr = ref 0 and n_fanin = ref 0 in
+      let n_pis = ref 0 and n_dffs = ref 0 in
+      for id = 0 to n - 1 do
+        match nodes.(id).kind with
+        | Pi -> incr n_pis
+        | Dff -> incr n_dffs
+        | Const _ | Gate _ | Lut _ ->
+            incr n_instr;
+            n_fanin := !n_fanin + Array.length nodes.(id).fanins
+      done;
+      (* the non-sources in topological order, their fanins in one array *)
+      let order = compute_topo t in
+      let dst = Array.make !n_instr 0 in
+      let first = Array.make (!n_instr + 1) 0 in
+      let fanin = Array.make !n_fanin 0 in
+      let i = ref 0 in
+      for j = 0 to n - 1 do
+        let id = order.(j) in
+        match nodes.(id).kind with
+        | Pi | Dff -> ()
+        | Const _ | Gate _ | Lut _ ->
+            let fi = nodes.(id).fanins and at = first.(!i) in
+            dst.(!i) <- id;
+            for k = 0 to Array.length fi - 1 do
+              fanin.(at + k) <- fi.(k)
+            done;
+            first.(!i + 1) <- at + Array.length fi;
+            incr i
+      done;
+      (* the sources in id order *)
+      let pis = Array.make !n_pis 0 and dffs = Array.make !n_dffs 0 in
+      let p = ref 0 and f = ref 0 in
+      for id = 0 to n - 1 do
+        match nodes.(id).kind with
+        | Pi ->
+            pis.(!p) <- id;
+            incr p
+        | Dff ->
+            dffs.(!f) <- id;
+            incr f
+        | Const _ | Gate _ | Lut _ -> ()
+      done;
       let p =
         {
           dst;
           first;
           fanin;
-          pis = Array.of_list (pis t);
+          pis;
           dffs;
-          d_inputs = Array.map (fun ff -> t.nodes.(ff).fanins.(0)) dffs;
+          d_inputs = Array.map (fun ff -> nodes.(ff).fanins.(0)) dffs;
           out_drivers = Array.map snd t.outs;
         }
       in

@@ -32,26 +32,40 @@ let fanout_cone t start =
   List.rev !acc
 
 let cone_inputs t nodes =
-  let seen = Hashtbl.create 64 in
-  let inputs = Hashtbl.create 16 in
-  let rec go id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      if Netlist.is_combinational (Netlist.kind t id) then
-        Array.iter go (Netlist.fanins t id)
-      else Hashtbl.replace inputs id ()
+  let n = Netlist.node_count t in
+  let seen = Array.make n false and is_input = Array.make n false in
+  let inputs = ref [] in
+  let add_input id =
+    if not is_input.(id) then begin
+      is_input.(id) <- true;
+      inputs := id :: !inputs
     end
   in
-  List.iter
-    (fun id ->
-      (* start from the fanins so a source passed directly is not its own
-         input *)
-      if Netlist.is_combinational (Netlist.kind t id) then
-        Array.iter go (Netlist.fanins t id)
-      else Hashtbl.replace inputs id ())
-    nodes;
-  Hashtbl.fold (fun id () acc -> id :: acc) inputs []
-  |> List.sort Int.compare
+  (* each node is pushed once, when first seen *)
+  let stack = Array.make n 0 and sp = ref 0 in
+  let push_fanins id =
+    let fi = Netlist.fanins t id in
+    for k = 0 to Array.length fi - 1 do
+      let src = fi.(k) in
+      if not seen.(src) then begin
+        seen.(src) <- true;
+        stack.(!sp) <- src;
+        incr sp
+      end
+    done
+  in
+  (* a node passed directly expands from its fanins, so a source among
+     them is not its own input *)
+  let expand id =
+    if Netlist.is_combinational (Netlist.kind t id) then push_fanins id
+    else add_input id
+  in
+  List.iter expand nodes;
+  while !sp > 0 do
+    decr sp;
+    expand stack.(!sp)
+  done;
+  List.sort Int.compare !inputs
 
 let levels t =
   let order = Netlist.topo_order t in
@@ -99,55 +113,59 @@ let reaches t a b = bfs_reaches t ~cross_dff:true a b
 let reaches_combinationally t a b = bfs_reaches t ~cross_dff:false a b
 
 let sequential_depth_to_po t =
-  (* Reverse BFS in the cost domain: cost of traversing into a DFF is 1,
-     other edges 0.  0/1 BFS with a deque. *)
+  (* Reverse 0/1 BFS in the cost domain: cost of traversing into a DFF is
+     1, other edges 0.  The deque is a ring over a power-of-two array,
+     doubled when full (a node is queued again when its distance
+     improves). *)
   let n = Netlist.node_count t in
   let dist = Array.make n max_int in
-  let deque = ref [] and back = ref [] in
-  let push_front x = deque := x :: !deque in
-  let push_back x = back := x :: !back in
-  let pop () =
-    match !deque with
-    | x :: rest ->
-        deque := rest;
-        Some x
-    | [] -> (
-        match List.rev !back with
-        | [] -> None
-        | x :: rest ->
-            deque := rest;
-            back := [];
-            Some x)
+  let ring = ref (Array.make 16 0) and head = ref 0 and len = ref 0 in
+  let grow () =
+    let old = !ring in
+    let cap = Array.length old in
+    let bigger = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      bigger.(i) <- old.((!head + i) land (cap - 1))
+    done;
+    ring := bigger;
+    head := 0
   in
-  List.iter
-    (fun id ->
+  let push_front x =
+    if !len = Array.length !ring then grow ();
+    head := (!head - 1) land (Array.length !ring - 1);
+    !ring.(!head) <- x;
+    incr len
+  in
+  let push_back x =
+    if !len = Array.length !ring then grow ();
+    !ring.((!head + !len) land (Array.length !ring - 1)) <- x;
+    incr len
+  in
+  Array.iter
+    (fun (_, id) ->
       if dist.(id) <> 0 then begin
         dist.(id) <- 0;
         push_back id
       end)
-    (Netlist.pos t);
-  let rec drain () =
-    match pop () with
-    | None -> ()
-    | Some id ->
-        let d = dist.(id) in
-        (* relax fanin edges: moving from node [id] to its fanin [src].
-           Crossing INTO a DFF from its fanout side means the fanin path
-           passes through that DFF: the cost is on the DFF node itself. *)
-        let cost =
-          match Netlist.kind t id with Netlist.Dff -> 1 | _ -> 0
-        in
-        Array.iter
-          (fun src ->
-            let nd = d + cost in
-            if nd < dist.(src) then begin
-              dist.(src) <- nd;
-              if cost = 0 then push_front src else push_back src
-            end)
-          (Netlist.fanins t id);
-        drain ()
-  in
-  drain ();
+    (Netlist.outputs t);
+  while !len > 0 do
+    let id = !ring.(!head) in
+    head := (!head + 1) land (Array.length !ring - 1);
+    decr len;
+    (* relax fanin edges: moving from node [id] to its fanin [src].
+       Crossing INTO a DFF from its fanout side means the fanin path
+       passes through that DFF: the cost is on the DFF node itself. *)
+    let cost = match Netlist.kind t id with Netlist.Dff -> 1 | _ -> 0 in
+    let nd = dist.(id) + cost in
+    let fi = Netlist.fanins t id in
+    for k = 0 to Array.length fi - 1 do
+      let src = fi.(k) in
+      if nd < dist.(src) then begin
+        dist.(src) <- nd;
+        if cost = 0 then push_front src else push_back src
+      end
+    done
+  done;
   dist
 
 (* ---------- per-node cone summaries ---------- *)

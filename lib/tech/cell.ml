@@ -22,9 +22,9 @@ let activity_independent c =
   match c.style with Stt_lut -> true | Cmos | Tvd | Sequential -> false
 
 let dynamic_power_uw c ~activity ~clock_ghz =
-  if activity < 0. || activity > 1. then
+  if not (0. <= activity && activity <= 1.) then
     invalid_arg "Cell.dynamic_power_uw: activity out of [0,1]";
-  if clock_ghz <= 0. then invalid_arg "Cell.dynamic_power_uw: clock";
+  if not (clock_ghz > 0.) then invalid_arg "Cell.dynamic_power_uw: clock";
   (* fJ * GHz = microwatt *)
   let effective = if activity_independent c then 1. else activity in
   effective *. c.switch_energy_fj *. clock_ghz

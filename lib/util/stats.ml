@@ -15,7 +15,8 @@ let sorted xs = List.sort Float.compare xs
 
 let percentile p xs =
   if xs = [] then invalid_arg "Stats.percentile: empty";
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
+  if not (0. <= p && p <= 100.) then
+    invalid_arg "Stats.percentile: p out of range";
   let arr = Array.of_list (sorted xs) in
   let n = Array.length arr in
   let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in

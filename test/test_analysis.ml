@@ -217,6 +217,11 @@ let test_paths_fraction_validation () =
     (Invalid_argument "Paths.sample: fraction") (fun () ->
       ignore (Paths.sample ~rng:(Rng.make 1) ~fraction:0. nl))
 
+let test_paths_fraction_nan () =
+  Alcotest.check_raises "NaN fraction"
+    (Invalid_argument "Paths.sample: fraction") (fun () ->
+      ignore (Paths.sample ~rng:(Rng.make 1) ~fraction:nan (pipeline_circuit ())))
+
 (* ---------- Activity ---------- *)
 
 let test_activity_constants () =
@@ -252,6 +257,11 @@ let test_activity_pi_probability () =
   let g = Netlist.find_exn nl "n1" in
   Alcotest.(check (float 1e-9)) "not inverts probability" 0.1
     (Activity.probability act g)
+
+let test_activity_pi_probability_nan () =
+  Alcotest.check_raises "NaN pi_probability"
+    (Invalid_argument "Activity.analyze: pi_probability") (fun () ->
+      ignore (Activity.analyze ~pi_probability:nan (inverter_chain 1)))
 
 let test_activity_sequential_fixpoint () =
   (* toggle flop: ff = DFF(NOT ff) settles at p = 0.5 *)
@@ -522,6 +532,160 @@ let test_refine_non_default_base () =
   Alcotest.(check (float 0.)) "n1 at the default PI probability" 0.5
     (Activity.probability refined (Netlist.find_exn nl "n1"))
 
+(* ---------- Paths and Query on the sub-1000-gate twins ---------- *)
+
+let small_twins = [ "s641"; "s820"; "s832"; "s953"; "s1196"; "s1238"; "s1488" ]
+
+(* Every sampled node list and FF count, under the protect flow's
+   arguments (critical path excluded), at one seed. *)
+let sample_digest nl seed =
+  let crit = Sta.critical_path (Sta.analyze lib nl) in
+  let paths = Paths.sample ~rng:(Rng.make seed) ~exclude_critical:crit nl in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun p ->
+      Buffer.add_string b (string_of_int p.Paths.ff_count);
+      Buffer.add_char b ':';
+      List.iter
+        (fun id ->
+          Buffer.add_string b (string_of_int id);
+          Buffer.add_char b ',')
+        p.Paths.nodes;
+      Buffer.add_char b ';')
+    paths;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* recorded before the walks moved onto stamped arrays *)
+let pinned_samples =
+  [
+    ( "s641",
+      "1e8704c90e6dab6b8c16c3ac5c37649f",
+      "aa7ed7cbfd896f051142f1eab68e099e" );
+    ( "s820",
+      "05b549c561d0f85966abab9286e9beed",
+      "72a8514858792f428be430d42b3fb164" );
+    ( "s832",
+      "bd990d4861d342d6309967adaa10bb51",
+      "1b9e6fa48a33f712352274604f123242" );
+    ( "s953",
+      "06feecaed509d97ac03584625063f409",
+      "c31ba983f7d402172015d10390842aec" );
+    ( "s1196",
+      "39b1335ea21b91687d2fd1c205473956",
+      "4bb2a748b022e0e73ad0ac39f0e1071b" );
+    ( "s1238",
+      "2f42ccac82d14d1cfef085c144875c58",
+      "cdec44b7293ea600dd000e31c1c9cde9" );
+    ( "s1488",
+      "ae7642408eaa9627f7ba11bea49f9585",
+      "6df0559a4b1c7c4cf1c08475b01148af" );
+  ]
+
+let test_paths_sample_pinned () =
+  Alcotest.(check (list string)) "every small twin pinned" small_twins
+    (List.map (fun (name, _, _) -> name) pinned_samples);
+  List.iter
+    (fun (name, at1, at7) ->
+      let nl = Profiles.build_by_name name in
+      Alcotest.(check string) (name ^ " seed 1") at1 (sample_digest nl 1);
+      Alcotest.(check string) (name ^ " seed 7") at7 (sample_digest nl 7))
+    pinned_samples
+
+module Query = Sttc_netlist.Query
+
+(* Plain per-node references: Bellman-Ford relaxation to a fixpoint for
+   the FF-weighted distance to a primary output, and a recursive
+   fanin walk for the sources of a cone. *)
+let reference_depth_to_po nl =
+  let n = Netlist.node_count nl in
+  let dist = Array.make n max_int in
+  List.iter (fun id -> dist.(id) <- 0) (Netlist.pos nl);
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for id = 0 to n - 1 do
+      if dist.(id) < max_int then begin
+        let cost =
+          match Netlist.kind nl id with Netlist.Dff -> 1 | _ -> 0
+        in
+        Array.iter
+          (fun src ->
+            if dist.(id) + cost < dist.(src) then begin
+              dist.(src) <- dist.(id) + cost;
+              changed := true
+            end)
+          (Netlist.fanins nl id)
+      end
+    done
+  done;
+  dist
+
+let reference_cone_inputs nl nodes =
+  let inputs = ref [] and seen = Array.make (Netlist.node_count nl) false in
+  let rec go id =
+    if not seen.(id) then begin
+      seen.(id) <- true;
+      if Netlist.is_combinational (Netlist.kind nl id) then
+        Array.iter go (Netlist.fanins nl id)
+      else inputs := id :: !inputs
+    end
+  in
+  List.iter
+    (fun id ->
+      if Netlist.is_combinational (Netlist.kind nl id) then
+        Array.iter go (Netlist.fanins nl id)
+      else inputs := id :: !inputs)
+    nodes;
+  List.sort_uniq Int.compare !inputs
+
+(* The mean switching over combinational nodes, summed as a list fold
+   over descending ids, must stay the same to the bit. *)
+let test_average_switching_order () =
+  List.iter
+    (fun name ->
+      let nl = Profiles.build_by_name name in
+      let act = Activity.analyze nl in
+      let ids =
+        Netlist.fold
+          (fun id n acc ->
+            if Netlist.is_combinational n.Netlist.kind then id :: acc else acc)
+          nl []
+      in
+      let reference =
+        List.fold_left (fun acc id -> acc +. Activity.switching act id) 0. ids
+        /. float_of_int (List.length ids)
+      in
+      Alcotest.(check int64) name
+        (Int64.bits_of_float reference)
+        (Int64.bits_of_float (Activity.average_switching act)))
+    small_twins
+
+let test_queries_on_small_twins () =
+  List.iter
+    (fun name ->
+      let nl = Profiles.build_by_name name in
+      Alcotest.(check (array int)) (name ^ " depth to PO")
+        (reference_depth_to_po nl) (Query.sequential_depth_to_po nl);
+      Alcotest.(check (list int)) (name ^ " cone inputs of every gate")
+        (reference_cone_inputs nl (Netlist.gates nl))
+        (Query.cone_inputs nl (Netlist.gates nl)))
+    small_twins
+
+let prop_queries_match_reference =
+  QCheck2.Test.make
+    ~name:"sequential depth and cone inputs equal the per-node references"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
+    (fun (seed, pick) ->
+      let nl = random_sequential seed in
+      let rng = Rng.make pick in
+      let n = Netlist.node_count nl in
+      let nodes = List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng n) in
+      Query.sequential_depth_to_po nl = reference_depth_to_po nl
+      && Query.cone_inputs nl nodes = reference_cone_inputs nl nodes
+      && Query.cone_inputs nl (Netlist.luts nl)
+         = reference_cone_inputs nl (Netlist.luts nl))
+
 (* ---------- Power ---------- *)
 
 let test_power_report_consistency () =
@@ -593,6 +757,13 @@ let () =
             test_paths_sample_excludes_critical;
           Alcotest.test_case "fraction validation" `Quick
             test_paths_fraction_validation;
+          Alcotest.test_case "pinned samples" `Quick test_paths_sample_pinned;
+          Alcotest.test_case "NaN fraction" `Quick test_paths_fraction_nan;
+        ] );
+      ( "query",
+        [
+          QCheck_alcotest.to_alcotest prop_queries_match_reference;
+          Alcotest.test_case "small twins" `Quick test_queries_on_small_twins;
         ] );
       ( "activity",
         [
@@ -600,6 +771,8 @@ let () =
           Alcotest.test_case "gate probabilities" `Quick
             test_activity_gate_probabilities;
           Alcotest.test_case "pi probability" `Quick test_activity_pi_probability;
+          Alcotest.test_case "NaN pi probability" `Quick
+            test_activity_pi_probability_nan;
           Alcotest.test_case "sequential fixpoint" `Quick
             test_activity_sequential_fixpoint;
           Alcotest.test_case "unconfigured lut" `Quick test_activity_unconfigured_lut;
@@ -612,6 +785,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
           Alcotest.test_case "pinned probabilities" `Slow test_sweep_pinned;
+          Alcotest.test_case "average switching order" `Quick
+            test_average_switching_order;
           Alcotest.test_case "one shared program" `Quick
             test_sweep_shares_program;
         ] );

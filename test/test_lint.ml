@@ -141,6 +141,101 @@ let test_str_comb_loop () =
   in
   check_silent "dff breaks loop" "comb-loop" (Structural.run ok)
 
+let render ds =
+  List.map
+    (fun d ->
+      Printf.sprintf "%s@%s: %s" d.D.rule
+        (Option.value d.D.node ~default:"-")
+        d.D.detail)
+    ds
+
+(* The exact STR001 findings and their order, recorded before the rule's
+   Tarjan moved onto arrays. *)
+let test_str_comb_loop_pinned () =
+  let str001 g = render (Structural.run ~only:[ "STR001" ] g) in
+  let two_cycles =
+    graph
+      ~outputs:[| ("y", 2); ("z", 5) |]
+      [
+        n "a" Graph.Pi [];
+        n "g1" (Graph.Gate (Gate_fn.And 2)) [ 0; 2 ];
+        n "g2" (Graph.Gate Gate_fn.Buf) [ 1 ];
+        n "h1" (Graph.Gate (Gate_fn.Or 2)) [ 0; 5 ];
+        n "h2" (Graph.Gate Gate_fn.Not) [ 3 ];
+        n "h0" (Graph.Gate Gate_fn.Buf) [ 4 ];
+      ]
+  in
+  Alcotest.(check (list string)) "two disjoint cycles"
+    [
+      "STR001@g1: combinational cycle through 2 node(s): g1 -> g2";
+      "STR001@h0: combinational cycle through 3 node(s): h0 -> h1 -> h2";
+    ]
+    (str001 two_cycles);
+  let self_loop =
+    graph
+      ~outputs:[| ("y", 2) |]
+      [
+        n "a" Graph.Pi [];
+        n "s" (Graph.Gate (Gate_fn.And 2)) [ 0; 1 ];
+        n "t" (Graph.Gate Gate_fn.Not) [ 1 ];
+      ]
+  in
+  Alcotest.(check (list string)) "self-loop"
+    [ "STR001@s: combinational cycle through 1 node(s): s" ]
+    (str001 self_loop);
+  (* c1 -> c2 -> c3 -> c4 -> c1 with chords c1 -> c4 and c4 -> c2, and
+     a tail off the cycle *)
+  let chord =
+    graph
+      ~outputs:[| ("y", 5) |]
+      [
+        n "a" Graph.Pi [];
+        n "c1" (Graph.Gate (Gate_fn.And 2)) [ 0; 4 ];
+        n "c2" (Graph.Gate (Gate_fn.Or 2)) [ 1; 4 ];
+        n "c3" (Graph.Gate Gate_fn.Buf) [ 2 ];
+        n "c4" (Graph.Gate (Gate_fn.And 2)) [ 3; 1 ];
+        n "tail" (Graph.Gate Gate_fn.Not) [ 4 ];
+      ]
+  in
+  Alcotest.(check (list string)) "SCC with a chord"
+    [ "STR001@c1: combinational cycle through 4 node(s): c1 -> c2 -> c3 -> c4" ]
+    (str001 chord);
+  let dff_broken =
+    graph
+      ~outputs:[| ("y", 1) |]
+      [
+        n "a" Graph.Pi [];
+        n "g1" (Graph.Gate (Gate_fn.And 2)) [ 0; 2 ];
+        n "ff" Graph.Dff [ 1 ];
+      ]
+  in
+  Alcotest.(check (list string)) "DFF-broken loop" [] (str001 dff_broken)
+
+(* STR002's missing-fanin counts and STR003's driver counts, recorded
+   before either stopped building per-node lists and tables. *)
+let test_str_counts_pinned () =
+  let g =
+    graph
+      ~outputs:[| ("y", 1); ("z", 9) |]
+      [
+        n "a" Graph.Pi [];
+        n "s" (Graph.Gate (Gate_fn.And 3)) [ -1; 0; 42 ];
+        n "s" (Graph.Gate Gate_fn.Buf) [ -3 ];
+        n "b" (Graph.Gate Gate_fn.Buf) [ 0 ];
+        n "s" (Graph.Gate Gate_fn.Not) [ 3 ];
+        n "b" (Graph.Gate Gate_fn.Buf) [ 3 ];
+      ]
+  in
+  Alcotest.(check (list string)) "STR002 and STR003"
+    [
+      "STR002@s: 2 fanin(s) have no driver";
+      "STR002@s: 1 fanin(s) have no driver";
+      "STR002@z: primary output references no driver";
+      "STR003@b: signal is driven by 2 nodes";
+      "STR003@s: signal is driven by 3 nodes";
+    ]
+    (render (Structural.run ~only:[ "STR002"; "STR003" ] g))
+
 let test_str_undriven () =
   let g =
     graph ~outputs:[| ("y", 0) |]
@@ -898,6 +993,9 @@ let () =
       ( "structural",
         [
           Alcotest.test_case "comb-loop" `Quick test_str_comb_loop;
+          Alcotest.test_case "comb-loop pinned" `Quick test_str_comb_loop_pinned;
+          Alcotest.test_case "undriven and multi-driver pinned" `Quick
+            test_str_counts_pinned;
           Alcotest.test_case "undriven-net" `Quick test_str_undriven;
           Alcotest.test_case "multi-driver" `Quick test_str_multi_driver;
           Alcotest.test_case "dangling-gate" `Quick test_str_dangling;

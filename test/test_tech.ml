@@ -23,6 +23,17 @@ let test_cell_power_model () =
     (Invalid_argument "Cell.dynamic_power_uw: activity out of [0,1]")
     (fun () -> ignore (Cell.dynamic_power_uw nand2 ~activity:1.5 ~clock_ghz:1.))
 
+(* NaN fails every comparison, so each guard must accept only what lies
+   inside its range *)
+let test_cell_power_nan_guards () =
+  let nand2 = Cmos.gate (Gate_fn.Nand 2) in
+  Alcotest.check_raises "NaN activity"
+    (Invalid_argument "Cell.dynamic_power_uw: activity out of [0,1]")
+    (fun () -> ignore (Cell.dynamic_power_uw nand2 ~activity:nan ~clock_ghz:1.));
+  Alcotest.check_raises "NaN clock"
+    (Invalid_argument "Cell.dynamic_power_uw: clock")
+    (fun () -> ignore (Cell.dynamic_power_uw nand2 ~activity:0.2 ~clock_ghz:nan))
+
 let test_cell_stt_activity_independent () =
   let lut = Stt.lut 2 in
   Alcotest.(check bool) "flag" true (Cell.activity_independent lut);
@@ -240,6 +251,7 @@ let () =
       ( "cell",
         [
           Alcotest.test_case "power model" `Quick test_cell_power_model;
+          Alcotest.test_case "NaN guards" `Quick test_cell_power_nan_guards;
           Alcotest.test_case "stt activity independence" `Quick
             test_cell_stt_activity_independent;
           Alcotest.test_case "total power" `Quick test_cell_total_power;

@@ -222,6 +222,11 @@ let test_stats_stdev () =
   check_close "known stdev" 1. (Stats.stdev [ 1.; 3.; 1.; 3. ]);
   check_float "singleton" 0. (Stats.stdev [ 7. ])
 
+let test_stats_percentile_nan () =
+  Alcotest.check_raises "NaN p"
+    (Invalid_argument "Stats.percentile: p out of range")
+    (fun () -> ignore (Stats.percentile nan [ 1.; 2. ]))
+
 let test_stats_percentile () =
   let xs = [ 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10. ] in
   check_float "median" 5. (Stats.median xs);
@@ -532,6 +537,8 @@ let () =
           Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "stdev" `Quick test_stats_stdev;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
+          Alcotest.test_case "percentile NaN guard" `Quick
+            test_stats_percentile_nan;
           Alcotest.test_case "relative overhead" `Quick test_stats_overhead;
         ] );
       ( "growable",

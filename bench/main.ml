@@ -22,10 +22,7 @@ let section title =
     "\n==============================================\n%s\n==============================================\n%!"
     title
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+let time = Sttc_util.Timing.time
 
 (* ---------- serial vs parallel speedup record ---------- *)
 

@@ -11,13 +11,6 @@ type report = {
   avg_switching : float;
 }
 
-let node_power_uw lib act nl id =
-  match Library.cell_of_kind lib (Netlist.kind nl id) with
-  | None -> 0.
-  | Some cell ->
-      let activity = Activity.switching act id in
-      Cell.total_power_uw cell ~activity ~clock_ghz:(Library.clock_ghz lib)
-
 let estimate ?activity lib nl =
   let act =
     match activity with Some a -> a | None -> Activity.analyze nl

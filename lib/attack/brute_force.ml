@@ -50,7 +50,7 @@ let candidate_matches ~vectors ~rng oracle hybrid bitstream =
   !ok
 
 let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sttc_util.Timing.now_s () in
   let bits = Hybrid.bitstream_bits hybrid in
   let space = search_space hybrid in
   let oracle = Oracle.create hybrid in
@@ -68,13 +68,13 @@ let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
   if bits > max_bits then begin
     (* measure the candidate-testing rate on a small prefix *)
     let sample = 64 in
-    let t1 = Unix.gettimeofday () in
+    let t1 = Sttc_util.Timing.now_s () in
     for i = 0 to sample - 1 do
       ignore
         (candidate_matches ~vectors:64 ~rng oracle hybrid
            (bitstream_of_index luts arities (Int64.of_int i)))
     done;
-    let dt = Unix.gettimeofday () -. t1 in
+    let dt = Sttc_util.Timing.now_s () -. t1 in
     let rate = if dt <= 0. then 1e6 else float_of_int sample /. dt in
     Infeasible
       {
@@ -104,7 +104,7 @@ let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
           {
             bitstream;
             candidates_tested = Lognum.of_float (Int64.to_float (Int64.add i 1L));
-            seconds = Unix.gettimeofday () -. t0;
+            seconds = Sttc_util.Timing.now_s () -. t0;
           }
     | None ->
         (* cannot happen: the genuine bitstream is in the space *)

@@ -21,7 +21,7 @@ let popcount64 x =
   loop 0 x
 
 let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sttc_util.Timing.now_s () in
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
   let rng = Rng.make seed in
@@ -114,6 +114,6 @@ let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
     agreement = !best_round;
     rounds_used = !rounds_used;
     oracle_queries = Oracle.queries oracle;
-    seconds = Unix.gettimeofday () -. t0;
+    seconds = Sttc_util.Timing.now_s () -. t0;
     bitstream;
   }

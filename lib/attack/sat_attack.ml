@@ -135,7 +135,7 @@ type progress = {
   mutable stats : unit -> Sat.stats;
 }
 
-let elapsed p = Unix.gettimeofday () -. p.t0
+let elapsed p = Sttc_util.Timing.now_s () -. p.t0
 
 let exhausted p reason =
   Exhausted
@@ -147,7 +147,7 @@ let exhausted p reason =
 let budgeted ~timeout_s attack =
   let p =
     {
-      t0 = Unix.gettimeofday ();
+      t0 = Sttc_util.Timing.now_s ();
       iterations = 0;
       stats = (fun () -> Sat.zero_stats);
     }

@@ -27,7 +27,7 @@ type result = {
 
 let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
     ?(seed = 0xa77ac) hybrid =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sttc_util.Timing.now_s () in
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
   let rng = Rng.make seed in
@@ -293,7 +293,7 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
        else float_of_int settled_rows /. float_of_int total_rows);
     patterns_tried = !patterns;
     oracle_queries = Oracle.queries oracle;
-    seconds = Unix.gettimeofday () -. t0;
+    seconds = Sttc_util.Timing.now_s () -. t0;
   }
 
 let pp_result fmt r =

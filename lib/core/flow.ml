@@ -404,17 +404,3 @@ let pp_result fmt r =
     Security.pp_report r.security Ppa.pp r.overhead
     (Sttc_util.Timing.format_min_sec r.selection_seconds)
 
-let pp_resilient fmt r =
-  if r.rejections <> [] then begin
-    Format.fprintf fmt "degradation chain (requested %s):@\n"
-      (algorithm_name r.requested);
-    List.iter
-      (fun rj ->
-        Format.fprintf fmt "  rejected %s (seed %d): %s@\n"
-          (algorithm_name rj.attempted) rj.attempt_seed rj.reason)
-      r.rejections
-  end;
-  Format.fprintf fmt "%s%a"
-    (if r.degraded then "DEGRADED to " ^ algorithm_name r.accepted.algorithm ^ ": "
-     else "")
-    pp_result r.accepted

@@ -159,8 +159,6 @@ val meets_timing : algorithm -> result -> (unit, string) Stdlib.result
     the requested [clock_factor] budget; other algorithms always pass
     (the paper expects dependent selection to degrade timing). *)
 
-val pp_resilient : Format.formatter -> resilient -> unit
-
 val lint_view :
   ?library:Sttc_tech.Library.t -> result -> Sttc_lint.Security_rules.view
 (** The security-lint view of a protect result: foundry netlist, LUT

@@ -363,15 +363,3 @@ let program ?(resilience = no_resilience) ?(backend = Backend.stt) ~channel nl
           cost = cost !cells;
         }
 
-let pp_program_report fmt r =
-  let outcome =
-    match r.outcome with
-    | Programmed -> "PROGRAMMED (exact image)"
-    | Degraded { corrected_bits; spared_bits } ->
-        Printf.sprintf "DEGRADED (functionally exact: %d ECC-corrected, %d spared)"
-          corrected_bits spared_bits
-    | Failed cause -> "FAILED: " ^ failure_to_string cause
-  in
-  Format.fprintf fmt
-    "%s@\n  %d write attempts over %d cells (%d retried), %a"
-    outcome r.write_attempts r.cost.mtj_cells r.retried_bits pp_cost r.cost

@@ -136,5 +136,3 @@ val program :
     per-cell trim energy/time).  Never raises on device faults or
     bitstream/netlist mismatches — every anomaly is classified in
     [outcome]. *)
-
-val pp_program_report : Format.formatter -> program_report -> unit

@@ -46,7 +46,6 @@ module Config = struct
   let with_timeout_s s t = { t with timeout_s = Some s }
   let with_isolate isolate t = { t with isolate }
   let with_jobs jobs t = { t with jobs }
-  let with_backend backend t = { t with backend }
 end
 
 let quick_benchmarks =

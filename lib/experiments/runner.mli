@@ -45,7 +45,6 @@ module Config : sig
   val with_timeout_s : float -> t -> t
   val with_isolate : bool -> t -> t
   val with_jobs : int -> t -> t
-  val with_backend : string -> t -> t
 end
 
 val quick_benchmarks : string list

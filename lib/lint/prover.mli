@@ -56,7 +56,6 @@ val equivalent :
     sound for nets that are not downstream of a missing gate (the caller
     filters on {!Dataflow.tainted}). *)
 
-val unconfigured_luts : t -> Sttc_netlist.Netlist.node_id list
 val budget : t -> int
 val queries : t -> int
 val cutoffs : t -> int
@@ -66,9 +65,6 @@ val conflicts : t -> int
 (** Solver conflicts spent by this prover's queries. *)
 
 val seconds : t -> float
-val has_observable_miter : t -> bool
-(** False when no observation point is downstream of any missing gate —
-    every toggle query is then vacuously [Refuted]. *)
 
 val downstream : t -> Sttc_netlist.Netlist.node_id -> bool
 (** Combinationally downstream of a missing gate: two-valued claims

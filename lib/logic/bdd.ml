@@ -99,9 +99,6 @@ let rec ite_raw m f g h =
         Hashtbl.add m.cache (f, g, h) r;
         r
 
-let ite m f g h =
-  { mgr = m; id = ite_raw m (check m f) (check m g) (check m h) }
-
 let lnot m f = { mgr = m; id = ite_raw m (check m f) 0 1 }
 let land_ m f g = { mgr = m; id = ite_raw m (check m f) (check m g) 0 }
 let lor_ m f g = { mgr = m; id = ite_raw m (check m f) 1 (check m g) }
@@ -110,11 +107,6 @@ let lxor_ m f g =
   let gid = check m g in
   let ngid = ite_raw m gid 0 1 in
   { mgr = m; id = ite_raw m (check m f) ngid gid }
-
-let lxnor_ m f g =
-  let gid = check m g in
-  let ngid = ite_raw m gid 0 1 in
-  { mgr = m; id = ite_raw m (check m f) gid ngid }
 
 let land_list m l = List.fold_left (land_ m) (one m) l
 let lor_list m l = List.fold_left (lor_ m) (zero m) l

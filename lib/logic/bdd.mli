@@ -24,8 +24,6 @@ val lnot : manager -> t -> t
 val land_ : manager -> t -> t -> t
 val lor_ : manager -> t -> t -> t
 val lxor_ : manager -> t -> t -> t
-val lxnor_ : manager -> t -> t -> t
-val ite : manager -> t -> t -> t -> t
 
 val land_list : manager -> t list -> t
 val lor_list : manager -> t list -> t

@@ -35,8 +35,6 @@ val clause : t -> int -> clause
     interface [Sat.Solver.sync] uses to consume a growing formula
     incrementally.  Raises [Invalid_argument] when out of range. *)
 
-val iter_clauses : (clause -> unit) -> t -> unit
-
 (* --- Tseitin gate encodings: the output literal is constrained to equal
    the gate function of the input literals. --- *)
 
@@ -52,13 +50,8 @@ val encode_xor : t -> lit -> lit -> lit -> unit
 val encode_gate : t -> lit -> Gate_fn.t -> lit list -> unit
 (** Encode any supported gate function. *)
 
-val encode_mux : t -> lit -> sel:lit -> lo:lit -> hi:lit -> unit
-(** out = sel ? hi : lo. *)
-
 val encode_truth_lut : t -> lit -> key:lit array -> inputs:lit array -> unit
 (** Encode a LUT whose content is symbolic: [key] holds one literal per
     truth-table row ([2^arity] literals, row 0 first); the output equals
     the key bit addressed by the inputs.  This is how missing STT gates
     enter the SAT-attack formula. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -73,26 +73,3 @@ let dff =
     area_um2 = 11.0;
   }
 
-let average_gate =
-  (* weighted like the generator's gate mix: mostly NAND2/NOR2-class *)
-  let samples =
-    [
-      gate (Gate_fn.Nand 2);
-      gate (Gate_fn.Nor 2);
-      gate (Gate_fn.And 2);
-      gate (Gate_fn.Or 2);
-      gate Gate_fn.Not;
-      gate (Gate_fn.Nand 3);
-    ]
-  in
-  let n = float_of_int (List.length samples) in
-  let avg f = List.fold_left (fun acc c -> acc +. f c) 0. samples /. n in
-  {
-    Cell.cell_name = "AVG";
-    style = Cell.Cmos;
-    arity = 2;
-    delay_ps = avg (fun c -> c.Cell.delay_ps);
-    switch_energy_fj = avg (fun c -> c.Cell.switch_energy_fj);
-    leakage_nw = avg (fun c -> c.Cell.leakage_nw);
-    area_um2 = avg (fun c -> c.Cell.area_um2);
-  }

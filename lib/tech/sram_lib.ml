@@ -19,4 +19,3 @@ let lut =
   }
 
 let bitstream_exposed = true
-let reload_time_us = 120.

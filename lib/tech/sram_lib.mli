@@ -15,6 +15,3 @@ val bitstream_exposed : bool
 (** [true]: an attacker who probes the external configuration memory or
     the power-up bus reads the secret directly — the paper's core
     criticism of SRAM-based obfuscation. *)
-
-val reload_time_us : float
-(** Configuration reload latency on every power-up. *)

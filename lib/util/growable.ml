@@ -43,11 +43,6 @@ let last t =
 
 let clear t = t.len <- 0
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)

@@ -21,7 +21,6 @@ val pop : 'a t -> 'a
 
 val last : 'a t -> 'a
 val clear : 'a t -> unit
-val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool

@@ -1,8 +1,9 @@
+let now_s = Deadline.now_s
+
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   let result = f () in
-  let t1 = Unix.gettimeofday () in
-  (result, t1 -. t0)
+  (result, now_s () -. t0)
 
 let format_min_sec seconds =
   if seconds < 0. then invalid_arg "Timing.format_min_sec: negative";

@@ -13,7 +13,6 @@ module Generator = Sttc_netlist.Generator
 module Gate_fn = Sttc_logic.Gate_fn
 module Flow = Sttc_core.Flow
 module Sem = Sttc_lint.Semantic_rules
-module Sweep = Sttc_lint.Sweep
 
 (* strict single-attempt protection via the unified Flow.run entry point *)
 let protect ?seed ?fraction ?hardening ?semantic alg nl =
@@ -860,60 +859,6 @@ let lint_props =
                && D.errors (Flow.lint_security r) = 0
                && D.errors r.Flow.lint = 0)
              Flow.default_algorithms));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"semantic pack is silent on SAT-swept generated netlists"
-         ~count:10 gen_seed
-         (fun seed ->
-           let nl = Generator.generate ~seed gen_spec in
-           let swept, _ = Sweep.run ~seed nl in
-           Sem.run (Sem.view swept) = []));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"SAT sweeping preserves sequential PO behaviour" ~count:10
-         gen_seed
-         (fun seed ->
-           let orig = Generator.generate ~seed gen_spec in
-           let swept, _ = Sweep.run ~seed orig in
-           let rng = Random.State.make [| seed; 0x5eed |] in
-           let sim_o = Sttc_sim.Simulator.create orig in
-           let sim_s = Sttc_sim.Simulator.create swept in
-           let pi_names nl =
-             List.map (Netlist.name nl) (Netlist.pis nl)
-           in
-           let names_o = pi_names orig and names_s = pi_names swept in
-           (* 20 cycles of 64 random patterns, fed by PI name *)
-           let cycles =
-             List.init 20 (fun _ ->
-                 List.map
-                   (fun n -> (n, Random.State.int64 rng Int64.max_int))
-                   names_o)
-           in
-           let lanes names cyc =
-             Array.of_list (List.map (fun n -> List.assoc n cyc) names)
-           in
-           let po_o =
-             Sttc_sim.Simulator.run_sequence sim_o
-               (List.map (lanes names_o) cycles)
-           in
-           let po_s =
-             Sttc_sim.Simulator.run_sequence sim_s
-               (List.map (lanes names_s) cycles)
-           in
-           let outs_o = Netlist.outputs orig in
-           let outs_s = Netlist.outputs swept in
-           List.for_all2
-             (fun vo vs ->
-               Array.for_all
-                 (fun (nm, _) ->
-                   let slot outs =
-                     let r = ref (-1) in
-                     Array.iteri (fun k (n2, _) -> if n2 = nm then r := k) outs;
-                     !r
-                   in
-                   Int64.equal vo.(slot outs_o) vs.(slot outs_s))
-                 outs_o)
-             po_o po_s));
   ]
 
 (* Dataflow's constants, stuck-at candidates and signatures on the s641

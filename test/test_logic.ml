@@ -1,6 +1,6 @@
 (* Tests for Sttc_logic: truth tables, gate functions (incl. the paper's
-   similarity/alpha metrics), ternary logic, BDDs, CNF encodings, the CDCL
-   SAT solver and DIMACS IO. *)
+   similarity/alpha metrics), ternary logic, BDDs, CNF encodings and the
+   CDCL SAT solver, with a DIMACS regression corpus. *)
 
 module Truth = Sttc_logic.Truth
 module Gate_fn = Sttc_logic.Gate_fn
@@ -8,7 +8,6 @@ module Ternary = Sttc_logic.Ternary
 module Bdd = Sttc_logic.Bdd
 module Cnf = Sttc_logic.Cnf
 module Sat = Sttc_logic.Sat
-module Dimacs = Sttc_logic.Dimacs
 module Rng = Sttc_util.Rng
 
 (* ---------- Truth ---------- *)
@@ -648,36 +647,45 @@ let test_sat_reuse_after_reduction () =
   Alcotest.(check bool) "solver retained clauses (kept > 0)" true
     (stats.Sat.kept > 0)
 
-(* ---------- Dimacs ---------- *)
+(* ---------- DIMACS regression corpus ---------- *)
 
-let test_dimacs_roundtrip () =
+(* The corpus reader: comments, one "p cnf" line, and 0-terminated
+   clauses that may span lines.  A malformed line fails the test. *)
+let read_dimacs file text =
   let cnf = Cnf.create () in
-  let a = Cnf.fresh_var cnf and b = Cnf.fresh_var cnf in
-  Cnf.add_clause cnf [ a; -b ];
-  Cnf.add_clause cnf [ -a ];
-  let text = Dimacs.to_string cnf in
-  let cnf2 = Dimacs.parse_string text in
-  Alcotest.(check int) "nvars" (Cnf.nvars cnf) (Cnf.nvars cnf2);
-  Alcotest.(check int) "nclauses" (Cnf.nclauses cnf) (Cnf.nclauses cnf2);
-  Alcotest.(check bool) "same satisfiability" (Sat.is_satisfiable cnf)
-    (Sat.is_satisfiable cnf2)
-
-let test_dimacs_comments () =
-  let cnf = Dimacs.parse_string "c a comment\np cnf 2 1\n1 -2 0\n" in
-  Alcotest.(check int) "vars" 2 (Cnf.nvars cnf);
-  Alcotest.(check int) "clauses" 1 (Cnf.nclauses cnf)
-
-let test_dimacs_errors () =
-  Alcotest.(check bool) "bad literal raises" true
-    (try
-       ignore (Dimacs.parse_string "p cnf 1 1\nfoo 0\n");
-       false
-     with Failure _ -> true);
-  Alcotest.(check bool) "unterminated clause raises" true
-    (try
-       ignore (Dimacs.parse_string "p cnf 1 1\n1\n");
-       false
-     with Failure _ -> true)
+  let pending = ref [] in
+  List.iteri
+    (fun i line ->
+      let bad what =
+        Alcotest.failf "%s:%d: %s: %S" file (i + 1) what line
+      in
+      let line = String.trim line in
+      let tokens =
+        String.split_on_char ' ' line |> List.filter (( <> ) "")
+      in
+      if line = "" || line.[0] = 'c' then ()
+      else if line.[0] = 'p' then (
+        match tokens with
+        | [ "p"; "cnf"; nv; _ ] -> (
+            match int_of_string_opt nv with
+            | Some n when n >= 0 -> Cnf.reserve cnf n
+            | _ -> bad "bad variable count")
+        | _ -> bad "bad problem line")
+      else
+        List.iter
+          (fun tok ->
+            match int_of_string_opt tok with
+            | None -> bad "bad literal"
+            | Some 0 ->
+                Cnf.add_clause cnf (List.rev !pending);
+                pending := []
+            | Some l ->
+                Cnf.reserve cnf (abs l);
+                pending := l :: !pending)
+          tokens)
+    (String.split_on_char '\n' text);
+  if !pending <> [] then Alcotest.failf "%s: clause not terminated by 0" file;
+  cnf
 
 let test_dimacs_corpus () =
   (* every .cnf under test/dimacs/ declares its expected satisfiability
@@ -710,7 +718,7 @@ let test_dimacs_corpus () =
         then false
         else Alcotest.failf "%s: missing 'c expect sat|unsat' header" file
       in
-      let cnf = Dimacs.parse_string text in
+      let cnf = read_dimacs file text in
       (match Sat.solve cnf with
       | Sat.Sat model ->
           Alcotest.(check bool) (file ^ ": expected satisfiable") true expected;
@@ -790,9 +798,6 @@ let () =
         @ sat_props @ incremental_props );
       ( "dimacs",
         [
-          Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
-          Alcotest.test_case "comments" `Quick test_dimacs_comments;
-          Alcotest.test_case "errors" `Quick test_dimacs_errors;
           Alcotest.test_case "regression corpus" `Quick test_dimacs_corpus;
         ] );
     ]

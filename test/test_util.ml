@@ -294,7 +294,15 @@ let test_timing_format () =
 let test_timing_time () =
   let x, dt = Timing.time (fun () -> 42) in
   Alcotest.(check int) "result" 42 x;
-  Alcotest.(check bool) "non-negative" true (dt >= 0.)
+  Alcotest.(check bool) "non-negative" true (dt >= 0.);
+  (* one clock for elapsed times and budgets, and it never steps back *)
+  let prev = ref (Timing.now_s ()) in
+  for _ = 1 to 1000 do
+    let t = Sttc_util.Pool.now_s () in
+    let t' = Timing.now_s () in
+    Alcotest.(check bool) "monotonic" true (!prev <= t && t <= t');
+    prev := t'
+  done
 
 (* ---------- Pool ---------- *)
 

@@ -46,6 +46,152 @@ if grep -rnE 'encode_netlist|encode_fixed_lut' lib bin test bench/main.ml exampl
   exit 1
 fi
 
+echo "== reachability gate (every library module is reached from a product path)"
+# A fixpoint from the product paths, bin/, examples/ and bench/ledger/:
+# a reached file reaches every module it names, either qualified
+# (Sttc_lib.Module, or L.Module after `module L = Sttc_lib`) or, inside
+# its own library, bare (Module.x or `module X = Module`).  Comments and
+# string and character literals name nothing, and a bare name that the
+# file itself binds with `module` is that binding.  Modules are keyed
+# by library: Sttc_attack.Encode and Sttc_sim.Encode share a name.  An
+# unreached module fails the gate unless it is listed here with its
+# reason:
+#   sttc_attack:Scan_oracle  open-scan query oracle, used only by tests;
+#                            kept until the executed testing attack
+#                            decides whether it becomes a Fig. 3 column
+#   sttc_netlist:Scan        the scan chain Scan_oracle shifts through
+REACH_EXEMPT="sttc_attack:Scan_oracle sttc_netlist:Scan"
+REACH_AWK=$(cat <<'EOF'
+# input: one "library file" line per source file, library "-" for a
+# product-path file; output: the unreached library:Module keys
+
+# one source line with comments and literals blanked; depth, instr and
+# inquote carry the lexer state across lines
+function clean(line,   out, i, n, c, j) {
+  out = ""; n = length(line); i = 1
+  while (i <= n) {
+    c = substr(line, i, 1)
+    if (instr) {
+      if (c == "\\") i++; else if (c == "\"") instr = 0
+      i++; continue
+    }
+    if (inquote) {
+      if (substr(line, i, 2) == "|}") { inquote = 0; i++ }
+      i++; continue
+    }
+    if (substr(line, i, 2) == "(*") { depth++; i += 2; continue }
+    if (depth > 0 && substr(line, i, 2) == "*)") { depth--; i += 2; continue }
+    if (c == "\"") { instr = 1; i++; c = " " }
+    else if (depth == 0 && substr(line, i, 2) == "{|") { inquote = 1; i += 2; c = " " }
+    else if (c == "'" && substr(line, i - 1, 1) !~ /[A-Za-z0-9_]/ \
+             && substr(line, i + 2, 1) == "'") { i += 3; c = " " }
+    else if (c == "'" && substr(line, i + 1, 1) == "\\") {
+      j = index(substr(line, i + 2), "'")
+      i += (j > 0 ? j + 2 : 2); c = " "
+    }
+    else i++
+    if (depth == 0) out = out c
+  }
+  return out
+}
+function edge(to) { if (to != owner) adj[owner] = adj[owner] " " to }
+function scan(file,   line, s, t, m, off, q, pre, part, local, libs) {
+  depth = 0; instr = 0; inquote = 0
+  while ((getline line < file) > 0) {
+    line = " " clean(line)
+    # bindings come before their uses: from here on a bare name the file
+    # binds is that binding, and L.Module after `module L = Sttc_lib` is
+    # a qualified reference
+    s = line
+    while (match(s, /module[ \t]+(rec[ \t]+)?[A-Z][A-Za-z0-9_']*/)) {
+      t = substr(s, RSTART, RLENGTH); sub(/.*[ \t]/, "", t)
+      local[t] = 1; s = substr(s, RSTART + RLENGTH)
+    }
+    s = line " "
+    while (match(s, /module[ \t]+[A-Z][A-Za-z0-9_']*[ \t]*=[ \t]*Sttc_[a-z0-9_]+[^A-Za-z0-9_'.]/)) {
+      t = substr(s, RSTART, RLENGTH - 1); s = substr(s, RSTART + RLENGTH)
+      m = t; sub(/^module[ \t]+/, "", m); sub(/[ \t=].*/, "", m)
+      sub(/.*[ \t=]/, "", t); libs[m] = tolower(t)
+    }
+    # every module path: Lib.Module, or a bare Module followed by a dot
+    # or bound by `module X = Module`
+    s = line; off = 0
+    while (match(s, /[^A-Za-z0-9_'.][A-Z][A-Za-z0-9_']*(\.[A-Z][A-Za-z0-9_']*)*\.?/)) {
+      pre = substr(line, 1, off + RSTART)
+      t = substr(s, RSTART + 1, RLENGTH - 1)
+      off += RSTART + RLENGTH - 1; s = substr(s, RSTART + RLENGTH)
+      m = split(t, part, ".")
+      q = ""
+      if (part[1] ~ /^Sttc_/) q = tolower(part[1])
+      else if (part[1] in libs) q = libs[part[1]]
+      if (q != "") { if (m > 1 && part[2] != "") edge(q ":" part[2]) }
+      else if (lib != "-" && !(part[1] in local) && ((lib ":" part[1]) in known) \
+               && (m > 1 || pre ~ /module[ \t]+[A-Z][A-Za-z0-9_']*[ \t]*=[ \t]*$/))
+        edge(lib ":" part[1])
+    }
+  }
+  close(file)
+}
+{
+  nf++; file_at[nf] = $2; lib_at[nf] = $1; owner_at[nf] = "-"
+  if ($1 != "-") {
+    m = $2; sub(/^.*\//, "", m); sub(/\.mli?$/, "", m)
+    owner_at[nf] = $1 ":" toupper(substr(m, 1, 1)) substr(m, 2)
+    known[owner_at[nf]] = 1
+  }
+}
+END {
+  for (i = 1; i <= nf; i++) {
+    lib = lib_at[i]; owner = owner_at[i]; scan(file_at[i])
+  }
+  reached["-"] = 1; queue[1] = "-"; head = 1; tail = 1
+  while (head <= tail) {
+    n = split(adj[queue[head++]], next_keys, " ")
+    for (j = 1; j <= n; j++)
+      if (!(next_keys[j] in reached)) {
+        reached[next_keys[j]] = 1; queue[++tail] = next_keys[j]
+      }
+  }
+  for (k in known) if (!(k in reached)) print k
+}
+EOF
+)
+unreached=$({
+  for d in lib/*/; do
+    lib=$(sed -n 's/^ *(name \([a-z0-9_]*\)).*/\1/p' "${d}dune")
+    for f in "$d"*.ml "$d"*.mli; do echo "$lib $f"; done
+  done
+  for f in bin/*.ml examples/*.ml bench/ledger/*.ml; do echo "- $f"; done
+} | awk "$REACH_AWK" | sort)
+reach_failed=0
+for m in $unreached; do
+  case " $REACH_EXEMPT " in
+    *" $m "*) echo "unreached (listed): $m" ;;
+    *) echo "REACHABILITY GATE FAILED: no product path reaches $m" >&2
+       reach_failed=1 ;;
+  esac
+done
+# a listed module that a product path now reaches leaves the list
+for m in $REACH_EXEMPT; do
+  case " $(echo $unreached) " in
+    *" $m "*) ;;
+    *) echo "REACHABILITY GATE FAILED: $m is reached; drop it from REACH_EXEMPT" >&2
+       reach_failed=1 ;;
+  esac
+done
+if [ "$reach_failed" -ne 0 ]; then
+  exit 1
+fi
+
+echo "== clock gate (elapsed times are read from Timing.now_s, a monotonic clock)"
+# The wall clock can step backwards: a negative selection time makes
+# Table II's MM:SS.d rendering raise.  Elapsed times are read from
+# Sttc_util.Timing.now_s, the clock Budget keeps its deadlines on.
+if grep -rn 'gettimeofday' lib bin examples bench/main.ml; then
+  echo "CLOCK GATE FAILED: an elapsed time is read from the wall clock (see above)" >&2
+  exit 1
+fi
+
 echo "== dune build @bench/ledger/smoke (every ledger workload at toy size)"
 dune build @bench/ledger/smoke
 

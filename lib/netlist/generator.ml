@@ -51,7 +51,9 @@ let numbered prefix i =
   let p = String.length prefix in
   let len = p + digits i in
   let s = Bytes.create len in
-  Bytes.blit_string prefix 0 s 0 p;
+  for k = 0 to p - 1 do
+    Bytes.unsafe_set s k (String.unsafe_get prefix k)
+  done;
   let r = ref i in
   for k = len - 1 downto p do
     Bytes.set s k (Char.unsafe_chr (48 + (!r mod 10)));
@@ -199,9 +201,14 @@ let generate_internal ?hub_bias ~seed spec =
           | Sttc_logic.Gate_fn.Xor _ -> Sttc_logic.Gate_fn.Xor arity
           | Sttc_logic.Gate_fn.Xnor _ -> Sttc_logic.Gate_fn.Xnor arity
       in
-      ignore
-        (Netlist.Builder.add_gate b (numbered "g" !gate_count) fn
-           (Array.sub fanins 0 arity));
+      let fanins =
+        match arity with
+        | 1 -> [| fanins.(0) |]
+        | 2 -> [| fanins.(0); fanins.(1) |]
+        | 3 -> [| fanins.(0); fanins.(1); fanins.(2) |]
+        | _ -> [| fanins.(0); fanins.(1); fanins.(2); fanins.(3) |]
+      in
+      ignore (Netlist.Builder.add_gate b (numbered "g" !gate_count) fn fanins);
       incr gate_count
     done
   done;

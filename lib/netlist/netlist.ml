@@ -16,90 +16,56 @@ type node = {
   fanins : node_id array;
 }
 
-(* The name index: open addressing with linear probing over a
-   power-of-two table at most half full.  A slot packs a name's 30-bit
-   hash above its node id (-1 when empty: ids are non-negative and below
-   2^32, and ints have 63 bits).  The key string is the node's own name,
-   read through [name_of] only on a hash match, so the index is one int
-   array.  It is built once, from the finished node array. *)
+(* The name index: open addressing with linear probing over a table of
+   2^k 32-bit slots (-1 when empty) in a byte string, at most half full,
+   which the collector never scans.  A slot packs a node id, below 2^31,
+   into its low [id_bits] = k - 1 bits and the top bits of the name's
+   30-bit hash above them.  The key string is the node's own name, read
+   from the node array only on a hash match.  It is built once, from the
+   finished node array. *)
 module Names = struct
-  type t = int array
+  type t = { slots : Bytes.t; id_bits : int }
 
-  let id_of slot = slot land 0xFFFF_FFFF
+  let slot slots i = Int32.to_int (Bytes.get_int32_ne slots (4 * i))
 
-  let rec probe slots name_of key h mask i =
-    let s = slots.(i) in
-    if s < 0 || (s lsr 32 = h && String.equal (name_of (id_of s)) key) then i
-    else probe slots name_of key h mask ((i + 1) land mask)
+  (* the bits of hash [h] a slot keeps above [id_bits] bits of id *)
+  let tag h id_bits = h lsr (id_bits - 1)
 
-  let find_opt slots name_of key =
-    let h = Hashtbl.hash key and mask = Array.length slots - 1 in
-    let s = slots.(probe slots name_of key h mask (h land mask)) in
-    if s < 0 then None else Some (id_of s)
+  let rec probe slots id_bits nodes key t mask i =
+    let s = slot slots i in
+    if
+      s < 0
+      || s lsr id_bits = t
+         && String.equal nodes.(s land ((1 lsl id_bits) - 1)).name key
+    then i
+    else probe slots id_bits nodes key t mask ((i + 1) land mask)
 
-  let radix_bits = 11
+  let find_opt { slots; id_bits } nodes key =
+    let h = Hashtbl.hash key and mask = (Bytes.length slots / 4) - 1 in
+    let i = probe slots id_bits nodes key (tag h id_bits) mask (h land mask) in
+    let s = slot slots i in
+    if s < 0 then None else Some (s land ((1 lsl id_bits) - 1))
 
-  (* [entries] stably ordered by home slot [(e lsr 32) land mask], with
-     LSD radix passes of [radix_bits] bits (one pass of a bucket per slot
-     for a table smaller than that) *)
-  let sort_by_home entries mask =
-    let buckets = min (1 lsl radix_bits) (mask + 1) in
-    let count = Array.make buckets 0 in
-    let src = ref entries and dst = ref (Array.make (Array.length entries) 0) in
-    let shift = ref 0 in
-    while mask lsr !shift > 0 do
-      let digit e = (((e lsr 32) land mask) lsr !shift) land (buckets - 1) in
-      Array.fill count 0 buckets 0;
-      Array.iter
-        (fun e ->
-          let d = digit e in
-          count.(d) <- count.(d) + 1)
-        !src;
-      let at = ref 0 in
-      for d = 0 to buckets - 1 do
-        let c = count.(d) in
-        count.(d) <- !at;
-        at := !at + c
-      done;
-      let out = !dst in
-      Array.iter
-        (fun e ->
-          let d = digit e in
-          out.(count.(d)) <- e;
-          count.(d) <- count.(d) + 1)
-        !src;
-      dst := !src;
-      src := out;
-      shift := !shift + radix_bits
+  (* The index of [nodes]' names, inserted in id order: the first id
+     whose name is already in the table is the smallest id whose name an
+     earlier node holds, and is refused. *)
+  let build nodes =
+    let n = Array.length nodes and k = ref 6 in
+    while 1 lsl !k < 2 * n do
+      incr k
     done;
-    !src
-
-  (* The index of the [n] nodes named [name_of 0 .. n - 1].  Inserting
-     in home-slot order makes every probe walk the table forward.  Equal
-     names share a home slot, where the stable order keeps them in id
-     order, so a duplicate meets the earlier holder of its name; raises
-     for the smallest such id. *)
-  let build n name_of =
-    let len = ref 64 in
-    while !len < 2 * n do
-      len := 2 * !len
+    let mask = (1 lsl !k) - 1 and id_bits = !k - 1 in
+    let slots = Bytes.make (4 lsl !k) '\xff' in
+    for id = 0 to n - 1 do
+      let name = nodes.(id).name in
+      let h = Hashtbl.hash name in
+      let t = tag h id_bits in
+      let i = probe slots id_bits nodes name t mask (h land mask) in
+      if slot slots i >= 0 then
+        invalid_arg ("Builder: duplicate node name " ^ name);
+      Bytes.set_int32_ne slots (4 * i) (Int32.of_int ((t lsl id_bits) lor id))
     done;
-    let mask = !len - 1 in
-    let entries =
-      sort_by_home
-        (Array.init n (fun id -> (Hashtbl.hash (name_of id) lsl 32) lor id))
-        mask
-    in
-    let slots = Array.make !len (-1) and dup = ref n in
-    Array.iter
-      (fun e ->
-        let h = e lsr 32 and id = id_of e in
-        let i = probe slots name_of (name_of id) h mask (h land mask) in
-        if slots.(i) < 0 then slots.(i) <- e else if id < !dup then dup := id)
-      entries;
-    if !dup < n then
-      invalid_arg ("Builder: duplicate node name " ^ name_of !dup);
-    slots
+    { slots; id_bits }
 end
 
 type program = {
@@ -133,7 +99,7 @@ let node t id =
 let kind t id = (node t id).kind
 let name t id = (node t id).name
 let fanins t id = (node t id).fanins
-let find t n = Names.find_opt t.by_name (fun id -> t.nodes.(id).name) n
+let find t n = Names.find_opt t.by_name t.nodes n
 
 let find_exn t n =
   match find t n with
@@ -342,9 +308,18 @@ let stats t =
     (List.length (luts t))
 
 module Builder = struct
+  (* The node records are kept in chunks of [chunk]: a chunk is small
+     enough for the minor heap, so most stores land in a young block and
+     are not remembered for the next minor collection, and no add copies
+     the records made so far.  [finalize] joins the chunks into the node
+     array. *)
+  let chunk = 256
+  let unused = { name = ""; kind = Pi; fanins = [||] }
+
   type t = {
     b_design : string;
-    b_nodes : node Sttc_util.Growable.t;
+    b_chunks : node array Sttc_util.Growable.t;
+    mutable b_count : int;
     mutable b_outs : (string * node_id) list; (* reversed *)
     b_out_names : (string, unit) Hashtbl.t;
   }
@@ -352,17 +327,24 @@ module Builder = struct
   let create ?(design_name = "design") () =
     {
       b_design = design_name;
-      b_nodes = Sttc_util.Growable.create ();
+      b_chunks = Sttc_util.Growable.create ();
+      b_count = 0;
       b_outs = [];
       b_out_names = Hashtbl.create 16;
     }
 
-  let node_count b = Sttc_util.Growable.length b.b_nodes
+  let node_count b = b.b_count
 
   (* names are checked for duplicates and indexed by [finalize] *)
   let add_node b name kind fanins =
     if name = "" then invalid_arg "Builder: empty node name";
-    Sttc_util.Growable.push b.b_nodes { name; kind; fanins }
+    let id = b.b_count in
+    if id mod chunk = 0 then
+      ignore (Sttc_util.Growable.push b.b_chunks (Array.make chunk unused));
+    let c = Sttc_util.Growable.last b.b_chunks in
+    c.(id mod chunk) <- { name; kind; fanins };
+    b.b_count <- id + 1;
+    id
 
   let check_ref b id ctx =
     if id < 0 || id >= node_count b then
@@ -379,8 +361,11 @@ module Builder = struct
   (* Adds a combinational node whose fanin count its caller has checked:
      every fanin must already exist. *)
   let add_comb b name kind fanins =
+    let n = node_count b in
     for k = 0 to Array.length fanins - 1 do
-      check_ref b fanins.(k) name
+      let id = fanins.(k) in
+      if id < 0 || id >= n then
+        invalid_arg ("Builder: undefined node reference in " ^ name)
     done;
     add_node b name kind fanins
 
@@ -410,11 +395,12 @@ module Builder = struct
   let set_dff_input b ff d =
     check_ref b ff "set_dff_input";
     check_ref b d "set_dff_input";
-    let n = Sttc_util.Growable.get b.b_nodes ff in
+    let c = Sttc_util.Growable.get b.b_chunks (ff / chunk) in
+    let n = c.(ff mod chunk) in
     (match n.kind with
     | Dff -> ()
     | _ -> invalid_arg "Builder.set_dff_input: not a DFF");
-    Sttc_util.Growable.set b.b_nodes ff { n with fanins = [| d |] }
+    c.(ff mod chunk) <- { n with fanins = [| d |] }
 
   let add_output b name id =
     check_ref b id ("output " ^ name);
@@ -424,30 +410,41 @@ module Builder = struct
     b.b_outs <- (name, id) :: b.b_outs
 
   let finalize b =
-    let nodes = Sttc_util.Growable.to_array b.b_nodes in
-    let by_name =
-      Names.build (Array.length nodes) (fun id -> nodes.(id).name)
+    let nodes =
+      let last = (b.b_count - 1) / chunk in
+      Array.concat
+        (List.mapi
+           (fun c a ->
+             if c < last then a else Array.sub a 0 (b.b_count - (c * chunk)))
+           (Sttc_util.Growable.to_list b.b_chunks))
     in
+    let by_name = Names.build nodes in
     if b.b_outs = [] then invalid_arg "Builder.finalize: no outputs";
     (* A fanin exists before its reader is added, so every combinational
        node comes after its combinational fanins in id order: the
        topological order [compute_topo] would find is the sources in id
        order, then the combinational nodes in id order, and no
        combinational cycle can exist. *)
-    let order = Array.make (Array.length nodes) 0 and placed = ref 0 in
-    let place id =
-      order.(!placed) <- id;
-      incr placed
-    in
-    Array.iteri
-      (fun id n ->
-        match n.kind with
-        | Dff when n.fanins.(0) < 0 ->
-            invalid_arg ("Builder.finalize: unwired DFF " ^ n.name)
-        | Pi | Const _ | Dff -> place id
-        | Gate _ | Lut _ -> ())
-      nodes;
-    Array.iteri (fun id n -> if is_combinational n.kind then place id) nodes;
+    let n = Array.length nodes and n_src = ref 0 in
+    for id = 0 to n - 1 do
+      let nd = nodes.(id) in
+      match nd.kind with
+      | Dff when nd.fanins.(0) < 0 ->
+          invalid_arg ("Builder.finalize: unwired DFF " ^ nd.name)
+      | Pi | Const _ | Dff -> incr n_src
+      | Gate _ | Lut _ -> ()
+    done;
+    let order = Array.make n 0 and src = ref 0 and comb = ref !n_src in
+    for id = 0 to n - 1 do
+      if is_combinational nodes.(id).kind then begin
+        order.(!comb) <- id;
+        incr comb
+      end
+      else begin
+        order.(!src) <- id;
+        incr src
+      end
+    done;
     {
       design_name = b.b_design;
       nodes;

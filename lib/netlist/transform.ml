@@ -92,12 +92,19 @@ let gate_fn_of t id =
   | Netlist.Gate fn -> fn
   | _ -> invalid_arg "Transform.absorb_driver: not a gate"
 
+(* A primary output is a named reference, not a fanout: absorbing its
+   driver would leave the output on the dead placeholder. *)
+let drives_output t id =
+  Array.exists (fun (_, d) -> d = id) (Netlist.outputs t)
+
 let absorb_driver t id ~driver =
   let gate_fn = gate_fn_of t id in
   let driver_fn = gate_fn_of t driver in
   (match Netlist.fanouts t driver with
   | [ single ] when single = id -> ()
   | _ -> invalid_arg "Transform.absorb_driver: driver has other fanouts");
+  if drives_output t driver then
+    invalid_arg "Transform.absorb_driver: driver drives a primary output";
   let gate_fanins = Netlist.fanins t id in
   let driver_pos =
     let rec find k =
@@ -148,7 +155,8 @@ let absorbable_driver t id =
         Array.to_list (Netlist.fanins t id)
         |> List.filter_map (fun src ->
                match (Netlist.kind t src, Netlist.fanouts t src) with
-               | Netlist.Gate src_fn, [ single ] when single = id ->
+               | Netlist.Gate src_fn, [ single ]
+                 when single = id && not (drives_output t src) ->
                    let merged_arity =
                      Sttc_logic.Gate_fn.arity src_fn
                      + Sttc_logic.Gate_fn.arity gate_fn - 1

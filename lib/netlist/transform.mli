@@ -37,10 +37,11 @@ val absorb_driver :
     becomes a configured LUT computing [gate ∘ driver], its inputs being
     the driver's fanins followed by the gate's remaining fanins.  The
     absorbed driver must be a combinational gate whose only reader is
-    [id]; it is rewired to a buffer placeholder that {!sweep} removes.
-    Raises [Invalid_argument] when the driver has other fanouts, either
-    node is not a CMOS gate, the driver is not a fanin of [id], or the
-    merged arity exceeds [Truth.max_arity]. *)
+    [id] and that drives no primary output; it is rewired to a buffer
+    placeholder that {!sweep} removes.  Raises [Invalid_argument] when
+    the driver has other fanouts, drives a primary output, either node
+    is not a CMOS gate, the driver is not a fanin of [id], or the merged
+    arity exceeds [Truth.max_arity]. *)
 
 val absorbable_driver :
   Netlist.t -> Netlist.node_id -> Netlist.node_id option

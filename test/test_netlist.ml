@@ -106,6 +106,61 @@ let test_name_index_duplicates () =
         (fun () -> ignore (Netlist.Builder.finalize b)))
     [ [ 5; 999; 1500 ]; [ 999; 1500; 5 ]; [ 1500; 5; 999 ] ]
 
+(* The name index against a [Hashtbl] model, on names of 1-3 letters
+   over "abc" (39 names in all), so home slots collide.  Half the cases
+   drop repeated names, so that finalize succeeds. *)
+let name_index_prop =
+  let letters = [ "a"; "b"; "c" ] in
+  let longer names =
+    List.concat_map (fun s -> List.map (( ^ ) s) letters) names
+  in
+  let universe = letters @ longer letters @ longer (longer letters) in
+  let gen =
+    let open QCheck2.Gen in
+    let* names = list_size (int_range 1 45) (oneofl universe)
+    and* distinct = bool in
+    if not distinct then return names
+    else
+      let seen = Hashtbl.create 16 in
+      return
+        (List.filter
+           (fun name ->
+             (not (Hashtbl.mem seen name)) && (Hashtbl.add seen name (); true))
+           names)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"name index agrees with a Hashtbl model"
+       ~count:500 ~print:(String.concat ",") gen (fun names ->
+         let b = Netlist.Builder.create () in
+         List.iter (fun name -> ignore (Netlist.Builder.add_pi b name)) names;
+         Netlist.Builder.add_output b "y" 0;
+         (* the model: the first id whose name an earlier node holds *)
+         let seen = Hashtbl.create 16 in
+         let dup =
+           List.find_opt
+             (fun name ->
+               Hashtbl.mem seen name || (Hashtbl.add seen name (); false))
+             names
+         in
+         match (dup, Netlist.Builder.finalize b) with
+         | Some name, _ ->
+             QCheck2.Test.fail_reportf "finalize accepted duplicate %s" name
+         | None, nl ->
+             List.iteri
+               (fun id name ->
+                 if Netlist.find nl name <> Some id then
+                   QCheck2.Test.fail_reportf "%s does not resolve to %d" name
+                     id)
+               names;
+             List.for_all
+               (fun name ->
+                 Hashtbl.mem seen name || Netlist.find nl name = None)
+               universe
+         | exception Invalid_argument msg -> (
+             match dup with
+             | Some name -> msg = "Builder: duplicate node name " ^ name
+             | None -> QCheck2.Test.fail_reportf "finalize refused: %s" msg)))
+
 (* The add-time rejections, message for message: an invalid function
    first, then the fanin count, then the references. *)
 let test_builder_arity_mismatch () =
@@ -574,6 +629,21 @@ let test_transform_absorb_rejections () =
     (Invalid_argument "Transform.absorb_driver: driver has other fanouts")
     (fun () -> ignore (Transform.absorb_driver nl g ~driver:n1));
   Alcotest.(check (option int)) "no absorbable driver" None
+    (Transform.absorbable_driver nl g);
+  (* a driver whose only reader is the gate but that also drives a
+     primary output must be refused too *)
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_pi b "a" in
+  let bb = Netlist.Builder.add_pi b "b" in
+  let n1 = Netlist.Builder.add_gate b "n1" (Gate_fn.Nand 2) [| a; bb |] in
+  let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [| n1; bb |] in
+  Netlist.Builder.add_output b "y" g;
+  Netlist.Builder.add_output b "z" n1;
+  let nl = Netlist.Builder.finalize b in
+  Alcotest.check_raises "output driver"
+    (Invalid_argument "Transform.absorb_driver: driver drives a primary output")
+    (fun () -> ignore (Transform.absorb_driver nl g ~driver:n1));
+  Alcotest.(check (option int)) "output driver not absorbable" None
     (Transform.absorbable_driver nl g)
 
 let test_transform_sweep () =
@@ -1198,6 +1268,7 @@ let () =
           Alcotest.test_case "name index" `Quick test_name_index;
           Alcotest.test_case "name index duplicates" `Quick
             test_name_index_duplicates;
+          name_index_prop;
           Alcotest.test_case "arity mismatch" `Quick test_builder_arity_mismatch;
           Alcotest.test_case "unwired dff" `Quick test_builder_unwired_dff;
           Alcotest.test_case "no outputs" `Quick test_builder_no_outputs;

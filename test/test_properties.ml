@@ -75,6 +75,19 @@ let prop_hardening_preserves_function =
       let r = protect ~seed ~hardening (Flow.Independent { count = 3 }) nl in
       equivalent nl (Hybrid.programmed r.Flow.hybrid))
 
+(* Seeds at which complex-function absorption once absorbed a driver
+   that also drives a primary output, turning that output into a dead
+   placeholder's. *)
+let test_absorb_keeps_outputs () =
+  List.iter
+    (fun seed ->
+      let nl = gen_netlist seed in
+      let hardening = { Flow.extra_inputs_per_lut = 0; absorb_drivers = true } in
+      let r = protect ~seed ~hardening (Flow.Independent { count = 3 }) nl in
+      if not (equivalent nl (Hybrid.programmed r.Flow.hybrid)) then
+        Alcotest.failf "seed %d: hardened hybrid differs" seed)
+    [ 32510; 56290; 72015 ]
+
 let prop_security_monotone =
   QCheck2.Test.make ~name:"N_dep and N_bf never shrink when LUTs are added"
     ~count:12 gen_seed
@@ -446,6 +459,10 @@ let () =
             prop_foundry_view_has_no_configs;
             prop_hardening_preserves_function;
             prop_security_monotone;
+          ]
+        @ [
+            Alcotest.test_case "absorption keeps primary outputs" `Quick
+              test_absorb_keeps_outputs;
           ] );
       ( "transforms",
         List.map to_case

@@ -183,6 +183,40 @@ if [ "$reach_failed" -ne 0 ]; then
   exit 1
 fi
 
+echo "== library gate (every listed external library is used)"
+# Each external library a dune file lists must be named by a .ml file
+# in its directory, through the module it provides.  A library with no
+# entry below fails the gate until it gets one.
+lib_module() {
+  case "$1" in
+    unix) printf '%s' 'Unix\.' ;;
+    cmdliner) printf '%s' 'Cmdliner' ;;
+    alcotest) printf '%s' '\bAlcotest\.' ;;
+    qcheck-core) printf '%s' '\bQCheck2?\.' ;;
+    qcheck-alcotest) printf '%s' '\bQCheck_alcotest\.' ;;
+    bechamel.monotonic_clock) printf '%s' 'Monotonic_clock' ;;
+    fmt) printf '%s' '\bFmt\.' ;;
+    *) return 1 ;;
+  esac
+}
+libs_failed=0
+for d in lib/*/ bin/ examples/ test/; do
+  for l in $(tr '\n' ' ' < "${d}dune" | grep -o '(libraries [^)]*)' \
+               | sed 's/^(libraries //; s/)$//'); do
+    case "$l" in sttc_*) continue ;; esac
+    if ! pat=$(lib_module "$l"); then
+      echo "LIBRARY GATE FAILED: ${d}dune lists $l, which has no module entry in tools/ci.sh" >&2
+      libs_failed=1
+    elif ! grep -qE "$pat" "$d"*.ml; then
+      echo "LIBRARY GATE FAILED: ${d}dune lists $l, but no ${d}*.ml names it" >&2
+      libs_failed=1
+    fi
+  done
+done
+if [ "$libs_failed" -ne 0 ]; then
+  exit 1
+fi
+
 echo "== clock gate (elapsed times are read from Timing.now_s, a monotonic clock)"
 # The wall clock can step backwards: a negative selection time makes
 # Table II's MM:SS.d rendering raise.  Elapsed times are read from

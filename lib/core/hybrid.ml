@@ -75,6 +75,5 @@ let program_with t configs = Transform.program_luts t.foundry configs
 let verify ?(method_ = `Sat) t =
   match method_ with
   | `Sat -> Sttc_sim.Equiv.check_sat t.original t.programmed
-  | `Bdd -> Sttc_sim.Equiv.check_bdd t.original t.programmed
   | `Random vectors ->
       Sttc_sim.Equiv.check_random ~vectors ~seed:0x5ec t.original t.programmed

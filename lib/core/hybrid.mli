@@ -46,6 +46,6 @@ val program_with :
 (** Program the foundry view with an arbitrary candidate bitstream (used
     by attacks to test hypotheses). *)
 
-val verify : ?method_:[ `Random of int | `Sat | `Bdd ] -> t -> Sttc_sim.Equiv.result
+val verify : ?method_:[ `Random of int | `Sat ] -> t -> Sttc_sim.Equiv.result
 (** Sign-off check: programmed view equivalent to the original.
     Default [`Sat]. *)

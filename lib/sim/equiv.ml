@@ -1,8 +1,6 @@
 module Netlist = Sttc_netlist.Netlist
-module Truth = Sttc_logic.Truth
 module Cnf = Sttc_logic.Cnf
 module Sat = Sttc_logic.Sat
-module Bdd = Sttc_logic.Bdd
 module Rng = Sttc_util.Rng
 
 type failure = {
@@ -190,114 +188,3 @@ let check_sat ?(max_conflicts = max_int) a b =
                 | None -> "?"
               in
               Different { witness; signal }))
-
-(* ---------- BDDs ---------- *)
-
-let check_bdd a b =
-  match pair a b with
-  | Error m -> Inconclusive m
-  | Ok p -> (
-      let m = Bdd.manager () in
-      let vars = Hashtbl.create 64 in
-      let next = ref 0 in
-      let input_bdd name =
-        match Hashtbl.find_opt vars name with
-        | Some v -> Bdd.var m v
-        | None ->
-            let v = !next in
-            incr next;
-            Hashtbl.add vars name v;
-            Bdd.var m v
-      in
-      let build nl =
-        let lit = Array.make (Netlist.node_count nl) (Bdd.zero m) in
-        Array.iter
-          (fun id ->
-            let node = Netlist.node nl id in
-            match node.Netlist.kind with
-            | Netlist.Pi | Netlist.Dff ->
-                lit.(id) <- input_bdd node.Netlist.name
-            | Netlist.Const v ->
-                lit.(id) <- (if v then Bdd.one m else Bdd.zero m)
-            | Netlist.Gate fn ->
-                let ins =
-                  Array.to_list
-                    (Array.map (fun s -> lit.(s)) node.Netlist.fanins)
-                in
-                lit.(id) <-
-                  (match fn with
-                  | Sttc_logic.Gate_fn.Buf -> List.hd ins
-                  | Sttc_logic.Gate_fn.Not -> Bdd.lnot m (List.hd ins)
-                  | Sttc_logic.Gate_fn.And _ -> Bdd.land_list m ins
-                  | Sttc_logic.Gate_fn.Nand _ ->
-                      Bdd.lnot m (Bdd.land_list m ins)
-                  | Sttc_logic.Gate_fn.Or _ -> Bdd.lor_list m ins
-                  | Sttc_logic.Gate_fn.Nor _ -> Bdd.lnot m (Bdd.lor_list m ins)
-                  | Sttc_logic.Gate_fn.Xor _ -> Bdd.lxor_list m ins
-                  | Sttc_logic.Gate_fn.Xnor _ ->
-                      Bdd.lnot m (Bdd.lxor_list m ins))
-            | Netlist.Lut { config = Some c; _ } ->
-                (* Shannon-style: OR of on-set cubes over fanin BDDs *)
-                let ins = Array.map (fun s -> lit.(s)) node.Netlist.fanins in
-                let acc = ref (Bdd.zero m) in
-                for r = 0 to (1 lsl Truth.arity c) - 1 do
-                  if Truth.row c r then begin
-                    let cube = ref (Bdd.one m) in
-                    Array.iteri
-                      (fun k f ->
-                        let f' =
-                          if (r lsr k) land 1 = 1 then f else Bdd.lnot m f
-                        in
-                        cube := Bdd.land_ m !cube f')
-                      ins;
-                    acc := Bdd.lor_ m !acc !cube
-                  end
-                done;
-                lit.(id) <- !acc
-            | Netlist.Lut { config = None; _ } ->
-                invalid_arg
-                  ("Equiv.check_bdd: unprogrammed LUT " ^ node.Netlist.name))
-          (Netlist.topo_order nl);
-        lit
-      in
-      match (build a, build b) with
-      | exception Invalid_argument msg -> Inconclusive msg
-      | lit_a, lit_b ->
-          let outs_b = Netlist.outputs b in
-          let dffs_b = Array.of_list (Netlist.dffs b) in
-          let d_input nl lit ff = lit.((Netlist.fanins nl ff).(0)) in
-          let pairs =
-            Array.to_list
-              (Array.mapi
-                 (fun i (name, id) ->
-                   (name, lit_a.(id), lit_b.(snd outs_b.(p.pos.(i)))))
-                 (Netlist.outputs a))
-            @ List.mapi
-                (fun i ff ->
-                  ( Netlist.name a ff,
-                    d_input a lit_a ff,
-                    d_input b lit_b dffs_b.(p.dffs.(i)) ))
-                (Netlist.dffs a)
-          in
-          let rec check = function
-            | [] -> Equivalent
-            | (name, fa, fb) :: rest ->
-                if Bdd.equal fa fb then check rest
-                else
-                  let diff = Bdd.lxor_ m fa fb in
-                  let assignment =
-                    match Bdd.any_sat diff with
-                    | Some l -> l
-                    | None -> []
-                  in
-                  let by_index =
-                    Hashtbl.fold (fun n v acc -> (v, n) :: acc) vars []
-                  in
-                  let witness =
-                    List.map
-                      (fun (v, value) -> (List.assoc v by_index, value))
-                      assignment
-                  in
-                  Different { witness; signal = name }
-          in
-          check pairs)

@@ -8,11 +8,10 @@
     preserves flip-flops and names, this is a sound and complete check for
     the transformations in this code base.
 
-    Three engines with different scale/assurance trade-offs:
-    random bit-parallel simulation (fast, incomplete), BDDs (complete,
-    small circuits), and a SAT miter over {!Encode}'s formula (complete,
-    scales furthest).  All three pair the two netlists' inputs, outputs
-    and flip-flops by name, never by position. *)
+    Two engines: a SAT miter over {!Encode}'s formula (complete; every
+    sign-off uses it) and random bit-parallel simulation (fast,
+    incomplete).  Both pair the two netlists' inputs, outputs and
+    flip-flops by name, never by position. *)
 
 type failure = {
   witness : (string * bool) list;
@@ -33,7 +32,3 @@ val check_sat :
   Sttc_netlist.Netlist.t ->
   result
 (** Complete modulo the conflict budget (default unlimited). *)
-
-val check_bdd : Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.t -> result
-(** Complete; practical up to a few thousand gates on well-behaved
-    circuits. *)

@@ -81,10 +81,6 @@ let of_bench_name s ~arity:n =
   | "XNOR", n when n >= 2 -> Some (Xnor n)
   | _ -> None
 
-let equal a b = a = b
-let compare = Stdlib.compare
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let all_of_arity n =
   if n = 1 then [ Buf; Not ]
   else if n >= 2 && n <= Truth.max_arity then

@@ -54,10 +54,6 @@ val of_bench_name : string -> arity:int -> t option
 (** Parse a [.bench] keyword (["AND"], ["NOT"], ["BUFF"], ...); [None] for
     unknown keywords (e.g. ["DFF"], which is not a combinational gate). *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 val all_of_arity : int -> t list
 (** The "meaningful" gate set of a given arity, as counted by the paper:
     for arity 2 the six gates AND, NAND, OR, NOR, XOR, XNOR; for arity 1

@@ -76,13 +76,6 @@ let lxor_ a b =
 
 let equal a b = a.arity = b.arity && Int64.equal a.bits b.bits
 
-let compare a b =
-  match Int.compare a.arity b.arity with
-  | 0 -> Int64.compare a.bits b.bits
-  | c -> c
-
-let hash t = Hashtbl.hash (t.arity, t.bits)
-
 let popcount64 x =
   let rec loop acc x = if Int64.equal x 0L then acc
     else loop (acc + 1) (Int64.logand x (Int64.sub x 1L))
@@ -92,8 +85,6 @@ let popcount64 x =
 let agreement a b =
   same_arity a b "agreement";
   rows a - popcount64 (Int64.logxor a.bits b.bits)
-
-let count_ones t = popcount64 t.bits
 
 let cofactor t k v =
   if k < 0 || k >= t.arity then invalid_arg "Truth.cofactor: index";
@@ -139,8 +130,6 @@ let of_string s =
       | _ -> invalid_arg "Truth.of_string: expected 0/1")
     s;
   { arity; bits = !bits }
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let enumerate ~arity =
   check_arity arity;

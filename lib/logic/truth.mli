@@ -41,17 +41,12 @@ val lor_ : t -> t -> t
 val lxor_ : t -> t -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val agreement : t -> t -> int
 (** [agreement a b] is the number of input rows on which [a] and [b]
     produce the same output — the paper's "similarity" of two gates
     (e.g. AND2 vs NOR2 agree on 2 rows; AND2 vs NAND2 on 0).
     Raises [Invalid_argument] when arities differ. *)
-
-val count_ones : t -> int
-(** Number of rows producing 1 (the on-set size). *)
 
 val cofactor : t -> int -> bool -> t
 (** [cofactor t k v] fixes input [k] to [v]; the result keeps the same
@@ -72,8 +67,6 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Inverse of {!to_string}.  Raises [Invalid_argument] on bad input. *)
-
-val pp : Format.formatter -> t -> unit
 
 val enumerate : arity:int -> t Seq.t
 (** All [2^(2^arity)] functions of the given arity (practical for

@@ -295,11 +295,3 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
     oracle_queries = Oracle.queries oracle;
     seconds = Sttc_util.Timing.now_s () -. t0;
   }
-
-let pp_result fmt r =
-  Format.fprintf fmt
-    "tt-attack: %d/%d LUTs fully resolved, %.1f%% of rows (%.1f%% functional), \
-     %d patterns, %d oracle queries, %.2fs"
-    r.fully_resolved r.lut_count (100. *. r.resolution)
-    (100. *. r.functional_resolution) r.patterns_tried r.oracle_queries
-    r.seconds

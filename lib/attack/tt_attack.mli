@@ -59,5 +59,3 @@ val run :
     selection this pass typically completes the truth tables — the attack
     Eq. (1) prices; against dependent selection certification keeps
     failing, which is Eq. (2)'s whole point. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -15,7 +15,6 @@ type t = {
 }
 
 let name t = t.name
-let description t = t.description
 let restricted t = t.candidates <> None
 
 let candidate_tables t ~arity =
@@ -97,5 +96,3 @@ let sat_candidates t nl luts =
           | Sttc_netlist.Netlist.Lut { arity; _ } -> (id, f arity)
           | _ -> invalid_arg "Backend.sat_candidates: not a LUT node")
         luts
-
-let pp fmt t = Format.fprintf fmt "%s (%s)" t.name t.description

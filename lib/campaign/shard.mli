@@ -65,7 +65,6 @@ val assign : Manifest.t -> shard:int -> Manifest.run list
 (** {1 Layout} *)
 
 val manifest_path : string -> string
-val shards_dir : string -> string
 val report_json_path : string -> string
 val report_text_path : string -> string
 val campaign_metrics_path : string -> string

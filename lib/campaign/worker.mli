@@ -44,6 +44,3 @@ val run :
     gate and the failure-path tests.  Only the [sttc worker] subcommand
     sets it; in-process callers must not (the "worker" would kill the
     host). *)
-
-val kill_injection_env : string
-(** ["STTC_CAMPAIGN_KILL"]. *)

@@ -11,9 +11,6 @@
 val candidate_functions : Sttc_logic.Gate_fn.t list
 (** NAND2, NOR2, XNOR2. *)
 
-val candidates_per_cell : int
-(** 3, vs [Gate_fn.candidate_count 2 = 6] per 2-input STT LUT. *)
-
 type t
 
 val eligible : Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.node_id list

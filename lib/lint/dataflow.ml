@@ -9,7 +9,6 @@ module Simulator = Sttc_sim.Simulator
 let infinite = 1_000_000
 
 type t = {
-  nl : Netlist.t;
   const : Ternary.v array;
   tainted : bool array;
   stuck : Ternary.v array;
@@ -303,7 +302,6 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   let summary = Query.cone_summary nl in
   let seq_depth = Query.sequential_depth_to_po nl in
   {
-    nl;
     const;
     tainted;
     stuck;
@@ -317,7 +315,6 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
     patterns;
   }
 
-let netlist t = t.nl
 let const t id = t.const.(id)
 let tainted t id = t.tainted.(id)
 let stuck t id = t.stuck.(id)

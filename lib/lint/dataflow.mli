@@ -32,8 +32,6 @@ val compute : ?patterns:int -> ?seed:int -> Sttc_netlist.Netlist.t -> t
     random known-source simulations feed the signatures; [seed] makes
     them deterministic per run. *)
 
-val netlist : t -> Sttc_netlist.Netlist.t
-
 val const : t -> Sttc_netlist.Netlist.node_id -> Sttc_logic.Ternary.v
 (** Known iff constant propagation alone forces the node's value. *)
 

@@ -11,9 +11,6 @@ type severity = Error | Warning | Info
 val severity_name : severity -> string
 (** ["error"] / ["warning"] / ["info"]. *)
 
-val severity_rank : severity -> int
-(** [Error] = 0 (worst) .. [Info] = 2; used for sorting. *)
-
 type t = {
   rule : string;  (** stable ID, e.g. "STR001" *)
   alias : string;  (** slug, e.g. "comb-loop" *)
@@ -61,9 +58,6 @@ val baseline_of_string : string -> baseline
 val apply_baseline : baseline -> t list -> t list
 
 (** {1 Rendering} *)
-
-val pp : Format.formatter -> t -> unit
-(** One line: [severity RULE(alias) at node: detail]. *)
 
 val to_text : t -> string
 

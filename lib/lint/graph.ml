@@ -49,13 +49,3 @@ let is_combinational = function
   | Pi | Const _ | Dff -> false
 
 let valid_ref t id = id >= 0 && id < Array.length t.nodes
-
-let fanouts t =
-  let f = Array.make (Array.length t.nodes) [] in
-  Array.iteri
-    (fun id n ->
-      Array.iter
-        (fun src -> if valid_ref t src then f.(src) <- id :: f.(src))
-        n.fanins)
-    t.nodes;
-  Array.map List.rev f

@@ -40,6 +40,3 @@ val is_combinational : kind -> bool
 (** True for [Gate] and [Lut]. *)
 
 val valid_ref : t -> int -> bool
-
-val fanouts : t -> int list array
-(** Reader lists per node (invalid fanin references ignored). *)

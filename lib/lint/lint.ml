@@ -34,11 +34,6 @@ let catalog_text () =
 
 let structural ?only ?library nl = Structural.check ?only ?library nl
 
-let hybrid ?only view =
-  Structural.check ?only ~library:view.Security_rules.library
-    view.Security_rules.foundry
-  @ Security_rules.run ?only view
-
 let semantic ?only view = Semantic_rules.run ?only view
 
 let apply ?(only = []) ?(suppress = []) ?baseline ds =

@@ -26,11 +26,6 @@ val structural :
   Diagnostic.t list
 (** The structural pack on a netlist ({!Structural.check}). *)
 
-val hybrid :
-  ?only:string list -> Security_rules.view -> Diagnostic.t list
-(** Both packs on a hybrid: structural rules on the foundry view plus
-    the security pack on the view. *)
-
 val semantic :
   ?only:string list -> Semantic_rules.view -> Diagnostic.t list
 (** The semantic pack ({!Semantic_rules.run}): dataflow- and SAT-backed

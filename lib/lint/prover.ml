@@ -33,7 +33,6 @@ type t = {
   a : rails array; (* copy A, indexed by node id *)
   b : rails array; (* copy B; shares A's literals off the LUT cones *)
   luts : Netlist.node_id list; (* unconfigured LUTs, id order *)
-  downstream : bool array;
   any_diff : Cnf.lit option;
       (* some observation point differs (known, opposite) between copies *)
   mutable label : string;
@@ -192,7 +191,6 @@ let create ?(budget = 50_000) nl =
     a;
     b;
     luts = List.rev !luts;
-    downstream;
     any_diff;
     label = "sem";
     queries = 0;
@@ -294,9 +292,4 @@ let equivalent t x y =
   Cnf.add_clause t.cnf [ -act ];
   match r with Holds -> Refuted | Refuted -> Holds | Cutoff -> Cutoff
 
-let budget t = t.budget
-let queries t = t.queries
 let cutoffs t = t.cutoffs
-let conflicts t = t.conflicts
-let seconds t = t.seconds
-let downstream t id = t.downstream.(id)

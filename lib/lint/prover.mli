@@ -56,17 +56,5 @@ val equivalent :
     sound for nets that are not downstream of a missing gate (the caller
     filters on {!Dataflow.tainted}). *)
 
-val budget : t -> int
-val queries : t -> int
 val cutoffs : t -> int
 (** Queries that exhausted the budget so far. *)
-
-val conflicts : t -> int
-(** Solver conflicts spent by this prover's queries. *)
-
-val seconds : t -> float
-
-val downstream : t -> Sttc_netlist.Netlist.node_id -> bool
-(** Combinationally downstream of a missing gate: two-valued claims
-    ({!value_reachable}-based constancy, {!equivalent}) are not sound
-    there. *)

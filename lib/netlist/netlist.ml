@@ -456,8 +456,6 @@ module Builder = struct
     }
 end
 
-let rename t new_name = { t with design_name = new_name }
-
 let validate_node n ~node_total ~who =
   let expect k =
     if Array.length n.fanins <> k then

@@ -152,9 +152,6 @@ module Builder : sig
       order, then combinational nodes in id order). *)
 end
 
-val rename : t -> string -> t
-(** Copy with a new design name. *)
-
 val kind_delta : t -> t -> node_id list option
 (** [kind_delta a b] is [Some ids] when [b] is {e id-compatible} with [a] —
     same node count and output list, and every node keeps its name and

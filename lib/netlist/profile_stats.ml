@@ -102,5 +102,3 @@ let render t =
     t.fanout_histogram;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (render t)

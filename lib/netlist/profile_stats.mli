@@ -22,5 +22,3 @@ type t = {
 val compute : Netlist.t -> t
 val render : t -> string
 (** Multi-line human-readable block. *)
-
-val pp : Format.formatter -> t -> unit

@@ -181,8 +181,6 @@ module Overlay = struct
   let create base =
     { base; staged = Array.make (Netlist.node_count base) false; staged_ids = [] }
 
-  let base t = t.base
-
   let clear t =
     List.iter (fun id -> t.staged.(id) <- false) t.staged_ids;
     t.staged_ids <- []
@@ -216,7 +214,6 @@ module Overlay = struct
       Netlist.Lut { arity = Array.length (Netlist.fanins t.base id); config = None }
     else Netlist.kind t.base id
 
-  let commit ?keep_function t = replace_many ?keep_function t.base t.staged_ids
 end
 
 let sweep t =

@@ -10,9 +10,6 @@
 val version : string
 (** The tool version (also used by the CLI's [--version]). *)
 
-val commit : unit -> string
-(** [STTC_COMMIT] if set and non-empty, else ["unknown"]. *)
-
 val to_fields : unit -> (string * Json.t) list
 (** The metadata block: tool, version, commit, OCaml version, OS type,
     word size.  Deterministic for a given build and environment. *)

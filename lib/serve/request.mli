@@ -84,9 +84,6 @@ type t = { id : string option; timeout_s : float option; payload : payload }
 
 val verb : payload -> string
 
-val to_json : t -> Sttc_obs.Json.t
-val of_json : Sttc_obs.Json.t -> (t, string) result
-
 val to_string : t -> string
 (** Minified single-line JSON — exactly one protocol frame, sans the
     trailing newline. *)

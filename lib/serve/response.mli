@@ -46,9 +46,6 @@ val campaign_of_json :
 (** The attack-campaign wire codec ([sat_stats] rides as a
     {!Sttc_obs.Metrics} snapshot object) — exposed for report tooling. *)
 
-val to_json : t -> Sttc_obs.Json.t
-val of_json : Sttc_obs.Json.t -> (t, string) result
-
 val to_string : t -> string
 (** Minified single-line JSON, sans trailing newline — both transports
     render responses through this one function, which is what makes the

@@ -18,8 +18,6 @@ type t = {
 let create ?(capacity = 32) () =
   { capacity; lock = Mutex.create (); table = Hashtbl.create 64; tick = 0 }
 
-let capacity t = t.capacity
-
 let key = function
   | Request.Named n -> "name:" ^ n
   | Request.Inline { name; text } ->

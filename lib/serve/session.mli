@@ -30,11 +30,6 @@ val create : ?capacity:int -> unit -> t
     disables caching entirely — every request parses from scratch, the
     cold baseline the serve benchmark compares against. *)
 
-val capacity : t -> int
-
-val key : Request.source -> string
-(** The cache key of a source (exposed for tests). *)
-
 val netlist : t -> Request.source -> (Sttc_netlist.Netlist.t, string) result
 (** Resolve a source to a parsed, warmed netlist — from cache when
     possible.  Thread-safe; parsing happens outside the registry lock,

@@ -31,7 +31,3 @@ let dynamic_power_uw c ~activity ~clock_ghz =
 
 let total_power_uw c ~activity ~clock_ghz =
   dynamic_power_uw c ~activity ~clock_ghz +. (c.leakage_nw /. 1000.)
-
-let pp fmt c =
-  Format.fprintf fmt "%s(arity %d): %.1f ps, %.2f fJ, %.2f nW, %.2f um2"
-    c.cell_name c.arity c.delay_ps c.switch_energy_fj c.leakage_nw c.area_um2

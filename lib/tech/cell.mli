@@ -44,5 +44,3 @@ val dynamic_power_uw :
 
 val total_power_uw : t -> activity:float -> clock_ghz:float -> float
 (** Dynamic plus leakage. *)
-
-val pp : Format.formatter -> t -> unit

@@ -60,8 +60,6 @@ let make_gate fn =
 let gate_cells = Array.of_list (List.map make_gate Gate_fn.all)
 let gate fn = gate_cells.(Gate_fn.index fn)
 
-let inverter = gate Gate_fn.Not
-
 let dff =
   {
     Cell.cell_name = "DFF";

@@ -7,7 +7,6 @@
     count, and leakage benefits from the stacking effect in high fan-in
     NAND/NOR — the qualitative behaviour Section III discusses. *)
 
-val inverter : Cell.t
 val dff : Cell.t
 
 val gate : Sttc_logic.Gate_fn.t -> Cell.t
@@ -15,8 +14,5 @@ val gate : Sttc_logic.Gate_fn.t -> Cell.t
     arities outside the supported range (1..6). *)
 
 (* Model parameters, exposed for documentation and tests. *)
-
-val tau_ps : float
-(** Base technology delay unit (inverter FO4-ish). *)
 
 val transistor_count : Sttc_logic.Gate_fn.t -> int

@@ -24,7 +24,6 @@ val clear : 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
-val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 val truncate : 'a t -> int -> unit

@@ -97,8 +97,6 @@ let create ?chunk ~jobs () =
   t.workers <- Array.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.size
-
 let shutdown t =
   Mutex.lock t.mutex;
   if t.stop then Mutex.unlock t.mutex

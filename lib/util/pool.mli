@@ -33,9 +33,6 @@ val create : ?chunk:int -> jobs:int -> unit -> t
     a time (default: computed from the submission size, about four
     chunks per worker). *)
 
-val jobs : t -> int
-(** Worker count the pool was created with. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [-j 0] resolves to. *)
 

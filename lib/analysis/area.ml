@@ -26,10 +26,6 @@ let estimate lib nl =
     dffs_um2 = !dffs;
   }
 
-let overhead_pct ~base ~modified =
-  Sttc_util.Stats.relative_overhead ~base:base.total_um2
-    ~modified:modified.total_um2
-
 let pp_report fmt r =
   Format.fprintf fmt "area: %.1f um2 (gates %.1f, LUTs %.1f, DFFs %.1f)"
     r.total_um2 r.gates_um2 r.luts_um2 r.dffs_um2

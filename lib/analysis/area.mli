@@ -9,6 +9,4 @@ type report = {
 
 val estimate : Sttc_tech.Library.t -> Sttc_netlist.Netlist.t -> report
 
-val overhead_pct : base:report -> modified:report -> float
-
 val pp_report : Format.formatter -> report -> unit

@@ -44,9 +44,6 @@ let estimate ?activity lib nl =
     avg_switching = Activity.average_switching act;
   }
 
-let overhead_pct ~base ~modified =
-  Sttc_util.Stats.relative_overhead ~base:base.total_uw ~modified:modified.total_uw
-
 let pp_report fmt r =
   Format.fprintf fmt
     "power: %.2f uW total (%.2f dynamic, %.2f leakage; CMOS %.2f, STT %.2f; avg alpha %.3f)"

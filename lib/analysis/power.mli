@@ -23,7 +23,4 @@ val estimate :
 (** When [activity] is omitted it is computed with default PI
     probabilities. *)
 
-val overhead_pct : base:report -> modified:report -> float
-(** Total-power overhead percentage, Table I style. *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -67,11 +67,8 @@ module Config = struct
     }
 
   let with_sat_timeout_s sat_timeout_s t = { t with sat_timeout_s }
-  let with_seq_timeout_s seq_timeout_s t = { t with seq_timeout_s }
   let with_tt_budget tt_budget t = { t with tt_budget }
   let with_guess_rounds guess_rounds t = { t with guess_rounds }
-  let with_brute_max_bits brute_max_bits t = { t with brute_max_bits }
-  let with_seq_frames seq_frames t = { t with seq_frames }
   let with_seed seed t = { t with seed }
   let with_jobs jobs t = { t with jobs }
   let with_solver_mode solver_mode t = { t with solver_mode }

@@ -52,11 +52,8 @@ module Config : sig
   val default : t
 
   val with_sat_timeout_s : float -> t -> t
-  val with_seq_timeout_s : float option -> t -> t
   val with_tt_budget : int -> t -> t
   val with_guess_rounds : int -> t -> t
-  val with_brute_max_bits : int -> t -> t
-  val with_seq_frames : int -> t -> t
   val with_seed : int -> t -> t
   val with_jobs : int -> t -> t
   val with_solver_mode : Sat_attack.solver_mode -> t -> t
@@ -116,10 +113,6 @@ val attack :
     ([Sat_attack]'s [~candidates]), while the oracle-sampling attacks
     run unchanged.  The recovered bitstream is still verified against
     the real oracle either way. *)
-
-val verdict_string : verdict -> string
-(** ["RECOVERED"], ["partial NN%"] or ["resisted"] — the rendering used
-    by {!pp_campaign} and {!to_table}. *)
 
 val pp_campaign : Format.formatter -> campaign -> unit
 val to_table : campaign list -> string

@@ -25,10 +25,6 @@ let input_names t =
   List.map (Netlist.name t.nl) (Netlist.pis t.nl)
   @ List.map (Netlist.name t.nl) (Netlist.dffs t.nl)
 
-let output_names t =
-  Array.to_list (Array.map fst (Netlist.outputs t.nl))
-  @ List.map (Netlist.name t.nl) (Netlist.dffs t.nl)
-
 let query_lanes t inputs =
   if Array.length inputs <> t.n_pis + t.n_dffs then
     invalid_arg "Oracle.query_lanes: input arity";

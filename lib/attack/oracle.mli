@@ -20,9 +20,6 @@ val of_netlist : Sttc_netlist.Netlist.t -> t
 val input_names : t -> string list
 (** PIs then flip-flop names — the assignment order for {!query}. *)
 
-val output_names : t -> string list
-(** PO names then flip-flop names (next-state outputs). *)
-
 val query : t -> bool array -> bool array
 (** One combinational-view evaluation.  Increments the counter. *)
 

@@ -61,8 +61,6 @@ type outcome = {
   degraded : int;
 }
 
-let all_complete o = List.for_all (fun (_, s) -> s = Complete) o.statuses
-
 type worker =
   | Spawn of (dir:string -> shard:int -> attempt:int -> string array)
   | In_process

@@ -57,8 +57,6 @@ type outcome = {
   degraded : int;
 }
 
-val all_complete : outcome -> bool
-
 (** How to run one shard attempt. *)
 type worker =
   | Spawn of (dir:string -> shard:int -> attempt:int -> string array)

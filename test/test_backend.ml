@@ -17,6 +17,8 @@ module Manifest = Sttc_campaign.Manifest
 module Request = Sttc_serve.Request
 module Json = Sttc_obs.Json
 
+let tvd = Backend.find_exn "tvd"
+
 let protect ?seed ?backend alg nl =
   (Flow.run ?seed ?backend ~policy:Flow.Strict alg nl).Flow.accepted
 
@@ -71,7 +73,7 @@ let test_cell_keyspace () =
       (Printf.sprintf "stt arity %d = 2^2^%d" n n)
       true
       (Lognum.equal stt expected);
-    let tvd = Backend.cell_keyspace Backend.tvd ~arity:n in
+    let tvd = Backend.cell_keyspace tvd ~arity:n in
     let family = Gate_fn.candidate_count n in
     Alcotest.(check bool)
       (Printf.sprintf "tvd arity %d = candidate family" n)
@@ -132,14 +134,14 @@ let prop_tvd_secret_in_candidate_family =
     gen_seed
     (fun seed ->
       let nl = gen_netlist seed in
-      let r = protect ~seed ~backend:Backend.tvd (Flow.Independent { count = 4 }) nl in
+      let r = protect ~seed ~backend:tvd (Flow.Independent { count = 4 }) nl in
       let h = r.Flow.hybrid in
       let foundry = Hybrid.foundry_view h in
       List.for_all
         (fun (id, config) ->
           match Netlist.kind foundry id with
           | Netlist.Lut { arity; _ } -> (
-              match Backend.candidate_tables Backend.tvd ~arity with
+              match Backend.candidate_tables tvd ~arity with
               | Some family -> List.mem config family
               | None -> false)
           | _ -> false)
@@ -178,7 +180,7 @@ let test_hardening_requires_free_backend () =
   let nl = gen_netlist 5 in
   let hardening = { Flow.extra_inputs_per_lut = 1; absorb_drivers = false } in
   match
-    Flow.run ~seed:1 ~hardening ~backend:Backend.tvd ~policy:Flow.Strict
+    Flow.run ~seed:1 ~hardening ~backend:tvd ~policy:Flow.Strict
       (Flow.Independent { count = 2 })
       nl
   with

@@ -16,6 +16,9 @@ module Metrics = Sttc_obs.Metrics
 module Obs = Sttc_obs.Obs
 module Runner = Sttc_experiments.Runner
 
+let all_complete o =
+  List.for_all (fun (_, s) -> s = Supervisor.Complete) o.Supervisor.statuses
+
 let fresh_dir =
   let n = ref 0 in
   fun () ->
@@ -302,7 +305,7 @@ let test_supervisor_exhausts_hard_failure =
   Alcotest.(check int) "retries" 2 outcome.Supervisor.retries;
   Alcotest.(check int) "respawns" 2 outcome.Supervisor.respawns;
   Alcotest.(check int) "degraded" 1 outcome.Supervisor.degraded;
-  Alcotest.(check bool) "not complete" false (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "not complete" false (all_complete outcome);
   let degraded_events =
     List.filter
       (function Supervisor.Degraded _ -> true | _ -> false)
@@ -321,7 +324,7 @@ let test_supervisor_sigkill_then_recover =
   in
   let events = ref [] in
   let _, _, outcome = supervise ~worker:(sh_worker script) events in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   Alcotest.(check int) "one retry" 1 outcome.Supervisor.retries;
   Alcotest.(check int) "one respawn" 1 outcome.Supervisor.respawns;
   let saw_sigkill =
@@ -347,7 +350,7 @@ let test_supervisor_stalled_heartbeat =
   let _, _, outcome =
     supervise ~heartbeat_timeout_s:0.2 ~worker:(sh_worker script) events
   in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   Alcotest.(check int)
     "heartbeat miss counted" 1 outcome.Supervisor.heartbeat_misses;
   let saw_stall =
@@ -370,7 +373,7 @@ let test_supervisor_bad_result_retried =
   in
   let events = ref [] in
   let _, _, outcome = supervise ~worker:(sh_worker script) events in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   let saw_bad_result =
     List.exists
       (function
@@ -386,7 +389,7 @@ let test_supervisor_in_process_counters =
   Obs.enable ();
   let events = ref [] in
   let dir, m, outcome = supervise ~worker:Supervisor.In_process events in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   let snap = Metrics.snapshot () in
   Alcotest.(check int)
     "shards completed counter" 1
@@ -498,7 +501,7 @@ let test_paper_manifest_matches_runner =
       (Supervisor.config ~jobs:1 ~worker:Supervisor.In_process ~dir
          ~manifest:m ())
   in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   let campaign =
     List.map
       (fun (r : Shard.row) ->

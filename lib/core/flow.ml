@@ -338,8 +338,6 @@ let protect_resilient ?(seed = 1) ?library ?fraction ?hardening ?semantic
 
 type resilience = { max_reseeds : int }
 
-let default_resilience = { max_reseeds = 2 }
-
 type policy = Strict | Resilient of resilience
 
 let run ?seed ?library ?fraction ?hardening ?semantic ?backend ?baseline

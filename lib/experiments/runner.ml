@@ -43,8 +43,6 @@ module Config = struct
 
   let with_seed seed t = { t with seed }
   let with_only names t = { t with only = Some names }
-  let with_timeout_s s t = { t with timeout_s = Some s }
-  let with_isolate isolate t = { t with isolate }
   let with_jobs jobs t = { t with jobs }
 end
 

@@ -42,8 +42,6 @@ module Config : sig
 
   val with_seed : int -> t -> t
   val with_only : string list -> t -> t
-  val with_timeout_s : float -> t -> t
-  val with_isolate : bool -> t -> t
   val with_jobs : int -> t -> t
 end
 

@@ -6,9 +6,6 @@ type spec = {
   escalation_gain : float;
 }
 
-let ideal =
-  { write_error_rate = 0.; stuck_cell_rate = 0.; escalation_gain = 10. }
-
 let default_faulty =
   { write_error_rate = 1e-3; stuck_cell_rate = 0.; escalation_gain = 10. }
 

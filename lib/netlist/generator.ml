@@ -9,16 +9,6 @@ type spec = {
   levels : int;
 }
 
-let default_spec =
-  {
-    design_name = "smoke";
-    n_pi = 8;
-    n_po = 8;
-    n_ff = 6;
-    n_gates = 60;
-    levels = 6;
-  }
-
 let validate spec =
   if spec.n_pi < 1 then invalid_arg "Generator: n_pi >= 1 required";
   if spec.n_po < 1 then invalid_arg "Generator: n_po >= 1 required";

@@ -6,7 +6,6 @@ module A = Bigarray.Array1
 type rail = (int64, Bigarray.int64_elt, Bigarray.c_layout) A.t
 
 type t = {
-  nl : Netlist.t;
   prog : Netlist.program;
   (* per instruction of [prog]: the node's kind, a LUT carrying its
      effective configuration ([None] evaluates to X) *)
@@ -47,7 +46,6 @@ let compile ~ternary ~configs nl =
   let n = Netlist.node_count nl and n_dffs = Array.length prog.Netlist.dffs in
   let t =
     {
-      nl;
       prog;
       op = Array.map kind prog.Netlist.dst;
       ones = rail n;
@@ -64,7 +62,6 @@ let compile ~ternary ~configs nl =
 
 let create ?(configs = []) nl = compile ~ternary:false ~configs nl
 let create_ternary ?(configs = []) nl = compile ~ternary:true ~configs nl
-let netlist t = t.nl
 let program t = t.prog
 
 let reset t =

@@ -39,8 +39,6 @@ val create_ternary :
   t
 (** Like {!create}, but a LUT left unconfigured outputs X in every lane. *)
 
-val netlist : t -> Sttc_netlist.Netlist.t
-
 val program : t -> Sttc_netlist.Netlist.program
 (** The netlist's shared program this simulator runs (physically
     [Netlist.program (netlist t)]). *)

@@ -116,7 +116,7 @@ let test_security_grows_with_algorithm () =
 let test_genuine_s27_flow_and_attack () =
   (* the real ISCAS'89 s27 through the whole pipeline: protect, sign off,
      attack, recover *)
-  let nl = Sttc_netlist.Iscas_data.s27 () in
+  let nl = (List.assoc "s27" Sttc_netlist.Iscas_data.all) () in
   let r = protect ~seed:1 (Flow.Independent { count = 3 }) nl in
   Alcotest.(check bool) "sign-off" true (Flow.sign_off r);
   (match Sttc_attack.Sat_attack.run ~timeout_s:20. r.Flow.hybrid with

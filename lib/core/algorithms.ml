@@ -178,5 +178,3 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
     }
   in
   (Int_set.elements !replaced, meta)
-
-let parametric ~rng ?options ctx = fst (parametric_with_meta ~rng ?options ctx)

@@ -48,16 +48,10 @@ val parametric_with_meta :
   ?options:parametric_options ->
   Select.context ->
   Sttc_netlist.Netlist.node_id list * parametric_meta
-(** Like {!parametric} but also returns the selection metadata consumed
-    by the {!Sttc_lint.Security_rules} pack. *)
-
-val parametric :
-  rng:Sttc_util.Rng.t ->
-  ?options:parametric_options ->
-  Select.context ->
-  Sttc_netlist.Netlist.node_id list
 (** Parametric-aware dependent selection (Algorithm 2): per chosen timing
     path, draw random fan-in >= 2 gates and re-draw smaller subsets while
     the timing constraint is violated; every unselected gate of the path
     goes to the USL, and afterwards each gate driving or driven by a USL
-    gate — but itself not on the chosen I/O paths — is also replaced. *)
+    gate — but itself not on the chosen I/O paths — is also replaced.
+    Also returns the selection metadata consumed by the
+    {!Sttc_lint.Security_rules} pack. *)

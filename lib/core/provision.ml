@@ -55,11 +55,6 @@ let parse text =
     (String.split_on_char '\n' text);
   List.rev !entries
 
-let parse_result text =
-  match parse text with
-  | entries -> Ok entries
-  | exception Failure m -> Error m
-
 let apply nl entries =
   let configs =
     List.map

@@ -33,9 +33,6 @@ val parse : string -> entry list
     malformed rows, non-power-of-two row counts, oversized tables and
     duplicate LUT names. *)
 
-val parse_result : string -> (entry list, string) result
-(** Non-raising {!parse}. *)
-
 val apply :
   Sttc_netlist.Netlist.t -> entry list -> Sttc_netlist.Netlist.t
 (** Program a foundry-view netlist (matching LUTs by name) through an

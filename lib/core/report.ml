@@ -8,9 +8,6 @@ type benchmark_row = {
   failures : (string * string) list;
 }
 
-let complete_row circuit size results =
-  { circuit; size; results; failures = [] }
-
 (* Partial rows print their cells as "-"; the footnote says why. *)
 let failure_notes rows =
   let notes =

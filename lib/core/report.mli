@@ -12,10 +12,6 @@ type benchmark_row = {
           listed in a footnote under the table *)
 }
 
-val complete_row :
-  string -> int -> (string * Flow.result) list -> benchmark_row
-(** A row with no failures. *)
-
 val table1 : benchmark_row list -> string
 (** Performance degradation %, power overhead %, area overhead %, and
     number of STTs per circuit and algorithm, with the paper's Average

@@ -32,6 +32,3 @@ val run :
     combinational-view queries match the oracle; the first survivor is
     confirmed by SAT equivalence (and search continues past false
     positives). *)
-
-val search_space : Sttc_core.Hybrid.t -> Sttc_util.Lognum.t
-(** 2^(total config bits). *)

@@ -41,9 +41,6 @@ val write_trace : string -> unit
 (** Export all recorded spans as Chrome [trace_event] JSON.  Call at a
     quiesce point (pools joined). *)
 
-val write_metrics : string -> unit
-(** Export the merged metrics snapshot as JSON. *)
-
 val with_run : ?trace:string -> ?metrics:string -> (unit -> 'a) -> 'a
 (** Enable recording (and the pool probe) around the thunk when at
     least one output file is requested, then export, reset, and detach

@@ -17,5 +17,3 @@ let lut =
     (* 6T bitcell area dominates *)
     area_um2 = 4.2 +. (1.7 *. float_of_int (1 lsl n));
   }
-
-let bitstream_exposed = true

@@ -10,8 +10,3 @@
 
 val lut : int -> Cell.t
 (** SRAM LUT cell of a given fan-in (1..6). *)
-
-val bitstream_exposed : bool
-(** [true]: an attacker who probes the external configuration memory or
-    the power-up bus reads the secret directly — the paper's core
-    criticism of SRAM-based obfuscation. *)

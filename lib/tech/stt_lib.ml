@@ -147,5 +147,3 @@ let lut =
 
 let write_energy_fj = 450.
 let write_time_ns = 10.
-let retention_years = 10.
-let endurance_writes = 1e16

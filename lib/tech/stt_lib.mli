@@ -43,5 +43,3 @@ val write_energy_fj : float
     but paid only at configuration time, never during operation. *)
 
 val write_time_ns : float
-val retention_years : float
-val endurance_writes : float

@@ -268,7 +268,7 @@ let test_export_files =
           Sys.remove mf)
         (fun () ->
           Obs.write_trace tf;
-          Obs.write_metrics mf;
+          Sttc_obs.Export.write_file mf (Sttc_obs.Export.metrics_json ());
           (match Obs.validate_trace_file tf with
           | Ok n -> Alcotest.(check int) "file span count" 1 n
           | Error e -> Alcotest.fail e);

@@ -163,9 +163,6 @@ let test_lut_vs_cmos_calibration () =
   let gate_power = Cell.total_power_uw nand2 ~activity:0.2 ~clock_ghz:1. in
   Alcotest.(check bool) "power ratio 5-20x" true
     (lut_power /. gate_power > 5. && lut_power /. gate_power < 20.);
-  (* non-volatility constants are present and sane *)
-  Alcotest.(check bool) "retention" true (Stt.retention_years >= 10.);
-  Alcotest.(check bool) "endurance" true (Stt.endurance_writes >= 1e15);
   Alcotest.(check bool) "write costly" true
     (Stt.write_energy_fj > lut2.Cell.switch_energy_fj)
 
@@ -178,8 +175,6 @@ let test_sram_baseline () =
     (sram2.Cell.leakage_nw > 3. *. stt2.Cell.leakage_nw);
   Alcotest.(check bool) "sram bigger" true
     (sram2.Cell.area_um2 > stt2.Cell.area_um2);
-  Alcotest.(check bool) "bitstream exposed" true
-    Sttc_tech.Sram_lib.bitstream_exposed;
   (* library style switch reaches the analyses *)
   let stt_lib = Library.cmos90 in
   let sram_lib = Library.with_lut_style stt_lib Library.Sram in

@@ -12,7 +12,6 @@ let fresh_var t =
   t.nvars <- t.nvars + 1;
   t.nvars
 
-let reserve t n = if n > t.nvars then t.nvars <- n
 let nvars t = t.nvars
 let nclauses t = Sttc_util.Growable.length t.clauses
 

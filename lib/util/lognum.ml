@@ -13,9 +13,6 @@ let of_float x =
 
 let of_int n = of_float (float_of_int n)
 
-let of_log10 e =
-  if Float.is_nan e then invalid_arg "Lognum.of_log10: NaN" else e
-
 let log10 t = t
 let is_zero t = t = neg_infinity
 

@@ -20,9 +20,6 @@ val of_float : float -> t
 
 val of_int : int -> t
 
-val of_log10 : float -> t
-(** [of_log10 e] is the number [10^e]. *)
-
 val log10 : t -> float
 (** [log10 t] is the base-10 logarithm; [neg_infinity] for {!zero}. *)
 

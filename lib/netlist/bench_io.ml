@@ -26,11 +26,18 @@ let lex_line lineno line =
           else Some (ctor arg)
       | _ -> fail lineno ("malformed line: " ^ s)
     in
-    let up = String.uppercase_ascii line in
-    if String.length up >= 5 && String.sub up 0 5 = "INPUT" then
-      parse_call line (fun a -> Sinput a)
-    else if String.length up >= 6 && String.sub up 0 6 = "OUTPUT" then
-      parse_call line (fun a -> Soutput a)
+    (* a declaration is the keyword, optional blanks and "(", on a line
+       without "="; OutputMon = BUFF(b) assigns a signal *)
+    let declares kw =
+      let n = String.length kw in
+      (not (String.contains line '='))
+      && String.length line > n
+      && String.uppercase_ascii (String.sub line 0 n) = kw
+      && String.starts_with ~prefix:"("
+           (String.trim (String.sub line n (String.length line - n)))
+    in
+    if declares "INPUT" then parse_call line (fun a -> Sinput a)
+    else if declares "OUTPUT" then parse_call line (fun a -> Soutput a)
     else
       match String.index_opt line '=' with
       | None -> fail lineno ("expected assignment: " ^ line)

@@ -13,13 +13,6 @@ type result = {
   bitstream : (Netlist.node_id * Truth.t) list;
 }
 
-let popcount64 x =
-  let rec loop acc x =
-    if Int64.equal x 0L then acc
-    else loop (acc + 1) (Int64.logand x (Int64.sub x 1L))
-  in
-  loop 0 x
-
 let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
   let t0 = Sttc_util.Timing.now_s () in
   let foundry = Hybrid.foundry_view hybrid in
@@ -67,7 +60,7 @@ let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
         Array.iteri
           (fun i v ->
             let diff = Int64.logxor v probe_outputs.(b).(i) in
-            agree := !agree + (64 - popcount64 diff);
+            agree := !agree + (64 - Truth.popcount64 diff);
             total := !total + 64)
           (Oracle.query_lanes candidate inputs))
       probe_inputs;

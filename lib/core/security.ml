@@ -92,7 +92,7 @@ let evaluate ?(constants = paper_constants) nl ~luts =
       * pow_float (of_float p_avg) (float_of_int m)
       * of_float (Float.max 1. d_avg))
   in
-  let dependent_pairs = List.length (Query.connected_lut_pairs nl luts) in
+  let dependent_pairs = Query.connected_lut_pair_count nl luts in
   {
     missing_gates = m;
     accessible_inputs = i;

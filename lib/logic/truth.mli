@@ -42,6 +42,9 @@ val lxor_ : t -> t -> t
 
 val equal : t -> t -> bool
 
+val popcount64 : int64 -> int
+(** Set bits of a word, one step per set bit. *)
+
 val agreement : t -> t -> int
 (** [agreement a b] is the number of input rows on which [a] and [b]
     produce the same output — the paper's "similarity" of two gates

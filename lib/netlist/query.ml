@@ -181,7 +181,7 @@ type cone_summary = {
    flat int array — no boxing, and the union in the transfer function is
    a word-wise [lor]. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
+  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
   go x 0
 
 let cone_summary t =
@@ -279,72 +279,42 @@ let cone_summary t =
   done;
   { support; support_hash; obs_points }
 
-let connected_lut_pairs t ids =
-  (* Chunked-bitset reachability: for each block of 63 members one
-     reverse-topological sweep propagates "which block members are
-     combinationally reachable from me" as a native-int mask — total
-     O(edges x |ids|/63) instead of one whole-design BFS per source,
-     which is what keeps Security.evaluate affordable on 10^4-LUT
-     hybrids over 10^6-node netlists.  Pairs come out source-major,
-     both components in [ids] order. *)
-  match ids with
-  | [] -> []
-  | _ ->
-      let n = Netlist.node_count t in
-      let targets = Array.of_list ids in
-      let l = Array.length targets in
-      let order = Netlist.topo_order t in
-      let chunk_of = Array.make n (-1) in
-      let bit_of = Array.make n 0 in
-      Array.iteri
-        (fun i id ->
-          if id < 0 || id >= n then
-            invalid_arg "Query.connected_lut_pairs: bad id";
-          chunk_of.(id) <- i / 63;
-          bit_of.(id) <- 1 lsl (i mod 63))
-        targets;
-      let nchunks = (l + 62) / 63 in
-      let reach = Array.make (l * nchunks) 0 in
-      let down = Array.make n 0 in
-      for c = 0 to nchunks - 1 do
-        Array.fill down 0 n 0;
-        for i = Array.length order - 1 downto 0 do
-          let id = order.(i) in
-          match Netlist.kind t id with
-          | Netlist.Dff -> () (* reachability never crosses a flip-flop *)
-          | _ ->
-              let acc = ref (if chunk_of.(id) = c then bit_of.(id) else 0) in
-              List.iter
-                (fun m ->
-                  match Netlist.kind t m with
-                  | Netlist.Dff -> ()
-                  | _ -> acc := !acc lor down.(m))
-                (Netlist.fanouts t id);
-              down.(id) <- !acc
-        done;
-        Array.iteri
-          (fun i a ->
-            let w = down.(a) in
-            (* the own bit marks a zero-length path, not a pair *)
-            let w = if chunk_of.(a) = c then w land lnot bit_of.(a) else w in
-            reach.((i * nchunks) + c) <- w)
-          targets
-      done;
-      let bit_index b =
-        let rec go b i = if b land 1 = 1 then i else go (b lsr 1) (i + 1) in
-        go b 0
-      in
-      let acc = ref [] in
-      for i = l - 1 downto 0 do
-        for c = nchunks - 1 downto 0 do
-          let w = ref reach.((i * nchunks) + c) in
-          let pending = ref [] in
-          while !w <> 0 do
-            let b = !w land - !w in
-            pending := (targets.(i), targets.((c * 63) + bit_index b)) :: !pending;
-            w := !w lxor b
-          done;
-          acc := List.rev_append !pending !acc
-        done
-      done;
-      !acc
+let connected_lut_pair_count t ids =
+  (* One forward sweep per block of 63 members over the fanin arrays:
+     [up] holds which block members reach a node along a combinational
+     path, a native-int mask, so a member's fanins' [up] names the block
+     members reaching it.  O(edges x |ids|/63) with no pair ever built.
+     A flip-flop keeps 0 and starts no path, so reachability never
+     crosses one; PIs and constants start paths only as members. *)
+  let n = Netlist.node_count t in
+  let chunk_of = Array.make n (-1) and bit_of = Array.make n 0 in
+  List.iteri
+    (fun i id ->
+      if id < 0 || id >= n then
+        invalid_arg "Query.connected_lut_pair_count: bad id";
+      chunk_of.(id) <- i / 63;
+      bit_of.(id) <- 1 lsl (i mod 63))
+    ids;
+  let order = Netlist.topo_order t in
+  let up = Array.make n 0 and count = ref 0 in
+  for c = 0 to ((List.length ids + 62) / 63) - 1 do
+    Array.iter
+      (fun id ->
+        let own = if chunk_of.(id) = c then bit_of.(id) else 0 in
+        let node = Netlist.node t id in
+        match node.Netlist.kind with
+        | Netlist.Dff -> ()
+        | Netlist.Pi | Netlist.Const _ -> up.(id) <- own
+        | Netlist.Gate _ | Netlist.Lut _ ->
+            let fi = node.Netlist.fanins in
+            let acc = ref 0 in
+            for k = 0 to Array.length fi - 1 do
+              acc := !acc lor up.(fi.(k))
+            done;
+            (* counted before the own bit joins: a zero-length path is
+               not a pair *)
+            if chunk_of.(id) >= 0 then count := !count + popcount !acc;
+            up.(id) <- !acc lor own)
+      order
+  done;
+  !count

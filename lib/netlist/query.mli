@@ -61,10 +61,11 @@ val cone_summary : Netlist.t -> cone_summary
     reverse topological pass) — computed once per analysis run and shared
     across lint rules instead of per-rule cone walks. *)
 
-val connected_lut_pairs :
-  Netlist.t -> Netlist.node_id list -> (Netlist.node_id * Netlist.node_id) list
-(** Pairs [(a, b)] from the given set where [b] is combinationally
-    reachable from [a] — the dependency structure the dependent-selection
-    security argument relies on.  Computed by chunked-bitset sweeps in
-    O(edges x |ids|/word_size); pairs are emitted source-major, both
-    components in [ids] order. *)
+val connected_lut_pair_count : Netlist.t -> Netlist.node_id list -> int
+(** The number of ordered pairs [(a, b)] of distinct members of [ids]
+    where [b] is combinationally reachable from [a] — the dependency
+    count the dependent-selection security argument relies on.  A path
+    never crosses a flip-flop, so a flip-flop member is in no pair; a
+    repeated id counts once.  One forward sweep per 63 members, in
+    O(edges x |ids|/63).  Raises [Invalid_argument] on an id outside the
+    netlist. *)

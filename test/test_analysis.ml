@@ -679,6 +679,119 @@ let prop_queries_match_reference =
       && Query.cone_inputs nl (Netlist.luts nl)
          = reference_cone_inputs nl (Netlist.luts nl))
 
+(* The dependency count against a plain model: a depth-first walk from
+   each member over combinational fanouts, counting the other members
+   it meets.  A flip-flop member starts no walk and the walk never
+   enters a flip-flop. *)
+let reference_pair_count nl ids =
+  let members = List.sort_uniq Int.compare ids in
+  let is_member = Array.make (Netlist.node_count nl) false in
+  List.iter (fun id -> is_member.(id) <- true) members;
+  let count_from a =
+    let seen = Array.make (Netlist.node_count nl) false in
+    let count = ref 0 in
+    let rec walk id =
+      List.iter
+        (fun out ->
+          if Netlist.is_combinational (Netlist.kind nl out) && not seen.(out)
+          then begin
+            seen.(out) <- true;
+            if is_member.(out) then incr count;
+            walk out
+          end)
+        (Netlist.fanouts nl id)
+    in
+    (match Netlist.kind nl a with Netlist.Dff -> () | _ -> walk a);
+    !count
+  in
+  List.fold_left (fun acc a -> acc + count_from a) 0 members
+
+(* Many flip-flops fed from anywhere, gates and unconfigured LUTs, up to
+   ~330 nodes so a member set often spans several 63-member blocks. *)
+let random_dff_heavy seed =
+  let rng = Rng.make seed in
+  let b = Netlist.Builder.create ~design_name:"pairs" () in
+  let signals = ref [] in
+  let add id = signals := id :: !signals in
+  for i = 0 to Rng.int rng 6 do
+    add (Netlist.Builder.add_pi b (Printf.sprintf "pi%d" i))
+  done;
+  if Rng.bool rng then add (Netlist.Builder.add_const b "k" (Rng.bool rng));
+  let ffs =
+    List.init (Rng.int rng 60) (fun i ->
+        Netlist.Builder.add_dff_deferred b (Printf.sprintf "ff%d" i))
+  in
+  List.iter add ffs;
+  let gates = Array.of_list Gate_fn.all in
+  for i = 0 to 20 + Rng.int rng 250 do
+    let pool = Array.of_list !signals in
+    let fanins n = Array.init n (fun _ -> Rng.pick rng pool) in
+    let name = Printf.sprintf "n%d" i in
+    add
+      (if Rng.bool rng then
+         let fn = Rng.pick rng gates in
+         Netlist.Builder.add_gate b name fn (fanins (Gate_fn.arity fn))
+       else Netlist.Builder.add_lut b name (fanins (1 + Rng.int rng 3)))
+  done;
+  let pool = Array.of_list !signals in
+  List.iter (fun ff -> Netlist.Builder.set_dff_input b ff (Rng.pick rng pool)) ffs;
+  Netlist.Builder.add_output b "y" (List.hd !signals);
+  Netlist.Builder.finalize b
+
+let prop_pair_count_matches_reference =
+  QCheck2.Test.make
+    ~name:"dependent pair count equals the per-member walk" ~count:300
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
+    (fun (seed, pick) ->
+      let nl = random_dff_heavy seed in
+      let rng = Rng.make pick in
+      let share = Rng.int rng 101 in
+      (* any node kind, in a shuffled order, with an occasional repeat *)
+      let ids =
+        List.filter_map
+          (fun id ->
+            if Rng.int rng 100 < share then Some (Rng.int rng 1000, id)
+            else None)
+          (List.init (Netlist.node_count nl) Fun.id)
+        |> List.sort compare |> List.map snd
+      in
+      let ids = match ids with id :: _ when Rng.bool rng -> id :: ids | _ -> ids in
+      Query.connected_lut_pair_count nl ids = reference_pair_count nl ids
+      && Query.connected_lut_pair_count nl (Netlist.luts nl)
+         = reference_pair_count nl (Netlist.luts nl))
+
+(* A chain of 70 LUTs (two 63-member blocks) with a flip-flop between
+   the 35th and the 36th: each half counts its 35 x 34 / 2 ordered pairs
+   and nothing crosses the flip-flop. *)
+let test_pair_count_cases () =
+  let b = Netlist.Builder.create ~design_name:"chain" () in
+  let prev = ref (Netlist.Builder.add_pi b "a") in
+  let luts =
+    List.init 70 (fun i ->
+        if i = 35 then prev := Netlist.Builder.add_dff b "ff" !prev;
+        let id = Netlist.Builder.add_lut b (Printf.sprintf "l%d" i) [| !prev |] in
+        prev := id;
+        id)
+  in
+  Netlist.Builder.add_output b "y" !prev;
+  let nl = Netlist.Builder.finalize b in
+  let count = Query.connected_lut_pair_count nl in
+  Alcotest.(check int) "two halves" (2 * 35 * 34 / 2) (count luts);
+  Alcotest.(check int) "block order does not matter" (2 * 35 * 34 / 2)
+    (count (List.rev luts));
+  Alcotest.(check int) "direct edge" 1 (count [ List.nth luts 3; List.nth luts 4 ]);
+  Alcotest.(check int) "LUT -> DFF -> LUT" 0
+    (count [ List.nth luts 34; List.nth luts 35 ]);
+  Alcotest.(check int) "a flip-flop member" 0
+    (count [ Netlist.find_exn nl "ff"; List.nth luts 35 ]);
+  Alcotest.(check int) "no members" 0 (count []);
+  List.iter
+    (fun id ->
+      Alcotest.check_raises "bad id"
+        (Invalid_argument "Query.connected_lut_pair_count: bad id") (fun () ->
+          ignore (count [ List.hd luts; id ])))
+    [ -1; Netlist.node_count nl ]
+
 (* ---------- Power ---------- *)
 
 let test_power_report_consistency () =
@@ -761,6 +874,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_queries_match_reference;
           Alcotest.test_case "small twins" `Quick test_queries_on_small_twins;
+          QCheck_alcotest.to_alcotest prop_pair_count_matches_reference;
+          Alcotest.test_case "pair count cases" `Quick test_pair_count_cases;
         ] );
       ( "activity",
         [

@@ -485,12 +485,15 @@ fi
 # and strip/program keep every fanin array and inherit the parent's
 # caches, while extra LUT inputs and driver absorption rewire and rebuild
 # them.  The foundry view plus bitstream digests were recorded before
-# with_kinds inherited caches.
+# with_kinds inherited caches.  The report's security lines (M, I,
+# config bits, dependent pairs, Eqs. 1-3) were recorded when the
+# dependency count still listed every pair; the timing line is left out.
 sttc gen -b custom --profile fanout --gates 10000 --seed 20160605 \
   -o "$tmpdir/fanout.bench" > /dev/null
-check_protect_pin() { # algorithm, pinned md5
+check_protect_pin() { # algorithm, pinned md5 of outputs, of security lines
   sttc protect -i "$tmpdir/fanout.bench" -a "$1" --harden --seed 20160605 \
-    -o "$tmpdir/fanout.$1.bench" --bitstream "$tmpdir/fanout.$1.bits" > /dev/null
+    -o "$tmpdir/fanout.$1.bench" --bitstream "$tmpdir/fanout.$1.bits" \
+    > "$tmpdir/fanout.$1.report"
   got=$(cat "$tmpdir/fanout.$1.bench" "$tmpdir/fanout.$1.bits" \
     | md5sum | cut -d' ' -f1)
   if [ "$got" != "$2" ]; then
@@ -498,9 +501,18 @@ check_protect_pin() { # algorithm, pinned md5
       "fanout family (seed 20160605) md5 $got, pinned $2" >&2
     exit 1
   fi
+  got=$(grep -E '^ *security:|^N_indep=' "$tmpdir/fanout.$1.report" \
+    | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$3" ]; then
+    echo "BYTE-IDENTITY GATE FAILED: protect --harden -a $1 security report" \
+      "on the 1e4-gate fanout family md5 $got, pinned $3" >&2
+    exit 1
+  fi
 }
-check_protect_pin dependent fc32686f2eb4127b8adb2ee2ce5a34d0
-check_protect_pin parametric 7cab0d6852ab11d7c4e320d7b555dd08
+check_protect_pin dependent fc32686f2eb4127b8adb2ee2ce5a34d0 \
+  464bb3bb4c63b77bf922091dff590d28
+check_protect_pin parametric 7cab0d6852ab11d7c4e320d7b555dd08 \
+  ae371cb4ddb493086fac69d5da94fa69
 
 echo "== parallel gate (full sttc table1: -j 2 fans out and must match -j 1 byte for byte)"
 # The quick set is too small a bag to fan out (Pool.worthwhile keeps it

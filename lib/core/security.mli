@@ -25,8 +25,10 @@ type report = {
   n_dep : Sttc_util.Lognum.t;  (** Eq. (2) *)
   n_bf : Sttc_util.Lognum.t;  (** Eq. (3) *)
   dependent_pairs : int;
-      (** LUT pairs where one reaches the other combinationally — the
-          dependency count motivating Eq. (2) *)
+      (** ordered LUT pairs [(a, b)] where [b] is reachable from [a]
+          without crossing a flip-flop — the dependency count motivating
+          Eq. (2), from {!Sttc_netlist.Query.connected_lut_pair_count}
+          (a count: no pair list is built) *)
 }
 
 val evaluate :

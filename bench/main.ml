@@ -96,17 +96,15 @@ let parallel ~jobs () =
 (* ---------- scale families: incremental timing record ---------- *)
 
 (* Sweeps the s-like scale family from 10^3 to 10^6 gates.  Per size it
-   times generation, one full STA, and the protect flow in its default
-   incremental mode; where a second protect run is affordable the legacy
-   full-re-analysis mode (STTC_FULL_STA=1) runs too and the two hybrids
-   are checked byte-identical.  The per-candidate cost is also measured
-   directly — K speculative gate->LUT evaluations through Sta.trial
-   against K from-scratch analyses of the same modified netlists, with
-   the delays asserted equal — and everything lands in BENCH_scale.json.
+   times generation, one full STA, and the protect flow.  The
+   per-candidate cost is also measured directly — K speculative
+   gate->LUT evaluations through one Sta.trial session against K
+   from-scratch analyses of the same modified netlists, with the delays
+   asserted equal — and everything lands in BENCH_scale.json.
    Override the size list with STTC_SCALE_SIZES=1000,10000 for a quick
    pass (tools/ci.sh does). *)
 let scale_bench () =
-  section "Scale families - incremental timing vs full re-analysis";
+  section "Scale families - incremental timing";
   let module J = Sttc_obs.Json in
   let module Metrics = Sttc_obs.Metrics in
   let module Gen = Sttc_netlist.Generator in
@@ -129,10 +127,6 @@ let scale_bench () =
                   failwith ("STTC_SCALE_SIZES: bad gate count '" ^ tok ^ "'"))
           (String.split_on_char ',' s)
   in
-  (* full-mode protect re-runs Sta.analyze per candidate; above this
-     size that costs minutes per run, so the sweep records null there
-     and the per-candidate speedup stands in for it *)
-  let full_protect_ceiling = 100_000 in
   (* a tight clock budget keeps the repair loop busy, which is exactly
      the hot path the incremental engine exists for; n_paths keeps the
      paper default (gates/1500), so candidate counts grow with size *)
@@ -160,18 +154,14 @@ let scale_bench () =
           go ())
     with _ -> 0
   in
-  let hybrid_fingerprint (r : Flow.result) =
-    let h = r.Flow.hybrid in
-    Sttc_netlist.Bench_io.to_string (Sttc_core.Hybrid.foundry_view h)
-    ^ Sttc_core.Provision.to_string (Sttc_core.Provision.of_hybrid h)
-  in
   let cone_stats snap =
     match Metrics.find snap "sta.retime.cone_nodes" with
     | Some (Metrics.Histogram s) -> (s.Metrics.count, s.Metrics.sum)
     | _ -> (0, 0.)
   in
-  (* K single-gate speculative evaluations: the trial engine against a
-     from-scratch analysis of the identical modified netlist *)
+  (* K single-gate speculative evaluations through one trial session
+     (stage, advance, read, unstage, advance back) against a from-scratch
+     analysis of the identical modified netlist *)
   let candidate_speedup nl sta =
     let rng = Sttc_util.Rng.make 42 in
     let gates =
@@ -187,17 +177,16 @@ let scale_bench () =
     let overlay = Transform.Overlay.create nl in
     let tr = Sta.trial lib sta in
     let c0, s0 = cone_stats (Metrics.snapshot ()) in
+    let kind_of = Transform.Overlay.kind overlay in
     let trial_delays, trial_s =
       time (fun () ->
           Array.map
             (fun g ->
-              Transform.Overlay.stage overlay g;
-              let d =
-                Sta.trial_delay_ps tr
-                  ~kind_of:(Transform.Overlay.kind overlay)
-                  [ g ]
-              in
-              Transform.Overlay.clear overlay;
+              Transform.Overlay.stage_all overlay [ g ];
+              ignore (Sta.trial_advance tr ~kind_of [ g ]);
+              let d = Sta.trial_current_delay_ps tr in
+              Transform.Overlay.unstage overlay g;
+              ignore (Sta.trial_advance tr ~kind_of [ g ]);
               d)
             picks)
     in
@@ -230,38 +219,16 @@ let scale_bench () =
         let nodes = Netlist.node_count nl in
         let sta, full_sta_s = time (fun () -> Sta.analyze lib nl) in
         let eval_speedup, cone_mean = candidate_speedup nl sta in
-        let inc_r, protect_s =
+        let _, protect_s =
           time (fun () -> protect_strict ~seed:1 algorithm nl)
-        in
-        let protect_full_s =
-          if gates > full_protect_ceiling then None
-          else begin
-            Unix.putenv "STTC_FULL_STA" "1";
-            let full_r, full_s =
-              time (fun () -> protect_strict ~seed:1 algorithm nl)
-            in
-            Unix.putenv "STTC_FULL_STA" "";
-            if hybrid_fingerprint inc_r <> hybrid_fingerprint full_r then begin
-              Printf.printf
-                "incremental hybrid DIFFERS from full-mode hybrid at %d gates\n"
-                gates;
-              exit 1
-            end;
-            Some full_s
-          end
         in
         let rss_kb = peak_rss_kb () in
         Printf.printf
           "  %8d gates (%8d nodes)  gen %6.2fs  sta %6.3fs  protect %7.2fs  \
-           %s  candidate %8.1fx (cone ~%.0f)  rss %d MB\n\
+           candidate %8.1fx (cone ~%.0f)  rss %d MB\n\
            %!"
-          gates nodes gen_s full_sta_s protect_s
-          (match protect_full_s with
-          | Some f ->
-              Printf.sprintf "full %7.2fs (%5.1fx, identical)" f
-                (f /. protect_s)
-          | None -> "full    --     (skipped)      ")
-          eval_speedup cone_mean (rss_kb / 1024);
+          gates nodes gen_s full_sta_s protect_s eval_speedup cone_mean
+          (rss_kb / 1024);
         J.Obj
           [
             ("gates", J.Int gates);
@@ -270,12 +237,6 @@ let scale_bench () =
             ("gen_s", J.Float gen_s);
             ("full_sta_s", J.Float full_sta_s);
             ("protect_s", J.Float protect_s);
-            ( "protect_full_s",
-              match protect_full_s with Some f -> J.Float f | None -> J.Null );
-            ( "protect_speedup",
-              match protect_full_s with
-              | Some f -> J.Float (f /. protect_s)
-              | None -> J.Null );
             ("trial_eval_speedup", J.Float eval_speedup);
             ("trial_cone_nodes_mean", J.Float cone_mean);
             ("peak_rss_kb", J.Int rss_kb);
@@ -290,7 +251,6 @@ let scale_bench () =
          ("profile", J.String (Gen.profile_name Gen.Slike));
          ("seed", J.Int 1);
          ("clock_factor", J.Float 1.02);
-         ("full_protect_ceiling", J.Int full_protect_ceiling);
          ("rows", J.List rows);
        ]);
   Printf.printf "  wrote BENCH_scale.json\n"

@@ -161,7 +161,7 @@ let positions_of nl =
 
 (* Recompute arrivals over the forward cone of [seeds], reading kinds
    through [kind_of] and structure (fanins, fanouts, Dff-ness) from the
-   id-compatible [nl].  [on_change id old] is called before each arrival
+   id-compatible [nl].  [on_change id] is called after each arrival
    write.  Returns the number of cone nodes popped. *)
 let propagate lib nl arrival work queued ~kind_of ~on_change seeds =
   let n = Array.length arrival in
@@ -180,8 +180,8 @@ let propagate lib nl arrival work queued ~kind_of ~on_change seeds =
     incr cone;
     let a = node_arrival lib nl arrival id (kind_of id) in
     if a <> arrival.(id) then begin
-      on_change id arrival.(id);
       arrival.(id) <- a;
+      on_change id;
       List.iter
         (fun out ->
           (* a flip-flop's output arrival is independent of its D input:
@@ -211,33 +211,27 @@ let retime lib t nl ~changed =
       let cone =
         propagate lib t.netlist arrival work queued
           ~kind_of:(fun id -> Netlist.kind nl id)
-          ~on_change:(fun _ _ -> ())
+          ~on_change:ignore
           (List.rev_append delta changed)
       in
       Metrics.incr "sta.retime.cone";
       Metrics.observe "sta.retime.cone_nodes" (float_of_int cone);
       finish nl arrival t.endpoint_ids
 
-(* ---------- speculative trials ---------- *)
+(* ---------- trial sessions ---------- *)
 
 type trial = {
   lib : Library.t;
   base : t;
   arr : float array;
-  (* the current speculative arrivals: equal to [base.arrival] between
-     one-shot calls (undo restores it), or reflecting the accumulated
-     [trial_advance] deltas in a persistent session *)
+  (* the current speculative arrivals: [base.arrival] plus every
+     [trial_advance] delta so far *)
   work : Work.h;
   queued : bool array;
   is_endpoint : bool array;
-  (* undo log of (id, previous arrival) in write order *)
-  mutable undo_ids : int array;
-  mutable undo_vals : float array;
-  mutable undo_len : int;
   (* lazy-deletion max-heap over endpoint (arrival, id); an entry is valid
      iff it matches the endpoint's current arrival.  Every endpoint update
-     (including undo restores) pushes, so the best valid entry is always
-     present. *)
+     pushes, so the best valid entry is always present. *)
   mutable ep_val : float array;
   mutable ep_id : int array;
   mutable ep_len : int;
@@ -329,9 +323,6 @@ let trial lib t =
       work = Work.create (positions_of t.netlist);
       queued = Array.make n false;
       is_endpoint;
-      undo_ids = Array.make 64 0;
-      undo_vals = Array.make 64 0.;
-      undo_len = 0;
       ep_val = Array.make (max 64 (Array.length t.endpoint_ids)) 0.;
       ep_id = Array.make (max 64 (Array.length t.endpoint_ids)) 0;
       ep_len = 0;
@@ -340,70 +331,22 @@ let trial lib t =
   ep_rebuild tr;
   tr
 
-let undo_push tr id v =
-  if tr.undo_len = Array.length tr.undo_ids then begin
-    let ids = Array.make (2 * tr.undo_len) 0 in
-    let vals = Array.make (2 * tr.undo_len) 0. in
-    Array.blit tr.undo_ids 0 ids 0 tr.undo_len;
-    Array.blit tr.undo_vals 0 vals 0 tr.undo_len;
-    tr.undo_ids <- ids;
-    tr.undo_vals <- vals
-  end;
-  tr.undo_ids.(tr.undo_len) <- id;
-  tr.undo_vals.(tr.undo_len) <- v;
-  tr.undo_len <- tr.undo_len + 1
-
-let trial_apply tr ~kind_of changed =
-  assert (tr.undo_len = 0);
-  let cone =
-    propagate tr.lib tr.base.netlist tr.arr tr.work tr.queued ~kind_of
-      ~on_change:(fun id old ->
-        undo_push tr id old;
-        ())
-      changed
-  in
-  (* refresh endpoint entries touched by the propagation *)
-  for k = 0 to tr.undo_len - 1 do
-    let id = tr.undo_ids.(k) in
-    if tr.is_endpoint.(id) then ep_push tr tr.arr.(id) id
-  done;
-  Metrics.incr "sta.retime.cone";
-  Metrics.observe "sta.retime.cone_nodes" (float_of_int cone);
-  cone
-
 (* Bound heap garbage: stale entries stay at most a small multiple of
    the endpoint count before a rebuild resets them. *)
 let ep_gc tr =
   if tr.ep_len > max 1024 (8 * Array.length tr.base.endpoint_ids) then
     ep_rebuild tr
 
-let trial_undo tr =
-  for k = tr.undo_len - 1 downto 0 do
-    let id = tr.undo_ids.(k) in
-    tr.arr.(id) <- tr.undo_vals.(k);
-    if tr.is_endpoint.(id) then ep_push tr tr.undo_vals.(k) id
-  done;
-  tr.undo_len <- 0;
-  ep_gc tr
-
-let trial_delay_ps tr ~kind_of changed =
-  ignore (trial_apply tr ~kind_of changed);
-  let _, v = ep_best tr in
-  trial_undo tr;
-  v
-
-(* ---------- persistent sessions ---------- *)
-
-(* [trial_advance] moves the trial's arrival state permanently (no undo
-   entry is written): the caller owns the staged-set bookkeeping and
-   changes it one small delta at a time, which is what makes the
-   parametric selection loop's evaluations proportional to the delta
-   cone instead of the whole accumulated replacement set. *)
+(* [trial_advance] moves the trial's arrival state by one delta: the
+   caller owns the staged-set bookkeeping and changes it a few gates at a
+   time, which is what makes the parametric selection loop's evaluations
+   proportional to the delta cone instead of the whole accumulated
+   replacement set. *)
 let trial_advance tr ~kind_of seeds =
   let touched = ref [] in
   let cone =
     propagate tr.lib tr.base.netlist tr.arr tr.work tr.queued ~kind_of
-      ~on_change:(fun id _old ->
+      ~on_change:(fun id ->
         if tr.is_endpoint.(id) then touched := id :: !touched)
       seeds
   in

@@ -36,7 +36,7 @@ val worst_paths : t -> k:int -> (float * Sttc_netlist.Netlist.node_id list) list
 
 (** {1 Incremental re-analysis}
 
-    [retime] and the trial engine recompute arrivals only over the forward
+    [retime] and trial sessions recompute arrivals only over the forward
     cone of changed nodes, using the exact per-node arithmetic of
     {!analyze} so results are bit-identical to a from-scratch analysis. *)
 
@@ -56,39 +56,21 @@ val retime :
     [sta.retime.cone_nodes]. *)
 
 type trial
-(** A reusable scratch workspace over a base analysis for evaluating
-    speculative kind changes (e.g. gate→LUT candidate sets) without
-    copying the netlist or the arrival array per candidate.  Each query
-    propagates through the touched cone, reads the worst endpoint off a
-    lazily-repaired heap, then undoes its writes — the workspace is ready
-    for the next candidate immediately.  Not thread-safe. *)
+(** A persistent trial session over a base analysis, for timing a
+    slowly-changing set of speculative kind changes (e.g. gate→LUT
+    candidate sets) without copying the netlist or the arrival array per
+    candidate.  A selection loop evaluates sets that differ from the
+    previous one by a handful of gates while the accumulated set grows
+    into the hundreds; [trial_advance] moves the session's arrivals by
+    just that delta, so per-query cost tracks the delta cone, not the
+    union cone.  The worst endpoint is read off a lazily-repaired heap.
+    The caller owns the set bookkeeping: [kind_of] must describe the
+    complete current speculative view, and [seeds] every node whose kind
+    changed since the previous call.  Structure (fanins) never changes.
+    Not thread-safe. *)
 
 val trial : Sttc_tech.Library.t -> t -> trial
-
-val trial_delay_ps :
-  trial ->
-  kind_of:(Sttc_netlist.Netlist.node_id -> Sttc_netlist.Netlist.kind) ->
-  Sttc_netlist.Netlist.node_id list ->
-  float
-(** [trial_delay_ps tr ~kind_of changed] is the critical delay the base
-    netlist would have if every node's kind were [kind_of id] — structure
-    (fanins) must be unchanged; only the kinds of [changed] nodes may
-    differ from the base.  Equals
-    [critical_delay_ps (analyze lib modified_netlist)] exactly. *)
-
-(** {2 Persistent sessions}
-
-    A selection loop evaluates a slowly-mutating replacement set: each
-    candidate differs from the previous one by a handful of gates while
-    the accumulated set grows into the hundreds.  Re-applying the whole
-    set per query makes every evaluation pay the union cone;
-    [trial_advance] instead moves the trial's state {e permanently} by
-    just the delta, so per-query cost tracks the delta cone.  The caller
-    owns the set bookkeeping: [kind_of] must describe the complete
-    current speculative view, and [seeds] every node whose kind changed
-    since the previous call.  The one-shot {!trial_delay_ps}
-    remains usable mid-session and is then relative to the advanced
-    state. *)
+(** A fresh session whose speculative view is the base netlist. *)
 
 val trial_advance :
   trial ->
@@ -96,7 +78,7 @@ val trial_advance :
   Sttc_netlist.Netlist.node_id list ->
   int
 (** Re-propagate arrivals over the forward cone of [seeds] and keep the
-    result (no undo).  Returns the cone size; bumps [sta.retime.cone]
+    result.  Returns the cone size; bumps [sta.retime.cone]
     and records [sta.retime.cone_nodes]. *)
 
 val trial_current_delay_ps : trial -> float

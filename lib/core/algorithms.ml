@@ -146,19 +146,18 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
      introduced by dropping replaced gates from the freshly critical path
      until the constraint holds again. *)
   let repair_budget = ref (Int_set.cardinal !replaced) in
-  let violated set =
-    not (Select.timing_ok ctx ~clock_ps (Int_set.elements set))
-  in
-  while (not (Int_set.is_empty !replaced)) && !repair_budget > 0 && violated !replaced do
-    Sttc_util.Budget.check ();
-    decr repair_budget;
-    let _, critical = Select.trial_critical ctx (Int_set.elements !replaced) in
-    let on_critical =
-      List.filter (fun id -> Int_set.mem id !replaced) critical
+  while (not (Int_set.is_empty !replaced)) && !repair_budget > 0 do
+    let delay, critical =
+      Select.trial_critical ctx (Int_set.elements !replaced)
     in
-    match on_critical with
-    | [] -> repair_budget := 0 (* violation not caused by our LUTs *)
-    | worst :: _ -> replaced := Int_set.remove worst !replaced
+    if delay <= clock_ps then repair_budget := 0
+    else begin
+      Sttc_util.Budget.check ();
+      decr repair_budget;
+      match List.filter (fun id -> Int_set.mem id !replaced) critical with
+      | [] -> repair_budget := 0 (* violation not caused by our LUTs *)
+      | worst :: _ -> replaced := Int_set.remove worst !replaced
+    end
   done;
   (* Tiny circuits can end with an empty pick (every draw violated
      timing); guarantee at least one replacement on an off-path gate. *)

@@ -50,7 +50,7 @@ val evaluate :
     (otherwise it is rebuilt).  The hybrid side is
     analyzed incrementally ({!Sttc_analysis.Sta.retime} /
     {!Sttc_analysis.Activity.refine}) when the hybrid is id-compatible
-    with the base — bit-identical to the full analyses, which remain the
-    fallback and the [STTC_FULL_STA=1] legacy path. *)
+    with the base, and by the full analyses otherwise — bit-identical
+    either way. *)
 
 val pp : Format.formatter -> overhead -> unit

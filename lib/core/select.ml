@@ -6,20 +6,13 @@ module Metrics = Sttc_obs.Metrics
 
 type context = {
   netlist : Netlist.t;
-  library : Sttc_tech.Library.t;
   sta : Sta.t;
   paths : Paths.io_path list;
-  incremental : bool;
   overlay : Transform.Overlay.t;
-  trial : Sta.trial option;
+  trial : Sta.trial;
   feeds_endpoint : bool array;
   target_mark : bool array;
 }
-
-let incremental_enabled () =
-  match Sys.getenv_opt "STTC_FULL_STA" with
-  | Some ("1" | "true" | "yes") -> false
-  | _ -> true
 
 (* Nodes inside some endpoint's combinational fanin cone: replacing a gate
    outside this set cannot move any endpoint arrival.  Iterative walk —
@@ -47,8 +40,7 @@ let endpoint_cone nl sta =
   done;
   marked
 
-let prepare ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?sta
-    ?(incremental = incremental_enabled ()) library netlist =
+let prepare ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?sta library netlist =
   let sta =
     match sta with
     | Some s when Sta.netlist s == netlist -> s
@@ -60,12 +52,10 @@ let prepare ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?sta
   in
   {
     netlist;
-    library;
     sta;
     paths;
-    incremental;
     overlay = Transform.Overlay.create netlist;
-    trial = (if incremental then Some (Sta.trial library sta) else None);
+    trial = Sta.trial library sta;
     feeds_endpoint = endpoint_cone netlist sta;
     target_mark = Array.make (Netlist.node_count netlist) false;
   }
@@ -88,7 +78,7 @@ let pool ctx =
            true
          end)
 
-(* [sync ctx tr target] reconciles the persistent trial session with the
+(* [sync ctx target] reconciles the persistent trial session with the
    requested replacement set: the overlay's staged set is diffed against
    [target] and only the delta is re-propagated, so a selection loop
    whose accumulated set grows into the hundreds still pays per query
@@ -101,7 +91,7 @@ let pool ctx =
    node inside never has a fanin outside).  A sync whose whole delta is
    skippable answers from the session's current heap at zero
    propagation cost (counter [select.timing_early_out]). *)
-let sync ctx tr target =
+let sync ctx target =
   let ov = ctx.overlay in
   let mark = ctx.target_mark in
   List.iter
@@ -130,29 +120,13 @@ let sync ctx tr target =
       | [] -> Metrics.incr "select.timing_early_out"
       | seeds ->
           ignore
-            (Sta.trial_advance tr ~kind_of:(Transform.Overlay.kind ov) seeds))
+            (Sta.trial_advance ctx.trial ~kind_of:(Transform.Overlay.kind ov)
+               seeds))
 
 let trial_critical ctx gates =
-  match ctx.trial with
-  | Some tr ->
-      sync ctx tr gates;
-      Sta.trial_current_critical tr
-  | None ->
-      let nl = Transform.replace_many ~keep_function:true ctx.netlist gates in
-      let sta = Sta.analyze ctx.library nl in
-      (Sta.critical_delay_ps sta, Sta.critical_path sta)
+  sync ctx gates;
+  Sta.trial_current_critical ctx.trial
 
 let timing_ok ctx ~clock_ps gates =
-  match ctx.trial with
-  | Some tr ->
-      sync ctx tr gates;
-      Sta.trial_current_delay_ps tr <= clock_ps
-  | None -> (
-      match gates with
-      | [] -> Sta.critical_delay_ps ctx.sta <= clock_ps
-      | _ ->
-          let trial =
-            Transform.replace_many ~keep_function:true ctx.netlist gates
-          in
-          let sta = Sta.analyze ctx.library trial in
-          Sta.critical_delay_ps sta <= clock_ps)
+  sync ctx gates;
+  Sta.trial_current_delay_ps ctx.trial <= clock_ps

@@ -2,36 +2,29 @@
 
     All three start from the same sampled pool of longest non-critical I/O
     paths; they differ in which gates they take from it.  Candidate sets
-    are timed through an incremental trial engine by default
+    are timed through one persistent trial session per context
     ({!Sttc_analysis.Sta.trial} over a {!Sttc_netlist.Transform.Overlay}),
-    with results bit-identical to the legacy full re-analysis; setting
-    the environment variable [STTC_FULL_STA=1] forces the legacy path. *)
+    whose answers are bit-identical to {!Sttc_analysis.Sta.analyze} on
+    {!Sttc_netlist.Transform.replace_many} of the same set. *)
 
 type context = {
   netlist : Sttc_netlist.Netlist.t;
-  library : Sttc_tech.Library.t;
   sta : Sttc_analysis.Sta.t;  (** timing of the unmodified netlist *)
   paths : Sttc_analysis.Paths.io_path list;  (** deepest first *)
-  incremental : bool;  (** trial engine in use (vs legacy full STA) *)
   overlay : Sttc_netlist.Transform.Overlay.t;
       (** scratch replacement view over [netlist] *)
-  trial : Sttc_analysis.Sta.trial option;  (** [Some] iff [incremental] *)
+  trial : Sttc_analysis.Sta.trial;  (** timing of the [overlay] view *)
   feeds_endpoint : bool array;
       (** per node: inside some endpoint's combinational fanin cone *)
   target_mark : bool array;
       (** scratch for diffing candidate sets against the session state *)
 }
 
-val incremental_enabled : unit -> bool
-(** False when [STTC_FULL_STA] is set to [1]/[true]/[yes] — the escape
-    hatch used by CI to diff incremental against from-scratch flows. *)
-
 val prepare :
   rng:Sttc_util.Rng.t ->
   ?fraction:float ->
   ?min_ffs:int ->
   ?sta:Sttc_analysis.Sta.t ->
-  ?incremental:bool ->
   Sttc_tech.Library.t ->
   Sttc_netlist.Netlist.t ->
   context
@@ -39,8 +32,7 @@ val prepare :
     components, at least two flip-flops), excludes paths containing the
     critical path, sorts deepest first.  [?sta] supplies a memoized base
     analysis (used when it was computed on this exact netlist value —
-    physical equality — otherwise it is recomputed); [?incremental]
-    defaults to {!incremental_enabled}. *)
+    physical equality — otherwise it is recomputed). *)
 
 val replaceable : context -> Sttc_analysis.Paths.io_path -> Sttc_netlist.Netlist.node_id list
 (** CMOS gates of a path (LUTs and sequential nodes excluded). *)
@@ -52,19 +44,18 @@ val pool : context -> Sttc_netlist.Netlist.node_id list
 val timing_ok :
   context -> clock_ps:float -> Sttc_netlist.Netlist.node_id list -> bool
 (** Would replacing the given gates keep the critical delay within
-    [clock_ps]?  In incremental mode the context holds a persistent
-    trial session: successive queries are diffed against the previously
-    evaluated set and only the delta cone is re-propagated, and delta
-    gates disjoint from every endpoint cone are never propagated at all
-    (counter [select.timing_early_out] when that covers the whole
-    delta).  In legacy mode every query is a full STA on a copied trial
-    replacement.  Both modes return bit-identical booleans. *)
+    [clock_ps]?  Successive queries on one context are diffed against the
+    previously evaluated set and only the delta cone is re-propagated;
+    delta gates disjoint from every endpoint cone are never propagated at
+    all (counter [select.timing_early_out] when that covers the whole
+    delta). *)
 
 val trial_critical :
   context ->
   Sttc_netlist.Netlist.node_id list ->
   float * Sttc_netlist.Netlist.node_id list
 (** Critical delay and one worst path of the netlist with the given gates
-    replaced — what [Sta.critical_path (Sta.analyze lib (replace_many
-    netlist gates))] would return, without the copy in incremental mode.
-    Used by the parametric repair loop. *)
+    replaced — what [Sta.critical_delay_ps] and [Sta.critical_path] of
+    [Sta.analyze lib (replace_many netlist gates)] return, without the
+    copy.  Diffed against the previous query like {!timing_ok}; the
+    parametric repair loop reads both answers from one call per pass. *)

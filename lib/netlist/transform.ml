@@ -181,10 +181,6 @@ module Overlay = struct
   let create base =
     { base; staged = Array.make (Netlist.node_count base) false; staged_ids = [] }
 
-  let clear t =
-    List.iter (fun id -> t.staged.(id) <- false) t.staged_ids;
-    t.staged_ids <- []
-
   let stage t id =
     if id < 0 || id >= Array.length t.staged then
       invalid_arg "Transform.Overlay.stage: bad id";

@@ -62,19 +62,14 @@ module Overlay : sig
 
   val create : Netlist.t -> t
 
-  val stage : t -> Netlist.node_id -> unit
-  (** Mark a gate as speculatively replaced (idempotent).  Raises
-      [Invalid_argument] if the node is not a [Gate]. *)
-
   val stage_all : t -> Netlist.node_id list -> unit
+  (** Mark gates as speculatively replaced (idempotent per gate).  Raises
+      [Invalid_argument] if a node is not a [Gate]. *)
 
   val unstage : t -> Netlist.node_id -> unit
   (** Remove one gate from the staged set (no-op when unstaged) —
       O(staged); the persistent selection sessions retract one candidate
       at a time with it. *)
-
-  val clear : t -> unit
-  (** Unstage everything — O(staged), ready for the next candidate. *)
 
   val staged : t -> Netlist.node_id list
   val is_staged : t -> Netlist.node_id -> bool

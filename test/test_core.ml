@@ -213,7 +213,7 @@ let test_timing_ok_early_out () =
   (* a staged gate outside every endpoint cone cannot move any arrival:
      timing_ok must answer from the session's current state without
      propagating (counter select.timing_early_out), and still agree
-     with the legacy full-STA mode *)
+     with a from-scratch analysis of the replaced netlist *)
   let module B = Netlist.Builder in
   let b = B.create ~design_name:"dangling" () in
   let a = B.add_pi b "a" in
@@ -226,7 +226,7 @@ let test_timing_ok_early_out () =
   let module Metrics = Sttc_obs.Metrics in
   Sttc_obs.Obs.enable ();
   Metrics.reset ();
-  let ctx = Select.prepare ~rng:(Rng.make 1) ~incremental:true lib nl in
+  let ctx = Select.prepare ~rng:(Rng.make 1) lib nl in
   Alcotest.(check bool)
     "g2 is outside every endpoint cone" false
     ctx.Select.feeds_endpoint.(g2);
@@ -236,8 +236,12 @@ let test_timing_ok_early_out () =
   in
   Sttc_obs.Obs.disable ();
   Alcotest.(check int) "early-out taken" 1 early;
-  let ctx_full = Select.prepare ~rng:(Rng.make 1) ~incremental:false lib nl in
-  let ok_full = Select.timing_ok ctx_full ~clock_ps [ g2 ] in
+  let ok_full =
+    Sttc_analysis.Sta.critical_delay_ps
+      (Sttc_analysis.Sta.analyze lib
+         (Sttc_netlist.Transform.replace_many ~keep_function:true nl [ g2 ]))
+    <= clock_ps
+  in
   Alcotest.(check bool) "same verdict as full STA" ok_full ok_inc;
   (* a second query with the same set is also a pure cache hit *)
   Alcotest.(check bool) "repeat query stable" ok_inc

@@ -311,6 +311,7 @@ let prop_sim_matches_truth =
 module Sta = Sttc_analysis.Sta
 module Activity = Sttc_analysis.Activity
 module Algorithms = Sttc_core.Algorithms
+module Select = Sttc_core.Select
 
 let cmos = Sttc_tech.Library.cmos90
 
@@ -352,9 +353,6 @@ let prop_trial_session_matches_scratch =
       let base = Sta.analyze cmos nl in
       let tr = Sta.trial cmos base in
       let ov = Transform.Overlay.create nl in
-      (* one-shot trials on a second, never-advanced trial *)
-      let tr1 = Sta.trial cmos base in
-      let ov1 = Transform.Overlay.create nl in
       let current = ref [] in
       List.for_all
         (fun (i, k) ->
@@ -380,16 +378,9 @@ let prop_trial_session_matches_scratch =
               (Transform.replace_many ~keep_function:false nl target)
           in
           let d, p = Sta.trial_current_critical tr in
-          List.iter (Transform.Overlay.stage ov1) target;
-          let one_shot =
-            Sta.trial_delay_ps tr1 ~kind_of:(Transform.Overlay.kind ov1) target
-          in
-          Transform.Overlay.clear ov1;
           d = Sta.critical_delay_ps full
           && p = Sta.critical_path full
-          && Sta.trial_current_delay_ps tr = Sta.critical_delay_ps full
-          && one_shot = Sta.critical_delay_ps full
-          && Transform.Overlay.staged ov1 = [])
+          && Sta.trial_current_delay_ps tr = Sta.critical_delay_ps full)
         [ (0, 3); (1, 5); (2, 1); (3, 4); (4, 0); (5, 2) ])
 
 let prop_activity_refine_matches_full =
@@ -412,34 +403,112 @@ let prop_activity_refine_matches_full =
       in
       go 0)
 
-let prop_parametric_incremental_matches_full =
-  (* the whole parametric flow — including its repair loop, which
-     retracts gates from an accepted set — must emit byte-identical
-     hybrids whether candidate timing runs on the incremental session
-     or on the legacy full re-analysis (STTC_FULL_STA=1) *)
-  QCheck2.Test.make
-    ~name:"parametric flow is byte-identical with and without incremental STA"
-    ~count:6 gen_seed
+let prop_select_queries_match_full =
+  (* one Select context answers a drifting sequence of candidate sets,
+     the way the parametric selection asks them; every answer must equal
+     a from-scratch analysis of the replaced netlist.  The selection
+     reads timing only through these two calls, so equal answers give
+     equal selections. *)
+  QCheck2.Test.make ~name:"Select timing queries match from-scratch STA"
+    ~count:12 gen_seed
     (fun seed ->
       let nl = gen_netlist seed in
-      let alg =
-        Flow.Parametric
-          { Algorithms.default_parametric with Algorithms.clock_factor = 1.05 }
+      let ctx = Select.prepare ~rng:(Rng.make seed) cmos nl in
+      (* [critical_first] picks which of the two calls meets the new set
+         first, and so does the diffing *)
+      let answers_match (critical_first, set) =
+        let full =
+          Sta.analyze cmos (Transform.replace_many ~keep_function:true nl set)
+        in
+        let d = Sta.critical_delay_ps full in
+        let critical_matches () =
+          Select.trial_critical ctx set = (d, Sta.critical_path full)
+        in
+        let verdicts_match () =
+          List.for_all
+            (fun clock_ps ->
+              Select.timing_ok ctx ~clock_ps set = (d <= clock_ps))
+            [ Float.pred d; d; 1.05 *. Sta.critical_delay_ps ctx.Select.sta ]
+        in
+        if critical_first then critical_matches () && verdicts_match ()
+        else verdicts_match () && critical_matches ()
       in
-      let fingerprint () =
-        match protect ~seed alg nl with
-        | r ->
-            Ok
-              ( Sttc_netlist.Bench_io.to_string
-                  (Hybrid.foundry_view r.Flow.hybrid),
-                Hybrid.bitstream r.Flow.hybrid )
-        | exception e -> Error (Printexc.to_string e)
+      (* retract the first member on the set's critical path, as the
+         repair loop does *)
+      let retract set =
+        let critical =
+          Sta.critical_path
+            (Sta.analyze cmos
+               (Transform.replace_many ~keep_function:true nl set))
+        in
+        match List.filter (fun id -> List.mem id set) critical with
+        | [] -> set
+        | worst :: _ -> List.filter (( <> ) worst) set
       in
-      Unix.putenv "STTC_FULL_STA" "1";
-      let full = fingerprint () in
-      Unix.putenv "STTC_FULL_STA" "";
-      let inc = fingerprint () in
-      full = inc)
+      let on_base_critical =
+        List.filter
+          (fun id ->
+            match Netlist.kind nl id with Netlist.Gate _ -> true | _ -> false)
+          (Sta.critical_path ctx.Select.sta)
+      in
+      let outside_cones =
+        List.filter
+          (fun id -> not ctx.Select.feeds_endpoint.(id))
+          (Netlist.gates nl)
+      in
+      let small = random_gate_subset (seed + 3) nl 2 in
+      let grown =
+        List.sort_uniq compare
+          (small @ random_gate_subset (seed + 5) nl 4 @ on_base_critical)
+      in
+      let once = retract grown in
+      let twice = retract once in
+      List.for_all answers_match
+        [
+          (false, small);
+          (true, grown);
+          (false, once);
+          (true, twice);
+          (false, twice);
+          (true, List.sort_uniq compare (twice @ outside_cones));
+          (false, []);
+          (true, outside_cones);
+          (false, grown);
+        ])
+
+(* The parametric hybrids (clock factor 1.05) of six generated circuits,
+   each through a repair loop that retracts gates: md5 of the foundry
+   view's .bench text and of the bitstream.  Candidate timing through
+   full re-analysis and through the trial session gave these same
+   digests when they were recorded. *)
+let test_parametric_pinned () =
+  let alg =
+    Flow.Parametric
+      { Algorithms.default_parametric with Algorithms.clock_factor = 1.05 }
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (seed, view, bits) ->
+      let h = (protect ~seed alg (gen_netlist seed)).Flow.hybrid in
+      let label = Printf.sprintf "seed %d" seed in
+      Alcotest.(check string)
+        (label ^ " foundry view") view
+        (md5 (Sttc_netlist.Bench_io.to_string (Hybrid.foundry_view h)));
+      Alcotest.(check string)
+        (label ^ " bitstream") bits
+        (md5
+           (String.concat ";"
+              (List.map
+                 (fun (id, t) -> Printf.sprintf "%d:%s" id (Truth.to_string t))
+                 (Hybrid.bitstream h)))))
+    [
+      (1, "6d516fd27c793f9a4294bf6b26a26d26", "c3b3644028c96a93fb48a2d6e323aff8");
+      (7, "ecdad614bb82571e068d4e18c3e35fa3", "6ea910c7173c8a716bb943798e2df10f");
+      (42, "9f35a9dac16792bd54fe5031521c0691", "e907973590b6c1766311d283d9bd46b3");
+      (2016, "518dc1ba8906eb84b2a19bad9592315c", "d59b4f1e71e36149536eccec0ffac37c");
+      (31337, "ad66808a321e35ea9e4a1beb3c8f21bd", "aad017891f9852e62173013370d52053");
+      (99991, "c51a8c9c4fafaada95a10a8548a808d7", "095aaf1109482d6e9d97837adec74254");
+    ]
 
 let prop_lognum_prod_is_log_sum =
   QCheck2.Test.make ~name:"Lognum.prod equals the sum of logs" ~count:200
@@ -488,7 +557,11 @@ let () =
             prop_retime_matches_analyze;
             prop_trial_session_matches_scratch;
             prop_activity_refine_matches_full;
-            prop_parametric_incremental_matches_full;
+            prop_select_queries_match_full;
+          ]
+        @ [
+            Alcotest.test_case "parametric hybrids pinned" `Quick
+              test_parametric_pinned;
           ] );
       ( "semantics",
         List.map to_case [ prop_sim_matches_truth; prop_lognum_prod_is_log_sum ] );

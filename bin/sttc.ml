@@ -653,7 +653,8 @@ let attack_cmd =
               let r = protect_strict ~seed ~backend alg nl in
               let hybrid = r.Sttc_core.Flow.hybrid in
               let candidates =
-                Sttc_backend.Backend.sat_candidates backend
+                Sttc_backend.Backend.sat_candidates
+                  backend.Sttc_backend.Backend.candidates
                   (Sttc_core.Hybrid.foundry_view hybrid)
                   (Sttc_core.Hybrid.lut_ids hybrid)
               in

@@ -3,6 +3,7 @@ module Truth = Sttc_logic.Truth
 module Lognum = Sttc_util.Lognum
 module Rng = Sttc_util.Rng
 module Hybrid = Sttc_core.Hybrid
+module Backend = Sttc_backend.Backend
 
 type outcome =
   | Broken of {
@@ -16,24 +17,13 @@ type outcome =
       tested_rate_per_s : float;
     }
 
-let search_space hybrid =
-  Lognum.pow (Lognum.of_int 2) (Hybrid.bitstream_bits hybrid)
-
-(* Decompose a global candidate index into per-LUT truth tables. *)
-let bitstream_of_index luts arities index =
-  let rec go luts arities index acc =
-    match (luts, arities) with
-    | [], [] -> List.rev acc
-    | id :: luts, a :: arities ->
-        let rows = 1 lsl a in
-        let mask = Int64.sub (Int64.shift_left 1L rows) 1L in
-        let bits = Int64.logand index mask in
-        go luts arities
-          (Int64.shift_right_logical index rows)
-          ((id, Truth.of_bits ~arity:a bits) :: acc)
-    | _ -> assert false
-  in
-  go luts arities index []
+(* Decompose a global candidate index into one digit per LUT. *)
+let bitstream_of_index digits index =
+  snd
+    (List.fold_left_map
+       (fun index (id, radix, decode) ->
+         (Int64.div index radix, (id, decode (Int64.rem index radix))))
+       index digits)
 
 let candidate_matches ~vectors ~rng oracle hybrid bitstream =
   let candidate = Oracle.of_netlist (Hybrid.program_with hybrid bitstream) in
@@ -49,64 +39,95 @@ let candidate_matches ~vectors ~rng oracle hybrid bitstream =
   done;
   !ok
 
-let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
+let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f)
+    ?(candidates = []) hybrid =
+  if max_bits < 0 || max_bits > 62 then
+    invalid_arg "Brute_force.run: max_bits outside [0, 62]";
   let t0 = Sttc_util.Timing.now_s () in
-  let bits = Hybrid.bitstream_bits hybrid in
-  let space = search_space hybrid in
   let oracle = Oracle.create hybrid in
   let rng = Rng.make seed in
   let luts = Hybrid.lut_ids hybrid in
   let foundry = Hybrid.foundry_view hybrid in
-  let arities =
+  let arity id =
+    match Netlist.kind foundry id with
+    | Netlist.Lut { arity; _ } -> arity
+    | _ -> invalid_arg "Brute_force.run: not a LUT"
+  in
+  (* One digit per LUT, with radix and decoder: a listed LUT picks from
+     its list, a free LUT's digit is its raw truth-table bits (a 64-row
+     LUT exceeds every cap, so max_int stands in for its 2^64 radix). *)
+  let digits =
     List.map
       (fun id ->
-        match Netlist.kind foundry id with
-        | Netlist.Lut { arity; _ } -> arity
-        | _ -> assert false)
+        match List.assoc_opt id candidates with
+        | Some tables ->
+            ( id,
+              Int64.of_int (List.length tables),
+              fun d -> List.nth tables (Int64.to_int d) )
+        | None ->
+            let rows = 1 lsl arity id in
+            ( id,
+              (if rows > 62 then Int64.max_int else Int64.shift_left 1L rows),
+              Truth.of_bits ~arity:(arity id) ))
       luts
   in
-  if bits > max_bits then begin
-    (* measure the candidate-testing rate on a small prefix *)
-    let sample = 64 in
-    let t1 = Sttc_util.Timing.now_s () in
-    for i = 0 to sample - 1 do
-      ignore
-        (candidate_matches ~vectors:64 ~rng oracle hybrid
-           (bitstream_of_index luts arities (Int64.of_int i)))
-    done;
-    let dt = Sttc_util.Timing.now_s () -. t1 in
-    let rate = if dt <= 0. then 1e6 else float_of_int sample /. dt in
-    Infeasible
-      {
-        search_space = space;
-        projected_years =
-          Lognum.seconds_to_years (Lognum.div space (Lognum.of_float rate));
-        tested_rate_per_s = rate;
-      }
-  end
-  else begin
-    let total = Int64.shift_left 1L bits in
-    let rec search i =
-      Sttc_util.Budget.check ();
-      if i >= total then None
-      else
-        let bitstream = bitstream_of_index luts arities i in
+  let space =
+    List.fold_left
+      (fun space (id, tables) ->
+        Lognum.mul space
+          (Backend.cell_keyspace (Some (Fun.const tables)) ~arity:(arity id)))
+      (Backend.search_space None foundry
+         (List.filter (fun id -> not (List.mem_assoc id candidates)) luts))
+      candidates
+  in
+  (* the exact number of candidates (0 for an empty list), when it is at
+     most 2^max_bits *)
+  let limit = Int64.shift_left 1L max_bits in
+  let total =
+    List.fold_left
+      (fun n (_, radix, _) ->
+        match n with
+        | Some n when radix = 0L || n <= Int64.div limit radix ->
+            Some (Int64.mul n radix)
+        | _ -> None)
+      (Some 1L) digits
+  in
+  match total with
+  | None ->
+      (* measure the candidate-testing rate on a small prefix *)
+      let sample = 64 in
+      let t1 = Sttc_util.Timing.now_s () in
+      for i = 0 to sample - 1 do
+        ignore
+          (candidate_matches ~vectors:64 ~rng oracle hybrid
+             (bitstream_of_index digits (Int64.of_int i)))
+      done;
+      let dt = Sttc_util.Timing.now_s () -. t1 in
+      let rate = if dt <= 0. then 1e6 else float_of_int sample /. dt in
+      Infeasible
+        {
+          search_space = space;
+          projected_years =
+            Lognum.seconds_to_years (Lognum.div space (Lognum.of_float rate));
+          tested_rate_per_s = rate;
+        }
+  | Some total ->
+      let rec search i =
+        Sttc_util.Budget.check ();
+        if i >= total then
+          invalid_arg "Brute_force.run: no candidate is the key";
+        let bitstream = bitstream_of_index digits i in
         if
-          candidate_matches ~vectors:check_vectors ~rng oracle hybrid
-            bitstream
+          candidate_matches ~vectors:check_vectors ~rng oracle hybrid bitstream
           && Sat_attack.verify_break hybrid bitstream
-        then Some (bitstream, i)
+        then
+          Broken
+            {
+              bitstream;
+              candidates_tested =
+                Lognum.of_float (Int64.to_float (Int64.add i 1L));
+              seconds = Sttc_util.Timing.now_s () -. t0;
+            }
         else search (Int64.add i 1L)
-    in
-    match search 0L with
-    | Some (bitstream, i) ->
-        Broken
-          {
-            bitstream;
-            candidates_tested = Lognum.of_float (Int64.to_float (Int64.add i 1L));
-            seconds = Sttc_util.Timing.now_s () -. t0;
-          }
-    | None ->
-        (* cannot happen: the genuine bitstream is in the space *)
-        assert false
-  end
+      in
+      search 0L

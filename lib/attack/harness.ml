@@ -128,6 +128,13 @@ module Config = struct
           int_field j "brute_max_bits" default.brute_max_bits
         in
         let* seq_frames = int_field j "seq_frames" default.seq_frames in
+        let* () =
+          if brute_max_bits < 0 || brute_max_bits > 62 then
+            Error "harness config: \"brute_max_bits\" must be in [0, 62]"
+          else if seq_frames < 1 then
+            Error "harness config: \"seq_frames\" must be at least 1"
+          else Ok ()
+        in
         let* seed = int_field j "seed" default.seed in
         let* jobs = int_field j "jobs" default.jobs in
         let* solver_mode =
@@ -188,11 +195,11 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
     ~circuit ~algorithm hybrid =
   Sttc_obs.Metrics.incr
     ("backend.attack." ^ Sttc_backend.Backend.name backend);
-  (* The SAT attackers know the backend's candidate family (Kerckhoffs:
-     only the configuration is secret) and restrict their key variables
-     to it; the oracle-sampling attacks are encoding-agnostic. *)
+  (* The SAT attackers and brute force know the backend's candidate
+     family (Kerckhoffs: only the configuration is secret) and restrict
+     their keys to it; the oracle-sampling attacks are encoding-agnostic. *)
   let candidates =
-    Sttc_backend.Backend.sat_candidates backend
+    Sttc_backend.Backend.sat_candidates backend.Sttc_backend.Backend.candidates
       (Sttc_core.Hybrid.foundry_view hybrid)
       (Sttc_core.Hybrid.lut_ids hybrid)
   in
@@ -295,7 +302,7 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
   in
   let brute_entry () =
     interruptible ~budget:sat_timeout_s "brute-force" (fun () ->
-        match Brute_force.run ~max_bits:brute_max_bits ~seed hybrid with
+        match Brute_force.run ~max_bits:brute_max_bits ~seed ~candidates hybrid with
         | Brute_force.Broken b ->
             {
               attack = "brute-force";

@@ -42,8 +42,8 @@ module Config : sig
         (** sequential-SAT override; defaults to [sat_timeout_s] *)
     tt_budget : int;  (** truth-table pattern budget (default 4000) *)
     guess_rounds : int;  (** hill-climb rounds (default 8) *)
-    brute_max_bits : int;  (** brute-force feasibility bound (default 16) *)
-    seq_frames : int;  (** unrolled frames for sat-seq (default 4) *)
+    brute_max_bits : int;  (** brute-force cap in bits, 0-62 (default 16) *)
+    seq_frames : int;  (** unrolled frames for sat-seq, >= 1 (default 4) *)
     seed : int;  (** default [0xcafe] *)
     jobs : int;  (** concurrent attacks; 1 = sequential (default) *)
     solver_mode : Sat_attack.solver_mode;  (** default [Incremental] *)
@@ -63,8 +63,8 @@ module Config : sig
       [solver_mode] as ["incremental"] / ["scratch"]. *)
 
   val of_json : Sttc_obs.Json.t -> (t, string) result
-  (** Any object whose present fields are well-typed; missing fields
-      take their {!default}s, so [{}] parses to [default]. *)
+  (** Any object whose present fields are well-typed and in range (see
+      {!t}); missing fields take their {!default}s, so [{}] parses. *)
 end
 
 val attack :
@@ -109,10 +109,10 @@ val attack :
 
     [backend] (default {!Sttc_backend.Backend.stt}) shapes the
     attacker's knowledge: under a candidate-restricted backend the two
-    SAT attacks constrain every LUT's key to the known candidate family
-    ([Sat_attack]'s [~candidates]), while the oracle-sampling attacks
-    run unchanged.  The recovered bitstream is still verified against
-    the real oracle either way. *)
+    SAT attacks and brute force restrict every LUT's key to the known
+    candidate family (their [~candidates]), while the oracle-sampling
+    attacks run unchanged.  The recovered bitstream is still verified
+    against the real oracle either way. *)
 
 val pp_campaign : Format.formatter -> campaign -> unit
 val to_table : campaign list -> string

@@ -1,13 +1,16 @@
 module Gate_fn = Sttc_logic.Gate_fn
 module Truth = Sttc_logic.Truth
 module Lognum = Sttc_util.Lognum
+module Netlist = Sttc_netlist.Netlist
+
+type family = (int -> Truth.t list) option
 
 type t = {
   name : string;
   description : string;
   lut_style : Sttc_tech.Library.lut_style;
   cell_noun : string;
-  candidates : (int -> Truth.t list) option;
+  candidates : family;
   alpha : int -> float;
   p : int -> float;
   write_energy_fj : float;
@@ -15,22 +18,29 @@ type t = {
 }
 
 let name t = t.name
-let restricted t = t.candidates <> None
 
-let candidate_tables t ~arity =
-  match t.candidates with None -> None | Some f -> Some (f arity)
-
-let cell_keyspace t ~arity =
+let cell_keyspace family ~arity =
   if arity < 1 || arity > Truth.max_arity then
     invalid_arg "Backend.cell_keyspace: arity out of range";
-  match t.candidates with
+  match family with
   | None -> Lognum.pow (Lognum.of_int 2) (1 lsl arity)
   | Some f -> Lognum.of_int (List.length (f arity))
 
-let search_space t ~arities =
-  List.fold_left
-    (fun acc n -> Lognum.mul acc (cell_keyspace t ~arity:n))
-    Lognum.one arities
+let lut_arity nl id =
+  match Netlist.kind nl id with
+  | Netlist.Lut { arity; _ } -> arity
+  | _ -> invalid_arg "Backend: not a LUT node"
+
+let search_space family nl luts =
+  let arities = List.map (lut_arity nl) luts in
+  match family with
+  | None ->
+      (* one power of two over the summed configuration bits, so a free
+         count is the same number however its cells are grouped *)
+      Lognum.pow (Lognum.of_int 2)
+        (List.fold_left (fun bits arity -> bits + (1 lsl arity)) 0 arities)
+  | Some _ ->
+      Lognum.prod (List.map (fun arity -> cell_keyspace family ~arity) arities)
 
 (* ---------- the registry ---------- *)
 
@@ -86,13 +96,7 @@ let find_exn n =
 let eval_library t library =
   Sttc_tech.Library.with_lut_style library t.lut_style
 
-let sat_candidates t nl luts =
-  match t.candidates with
+let sat_candidates family nl luts =
+  match family with
   | None -> []
-  | Some f ->
-      List.map
-        (fun id ->
-          match Sttc_netlist.Netlist.kind nl id with
-          | Sttc_netlist.Netlist.Lut { arity; _ } -> (id, f arity)
-          | _ -> invalid_arg "Backend.sat_candidates: not a LUT node")
-        luts
+  | Some f -> List.map (fun id -> (id, f (lut_arity nl id))) luts

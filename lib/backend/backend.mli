@@ -21,6 +21,11 @@
     the hybrid construction, equivalence sign-off, and the lint rules
     on the resulting structure. *)
 
+type family = (int -> Sttc_logic.Truth.t list) option
+(** What an attacker knows of one hidden cell of arity [n]: [None], any
+    of the [2^2^n] functions (STT LUT); [Some f], exactly the tables
+    [f n] — only the choice among them is secret. *)
+
 type t = {
   name : string;  (** CLI / JSON identifier, e.g. ["stt"] *)
   description : string;
@@ -29,11 +34,9 @@ type t = {
   cell_noun : string;
       (** the word for one programmable cell in provisioning reports,
           e.g. ["MTJ"] *)
-  candidates : (int -> Sttc_logic.Truth.t list) option;
-      (** [None]: a cell of arity [n] realizes any of the [2^2^n]
-          functions (STT LUT).  [Some f]: it realizes exactly [f n] —
-          the attacker knows the family, and the SAT attack may restrict
-          its key variables accordingly. *)
+  candidates : family;
+      (** the cell's candidate family; the SAT attacks and brute force
+          restrict their keys to it *)
   alpha : int -> float;  (** test patterns per missing cell (Eq. 1-2) *)
   p : int -> float;  (** plausible candidate count per missing cell *)
   write_energy_fj : float;  (** per-cell configuration write energy *)
@@ -42,20 +45,18 @@ type t = {
 
 val name : t -> string
 
-val restricted : t -> bool
-(** True when the backend constrains the unknown function to a known
-    candidate family (e.g. TVD). *)
+val cell_keyspace : family -> arity:int -> Sttc_util.Lognum.t
+(** Configurations of one cell: [2^2^n] for a free family, [f n]'s size
+    for a restricted one.  With {!search_space}, the only key count. *)
 
-val candidate_tables : t -> arity:int -> Sttc_logic.Truth.t list option
-(** The candidate truth tables of one cell, when restricted. *)
-
-val cell_keyspace : t -> arity:int -> Sttc_util.Lognum.t
-(** Number of distinct configurations of one cell: [2^2^n] for a free
-    backend, the candidate-family size for a restricted one. *)
-
-val search_space : t -> arities:int list -> Sttc_util.Lognum.t
-(** Product of {!cell_keyspace} over the protected cells — the brute
-    force keyspace an attacker faces. *)
+val search_space :
+  family ->
+  Sttc_netlist.Netlist.t ->
+  Sttc_netlist.Netlist.node_id list ->
+  Sttc_util.Lognum.t
+(** Product of {!cell_keyspace} over the listed LUTs of the foundry
+    view ([2^(config bits)] for a free family): the keyspace an attacker
+    who knows the family faces. *)
 
 (** {2 Registry} *)
 
@@ -81,10 +82,10 @@ val eval_library : t -> Sttc_tech.Library.t -> Sttc_tech.Library.t
     the backend's reconfigurable-cell technology. *)
 
 val sat_candidates :
-  t ->
+  family ->
   Sttc_netlist.Netlist.t ->
   Sttc_netlist.Netlist.node_id list ->
   (Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list
-(** The per-LUT candidate lists for [Sat_attack]'s [~candidates]
-    restriction, read off the foundry view's LUT arities.  Empty for an
-    unrestricted backend. *)
+(** The per-LUT candidate lists the SAT attacks and brute force take as
+    [~candidates], read off the foundry view's LUT arities.  Empty for a
+    free family. *)

@@ -1,15 +1,12 @@
 module Netlist = Sttc_netlist.Netlist
 module Gate_fn = Sttc_logic.Gate_fn
-module Lognum = Sttc_util.Lognum
 module Rng = Sttc_util.Rng
 
 let candidate_functions = [ Gate_fn.Nand 2; Gate_fn.Nor 2; Gate_fn.Xnor 2 ]
-let candidates_per_cell = List.length candidate_functions
 
-type t = {
-  hybrid : Hybrid.t;
-  cells : Netlist.node_id list;
-}
+let family =
+  let tables = List.map Gate_fn.truth candidate_functions in
+  Some (function 2 -> tables | _ -> [])
 
 let eligible nl =
   List.filter
@@ -26,20 +23,10 @@ let make nl cells =
       if not (List.mem id ok) then
         invalid_arg "Camouflage.make: gate is not a camouflageable cell")
     cells;
-  { hybrid = Hybrid.make nl cells; cells }
+  Hybrid.make nl cells
 
 let random ~rng ~count nl =
   let pool = Array.of_list (eligible nl) in
   if Array.length pool = 0 then
     invalid_arg "Camouflage.random: no eligible cells";
   make nl (Array.to_list (Rng.sample rng count pool))
-
-let cell_count t = List.length t.cells
-let hybrid t = t.hybrid
-
-let search_space t =
-  Lognum.pow (Lognum.of_int candidates_per_cell) (cell_count t)
-
-let sat_candidates t =
-  let tables = List.map Gate_fn.truth candidate_functions in
-  List.map (fun id -> (id, tables)) t.cells

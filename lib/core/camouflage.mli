@@ -8,35 +8,22 @@
     this is camouflaging's fundamental weakness; this module makes the
     comparison runnable. *)
 
-val candidate_functions : Sttc_logic.Gate_fn.t list
-(** NAND2, NOR2, XNOR2. *)
-
-type t
+val family : Sttc_backend.Backend.family
+(** NAND2, NOR2 and XNOR2 at arity 2, nothing at any other: [3^M] keys
+    for [M] cells by {!Sttc_backend.Backend}'s count — what a camouflaging
+    attacker knows that an STT one does not. *)
 
 val eligible : Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.node_id list
 (** Gates a camouflaged standard cell can stand in for (2-input gates
     whose function is in the candidate set). *)
 
 val make :
-  Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.node_id list -> t
-(** Camouflage the listed gates.  Raises [Invalid_argument] when a gate is
-    not {!eligible}. *)
+  Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.node_id list -> Hybrid.t
+(** Camouflage the listed gates, expressed as LUT slots (what both the PPA
+    evaluation and the SAT attack consume).  Raises [Invalid_argument]
+    when a gate is not {!eligible}. *)
 
 val random :
-  rng:Sttc_util.Rng.t -> count:int -> Sttc_netlist.Netlist.t -> t
+  rng:Sttc_util.Rng.t -> count:int -> Sttc_netlist.Netlist.t -> Hybrid.t
 (** Camouflage [count] random eligible gates (fewer when the circuit does
     not have enough — matching the independent-selection setup). *)
-
-val cell_count : t -> int
-val hybrid : t -> Hybrid.t
-(** The camouflaged design expressed as LUT slots (what both the
-    PPA evaluation and the SAT attack consume). *)
-
-val search_space : t -> Sttc_util.Lognum.t
-(** [3^M] — against the STT hybrid's [2^(config bits)]. *)
-
-val sat_candidates :
-  t -> (Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list
-(** The per-cell candidate lists in the form [Sat_attack.run ~candidates]
-    consumes — what a camouflaging attacker knows that an STT attacker
-    does not. *)

@@ -95,7 +95,7 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
   (* Hardening grows LUT configs past the replaced gate's own function,
      which a candidate-restricted cell (TVD) cannot realize. *)
   if
-    Backend.restricted backend
+    backend.Backend.candidates <> None
     && (hardening.extra_inputs_per_lut > 0 || hardening.absorb_drivers)
   then
     invalid_arg

@@ -13,6 +13,7 @@ module Gate_fn = Sttc_logic.Gate_fn
 module Truth = Sttc_logic.Truth
 module Lognum = Sttc_util.Lognum
 module Sat_attack = Sttc_attack.Sat_attack
+module Brute_force = Sttc_attack.Brute_force
 module Manifest = Sttc_campaign.Manifest
 module Request = Sttc_serve.Request
 module Json = Sttc_obs.Json
@@ -48,9 +49,10 @@ let test_registry () =
   (match Backend.find "tvd" with
   | Some b ->
       Alcotest.(check string) "find tvd" "tvd" (Backend.name b);
-      Alcotest.(check bool) "tvd is restricted" true (Backend.restricted b)
+      Alcotest.(check bool) "tvd is restricted" true
+        (b.Backend.candidates <> None)
   | None -> Alcotest.fail "tvd not registered");
-  Alcotest.(check bool) "stt is free" false (Backend.restricted Backend.stt);
+  Alcotest.(check bool) "stt is free" true (Backend.stt.Backend.candidates = None);
   Alcotest.(check bool) "unknown name" true (Backend.find "sram" = None);
   match Backend.find_exn "sram" with
   | exception Invalid_argument m ->
@@ -67,13 +69,13 @@ let test_registry () =
    strictly smaller, which is the whole security trade-off. *)
 let test_cell_keyspace () =
   for n = 1 to 4 do
-    let stt = Backend.cell_keyspace Backend.stt ~arity:n in
+    let stt = Backend.cell_keyspace Backend.stt.Backend.candidates ~arity:n in
     let expected = Lognum.pow (Lognum.of_int 2) (1 lsl n) in
     Alcotest.(check bool)
       (Printf.sprintf "stt arity %d = 2^2^%d" n n)
       true
       (Lognum.equal stt expected);
-    let tvd = Backend.cell_keyspace tvd ~arity:n in
+    let tvd = Backend.cell_keyspace tvd.Backend.candidates ~arity:n in
     let family = Gate_fn.candidate_count n in
     Alcotest.(check bool)
       (Printf.sprintf "tvd arity %d = candidate family" n)
@@ -89,19 +91,83 @@ let test_cell_keyspace () =
         true
         (Lognum.compare tvd stt < 0)
   done;
-  let arities = [ 2; 3; 3; 4 ] in
-  let prod b =
-    List.fold_left
-      (fun acc n -> Lognum.mul acc (Backend.cell_keyspace b ~arity:n))
-      Lognum.one arities
+  (* over a hybrid's LUTs: the product of the cell counts, which for a
+     free family is exactly 2^(configuration bits) *)
+  let h =
+    (protect ~seed:4 (Flow.Independent { count = 4 }) (gen_netlist 4))
+      .Flow.hybrid
+  in
+  let foundry = Hybrid.foundry_view h and luts = Hybrid.lut_ids h in
+  let arities =
+    List.map
+      (fun id ->
+        match Netlist.kind foundry id with
+        | Netlist.Lut { arity; _ } -> arity
+        | _ -> Alcotest.fail "not a LUT")
+      luts
   in
   List.iter
     (fun b ->
-      Alcotest.(check bool)
+      let family = b.Backend.candidates in
+      let product =
+        Lognum.prod
+          (List.map (fun arity -> Backend.cell_keyspace family ~arity) arities)
+      in
+      Alcotest.(check (float 1e-9))
         (Backend.name b ^ " search space is the product")
-        true
-        (Lognum.equal (Backend.search_space b ~arities) (prod b)))
-    Backend.all
+        (Lognum.log10 product)
+        (Lognum.log10 (Backend.search_space family foundry luts)))
+    Backend.all;
+  Alcotest.(check bool) "stt search space = 2^(config bits)" true
+    (Lognum.equal
+       (Backend.search_space None foundry luts)
+       (Lognum.pow (Lognum.of_int 2) (Hybrid.bitstream_bits h)))
+
+(* One count: at every arity, the list a restricted family hands the SAT
+   attack has no duplicate table and exactly [cell_keyspace] entries, so
+   its one-hot key restriction admits exactly that many keys.  A free
+   family hands no list: its keys are the raw 2^2^n tables. *)
+let test_single_count () =
+  let families =
+    List.concat_map
+      (fun b ->
+        List.map (fun n -> (Backend.name b, b.Backend.candidates, n)) [ 1; 2; 3; 4 ])
+      Backend.all
+    @ [ ("camouflage", Sttc_core.Camouflage.family, 2) ]
+  in
+  List.iter
+    (fun (label, family, arity) ->
+      let label = Printf.sprintf "%s arity %d" label arity in
+      match family with
+      | None ->
+          Alcotest.(check bool) (label ^ ": free") true
+            (Lognum.equal
+               (Backend.cell_keyspace family ~arity)
+               (Lognum.pow (Lognum.of_int 2) (1 lsl arity)))
+      | Some f ->
+          let tables = f arity in
+          Alcotest.(check int) (label ^ ": no duplicate table")
+            (List.length tables)
+            (List.length
+               (List.sort_uniq compare (List.map Truth.to_string tables)));
+          Alcotest.(check bool) (label ^ ": length is the count") true
+            (Lognum.equal
+               (Backend.cell_keyspace family ~arity)
+               (Lognum.of_int (List.length tables))))
+    families;
+  (* and on a hybrid, each LUT's list is its arity's family *)
+  let h =
+    (protect ~seed:6 (Flow.Independent { count = 4 }) (gen_netlist 6))
+      .Flow.hybrid
+  in
+  let foundry = Hybrid.foundry_view h in
+  List.iter
+    (fun (id, tables) ->
+      match (Netlist.kind foundry id, tvd.Backend.candidates) with
+      | Netlist.Lut { arity; _ }, Some f ->
+          Alcotest.(check bool) "lut list = family" true (tables = f arity)
+      | _ -> Alcotest.fail "tvd lists name LUTs")
+    (Backend.sat_candidates tvd.Backend.candidates foundry (Hybrid.lut_ids h))
 
 (* ---------- flow invariants ---------- *)
 
@@ -141,8 +207,8 @@ let prop_tvd_secret_in_candidate_family =
         (fun (id, config) ->
           match Netlist.kind foundry id with
           | Netlist.Lut { arity; _ } -> (
-              match Backend.candidate_tables tvd ~arity with
-              | Some family -> List.mem config family
+              match tvd.Backend.candidates with
+              | Some family -> List.mem config (family arity)
               | None -> false)
           | _ -> false)
         (Hybrid.bitstream h))
@@ -159,12 +225,41 @@ let prop_sat_breaks_both_backends =
           let r = protect ~seed ~backend (Flow.Independent { count = 3 }) nl in
           let h = r.Flow.hybrid in
           let candidates =
-            Backend.sat_candidates backend (Hybrid.foundry_view h)
+            Backend.sat_candidates backend.Backend.candidates
+              (Hybrid.foundry_view h)
               (Hybrid.lut_ids h)
           in
           match Sat_attack.run ~timeout_s:30. ~candidates h with
           | Sat_attack.Broken b -> Sat_attack.verify_break h b.bitstream
           | Sat_attack.Exhausted _ -> false)
+        Backend.all)
+
+(* Brute force searches the family's keyspace: past the cap it reports
+   exactly Backend's count, within the cap it recovers an
+   oracle-confirmed key after at most that many candidates. *)
+let prop_brute_force_counts_family =
+  QCheck2.Test.make ~name:"brute force searches the backend keyspace"
+    ~count:10
+    QCheck2.Gen.(triple gen_seed (int_range 1 3) (int_range 0 14))
+    (fun (seed, count, max_bits) ->
+      let nl = gen_netlist seed in
+      List.for_all
+        (fun backend ->
+          let r = protect ~seed ~backend (Flow.Independent { count }) nl in
+          let h = r.Flow.hybrid in
+          let family = backend.Backend.candidates in
+          let foundry = Hybrid.foundry_view h and luts = Hybrid.lut_ids h in
+          let space = Backend.search_space family foundry luts in
+          let candidates = Backend.sat_candidates family foundry luts in
+          match Brute_force.run ~max_bits ~candidates h with
+          | Brute_force.Infeasible i ->
+              Lognum.equal i.search_space space
+              && Lognum.compare space
+                   (Lognum.pow (Lognum.of_int 2) max_bits)
+                 > 0
+          | Brute_force.Broken b ->
+              Sat_attack.verify_break h b.bitstream
+              && Lognum.compare b.candidates_tested space <= 0)
         Backend.all)
 
 let test_stt_sat_candidates_empty () =
@@ -173,7 +268,8 @@ let test_stt_sat_candidates_empty () =
   let h = r.Flow.hybrid in
   Alcotest.(check int) "stt imposes no candidate restriction" 0
     (List.length
-       (Backend.sat_candidates Backend.stt (Hybrid.foundry_view h)
+       (Backend.sat_candidates Backend.stt.Backend.candidates
+          (Hybrid.foundry_view h)
           (Hybrid.lut_ids h)))
 
 let test_hardening_requires_free_backend () =
@@ -242,6 +338,7 @@ let () =
         [
           Alcotest.test_case "names and lookup" `Quick test_registry;
           Alcotest.test_case "cell keyspace" `Quick test_cell_keyspace;
+          Alcotest.test_case "single count" `Quick test_single_count;
         ] );
       ( "flow",
         [
@@ -252,7 +349,11 @@ let () =
           Alcotest.test_case "hardening needs free backend" `Quick
             test_hardening_requires_free_backend;
         ] );
-      ("attack", [ to_case prop_sat_breaks_both_backends ]);
+      ( "attack",
+        [
+          to_case prop_sat_breaks_both_backends;
+          to_case prop_brute_force_counts_family;
+        ] );
       ( "json",
         [
           Alcotest.test_case "manifest" `Quick test_manifest_json;

@@ -1181,6 +1181,44 @@ let test_pinned_writer_kinds () =
     (Bench_io.parse_string ~design_name:"consts"
        "INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\nk = VCC()\nz = GND()\ny = AND(a, k)\n")
 
+(* The parser's node-id order, pinned before any parser work: a parsed
+   netlist's ids come from the parser's own walk over the file, so a
+   faster parser must keep that walk or re-pin every output that depends
+   on ids.  Two digests per input: the (id, name, kind) list in id order,
+   and the writer's text of the parsed netlist. *)
+let test_pinned_parse_order () =
+  let kind_string = function
+    | Netlist.Pi -> "PI"
+    | Netlist.Const b -> if b then "VCC" else "GND"
+    | Netlist.Gate fn -> Gate_fn.to_string fn
+    | Netlist.Lut { arity; config } ->
+        Printf.sprintf "LUT%d:%s" arity
+          (match config with Some t -> Truth.to_string t | None -> "?")
+    | Netlist.Dff -> "DFF"
+  in
+  let nodes nl =
+    List.init (Netlist.node_count nl) (fun id ->
+        Printf.sprintf "%d %s %s" id (Netlist.name nl id)
+          (kind_string (Netlist.kind nl id)))
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  List.iter
+    (fun (label, nl, ids, text) ->
+      let parsed = Bench_io.parse_string (Bench_io.to_string nl) in
+      Alcotest.(check string) (label ^ " parsed ids") ids (nodes parsed);
+      Alcotest.(check string) (label ^ " parsed text") text
+        (Digest.to_hex (Digest.string (Bench_io.to_string parsed))))
+    [
+      ( "s1196",
+        Profiles.build_by_name "s1196",
+        "4bada8b199c64c00ee035c6195237407",
+        "60ebd298fdc470f0a0ce3d0e5e526901" );
+      ( "slike 1e4",
+        Generator.generate_family ~seed:20160605 ~gates:10_000 (),
+        "a8a3189ab6b48556d0b3519b88386b6d",
+        "7a7037fa553dcf046fb6151c777ecbf8" );
+    ]
+
 (* ---------- profiles ---------- *)
 
 let test_profiles_match_paper_sizes () =
@@ -1388,6 +1426,7 @@ let () =
           Alcotest.test_case "fallback and product specs" `Quick
             test_pinned_specs;
           Alcotest.test_case "writer kinds" `Quick test_pinned_writer_kinds;
+          Alcotest.test_case "parser id order" `Quick test_pinned_parse_order;
         ] );
       ( "iscas_data",
         [

@@ -143,7 +143,13 @@ let test_malformed_frames () =
   reject "bad timeout type" {|{"verb":"ping","timeout_s":"fast"}|};
   reject "bad solver mode"
     {|{"verb":"attack","netlist":"s27","config":{"solver_mode":"quantum"}}|};
-  reject "bad lint format" {|{"verb":"lint","netlist":"s27","format":"xml"}|}
+  reject "bad lint format" {|{"verb":"lint","netlist":"s27","format":"xml"}|};
+  reject "zero sequential frames"
+    {|{"verb":"attack","netlist":"s641","algorithm":"dependent","config":{"seq_frames":0}}|};
+  reject "brute-force cap past 62 bits"
+    {|{"verb":"attack","netlist":"s1196","algorithm":"parametric","config":{"brute_max_bits":100}}|};
+  reject "brute-force cap of 64 bits"
+    {|{"verb":"attack","netlist":"s27","config":{"brute_max_bits":64}}|}
 
 (* ---------- response codec ---------- *)
 

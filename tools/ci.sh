@@ -48,6 +48,16 @@ if grep -rnE 'encode_netlist|encode_fixed_lut' lib bin test bench/main.ml exampl
   exit 1
 fi
 
+echo "== keyspace gate (Backend owns the only key count)"
+# Brute force, the camouflage baseline and the reports count keys with
+# Backend.cell_keyspace/search_space over a candidate family; the
+# per-module counts they replaced must not come back.
+if grep -rnE 'Brute_force\.search_space|Camouflage\.(search_space|sat_candidates)' \
+     lib bin test bench/main.ml examples; then
+  echo "KEYSPACE GATE FAILED: a key count outside Backend is back (see above)" >&2
+  exit 1
+fi
+
 echo "== reachability gate (every library module and exported value is reached from a product path)"
 # A fixpoint from the product paths, bin/, examples/ and bench/ledger/:
 # a reached file reaches every module it names, either qualified
@@ -83,9 +93,6 @@ sttc_analysis:Paths.gates_on_path            reference for the gate partition Pa
 sttc_analysis:Sta.arrival_ps                 per-node arrival the incremental-STA properties compare with full analysis
 sttc_analysis:Sta.worst_paths                the k worst paths the arrival-monotonicity property walks
 sttc_backend:Backend.all                     the registry the cross-backend tests and bench/main.exe backend iterate
-sttc_backend:Backend.candidate_tables        a restricted backend's candidate family, checked against the secrets it provisions
-sttc_backend:Backend.cell_keyspace           per-cell keyspace, checked against the candidate family (ROADMAP item 3)
-sttc_backend:Backend.search_space            keyspace bench/main.exe backend prints (ROADMAP item 3)
 sttc_campaign:Aggregate.to_json              report codec the campaign tests round-trip
 sttc_campaign:Aggregate.validate             report validator the campaign tests feed broken reports
 sttc_campaign:Manifest.make                  manifest constructor with the loader's defaults, for sweeps built in tests
@@ -97,7 +104,6 @@ sttc_campaign:Manifest.validate              manifest rules the campaign and bac
 sttc_campaign:Shard.checkpoint_path          shard file layout the campaign tests corrupt
 sttc_campaign:Shard.result_path              shard file layout the campaign tests stash
 sttc_campaign:Supervisor.backoff_s           retry schedule the campaign tests pin
-sttc_core:Camouflage.candidate_functions     the camouflage baseline's cell family, checked against its hybrids
 sttc_core:Camouflage.eligible                the camouflage baseline's cell rule, checked against its hybrids
 sttc_core:Camouflage.make                    camouflage on chosen gates, for the rejection test
 sttc_fault:Ecc.parity_bits                   Hamming parity count the fault tests pin
@@ -145,6 +151,7 @@ sttc_util:Lognum.zero                        log-domain algebra Lognum.sum and m
 sttc_util:Lognum.add                         log-domain algebra Lognum.sum and mul build on, tested in test_util
 sttc_util:Lognum.is_zero                     log-domain algebra Lognum.sum and mul build on, tested in test_util
 sttc_util:Lognum.min                         log-domain minimum beside max, tested in test_util
+sttc_util:Lognum.one                         log-domain identity Lognum.prod builds on, tested in test_util
 sttc_util:Lognum.compare                     orders Lognum values in the Eq. 1-3, attack and backend tests
 sttc_util:Lognum.equal                       compares Lognum values in the util and backend tests
 sttc_util:Lognum.to_float                    reads Lognum values back in the Eq. 1-3 tests
@@ -854,7 +861,14 @@ if ! [ -s "$tmpdir/s27.tvd.bits" ]; then
   exit 1
 fi
 sttc attack -i "$tmpdir/s27.bench" -a dependent --backend tvd \
-  --metrics "$tmpdir/tvd.attack.metrics.json" > /dev/null
+  --metrics "$tmpdir/tvd.attack.metrics.json" > "$tmpdir/tvd.attack"
+# brute force searches the TVD family (about 2^14.9 keys on this hybrid),
+# not the 2^24 STT configurations, so it finishes under the 16-bit cap
+if ! grep -q 'brute-force  RECOVERED' "$tmpdir/tvd.attack"; then
+  echo "BACKEND GATE FAILED: tvd brute force on s27 -a dependent did not recover the key" >&2
+  cat "$tmpdir/tvd.attack" >&2
+  exit 1
+fi
 sttc obs-check --metrics "$tmpdir/tvd.protect.metrics.json" \
   --require backend.protect.tvd
 sttc obs-check --metrics "$tmpdir/tvd.attack.metrics.json" \

@@ -2,7 +2,6 @@ module Netlist = Sttc_netlist.Netlist
 module Simulator = Sttc_sim.Simulator
 module Truth = Sttc_logic.Truth
 module Rng = Sttc_util.Rng
-module Lognum = Sttc_util.Lognum
 module Hybrid = Sttc_core.Hybrid
 module Encode = Sttc_sim.Encode
 
@@ -11,7 +10,6 @@ type lut_progress = {
   resolved_rows : int;
   total_rows : int;
   unreachable_rows : int;
-  candidates_left : Lognum.t;
 }
 
 type result = {
@@ -271,7 +269,6 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
           resolved_rows = done_;
           total_rows = total;
           unreachable_rows = unreach;
-          candidates_left = Lognum.pow (Lognum.of_int 2) (total - done_);
         })
       luts
   in

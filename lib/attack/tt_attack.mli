@@ -23,8 +23,6 @@ type lut_progress = {
           input combination can never occur at the LUT's fanins, or its
           effect can never be sensitized to an observation point under any
           configuration of the other missing gates *)
-  candidates_left : Sttc_util.Lognum.t;
-      (** remaining truth tables consistent with the resolved rows *)
 }
 
 type result = {

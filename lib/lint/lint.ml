@@ -32,10 +32,6 @@ let catalog_text () =
     packs;
   Buffer.contents buf
 
-let structural ?only ?library nl = Structural.check ?only ?library nl
-
-let semantic ?only view = Semantic_rules.run ?only view
-
 let apply ?(only = []) ?(suppress = []) ?baseline ds =
   let ds = Diagnostic.filter_rules ~only ds in
   let ds = Diagnostic.suppress ~rules:suppress ds in

@@ -1,9 +1,10 @@
-(** Facade over the lint subsystem: rule catalog, combined runs, and the
-    CI gate.
+(** Facade over the lint subsystem: rule catalog, post-processing, and
+    the CI gate.  The packs run through their own modules
+    ({!Structural.check}, {!Security_rules.run}, {!Semantic_rules.run}).
 
     Typical use:
     {[
-      let ds = Lint.structural netlist in
+      let ds = Lint.apply ~only (Structural.check netlist) in
       print_string (Diagnostic.render_text ~design ds);
       exit (Lint.exit_code ds)
     ]} *)
@@ -18,18 +19,6 @@ val find_rule : string -> Structural.rule option
 
 val catalog_text : unit -> string
 (** Human-readable rule listing for [--list-rules], grouped by pack. *)
-
-val structural :
-  ?only:string list ->
-  ?library:Sttc_tech.Library.t ->
-  Sttc_netlist.Netlist.t ->
-  Diagnostic.t list
-(** The structural pack on a netlist ({!Structural.check}). *)
-
-val semantic :
-  ?only:string list -> Semantic_rules.view -> Diagnostic.t list
-(** The semantic pack ({!Semantic_rules.run}): dataflow- and SAT-backed
-    findings, including the Eq. 1 independent-testability prover. *)
 
 val apply :
   ?only:string list ->

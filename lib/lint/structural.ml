@@ -1,6 +1,7 @@
 module D = Diagnostic
 module Gate_fn = Sttc_logic.Gate_fn
 module Truth = Sttc_logic.Truth
+module Netlist = Sttc_netlist.Netlist
 
 type rule = {
   id : string;
@@ -99,9 +100,9 @@ let check_comb_loop (g : Graph.t) =
   let nodes = g.Graph.nodes in
   let n = Array.length nodes in
   let comb_fanins dst =
-    match nodes.(dst).Graph.kind with
-    | Graph.Gate _ | Graph.Lut _ -> nodes.(dst).Graph.fanins
-    | Graph.Pi | Graph.Const _ | Graph.Dff -> [||]
+    let node = nodes.(dst) in
+    if Netlist.is_combinational node.Netlist.kind then node.Netlist.fanins
+    else [||]
   in
   (* [start.(v)] counts v's readers, then sums them up to v; the fill
      walks readers in ascending id and steps each row's end back, which
@@ -192,7 +193,7 @@ let check_comb_loop (g : Graph.t) =
   List.map
     (fun members ->
       let names =
-        Array.to_list (Array.map (fun v -> nodes.(v).Graph.name) members)
+        Array.to_list (Array.map (fun v -> nodes.(v).Netlist.name) members)
         |> List.sort String.compare
       in
       diag r_comb_loop ~node:(List.hd names)
@@ -207,14 +208,14 @@ let check_undriven (g : Graph.t) =
   let bad = ref [] in
   Array.iter
     (fun node ->
-      let fanins = node.Graph.fanins in
+      let fanins = node.Netlist.fanins in
       let missing = ref 0 in
       for k = 0 to Array.length fanins - 1 do
         if not (Graph.valid_ref g fanins.(k)) then incr missing
       done;
       if !missing > 0 then
         bad :=
-          diag r_undriven ~node:node.Graph.name
+          diag r_undriven ~node:node.Netlist.name
             (Printf.sprintf "%d fanin(s) have no driver" !missing)
           :: !bad)
     g.Graph.nodes;
@@ -242,10 +243,11 @@ let check_multi_driver (g : Graph.t) =
   let mask = !len - 1 in
   let slots = Array.make !len (-1) and count = Array.make n 0 in
   for id = 0 to n - 1 do
-    let name = nodes.(id).Graph.name in
+    let name = nodes.(id).Netlist.name in
     let i = ref (Hashtbl.hash name land mask) in
     while
-      slots.(!i) >= 0 && not (String.equal nodes.(slots.(!i)).Graph.name name)
+      slots.(!i) >= 0
+      && not (String.equal nodes.(slots.(!i)).Netlist.name name)
     do
       i := (!i + 1) land mask
     done;
@@ -260,7 +262,7 @@ let check_multi_driver (g : Graph.t) =
   for id = n - 1 downto 0 do
     if count.(id) > 1 then
       out :=
-        diag r_multi_driver ~node:nodes.(id).Graph.name
+        diag r_multi_driver ~node:nodes.(id).Netlist.name
           (Printf.sprintf "signal is driven by %d nodes" count.(id))
         :: !out
   done;
@@ -274,7 +276,7 @@ let check_dangling (g : Graph.t) =
   let rec mark v =
     if Graph.valid_ref g v && not useful.(v) then begin
       useful.(v) <- true;
-      let fi = g.Graph.nodes.(v).Graph.fanins in
+      let fi = g.Graph.nodes.(v).Netlist.fanins in
       for k = 0 to Array.length fi - 1 do
         mark fi.(k)
       done
@@ -283,16 +285,16 @@ let check_dangling (g : Graph.t) =
   Array.iter (fun (_, drv) -> mark drv) g.Graph.outputs;
   Array.iteri
     (fun _ node ->
-      match node.Graph.kind with
-      | Graph.Dff -> Array.iter mark node.Graph.fanins
+      match node.Netlist.kind with
+      | Netlist.Dff -> Array.iter mark node.Netlist.fanins
       | _ -> ())
     g.Graph.nodes;
   let out = ref [] in
   Array.iteri
     (fun id node ->
-      if Graph.is_combinational node.Graph.kind && not useful.(id) then
+      if Netlist.is_combinational node.Netlist.kind && not useful.(id) then
         out :=
-          diag r_dangling ~node:node.Graph.name
+          diag r_dangling ~node:node.Netlist.name
             "drives no primary output and no flip-flop (dead logic)"
           :: !out)
     g.Graph.nodes;
@@ -305,16 +307,16 @@ let check_arity ~library (g : Graph.t) =
   let bad node detail = out := diag r_arity ~node detail :: !out in
   Array.iter
     (fun node ->
-      let fi = Array.length node.Graph.fanins in
-      let name = node.Graph.name in
-      match node.Graph.kind with
-      | Graph.Pi | Graph.Const _ ->
+      let fi = Array.length node.Netlist.fanins in
+      let name = node.Netlist.name in
+      match node.Netlist.kind with
+      | Netlist.Pi | Netlist.Const _ ->
           if fi <> 0 then
             bad name (Printf.sprintf "source node carries %d fanin(s)" fi)
-      | Graph.Dff ->
+      | Netlist.Dff ->
           if fi <> 1 then
             bad name (Printf.sprintf "flip-flop has %d fanins (wants 1)" fi)
-      | Graph.Gate fn -> (
+      | Netlist.Gate fn -> (
           match Gate_fn.validate fn with
           | () ->
               if fi <> Gate_fn.arity fn then
@@ -328,7 +330,7 @@ let check_arity ~library (g : Graph.t) =
                     bad name ("no technology cell: " ^ m)
               end
           | exception Invalid_argument m -> bad name ("invalid gate: " ^ m))
-      | Graph.Lut { arity; _ } ->
+      | Netlist.Lut { arity; _ } ->
           if arity < 1 || arity > Truth.max_arity then
             bad name
               (Printf.sprintf "LUT arity %d outside [1, %d]" arity

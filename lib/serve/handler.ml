@@ -4,6 +4,7 @@ module Provision = Sttc_core.Provision
 module Harness = Sttc_attack.Harness
 module Netlist = Sttc_netlist.Netlist
 module Metrics = Sttc_obs.Metrics
+module Semantic_rules = Sttc_lint.Semantic_rules
 
 (* ---------- the per-request wall budget ---------- *)
 
@@ -121,13 +122,13 @@ let lint_diagnostics ~algorithms ~semantic ~seed ?fraction ?budget ~rules
   | Some unknown -> Error ("unknown rule " ^ unknown ^ " (see --list-rules)")
   | None -> (
       let budget =
-        Option.value budget ~default:Sttc_lint.Semantic_rules.default_budget
+        Option.value budget ~default:Semantic_rules.default_budget
       in
       try
-        let structural = Sttc_lint.Lint.structural nl in
+        let structural = Sttc_lint.Structural.check nl in
         let plain_semantic =
           if semantic && algorithms = [] then
-            Sttc_lint.Lint.semantic (Sttc_lint.Semantic_rules.view ~budget nl)
+            Semantic_rules.run (Semantic_rules.view ~budget nl)
           else []
         in
         let hybrids =
@@ -150,8 +151,8 @@ let lint_diagnostics ~algorithms ~semantic ~seed ?fraction ?budget ~rules
                 if not semantic then []
                 else
                   let h = r.Flow.hybrid in
-                  Sttc_lint.Lint.semantic
-                    (Sttc_lint.Semantic_rules.view ~luts:(Hybrid.lut_ids h)
+                  Semantic_rules.run
+                    (Semantic_rules.view ~luts:(Hybrid.lut_ids h)
                        ~configs:(Hybrid.bitstream h) ~budget
                        (Hybrid.foundry_view h))
               in

@@ -114,7 +114,7 @@ let test_catalog () =
 let graph ?(design = "g") ?(outputs = [||]) nodes =
   { Graph.design; nodes = Array.of_list nodes; outputs }
 
-let n name kind fanins = { Graph.name; kind; fanins = Array.of_list fanins }
+let n name kind fanins = { Netlist.name; kind; fanins = Array.of_list fanins }
 
 let test_str_comb_loop () =
   (* g1 = AND(a, g2); g2 = BUF(g1): a two-gate combinational cycle *)
@@ -122,9 +122,9 @@ let test_str_comb_loop () =
     graph
       ~outputs:[| ("y", 1) |]
       [
-        n "a" Graph.Pi [];
-        n "g1" (Graph.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "g2" (Graph.Gate Gate_fn.Buf) [ 1 ];
+        n "a" Netlist.Pi [];
+        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
+        n "g2" (Netlist.Gate Gate_fn.Buf) [ 1 ];
       ]
   in
   check_fires "loop" "comb-loop" (Structural.run g);
@@ -133,9 +133,9 @@ let test_str_comb_loop () =
     graph
       ~outputs:[| ("y", 1) |]
       [
-        n "a" Graph.Pi [];
-        n "g1" (Graph.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "ff" Graph.Dff [ 1 ];
+        n "a" Netlist.Pi [];
+        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
+        n "ff" Netlist.Dff [ 1 ];
       ]
   in
   check_silent "dff breaks loop" "comb-loop" (Structural.run ok)
@@ -156,12 +156,12 @@ let test_str_comb_loop_pinned () =
     graph
       ~outputs:[| ("y", 2); ("z", 5) |]
       [
-        n "a" Graph.Pi [];
-        n "g1" (Graph.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "g2" (Graph.Gate Gate_fn.Buf) [ 1 ];
-        n "h1" (Graph.Gate (Gate_fn.Or 2)) [ 0; 5 ];
-        n "h2" (Graph.Gate Gate_fn.Not) [ 3 ];
-        n "h0" (Graph.Gate Gate_fn.Buf) [ 4 ];
+        n "a" Netlist.Pi [];
+        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
+        n "g2" (Netlist.Gate Gate_fn.Buf) [ 1 ];
+        n "h1" (Netlist.Gate (Gate_fn.Or 2)) [ 0; 5 ];
+        n "h2" (Netlist.Gate Gate_fn.Not) [ 3 ];
+        n "h0" (Netlist.Gate Gate_fn.Buf) [ 4 ];
       ]
   in
   Alcotest.(check (list string)) "two disjoint cycles"
@@ -174,9 +174,9 @@ let test_str_comb_loop_pinned () =
     graph
       ~outputs:[| ("y", 2) |]
       [
-        n "a" Graph.Pi [];
-        n "s" (Graph.Gate (Gate_fn.And 2)) [ 0; 1 ];
-        n "t" (Graph.Gate Gate_fn.Not) [ 1 ];
+        n "a" Netlist.Pi [];
+        n "s" (Netlist.Gate (Gate_fn.And 2)) [ 0; 1 ];
+        n "t" (Netlist.Gate Gate_fn.Not) [ 1 ];
       ]
   in
   Alcotest.(check (list string)) "self-loop"
@@ -188,12 +188,12 @@ let test_str_comb_loop_pinned () =
     graph
       ~outputs:[| ("y", 5) |]
       [
-        n "a" Graph.Pi [];
-        n "c1" (Graph.Gate (Gate_fn.And 2)) [ 0; 4 ];
-        n "c2" (Graph.Gate (Gate_fn.Or 2)) [ 1; 4 ];
-        n "c3" (Graph.Gate Gate_fn.Buf) [ 2 ];
-        n "c4" (Graph.Gate (Gate_fn.And 2)) [ 3; 1 ];
-        n "tail" (Graph.Gate Gate_fn.Not) [ 4 ];
+        n "a" Netlist.Pi [];
+        n "c1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 4 ];
+        n "c2" (Netlist.Gate (Gate_fn.Or 2)) [ 1; 4 ];
+        n "c3" (Netlist.Gate Gate_fn.Buf) [ 2 ];
+        n "c4" (Netlist.Gate (Gate_fn.And 2)) [ 3; 1 ];
+        n "tail" (Netlist.Gate Gate_fn.Not) [ 4 ];
       ]
   in
   Alcotest.(check (list string)) "SCC with a chord"
@@ -203,9 +203,9 @@ let test_str_comb_loop_pinned () =
     graph
       ~outputs:[| ("y", 1) |]
       [
-        n "a" Graph.Pi [];
-        n "g1" (Graph.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "ff" Graph.Dff [ 1 ];
+        n "a" Netlist.Pi [];
+        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
+        n "ff" Netlist.Dff [ 1 ];
       ]
   in
   Alcotest.(check (list string)) "DFF-broken loop" [] (str001 dff_broken)
@@ -217,12 +217,12 @@ let test_str_counts_pinned () =
     graph
       ~outputs:[| ("y", 1); ("z", 9) |]
       [
-        n "a" Graph.Pi [];
-        n "s" (Graph.Gate (Gate_fn.And 3)) [ -1; 0; 42 ];
-        n "s" (Graph.Gate Gate_fn.Buf) [ -3 ];
-        n "b" (Graph.Gate Gate_fn.Buf) [ 0 ];
-        n "s" (Graph.Gate Gate_fn.Not) [ 3 ];
-        n "b" (Graph.Gate Gate_fn.Buf) [ 3 ];
+        n "a" Netlist.Pi [];
+        n "s" (Netlist.Gate (Gate_fn.And 3)) [ -1; 0; 42 ];
+        n "s" (Netlist.Gate Gate_fn.Buf) [ -3 ];
+        n "b" (Netlist.Gate Gate_fn.Buf) [ 0 ];
+        n "s" (Netlist.Gate Gate_fn.Not) [ 3 ];
+        n "b" (Netlist.Gate Gate_fn.Buf) [ 3 ];
       ]
   in
   Alcotest.(check (list string)) "STR002 and STR003"
@@ -238,12 +238,12 @@ let test_str_counts_pinned () =
 let test_str_undriven () =
   let g =
     graph ~outputs:[| ("y", 0) |]
-      [ n "g" (Graph.Gate Gate_fn.Buf) [ -1 ] ]
+      [ n "g" (Netlist.Gate Gate_fn.Buf) [ -1 ] ]
   in
   check_fires "bad fanin" "undriven-net" (Structural.run g);
   (* an output naming a nonexistent driver too *)
   let g2 =
-    graph ~outputs:[| ("y", 7) |] [ n "a" Graph.Pi [] ]
+    graph ~outputs:[| ("y", 7) |] [ n "a" Netlist.Pi [] ]
   in
   check_fires "bad po" "undriven-net" (Structural.run g2)
 
@@ -251,9 +251,9 @@ let test_str_multi_driver () =
   let g =
     graph ~outputs:[| ("y", 1) |]
       [
-        n "a" Graph.Pi [];
-        n "s" (Graph.Gate Gate_fn.Buf) [ 0 ];
-        n "s" (Graph.Gate Gate_fn.Not) [ 0 ];
+        n "a" Netlist.Pi [];
+        n "s" (Netlist.Gate Gate_fn.Buf) [ 0 ];
+        n "s" (Netlist.Gate Gate_fn.Not) [ 0 ];
       ]
   in
   check_fires "two drivers of s" "multi-driver" (Structural.run g)
@@ -262,9 +262,9 @@ let test_str_dangling () =
   let g =
     graph ~outputs:[| ("y", 1) |]
       [
-        n "a" Graph.Pi [];
-        n "live" (Graph.Gate Gate_fn.Buf) [ 0 ];
-        n "dead" (Graph.Gate Gate_fn.Not) [ 0 ];
+        n "a" Netlist.Pi [];
+        n "live" (Netlist.Gate Gate_fn.Buf) [ 0 ];
+        n "dead" (Netlist.Gate Gate_fn.Not) [ 0 ];
       ]
   in
   let ds = Structural.run g in
@@ -275,10 +275,10 @@ let test_str_dangling () =
   let ok =
     graph ~outputs:[| ("y", 1) |]
       [
-        n "a" Graph.Pi [];
-        n "live" (Graph.Gate Gate_fn.Buf) [ 0 ];
-        n "pre" (Graph.Gate Gate_fn.Not) [ 0 ];
-        n "ff" Graph.Dff [ 2 ];
+        n "a" Netlist.Pi [];
+        n "live" (Netlist.Gate Gate_fn.Buf) [ 0 ];
+        n "pre" (Netlist.Gate Gate_fn.Not) [ 0 ];
+        n "ff" Netlist.Dff [ 2 ];
       ]
   in
   check_silent "ff fanin live" "dangling-gate" (Structural.run ok)
@@ -286,21 +286,21 @@ let test_str_dangling () =
 let test_str_arity () =
   let g =
     graph ~outputs:[| ("y", 1) |]
-      [ n "a" Graph.Pi []; n "g" (Graph.Gate (Gate_fn.And 2)) [ 0 ] ]
+      [ n "a" Netlist.Pi []; n "g" (Netlist.Gate (Gate_fn.And 2)) [ 0 ] ]
   in
   check_fires "AND2 with one fanin" "arity-mismatch" (Structural.run g);
   let wide =
     graph ~outputs:[| ("y", 1) |]
       [
-        n "a" Graph.Pi [];
-        n "l" (Graph.Lut { arity = 7; configured = false })
+        n "a" Netlist.Pi [];
+        n "l" (Netlist.Lut { arity = 7; config = None })
           [ 0; 0; 0; 0; 0; 0; 0 ];
       ]
   in
   check_fires "7-LUT beyond tech max" "arity-mismatch" (Structural.run wide);
   let dff =
     graph ~outputs:[| ("y", 1) |]
-      [ n "a" Graph.Pi []; n "ff" Graph.Dff [] ]
+      [ n "a" Netlist.Pi []; n "ff" Netlist.Dff [] ]
   in
   check_fires "unwired dff" "arity-mismatch" (Structural.run dff)
 
@@ -308,13 +308,53 @@ let test_str_duplicate_output () =
   let g =
     graph
       ~outputs:[| ("y", 1); ("y", 0) |]
-      [ n "a" Graph.Pi []; n "g" (Graph.Gate Gate_fn.Buf) [ 0 ] ]
+      [ n "a" Netlist.Pi []; n "g" (Netlist.Gate Gate_fn.Buf) [ 0 ] ]
   in
   check_fires "duplicate PO name" "duplicate-name" (Structural.run g)
 
 let test_str_no_output () =
-  let g = graph [ n "a" Graph.Pi [] ] in
+  let g = graph [ n "a" Netlist.Pi [] ] in
   check_fires "no outputs" "no-output" (Structural.run g)
+
+(* The graph of a netlist holds the netlist's own node records. *)
+let test_graph_of_netlist_shares () =
+  let nl = Sttc_experiments.Runner.build_circuit "s641" in
+  let g = Graph.of_netlist nl in
+  Alcotest.(check string) "design" (Netlist.design_name nl) g.Graph.design;
+  Alcotest.(check int) "node count" (Netlist.node_count nl)
+    (Array.length g.Graph.nodes);
+  Alcotest.(check bool) "outputs" true (g.Graph.outputs == Netlist.outputs nl);
+  Array.iteri
+    (fun id node ->
+      if node != Netlist.node nl id then
+        Alcotest.failf "node %d is a copy, not the netlist's record" id)
+    g.Graph.nodes
+
+(* The structural pack on the product path: a parsed .bench, not a
+   hand-built graph.  The findings were recorded before the pack read the
+   netlist's own nodes. *)
+let test_str_dangling_parsed () =
+  let nl =
+    Sttc_netlist.Bench_io.parse_string ~design_name:"dead"
+      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\nd1 = NOT(a)\n\
+       d2 = OR(d1, b)\n"
+  in
+  let ds = Structural.check nl in
+  Alcotest.(check (list string))
+    "findings"
+    [
+      "STR004@d1: drives no primary output and no flip-flop (dead logic)";
+      "STR004@d2: drives no primary output and no flip-flop (dead logic)";
+    ]
+    (render ds);
+  Alcotest.(check string) "report"
+    "lint dead:\n\
+    \  warning STR004(dangling-gate) at d1: drives no primary output and \
+     no flip-flop (dead logic)\n\
+    \  warning STR004(dangling-gate) at d2: drives no primary output and \
+     no flip-flop (dead logic)\n\
+     summary: 0 error(s), 2 warning(s), 0 info\n"
+    (D.render_text ~design:"dead" ds)
 
 (* ---------- security rules on corrupted hybrids ---------- *)
 
@@ -827,7 +867,7 @@ let lint_props =
          ~count:30 gen_seed
          (fun seed ->
            let nl = Generator.generate ~seed gen_spec in
-           D.errors (Lint.structural nl) = 0));
+           D.errors (Structural.check nl) = 0));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
          ~name:"protect output lints clean for every algorithm" ~count:8
@@ -951,6 +991,10 @@ let () =
           Alcotest.test_case "arity-mismatch" `Quick test_str_arity;
           Alcotest.test_case "duplicate-name" `Quick test_str_duplicate_output;
           Alcotest.test_case "no-output" `Quick test_str_no_output;
+          Alcotest.test_case "graph shares netlist nodes" `Quick
+            test_graph_of_netlist_shares;
+          Alcotest.test_case "dangling-gate on a parsed netlist" `Quick
+            test_str_dangling_parsed;
         ] );
       ( "security",
         [

@@ -48,11 +48,24 @@ if grep -rnE 'encode_netlist|encode_fixed_lut' lib bin test bench/main.ml exampl
   exit 1
 fi
 
+echo "== lint-model gate (the structural pack reads the netlist's own nodes)"
+# Graph.t is an array of Netlist.node records; lib/lint declares no node
+# or kind type of its own, and the packs run through their own modules
+# (Structural.check, Semantic_rules.run), not Lint pass-throughs.
+if grep -nE '^[[:space:]]*(and|type)[[:space:]]+(kind|node)\b' lib/lint/*.ml lib/lint/*.mli; then
+  echo "LINT-MODEL GATE FAILED: lib/lint declares its own node or kind type (see above)" >&2
+  exit 1
+fi
+if grep -rnE 'Lint\.(structural|semantic)\b' lib bin test bench/main.ml examples; then
+  echo "LINT-MODEL GATE FAILED: a Lint pass-through to a rule pack is back (see above)" >&2
+  exit 1
+fi
+
 echo "== keyspace gate (Backend owns the only key count)"
 # Brute force, the camouflage baseline and the reports count keys with
 # Backend.cell_keyspace/search_space over a candidate family; the
 # per-module counts they replaced must not come back.
-if grep -rnE 'Brute_force\.search_space|Camouflage\.(search_space|sat_candidates)' \
+if grep -rnE 'Brute_force\.search_space|Camouflage\.(search_space|sat_candidates)|candidates_left' \
      lib bin test bench/main.ml examples; then
   echo "KEYSPACE GATE FAILED: a key count outside Backend is back (see above)" >&2
   exit 1

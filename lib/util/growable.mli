@@ -11,7 +11,6 @@ val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] when the index is out of bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> int
 (** [push t x] appends [x] and returns its index. *)
 
@@ -20,11 +19,4 @@ val pop : 'a t -> 'a
     empty. *)
 
 val last : 'a t -> 'a
-val clear : 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
-val of_list : 'a list -> 'a t
-val truncate : 'a t -> int -> unit
-(** [truncate t n] drops all elements at index [>= n]. *)

@@ -16,8 +16,6 @@ let of_int n = of_float (float_of_int n)
 let log10 t = t
 let is_zero t = t = neg_infinity
 
-let to_float t = if is_zero t then 0. else Float.pow 10. t
-
 let mul a b = if is_zero a || is_zero b then zero else a +. b
 
 let div a b =
@@ -45,12 +43,9 @@ let pow_float a x =
   else if is_zero a then zero
   else a *. x
 
-let compare = Float.compare
-let equal a b = Float.equal a b
 let ( * ) = mul
 let ( + ) = add
 let max a b = Float.max a b
-let min a b = Float.min a b
 let prod l = List.fold_left mul one l
 let sum l = List.fold_left add zero l
 

@@ -9,11 +9,6 @@
 
 type t
 
-val zero : t
-(** The number 0 (log is [-infinity]). *)
-
-val one : t
-
 val of_float : float -> t
 (** [of_float x] represents [x].  Raises [Invalid_argument] if [x < 0.] or
     [x] is NaN. *)
@@ -21,35 +16,28 @@ val of_float : float -> t
 val of_int : int -> t
 
 val log10 : t -> float
-(** [log10 t] is the base-10 logarithm; [neg_infinity] for {!zero}. *)
-
-val to_float : t -> float
-(** Best-effort conversion; [infinity] when the value exceeds the double
-    range. *)
-
-val is_zero : t -> bool
+(** [log10 t] is the base-10 logarithm; [neg_infinity] for 0. *)
 
 val mul : t -> t -> t
 val div : t -> t -> t
-(** [div a b] raises [Division_by_zero] when [b] is {!zero}. *)
+(** [div a b] raises [Division_by_zero] when [b] is 0. *)
 
-val add : t -> t -> t
 val pow : t -> int -> t
 (** [pow a n] for [n >= 0].  Raises [Invalid_argument] on negative [n]. *)
 
 val pow_float : t -> float -> t
 (** [pow_float a x] is [a ** x] for [x >= 0.]. *)
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( * ) : t -> t -> t
 val ( + ) : t -> t -> t
 
 val max : t -> t -> t
-val min : t -> t -> t
 
 val prod : t list -> t
+(** The product; 1 for the empty list. *)
+
 val sum : t list -> t
+(** The sum; 0 for the empty list. *)
 
 val to_string : t -> string
 (** Scientific notation with three significant digits, e.g. ["6.07E+219"];

@@ -7,8 +7,8 @@
     such bags across OCaml 5 domains while keeping submission-order
     results, so serial and parallel runs produce identical output.
 
-    Determinism contract: derive every task's random stream ({!Rng.split}
-    or an explicit per-task seed) {e before} submission.  Tasks must not
+    Determinism contract: derive every task's random stream (an explicit
+    per-task seed) {e before} submission.  Tasks must not
     share mutable state; netlists shared read-only across tasks should
     have their lazy caches forced first ({!Sttc_netlist.Netlist.warm}).
 
@@ -27,12 +27,6 @@ exception Task_error of error
 
 type t
 
-val create : ?chunk:int -> jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs] worker domains ([jobs >= 1]).
-    [chunk] fixes the number of consecutive tasks handed to a worker at
-    a time (default: computed from the submission size, about four
-    chunks per worker). *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [-j 0] resolves to. *)
 
@@ -47,22 +41,21 @@ val worthwhile :
     that can't estimate work should pass [work = infinity] and rely on
     the task count alone. *)
 
-val map : t -> ('a -> 'b) -> 'a list -> ('b, error) result list
-(** [map t f items] applies [f] to every item on the worker domains and
-    returns the outcomes in submission order.  Exceptions are captured
-    per task: one failed task never aborts the bag.
+val map_exn : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map_exn t f items] applies [f] to every item on the worker domains
+    and returns the results in submission order.  Exceptions are
+    captured per task: one failed task never aborts the bag, and once
+    the whole bag has settled the first (by submission index) captured
+    failure is re-raised as {!Task_error}.
 
     Tasks inherit the caller's {!Budget} deadline, and each polls it
     before starting.  Exhausting it is not a task failure: once the bag
-    has settled, [map] polls the deadline itself, so the exhaustion
+    has settled, [map_exn] polls the deadline itself, so the exhaustion
     surfaces on the caller as if the work had run there.
 
-    Must not be called from inside a pool task of the same pool (the
-    worker would wait on itself); nested fan-outs run serially instead. *)
-
-val map_exn : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map}, but re-raises the first (by submission index) captured
-    failure as {!Task_error} after the whole bag has settled. *)
+    Raises [Invalid_argument] once the pool is shut down.  Must not be
+    called from inside a pool task of the same pool (the worker would
+    wait on itself); nested fan-outs run serially instead. *)
 
 val map_reduce :
   t ->
@@ -76,14 +69,13 @@ val map_reduce :
     reduction is order-stable, so a non-commutative [reduce] still gives
     the serial answer.  Raises {!Task_error} like {!map_exn}. *)
 
-val shutdown : t -> unit
-(** Graceful shutdown: already-queued work is drained, workers then exit
-    and are joined.  Idempotent.  Subsequent {!map} calls raise
-    [Invalid_argument]. *)
-
 val with_pool : ?chunk:int -> jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down on
-    the way out, exceptions included. *)
+(** [with_pool ~jobs f] runs [f] with a fresh pool of [jobs] worker
+    domains ([jobs >= 1]) and shuts it down gracefully on the way out,
+    exceptions included: already-queued work is drained, then the
+    workers exit and are joined.  [chunk] fixes the number of
+    consecutive tasks handed to a worker at a time (default: computed
+    from the submission size, about four chunks per worker). *)
 
 (** {1 Instrumentation probe}
 
@@ -91,11 +83,11 @@ val with_pool : ?chunk:int -> jobs:int -> (t -> 'a) -> 'a
     order, so rather than record anything itself it exposes one hook.
     [Sttc_obs.Obs.attach_pool] installs a probe that turns these
     callbacks into spans and metrics; without one, the overhead is a
-    single atomic load per {!map} call. *)
+    single atomic load per {!map_exn} call. *)
 
 type probe = {
   on_submit : tasks:int -> chunks:int -> unit;
-      (** called once per {!map} submission, on the calling domain,
+      (** called once per {!map_exn} submission, on the calling domain,
           before any work is enqueued *)
   around_chunk : size:int -> (unit -> unit) -> unit;
       (** wraps each chunk's execution on its worker domain; must call
@@ -103,7 +95,7 @@ type probe = {
 }
 
 val set_probe : probe option -> unit
-(** Install or remove the global probe.  Affects subsequent {!map}
+(** Install or remove the global probe.  Affects subsequent {!map_exn}
     calls; intended for process startup, not mid-run toggling. *)
 
 (** {1 Clock} *)

@@ -23,9 +23,6 @@ let[@inline] next_raw t =
 
 let make seed = of_state (Int64.of_int seed)
 
-let split t = of_state (next_raw t)
-let copy t = Bytes.copy t
-
 let int64 t = next_raw t
 
 let int t bound =

@@ -1,4 +1,4 @@
-(** Deterministic, splittable pseudo-random source.
+(** Deterministic pseudo-random source.
 
     Every stochastic step of the flow (benchmark generation, gate selection,
     pattern generation) takes an explicit [Rng.t] so that experiments are
@@ -9,13 +9,6 @@ type t
 
 val make : int -> t
 (** [make seed] creates an independent generator. *)
-
-val split : t -> t
-(** [split t] derives a new generator whose stream is independent of
-    subsequent draws from [t].  Used to give each benchmark / algorithm its
-    own stream so experiment order does not change results. *)
-
-val copy : t -> t
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound > 0]. *)

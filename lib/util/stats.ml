@@ -4,13 +4,6 @@ let mean = function
   | [] -> 0.
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let stdev = function
-  | [] | [ _ ] -> 0.
-  | xs ->
-      let m = mean xs in
-      let sq = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
-      sqrt (sq /. float_of_int (List.length xs))
-
 let sorted xs = List.sort Float.compare xs
 
 let percentile p xs =

@@ -3,9 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0. for the empty list. *)
 
-val stdev : float list -> float
-(** Population standard deviation; 0. for lists shorter than 2. *)
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [0,100], nearest-rank method.
     Raises [Invalid_argument] on an empty list or [p] out of range. *)

@@ -25,7 +25,6 @@ let add_clause_a t c =
 
 let add_clause t lits = add_clause_a t (Array.of_list lits)
 
-let clauses t = Sttc_util.Growable.to_list t.clauses
 let clause t i = Sttc_util.Growable.get t.clauses i
 let encode_buf t out a =
   add_clause t [ -out; a ];

@@ -21,9 +21,6 @@ val add_clause : t -> lit list -> unit
 (** Raises [Invalid_argument] if a literal references variable 0 or an
     unallocated variable. *)
 
-val clauses : t -> clause list
-(** In insertion order. *)
-
 val clause : t -> int -> clause
 (** [clause t i] is the [i]th clause added (0-based).  The returned array
     is the stored clause: callers must not mutate it.  This is the cursor

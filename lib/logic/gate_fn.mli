@@ -59,16 +59,11 @@ val all_of_arity : int -> t list
     for arity 2 the six gates AND, NAND, OR, NOR, XOR, XNOR; for arity 1
     [Buf; Not]. *)
 
-val similarity : t -> t -> int
-(** Rows of agreement of the two gates' truth tables (paper Section IV-A:
-    AND2/NOR2 -> 2, AND2/NAND2 -> 0).  Raises [Invalid_argument] when
-    arities differ. *)
-
-val average_similarity : int -> float
-(** Mean pairwise similarity over the meaningful set of the arity. *)
-
 val computed_alpha : int -> float
-(** [average_similarity n + 1.]: expected patterns to single a gate out. *)
+(** The mean pairwise similarity over the meaningful set of the arity,
+    plus 1: expected patterns to single a gate out.  The similarity of
+    two gates is the rows on which their truth tables agree (paper
+    Section IV-A: AND2/NOR2 -> 2, AND2/NAND2 -> 0). *)
 
 val paper_alpha : int -> float
 (** The constants published in the paper: 2.45, 4.2, 7.4 for arities

@@ -41,10 +41,6 @@ let const_true ~arity =
   check_arity arity;
   { arity; bits = mask arity }
 
-let var ~arity k =
-  if k < 0 || k >= arity then invalid_arg "Truth.var: index";
-  create ~arity (fun inputs -> inputs.(k))
-
 let row t i =
   if i < 0 || i >= rows t then invalid_arg "Truth.row: index";
   Int64.logand (Int64.shift_right_logical t.bits i) 1L = 1L
@@ -57,23 +53,6 @@ let eval t inputs =
   done;
   row t !r
 
-let same_arity a b name =
-  if a.arity <> b.arity then invalid_arg ("Truth." ^ name ^ ": arity mismatch")
-
-let lnot t = { t with bits = Int64.logand (Int64.lognot t.bits) (mask t.arity) }
-
-let land_ a b =
-  same_arity a b "land_";
-  { a with bits = Int64.logand a.bits b.bits }
-
-let lor_ a b =
-  same_arity a b "lor_";
-  { a with bits = Int64.logor a.bits b.bits }
-
-let lxor_ a b =
-  same_arity a b "lxor_";
-  { a with bits = Int64.logxor a.bits b.bits }
-
 let equal a b = a.arity = b.arity && Int64.equal a.bits b.bits
 
 let popcount64 x =
@@ -83,7 +62,7 @@ let popcount64 x =
   loop 0 x
 
 let agreement a b =
-  same_arity a b "agreement";
+  if a.arity <> b.arity then invalid_arg "Truth.agreement: arity mismatch";
   rows a - popcount64 (Int64.logxor a.bits b.bits)
 
 let cofactor t k v =
@@ -95,15 +74,6 @@ let cofactor t k v =
 
 let depends_on t k =
   not (equal (cofactor t k false) (cofactor t k true))
-
-let support_size t =
-  let n = ref 0 in
-  for k = 0 to t.arity - 1 do
-    if depends_on t k then incr n
-  done;
-  !n
-
-let is_degenerate t = support_size t < t.arity
 
 let to_string t =
   String.init (rows t) (fun i -> if row t i then '1' else '0')
@@ -130,12 +100,6 @@ let of_string s =
       | _ -> invalid_arg "Truth.of_string: expected 0/1")
     s;
   { arity; bits = !bits }
-
-let enumerate ~arity =
-  check_arity arity;
-  if arity > 4 then invalid_arg "Truth.enumerate: arity too large to enumerate";
-  let count = 1 lsl (1 lsl arity) in
-  Seq.init count (fun i -> { arity; bits = Int64.of_int i })
 
 let random rng ~arity =
   check_arity arity;

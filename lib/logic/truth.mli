@@ -25,20 +25,12 @@ val bits : t -> int64
 
 val const_false : arity:int -> t
 val const_true : arity:int -> t
-val var : arity:int -> int -> t
-(** [var ~arity k] is the projection onto input [k]. *)
-
 val row : t -> int -> bool
 (** [row t i] is the output for input row [i]. *)
 
 val eval : t -> bool array -> bool
 (** [eval t inputs] looks up the row addressed by [inputs]; the array length
     must equal the arity. *)
-
-val lnot : t -> t
-val land_ : t -> t -> t
-val lor_ : t -> t -> t
-val lxor_ : t -> t -> t
 
 val equal : t -> t -> bool
 
@@ -51,28 +43,13 @@ val agreement : t -> t -> int
     (e.g. AND2 vs NOR2 agree on 2 rows; AND2 vs NAND2 on 0).
     Raises [Invalid_argument] when arities differ. *)
 
-val cofactor : t -> int -> bool -> t
-(** [cofactor t k v] fixes input [k] to [v]; the result keeps the same
-    arity with input [k] becoming irrelevant. *)
-
 val depends_on : t -> int -> bool
 (** Whether the output actually depends on input [k]. *)
-
-val support_size : t -> int
-(** Number of inputs the function truly depends on. *)
-
-val is_degenerate : t -> bool
-(** True when the function ignores at least one of its declared inputs
-    (including constants).  A "meaningful" LUT content is non-degenerate. *)
 
 val to_string : t -> string
 (** Rows as a 0/1 string, row 0 first, e.g. AND2 = ["0001"]. *)
 
 val of_string : string -> t
 (** Inverse of {!to_string}.  Raises [Invalid_argument] on bad input. *)
-
-val enumerate : arity:int -> t Seq.t
-(** All [2^(2^arity)] functions of the given arity (practical for
-    arity <= 4). *)
 
 val random : Sttc_util.Rng.t -> arity:int -> t

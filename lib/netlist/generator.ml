@@ -271,8 +271,6 @@ let profile_of_string = function
   | "fanout" | "fanout-heavy" -> Ok Fanout_heavy
   | s -> Error (Printf.sprintf "unknown profile %S (slike|wide|deep|fanout)" s)
 
-let all_profiles = [ Slike; Wide; Deep; Fanout_heavy ]
-
 let ilog2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 (max 1 n)
@@ -319,14 +317,3 @@ let generate_family ~seed ?(profile = Slike) ~gates () =
   let spec = family_spec ~profile ~gates () in
   let hub_bias = match profile with Fanout_heavy -> Some 30 | _ -> None in
   generate_internal ?hub_bias ~seed spec
-
-let random_combinational ~seed ~n_pi ~n_gates ~n_po =
-  generate ~seed
-    {
-      design_name = Printf.sprintf "comb%d" seed;
-      n_pi;
-      n_po;
-      n_ff = 0;
-      n_gates;
-      levels = max 1 (min 12 (n_gates / 4));
-    }

@@ -27,11 +27,6 @@ val generate : seed:int -> spec -> Netlist.t
 (** Deterministic in [seed] and [spec].  Raises [Invalid_argument] on
     nonsensical specs. *)
 
-val random_combinational :
-  seed:int -> n_pi:int -> n_gates:int -> n_po:int -> Netlist.t
-(** Purely combinational variant (no flip-flops), used heavily by unit and
-    property tests. *)
-
 (** {1 Parameterized scale families}
 
     Structural profiles scaling from 10^3 to 10^6 gates, used by the
@@ -46,13 +41,9 @@ type profile =
           from a small pool of level-0 signals, producing the high-fanout
           nets (resets, enables) that stress incremental cone sizes *)
 
-val profile_name : profile -> string
-(** "slike" / "wide" / "deep" / "fanout". *)
-
 val profile_of_string : string -> (profile, string) result
-(** Inverse of {!profile_name}; also accepts "s-like" and "fanout-heavy". *)
-
-val all_profiles : profile list
+(** Reads "slike" / "wide" / "deep" / "fanout" (the prefix of a family's
+    design name); also accepts "s-like" and "fanout-heavy". *)
 
 val generate_family : seed:int -> ?profile:profile -> gates:int -> unit -> Netlist.t
 (** [generate] on the [profile]'s spec for [gates] (plus the hub-bias wiring for

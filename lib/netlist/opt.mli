@@ -7,24 +7,19 @@
     behind ([Transform.absorb_driver]).  All rewrites preserve the
     circuit's function (checked by the test suite via SAT equivalence). *)
 
-val const_fold : Netlist.t -> Netlist.t
-(** Propagate constants through gates and configured LUTs: a gate whose
-    output is forced by constant inputs becomes a [Const]; gates with some
-    constant inputs are simplified to smaller gates or buffers where the
-    gate algebra allows (e.g. [AND(x, 1) -> BUF(x)], [NAND(x, 0) -> 1]).
-    Node ids and names are preserved. *)
-
-val collapse_buffers : Netlist.t -> Netlist.t
-(** Re-route every reader of a [BUF] to the buffer's source, and collapse
-    inverter pairs ([NOT (NOT x)] readers re-route to [x]).  The bypassed
-    cells become dead and can be removed with [Transform.sweep].  Node ids
-    are preserved. *)
-
 val optimize : Netlist.t -> Netlist.t
-(** [const_fold] and [collapse_buffers] to a fixpoint, then
-    [Transform.sweep].  The result is functionally equivalent but
-    renumbered; use it before the selection flow, not between selection
-    and programming. *)
+(** Two rewrites to a fixpoint, then [Transform.sweep]:
+    - constant folding through gates and configured LUTs: a gate whose
+      output is forced by constant inputs becomes a [Const]; gates with
+      some constant inputs are simplified to smaller gates or buffers
+      where the gate algebra allows (e.g. [AND(x, 1) -> BUF(x)],
+      [NAND(x, 0) -> 1]);
+    - buffer collapsing: every reader of a [BUF] is re-routed to the
+      buffer's source, and readers of an inverter pair ([NOT (NOT x)])
+      to [x]; the bypassed cells become dead.
+    The result is functionally equivalent but renumbered (names are
+    kept); use it before the selection flow, not between selection and
+    programming. *)
 
 val size_reduction : before:Netlist.t -> after:Netlist.t -> float
 (** Percentage of combinational nodes removed. *)

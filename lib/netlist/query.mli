@@ -18,12 +18,10 @@ val cone_inputs : Netlist.t -> Netlist.node_id list -> Netlist.node_id list
 (** Sources (PIs, constants, DFF outputs) feeding the combinational cones
     of the given nodes — the attacker-accessible inputs [I] of Eq. (3). *)
 
-val levels : Netlist.t -> int array
-(** Combinational level per node: sources are level 0; a combinational
-    node is 1 + max of its fanin levels. *)
-
 val depth : Netlist.t -> int
-(** Maximum combinational level (logic depth of the longest stage). *)
+(** Maximum combinational level (logic depth of the longest stage):
+    sources are level 0, and a combinational node is 1 + the max of its
+    fanin levels. *)
 
 val reaches : Netlist.t -> Netlist.node_id -> Netlist.node_id -> bool
 (** [reaches t a b]: is there a directed path (through any node kind,

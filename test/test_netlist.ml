@@ -306,13 +306,13 @@ let builder_topo_prop =
            }
          in
          same_caches_as_dfs
-           (Generator.random_combinational ~seed ~n_pi:6 ~n_gates:40 ~n_po:5)
+           (Generator.generate ~seed { spec with n_ff = 0; n_gates = 40; levels = 10 })
          && same_caches_as_dfs (Generator.generate ~seed spec)
          && List.for_all
               (fun profile ->
                 same_caches_as_dfs
                   (Generator.generate_family ~seed ~profile ~gates:1_000 ()))
-              Generator.all_profiles))
+              Generator.[ Slike; Wide; Deep; Fanout_heavy ]))
 
 let test_fanouts () =
   let nl = small_circuit () in
@@ -352,12 +352,20 @@ let test_query_cones () =
   Alcotest.(check int) "3 cone inputs (a, b, ff)" 3 (List.length inputs)
 
 let test_query_levels_depth () =
-  let nl = small_circuit () in
-  let lv = Query.levels nl in
-  Alcotest.(check int) "pi level" 0 lv.(Netlist.find_exn nl "a");
-  Alcotest.(check int) "g1 level" 1 lv.(Netlist.find_exn nl "g1");
-  Alcotest.(check int) "g2 level" 2 lv.(Netlist.find_exn nl "g2");
-  Alcotest.(check int) "depth" 2 (Query.depth nl)
+  (* g1 sits at level 1 and g2 at level 2 *)
+  Alcotest.(check int) "depth" 2 (Query.depth (small_circuit ()));
+  (* a longer stage behind a flip-flop sets the depth; the flip-flop
+     restarts the count *)
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_pi b "a" in
+  let ff = Netlist.Builder.add_dff_deferred b "ff" in
+  let n1 = Netlist.Builder.add_gate b "n1" Gate_fn.Not [| ff |] in
+  let n2 = Netlist.Builder.add_gate b "n2" (Gate_fn.And 2) [| n1; a |] in
+  let n3 = Netlist.Builder.add_gate b "n3" Gate_fn.Not [| n2 |] in
+  Netlist.Builder.set_dff_input b ff n3;
+  Netlist.Builder.add_output b "y" n3;
+  Alcotest.(check int) "three levels" 3
+    (Query.depth (Netlist.Builder.finalize b))
 
 let test_query_reaches () =
   let nl = small_circuit () in
@@ -738,7 +746,7 @@ let test_transform_caches () =
   fresh nl "pi to const"
     (Netlist.with_kinds nl (fun id kind fanins ->
          if id = pi then (Netlist.Const true, fanins) else (kind, fanins)));
-  (* const_fold turns gates into constants *)
+  (* constant folding turns a gate into a constant *)
   let b = Netlist.Builder.create ~design_name:"cf" () in
   let a = Netlist.Builder.add_pi b "a" in
   let zero = Netlist.Builder.add_const b "zero" false in
@@ -747,7 +755,9 @@ let test_transform_caches () =
   Netlist.Builder.add_output b "y" h;
   let cf = Netlist.Builder.finalize b in
   Netlist.warm cf;
-  fresh cf "const_fold" (Sttc_netlist.Opt.const_fold cf)
+  fresh cf "gate to const"
+    (Netlist.with_kinds cf (fun id kind fanins ->
+         if id = g then (Netlist.Const false, [||]) else (kind, fanins)))
 
 let test_transform_replace_not_a_gate () =
   let nl = small_circuit () in
@@ -803,24 +813,25 @@ let test_opt_const_fold () =
   Netlist.Builder.add_output b "y3" g_or;
   Netlist.Builder.add_output b "y4" g_xor;
   let nl = Netlist.Builder.finalize b in
-  let folded = Sttc_netlist.Opt.const_fold nl in
+  let folded = Sttc_netlist.Opt.optimize nl in
   (* AND(a,1) -> BUF(a); NAND(a,0) -> const 1; OR(a,1) -> const 1;
-     XOR(a,1) -> NOT(a) *)
-  (match Netlist.kind folded g_and with
+     XOR(a,1) -> NOT(a); the output drivers keep their names *)
+  let kind id = Netlist.kind folded (Netlist.find_exn folded (Netlist.name nl id)) in
+  (match kind g_and with
   | Netlist.Gate Gate_fn.Buf -> ()
   | _ -> Alcotest.fail "AND(a,1) should fold to BUF");
-  (match Netlist.kind folded g_nand with
+  (match kind g_nand with
   | Netlist.Const true -> ()
   | _ -> Alcotest.fail "NAND(a,0) should fold to 1");
-  (match Netlist.kind folded g_or with
+  (match kind g_or with
   | Netlist.Const true -> ()
   | _ -> Alcotest.fail "OR(a,1) should fold to 1");
-  (match Netlist.kind folded g_xor with
+  (match kind g_xor with
   | Netlist.Gate Gate_fn.Not -> ()
   | _ -> Alcotest.fail "XOR(a,1) should fold to NOT");
   match Sttc_sim.Equiv.check_sat nl folded with
   | Sttc_sim.Equiv.Equivalent -> ()
-  | _ -> Alcotest.fail "const_fold changed the function"
+  | _ -> Alcotest.fail "constant folding changed the function"
 
 let test_opt_collapse_buffers () =
   let b = Netlist.Builder.create ~design_name:"cb" () in
@@ -831,9 +842,16 @@ let test_opt_collapse_buffers () =
   let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [| n2; a |] in
   Netlist.Builder.add_output b "y" g;
   let nl = Netlist.Builder.finalize b in
-  let collapsed = Sttc_netlist.Opt.collapse_buffers nl in
-  (* g's first fanin re-routed through the double inverter to a *)
-  Alcotest.(check int) "rerouted to a" a (Netlist.fanins collapsed g).(0);
+  let collapsed = Sttc_netlist.Opt.optimize nl in
+  (* g's first fanin re-routed through the double inverter to a, and the
+     bypassed cells swept *)
+  Alcotest.(check int) "rerouted to a"
+    (Netlist.find_exn collapsed (Netlist.name nl a))
+    (Netlist.fanins collapsed (Netlist.find_exn collapsed (Netlist.name nl g))).(0);
+  Alcotest.(check (list string)) "buffer and inverters swept" []
+    (List.filter
+       (fun name -> Netlist.find collapsed name <> None)
+       [ "b1"; "n1"; "n2" ]);
   match Sttc_sim.Equiv.check_sat nl collapsed with
   | Sttc_sim.Equiv.Equivalent -> ()
   | _ -> Alcotest.fail "collapse changed the function"
@@ -1018,7 +1036,17 @@ let test_generator_large_names () =
   Alcotest.(check (option int)) "g200000" None (Netlist.find nl "g200000")
 
 let test_generator_combinational () =
-  let nl = Generator.random_combinational ~seed:2 ~n_pi:6 ~n_gates:40 ~n_po:5 in
+  let nl =
+    Generator.generate ~seed:2
+      {
+        Generator.design_name = "comb2";
+        n_pi = 6;
+        n_po = 5;
+        n_ff = 0;
+        n_gates = 40;
+        levels = 10;
+      }
+  in
   Alcotest.(check int) "no ffs" 0 (List.length (Netlist.dffs nl));
   Alcotest.(check int) "gates" 40 (List.length (Netlist.gates nl))
 
@@ -1098,9 +1126,8 @@ let pinned_genuine =
 let test_pinned_families () =
   List.iter
     (fun (profile, gates, bench, topo) ->
-      let name = Printf.sprintf "%s%d" (Generator.profile_name profile) gates in
-      check_pinned (name, bench, topo)
-        (Generator.generate_family ~seed:1 ~profile ~gates ()))
+      let nl = Generator.generate_family ~seed:1 ~profile ~gates () in
+      check_pinned (Netlist.design_name nl, bench, topo) nl)
     pinned_families
 
 let test_pinned_twins () =
@@ -1154,8 +1181,7 @@ let pinned_specs =
       gen ~seed:1 (spec "inline40" 8 6 0 40 5) );
     ( ("comb2", "b52fe85a354c6d3ebcd500d349da0807",
         "43e437d3fb81f9775f6e012e061f0fb0" ),
-      fun () ->
-        Generator.random_combinational ~seed:2 ~n_pi:6 ~n_gates:40 ~n_po:5 );
+      gen ~seed:2 (spec "comb2" 6 5 0 40 10) );
   ]
 
 let test_pinned_specs () =
@@ -1243,13 +1269,20 @@ let test_profiles_match_paper_sizes () =
 
 (* ---------- scale families ---------- *)
 
+let profile_names = [ "slike"; "wide"; "deep"; "fanout" ]
+
+let profile name =
+  match Generator.profile_of_string name with
+  | Ok p -> p
+  | Error m -> Alcotest.fail m
+
 let test_family_profiles_generate () =
   (* every profile must yield a valid netlist of exactly the requested
      gate count, deterministically; the bench sweep extends this check
      to 10^6 gates *)
   List.iter
-    (fun profile ->
-      let name = Generator.profile_name profile in
+    (fun name ->
+      let profile = profile name in
       List.iter
         (fun gates ->
           let nl = Generator.generate_family ~seed:7 ~profile ~gates () in
@@ -1266,22 +1299,21 @@ let test_family_profiles_generate () =
             (Printf.sprintf "%s/%d deterministic" name gates)
             (Bench_io.to_string nl) (Bench_io.to_string again))
         [ 1_000; 5_000 ])
-    Generator.all_profiles
+    profile_names
 
 let test_family_profile_names () =
+  (* a family's design name is its profile's name and its size *)
   List.iter
-    (fun p ->
-      match Generator.profile_of_string (Generator.profile_name p) with
-      | Ok p' ->
-          Alcotest.(check string)
-            "name roundtrip"
-            (Generator.profile_name p)
-            (Generator.profile_name p')
-      | Error m -> Alcotest.fail m)
-    Generator.all_profiles;
-  (match Generator.profile_of_string "s-like" with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+    (fun name ->
+      Alcotest.(check string) "design name" (name ^ "1000")
+        (Netlist.design_name
+           (Generator.generate_family ~seed:1 ~profile:(profile name)
+              ~gates:1_000 ())))
+    profile_names;
+  Alcotest.(check bool) "s-like" true
+    (profile "s-like" = Generator.Slike);
+  Alcotest.(check bool) "fanout-heavy" true
+    (profile "fanout-heavy" = Generator.Fanout_heavy);
   match Generator.profile_of_string "nope" with
   | Ok _ -> Alcotest.fail "accepted bogus profile"
   | Error _ -> ()
@@ -1355,7 +1387,15 @@ let netlist_props =
          gen_seed
          (fun seed ->
            let nl =
-             Generator.random_combinational ~seed ~n_pi:6 ~n_gates:30 ~n_po:4
+             Generator.generate ~seed
+               {
+                 Generator.design_name = Printf.sprintf "comb%d" seed;
+                 n_pi = 6;
+                 n_po = 4;
+                 n_ff = 0;
+                 n_gates = 30;
+                 levels = 7;
+               }
            in
            match Netlist.gates nl with
            | [] -> true

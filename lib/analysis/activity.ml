@@ -15,7 +15,6 @@ type t = {
   prog : Netlist.program;  (* what the sweeps ran over *)
   params : params;
   prob : float array;
-  converged : bool;
 }
 
 (* The truth bits a node's probability is computed from.  A node without
@@ -151,19 +150,14 @@ let analyze ?(pi_probability = defaults.pi_probability)
       delta := Float.max !delta (Float.abs (next -. prob.(ff)));
       prob.(ff) <- next
     done;
-    if !delta <= tolerance then true
-    else if k >= max_iterations then false
-    else iterate (k + 1)
+    if !delta > tolerance && k < max_iterations then iterate (k + 1)
   in
-  let converged =
-    if Array.length dffs = 0 then (propagate_comb (); true) else iterate 1
-  in
+  if Array.length dffs = 0 then propagate_comb () else iterate 1;
   {
     netlist = nl;
     prog;
     params = { pi_probability; max_iterations; tolerance };
     prob;
-    converged;
   }
 
 (* True when two kinds denote the same probability transfer function, so
@@ -299,5 +293,3 @@ let average_switching t =
   done;
   if !count = 0 then 0. else !sum /. float_of_int !count
 
-let converged t = t.converged
-let program t = t.prog

@@ -39,19 +39,9 @@ val refine :
     [activity.refine.cone] / [activity.refine.full], with the visited-node
     count under [activity.refine.cone_nodes]. *)
 
-val probability : t -> Sttc_netlist.Netlist.node_id -> float
-(** Probability that the node's signal is 1. *)
-
 val switching : t -> Sttc_netlist.Netlist.node_id -> float
-(** Per-cycle output switching activity in [0, 0.5]. *)
+(** Per-cycle output switching activity in [0, 0.5]: [2 p (1 - p)] for
+    the probability [p] that the node's signal is 1. *)
 
 val average_switching : t -> float
 (** Mean over combinational nodes, for reporting. *)
-
-val converged : t -> bool
-(** False when the flip-flop fixpoint hit the iteration limit (the result
-    is still usable as an estimate). *)
-
-val program : t -> Sttc_netlist.Netlist.program
-(** The shared program the sweeps ran over: [Netlist.program] of the
-    analysed netlist, or of the base for a {!refine}d result. *)

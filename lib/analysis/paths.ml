@@ -118,7 +118,7 @@ let path_ffs w nl =
 (* [w] is hoisted to the caller: it is O(nodes) to build, and [sample]
    calls this once per sampled component — paying that per call made
    sampling quadratic on the 10^5..10^6-gate scale families. *)
-let find_io_path_with ~rng w nl start =
+let find_io_path ~rng w nl start =
   (* Several random walks; keep the flip-flop-richest path found, since the
      selection procedure wants paths "containing at least two flip-flops". *)
   let attempts = 8 in
@@ -132,8 +132,6 @@ let find_io_path_with ~rng w nl start =
     end
   done;
   !best
-
-let find_io_path ~rng nl start = find_io_path_with ~rng (walker nl) nl start
 
 (* Paths keyed by their node lists. *)
 module Path_table = Hashtbl.Make (struct
@@ -181,7 +179,7 @@ let sample ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?(exclude_critical = []) nl =
     let paths = ref [] in
     Array.iter
       (fun id ->
-        match find_io_path_with ~rng w nl id with
+        match find_io_path ~rng w nl id with
         | None -> ()
         | Some p ->
             if not (Path_table.mem seen p.nodes) then begin

@@ -46,11 +46,3 @@ val segments : Sttc_netlist.Netlist.t -> io_path -> segment list
 
 val gates_on_path : Sttc_netlist.Netlist.t -> io_path -> Sttc_netlist.Netlist.node_id list
 (** The replaceable (combinational gate) nodes of a path. *)
-
-val find_io_path :
-  rng:Sttc_util.Rng.t ->
-  Sttc_netlist.Netlist.t ->
-  Sttc_netlist.Netlist.node_id ->
-  io_path option
-(** One random-walk I/O path through the given node ([None] if the node
-    reaches no PI or no PO within the attempt budget). *)

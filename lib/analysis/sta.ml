@@ -97,10 +97,6 @@ let max_frequency_ghz t =
 
 let endpoint_arrivals t = t.endpoints
 
-let worst_paths t ~k =
-  List.filteri (fun i _ -> i < k) t.endpoints
-  |> List.map (fun (endpoint, arrival) -> (arrival, path_to t endpoint))
-
 (* ---------- the incremental engine ---------- *)
 
 (* Worklist: a binary min-heap of node ids keyed by topological position.

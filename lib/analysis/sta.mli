@@ -30,10 +30,6 @@ val max_frequency_ghz : t -> float
 val endpoint_arrivals : t -> (Sttc_netlist.Netlist.node_id * float) list
 (** All endpoints with their arrival times, worst first. *)
 
-val worst_paths : t -> k:int -> (float * Sttc_netlist.Netlist.node_id list) list
-(** The [k] worst endpoints, each with its arrival time and one worst path
-    (launch point first). *)
-
 (** {1 Incremental re-analysis}
 
     [retime] and trial sessions recompute arrivals only over the forward

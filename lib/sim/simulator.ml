@@ -62,7 +62,6 @@ let compile ~ternary ~configs nl =
 
 let create ?(configs = []) nl = compile ~ternary:false ~configs nl
 let create_ternary ?(configs = []) nl = compile ~ternary:true ~configs nl
-let program t = t.prog
 
 let reset t =
   A.fill t.st_ones 0L;
@@ -184,7 +183,3 @@ let step t pi_lanes =
   outs
 
 let node_values t = Array.init (A.dim t.ones) (A.get t.ones)
-
-let run_sequence t seq =
-  reset t;
-  List.map (fun pis -> step t pis) seq

@@ -39,10 +39,6 @@ val create_ternary :
   t
 (** Like {!create}, but a LUT left unconfigured outputs X in every lane. *)
 
-val program : t -> Sttc_netlist.Netlist.program
-(** The netlist's shared program this simulator runs (physically
-    [Netlist.program (netlist t)]). *)
-
 val reset : t -> unit
 (** All flip-flops to 0 in every lane. *)
 
@@ -65,10 +61,6 @@ val eval_comb : t -> int64 array -> int64 array
 val node_values : t -> int64 array
 (** Per-node values of the latest evaluation (after {!step} or
     {!eval_comb}). *)
-
-val run_sequence : t -> int64 array list -> int64 array list
-(** Feed a sequence of PI lane-vectors, one per cycle, from reset; collect
-    the PO lane-vectors. *)
 
 (** {2 Rails}
 

@@ -7,10 +7,6 @@ let hamming_bits n =
   let rec go r = if 1 lsl r >= n + r + 1 then r else go (r + 1) in
   go 1
 
-let parity_bits n =
-  if n < 1 then invalid_arg "Ecc.parity_bits: need at least one data bit";
-  hamming_bits n + 1
-
 let is_pow2 i = i land (i - 1) = 0
 
 (* Codeword as a bool array indexed 1 .. n+r, data filled in position

@@ -12,14 +12,10 @@
     set, and one extra overall-parity bit upgrades detection to double
     errors. *)
 
-val parity_bits : int -> int
-(** Number of parity cells (including the overall-parity bit) needed to
-    protect [n] data bits.  [parity_bits 4 = 4], [parity_bits 16 = 6],
-    [parity_bits 64 = 8].  Raises [Invalid_argument] when [n < 1]. *)
-
 val encode : bool array -> bool array
-(** [encode data] is the parity word for [data]
-    (length [parity_bits (Array.length data)]). *)
+(** [encode data] is the parity word for [data]: the Hamming parity
+    cells plus the overall-parity bit, 4 cells for 4 data bits, 6 for
+    16, 8 for 64. *)
 
 type verdict =
   | Clean  (** data and parity are consistent, nothing to do *)
@@ -32,4 +28,4 @@ type verdict =
 val decode : data:bool array -> parity:bool array -> verdict
 (** Check (and if possible repair) a stored data/parity pair.  Raises
     [Invalid_argument] when the parity length does not match
-    [parity_bits (Array.length data)]. *)
+    [encode]'s for [data]. *)

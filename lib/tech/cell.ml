@@ -28,6 +28,3 @@ let dynamic_power_uw c ~activity ~clock_ghz =
   (* fJ * GHz = microwatt *)
   let effective = if activity_independent c then 1. else activity in
   effective *. c.switch_energy_fj *. clock_ghz
-
-let total_power_uw c ~activity ~clock_ghz =
-  dynamic_power_uw c ~activity ~clock_ghz +. (c.leakage_nw /. 1000.)

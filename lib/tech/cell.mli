@@ -41,6 +41,3 @@ val dynamic_power_uw :
 (** Average dynamic power.  For CMOS/DFF cells this is
     [activity * E_sw * f]; for STT LUTs it is [E_sw * f] regardless of
     [activity]. *)
-
-val total_power_uw : t -> activity:float -> clock_ghz:float -> float
-(** Dynamic plus leakage. *)

@@ -10,10 +10,6 @@ type t = {
 
 let cmos90 = { clock_ghz = 1.0; lut_style = Stt }
 
-let with_clock t ~ghz =
-  if ghz <= 0. then invalid_arg "Library.with_clock";
-  { t with clock_ghz = ghz }
-
 let with_lut_style t style = { t with lut_style = style }
 let lut_style t = t.lut_style
 let clock_ghz t = t.clock_ghz

@@ -14,9 +14,6 @@ type t
 val cmos90 : t
 (** The default hybrid library (90 nm CMOS + STT LUT cells). *)
 
-val with_clock : t -> ghz:float -> t
-(** Same cells, different operating clock (default 1.0 GHz). *)
-
 val with_lut_style : t -> lut_style -> t
 (** Swap the reconfigurable-cell technology, e.g. to price the same
     hybrid netlist in SRAM-LUT form for the Section II comparison. *)

@@ -47,15 +47,14 @@ let equivalent a b =
 (* ---------- Ecc ---------- *)
 
 let test_ecc_parity_bits () =
-  Alcotest.(check int) "4 data" 4 (Ecc.parity_bits 4);
-  Alcotest.(check int) "8 data" 5 (Ecc.parity_bits 8);
-  Alcotest.(check int) "16 data" 6 (Ecc.parity_bits 16);
-  Alcotest.(check int) "64 data" 8 (Ecc.parity_bits 64);
-  Alcotest.(check bool) "n < 1 rejected" true
-    (try
-       ignore (Ecc.parity_bits 0);
-       false
-     with Invalid_argument _ -> true)
+  let parity_bits n = Array.length (Ecc.encode (Array.make n false)) in
+  Alcotest.(check int) "4 data" 4 (parity_bits 4);
+  Alcotest.(check int) "8 data" 5 (parity_bits 8);
+  Alcotest.(check int) "16 data" 6 (parity_bits 16);
+  Alcotest.(check int) "64 data" 8 (parity_bits 64);
+  Alcotest.check_raises "parity length checked"
+    (Invalid_argument "Ecc.decode: parity length mismatch") (fun () ->
+      ignore (Ecc.decode ~data:(Array.make 16 false) ~parity:(Array.make 5 false)))
 
 let prop_ecc_clean_roundtrip =
   QCheck2.Test.make ~name:"ecc: undisturbed codeword decodes Clean" ~count:200

@@ -19,7 +19,6 @@ type t = {
   live : bool array;
   summary : Query.cone_summary;
   seq_depth : int array;
-  patterns : int;
 }
 
 (* saturating arithmetic in the SCOAP cost domain *)
@@ -312,7 +311,6 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
     live;
     summary;
     seq_depth;
-    patterns;
   }
 
 let const t id = t.const.(id)
@@ -325,4 +323,3 @@ let co t id = t.co.(id)
 let live t id = t.live.(id)
 let summary t = t.summary
 let seq_depth t id = t.seq_depth.(id)
-let patterns t = t.patterns

@@ -65,6 +65,3 @@ val summary : t -> Sttc_netlist.Query.cone_summary
 val seq_depth : t -> Sttc_netlist.Netlist.node_id -> int
 (** [D_i] of Eqs. 1–2: flip-flops between the node and the nearest
     primary output ([max_int] when unreachable). *)
-
-val patterns : t -> int
-(** Number of random samples actually used. *)

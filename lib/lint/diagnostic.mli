@@ -23,31 +23,27 @@ val make :
   rule:string -> alias:string -> severity:severity -> ?node:string ->
   string -> t
 
-val key : t -> string
-(** Stable identity for baselines: ["RULE@node"] (or ["RULE@-"]). *)
-
 val compare : t -> t -> int
 (** Severity (worst first), then rule ID, then location. *)
 
 val errors : t list -> int
 (** Count of error-severity diagnostics. *)
 
-val matches_rule : string -> t -> bool
-(** Case-insensitive match against the rule ID or the alias. *)
-
 val filter_rules : only:string list -> t list -> t list
-(** Keep only diagnostics whose rule ID or alias is listed; an empty
-    list keeps everything. *)
+(** Keep only diagnostics whose rule ID or alias is listed (matched
+    case-insensitively); an empty list keeps everything. *)
 
 val suppress : rules:string list -> t list -> t list
-(** Drop diagnostics whose rule ID or alias is listed. *)
+(** Drop diagnostics whose rule ID or alias is listed (matched
+    case-insensitively). *)
 
 (** {1 Baselines}
 
-    A baseline is the set of diagnostic {!key}s already known and
+    A baseline is the set of diagnostic keys already known and
     accepted; applying it drops exactly those, so CI fails only on new
-    findings.  The serialized form is one key per line ([#] comments
-    allowed). *)
+    findings.  A diagnostic's key is ["RULE@node"] (or ["RULE@-"]
+    without a node).  The serialized form is one key per line ([#]
+    comments allowed). *)
 
 type baseline
 

@@ -9,13 +9,9 @@
       exit (Lint.exit_code ds)
     ]} *)
 
-val catalog : Structural.rule list
-(** Every rule of all three packs — structural, security, semantic — in
-    ID order within each pack. *)
-
 val find_rule : string -> Structural.rule option
-(** Look up by ID or alias, case-insensitively; covers STR, SEC and SEM
-    rules alike. *)
+(** Look up by ID or alias, case-insensitively, in the catalog of all
+    three packs: STR, SEC and SEM rules alike. *)
 
 val catalog_text : unit -> string
 (** Human-readable rule listing for [--list-rules], grouped by pack. *)

@@ -65,8 +65,6 @@ val stt : t
     defaults, so flows run under [stt] are byte-identical to the
     historical STT-LUT path. *)
 
-val all : t list
-
 val find : string -> t option
 (** Look a backend up by {!name}. *)
 
@@ -74,6 +72,7 @@ val find_exn : string -> t
 (** @raise Invalid_argument on unknown names, listing the known ones. *)
 
 val names : unit -> string list
+(** Every registered backend, [stt] first. *)
 
 (** {2 Flow integration helpers} *)
 

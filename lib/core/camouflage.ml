@@ -16,17 +16,8 @@ let eligible nl =
       | _ -> false)
     (Netlist.gates nl)
 
-let make nl cells =
-  let ok = eligible nl in
-  List.iter
-    (fun id ->
-      if not (List.mem id ok) then
-        invalid_arg "Camouflage.make: gate is not a camouflageable cell")
-    cells;
-  Hybrid.make nl cells
-
 let random ~rng ~count nl =
   let pool = Array.of_list (eligible nl) in
   if Array.length pool = 0 then
     invalid_arg "Camouflage.random: no eligible cells";
-  make nl (Array.to_list (Rng.sample rng count pool))
+  Hybrid.make nl (Array.to_list (Rng.sample rng count pool))

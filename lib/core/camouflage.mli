@@ -13,17 +13,10 @@ val family : Sttc_backend.Backend.family
     for [M] cells by {!Sttc_backend.Backend}'s count — what a camouflaging
     attacker knows that an STT one does not. *)
 
-val eligible : Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.node_id list
-(** Gates a camouflaged standard cell can stand in for (2-input gates
-    whose function is in the candidate set). *)
-
-val make :
-  Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.node_id list -> Hybrid.t
-(** Camouflage the listed gates, expressed as LUT slots (what both the PPA
-    evaluation and the SAT attack consume).  Raises [Invalid_argument]
-    when a gate is not {!eligible}. *)
-
 val random :
   rng:Sttc_util.Rng.t -> count:int -> Sttc_netlist.Netlist.t -> Hybrid.t
-(** Camouflage [count] random eligible gates (fewer when the circuit does
-    not have enough — matching the independent-selection setup). *)
+(** Camouflage [count] random eligible gates — 2-input gates whose
+    function is in the candidate set — expressed as LUT slots (what both
+    the PPA evaluation and the SAT attack consume).  Fewer when the
+    circuit does not have enough, matching the independent-selection
+    setup; raises [Invalid_argument] when it has none. *)

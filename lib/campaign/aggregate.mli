@@ -36,7 +36,6 @@ val collect :
 val complete : t -> bool
 (** No missing runs and no degraded shards. *)
 
-val to_json : t -> Sttc_obs.Json.t
 val render_text : t -> string
 
 val validate : Sttc_obs.Json.t -> (int, string) result

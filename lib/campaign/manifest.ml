@@ -19,23 +19,6 @@ type t = {
   backend : string;
 }
 
-let make ?(algorithms = Flow.default_algorithms) ?(configs = [ default_config ])
-    ?(shards = 1) ?timeout_s ?(retries = 2) ?(heartbeat_timeout_s = 60.)
-    ?attempt_timeout_s ?(backend = "stt") ~name ~circuits ~seeds () =
-  {
-    name;
-    circuits;
-    algorithms;
-    configs;
-    seeds;
-    shards;
-    timeout_s;
-    retries;
-    heartbeat_timeout_s;
-    attempt_timeout_s;
-    backend;
-  }
-
 let known_circuit name =
   Option.is_some (Sttc_netlist.Iscas_profiles.find name)
   || List.mem_assoc name Sttc_netlist.Iscas_data.all

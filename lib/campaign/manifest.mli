@@ -73,28 +73,6 @@ type t = {
           byte-stable *)
 }
 
-val make :
-  ?algorithms:Sttc_core.Flow.algorithm list ->
-  ?configs:config list ->
-  ?shards:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?heartbeat_timeout_s:float ->
-  ?attempt_timeout_s:float ->
-  ?backend:string ->
-  name:string ->
-  circuits:string list ->
-  seeds:int list ->
-  unit ->
-  t
-(** Programmatic construction with the same defaults as the JSON
-    parser. *)
-
-val validate : t -> (unit, string) result
-(** Structural sanity: non-empty dimensions, known circuit names,
-    unique config labels, [shards >= 1], [retries >= 0], positive
-    watchdog budgets, known backend name. *)
-
 (** {1 The run list}
 
     Runs are enumerated in one canonical order — circuits outermost,
@@ -113,16 +91,12 @@ type run = {
 val runs : t -> run list
 val run_count : t -> int
 
-(** {1 JSON codec and file IO} *)
-
-val to_json : t -> Sttc_obs.Json.t
-val of_json : Sttc_obs.Json.t -> (t, string) result
-
-val to_string : t -> string
-val of_string : string -> (t, string) result
-(** [of_string] validates ({!validate}) after parsing. *)
+(** {1 File IO} *)
 
 val save : string -> t -> unit
-(** Atomic write (temp + rename) of the canonical rendering. *)
+(** Atomic write (temp + rename) of the canonical JSON rendering. *)
 
 val load : string -> (t, string) result
+(** Parse, then check structural sanity: non-empty dimensions, known
+    circuit names, unique config labels, [shards >= 1], [retries >= 0],
+    positive watchdog budgets, known backend name. *)

@@ -95,11 +95,9 @@ val config :
   config
 (** Defaults: [jobs = 2], manifest retries, [backoff_base_s = 0.25],
     [backoff_cap_s = 10.], [poll_interval_s = 0.05],
-    [worker = default_spawn], events dropped. *)
-
-val backoff_s : config -> attempt:int -> float
-(** The delay inserted before retry number [attempt] (the attempt that
-    is about to run, >= 2). *)
+    [worker = default_spawn], events dropped.  The delay before the
+    first retry is [backoff_base_s]; each further retry doubles it, up
+    to [backoff_cap_s]. *)
 
 val run : config -> outcome
 (** Drive every shard to [Complete] or [Exhausted].  Shards whose

@@ -40,15 +40,10 @@ type t =
   | Error of { id : string option; message : string }
   | Overloaded of { id : string option }
 
-val campaign_to_json : Sttc_attack.Harness.campaign -> Sttc_obs.Json.t
-val campaign_of_json :
-  Sttc_obs.Json.t -> (Sttc_attack.Harness.campaign, string) result
-(** The attack-campaign wire codec ([sat_stats] rides as a
-    {!Sttc_obs.Metrics} snapshot object) — exposed for report tooling. *)
-
 val to_string : t -> string
 (** Minified single-line JSON, sans trailing newline — both transports
     render responses through this one function, which is what makes the
-    CI byte-for-byte diff possible. *)
+    CI byte-for-byte diff possible.  An attack campaign's [sat_stats]
+    ride as a {!Sttc_obs.Metrics} snapshot object. *)
 
 val of_string : string -> (t, string) result

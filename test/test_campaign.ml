@@ -34,8 +34,35 @@ let fresh_dir =
 (* a manifest whose runs are real but tiny (s27: 10 gates) *)
 let tiny ?(algorithms = [ Flow.Dependent ]) ?(seeds = [ 1 ]) ?(shards = 1)
     ?(retries = 1) ?(heartbeat_timeout_s = 5.) () =
-  Manifest.make ~name:"t" ~circuits:[ "s27" ] ~algorithms ~seeds ~shards
-    ~retries ~heartbeat_timeout_s ()
+  {
+    Manifest.name = "t";
+    circuits = [ "s27" ];
+    algorithms;
+    configs = [ Manifest.default_config ];
+    seeds;
+    shards;
+    timeout_s = None;
+    retries;
+    heartbeat_timeout_s;
+    attempt_timeout_s = None;
+    backend = "stt";
+  }
+
+(* a manifest file holding [text], loaded *)
+let load_text text =
+  let path = Filename.concat (fresh_dir ()) "manifest.json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Manifest.load path
+
+(* [agg]'s report as written to disk, run through the report validator *)
+let written_report ~dir agg =
+  (match Aggregate.write ~dir agg with Ok () -> () | Error e -> Alcotest.fail e);
+  match
+    Sttc_obs.Json.of_string
+      (In_channel.with_open_bin (Shard.report_json_path dir) In_channel.input_all)
+  with
+  | Ok j -> j
+  | Error e -> Alcotest.fail e
 
 (* fabricated completed rows for one shard — supervisor/aggregate tests
    never need the flow to actually run *)
@@ -78,29 +105,39 @@ let scrubbed f () =
 
 let test_manifest_round_trip () =
   let m =
-    Manifest.make ~name:"rt" ~circuits:[ "s27"; "s641" ]
-      ~algorithms:
+    {
+      Manifest.name = "rt";
+      circuits = [ "s27"; "s641" ];
+      algorithms =
         [
           Flow.Dependent;
           Flow.Independent { count = 7 };
           Flow.Parametric
             { Sttc_core.Algorithms.default_parametric with clock_factor = 1.1 };
-        ]
-      ~configs:
+        ];
+      configs =
         [
           Manifest.default_config;
           { Manifest.label = "hard"; fraction = Some 0.25; harden = true };
-        ]
-      ~seeds:[ 3; 5 ] ~shards:3 ~timeout_s:12.5 ~retries:4
-      ~heartbeat_timeout_s:7.5 ~attempt_timeout_s:90. ()
+        ];
+      seeds = [ 3; 5 ];
+      shards = 3;
+      timeout_s = Some 12.5;
+      retries = 4;
+      heartbeat_timeout_s = 7.5;
+      attempt_timeout_s = Some 90.;
+      backend = "stt";
+    }
   in
-  match Manifest.of_string (Manifest.to_string m) with
+  let path = Filename.concat (fresh_dir ()) "manifest.json" in
+  Manifest.save path m;
+  match Manifest.load path with
   | Ok m' -> Alcotest.(check bool) "round trip" true (m = m')
   | Error e -> Alcotest.fail e
 
 let test_manifest_defaults_and_seeds_object () =
   match
-    Manifest.of_string
+    load_text
       {|{"name": "d", "circuits": ["s27"], "seeds": {"base": 10, "count": 3}}|}
   with
   | Error e -> Alcotest.fail e
@@ -134,7 +171,7 @@ let test_manifest_rejections () =
   in
   List.iter
     (fun (what, text) ->
-      match Manifest.of_string text with
+      match load_text text with
       | Ok _ -> Alcotest.fail (what ^ ": accepted")
       | Error _ -> ())
     bad
@@ -407,21 +444,24 @@ let test_supervisor_in_process_counters =
   (* the aggregated report over a real shard validates *)
   let agg = Aggregate.collect ~dir m in
   Alcotest.(check bool) "aggregate complete" true (Aggregate.complete agg);
-  match Aggregate.validate (Aggregate.to_json agg) with
+  match Aggregate.validate (written_report ~dir agg) with
   | Ok n -> Alcotest.(check int) "validated rows" (Manifest.run_count m) n
   | Error e -> Alcotest.fail e
 
-let test_supervisor_backoff () =
-  let cfg =
-    Supervisor.config ~backoff_base_s:0.25 ~backoff_cap_s:1.0
-      ~dir:"/nonexistent" ~manifest:(tiny ()) ()
-  in
-  Alcotest.(check (float 1e-9)) "first retry" 0.25
-    (Supervisor.backoff_s cfg ~attempt:2);
-  Alcotest.(check (float 1e-9)) "doubles" 0.5
-    (Supervisor.backoff_s cfg ~attempt:3);
-  Alcotest.(check (float 1e-9)) "capped" 1.0
-    (Supervisor.backoff_s cfg ~attempt:6)
+let test_supervisor_backoff =
+  scrubbed @@ fun () ->
+  (* base 0.01 s, cap 0.05 s: the first retry waits the base, each
+     further one doubles, and the fourth is capped *)
+  let events = ref [] in
+  let _ = supervise ~retries:4 ~worker:(sh_worker "exit 3") events in
+  Alcotest.(check (list (float 1e-9)))
+    "schedule" [ 0.01; 0.02; 0.04; 0.05 ]
+    (List.rev
+       (List.filter_map
+          (function
+            | Supervisor.Attempt_failed { backoff_s; _ } -> Some backoff_s
+            | _ -> None)
+          !events))
 
 (* ---------- aggregation and degradation ---------- *)
 
@@ -433,7 +473,8 @@ let test_aggregate_degraded_footnotes () =
   let agg = Aggregate.collect ~degraded:[ (1, "SIGKILL") ] ~dir m in
   Alcotest.(check bool) "not complete" false (Aggregate.complete agg);
   Alcotest.(check int) "one missing run" 1 (List.length agg.Aggregate.missing);
-  (match Aggregate.validate (Aggregate.to_json agg) with
+  (* writing re-reads and validates the json from disk *)
+  (match Aggregate.validate (written_report ~dir agg) with
   | Ok n -> Alcotest.(check int) "rows cover every run" 2 n
   | Error e -> Alcotest.fail e);
   let text = Aggregate.render_text agg in
@@ -445,17 +486,13 @@ let test_aggregate_degraded_footnotes () =
   Alcotest.(check bool) "missing row footnoted" true (contains "missing [1]");
   Alcotest.(check bool)
     "footnote names the degraded shard" true
-    (contains "shard 1 degraded: SIGKILL");
-  (* writing re-reads and validates the json from disk *)
-  match Aggregate.write ~dir agg with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
+    (contains "shard 1 degraded: SIGKILL")
 
 let test_aggregate_json_rejects_inconsistency () =
   let m = tiny () in
   let dir = fresh_dir () in
   Shard.save_result ~dir ~shard:0 (fake_rows m ~shard:0);
-  let j = Aggregate.to_json (Aggregate.collect ~dir m) in
+  let j = written_report ~dir (Aggregate.collect ~dir m) in
   match j with
   | Sttc_obs.Json.Obj fields ->
       let broken =
@@ -485,7 +522,6 @@ let test_paper_manifest_matches_runner =
     | Ok m -> m
     | Error e -> Alcotest.fail e
   in
-  (match Manifest.validate m with Ok () -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "the twelve twins" 12 (List.length m.circuits);
   Alcotest.(check (list int)) "the master seed" [ Runner.master_seed ] m.seeds;
   Alcotest.(check (list string))

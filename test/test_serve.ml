@@ -233,14 +233,12 @@ let test_campaign_codec () =
         ];
     }
   in
-  let j = Response.campaign_to_json campaign in
-  match Response.campaign_of_json j with
-  | Error e -> Alcotest.failf "campaign decode failed: %s" e
-  | Ok c' ->
-      Alcotest.(check string)
-        "campaign json round trip"
-        (Json.to_string j)
-        (Json.to_string (Response.campaign_to_json c'))
+  roundtrip_response
+    (Response.Ok
+       {
+         id = Some "a";
+         payload = Response.Attack { campaign; rendered = "campaign\n" };
+       })
 
 (* ---------- session cache ---------- *)
 

@@ -6,7 +6,7 @@
     solver's conflict loop, the attacks' pattern and candidate loops,
     selection's repair loop, lint's sweep rounds, the pool's task
     loop).  Polling is cooperative: code between two polls is never
-    interrupted.  {!Pool.map} carries the submitting domain's deadline
+    interrupted.  {!Pool.map_exn} carries the submitting domain's deadline
     into every task, so a budget covers work fanned out across domains.
 
     Deterministic work limits (SAT conflict caps, lint [--budget]) are a

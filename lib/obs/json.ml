@@ -80,6 +80,37 @@ let to_string ?(minify = false) t =
 
 exception Parse of int * string
 
+(* RFC 8259's number grammar, which OCaml's own conversions are looser
+   than (they take "+5", "01", "1." and ".5"):
+   -? (0 | [1-9][0-9]* ) (\. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
+let rfc_number s =
+  let n = String.length s in
+  let is_digit i = i < n && '0' <= s.[i] && s.[i] <= '9' in
+  (* the index after the run of digits from [i], which must not be empty *)
+  let digits i =
+    if not (is_digit i) then None
+    else
+      let j = ref i in
+      while is_digit !j do
+        incr j
+      done;
+      Some !j
+  in
+  let int_part i =
+    if i < n && s.[i] = '0' then Some (i + 1) else digits i
+  in
+  let frac i =
+    if i < n && s.[i] = '.' then digits (i + 1) else Some i
+  in
+  let exp i =
+    if i < n && (s.[i] = 'e' || s.[i] = 'E') then
+      let i = i + 1 in
+      digits (if i < n && (s.[i] = '+' || s.[i] = '-') then i + 1 else i)
+    else Some i
+  in
+  let start = if n > 0 && s.[0] = '-' then 1 else 0 in
+  Option.bind (Option.bind (int_part start) frac) exp = Some n
+
 let of_string text =
   let n = String.length text in
   let pos = ref 0 in
@@ -204,6 +235,7 @@ let of_string text =
       advance ()
     done;
     let s = String.sub text start (!pos - start) in
+    if not (rfc_number s) then fail ("invalid number " ^ s);
     match int_of_string_opt s with
     | Some i -> Int i
     | None -> (

@@ -94,6 +94,33 @@ let test_json_parse_errors () =
       "{\"x\": 1e999}";
     ]
 
+(* Numbers follow RFC 8259: no leading plus, no leading zero, digits on
+   both sides of a decimal point.  OCaml's own conversions accept all of
+   the rejected forms below. *)
+let test_json_numbers () =
+  List.iter
+    (fun bad ->
+      match Json.of_string bad with
+      | Error e ->
+          Alcotest.(check bool)
+            (bad ^ " names the number") true
+            (String.ends_with ~suffix:("invalid number " ^ bad) e)
+      | Ok _ -> Alcotest.fail ("accepted malformed number: " ^ bad))
+    [ "+5"; "01"; "1."; ".5"; "+.5e-1"; "-"; "-01"; "1e"; "1.e5"; "1e+" ];
+  List.iter
+    (fun (text, v) ->
+      match Json.of_string text with
+      | Ok got -> Alcotest.(check bool) text true (got = v)
+      | Error e -> Alcotest.fail (text ^ ": " ^ e))
+    [
+      ("-0", Json.Int 0);
+      ("1e+20", Json.Float 1e20);
+      ("1.5E-3", Json.Float 1.5e-3);
+      ("0.0", Json.Float 0.);
+      ( "[-12.5e2, 0, 7]",
+        Json.List [ Json.Float (-1250.); Json.Int 0; Json.Int 7 ] );
+    ]
+
 (* For generated values, the reader accepts what the printer writes and
    the result prints back to the same bytes.  Strings carry quotes,
    backslashes, control bytes and non-ASCII bytes; floats are finite. *)
@@ -488,6 +515,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           Alcotest.test_case "rejects nan" `Quick test_json_rejects_nan;
           QCheck_alcotest.to_alcotest prop_json_round_trip;

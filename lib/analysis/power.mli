@@ -1,9 +1,10 @@
 (** Power estimation for pure-CMOS and hybrid STT-CMOS netlists.
 
-    CMOS gates and flip-flops burn [activity * E_sw * f] dynamic power plus
-    leakage; STT LUTs burn their pre-charge energy every cycle regardless
-    of data activity (their defining property, Section III) plus a
-    near-zero standby term.  The paper's Table I "power overhead %" is the
+    CMOS gates and flip-flops burn [activity * E_sw * f] dynamic power
+    (f = 1 GHz, the one clock every evaluation runs at) plus leakage;
+    STT LUTs burn their pre-charge energy every cycle regardless of data
+    activity (their defining property, Section III) plus a near-zero
+    standby term.  The paper's Table I "power overhead %" is the
     relative difference of two such estimates. *)
 
 type report = {

@@ -3,16 +3,12 @@ type lut_style =
   | Sram
   | Tvd
 
-type t = {
-  clock_ghz : float;
-  lut_style : lut_style;
-}
+type t = { lut_style : lut_style }
 
-let cmos90 = { clock_ghz = 1.0; lut_style = Stt }
+let cmos90 = { lut_style = Stt }
 
-let with_lut_style t style = { t with lut_style = style }
+let with_lut_style _t style = { lut_style = style }
 let lut_style t = t.lut_style
-let clock_ghz t = t.clock_ghz
 
 let gate_cell _t fn = Cmos_lib.gate fn
 

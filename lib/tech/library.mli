@@ -19,7 +19,6 @@ val with_lut_style : t -> lut_style -> t
     hybrid netlist in SRAM-LUT form for the Section II comparison. *)
 
 val lut_style : t -> lut_style
-val clock_ghz : t -> float
 
 val cell_of_kind : t -> Sttc_netlist.Netlist.kind -> Cell.t option
 (** [None] for primary inputs and constants (they carry no cell). *)

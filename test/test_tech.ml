@@ -185,7 +185,6 @@ let test_sram_baseline () =
 
 let test_library_lookup () =
   let lib = Library.cmos90 in
-  check_float "default clock" 1.0 (Library.clock_ghz lib);
   Alcotest.(check bool) "pi has no cell" true
     (Library.cell_of_kind lib Sttc_netlist.Netlist.Pi = None);
   (match Library.cell_of_kind lib (Sttc_netlist.Netlist.Gate (Gate_fn.Nand 2)) with

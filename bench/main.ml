@@ -160,8 +160,8 @@ let scale_bench () =
     | _ -> (0, 0.)
   in
   (* K single-gate speculative evaluations through one trial session
-     (stage, advance, read, unstage, advance back) against a from-scratch
-     analysis of the identical modified netlist *)
+     (replace, read, restore) against a from-scratch analysis of the
+     identical modified netlist *)
   let candidate_speedup nl sta =
     let rng = Sttc_util.Rng.make 42 in
     let gates =
@@ -174,19 +174,15 @@ let scale_bench () =
            (Seq.init (Netlist.node_count nl) Fun.id))
     in
     let picks = Array.init 20 (fun _ -> Sttc_util.Rng.pick rng gates) in
-    let overlay = Transform.Overlay.create nl in
     let tr = Sta.trial lib sta in
     let c0, s0 = cone_stats (Metrics.snapshot ()) in
-    let kind_of = Transform.Overlay.kind overlay in
     let trial_delays, trial_s =
       time (fun () ->
           Array.map
             (fun g ->
-              Transform.Overlay.stage_all overlay [ g ];
-              ignore (Sta.trial_advance tr ~kind_of [ g ]);
+              Sta.trial_set tr [ g ];
               let d = Sta.trial_current_delay_ps tr in
-              Transform.Overlay.unstage overlay g;
-              ignore (Sta.trial_advance tr ~kind_of [ g ]);
+              Sta.trial_set tr [];
               d)
             picks)
     in

@@ -12,7 +12,6 @@ let defaults = { pi_probability = 0.5; max_iterations = 40; tolerance = 1e-4 }
 
 type t = {
   netlist : Netlist.t;
-  prog : Netlist.program;  (* what the sweeps ran over *)
   params : params;
   prob : float array;
 }
@@ -123,13 +122,15 @@ let analyze ?(pi_probability = defaults.pi_probability)
     ?(tolerance = defaults.tolerance) nl =
   if not (0. <= pi_probability && pi_probability <= 1.) then
     invalid_arg "Activity.analyze: pi_probability";
-  let prog = Netlist.program nl in
-  let { Netlist.dst; first; fanin; dffs; d_inputs; _ } = prog in
+  let { Netlist.dst; first; fanin; dffs; d_inputs; _ } = Netlist.program nl in
   let prob =
     Array.init (Netlist.node_count nl) (fun id ->
         initial ~pi_probability (Netlist.kind nl id))
   in
-  let tables = Array.map (fun id -> table (Netlist.kind nl id)) dst in
+  (* filled from [None], not built by [Array.map]: a young [Some] as the
+     initial value of a long array forces a minor collection *)
+  let tables = Array.make (Array.length dst) None in
+  Array.iteri (fun i id -> tables.(i) <- table (Netlist.kind nl id)) dst;
   let masks =
     Array.map (function Some bits -> Int64.to_int bits | None -> 0) tables
   in
@@ -155,7 +156,6 @@ let analyze ?(pi_probability = defaults.pi_probability)
   if Array.length dffs = 0 then propagate_comb () else iterate 1;
   {
     netlist = nl;
-    prog;
     params = { pi_probability; max_iterations; tolerance };
     prob;
   }
@@ -179,99 +179,24 @@ let same_transfer ka kb =
   | Netlist.Const a, Netlist.Const b -> a = b
   | _ -> false
 
-let refine t nl ~changed =
+(* The base solution is [nl]'s when every changed node keeps its
+   transfer function: the from-scratch fixpoint on [nl] then retraces the
+   base trajectory bit for bit.  A changed function moves the sequential
+   fixpoint in general, so any other delta runs it again. *)
+let refine t nl =
   let module Metrics = Sttc_obs.Metrics in
-  let full () =
-    Metrics.incr "activity.refine.full";
-    analyze nl
-  in
   match Netlist.kind_delta t.netlist nl with
-  | None -> full ()
-  | Some _ when t.params <> defaults ->
-      (* reusing the base replays the default fixpoint only *)
-      full ()
-  | Some delta ->
-      let n = Array.length t.prob in
-      let dirty = Array.make n false in
-      let seeds = ref [] in
-      List.iter
-        (fun id ->
-          if id < 0 || id >= n then
-            invalid_arg "Activity.refine: node id out of range";
-          if
-            (not dirty.(id))
-            && not (same_transfer (Netlist.kind t.netlist id) (Netlist.kind nl id))
-          then begin
-            dirty.(id) <- true;
-            seeds := id :: !seeds
-          end)
-        (List.rev_append delta changed);
-      if !seeds = [] then begin
-        (* every transfer function is unchanged: the from-scratch fixpoint
-           on [nl] retraces the base trajectory bit for bit *)
-        Metrics.incr "activity.refine.cone";
-        Metrics.observe "activity.refine.cone_nodes" 0.;
-        { t with netlist = nl; prob = Array.copy t.prob }
-      end
-      else begin
-        (* Forward cone of the dirty nodes (iterative; fanout caches of
-           the base remain valid for [nl] per [kind_delta]).  The cone
-           refine is exact only when the cone is sealed off from the
-           sequential fixpoint: no cone node reads a flip-flop (the base's
-           stored comb values were computed against pre-final-update DFF
-           probabilities) and none feeds a flip-flop D input (which would
-           alter the fixpoint trajectory itself). *)
-        let in_cone = Array.make n false in
-        let stack = Sttc_util.Growable.create () in
-        let sealed = ref true in
-        List.iter
-          (fun id ->
-            in_cone.(id) <- true;
-            ignore (Sttc_util.Growable.push stack id))
-          !seeds;
-        let cone = ref 0 in
-        while !sealed && not (Sttc_util.Growable.is_empty stack) do
-          let id = Sttc_util.Growable.pop stack in
-          incr cone;
-          Array.iter
-            (fun src ->
-              match Netlist.kind nl src with
-              | Netlist.Dff -> sealed := false
-              | _ -> ())
-            (Netlist.fanins nl id);
-          List.iter
-            (fun out ->
-              match Netlist.kind nl out with
-              | Netlist.Dff -> sealed := false
-              | _ ->
-                  if not in_cone.(out) then begin
-                    in_cone.(out) <- true;
-                    ignore (Sttc_util.Growable.push stack out)
-                  end)
-            (Netlist.fanouts nl id)
-        done;
-        if not !sealed then full ()
-        else begin
-          (* [kind_delta] keeps the base's program valid for [nl] *)
-          let prob = Array.copy t.prob in
-          let { Netlist.dst; first; fanin; _ } = t.prog in
-          for i = 0 to Array.length dst - 1 do
-            let d = dst.(i) in
-            if in_cone.(d) then
-              let kind = Netlist.kind nl d in
-              match table kind with
-              | Some bits ->
-                  propagate prob fanin first.(i) first.(i + 1) bits
-                    (Int64.to_int bits) d
-              | None ->
-                  prob.(d) <-
-                    initial ~pi_probability:defaults.pi_probability kind
-          done;
-          Metrics.incr "activity.refine.cone";
-          Metrics.observe "activity.refine.cone_nodes" (float_of_int !cone);
-          { t with netlist = nl; prob }
-        end
-      end
+  | Some delta
+    when t.params = defaults
+         && List.for_all
+              (fun id ->
+                same_transfer (Netlist.kind t.netlist id) (Netlist.kind nl id))
+              delta ->
+      Metrics.incr "activity.refine.cone";
+      { t with netlist = nl; prob = Array.copy t.prob }
+  | Some _ | None ->
+      Metrics.incr "activity.refine.full";
+      analyze nl
 
 let probability t id =
   if id < 0 || id >= Array.length t.prob then invalid_arg "Activity.probability";

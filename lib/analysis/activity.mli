@@ -23,21 +23,15 @@ val analyze :
 (** Defaults: PI one-probability 0.5, 40 iterations, tolerance 1e-4.
     Unconfigured LUTs take probability 0.5. *)
 
-val refine :
-  t -> Sttc_netlist.Netlist.t -> changed:Sttc_netlist.Netlist.node_id list -> t
-(** [refine t nl ~changed] is [analyze nl] (default parameters), reusing
-    [t]'s solution when
-    that is provably exact: when [nl] is id-compatible with [t]'s netlist
-    ({!Sttc_netlist.Netlist.kind_delta}) and every changed node keeps the
-    same probability transfer function (e.g. gate→LUT replacements that
-    keep the function), the base solution is returned as-is; when the
-    transfer functions of some nodes did change but their forward cone
-    neither reads nor feeds a flip-flop, only that cone is re-propagated.
-    Any other case falls back to a full fixpoint, as does a base computed
-    with non-default parameters.  The result is
-    bit-identical to [analyze nl] in all cases.  Counters:
-    [activity.refine.cone] / [activity.refine.full], with the visited-node
-    count under [activity.refine.cone_nodes]. *)
+val refine : t -> Sttc_netlist.Netlist.t -> t
+(** [refine t nl] is [analyze nl] (default parameters), reusing [t]'s
+    solution when that is provably exact: when [nl] is id-compatible with
+    [t]'s netlist ({!Sttc_netlist.Netlist.kind_delta}) and every changed
+    node keeps the same probability transfer function (e.g. gate→LUT
+    replacements that keep the function), the base solution is returned
+    as-is (counter [activity.refine.cone]).  Any other case runs the full
+    fixpoint (counter [activity.refine.full]), as does a base computed
+    with non-default parameters. *)
 
 val switching : t -> Sttc_netlist.Netlist.node_id -> float
 (** Per-cycle output switching activity in [0, 0.5]: [2 p (1 - p)] for

@@ -5,16 +5,10 @@ module Metrics = Sttc_obs.Metrics
 type t = {
   netlist : Netlist.t;
   arrival : float array;
-  endpoints : (Netlist.node_id * float) list; (* worst first *)
   critical_end : Netlist.node_id;
   critical : float;
   endpoint_ids : Netlist.node_id array; (* ascending, deduplicated *)
 }
-
-(* Worst endpoint first; exact-tie arrivals break towards the smaller node
-   id so full and incremental analyses agree bit for bit. *)
-let compare_endpoints (ia, a) (ib, b) =
-  match Float.compare b a with 0 -> Int.compare ia ib | c -> c
 
 let endpoint_ids_of nl =
   let tbl = Hashtbl.create 64 in
@@ -43,18 +37,23 @@ let node_arrival lib nl arrival id kind =
         (Netlist.fanins nl id);
       !worst +. Library.node_delay_ps lib kind
 
+(* The worst endpoint; exact-tie arrivals break towards the smaller node
+   id (the first in ascending order) so full and incremental analyses
+   agree bit for bit. *)
 let finish nl arrival endpoint_ids =
-  let endpoints =
-    Array.to_list endpoint_ids
-    |> List.map (fun id -> (id, arrival.(id)))
-    |> List.sort compare_endpoints
-  in
-  let critical_end, critical =
-    match endpoints with
-    | [] -> invalid_arg "Sta.analyze: netlist has no endpoints"
-    | (id, a) :: _ -> (id, a)
-  in
-  { netlist = nl; arrival; endpoints; critical_end; critical; endpoint_ids }
+  if Array.length endpoint_ids = 0 then
+    invalid_arg "Sta.analyze: netlist has no endpoints";
+  let worst = ref endpoint_ids.(0) in
+  Array.iter
+    (fun id -> if arrival.(id) > arrival.(!worst) then worst := id)
+    endpoint_ids;
+  {
+    netlist = nl;
+    arrival;
+    critical_end = !worst;
+    critical = arrival.(!worst);
+    endpoint_ids;
+  }
 
 let analyze lib nl =
   let n = Netlist.node_count nl in
@@ -94,8 +93,6 @@ let critical_path t = path_to t t.critical_end
 
 let max_frequency_ghz t =
   if t.critical <= 0. then infinity else 1000. /. t.critical
-
-let endpoint_arrivals t = t.endpoints
 
 (* ---------- the incremental engine ---------- *)
 
@@ -194,7 +191,7 @@ let propagate lib nl arrival work queued ~kind_of ~on_change seeds =
   done;
   !cone
 
-let retime lib t nl ~changed =
+let retime lib t nl =
   match Netlist.kind_delta t.netlist nl with
   | None ->
       (* structurally different: the cached cone machinery does not apply *)
@@ -207,8 +204,7 @@ let retime lib t nl ~changed =
       let cone =
         propagate lib t.netlist arrival work queued
           ~kind_of:(fun id -> Netlist.kind nl id)
-          ~on_change:ignore
-          (List.rev_append delta changed)
+          ~on_change:ignore delta
       in
       Metrics.incr "sta.retime.cone";
       Metrics.observe "sta.retime.cone_nodes" (float_of_int cone);
@@ -220,11 +216,16 @@ type trial = {
   lib : Library.t;
   base : t;
   arr : float array;
-  (* the current speculative arrivals: [base.arrival] plus every
-     [trial_advance] delta so far *)
+  (* the current speculative arrivals: the base netlist with every gate
+     of [set] replaced by a LUT *)
   work : Work.h;
   queued : bool array;
   is_endpoint : bool array;
+  feeds_endpoint : bool array;
+  (* per node: inside some endpoint's combinational fanin cone *)
+  replaced : bool array;
+  mutable set : Netlist.node_id list;  (* the replaced gates, no repeats *)
+  mark : bool array;  (* scratch for diffing a requested set *)
   (* lazy-deletion max-heap over endpoint (arrival, id); an entry is valid
      iff it matches the endpoint's current arrival.  Every endpoint update
      pushes, so the best valid entry is always present. *)
@@ -234,7 +235,7 @@ type trial = {
 }
 
 (* max-heap order: higher arrival first, ties to the smaller id —
-   mirrors [compare_endpoints]. *)
+   mirrors [finish]. *)
 let ep_before v1 i1 v2 i2 = v1 > v2 || (v1 = v2 && i1 < i2)
 
 let ep_push tr v id =
@@ -307,6 +308,30 @@ let rec ep_best tr =
       ep_best tr
     end
 
+(* Nodes inside some endpoint's combinational fanin cone: replacing a gate
+   outside this set cannot move any endpoint arrival.  Iterative walk —
+   scale-family netlists reach 10^6 nodes. *)
+let endpoint_cone nl endpoint_ids =
+  let marked = Array.make (Netlist.node_count nl) false in
+  let stack = Sttc_util.Growable.create () in
+  Array.iter
+    (fun ep ->
+      marked.(ep) <- true;
+      ignore (Sttc_util.Growable.push stack ep))
+    endpoint_ids;
+  while not (Sttc_util.Growable.is_empty stack) do
+    let id = Sttc_util.Growable.pop stack in
+    if Netlist.is_combinational (Netlist.kind nl id) then
+      Array.iter
+        (fun src ->
+          if not marked.(src) then begin
+            marked.(src) <- true;
+            ignore (Sttc_util.Growable.push stack src)
+          end)
+        (Netlist.fanins nl id)
+  done;
+  marked
+
 let trial lib t =
   let n = Array.length t.arrival in
   let is_endpoint = Array.make n false in
@@ -319,6 +344,10 @@ let trial lib t =
       work = Work.create (positions_of t.netlist);
       queued = Array.make n false;
       is_endpoint;
+      feeds_endpoint = endpoint_cone t.netlist t.endpoint_ids;
+      replaced = Array.make n false;
+      set = [];
+      mark = Array.make n false;
       ep_val = Array.make (max 64 (Array.length t.endpoint_ids)) 0.;
       ep_id = Array.make (max 64 (Array.length t.endpoint_ids)) 0;
       ep_len = 0;
@@ -333,24 +362,75 @@ let ep_gc tr =
   if tr.ep_len > max 1024 (8 * Array.length tr.base.endpoint_ids) then
     ep_rebuild tr
 
-(* [trial_advance] moves the trial's arrival state by one delta: the
-   caller owns the staged-set bookkeeping and changes it a few gates at a
-   time, which is what makes the parametric selection loop's evaluations
-   proportional to the delta cone instead of the whole accumulated
-   replacement set. *)
-let trial_advance tr ~kind_of seeds =
-  let touched = ref [] in
-  let cone =
-    propagate tr.lib tr.base.netlist tr.arr tr.work tr.queued ~kind_of
-      ~on_change:(fun id ->
-        if tr.is_endpoint.(id) then touched := id :: !touched)
-      seeds
+(* A replaced gate is a config-free LUT of the same arity: cell delay
+   depends only on arity, so timing through this view matches the
+   committed hybrid exactly. *)
+let trial_kind tr id =
+  let nl = tr.base.netlist in
+  if tr.replaced.(id) then
+    Netlist.Lut { arity = Array.length (Netlist.fanins nl id); config = None }
+  else Netlist.kind nl id
+
+(* [trial_set] diffs the requested set against the current one and
+   re-propagates only the delta, so a selection loop whose accumulated
+   set grows into the hundreds pays per query for the few gates that
+   changed, not for the union cone.
+
+   Gates outside every endpoint cone change state but are never
+   propagated: their arrival changes cannot reach an endpoint, and
+   neither the delay query nor the worst-path walk ever reads an arrival
+   outside the endpoint cones (a cone is closed under combinational
+   fanins, so a node inside never has a fanin outside).  A delta that is
+   wholly skippable answers from the current heap at zero propagation
+   cost (counter [select.timing_early_out]). *)
+let trial_set tr target =
+  let nl = tr.base.netlist in
+  let n = Array.length tr.arr in
+  List.iter
+    (fun g ->
+      if g < 0 || g >= n then invalid_arg "Sta.trial_set: node id out of range";
+      match Netlist.kind nl g with
+      | Netlist.Gate _ -> ()
+      | _ -> invalid_arg "Sta.trial_set: not a gate")
+    target;
+  let set =
+    List.fold_left
+      (fun acc g ->
+        if tr.mark.(g) then acc
+        else begin
+          tr.mark.(g) <- true;
+          g :: acc
+        end)
+      [] target
   in
-  List.iter (fun id -> ep_push tr tr.arr.(id) id) !touched;
-  Metrics.incr "sta.retime.cone";
-  Metrics.observe "sta.retime.cone_nodes" (float_of_int cone);
-  ep_gc tr;
-  cone
+  let removed = List.filter (fun g -> not tr.mark.(g)) tr.set in
+  let added = List.filter (fun g -> not tr.replaced.(g)) set in
+  List.iter (fun g -> tr.mark.(g) <- false) set;
+  tr.set <- set;
+  match (added, removed) with
+  | [], [] -> ()
+  | _ -> (
+      List.iter (fun g -> tr.replaced.(g) <- false) removed;
+      List.iter (fun g -> tr.replaced.(g) <- true) added;
+      match
+        List.filter
+          (fun g -> tr.feeds_endpoint.(g))
+          (List.rev_append removed added)
+      with
+      | [] -> Metrics.incr "select.timing_early_out"
+      | seeds ->
+          let touched = ref [] in
+          let cone =
+            propagate tr.lib nl tr.arr tr.work tr.queued
+              ~kind_of:(trial_kind tr)
+              ~on_change:(fun id ->
+                if tr.is_endpoint.(id) then touched := id :: !touched)
+              seeds
+          in
+          List.iter (fun id -> ep_push tr tr.arr.(id) id) !touched;
+          Metrics.incr "sta.retime.cone";
+          Metrics.observe "sta.retime.cone_nodes" (float_of_int cone);
+          ep_gc tr)
 
 let trial_current_delay_ps tr = snd (ep_best tr)
 

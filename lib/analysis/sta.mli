@@ -27,60 +27,48 @@ val critical_path : t -> Sttc_netlist.Netlist.node_id list
 
 val max_frequency_ghz : t -> float
 
-val endpoint_arrivals : t -> (Sttc_netlist.Netlist.node_id * float) list
-(** All endpoints with their arrival times, worst first. *)
-
 (** {1 Incremental re-analysis}
 
     [retime] and trial sessions recompute arrivals only over the forward
     cone of changed nodes, using the exact per-node arithmetic of
     {!analyze} so results are bit-identical to a from-scratch analysis. *)
 
-val retime :
-  Sttc_tech.Library.t ->
-  t ->
-  Sttc_netlist.Netlist.t ->
-  changed:Sttc_netlist.Netlist.node_id list ->
-  t
-(** [retime lib t nl ~changed] is [analyze lib nl], computed incrementally
-    when [nl] is id-compatible with [t]'s netlist
+val retime : Sttc_tech.Library.t -> t -> Sttc_netlist.Netlist.t -> t
+(** [retime lib t nl] is [analyze lib nl], computed incrementally when
+    [nl] is id-compatible with [t]'s netlist
     ({!Sttc_netlist.Netlist.kind_delta}): arrivals are re-propagated only
-    over the forward cone of the kind delta plus [changed], and the
-    endpoint ranking is repaired in place.  Falls back to a full
-    {!analyze} (counter [sta.retime.full]) otherwise; the cone path bumps
-    [sta.retime.cone] and records the visited-node count under
-    [sta.retime.cone_nodes]. *)
+    over the forward cone of the kind delta, and the endpoint ranking is
+    repaired in place.  Falls back to a full {!analyze} (counter
+    [sta.retime.full]) otherwise; the cone path bumps [sta.retime.cone]
+    and records the visited-node count under [sta.retime.cone_nodes]. *)
 
 type trial
-(** A persistent trial session over a base analysis, for timing a
-    slowly-changing set of speculative kind changes (e.g. gate→LUT
-    candidate sets) without copying the netlist or the arrival array per
-    candidate.  A selection loop evaluates sets that differ from the
-    previous one by a handful of gates while the accumulated set grows
-    into the hundreds; [trial_advance] moves the session's arrivals by
-    just that delta, so per-query cost tracks the delta cone, not the
-    union cone.  The worst endpoint is read off a lazily-repaired heap.
-    The caller owns the set bookkeeping: [kind_of] must describe the
-    complete current speculative view, and [seeds] every node whose kind
-    changed since the previous call.  Structure (fanins) never changes.
-    Not thread-safe. *)
+(** A persistent trial session over a base analysis: the timing of the
+    base netlist with a set of its gates replaced by LUTs, for a
+    selection loop that times slowly-changing candidate sets without
+    copying the netlist or the arrival array per candidate.  The session
+    owns the replaced set; {!trial_set} moves its arrivals by the delta
+    between the requested set and the current one, so per-query cost
+    tracks the delta cone, not the union cone.  The worst endpoint is
+    read off a lazily-repaired heap.  Not thread-safe. *)
 
 val trial : Sttc_tech.Library.t -> t -> trial
-(** A fresh session whose speculative view is the base netlist. *)
+(** A fresh session with nothing replaced. *)
 
-val trial_advance :
-  trial ->
-  kind_of:(Sttc_netlist.Netlist.node_id -> Sttc_netlist.Netlist.kind) ->
-  Sttc_netlist.Netlist.node_id list ->
-  int
-(** Re-propagate arrivals over the forward cone of [seeds] and keep the
-    result.  Returns the cone size; bumps [sta.retime.cone]
-    and records [sta.retime.cone_nodes]. *)
+val trial_set : trial -> Sttc_netlist.Netlist.node_id list -> unit
+(** Make the given gates the replaced set.  Only the gates that joined or
+    left it are re-propagated, and only those inside some endpoint's
+    combinational fanin cone: the others cannot move an endpoint arrival
+    (counter [select.timing_early_out] when that covers the whole delta).
+    A propagation bumps [sta.retime.cone] and records
+    [sta.retime.cone_nodes].  Raises [Invalid_argument] on a node id out
+    of range or a node that is not a CMOS gate. *)
 
 val trial_current_delay_ps : trial -> float
-(** Critical delay of the session's current speculative view — equals
-    [critical_delay_ps (analyze lib current_netlist)] exactly. *)
+(** Critical delay of the base netlist with the current set replaced —
+    equals [critical_delay_ps (analyze lib (replace_many netlist set))]
+    exactly. *)
 
 val trial_current_critical : trial -> float * Sttc_netlist.Netlist.node_id list
 (** Current delay plus one worst path, matching {!critical_path} on the
-    current speculative view exactly. *)
+    replaced netlist exactly. *)

@@ -53,6 +53,7 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
   let clock_ps =
     options.clock_factor *. Sta.critical_delay_ps ctx.Select.sta
   in
+  let trial = Lazy.force ctx.Select.trial in
   (* The unit of selection is the timing path (FF-to-FF / PI-to-FF /
      FF-to-PO segment), per the end of Section IV-A: "randomly select a
      pre-determined number of timing paths and select a pre-determined
@@ -99,10 +100,10 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
             if want = 0 || retries > options.max_retries then []
             else
               let pick = Array.to_list (Rng.sample rng want arr) in
-              let trial =
-                Int_set.elements (Int_set.union !replaced (Int_set.of_list pick))
-              in
-              if Select.timing_ok ctx ~clock_ps trial then pick
+              Sta.trial_set trial
+                (Int_set.elements
+                   (Int_set.union !replaced (Int_set.of_list pick)));
+              if Sta.trial_current_delay_ps trial <= clock_ps then pick
               else attempt (retries + 1) (max 0 (want - 1))
           in
           let want =
@@ -147,9 +148,8 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
      until the constraint holds again. *)
   let repair_budget = ref (Int_set.cardinal !replaced) in
   while (not (Int_set.is_empty !replaced)) && !repair_budget > 0 do
-    let delay, critical =
-      Select.trial_critical ctx (Int_set.elements !replaced)
-    in
+    Sta.trial_set trial (Int_set.elements !replaced);
+    let delay, critical = Sta.trial_current_critical trial in
     if delay <= clock_ps then repair_budget := 0
     else begin
       Sttc_util.Budget.check ();

@@ -51,8 +51,8 @@ let evaluate ?baseline:b lib ~base ~hybrid =
     | Some bl when matches bl lib base -> bl
     | Some _ | None -> baseline lib base
   in
-  let sta_h = Sta.retime lib bl.b_sta hybrid ~changed:[] in
-  let act_h = Activity.refine bl.b_activity hybrid ~changed:[] in
+  let sta_h = Sta.retime lib bl.b_sta hybrid in
+  let act_h = Activity.refine bl.b_activity hybrid in
   let pow_h = Power.estimate ~activity:act_h lib hybrid in
   let area_h = Area.estimate lib hybrid in
   let rel = Sttc_util.Stats.relative_overhead in

@@ -2,22 +2,18 @@
 
     All three start from the same sampled pool of longest non-critical I/O
     paths; they differ in which gates they take from it.  Candidate sets
-    are timed through one persistent trial session per context
-    ({!Sttc_analysis.Sta.trial} over a {!Sttc_netlist.Transform.Overlay}),
-    whose answers are bit-identical to {!Sttc_analysis.Sta.analyze} on
-    {!Sttc_netlist.Transform.replace_many} of the same set. *)
+    are timed through one persistent {!Sttc_analysis.Sta.trial} session
+    per context, whose answers are bit-identical to
+    {!Sttc_analysis.Sta.analyze} on {!Sttc_netlist.Transform.replace_many}
+    of the same set. *)
 
 type context = {
   netlist : Sttc_netlist.Netlist.t;
   sta : Sttc_analysis.Sta.t;  (** timing of the unmodified netlist *)
   paths : Sttc_analysis.Paths.io_path list;  (** deepest first *)
-  overlay : Sttc_netlist.Transform.Overlay.t;
-      (** scratch replacement view over [netlist] *)
-  trial : Sttc_analysis.Sta.trial;  (** timing of the [overlay] view *)
-  feeds_endpoint : bool array;
-      (** per node: inside some endpoint's combinational fanin cone *)
-  target_mark : bool array;
-      (** scratch for diffing candidate sets against the session state *)
+  trial : Sttc_analysis.Sta.trial Lazy.t;
+      (** timing session over [sta]; only parametric selection forces
+          it *)
 }
 
 val prepare :
@@ -40,22 +36,3 @@ val replaceable : context -> Sttc_analysis.Paths.io_path -> Sttc_netlist.Netlist
 val pool : context -> Sttc_netlist.Netlist.node_id list
 (** Union of replaceable gates across all sampled paths, deduplicated,
     in path order. *)
-
-val timing_ok :
-  context -> clock_ps:float -> Sttc_netlist.Netlist.node_id list -> bool
-(** Would replacing the given gates keep the critical delay within
-    [clock_ps]?  Successive queries on one context are diffed against the
-    previously evaluated set and only the delta cone is re-propagated;
-    delta gates disjoint from every endpoint cone are never propagated at
-    all (counter [select.timing_early_out] when that covers the whole
-    delta). *)
-
-val trial_critical :
-  context ->
-  Sttc_netlist.Netlist.node_id list ->
-  float * Sttc_netlist.Netlist.node_id list
-(** Critical delay and one worst path of the netlist with the given gates
-    replaced — what [Sta.critical_delay_ps] and [Sta.critical_path] of
-    [Sta.analyze lib (replace_many netlist gates)] return, without the
-    copy.  Diffed against the previous query like {!timing_ok}; the
-    parametric repair loop reads both answers from one call per pass. *)

@@ -493,20 +493,21 @@ let kind_class = function
 let with_kinds t f =
   let node_total = Array.length t.nodes in
   let same_structure = ref true in
-  let nodes =
-    Array.mapi
-      (fun id n ->
-        let kind, fanins = f id n.kind n.fanins in
-        if kind == n.kind && fanins == n.fanins then n
-        else begin
-          let n' = { n with kind; fanins } in
-          validate_node n' ~node_total ~who:"Netlist.with_kinds";
-          if fanins != n.fanins || kind_class kind <> kind_class n.kind then
-            same_structure := false;
-          n'
-        end)
-      t.nodes
-  in
+  (* a copy with the changed slots overwritten, not [Array.mapi]: a young
+     first node as the initial value of a long array forces a minor
+     collection *)
+  let nodes = Array.copy t.nodes in
+  Array.iteri
+    (fun id n ->
+      let kind, fanins = f id n.kind n.fanins in
+      if not (kind == n.kind && fanins == n.fanins) then begin
+        let n' = { n with kind; fanins } in
+        validate_node n' ~node_total ~who:"Netlist.with_kinds";
+        if fanins != n.fanins || kind_class kind <> kind_class n.kind then
+          same_structure := false;
+        nodes.(id) <- n'
+      end)
+    t.nodes;
   if !same_structure then
     (* the fanout, topological-order and program caches of [t] hold for
        [nodes], which are acyclic because [t]'s are *)

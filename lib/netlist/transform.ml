@@ -171,47 +171,6 @@ let absorbable_driver t id =
       | [] -> None)
   | _ -> None
 
-module Overlay = struct
-  type t = {
-    base : Netlist.t;
-    staged : bool array;
-    mutable staged_ids : Netlist.node_id list;
-  }
-
-  let create base =
-    { base; staged = Array.make (Netlist.node_count base) false; staged_ids = [] }
-
-  let stage t id =
-    if id < 0 || id >= Array.length t.staged then
-      invalid_arg "Transform.Overlay.stage: bad id";
-    (match Netlist.kind t.base id with
-    | Netlist.Gate _ -> ()
-    | _ -> invalid_arg "Transform.Overlay.stage: not a gate");
-    if not t.staged.(id) then begin
-      t.staged.(id) <- true;
-      t.staged_ids <- id :: t.staged_ids
-    end
-
-  let stage_all t ids = List.iter (stage t) ids
-
-  let unstage t id =
-    if id < 0 || id >= Array.length t.staged then
-      invalid_arg "Transform.Overlay.unstage: bad id";
-    if t.staged.(id) then begin
-      t.staged.(id) <- false;
-      t.staged_ids <- List.filter (fun i -> i <> id) t.staged_ids
-    end
-
-  let staged t = t.staged_ids
-  let is_staged t id = t.staged.(id)
-
-  let kind t id =
-    if t.staged.(id) then
-      Netlist.Lut { arity = Array.length (Netlist.fanins t.base id); config = None }
-    else Netlist.kind t.base id
-
-end
-
 let sweep t =
   (* A node is live when a primary output or a flip-flop (or one of their
      transitive fanins) reads it. *)

@@ -48,37 +48,6 @@ val absorbable_driver :
 (** A fanin of the gate that {!absorb_driver} would accept, if any
     (smallest resulting arity first). *)
 
-(** A speculative gate→LUT replacement view over a base netlist.
-
-    Staging marks gates as replaced without copying the netlist; {!kind}
-    presents the post-replacement kind (a config-free LUT slot — cell
-    delay depends only on arity, so timing through this view matches the
-    committed netlist exactly).  The selection sessions stage and
-    unstage candidates and time the view through the persistent
-    {!Sttc_analysis.Sta} trial; only the winning set is materialized,
-    once, by {!replace_many}. *)
-module Overlay : sig
-  type t
-
-  val create : Netlist.t -> t
-
-  val stage_all : t -> Netlist.node_id list -> unit
-  (** Mark gates as speculatively replaced (idempotent per gate).  Raises
-      [Invalid_argument] if a node is not a [Gate]. *)
-
-  val unstage : t -> Netlist.node_id -> unit
-  (** Remove one gate from the staged set (no-op when unstaged) —
-      O(staged); the persistent selection sessions retract one candidate
-      at a time with it. *)
-
-  val staged : t -> Netlist.node_id list
-  val is_staged : t -> Netlist.node_id -> bool
-
-  val kind : t -> Netlist.node_id -> Netlist.kind
-  (** The node's kind under the overlay: a config-free LUT for staged
-      gates, the base kind otherwise. *)
-end
-
 val sweep : Netlist.t -> Netlist.t * int array
 (** Remove nodes that reach no primary output and no flip-flop (dead
     logic, e.g. placeholders left by {!absorb_driver}).  Returns the new

@@ -61,9 +61,13 @@ let test_sta_critical_path () =
 let test_sta_pipeline_stages () =
   let nl = pipeline_circuit () in
   let sta = Sta.analyze lib nl in
-  (* endpoints: ff1.D (g1), ff2.D (g2), y (g3) *)
-  Alcotest.(check int) "three endpoints" 3
-    (List.length (Sta.endpoint_arrivals sta));
+  (* endpoints: ff1.D (g1), ff2.D (g2), y (g3); the worst is the delay *)
+  Alcotest.(check (float 0.)) "critical delay is the worst endpoint"
+    (List.fold_left
+       (fun acc name ->
+         Float.max acc (Sta.arrival_ps sta (Netlist.find_exn nl name)))
+       0. [ "g1"; "g2"; "g3" ])
+    (Sta.critical_delay_ps sta);
   (* FF-launched stages include the clk-to-q delay *)
   let dffq = (Sttc_tech.Cmos_lib.dff).Sttc_tech.Cell.delay_ps in
   let g3 = Netlist.find_exn nl "g3" in
@@ -93,15 +97,16 @@ let test_sta_lut_slows_path () =
 let test_sta_worst_paths_report () =
   let nl = pipeline_circuit () in
   let sta = Sta.analyze lib nl in
-  match Sta.endpoint_arrivals sta with
-  | (e1, a1) :: (_, a2) :: _ ->
-      Alcotest.(check bool) "sorted" true (a1 >= a2);
-      Alcotest.(check (float 1e-9)) "worst = critical"
-        (Sta.critical_delay_ps sta) a1;
-      Alcotest.(check int) "critical path ends at the worst endpoint" e1
-        (List.nth (Sta.critical_path sta)
-           (List.length (Sta.critical_path sta) - 1))
-  | _ -> Alcotest.fail "expected two endpoints"
+  let path = Sta.critical_path sta in
+  let last = List.nth path (List.length path - 1) in
+  Alcotest.(check (float 0.)) "the critical path ends at the worst arrival"
+    (Sta.critical_delay_ps sta) (Sta.arrival_ps sta last);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " no later than the critical delay") true
+        (Sta.arrival_ps sta (Netlist.find_exn nl name)
+        <= Sta.critical_delay_ps sta))
+    [ "g1"; "g2"; "g3" ]
 
 (* ---------- Paths ---------- *)
 
@@ -475,29 +480,51 @@ let test_sweep_pinned () =
         (switching_digest nl))
     pinned_family_probabilities
 
+(* [refine base nl] with observability on, and the counters it left *)
+let refine_counted base nl =
+  let module Obs = Sttc_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let r = Activity.refine base nl in
+      (r, Sttc_obs.Metrics.snapshot ()))
+
 let test_refine_non_default_base () =
   (* a base computed with other parameters cannot be reused: refine must
      return the default analysis, counted as a full fallback *)
   let nl = inverter_chain 3 in
   let base = Activity.analyze ~pi_probability:0.9 nl in
-  let module Obs = Sttc_obs.Obs in
-  Obs.reset ();
-  Obs.enable ();
-  let refined, snap =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.disable ();
-        Obs.reset ())
-      (fun () ->
-        let r = Activity.refine base nl ~changed:[] in
-        (r, Sttc_obs.Metrics.snapshot ()))
-  in
+  let refined, snap = refine_counted base nl in
   Alcotest.(check int) "counted as activity.refine.full" 1
     (Sttc_obs.Metrics.counter_value snap "activity.refine.full");
   Alcotest.(check bool) "equals the default analysis" true
     (same_bits refined (reference_analyze nl));
   Alcotest.(check (float 0.)) "n1 at the default PI probability" 0.5
     (Activity.switching refined (Netlist.find_exn nl "n1"))
+
+let test_refine_changed_function () =
+  (* the same structure with one gate's function changed (an unconfigured
+     LUT in place of n2) moves probabilities downstream: refine runs the
+     full fixpoint; keeping the function reuses the base *)
+  let nl = inverter_chain 3 in
+  let base = Activity.analyze nl in
+  let n2 = Netlist.find_exn nl "n2" in
+  let changed = Transform.replace_many ~keep_function:false nl [ n2 ] in
+  let refined, snap = refine_counted base changed in
+  Alcotest.(check int) "counted as activity.refine.full" 1
+    (Sttc_obs.Metrics.counter_value snap "activity.refine.full");
+  Alcotest.(check bool) "equals analyze" true
+    (same_bits refined (reference_analyze changed));
+  let kept = Transform.replace_many ~keep_function:true nl [ n2 ] in
+  let refined, snap = refine_counted base kept in
+  Alcotest.(check int) "a kept function counts activity.refine.cone" 1
+    (Sttc_obs.Metrics.counter_value snap "activity.refine.cone");
+  Alcotest.(check bool) "and equals analyze" true
+    (same_bits refined (reference_analyze kept))
 
 (* ---------- Paths and Query on the sub-1000-gate twins ---------- *)
 
@@ -857,6 +884,8 @@ let () =
             test_activity_bounds_property;
           Alcotest.test_case "refine with a non-default base" `Quick
             test_refine_non_default_base;
+          Alcotest.test_case "refine with a changed function" `Quick
+            test_refine_changed_function;
         ] );
       ( "activity sweep",
         [

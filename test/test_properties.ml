@@ -343,7 +343,7 @@ let prop_retime_matches_analyze =
       let base = Sta.analyze cmos nl in
       let picks = random_gate_subset (seed + 17) nl k in
       let nl' = Transform.replace_many ~keep_function:false nl picks in
-      let inc = Sta.retime cmos base nl' ~changed:[] in
+      let inc = Sta.retime cmos base nl' in
       let full = Sta.analyze cmos nl' in
       arrivals_equal nl' inc full
       && Sta.critical_delay_ps inc = Sta.critical_delay_ps full
@@ -359,27 +359,10 @@ let prop_trial_session_matches_scratch =
       let nl = gen_netlist seed in
       let base = Sta.analyze cmos nl in
       let tr = Sta.trial cmos base in
-      let ov = Transform.Overlay.create nl in
-      let current = ref [] in
       List.for_all
         (fun (i, k) ->
           let target = random_gate_subset (seed + (31 * i) + 7) nl k in
-          let removed =
-            List.filter (fun g -> not (List.mem g target)) !current
-          in
-          let added =
-            List.filter (fun g -> not (List.mem g !current)) target
-          in
-          List.iter (Transform.Overlay.unstage ov) removed;
-          Transform.Overlay.stage_all ov added;
-          (match List.rev_append removed added with
-          | [] -> ()
-          | seeds ->
-              ignore
-                (Sta.trial_advance tr
-                   ~kind_of:(Transform.Overlay.kind ov)
-                   seeds));
-          current := target;
+          Sta.trial_set tr target;
           let full =
             Sta.analyze cmos
               (Transform.replace_many ~keep_function:false nl target)
@@ -399,7 +382,7 @@ let prop_activity_refine_matches_full =
       let base = Activity.analyze nl in
       let picks = random_gate_subset (seed + 5) nl k in
       let nl' = Transform.replace_many ~keep_function nl picks in
-      let inc = Activity.refine base nl' ~changed:[] in
+      let inc = Activity.refine base nl' in
       let full = Activity.analyze nl' in
       let n = Netlist.node_count nl' in
       let rec go i =
@@ -419,20 +402,23 @@ let prop_select_queries_match_full =
     (fun seed ->
       let nl = gen_netlist seed in
       let ctx = Select.prepare ~rng:(Rng.make seed) cmos nl in
-      (* [critical_first] picks which of the two calls meets the new set
-         first, and so does the diffing *)
+      let tr = Lazy.force ctx.Select.trial in
+      (* [critical_first] picks which of the two reads meets the new set
+         first, and so which one pays for the delta *)
       let answers_match (critical_first, set) =
         let full =
           Sta.analyze cmos (Transform.replace_many ~keep_function:true nl set)
         in
         let d = Sta.critical_delay_ps full in
         let critical_matches () =
-          Select.trial_critical ctx set = (d, Sta.critical_path full)
+          Sta.trial_set tr set;
+          Sta.trial_current_critical tr = (d, Sta.critical_path full)
         in
         let verdicts_match () =
           List.for_all
             (fun clock_ps ->
-              Select.timing_ok ctx ~clock_ps set = (d <= clock_ps))
+              Sta.trial_set tr set;
+              (Sta.trial_current_delay_ps tr <= clock_ps) = (d <= clock_ps))
             [ Float.pred d; d; 1.05 *. Sta.critical_delay_ps ctx.Select.sta ]
         in
         if critical_first then critical_matches () && verdicts_match ()
@@ -457,9 +443,15 @@ let prop_select_queries_match_full =
           (Sta.critical_path ctx.Select.sta)
       in
       let outside_cones =
-        List.filter
-          (fun id -> not ctx.Select.feeds_endpoint.(id))
-          (Netlist.gates nl)
+        let in_cone = Array.make (Netlist.node_count nl) false in
+        List.iter
+          (fun ep ->
+            List.iter
+              (fun id -> in_cone.(id) <- true)
+              (Sttc_netlist.Query.fanin_cone nl ep))
+          (Netlist.pos nl
+          @ List.map (fun ff -> (Netlist.fanins nl ff).(0)) (Netlist.dffs nl));
+        List.filter (fun id -> not in_cone.(id)) (Netlist.gates nl)
       in
       let small = random_gate_subset (seed + 3) nl 2 in
       let grown =

@@ -768,14 +768,37 @@ if ! (cd "$tmpdir" && STTC_SCALE_SIZES=1000,10000 "$BENCH_BIN" scale \
 fi
 
 echo "== timing-trial gate (one candidate-timing mode)"
-# Candidate sets are timed only through Select's persistent Sta.trial
-# session: the full-re-analysis switch and the one-shot undo trial are
-# retired and must not come back.
+# Candidate sets are timed only through a persistent Sta.trial session:
+# the full-re-analysis switch and the one-shot undo trial are retired
+# and must not come back.
 if grep -rnE 'STTC_FULL_STA|incremental_enabled|trial_delay_ps' \
      lib bin bench test; then
   echo "TIMING-TRIAL GATE FAILED: a retired timing-trial mode is back (see above)" >&2
   exit 1
 fi
+
+echo "== trial-set gate (Sta.trial owns the replaced set)"
+# The session diffs each requested gate set against its own and
+# re-propagates the delta (Sta.trial_set); the staging overlay and the
+# caller-kept kind view it replaced must not come back.
+if grep -rnE 'Overlay|trial_advance' lib bin bench test examples; then
+  echo "TRIAL-SET GATE FAILED: a second owner of the trial's replaced set is back (see above)" >&2
+  exit 1
+fi
+
+echo "== forced-collection gate (no protect forces a minor collection)"
+# With a minor heap (8M words) that one protect of s1488 cannot fill,
+# any minor collection is forced: an array built from a young initial
+# value (caml_make_vect).  v=0x400 prints the GC counters at exit.
+sttc gen -b s1488 -o "$tmpdir/gc.bench" > /dev/null
+for alg in independent dependent parametric; do
+  got=$(OCAMLRUNPARAM=s=8M,v=0x400 "$STTC_BIN" protect -i "$tmpdir/gc.bench" \
+          -a "$alg" 2>&1 > /dev/null | grep '^minor_collections:')
+  if [ "$got" != "minor_collections: 0" ]; then
+    echo "FORCED-COLLECTION GATE FAILED: protect -a $alg on s1488 printed '$got'" >&2
+    exit 1
+  fi
+done
 
 echo "== serve sta-cache gate (repeated protect of one netlist must hit the baseline memo)"
 # Two protect requests for the same circuit under different seeds: the

@@ -2,17 +2,15 @@ module Netlist = Sttc_netlist.Netlist
 module Truth = Sttc_logic.Truth
 module Gate_fn = Sttc_logic.Gate_fn
 
-type params = {
-  pi_probability : float;
-  max_iterations : int;
-  tolerance : float;
-}
-
-let defaults = { pi_probability = 0.5; max_iterations = 40; tolerance = 1e-4 }
+(* Primary inputs are 1 with probability [pi_probability]; the sequential
+   fixpoint stops once no flip-flop probability moves by more than
+   [tolerance], or after [max_iterations] sweeps. *)
+let pi_probability = 0.5
+let max_iterations = 40
+let tolerance = 1e-4
 
 type t = {
   netlist : Netlist.t;
-  params : params;
   prob : float array;
 }
 
@@ -26,7 +24,7 @@ let table = function
   | Netlist.Dff ->
       None
 
-let initial ~pi_probability = function
+let initial = function
   | Netlist.Pi -> pi_probability
   | Netlist.Const v -> if v then 1. else 0.
   | Netlist.Gate _ | Netlist.Lut _ | Netlist.Dff -> 0.5
@@ -117,15 +115,11 @@ let propagate prob fanin a b bits mask d =
      else if Float.is_nan total then total
      else 0.)
 
-let analyze ?(pi_probability = defaults.pi_probability)
-    ?(max_iterations = defaults.max_iterations)
-    ?(tolerance = defaults.tolerance) nl =
-  if not (0. <= pi_probability && pi_probability <= 1.) then
-    invalid_arg "Activity.analyze: pi_probability";
+let analyze nl =
   let { Netlist.dst; first; fanin; dffs; d_inputs; _ } = Netlist.program nl in
   let prob =
     Array.init (Netlist.node_count nl) (fun id ->
-        initial ~pi_probability (Netlist.kind nl id))
+        initial (Netlist.kind nl id))
   in
   (* filled from [None], not built by [Array.map]: a young [Some] as the
      initial value of a long array forces a minor collection *)
@@ -154,11 +148,7 @@ let analyze ?(pi_probability = defaults.pi_probability)
     if !delta > tolerance && k < max_iterations then iterate (k + 1)
   in
   if Array.length dffs = 0 then propagate_comb () else iterate 1;
-  {
-    netlist = nl;
-    params = { pi_probability; max_iterations; tolerance };
-    prob;
-  }
+  { netlist = nl; prob }
 
 (* True when two kinds denote the same probability transfer function, so
    swapping one for the other cannot change any computed probability.
@@ -187,13 +177,12 @@ let refine t nl =
   let module Metrics = Sttc_obs.Metrics in
   match Netlist.kind_delta t.netlist nl with
   | Some delta
-    when t.params = defaults
-         && List.for_all
-              (fun id ->
-                same_transfer (Netlist.kind t.netlist id) (Netlist.kind nl id))
-              delta ->
+    when List.for_all
+           (fun id ->
+             same_transfer (Netlist.kind t.netlist id) (Netlist.kind nl id))
+           delta ->
       Metrics.incr "activity.refine.cone";
-      { t with netlist = nl; prob = Array.copy t.prob }
+      { netlist = nl; prob = Array.copy t.prob }
   | Some _ | None ->
       Metrics.incr "activity.refine.full";
       analyze nl

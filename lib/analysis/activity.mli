@@ -1,6 +1,7 @@
 (** Signal probability and switching-activity estimation.
 
-    Signal probabilities propagate from the primary inputs (default 0.5)
+    Signal probabilities propagate from the primary inputs (each 1 with
+    probability 0.5)
     through exact per-gate truth-table evaluation under an input-
     independence assumption; sequential feedback is resolved by fixpoint
     iteration over the flip-flop state probabilities.  Switching activity
@@ -14,24 +15,19 @@
 
 type t
 
-val analyze :
-  ?pi_probability:float ->
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  Sttc_netlist.Netlist.t ->
-  t
-(** Defaults: PI one-probability 0.5, 40 iterations, tolerance 1e-4.
-    Unconfigured LUTs take probability 0.5. *)
+val analyze : Sttc_netlist.Netlist.t -> t
+(** PI one-probability 0.5; the sequential fixpoint runs at most 40
+    sweeps, to a tolerance of 1e-4.  Unconfigured LUTs take probability
+    0.5. *)
 
 val refine : t -> Sttc_netlist.Netlist.t -> t
-(** [refine t nl] is [analyze nl] (default parameters), reusing [t]'s
+(** [refine t nl] is [analyze nl], reusing [t]'s
     solution when that is provably exact: when [nl] is id-compatible with
     [t]'s netlist ({!Sttc_netlist.Netlist.kind_delta}) and every changed
     node keeps the same probability transfer function (e.g. gate→LUT
     replacements that keep the function), the base solution is returned
     as-is (counter [activity.refine.cone]).  Any other case runs the full
-    fixpoint (counter [activity.refine.full]), as does a base computed
-    with non-default parameters. *)
+    fixpoint (counter [activity.refine.full]). *)
 
 val switching : t -> Sttc_netlist.Netlist.node_id -> float
 (** Per-cycle output switching activity in [0, 0.5]: [2 p (1 - p)] for

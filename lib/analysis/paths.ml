@@ -141,7 +141,7 @@ module Path_table = Hashtbl.Make (struct
   let hash = List.fold_left (fun h id -> (h * 31) + id) (-1)
 end)
 
-let sample ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?(exclude_critical = []) nl =
+let sample ~rng ?(fraction = 0.02) ?(exclude_critical = []) nl =
   if not (0. < fraction && fraction <= 1.) then
     invalid_arg "Paths.sample: fraction";
   (* the gates, then the LUTs, each in id order *)
@@ -188,13 +188,13 @@ let sample ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?(exclude_critical = []) nl =
             end)
       picked;
     let all = !paths in
-    (* Keep paths with >= min_ffs flip-flops, relaxing when none qualify
-       (small or shallow circuits). *)
+    (* Keep paths with >= 2 flip-flops, relaxing when none qualify (small
+       or shallow circuits). *)
     let rec select need =
       let kept = List.filter (fun p -> p.ff_count >= need) all in
       if kept <> [] || need = 0 then kept else select (need - 1)
     in
-    let kept = select min_ffs in
+    let kept = select 2 in
     (* Drop paths touching the critical path.  Preferred: exclude any path
        sharing a node with it (keeps selection on slack-rich logic).  If
        that empties the pool (tiny circuits where everything overlaps),

@@ -29,17 +29,15 @@ type segment = {
 val sample :
   rng:Sttc_util.Rng.t ->
   ?fraction:float ->
-  ?min_ffs:int ->
   ?exclude_critical:Sttc_netlist.Netlist.node_id list ->
   Sttc_netlist.Netlist.t ->
   io_path list
 (** [sample ~rng nl] follows the paper: samples [fraction] (default 0.02,
     but at least 8) of the combinational components, finds an I/O path
-    through each, keeps paths with at least [min_ffs] (default 2)
-    flip-flops — relaxing the requirement stepwise when the circuit has no
-    such path — removes duplicates and any path containing all of
-    [exclude_critical], and returns the rest sorted by descending
-    [ff_count] (longest first). *)
+    through each, keeps paths with at least two flip-flops — relaxing the
+    requirement stepwise when the circuit has no such path — removes
+    duplicates and any path containing all of [exclude_critical], and
+    returns the rest sorted by descending [ff_count] (longest first). *)
 
 val segments : Sttc_netlist.Netlist.t -> io_path -> segment list
 (** Cut an I/O path at its flip-flops. *)

@@ -39,7 +39,10 @@ let candidate_matches ~vectors ~rng oracle hybrid bitstream =
   done;
   !ok
 
-let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f)
+(* random oracle queries a candidate must survive before the SAT check *)
+let check_vectors = 512
+
+let run ?(max_bits = 18) ?(seed = 0xb0f)
     ?(candidates = []) hybrid =
   if max_bits < 0 || max_bits > 62 then
     invalid_arg "Brute_force.run: max_bits outside [0, 62]";

@@ -22,7 +22,6 @@ type outcome =
 
 val run :
   ?max_bits:int ->
-  ?check_vectors:int ->
   ?seed:int ->
   ?candidates:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list ->
   Sttc_core.Hybrid.t ->
@@ -30,8 +29,8 @@ val run :
 (** [candidates] are the SAT attacks' per-LUT lists; an unlisted LUT is
     free.  [max_bits] (default 18) caps the search at exactly
     [2^max_bits] candidates, past which it returns {!Infeasible} with a
-    measured projection.  A survivor of [check_vectors] (default 512)
-    random oracle queries is confirmed by SAT equivalence (the search
+    measured projection.  A survivor of 512 random oracle
+    queries is confirmed by SAT equivalence (the search
     continues past false positives).
     @raise Invalid_argument if [max_bits] is outside [[0, 62]] or no
     candidate is the key. *)

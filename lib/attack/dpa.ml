@@ -12,7 +12,7 @@ type result = {
   dom_relative : float;
 }
 
-let measure ?(cycles = 32) ?(batches = 16) ?(seed = 0xd9a) lib nl ~target =
+let measure ?(cycles = 32) ?(batches = 16) lib nl ~target =
   if cycles < 1 || batches < 1 then invalid_arg "Dpa.measure: sizes";
   let target_id =
     match Netlist.find nl target with
@@ -20,7 +20,7 @@ let measure ?(cycles = 32) ?(batches = 16) ?(seed = 0xd9a) lib nl ~target =
     | None -> invalid_arg ("Dpa.measure: unknown target signal " ^ target)
   in
   let sim = Simulator.create nl in
-  let rng = Rng.make seed in
+  let rng = Rng.make 0xd9a in
   let pis = Array.of_list (Netlist.pis nl) in
   let n = Netlist.node_count nl in
   (* per-node energy coefficients *)
@@ -95,8 +95,8 @@ let measure ?(cycles = 32) ?(batches = 16) ?(seed = 0xd9a) lib nl ~target =
     dom_relative = (if mean = 0. then 0. else !dom /. mean);
   }
 
-let leakage_reduction ?cycles ?batches ?seed lib ~original ~hybrid ~target =
-  let r_orig = measure ?cycles ?batches ?seed lib original ~target in
-  let r_hyb = measure ?cycles ?batches ?seed lib hybrid ~target in
+let leakage_reduction ?cycles ?batches lib ~original ~hybrid ~target =
+  let r_orig = measure ?cycles ?batches lib original ~target in
+  let r_hyb = measure ?cycles ?batches lib hybrid ~target in
   if r_hyb.dom_relative = 0. then infinity
   else r_orig.dom_relative /. r_hyb.dom_relative

@@ -26,7 +26,6 @@ type result = {
 val measure :
   ?cycles:int ->
   ?batches:int ->
-  ?seed:int ->
   Sttc_tech.Library.t ->
   Sttc_netlist.Netlist.t ->
   target:string ->
@@ -40,7 +39,6 @@ val measure :
 val leakage_reduction :
   ?cycles:int ->
   ?batches:int ->
-  ?seed:int ->
   Sttc_tech.Library.t ->
   original:Sttc_netlist.Netlist.t ->
   hybrid:Sttc_netlist.Netlist.t ->

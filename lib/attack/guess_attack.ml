@@ -13,7 +13,10 @@ type result = {
   bitstream : (Netlist.node_id * Truth.t) list;
 }
 
-let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
+(* random input patterns the hypotheses are scored on *)
+let probes = 1024
+
+let run ?(rounds = 12) ?(seed = 0x9e55) hybrid =
   let t0 = Sttc_util.Timing.now_s () in
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in

@@ -22,7 +22,6 @@ type result = {
 
 val run :
   ?rounds:int ->
-  ?probes:int ->
   ?seed:int ->
   Sttc_core.Hybrid.t ->
   result

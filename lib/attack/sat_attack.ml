@@ -102,31 +102,6 @@ let canonical_key
         keys;
       Some !model
 
-(* One-hot candidate restriction: the keyed LUT must implement one of the
-   listed truth tables. *)
-let restrict_keys cnf keys candidates =
-  List.iter
-    (fun (id, key) ->
-      match List.assoc_opt id candidates with
-      | None -> ()
-      | Some tables ->
-          if tables = [] then invalid_arg "Sat_attack: empty candidate list";
-          let selectors =
-            List.map
-              (fun table ->
-                let s = Cnf.fresh_var cnf in
-                Array.iteri
-                  (fun r l ->
-                    (* s -> key.(r) = table row r *)
-                    Cnf.add_clause cnf
-                      [ -s; (if Sttc_logic.Truth.row table r then l else -l) ])
-                  key;
-                s)
-              tables
-          in
-          Cnf.add_clause cnf selectors)
-    keys
-
 (* What an attack has done so far, readable when its budget cuts it
    short. *)
 type progress = {
@@ -193,8 +168,8 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
     Encode.encode ~cnf:c1.Encode.cnf ~share_inputs:c1.Encode.inputs foundry
   in
   let cnf = c1.Encode.cnf in
-  restrict_keys cnf c1.Encode.keys candidates;
-  restrict_keys cnf c2.Encode.keys candidates;
+  Encode.restrict_keys cnf c1.Encode.keys candidates;
+  Encode.restrict_keys cnf c2.Encode.keys candidates;
   (* Miter: some output differs — but only under the activation literal,
      so the DIP search (assumption [act]) and the final key extraction
      (assumption [-act]) run on the same solver and the same clauses. *)
@@ -251,9 +226,8 @@ let verify_break hybrid bitstream =
   | Sttc_sim.Equiv.Equivalent -> true
   | _ -> false
 
-let run_sequential ?(frames = 5) ?(max_iterations = 500)
-    ?(max_conflicts_per_call = 200_000) ?(timeout_s = 60.) ?(candidates = [])
-    ?(mode = Incremental) ?solver hybrid =
+let run_sequential ?(frames = 5) ?(max_conflicts_per_call = 200_000)
+    ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) ?solver hybrid =
   budgeted ~timeout_s @@ fun p ->
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
@@ -263,8 +237,8 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
     Encode.encode_unrolled ~cnf ~share_frame_pis:c1.Encode.frame_pis ~frames
       foundry
   in
-  restrict_keys cnf c1.Encode.u_keys candidates;
-  restrict_keys cnf c2.Encode.u_keys candidates;
+  Encode.restrict_keys cnf c1.Encode.u_keys candidates;
+  Encode.restrict_keys cnf c2.Encode.u_keys candidates;
   (* miter: some primary output differs in some frame, under [act] *)
   let diffs =
     List.concat
@@ -297,7 +271,7 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
       pi_seq
   in
   let pi_count = List.length c1.Encode.frame_pis.(0) in
-  dip_loop p ~solve ~act ~max_iterations ~max_conflicts_per_call
+  dip_loop p ~solve ~act ~max_iterations:500 ~max_conflicts_per_call
     ~learn:(fun model ->
       (* distinguishing sequence from the model *)
       let pi_seq =

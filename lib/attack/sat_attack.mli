@@ -82,7 +82,6 @@ val verify_break :
 
 val run_sequential :
   ?frames:int ->
-  ?max_iterations:int ->
   ?max_conflicts_per_call:int ->
   ?timeout_s:float ->
   ?candidates:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list ->
@@ -93,8 +92,9 @@ val run_sequential :
 (** The scan-disabled variant — the access model the paper assumes for
     deployed parts.  The attacker can only reset the chip, feed [frames]
     (default 5) input vectors, and watch the primary outputs; state is
-    neither controllable nor observable.  Distinguishing {e sequences} are
-    found on a time-unrolled double-key miter.  Keys that agree on all
+    neither controllable nor observable.  At most 500 sequences are
+    learned; the other defaults are {!run}'s.  Distinguishing
+    {e sequences} are found on a time-unrolled double-key miter.  Keys that agree on all
     length-[frames] sequences may still differ on longer ones, so a
     recovered bitstream is verified and reported [Exhausted] with reason
     ["sequence-length limit"] when it is wrong — quantifying how much

@@ -23,8 +23,11 @@ type result = {
   seconds : float;
 }
 
-let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
-    ?(seed = 0xa77ac) hybrid =
+(* SAT proposals the targeted pass makes per unresolved row *)
+let target_attempts = 4
+
+let run ?(budget_patterns = 20_000) ?(targeted = false) ?(seed = 0xa77ac)
+    hybrid =
   let t0 = Sttc_util.Timing.now_s () in
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in

@@ -41,7 +41,6 @@ type result = {
 val run :
   ?budget_patterns:int ->
   ?targeted:bool ->
-  ?target_attempts:int ->
   ?seed:int ->
   Sttc_core.Hybrid.t ->
   result
@@ -53,7 +52,7 @@ val run :
     to an observation point under {e some} assignment of the other
     missing gates; ternary simulation then certifies the pattern works for
     {e every} assignment before the oracle is spent on it
-    ([target_attempts] proposals per row, default 4).  Against independent
-    selection this pass typically completes the truth tables — the attack
+    (at most 4 proposals per row).  Against independent selection this
+    pass typically completes the truth tables — the attack
     Eq. (1) prices; against dependent selection certification keeps
     failing, which is Eq. (2)'s whole point. *)

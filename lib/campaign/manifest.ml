@@ -108,7 +108,8 @@ let config_to_json c =
      | None -> [])
     @ if c.harden then [ ("harden", Json.Bool true) ] else [])
 
-let config_of_json ?(default_label = "default") j =
+(* [default_label] names a config without a "label" *)
+let labelled_config_of_json ~default_label j =
   match j with
   | Json.Obj _ ->
       let label =
@@ -125,6 +126,8 @@ let config_of_json ?(default_label = "default") j =
       in
       Ok { label; fraction; harden }
   | _ -> Error "config must be an object"
+
+let config_of_json j = labelled_config_of_json ~default_label:"default" j
 
 let seeds_of_json = function
   | Json.List items ->
@@ -202,7 +205,9 @@ let of_json j =
         | Json.List items ->
             map_result
               (fun i c ->
-                config_of_json ~default_label:("config-" ^ string_of_int i) c)
+                labelled_config_of_json
+                  ~default_label:("config-" ^ string_of_int i)
+                  c)
               items
         | _ -> Error "manifest: \"configs\" must be a list"
       in

@@ -44,11 +44,11 @@ val default_config : config
 (** [{ label = "default"; fraction = None; harden = false }] *)
 
 val config_to_json : config -> Sttc_obs.Json.t
-val config_of_json : ?default_label:string -> Sttc_obs.Json.t -> (config, string) result
+val config_of_json : Sttc_obs.Json.t -> (config, string) result
 (** The per-run protect-config codec, shared with serve requests:
-    [{"label"?, "fraction"?, "harden"?}].  A missing [label] takes
-    [default_label] (default ["default"]; the manifest parser passes the
-    positional ["config-<i>"]). *)
+    [{"label"?, "fraction"?, "harden"?}].  A missing [label] is
+    ["default"] (a manifest's configs list names it by position,
+    ["config-<i>"], instead). *)
 
 type t = {
   name : string;

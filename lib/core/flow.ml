@@ -74,14 +74,12 @@ type hardening = {
 
 let no_hardening = { extra_inputs_per_lut = 0; absorb_drivers = false }
 
-(* The default backend prices with the caller's library as given (it may
-   deliberately carry the SRAM style for the Section II comparison); any
-   other backend forces its own cell technology. *)
-let eval_library ?(library = Sttc_tech.Library.cmos90) backend =
-  if backend == Backend.stt then library else Backend.eval_library backend library
+(* The technology library selection times and lints the hybrid under. *)
+let library = Sttc_tech.Library.cmos90
 
-let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
-    ?(fraction = 0.02) ?(hardening = no_hardening) ?(semantic = false)
+let eval_library backend = Backend.eval_library backend library
+
+let protect ?(seed = 1) ?(fraction = 0.02) ?(hardening = no_hardening)
     ?(backend = Backend.stt) ?baseline algorithm netlist =
   Sttc_obs.Span.with_ "flow.protect" ~cat:"core"
     ~attrs:
@@ -195,41 +193,13 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
       invalid_arg
         ("Flow.run: hybrid fails structural lint: "
         ^ Sttc_lint.Diagnostic.to_text d));
-  (* Opt-in semantic gate: the Eq. 1 prover and its companions on the
-     foundry view, with the true bitstream enabling the closure.  An
-     error here means the protection is statically defeatable (all
-     missing gates independently testable, or a keyspace collapse). *)
-  let lint =
-    if not semantic then lint
-    else begin
-      let sem =
-        Sttc_lint.Semantic_rules.run
-          (Sttc_lint.Semantic_rules.view
-             ~luts:(Hybrid.lut_ids hybrid)
-             ~configs:(Hybrid.bitstream hybrid)
-             (Hybrid.foundry_view hybrid))
-      in
-      (match
-         List.filter
-           (fun d ->
-             d.Sttc_lint.Diagnostic.severity = Sttc_lint.Diagnostic.Error)
-           sem
-       with
-      | [] -> ()
-      | d :: _ ->
-          invalid_arg
-            ("Flow.run: hybrid fails semantic lint: "
-            ^ Sttc_lint.Diagnostic.to_text d));
-      lint @ sem
-    end
-  in
   let security =
     Security.evaluate
       ~constants:{ Security.alpha = backend.Backend.alpha; p = backend.Backend.p }
       (Hybrid.foundry_view hybrid) ~luts:(Hybrid.lut_ids hybrid)
   in
   let overhead =
-    let eval_library = eval_library ~library backend in
+    let eval_library = eval_library backend in
     let baseline =
       match supplied eval_library with
       | Some bl ->
@@ -282,16 +252,16 @@ let degradation_chain = function
   | Dependent -> [ Dependent; Independent { count = 5 } ]
   | Independent _ as i -> [ i ]
 
-let protect_resilient ?(seed = 1) ?library ?fraction ?hardening ?semantic
-    ?backend ?baseline ?(max_reseeds = 2) algorithm netlist =
+let protect_resilient ?(seed = 1) ?fraction ?hardening ?backend ?baseline
+    ?(max_reseeds = 2) algorithm netlist =
   let rejections = ref [] in
   let reject attempted attempt_seed reason =
     rejections := { attempted; attempt_seed; reason } :: !rejections
   in
   let try_once alg attempt_seed =
     match
-      protect ~seed:attempt_seed ?library ?fraction ?hardening ?semantic
-        ?backend ?baseline alg netlist
+      protect ~seed:attempt_seed ?fraction ?hardening ?backend ?baseline alg
+        netlist
     with
     | r -> (
         match meets_timing alg r with
@@ -340,8 +310,7 @@ type resilience = { max_reseeds : int }
 
 type policy = Strict | Resilient of resilience
 
-let run ?seed ?library ?fraction ?hardening ?semantic ?backend ?baseline
-    ~policy algorithm netlist =
+let run ?seed ?fraction ?hardening ?backend ?baseline ~policy algorithm netlist =
   Sttc_obs.Span.with_ "flow.run" ~cat:"core"
     ~attrs:
       [
@@ -353,15 +322,14 @@ let run ?seed ?library ?fraction ?hardening ?semantic ?backend ?baseline
   match policy with
   | Strict ->
       let accepted =
-        protect ?seed ?library ?fraction ?hardening ?semantic ?backend
-          ?baseline algorithm netlist
+        protect ?seed ?fraction ?hardening ?backend ?baseline algorithm netlist
       in
       { accepted; requested = algorithm; rejections = []; degraded = false }
   | Resilient { max_reseeds } ->
-      protect_resilient ?seed ?library ?fraction ?hardening ?semantic ?backend
-        ?baseline ~max_reseeds algorithm netlist
+      protect_resilient ?seed ?fraction ?hardening ?backend ?baseline
+        ~max_reseeds algorithm netlist
 
-let lint_view ?(library = Sttc_tech.Library.cmos90) r =
+let lint_view r =
   let algorithm =
     match r.algorithm with
     | Independent _ -> Sttc_lint.Security_rules.Independent
@@ -387,11 +355,10 @@ let lint_view ?(library = Sttc_tech.Library.cmos90) r =
     ~foundry:(Hybrid.foundry_view r.hybrid)
     ~luts:(Hybrid.lut_ids r.hybrid) ()
 
-let lint_security ?library ?only r =
-  Sttc_lint.Security_rules.run ?only (lint_view ?library r)
+let lint_security r = Sttc_lint.Security_rules.run (lint_view r)
 
-let sign_off ?method_ result =
-  match Hybrid.verify ?method_ result.hybrid with
+let sign_off result =
+  match Hybrid.verify result.hybrid with
   | Sttc_sim.Equiv.Equivalent -> true
   | Sttc_sim.Equiv.Different _ | Sttc_sim.Equiv.Inconclusive _ -> false
 

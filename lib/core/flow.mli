@@ -95,10 +95,8 @@ type resilient = {
 
 val run :
   ?seed:int ->
-  ?library:Sttc_tech.Library.t ->
   ?fraction:float ->
   ?hardening:hardening ->
-  ?semantic:bool ->
   ?backend:Sttc_backend.Backend.t ->
   ?baseline:Ppa.baseline ->
   policy:policy ->
@@ -107,6 +105,8 @@ val run :
   resilient
 (** Run the full selection-and-replacement stage and the evaluation
     around it.  Deterministic for a fixed seed at either policy.
+    Selection times the netlist, and the structural lint checks the
+    hybrid, under {!Sttc_tech.Library.cmos90}.
 
     [backend] (default {!Sttc_backend.Backend.stt}) picks the protection
     technology.  Selection and hybrid construction are backend
@@ -120,19 +120,16 @@ val run :
     from [Runner.rows]' build task or the serve session cache), computed
     once per netlist instead of once per run.  It is used only where it
     {!Ppa.matches} — this exact netlist value and an equal library: its
-    timing analysis for selection under [library], the whole baseline
-    for the evaluation under the backend's pricing library (counter
-    [flow.baseline_reused]).  So it can never change results, only skip
-    the base [Sta.analyze] and [Activity.analyze].
+    timing analysis for selection under the 90 nm library, the whole
+    baseline for the evaluation under the backend's pricing library
+    (counter [flow.baseline_reused]).  So it can never change results,
+    only skip the base [Sta.analyze] and [Activity.analyze].
 
-    [semantic] (default [false]) additionally gates every attempt on the
-    {!Sttc_lint.Semantic_rules} pack run against the foundry view with
-    the true bitstream: an error-severity finding — the Eq. 1 prover
-    showing every missing gate independently testable, or a keyspace
-    collapse — fails the attempt exactly like a structural error.  Under
-    [Strict] that raises; under [Resilient] it lands in the rejection
-    list and the flow reseeds or degrades.  The semantic diagnostics
-    (warnings included) are appended to the result's [lint] field.
+    The run gates every attempt on the structural pack only.  The
+    {!Sttc_lint.Semantic_rules} pack (the Eq. 1 prover on the foundry
+    view with the true bitstream) runs in [sttc lint --semantic], through
+    [Sttc_serve.Handler.lint_diagnostics], which reports its findings
+    instead of failing the protect.
 
     [Strict]: a single attempt at [seed]; any failure raises
     [Invalid_argument].
@@ -144,24 +141,19 @@ val run :
     every step failed (e.g. a netlist with no replaceable gates), with
     the full rejection list in the message. *)
 
-val eval_library :
-  ?library:Sttc_tech.Library.t -> Sttc_backend.Backend.t -> Sttc_tech.Library.t
-(** The library {!run} prices the PPA overheads under: [library] (default
-    {!Sttc_tech.Library.cmos90}) as given for the default backend, the
-    backend's own cell technology otherwise.  A shared [?baseline] is
-    computed under it. *)
+val eval_library : Sttc_backend.Backend.t -> Sttc_tech.Library.t
+(** The library {!run} prices the PPA overheads under:
+    {!Sttc_tech.Library.cmos90} with the backend's own cell technology.
+    A shared [?baseline] is computed under it. *)
 
-val lint_security :
-  ?library:Sttc_tech.Library.t ->
-  ?only:string list ->
-  result ->
-  Sttc_lint.Diagnostic.t list
+val lint_security : result -> Sttc_lint.Diagnostic.t list
 (** Run the {!Sttc_lint.Security_rules} pack on the result's security
     view: foundry netlist, LUT ids, algorithm tag, parametric metadata,
     original netlist and clock budget (the parametric [clock_factor],
     1.08 otherwise). *)
 
-val sign_off : ?method_:[ `Random of int | `Sat ] -> result -> bool
-(** Programmed hybrid equivalent to the original? *)
+val sign_off : result -> bool
+(** Programmed hybrid equivalent to the original, by SAT equivalence
+    ({!Hybrid.verify})? *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -216,8 +216,7 @@ let structural_check nl entries =
           if unconfigured = [] then None
           else Some (Unconfigured (List.rev unconfigured)))
 
-let program ?(resilience = no_resilience) ?(backend = Backend.stt) ~channel nl
-    entries =
+let program ?(resilience = no_resilience) ~channel nl entries =
   Sttc_obs.Span.with_ "provision.program" ~cat:"core"
     ~attrs:[ ("luts", string_of_int (List.length entries)) ]
   @@ fun () ->
@@ -236,13 +235,13 @@ let program ?(resilience = no_resilience) ?(backend = Backend.stt) ~channel nl
   let cost cells =
     {
       mtj_cells = cells;
-      cell_noun = backend.Backend.cell_noun;
+      cell_noun = Backend.stt.Backend.cell_noun;
       write_energy_nj =
         (Mtj.energy_units channel -. energy0)
-        *. backend.Backend.write_energy_fj /. 1e6;
+        *. Backend.stt.Backend.write_energy_fj /. 1e6;
       write_time_us =
         float_of_int (Mtj.attempts channel - attempts0)
-        *. backend.Backend.write_time_ns /. 1e3;
+        *. Backend.stt.Backend.write_time_ns /. 1e3;
       verify_cycles = Mtj.verify_reads channel - verify0;
     }
   in

@@ -121,15 +121,12 @@ type program_report = {
 
 val program :
   ?resilience:resilience ->
-  ?backend:Sttc_backend.Backend.t ->
   channel:Sttc_fault.Mtj.channel ->
   Sttc_netlist.Netlist.t ->
   entry list ->
   program_report
 (** Program a foundry view through a stochastic write channel
-    (default resilience: {!no_resilience}; default backend: [stt], which
-    prices the cost report with the MTJ write constants — TVD parts go
-    through the same program-verify-retry channel model with their own
-    per-cell trim energy/time).  Never raises on device faults or
-    bitstream/netlist mismatches — every anomaly is classified in
-    [outcome]. *)
+    (default resilience: {!no_resilience}), pricing the cost report with
+    the MTJ write constants of {!Sttc_backend.Backend.stt}.  Never raises
+    on device faults or bitstream/netlist mismatches — every anomaly is
+    classified in [outcome]. *)

@@ -103,8 +103,7 @@ let evaluate ?(constants = paper_constants) nl ~luts =
     dependent_pairs;
   }
 
-let years_to_break ?(rate_hz = 1e9) clocks =
-  Lognum.clocks_to_years ~rate_hz clocks
+let years_to_break clocks = Lognum.clocks_to_years ~rate_hz:1e9 clocks
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -41,8 +41,8 @@ val evaluate :
     LUT [i] and a primary output (a value must survive at least one
     capture to be observed). *)
 
-val years_to_break : ?rate_hz:float -> Sttc_util.Lognum.t -> Sttc_util.Lognum.t
-(** Test clocks to years at [rate_hz] (default 1e9, the paper's "one
+val years_to_break : Sttc_util.Lognum.t -> Sttc_util.Lognum.t
+(** Test clocks to years at 1e9 clocks per second (the paper's "one
     billion pattern application per second"). *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -9,7 +9,7 @@ type context = {
   trial : Sta.trial Lazy.t;
 }
 
-let prepare ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?sta library netlist =
+let prepare ~rng ?(fraction = 0.02) ?sta library netlist =
   let sta =
     match sta with
     | Some s when Sta.netlist s == netlist -> s
@@ -17,7 +17,7 @@ let prepare ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?sta library netlist =
   in
   let critical = Sta.critical_path sta in
   let paths =
-    Paths.sample ~rng ~fraction ~min_ffs ~exclude_critical:critical netlist
+    Paths.sample ~rng ~fraction ~exclude_critical:critical netlist
   in
   {
     netlist;

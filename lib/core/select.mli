@@ -19,7 +19,6 @@ type context = {
 val prepare :
   rng:Sttc_util.Rng.t ->
   ?fraction:float ->
-  ?min_ffs:int ->
   ?sta:Sttc_analysis.Sta.t ->
   Sttc_tech.Library.t ->
   Sttc_netlist.Netlist.t ->

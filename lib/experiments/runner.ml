@@ -206,9 +206,9 @@ let rows (cfg : Config.t) =
 
 (* ---------- shard-scoped entry points (campaign engine) ---------- *)
 
-let build_circuit ?seed name =
+let build_circuit name =
   match Profiles.find name with
-  | Some info -> Profiles.build ?seed info
+  | Some info -> Profiles.build info
   | None -> (
       match List.assoc_opt name Sttc_netlist.Iscas_data.all with
       | Some build -> build ()
@@ -228,8 +228,7 @@ let table1 rows = Report.table1 rows
 let table2 rows = Report.table2 rows
 let fig3 rows = Report.fig3 rows
 
-let attack_campaign ?(seed = master_seed) ?(sat_timeout_s = 15.) ?(jobs = 1)
-    ?(backend = Backend.stt) () =
+let attack_campaign ?(seed = master_seed) () =
   let spec =
     {
       Sttc_netlist.Generator.design_name = "atk80";
@@ -244,30 +243,22 @@ let attack_campaign ?(seed = master_seed) ?(sat_timeout_s = 15.) ?(jobs = 1)
   (* force the lazy caches before the campaigns share [nl] and its
      baseline across domains *)
   Sttc_netlist.Netlist.warm nl;
-  let baseline = baseline_of ~backend nl in
+  let baseline = baseline_of nl in
   let campaign alg =
     Sttc_obs.Span.with_ "runner.campaign" ~cat:"experiments"
       ~attrs:[ ("algorithm", Flow.algorithm_name alg) ]
     @@ fun () ->
-    let r = strict ~seed ~backend ~baseline alg nl in
+    let r = strict ~seed ~baseline alg nl in
     let config =
       Sttc_attack.Harness.Config.(
-        default |> with_sat_timeout_s sat_timeout_s |> with_tt_budget 3000
+        default |> with_sat_timeout_s 15. |> with_tt_budget 3000
         |> with_guess_rounds 6)
     in
-    Sttc_attack.Harness.attack ~backend ~config
+    Sttc_attack.Harness.attack ~config
       ~circuit:spec.Sttc_netlist.Generator.design_name
       ~algorithm:(Flow.algorithm_name alg) r.Flow.hybrid
   in
-  let campaigns =
-    if jobs <= 1 then List.map campaign Flow.default_algorithms
-    else
-      (* one campaign per algorithm; each harness runs serially inside
-         its task *)
-      Pool.with_pool ~jobs (fun pool ->
-          Pool.map_exn pool campaign Flow.default_algorithms)
-  in
-  Sttc_attack.Harness.to_table campaigns
+  Sttc_attack.Harness.to_table (List.map campaign Flow.default_algorithms)
 
 let sidechannel ?(seed = master_seed) () =
   let lib = Sttc_tech.Library.cmos90 in
@@ -557,13 +548,14 @@ let outcome_label = function
       "FAILED (" ^ Provision.failure_to_string cause ^ ")"
 
 let fault_sweep ?(seed = master_seed) ?(bench = "s641")
-    ?(algorithm = Flow.Dependent) ?(rates = [ 1e-4; 1e-3; 1e-2; 5e-2 ])
+    ?(rates = [ 1e-4; 1e-3; 1e-2; 5e-2 ])
     ?(stuck_rate = 0.) ?(dies = 12)
     ?(resilience = Provision.default_resilience) ?(jobs = 1) () =
   Sttc_obs.Span.with_ "runner.fault_sweep" ~cat:"experiments"
     ~attrs:[ ("bench", bench) ]
   @@ fun () ->
   let nl = Profiles.build_by_name bench in
+  let algorithm = Flow.Dependent in
   let r = strict ~seed algorithm nl in
   let hybrid = r.Flow.hybrid in
   let foundry = Sttc_core.Hybrid.foundry_view hybrid in
@@ -697,7 +689,7 @@ let fault_sweep ?(seed = master_seed) ?(bench = "s641")
   Buffer.add_string buf (Sttc_util.Table.render t2);
   Buffer.contents buf
 
-let sweep ?(seed = master_seed) nl ~counts =
+let sweep nl ~counts =
   let baseline = baseline_of nl in
   let t =
     Sttc_util.Table.create
@@ -714,7 +706,9 @@ let sweep ?(seed = master_seed) nl ~counts =
   in
   List.iter
     (fun count ->
-      let r = strict ~seed ~baseline (Flow.Independent { count }) nl in
+      let r =
+        strict ~seed:master_seed ~baseline (Flow.Independent { count }) nl
+      in
       let o = r.Flow.overhead and s = r.Flow.security in
       Sttc_util.Table.add_row t
         [

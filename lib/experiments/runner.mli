@@ -82,13 +82,12 @@ val rows : Config.t -> Sttc_core.Report.benchmark_row list
     single [benchmark x algorithm x seed] units inside supervised worker
     processes; these two functions are that unit of work. *)
 
-val build_circuit : ?seed:int -> string -> Sttc_netlist.Netlist.t
+val build_circuit : string -> Sttc_netlist.Netlist.t
 (** Resolve a benchmark name to its netlist: the ISCAS'89 structural
-    twins ({!Sttc_netlist.Iscas_profiles}) first, then the embedded
+    twins ({!Sttc_netlist.Iscas_profiles}, each at its own name-derived
+    seed, so every caller sees the same circuit) first, then the embedded
     genuine benchmarks ({!Sttc_netlist.Iscas_data}: s27, c17).  Raises
-    [Invalid_argument] on unknown names.  Without [seed] the profile's
-    own name-derived seed is used, so every caller sees the same
-    circuit. *)
+    [Invalid_argument] on unknown names. *)
 
 val run_unit :
   ?timeout_s:float ->
@@ -112,25 +111,15 @@ val table1 : Sttc_core.Report.benchmark_row list -> string
 val table2 : Sttc_core.Report.benchmark_row list -> string
 val fig3 : Sttc_core.Report.benchmark_row list -> string
 
-val attack_campaign :
-  ?seed:int ->
-  ?sat_timeout_s:float ->
-  ?jobs:int ->
-  ?backend:Sttc_backend.Backend.t ->
-  unit ->
-  string
-(** Protect an 80-gate circuit three ways and run the SAT / truth-table /
-    hill-climb / brute-force attacks against each.  [jobs > 1] runs one
-    pool task per algorithm.  [backend] (default STT) applies to both the
-    defence and the attacker model. *)
+val attack_campaign : ?seed:int -> unit -> string
+(** Protect an 80-gate circuit three ways with STT LUTs and run the SAT
+    (15 s budget) / truth-table / hill-climb / brute-force attacks against
+    each, one after the other. *)
 
-val sweep :
-  ?seed:int ->
-  Sttc_netlist.Netlist.t ->
-  counts:int list ->
-  string
+val sweep : Sttc_netlist.Netlist.t -> counts:int list -> string
 (** Security-vs-overhead frontier: independent selection at increasing
-    LUT budgets on one circuit (used by the ppa_sweep example). *)
+    LUT budgets on one circuit, at {!master_seed} (used by the ppa_sweep
+    example). *)
 
 val sidechannel : ?seed:int -> unit -> string
 (** DPA leakage (difference-of-means relative to mean power) of an
@@ -162,7 +151,6 @@ val baselines : ?seed:int -> unit -> string
 val fault_sweep :
   ?seed:int ->
   ?bench:string ->
-  ?algorithm:Sttc_core.Flow.algorithm ->
   ?rates:float list ->
   ?stuck_rate:float ->
   ?dies:int ->

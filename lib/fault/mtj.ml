@@ -10,17 +10,14 @@ let default_faulty =
   { write_error_rate = 1e-3; stuck_cell_rate = 0.; escalation_gain = 10. }
 
 let spec ?(write_error_rate = default_faulty.write_error_rate)
-    ?(stuck_cell_rate = default_faulty.stuck_cell_rate)
-    ?(escalation_gain = default_faulty.escalation_gain) () =
+    ?(stuck_cell_rate = default_faulty.stuck_cell_rate) () =
   let rate name r =
     if not (r >= 0. && r <= 1.) then
       invalid_arg (Printf.sprintf "Mtj.spec: %s %g outside [0,1]" name r)
   in
   rate "write_error_rate" write_error_rate;
   rate "stuck_cell_rate" stuck_cell_rate;
-  if not (escalation_gain >= 1.) then
-    invalid_arg "Mtj.spec: escalation_gain must be >= 1";
-  { write_error_rate; stuck_cell_rate; escalation_gain }
+  { default_faulty with write_error_rate; stuck_cell_rate }
 
 type cell_state = {
   stuck : bool;

@@ -31,12 +31,10 @@ type spec = {
 val spec :
   ?write_error_rate:float ->
   ?stuck_cell_rate:float ->
-  ?escalation_gain:float ->
   unit ->
   spec
-(** By default a 1e-3 write-error rate, no stuck cells and an escalation
-    gain of 10.  Raises [Invalid_argument] on rates
-    outside [0, 1] or a gain below 1. *)
+(** By default a 1e-3 write-error rate and no stuck cells; the escalation
+    gain is 10.  Raises [Invalid_argument] on rates outside [0, 1]. *)
 
 type channel
 

@@ -237,7 +237,9 @@ let compute_live nl order const =
 
 (* ---------- entry point ---------- *)
 
-let max_patterns = 30 (* 2 bits per pattern must fit an OCaml int *)
+(* random known-source samples, one per lane; a signature holds 2 bits
+   per sample in an OCaml int, so at most 30 fit *)
+let patterns = 24
 
 (* lane [lane] of a node after a ternary evaluation *)
 let lane_value sim id lane =
@@ -246,8 +248,7 @@ let lane_value sim id lane =
   else if bit (Simulator.zeros sim id) then Ternary.Zero
   else Ternary.X
 
-let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
-  let patterns = max 1 (min patterns max_patterns) in
+let compute nl =
   Netlist.warm nl;
   let order = Netlist.topo_order nl in
   let n = Netlist.node_count nl in
@@ -262,7 +263,7 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   (* random known-source sampling, one pattern per lane: signatures and
      stuck-at candidates.  Bits are drawn pattern by pattern, sources in
      topological order. *)
-  let rng = Rng.make seed in
+  let rng = Rng.make 0xda7a in
   let lanes = Array.make n 0L in
   for p = 0 to patterns - 1 do
     Array.iter

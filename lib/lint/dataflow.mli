@@ -27,10 +27,9 @@ val infinite : int
 (** Saturation value of the SCOAP cost domain (uncontrollable /
     unobservable). *)
 
-val compute : ?patterns:int -> ?seed:int -> Sttc_netlist.Netlist.t -> t
-(** Run every analysis once.  [patterns] (default 24, capped at 30)
-    random known-source simulations feed the signatures; [seed] makes
-    them deterministic per run. *)
+val compute : Sttc_netlist.Netlist.t -> t
+(** Run every analysis once.  24 random known-source simulations, from a
+    fixed seed, feed the signatures. *)
 
 val const : t -> Sttc_netlist.Netlist.node_id -> Sttc_logic.Ternary.v
 (** Known iff constant propagation alone forces the node's value. *)

@@ -32,14 +32,9 @@ let catalog_text () =
     packs;
   Buffer.contents buf
 
-let apply ?(only = []) ?(suppress = []) ?baseline ds =
+let apply ?(only = []) ?(suppress = []) ds =
   let ds = Diagnostic.filter_rules ~only ds in
   let ds = Diagnostic.suppress ~rules:suppress ds in
-  let ds =
-    match baseline with
-    | None -> ds
-    | Some b -> Diagnostic.apply_baseline b ds
-  in
   List.sort Diagnostic.compare ds
 
 let exit_code ds = if Diagnostic.errors ds > 0 then 1 else 0

@@ -19,11 +19,11 @@ val catalog_text : unit -> string
 val apply :
   ?only:string list ->
   ?suppress:string list ->
-  ?baseline:Diagnostic.baseline ->
   Diagnostic.t list ->
   Diagnostic.t list
-(** Post-process a diagnostic list: keep [only], drop [suppress], drop
-    baselined entries, sort worst-first. *)
+(** Post-process a diagnostic list: keep [only], drop [suppress], sort
+    worst-first.  A baseline is applied by the caller
+    ({!Diagnostic.apply_baseline}). *)
 
 val exit_code : Diagnostic.t list -> int
 (** 0 when no error-severity diagnostic remains, 1 otherwise — the CI

@@ -311,28 +311,14 @@ let check_foundry_luts v =
 
 (* ---------- driver ---------- *)
 
-let enabled only (rule : rule) =
-  only = []
-  || List.exists
-       (fun r ->
-         let r = String.lowercase_ascii r in
-         String.lowercase_ascii rule.id = r
-         || String.lowercase_ascii rule.alias = r)
-       only
-
-let run ?(only = []) v =
-  let packs =
-    [
-      ([ r_trivial ], fun () -> check_trivial v);
-      ([ r_broken_chain ], fun () -> check_broken_chain v);
-      ([ r_missing_neighbour ], fun () -> check_missing_neighbour v);
-      ([ r_unobservable ], fun () -> check_unobservable v);
-      ([ r_timing ], fun () -> check_timing v);
-      ([ r_config_leak; r_not_a_lut ], fun () -> check_foundry_luts v);
-    ]
-  in
+let run v =
   List.concat_map
-    (fun (rules, check) ->
-      if List.exists (enabled only) rules then check () else [])
-    packs
-  |> D.filter_rules ~only
+    (fun check -> check v)
+    [
+      check_trivial;
+      check_broken_chain;
+      check_missing_neighbour;
+      check_unobservable;
+      check_timing;
+      check_foundry_luts;
+    ]

@@ -61,4 +61,4 @@ val view :
 val rules : Structural.rule list
 (** The catalog above, in ID order. *)
 
-val run : ?only:string list -> view -> Diagnostic.t list
+val run : view -> Diagnostic.t list

@@ -234,16 +234,8 @@ let run_eq1 view dt first_prover cutoffs =
 
 (* ---------- the driver ---------- *)
 
-let run ?(only = []) view =
+let run view =
   let nl = view.netlist in
-  let want id alias =
-    only = []
-    || List.exists
-         (fun s ->
-           let s = String.lowercase_ascii s in
-           s = String.lowercase_ascii id || s = alias)
-         only
-  in
   let name id = Some (Netlist.name nl id) in
   let cutoffs = ref 0 in
   Span.with_ ~cat:"lint" "lint.sem" @@ fun () ->
@@ -293,12 +285,9 @@ let run ?(only = []) view =
   in
   let ds = ref [] in
   let emit d = ds := d :: !ds in
-  let rule id alias f =
-    if want id alias then
-      Span.with_ ~cat:"lint" ("lint.sem." ^ id) f
-  in
+  let rule id f = Span.with_ ~cat:"lint" ("lint.sem." ^ id) f in
 
-  rule "SEM001" "const-net" (fun () ->
+  rule "SEM001" (fun () ->
       Hashtbl.iter
         (fun id (v, how) ->
           emit
@@ -308,7 +297,7 @@ let run ?(only = []) view =
                   how)))
         (Lazy.force const_proved));
 
-  rule "SEM002" "dead-logic" (fun () ->
+  rule "SEM002" (fun () ->
       let dt = Lazy.force dt in
       let summary = Dataflow.summary dt in
       let is_po = Hashtbl.create 16 in
@@ -326,7 +315,7 @@ let run ?(only = []) view =
                 by a propagated constant")
       done);
 
-  rule "SEM003" "key-collapse" (fun () ->
+  rule "SEM003" (fun () ->
       let p = Lazy.force prover in
       Prover.set_label p "collapse";
       List.iter
@@ -341,7 +330,7 @@ let run ?(only = []) view =
           | Prover.Holds | Prover.Cutoff -> ())
         view.luts);
 
-  rule "SEM004" "redundant-node" (fun () ->
+  rule "SEM004" (fun () ->
       let dt = Lazy.force dt in
       let summary = Dataflow.summary dt in
       let consts = Lazy.force const_proved in
@@ -396,7 +385,7 @@ let run ?(only = []) view =
                 rest)
         buckets);
 
-  rule "SEM005" "const-lut-input" (fun () ->
+  rule "SEM005" (fun () ->
       let consts = Lazy.force const_proved in
       List.iter
         (fun l ->
@@ -425,7 +414,7 @@ let run ?(only = []) view =
                     (Array.length fanins))))
         view.luts);
 
-  rule "SEM007" "easy-test-lut" (fun () ->
+  rule "SEM007" (fun () ->
       let dt = Lazy.force dt in
       List.iter
         (fun l ->
@@ -452,7 +441,7 @@ let run ?(only = []) view =
                     (Dataflow.co dt l))))
         view.luts);
 
-  rule "SEM008" "independent-testability" (fun () ->
+  rule "SEM008" (fun () ->
       if view.luts <> [] then begin
         let dt = Lazy.force dt in
         let p = Lazy.force prover in
@@ -460,7 +449,7 @@ let run ?(only = []) view =
       end);
 
   finish_prover ();
-  if want "SEM006" "sem-budget" && !cutoffs > 0 then
+  if !cutoffs > 0 then
     emit
       (warn "SEM006" None
          (Printf.sprintf

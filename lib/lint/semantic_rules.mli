@@ -60,7 +60,6 @@ val view :
 val rules : Structural.rule list
 (** The catalog above, in ID order. *)
 
-val run : ?only:string list -> view -> Diagnostic.t list
-(** Run the pack (or the [only] subset, by ID or alias).  Analyses are
-    shared and lazy: a run restricted to dataflow-only rules never
-    builds the CNF. *)
+val run : view -> Diagnostic.t list
+(** Run the pack.  Analyses are shared and lazy: the CNF is built only
+    when a rule consults the prover. *)

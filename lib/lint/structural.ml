@@ -373,29 +373,21 @@ let check_no_output (g : Graph.t) =
 
 (* ---------- driver ---------- *)
 
-let enabled only rule =
-  only = []
-  || List.exists
-       (fun r ->
-         let r = String.lowercase_ascii r in
-         String.lowercase_ascii rule.id = r
-         || String.lowercase_ascii rule.alias = r)
-       only
-
-let run ?(only = []) ?(library = Sttc_tech.Library.cmos90) g =
-  let packs =
-    [
-      (r_comb_loop, fun () -> check_comb_loop g);
-      (r_undriven, fun () -> check_undriven g);
-      (r_multi_driver, fun () -> check_multi_driver g);
-      (r_dangling, fun () -> check_dangling g);
-      (r_arity, fun () -> check_arity ~library g);
-      (r_dup_name, fun () -> check_dup_name g);
-      (r_no_output, fun () -> check_no_output g);
-    ]
-  in
+(* the rules in catalog order, each run after the one before *)
+let run_with ~library g =
   List.concat_map
-    (fun (rule, check) -> if enabled only rule then check () else [])
-    packs
+    (fun check -> check g)
+    [
+      check_comb_loop;
+      check_undriven;
+      check_multi_driver;
+      check_dangling;
+      check_arity ~library;
+      check_dup_name;
+      check_no_output;
+    ]
 
-let check ?only ?library nl = run ?only ?library (Graph.of_netlist nl)
+let run g = run_with ~library:Sttc_tech.Library.cmos90 g
+
+let check ?(library = Sttc_tech.Library.cmos90) nl =
+  run_with ~library (Graph.of_netlist nl)

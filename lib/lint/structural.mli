@@ -27,18 +27,11 @@ type rule = {
 val rules : rule list
 (** The catalog above, in ID order. *)
 
-val run :
-  ?only:string list ->
-  ?library:Sttc_tech.Library.t ->
-  Graph.t ->
-  Diagnostic.t list
-(** Run the pack (or the [only] subset, by ID or alias) on a raw graph.
-    [library] (default {!Sttc_tech.Library.cmos90}) supplies the cell
-    models for STR005. *)
+val run : Graph.t -> Diagnostic.t list
+(** Run the pack on a raw graph, with the cell models of
+    {!Sttc_tech.Library.cmos90} for STR005. *)
 
 val check :
-  ?only:string list ->
-  ?library:Sttc_tech.Library.t ->
-  Sttc_netlist.Netlist.t ->
-  Diagnostic.t list
-(** [run] on {!Graph.of_netlist}. *)
+  ?library:Sttc_tech.Library.t -> Sttc_netlist.Netlist.t -> Diagnostic.t list
+(** The pack on {!Graph.of_netlist}; [library] (default
+    {!Sttc_tech.Library.cmos90}) supplies the cell models for STR005. *)

@@ -24,7 +24,8 @@
 
    - Learned clauses carry their LBD (number of distinct decision levels
      among their literals, computed at learn time).  When the retained
-     learned-clause count passes [reduce_limit] the database is reduced
+     learned-clause count passes [reduce_limit] (2000 at first, then
+     500 more after each reduction) the database is reduced
      at decision level 0 (right after a Luby restart, propagation at
      fixpoint): glue clauses (LBD <= 2) and locked clauses (the reason
      of a level-0 assignment) are kept, then the worst half of the
@@ -66,6 +67,7 @@ let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1
 let index_var i = i / 2
 let index_neg i = i lxor 1
 let restart_base = 100
+let initial_reduce_limit = 2000
 let reduce_step = 500
 let var_decay = 0.95
 
@@ -95,7 +97,6 @@ module Solver = struct
     mutable nclauses : int;
     mutable learnt_live : int;
     mutable reduce_limit : int;
-    initial_reduce_limit : int; (* what [reset] restores *)
     (* watch lists: flat arrays of clause ids, one per literal index *)
     mutable watch_data : int array array;
     mutable watch_len : int array;
@@ -125,7 +126,7 @@ module Solver = struct
     mutable s_restarts : int;
   }
 
-  let create ?(reduce_limit = 2000) () =
+  let create () =
     {
       nvars = 0;
       unsat = false;
@@ -135,8 +136,7 @@ module Solver = struct
       clause_learnt = [||];
       nclauses = 0;
       learnt_live = 0;
-      reduce_limit;
-      initial_reduce_limit = reduce_limit;
+      reduce_limit = initial_reduce_limit;
       watch_data = Array.make 2 [||];
       watch_len = Array.make 2 0;
       assign = Array.make 1 Vfree;
@@ -194,7 +194,7 @@ module Solver = struct
     s.synced <- 0;
     s.nclauses <- 0;
     s.learnt_live <- 0;
-    s.reduce_limit <- s.initial_reduce_limit;
+    s.reduce_limit <- initial_reduce_limit;
     s.trail_len <- 0;
     s.qhead <- 0;
     s.dlevel <- 0;
@@ -578,8 +578,8 @@ module Solver = struct
       s.synced <- s.synced + 1
     done
 
-  let of_cnf ?reduce_limit cnf =
-    let s = create ?reduce_limit () in
+  let of_cnf cnf =
+    let s = create () in
     sync s cnf;
     s
 

@@ -43,12 +43,10 @@ module Solver : sig
   (** A stateful solver handle.  Not thread-safe; use one handle per
       domain. *)
 
-  val create : ?reduce_limit:int -> unit -> t
-  (** A solver over the empty formula.  [reduce_limit] is the retained
-      learned-clause count that first triggers database reduction
-      (default 2000; tests lower it to exercise reduction). *)
+  val create : unit -> t
+  (** A solver over the empty formula. *)
 
-  val of_cnf : ?reduce_limit:int -> Cnf.t -> t
+  val of_cnf : Cnf.t -> t
   (** [create] followed by {!sync}. *)
 
   val sync : t -> Cnf.t -> unit

@@ -39,7 +39,7 @@ let find_exn name =
 
 let default_seed info = 0x5717c (* "STTC" *) lxor Hashtbl.hash info.name
 
-let build ?seed info =
+let build_with ?seed info =
   let seed = match seed with Some s -> s | None -> default_seed info in
   Generator.generate ~seed
     {
@@ -51,6 +51,7 @@ let build ?seed info =
       levels = info.levels;
     }
 
-let build_by_name ?seed name = build ?seed (find_exn name)
+let build info = build_with info
+let build_by_name ?seed name = build_with ?seed (find_exn name)
 
 let names = List.map (fun i -> i.name) all

@@ -23,12 +23,12 @@ val all : info list
 val find : string -> info option
 val find_exn : string -> info
 
-val build : ?seed:int -> info -> Netlist.t
-(** Instantiate the structural twin.  The default seed is derived from the
-    benchmark name, so every run of the experiment suite sees the same
-    circuits. *)
+val build : info -> Netlist.t
+(** Instantiate the structural twin at a seed derived from the benchmark
+    name, so every run of the experiment suite sees the same circuits. *)
 
 val build_by_name : ?seed:int -> string -> Netlist.t
-(** Raises [Invalid_argument] for unknown names. *)
+(** {!build} by name, or at another [seed].  Raises [Invalid_argument]
+    for unknown names. *)
 
 val names : string list

@@ -95,6 +95,31 @@ let bit_lits lits bits = List.mapi (fun i l -> if bits.(i) then l else -l) lits
 let pin cnf lits bits =
   List.iter (fun l -> Cnf.add_clause cnf [ l ]) (bit_lits lits bits)
 
+(* One-hot candidate restriction: the keyed LUT must implement one of the
+   listed truth tables. *)
+let restrict_keys cnf keys candidates =
+  List.iter
+    (fun (id, key) ->
+      match List.assoc_opt id candidates with
+      | None -> ()
+      | Some tables ->
+          if tables = [] then
+            invalid_arg "Encode.restrict_keys: empty candidate list";
+          let selectors =
+            List.map
+              (fun table ->
+                let s = Cnf.fresh_var cnf in
+                Array.iteri
+                  (fun r l ->
+                    (* s -> key.(r) = table row r *)
+                    Cnf.add_clause cnf [ -s; (if Truth.row table r then l else -l) ])
+                  key;
+                s)
+              tables
+          in
+          Cnf.add_clause cnf selectors)
+    keys
+
 type unrolled = {
   u_cnf : Cnf.t;
   u_keys : (Netlist.node_id * Cnf.lit array) list;

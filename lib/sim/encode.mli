@@ -64,6 +64,17 @@ val pin : Sttc_logic.Cnf.t -> Sttc_logic.Cnf.lit list -> bool array -> unit
 (** [pin cnf lits bits] adds one unit clause per literal of
     [bit_lits lits bits], fixing [lits] to the observed bits. *)
 
+val restrict_keys :
+  Sttc_logic.Cnf.t ->
+  (Sttc_netlist.Netlist.node_id * Sttc_logic.Cnf.lit array) list ->
+  (Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list ->
+  unit
+(** [restrict_keys cnf keys candidates] confines the key literals of each
+    LUT that [candidates] lists to one of its tables, through one fresh
+    selector variable per table — the SAT attacks' model of a
+    candidate-restricted cell.  A LUT without an entry keeps its full key
+    space.  Raises [Invalid_argument] on an empty candidate list. *)
+
 type unrolled = {
   u_cnf : Sttc_logic.Cnf.t;
   u_keys : (Sttc_netlist.Netlist.node_id * Sttc_logic.Cnf.lit array) list;

@@ -123,7 +123,7 @@ let check_random ?(vectors = 4096) ~seed a b =
 
 (* ---------- SAT miter ---------- *)
 
-let check_sat ?(max_conflicts = max_int) a b =
+let check_sat a b =
   match pair a b with
   | Error m -> Inconclusive m
   | Ok p -> (
@@ -168,7 +168,7 @@ let check_sat ?(max_conflicts = max_int) a b =
           in
           Cnf.add_clause cnf (List.map snd diffs);
           let solver = Sat.Solver.of_cnf cnf in
-          (match Sat.Solver.solve ~max_conflicts solver with
+          (match Sat.Solver.solve solver with
           | Sat.Unknown _ -> Inconclusive "SAT conflict budget exhausted"
           | Sat.Unsat -> Equivalent
           | Sat.Sat model ->

@@ -26,9 +26,5 @@ val check_random :
 (** [vectors] (default 4096) random assignments in bit-parallel batches.
     [Equivalent] here means "no difference found". *)
 
-val check_sat :
-  ?max_conflicts:int ->
-  Sttc_netlist.Netlist.t ->
-  Sttc_netlist.Netlist.t ->
-  result
-(** Complete modulo the conflict budget (default unlimited). *)
+val check_sat : Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.t -> result
+(** Complete: the solver runs without a conflict budget. *)

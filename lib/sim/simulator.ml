@@ -27,9 +27,10 @@ let compile ~ternary ~configs nl =
       match Netlist.kind nl id with
       | Netlist.Lut { arity; _ } ->
           if Truth.arity c <> arity then
-            invalid_arg "Simulator.create: config arity mismatch";
+            invalid_arg "Simulator.create_ternary: config arity mismatch";
           Hashtbl.replace config id c
-      | _ -> invalid_arg "Simulator.create: config target is not a LUT")
+      | _ ->
+          invalid_arg "Simulator.create_ternary: config target is not a LUT")
     configs;
   let kind id =
     match Netlist.kind nl id with
@@ -60,7 +61,7 @@ let compile ~ternary ~configs nl =
   A.fill t.st_zeros (-1L);
   t
 
-let create ?(configs = []) nl = compile ~ternary:false ~configs nl
+let create nl = compile ~ternary:false ~configs:[] nl
 let create_ternary ?(configs = []) nl = compile ~ternary:true ~configs nl
 
 let reset t =

@@ -25,19 +25,16 @@
 
 type t
 
-val create :
-  ?configs:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t) list ->
-  Sttc_netlist.Netlist.t ->
-  t
-(** [configs] override/supply LUT configurations without rewriting the
-    netlist.  Raises [Invalid_argument] if any LUT remains unconfigured or
-    an override has the wrong arity. *)
+val create : Sttc_netlist.Netlist.t -> t
+(** Raises [Invalid_argument] if any LUT is unconfigured. *)
 
 val create_ternary :
   ?configs:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t) list ->
   Sttc_netlist.Netlist.t ->
   t
-(** Like {!create}, but a LUT left unconfigured outputs X in every lane. *)
+(** Like {!create}, but a LUT left unconfigured outputs X in every lane.
+    [configs] override/supply LUT configurations without rewriting the
+    netlist; an override of the wrong arity raises [Invalid_argument]. *)
 
 val reset : t -> unit
 (** All flip-flops to 0 in every lane. *)

@@ -115,7 +115,7 @@ let test_paths_find_io_path () =
   let g2 = Netlist.find_exn nl "g2" in
   (* a walk from every gate: each path starts at a PI and ends at the PO
      driver, and some pass through g2 *)
-  let paths = Paths.sample ~rng:(Rng.make 1) ~fraction:1. ~min_ffs:0 nl in
+  let paths = Paths.sample ~rng:(Rng.make 1) ~fraction:1. nl in
   Alcotest.(check bool) "some path contains g2" true
     (List.exists (fun p -> List.mem g2 p.Paths.nodes) paths);
   List.iter
@@ -160,7 +160,7 @@ let test_paths_sample_sorted_and_deduped () =
       }
   in
   let rng = Rng.make 7 in
-  let paths = Paths.sample ~rng ~fraction:0.3 ~min_ffs:1 nl in
+  let paths = Paths.sample ~rng ~fraction:0.3 nl in
   Alcotest.(check bool) "found some" true (paths <> []);
   (* sorted by descending ff_count *)
   let rec sorted = function
@@ -188,7 +188,7 @@ let test_paths_sample_excludes_critical () =
   let sta = Sta.analyze lib nl in
   let crit = Sta.critical_path sta in
   let rng = Rng.make 7 in
-  let paths = Paths.sample ~rng ~fraction:0.5 ~min_ffs:1 ~exclude_critical:crit nl in
+  let paths = Paths.sample ~rng ~fraction:0.5 ~exclude_critical:crit nl in
   let module Int_set = Set.Make (Int) in
   let crit_set = Int_set.of_list crit in
   (* under the preferred rule, no sampled path shares a node with the
@@ -247,16 +247,12 @@ let test_activity_gate_probabilities () =
 
 let test_activity_pi_probability () =
   let nl = inverter_chain 1 in
-  let act = Activity.analyze ~pi_probability:0.9 nl in
-  let g = Netlist.find_exn nl "n1" in
-  (* p = 0.1 behind the inverter *)
-  Alcotest.(check (float 1e-9)) "switching at p = 0.1" 0.18
-    (Activity.switching act g)
-
-let test_activity_pi_probability_nan () =
-  Alcotest.check_raises "NaN pi_probability"
-    (Invalid_argument "Activity.analyze: pi_probability") (fun () ->
-      ignore (Activity.analyze ~pi_probability:nan (inverter_chain 1)))
+  let act = Activity.analyze nl in
+  (* a primary input is 1 with probability 0.5, and so is its inverse *)
+  Alcotest.(check (float 0.)) "switching at the input" 0.5
+    (Activity.switching act (Netlist.find_exn nl "a"));
+  Alcotest.(check (float 0.)) "switching behind the inverter" 0.5
+    (Activity.switching act (Netlist.find_exn nl "n1"))
 
 let test_activity_sequential_fixpoint () =
   (* toggle flop: ff = DFF(NOT ff) settles at p = 0.5 *)
@@ -310,8 +306,7 @@ module Profiles = Sttc_netlist.Iscas_profiles
 (* The per-node fixpoint the compiled sweep replaced, kept here as the
    reference: a fanin-probability array and a gate table per node per
    sweep, rows read through [Truth.row]. *)
-let reference_analyze ?(pi_probability = 0.5) ?(max_iterations = 40)
-    ?(tolerance = 1e-4) nl =
+let reference_analyze nl =
   let truth_probability table input_probs =
     let n = Truth.arity table in
     let total = ref 0. in
@@ -331,7 +326,7 @@ let reference_analyze ?(pi_probability = 0.5) ?(max_iterations = 40)
   Netlist.iter
     (fun id node ->
       match node.Netlist.kind with
-      | Netlist.Pi -> prob.(id) <- pi_probability
+      | Netlist.Pi -> prob.(id) <- 0.5
       | Netlist.Const v -> prob.(id) <- (if v then 1. else 0.)
       | _ -> ())
     nl;
@@ -357,7 +352,7 @@ let reference_analyze ?(pi_probability = 0.5) ?(max_iterations = 40)
         delta := Float.max !delta (Float.abs (next -. prob.(ff)));
         prob.(ff) <- next)
       dffs;
-    if !delta > tolerance && k < max_iterations then iterate (k + 1)
+    if !delta > 1e-4 && k < 40 then iterate (k + 1)
   in
   if dffs = [] then propagate_comb () else iterate 1;
   prob
@@ -420,14 +415,10 @@ let prop_sweep_matches_reference =
   QCheck2.Test.make
     ~name:"compiled sweep is bit-identical to the per-node reference"
     ~count:300
-    QCheck2.Gen.(
-      triple (int_range 0 1_000_000) (float_range 0. 1.) (int_range 1 40))
-    (fun (seed, pi_probability, max_iterations) ->
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
       let nl = random_sequential seed in
-      same_bits (Activity.analyze nl) (reference_analyze nl)
-      && same_bits
-           (Activity.analyze ~pi_probability ~max_iterations ~tolerance:1e-9 nl)
-           (reference_analyze ~pi_probability ~max_iterations ~tolerance:1e-9 nl))
+      same_bits (Activity.analyze nl) (reference_analyze nl))
 
 (* Digests of every node's switching bits, which pin the sweep's
    probabilities up to p <-> 1 - p *)
@@ -492,19 +483,6 @@ let refine_counted base nl =
     (fun () ->
       let r = Activity.refine base nl in
       (r, Sttc_obs.Metrics.snapshot ()))
-
-let test_refine_non_default_base () =
-  (* a base computed with other parameters cannot be reused: refine must
-     return the default analysis, counted as a full fallback *)
-  let nl = inverter_chain 3 in
-  let base = Activity.analyze ~pi_probability:0.9 nl in
-  let refined, snap = refine_counted base nl in
-  Alcotest.(check int) "counted as activity.refine.full" 1
-    (Sttc_obs.Metrics.counter_value snap "activity.refine.full");
-  Alcotest.(check bool) "equals the default analysis" true
-    (same_bits refined (reference_analyze nl));
-  Alcotest.(check (float 0.)) "n1 at the default PI probability" 0.5
-    (Activity.switching refined (Netlist.find_exn nl "n1"))
 
 let test_refine_changed_function () =
   (* the same structure with one gate's function changed (an unconfigured
@@ -875,15 +853,11 @@ let () =
           Alcotest.test_case "gate probabilities" `Quick
             test_activity_gate_probabilities;
           Alcotest.test_case "pi probability" `Quick test_activity_pi_probability;
-          Alcotest.test_case "NaN pi probability" `Quick
-            test_activity_pi_probability_nan;
           Alcotest.test_case "sequential fixpoint" `Quick
             test_activity_sequential_fixpoint;
           Alcotest.test_case "unconfigured lut" `Quick test_activity_unconfigured_lut;
           Alcotest.test_case "bounds on random circuits" `Quick
             test_activity_bounds_property;
-          Alcotest.test_case "refine with a non-default base" `Quick
-            test_refine_non_default_base;
           Alcotest.test_case "refine with a changed function" `Quick
             test_refine_changed_function;
         ] );

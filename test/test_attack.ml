@@ -67,23 +67,13 @@ let test_oracle_matches_programmed_netlist () =
   let h = protect_n nl 3 2 in
   let o = Oracle.create h in
   (* the oracle must behave exactly like the original circuit *)
-  let sim = Sttc_sim.Simulator.create nl in
-  let pis = Array.of_list (Netlist.pis nl) in
-  let dffs = Array.of_list (Netlist.dffs nl) in
+  let original = Oracle.of_netlist nl in
+  let inputs = List.length (Oracle.input_names original) in
   let rng = Rng.make 3 in
   for _ = 1 to 16 do
-    let pi_lanes = Array.map (fun _ -> Rng.int64 rng) pis in
-    let st_lanes = Array.map (fun _ -> Rng.int64 rng) dffs in
-    Sttc_sim.Simulator.set_state sim st_lanes;
-    let pos = Sttc_sim.Simulator.eval_comb sim pi_lanes in
-    let values = Sttc_sim.Simulator.node_values sim in
-    let next =
-      Array.of_list
-        (List.map (fun ff -> values.((Netlist.fanins nl ff).(0))) (Netlist.dffs nl))
-    in
-    let expected = Array.append pos next in
-    let got = Oracle.query_lanes o (Array.append pi_lanes st_lanes) in
-    Alcotest.(check bool) "oracle = original" true (expected = got)
+    let lanes = Array.init inputs (fun _ -> Rng.int64 rng) in
+    Alcotest.(check bool) "oracle = original" true
+      (Oracle.query_lanes original lanes = Oracle.query_lanes o lanes)
   done
 
 (* ---------- Encode ---------- *)
@@ -494,7 +484,7 @@ let test_brute_force_pinned () =
 let test_guess_attack_improves () =
   let nl = small_circuit 12 in
   let h = protect_n nl 3 12 in
-  let r = Guess_attack.run ~rounds:6 ~probes:512 h in
+  let r = Guess_attack.run ~rounds:6 h in
   Alcotest.(check bool) "agreement in (0.4, 1.0]" true
     (r.Guess_attack.agreement > 0.4 && r.Guess_attack.agreement <= 1.0);
   Alcotest.(check bool) "queries counted" true (r.Guess_attack.oracle_queries > 0);
@@ -664,14 +654,28 @@ let test_budget_table () =
           Runner.rows Runner.Config.(default |> with_jobs jobs)))
     [ 1; 2 ]
 
+(* The per-call conflict cap is the attacks' budget beside the wall
+   clock.  Capped at one conflict per solver call, both attacks on the
+   s641 independent hybrid stop at the first call that backtracks, as a
+   conflict budget exhausted, never as a break or a proven UNSAT. *)
+let test_conflict_cap () =
+  let h = Lazy.force hard_hybrid in
+  let capped what = function
+    | Sat_attack.Exhausted { reason; _ } ->
+        Alcotest.(check string) (what ^ " reason") "conflict budget" reason
+    | Sat_attack.Broken _ -> Alcotest.failf "%s broke s641 under the cap" what
+  in
+  capped "run" (Sat_attack.run ~max_conflicts_per_call:1 h);
+  capped "run_sequential" (Sat_attack.run_sequential ~max_conflicts_per_call:1 h)
+
 (* ---------- DPA ---------- *)
 
 let test_dpa_deterministic_and_sane () =
   let nl = small_circuit 18 in
   let lib = Sttc_tech.Library.cmos90 in
   let target = Netlist.name nl (List.hd (Netlist.gates nl)) in
-  let r1 = Dpa.measure ~cycles:16 ~batches:4 ~seed:9 lib nl ~target in
-  let r2 = Dpa.measure ~cycles:16 ~batches:4 ~seed:9 lib nl ~target in
+  let r1 = Dpa.measure ~cycles:16 ~batches:4 lib nl ~target in
+  let r2 = Dpa.measure ~cycles:16 ~batches:4 lib nl ~target in
   Alcotest.(check (float 1e-12)) "deterministic" r1.Dpa.dom_fj r2.Dpa.dom_fj;
   Alcotest.(check int) "traces" (64 * 4) r1.Dpa.traces;
   Alcotest.(check bool) "mean positive" true (r1.Dpa.mean_energy_fj > 0.);
@@ -971,6 +975,8 @@ let () =
             test_sequential_budget_regression;
           Alcotest.test_case "entry points return within budget" `Slow
             test_budget_table;
+          Alcotest.test_case "s641 independent capped at 1 conflict per call"
+            `Quick test_conflict_cap;
         ] );
       ( "scan_oracle",
         [

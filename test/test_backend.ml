@@ -123,10 +123,35 @@ let test_cell_keyspace () =
     (Lognum.log10 (Backend.search_space None foundry luts)
     = Lognum.log10 (Lognum.pow (Lognum.of_int 2) (Hybrid.bitstream_bits h)))
 
-(* One count: at every arity, the list a restricted family hands the SAT
-   attack has no duplicate table and exactly [cell_keyspace] entries, so
-   its one-hot key restriction admits exactly that many keys.  A free
-   family hands no list: its keys are the raw 2^2^n tables. *)
+(* The keys of one cell of [arity] that the SAT attacks' restriction
+   admits: the models of [Encode.restrict_keys]'s clauses over a fresh key,
+   enumerated by blocking each model found on the key literals. *)
+let restricted_models family ~arity =
+  let module Cnf = Sttc_logic.Cnf in
+  let module Sat = Sttc_logic.Sat in
+  let cnf = Cnf.create () in
+  let key = Array.init (1 lsl arity) (fun _ -> Cnf.fresh_var cnf) in
+  let candidates =
+    match family with None -> [] | Some f -> [ (0, f arity) ]
+  in
+  Sttc_sim.Encode.restrict_keys cnf [ (0, key) ] candidates;
+  let solver = Sat.Solver.of_cnf cnf in
+  let rec count n =
+    match Sat.Solver.solve solver with
+    | Sat.Sat model ->
+        Cnf.add_clause cnf
+          (Array.to_list
+             (Array.map (fun l -> if Sat.model_value model l then -l else l) key));
+        Sat.Solver.sync solver cnf;
+        count (n + 1)
+    | Sat.Unsat -> n
+    | Sat.Unknown reason -> Alcotest.failf "unbudgeted solve: %s" reason
+  in
+  count 0
+
+(* One count: at every arity, the keys the SAT attacks' one-hot
+   restriction admits are exactly [cell_keyspace] many — for a free
+   family, which restricts nothing, the raw 2^2^n tables. *)
 let test_single_count () =
   let families =
     List.concat_map
@@ -138,20 +163,14 @@ let test_single_count () =
   List.iter
     (fun (label, family, arity) ->
       let label = Printf.sprintf "%s arity %d" label arity in
-      match family with
-      | None ->
-          Alcotest.(check bool) (label ^ ": free") true
-            (Lognum.log10 (Backend.cell_keyspace family ~arity)
-            = Lognum.log10 (Lognum.pow (Lognum.of_int 2) (1 lsl arity)))
-      | Some f ->
-          let tables = f arity in
-          Alcotest.(check int) (label ^ ": no duplicate table")
-            (List.length tables)
-            (List.length
-               (List.sort_uniq compare (List.map Truth.to_string tables)));
-          Alcotest.(check bool) (label ^ ": length is the count") true
-            (Lognum.log10 (Backend.cell_keyspace family ~arity)
-            = Lognum.log10 (Lognum.of_int (List.length tables))))
+      let keys =
+        (* a free cell of arity 4 has 2^16 keys, too many to enumerate *)
+        if Option.is_none family && arity = 4 then
+          Lognum.pow (Lognum.of_int 2) 16
+        else Lognum.of_int (restricted_models family ~arity)
+      in
+      Alcotest.(check bool) (label ^ ": admitted keys are the count") true
+        (Lognum.log10 (Backend.cell_keyspace family ~arity) = Lognum.log10 keys))
     families;
   (* and on a hybrid, each LUT's list is its arity's family *)
   let h =

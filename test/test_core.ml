@@ -441,7 +441,8 @@ let test_flow_protect_all_algorithms () =
       Alcotest.(check bool)
         (Flow.algorithm_name alg ^ " sign-off")
         true
-        (Flow.sign_off ~method_:(`Random 2048) r))
+        (Hybrid.verify ~method_:(`Random 2048) r.Flow.hybrid
+         = Sttc_sim.Equiv.Equivalent))
     Flow.default_algorithms
 
 let test_flow_deterministic () =
@@ -603,7 +604,8 @@ let test_flow_hardening () =
   let hard = protect ~seed:4 ~hardening (Flow.Independent { count = 5 }) nl in
   (* hardening must preserve functionality *)
   Alcotest.(check bool) "hardened sign-off" true
-    (Flow.sign_off ~method_:(`Random 2048) hard);
+    (Hybrid.verify ~method_:(`Random 2048) hard.Flow.hybrid
+     = Sttc_sim.Equiv.Equivalent);
   (* ... and strictly enlarge the configuration space *)
   Alcotest.(check bool) "more config bits" true
     (hard.Flow.security.Security.total_config_bits

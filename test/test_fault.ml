@@ -160,7 +160,7 @@ let test_mtj_stuck_cells () =
   done
 
 let test_mtj_escalation_energy () =
-  let spec = Mtj.spec ~escalation_gain:10. () in
+  let spec = Mtj.spec () in
   let ch = Mtj.channel ~seed:7 spec in
   ignore (Mtj.write ch ~lut:"u1" ~cell:0 true);
   ignore (Mtj.write ch ~lut:"u1" ~cell:1 ~escalation:2 true);
@@ -173,9 +173,7 @@ let test_mtj_spec_validation () =
   Alcotest.(check bool) "rate > 1" true
     (rejects (fun () -> Mtj.spec ~write_error_rate:1.5 ()));
   Alcotest.(check bool) "negative rate" true
-    (rejects (fun () -> Mtj.spec ~stuck_cell_rate:(-0.1) ()));
-  Alcotest.(check bool) "gain < 1" true
-    (rejects (fun () -> Mtj.spec ~escalation_gain:0.5 ()))
+    (rejects (fun () -> Mtj.spec ~stuck_cell_rate:(-0.1) ()))
 
 (* ---------- Provision.parse hardening ---------- *)
 

@@ -64,7 +64,8 @@ let test_all_profiles_protect_and_signoff () =
             Alcotest.(check bool)
               (info.Profiles.name ^ "/" ^ Flow.algorithm_name alg)
               true
-              (Flow.sign_off ~method_:(`Random 4096) r))
+              (Hybrid.verify ~method_:(`Random 4096) r.Flow.hybrid
+               = Sttc_sim.Equiv.Equivalent))
           Flow.default_algorithms
       end)
     Profiles.all
@@ -275,7 +276,7 @@ let test_sweep_renders () =
   Alcotest.(check bool) "rendered" true (String.length s > 0)
 
 let test_attack_campaign_smoke () =
-  let s = Runner.attack_campaign ~sat_timeout_s:10. () in
+  let s = Runner.attack_campaign () in
   Alcotest.(check bool) "rendered" true (String.length s > 0)
 
 let test_cross_benchmark_depth_profile () =

@@ -15,8 +15,8 @@ module Flow = Sttc_core.Flow
 module Sem = Sttc_lint.Semantic_rules
 
 (* strict single-attempt protection via the unified Flow.run entry point *)
-let protect ?seed ?fraction ?hardening ?semantic alg nl =
-  (Flow.run ?seed ?fraction ?hardening ?semantic ~policy:Flow.Strict alg nl)
+let protect ?seed ?fraction ?hardening alg nl =
+  (Flow.run ?seed ?fraction ?hardening ~policy:Flow.Strict alg nl)
     .Flow.accepted
 
 
@@ -157,7 +157,7 @@ let render ds =
 (* The exact STR001 findings and their order, recorded before the rule's
    Tarjan moved onto arrays. *)
 let test_str_comb_loop_pinned () =
-  let str001 g = render (Structural.run ~only:[ "STR001" ] g) in
+  let str001 g = render (D.filter_rules ~only:[ "STR001" ] (Structural.run g)) in
   let two_cycles =
     graph
       ~outputs:[| ("y", 2); ("z", 5) |]
@@ -239,7 +239,7 @@ let test_str_counts_pinned () =
       "STR003@b: signal is driven by 2 nodes";
       "STR003@s: signal is driven by 3 nodes";
     ]
-    (render (Structural.run ~only:[ "STR002"; "STR003" ] g))
+    (render (D.filter_rules ~only:[ "STR002"; "STR003" ] (Structural.run g)))
 
 let test_str_undriven () =
   let g =
@@ -504,8 +504,7 @@ let contains hay needle =
   let rec go i = i + k <= n && (String.sub hay i k = needle || go (i + 1)) in
   go 0
 
-let sem ?luts ?configs ?budget ?only nl =
-  Sem.run ?only (Sem.view ?luts ?configs ?budget nl)
+let sem ?luts ?configs ?budget nl = Sem.run (Sem.view ?luts ?configs ?budget nl)
 
 let test_sem_const_net () =
   (* g = AND(a, NOT a) is stuck at 0, but only a semantic analysis can
@@ -836,22 +835,25 @@ let test_sem_s27_gate () =
          { Sttc_core.Algorithms.default_parametric with clock_factor = 2.0 })
   in
   Alcotest.(check int) "parametric passes" 0 (D.errors par);
-  (* the same gate through Flow.run ~semantic: Strict raises on the
-     independent weakness, accepts the parametric selection *)
-  (match
-     protect ~seed:7 ~semantic:true (Flow.Independent { count = 2 }) nl
-   with
-  | _ -> Alcotest.fail "strict semantic gate did not raise"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "raises with the SEM008 finding" true
-        (contains msg "fails semantic lint" && contains msg "SEM008"));
-  let ok =
-    protect ~seed:7 ~semantic:true
-      (Flow.Parametric
-         { Sttc_core.Algorithms.default_parametric with clock_factor = 2.0 })
-      nl
+  (* the same gate through sttc lint --semantic's pipeline: an error on
+     the independent weakness, none on the parametric selection *)
+  let lint alg =
+    match
+      Sttc_serve.Handler.lint_diagnostics ~algorithms:[ alg ] ~semantic:true
+        ~seed:7 ~rules:[ "SEM003"; "SEM006"; "SEM008" ] ~suppress:[] nl
+    with
+    | Ok ds -> ds
+    | Error m -> Alcotest.failf "lint pipeline failed: %s" m
   in
-  Alcotest.(check int) "accepted result lint-clean" 0 (D.errors ok.Flow.lint)
+  Alcotest.(check bool) "pipeline reports the SEM008 error" true
+    (List.exists
+       (fun d -> d.D.rule = "SEM008" && d.D.severity = D.Error)
+       (lint (Flow.Independent { count = 2 })));
+  Alcotest.(check int) "parametric pipeline lint-clean" 0
+    (D.errors
+       (lint
+          (Flow.Parametric
+             { Sttc_core.Algorithms.default_parametric with clock_factor = 2.0 })))
 
 (* ---------- clean-on-valid-input properties ---------- *)
 

@@ -451,8 +451,8 @@ let incremental_props =
   ]
 
 (* Clause-database reduction must be invisible to callers: a solver
-   reused across several solve calls with a reduction limit low enough
-   to actually trigger still returns correct models, and the statistics
+   reused across several solve calls on an instance hard enough to pass
+   the reduction limit still returns correct models, and the statistics
    confirm learned clauses really were discarded. *)
 let test_sat_reuse_after_reduction () =
   (* deterministic random 3-CNF near the phase transition: hard enough
@@ -500,7 +500,7 @@ let test_sat_reuse_after_reduction () =
     end;
     Cnf.add_clause cnf (Array.to_list c)
   done;
-  let solver = Sat.Solver.of_cnf ~reduce_limit:50 cnf in
+  let solver = Sat.Solver.of_cnf cnf in
   (* call 1: the hard UNSAT face — thousands of conflicts, so Luby
      restarts and clause-DB reductions fire before it refutes *)
   (match Sat.Solver.solve ~assumptions:[ -r ] solver with

@@ -216,7 +216,7 @@ let prop_segments_partition_path =
     (fun seed ->
       let nl = gen_netlist seed in
       let rng = Rng.make seed in
-      let paths = Sttc_analysis.Paths.sample ~rng ~fraction:0.4 ~min_ffs:0 nl in
+      let paths = Sttc_analysis.Paths.sample ~rng ~fraction:0.4 nl in
       List.for_all
         (fun p ->
           let from_segments =

@@ -84,9 +84,9 @@ let test_sim_lut_config () =
        ignore (Simulator.create foundry);
        false
      with Invalid_argument _ -> true);
-  (* override configs work without rewriting the netlist *)
+  (* a LUT that keeps the gate's function simulates as the gate *)
   let sim =
-    Simulator.create ~configs:[ (s, Truth.of_string "0110") ] foundry
+    Simulator.create (Transform.replace_many ~keep_function:true nl [ s ])
   in
   let outs = Simulator.eval_comb sim [| 0b0101L; 0b0011L |] in
   Alcotest.(check int64) "xor restored" 0b0110L (Int64.logand outs.(0) 0xFL)
@@ -342,27 +342,15 @@ let test_equiv_witness_is_real () =
   let a = counter () and b = mutated_counter () in
   match Equiv.check_sat a b with
   | Equiv.Different f ->
-      (* replay the witness on both circuits: outputs must differ *)
+      (* replay the witness on both circuits: outputs and next state
+         must differ *)
       let run nl =
-        let sim = Simulator.create nl in
-        let pis = Array.of_list (Netlist.pis nl) in
-        let dffs = Array.of_list (Netlist.dffs nl) in
-        let value name = List.assoc name f.Equiv.witness in
-        let lanes names =
-          Array.map
-            (fun id -> if value (Netlist.name nl id) then full else 0L)
-            names
-        in
-        Simulator.set_state sim (lanes dffs);
-        let outs = Simulator.eval_comb sim (lanes pis) in
-        let values = Simulator.node_values sim in
-        let next =
-          Array.of_list
-            (List.map
-               (fun ff -> values.((Netlist.fanins nl ff).(0)))
-               (Netlist.dffs nl))
-        in
-        Array.append outs next
+        let oracle = Sttc_attack.Oracle.of_netlist nl in
+        Sttc_attack.Oracle.query_lanes oracle
+          (Array.of_list
+             (List.map
+                (fun name -> if List.assoc name f.Equiv.witness then full else 0L)
+                (Sttc_attack.Oracle.input_names oracle)))
       in
       let oa = run a and ob = run b in
       Alcotest.(check bool) "witness distinguishes" true (oa <> ob)

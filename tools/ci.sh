@@ -71,7 +71,7 @@ if grep -rnE 'Brute_force\.search_space|Camouflage\.(search_space|sat_candidates
   exit 1
 fi
 
-echo "== reachability gate (every library module and exported value is reached from a product path)"
+echo "== reachability gate (every library module, exported value and optional parameter is reached from a product path)"
 # A fixpoint from the product paths, bin/, examples/ and bench/ledger/:
 # a reached file reaches every module it names, either qualified
 # (Sttc_lib.Module, or L.Module after `module L = Sttc_lib`) or, inside
@@ -117,12 +117,34 @@ sttc_logic:Ternary.eval_truth                reference: the scalar LUT Simulator
 sttc_logic:Ternary.of_bool                   reference: builds the scalar inputs of the three-valued reference
 EOF
 )
+# Every optional parameter of a reached module's exported value must be
+# passed, as ~label or ?label, in a call of that value by a reached file
+# other than its own module's: a knob nothing sets is a constant.  Labels
+# count at the call's own bracket depth, so a label inside a parenthesized
+# argument belongs to the call it sits in.  An unset parameter fails the
+# gate unless it is listed below, one a line, as library:Module.value?label
+# with a seam: or reference: reason as above; a seam here is a limit a test
+# must reach in under a second.  A listed parameter must be passed by a
+# test under test/, and a listed parameter a product path sets fails the
+# gate until its line is dropped.  Config-record fields are not
+# parameters.
+KNOB_EXEMPT=$(cat <<'EOF'
+sttc_attack:Sat_attack.run?max_conflicts_per_call             seam: a conflict budget one solver call exhausts, where the default takes seconds
+sttc_attack:Sat_attack.run?max_iterations                     seam: an iteration limit one DIP reaches
+sttc_attack:Sat_attack.run_sequential?max_conflicts_per_call  seam: a conflict budget one solver call exhausts, where the default takes seconds
+sttc_campaign:Supervisor.config?backoff_base_s                seam: retry back-off a test waits out in milliseconds, not the default 0.25 s
+sttc_campaign:Supervisor.config?backoff_cap_s                 seam: retry back-off a test waits out in milliseconds, not the default 10 s
+sttc_campaign:Supervisor.config?poll_interval_s               seam: a worker poll a test turns around in milliseconds, not the default 50 ms
+EOF
+)
 REACH_AWK=$(cat <<'EOF'
 # input: one "library file" line per source file, library "-" for a
 # product-path file and "+" for a test; output: "module key" for each
-# unreached library:Module, and "val key.value named" for each exported
+# unreached library:Module, "val key.value named" for each exported
 # value of a reached module that no reached file names, with named 1
-# when a test names it
+# when a test names it, and "knob key.value?label set" for each optional
+# parameter of such a value that no reached file passes, with set 1 when
+# a test passes it
 
 # one source line with comments and literals blanked; depth, instr and
 # inquote carry the lexer state across lines
@@ -166,6 +188,7 @@ function resolve(path, local, libs,   part, m) {
 }
 function scan(file,   line, s, t, m, off, q, pre, part, local, libs, k, w, nw, words) {
   depth = 0; instr = 0; inquote = 0; split("", alias)
+  sigval = ""; cdepth = 0; split("", callee)
   while ((getline line < file) > 0) {
     line = " " clean(line)
     if (file ~ /\.mli$/ && lib !~ /^[-+]$/ && match(line, /^[ \t]*val[ \t]+/)) {
@@ -220,8 +243,72 @@ function scan(file,   line, s, t, m, off, q, pre, part, local, libs, k, w, nw, w
     }
     nw = split(line, words, /[^A-Za-z0-9_']+/)
     for (w = 1; w <= nw; w++) if (words[w] ~ /^[a-z_]/) fileword[nf_at SUBSEP words[w]] = 1
+    if (file !~ /\.mli$/) calls(line, local, libs)
+    else if (lib !~ /^[-+]$/) sig_knobs(line)
   }
   close(file)
+}
+# the optional labels of the `val` being declared, whose type runs on
+# until the next signature item; a label inside brackets belongs to an
+# argument's type
+function sig_knobs(line,   c, i, n) {
+  if (match(line, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_']*/)) {
+    sigval = substr(line, RSTART, RLENGTH); sub(/^[ \t]*val[ \t]+/, "", sigval)
+    sigval = owner "." sigval; sigdepth = 0
+    line = substr(line, RSTART + RLENGTH)
+  } else if (line ~ /^[ \t]*(type|module|end|exception|external|include|open|class|and|val)([^A-Za-z0-9_']|$)/)
+    sigval = ""
+  if (sigval == "") return
+  n = length(line)
+  for (i = 1; i <= n; i++) {
+    c = substr(line, i, 1)
+    if (c == "(" || c == "[" || c == "{") sigdepth++
+    else if (c == ")" || c == "]" || c == "}") sigdepth--
+    else if (c == "?" && sigdepth == 0 && match(substr(line, i + 1), /^[a-z_][A-Za-z0-9_']*:/)) {
+      knobs[sigval "?" substr(line, i + 1, RLENGTH - 1)] = owner
+      i += RLENGTH
+    }
+  }
+}
+# the labels each call passes: the first path at a bracket depth heads
+# an application, and a ~label or ?label at that depth belongs to it
+# until a closing bracket, a separator, an operator or a keyword ends
+# the application; a top-level item starts afresh
+function calls(line, local, libs,   s, t, m, k, v, c) {
+  if (line ~ /^ (let|and|type|module|open|include|exception|external)([^A-Za-z0-9_']|$)/) {
+    cdepth = 0; split("", callee)
+  }
+  s = line
+  while (s != "") {
+    if (match(s, /^[ \t]+/)) { s = substr(s, RLENGTH + 1); continue }
+    if (match(s, /^[~?][a-z_][A-Za-z0-9_']*:?/)) {
+      t = substr(s, 2, RLENGTH - 1); sub(/:$/, "", t); s = substr(s, RLENGTH + 1)
+      if ((cdepth in callee) && callee[cdepth] != "")
+        passes[nf_at SUBSEP callee[cdepth] "?" t] = 1
+      continue
+    }
+    if (match(s, /^[A-Za-z_][A-Za-z0-9_']*(\.[A-Za-z_][A-Za-z0-9_']*)*/)) {
+      t = substr(s, 1, RLENGTH); s = substr(s, RLENGTH + 1)
+      if (t ~ /^(begin|struct|sig|object|do)$/) cdepth++
+      else if (t ~ /^(end|done)$/) { delete callee[cdepth]; cdepth-- }
+      else if (t ~ /^(let|in|and|if|then|else|match|with|when|fun|function|try|of|val|type|module|open|include|as|or|mod|land|lor|lxor|lsl|lsr|asr|to|downto|for|while|rec|lazy|assert|mutable)$/)
+        delete callee[cdepth]
+      else if (!(cdepth in callee)) {
+        callee[cdepth] = ""
+        if (match(t, /\.[a-z_][A-Za-z0-9_']*$/)) {
+          v = substr(t, RSTART + 1); m = substr(t, 1, RSTART)
+          if ((k = resolve(m, local, libs)) != "") callee[cdepth] = k "." v
+        } else if (t ~ /^[a-z_]/) callee[cdepth] = "." t
+      }
+      continue
+    }
+    c = substr(s, 1, 1)
+    if (c == "(" || c == "[" || c == "{") cdepth++
+    else if (c == ")" || c == "]" || c == "}") { delete callee[cdepth]; cdepth-- }
+    else if (c ~ /[0-9'!.~?]/) { if (!(cdepth in callee)) callee[cdepth] = "" }
+    else delete callee[cdepth]
+    s = substr(s, 2)
+  }
 }
 {
   nf++; file_at[nf] = $2; lib_at[nf] = $1; owner_at[nf] = $1
@@ -272,6 +359,29 @@ END {
   for (v in ops)
     if ((ops[v] in reached) && !(("product" SUBSEP v) in named))
       print "val " v " " ((("test" SUBSEP v) in named) ? 1 : 0)
+  # a label passed in a call of Module.value sets that value's knob, and
+  # one passed to a bare value under an open of its module sets the knob
+  # of the same name; again a module's own files do not count
+  for (p in passes) {
+    split(p, part, SUBSEP); i = part[1]; v = part[2]
+    hit = (owner_at[i] in reached) ? "product" : (lib_at[i] == "+" ? "test" : "")
+    if (hit == "") continue
+    if (v ~ /^\./) { bare[i SUBSEP substr(v, 2)] = hit; continue }
+    k = v; sub(/\.[^.]*$/, "", k)
+    if (k == owner_at[i]) continue
+    knobset[hit SUBSEP v] = 1
+    if (k in includes) knobset[hit SUBSEP includes[k] substr(v, length(k) + 1)] = 1
+  }
+  for (o in opens) {
+    split(o, part, SUBSEP); i = part[1]; k = part[2]
+    if (k == owner_at[i]) continue
+    for (v in knobs)
+      if (knobs[v] == k && ((i SUBSEP substr(v, length(k) + 2)) in bare))
+        knobset[bare[i SUBSEP substr(v, length(k) + 2)] SUBSEP v] = 1
+  }
+  for (v in knobs)
+    if ((knobs[v] in reached) && !(("product" SUBSEP v) in knobset))
+      print "knob " v " " ((("test" SUBSEP v) in knobset) ? 1 : 0)
 }
 EOF
 )
@@ -329,6 +439,36 @@ done <<VALS
 $VAL_EXEMPT
 VALS
 echo "unnamed values listed in VAL_EXEMPT: $(echo "$VAL_EXEMPT" | grep -c .)"
+# knobs: each unset one needs a KNOB_EXEMPT line, and each line needs a
+# reason, a test that passes its label, and no product path that does
+unset_knobs=$(echo "$unreached" | sed -n 's/^knob //p')
+while read -r k tested; do
+  [ -n "$k" ] || continue
+  if ! echo "$KNOB_EXEMPT" | awk '{ print $1 }' | grep -qxF "$k"; then
+    echo "KNOB GATE FAILED: no product path sets $k; make it a constant" >&2
+    reach_failed=1
+  elif [ "$tested" -ne 1 ]; then
+    echo "KNOB GATE FAILED: KNOB_EXEMPT lists $k, but no test passes it" >&2
+    reach_failed=1
+  fi
+done <<KNOBS
+$unset_knobs
+KNOBS
+while read -r k reason; do
+  [ -n "$k" ] || continue
+  case "$reason" in
+    reference:?* | seam:?*) ;;
+    *) echo "KNOB GATE FAILED: KNOB_EXEMPT lists $k with a reason that is neither reference: nor seam:" >&2
+       reach_failed=1 ;;
+  esac
+  if ! echo "$unset_knobs" | awk '{ print $1 }' | grep -qxF "$k"; then
+    echo "KNOB GATE FAILED: KNOB_EXEMPT lists $k, which a product path sets or no reached .mli declares; drop its line" >&2
+    reach_failed=1
+  fi
+done <<KNOBS
+$KNOB_EXEMPT
+KNOBS
+echo "unset optional parameters listed in KNOB_EXEMPT: $(echo "$KNOB_EXEMPT" | grep -c .)"
 if [ "$reach_failed" -ne 0 ]; then
   exit 1
 fi
@@ -392,6 +532,22 @@ BENCH_BIN="$PWD/_build/default/bench/main.exe"
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
+
+echo "== ledger gate (every ledger workload once at full size keeps its digest)"
+# The smoke alias runs the workloads at toy size, where no digest is
+# checked.  At full size and the default seed each run checks its output
+# digest against bench/ledger/digests.json, so a moved output byte fails
+# here.  The last line a run prints is its result.
+for w in protect-par protect-dep paper-rows paper-lint attack-sat serve-mix; do
+  result=$(bash bench/ledger/run.sh --workload "$w" --seed 1 --seconds 1 \
+             --trace 0 2> "$tmpdir/ledger.$w.err" | tail -n 1)
+  case "$result" in
+    '{"correct":true,'*) ;;
+    *) echo "LEDGER GATE FAILED: $w: $result" >&2
+       cat "$tmpdir/ledger.$w.err" >&2
+       exit 1 ;;
+  esac
+done
 
 echo "== byte-identity gate (generated netlists keep their pinned bytes)"
 # Every protect, paper and lint run starts from a generated netlist, so

@@ -93,8 +93,7 @@ let find_exn n =
 
 (* ---------- flow integration helpers ---------- *)
 
-let eval_library t library =
-  Sttc_tech.Library.with_lut_style library t.lut_style
+let eval_library t = Sttc_tech.Library.of_lut_style t.lut_style
 
 let sat_candidates family nl luts =
   match family with

@@ -76,9 +76,9 @@ val names : unit -> string list
 
 (** {2 Flow integration helpers} *)
 
-val eval_library : t -> Sttc_tech.Library.t -> Sttc_tech.Library.t
-(** The library used to price a hybrid under this backend: same clock,
-    the backend's reconfigurable-cell technology. *)
+val eval_library : t -> Sttc_tech.Library.t
+(** The library used to price a hybrid under this backend: the 90 nm
+    CMOS library with the backend's reconfigurable-cell technology. *)
 
 val sat_candidates :
   family ->

@@ -6,9 +6,6 @@ type outcome = { computed : int; restored : int; failed : int }
 
 let kill_injection_env = "STTC_CAMPAIGN_KILL"
 
-(* Section IV-A.3 hardening as a single manifest switch. *)
-let hardened = { Flow.extra_inputs_per_lut = 2; absorb_drivers = true }
-
 let kill_after ~shard =
   match Sys.getenv_opt kill_injection_env with
   | None -> None
@@ -62,7 +59,9 @@ let run ?(allow_kill_injection = false) ~dir ~shard ~attempt () =
                 let result =
                   Runner.run_unit ?timeout_s:m.Manifest.timeout_s
                     ?fraction:r.config.fraction
-                    ?hardening:(if r.config.harden then Some hardened else None)
+                    ~hardening:
+                      (if r.config.harden then Flow.hardened
+                       else Flow.no_hardening)
                     ~backend ~seed:r.seed ~benchmark:r.circuit r.algorithm
                 in
                 rows := Shard.of_result r result :: !rows;

@@ -23,8 +23,9 @@ type parametric_options = {
           (default 1.08: up to 8 % degradation allowed, matching the
           worst parametric rows of Table I) *)
   n_paths : int option;
-      (** how many sampled I/O paths to draw timing paths from;
-          [None] picks [max 1 (gate_count / 1500)] *)
+      (** how many timing paths (segments of the sampled I/O paths) to
+          select from; [None] picks [max 3 (gate_count / 1200)],
+          [Some n] [max 1 n] *)
   select_fraction : float;
       (** fraction of eligible (fan-in >= 2) gates initially drawn per
           timing path (default 0.35) *)

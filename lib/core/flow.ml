@@ -73,11 +73,11 @@ type hardening = {
 }
 
 let no_hardening = { extra_inputs_per_lut = 0; absorb_drivers = false }
+let hardened = { extra_inputs_per_lut = 2; absorb_drivers = true }
 
-(* The technology library selection times and lints the hybrid under. *)
+(* The technology library selection times the netlist under; the
+   structural lint and SEC005 default to it too. *)
 let library = Sttc_tech.Library.cmos90
-
-let eval_library backend = Backend.eval_library backend library
 
 let protect ?(seed = 1) ?(fraction = 0.02) ?(hardening = no_hardening)
     ?(backend = Backend.stt) ?baseline algorithm netlist =
@@ -180,9 +180,7 @@ let protect ?(seed = 1) ?(fraction = 0.02) ?(hardening = no_hardening)
   in
   (* Every protect run is statically checked: a malformed hybrid would
      silently produce wrong security numbers downstream. *)
-  let lint =
-    Sttc_lint.Structural.check ~library (Hybrid.programmed hybrid)
-  in
+  let lint = Sttc_lint.Structural.check (Hybrid.programmed hybrid) in
   (match
      List.filter
        (fun d -> d.Sttc_lint.Diagnostic.severity = Sttc_lint.Diagnostic.Error)
@@ -199,7 +197,7 @@ let protect ?(seed = 1) ?(fraction = 0.02) ?(hardening = no_hardening)
       (Hybrid.foundry_view hybrid) ~luts:(Hybrid.lut_ids hybrid)
   in
   let overhead =
-    let eval_library = eval_library backend in
+    let eval_library = Backend.eval_library backend in
     let baseline =
       match supplied eval_library with
       | Some bl ->
@@ -221,113 +219,21 @@ let protect ?(seed = 1) ?(fraction = 0.02) ?(hardening = no_hardening)
       parametric_meta = meta;
     }
 
-(* ---------- resilient protection ---------- *)
+(* ---------- the entry point ---------- *)
 
-type rejection = {
-  attempted : algorithm;
-  attempt_seed : int;
-  reason : string;
-}
+type policy = Strict
 
-type resilient = {
-  accepted : result;
-  requested : algorithm;
-  rejections : rejection list;
-  degraded : bool;
-}
+type resilient = { accepted : result }
 
-let meets_timing algorithm (r : result) =
-  match algorithm with
-  | Parametric options ->
-      let budget_pct = (options.Algorithms.clock_factor -. 1.) *. 100. in
-      if r.overhead.Ppa.performance_pct <= budget_pct +. 1e-9 then Ok ()
-      else
-        Error
-          (Printf.sprintf "timing missed: %.2f%% degradation > %.2f%% budget"
-             r.overhead.Ppa.performance_pct budget_pct)
-  | Independent _ | Dependent -> Ok ()
-
-let degradation_chain = function
-  | Parametric _ as p -> [ p; Dependent; Independent { count = 5 } ]
-  | Dependent -> [ Dependent; Independent { count = 5 } ]
-  | Independent _ as i -> [ i ]
-
-let protect_resilient ?(seed = 1) ?fraction ?hardening ?backend ?baseline
-    ?(max_reseeds = 2) algorithm netlist =
-  let rejections = ref [] in
-  let reject attempted attempt_seed reason =
-    rejections := { attempted; attempt_seed; reason } :: !rejections
-  in
-  let try_once alg attempt_seed =
-    match
-      protect ~seed:attempt_seed ?fraction ?hardening ?backend ?baseline alg
-        netlist
-    with
-    | r -> (
-        match meets_timing alg r with
-        | Ok () -> Some r
-        | Error reason ->
-            reject alg attempt_seed reason;
-            None)
-    | exception Invalid_argument reason ->
-        reject alg attempt_seed reason;
-        None
-  in
-  let rec try_algorithm alg reseed =
-    if reseed > max_reseeds then None
-    else
-      match try_once alg (seed + reseed) with
-      | Some r -> Some r
-      | None -> try_algorithm alg (reseed + 1)
-  in
-  let rec down = function
-    | [] ->
-        invalid_arg
-          ("Flow.run: all attempts failed: "
-          ^ String.concat "; "
-              (List.rev_map
-                 (fun rj ->
-                   Printf.sprintf "%s@%d: %s"
-                     (algorithm_name rj.attempted)
-                     rj.attempt_seed rj.reason)
-                 !rejections))
-    | alg :: rest -> (
-        match try_algorithm alg 0 with
-        | Some r -> r
-        | None -> down rest)
-  in
-  let accepted = down (degradation_chain algorithm) in
-  {
-    accepted;
-    requested = algorithm;
-    rejections = List.rev !rejections;
-    degraded = algorithm_name accepted.algorithm <> algorithm_name algorithm;
-  }
-
-(* ---------- unified entry point ---------- *)
-
-type resilience = { max_reseeds : int }
-
-type policy = Strict | Resilient of resilience
-
-let run ?seed ?fraction ?hardening ?backend ?baseline ~policy algorithm netlist =
+let run ?seed ?fraction ?hardening ?backend ?baseline ~policy:Strict algorithm
+    netlist =
   Sttc_obs.Span.with_ "flow.run" ~cat:"core"
-    ~attrs:
-      [
-        ("algorithm", algorithm_name algorithm);
-        ( "policy",
-          match policy with Strict -> "strict" | Resilient _ -> "resilient" );
-      ]
+    ~attrs:[ ("algorithm", algorithm_name algorithm) ]
   @@ fun () ->
-  match policy with
-  | Strict ->
-      let accepted =
-        protect ?seed ?fraction ?hardening ?backend ?baseline algorithm netlist
-      in
-      { accepted; requested = algorithm; rejections = []; degraded = false }
-  | Resilient { max_reseeds } ->
-      protect_resilient ?seed ?fraction ?hardening ?backend ?baseline
-        ~max_reseeds algorithm netlist
+  {
+    accepted =
+      protect ?seed ?fraction ?hardening ?backend ?baseline algorithm netlist;
+  }
 
 let lint_view r =
   let algorithm =
@@ -351,7 +257,7 @@ let lint_view r =
       r.parametric_meta
   in
   Sttc_lint.Security_rules.view ~algorithm ?meta
-    ~original:(Hybrid.original r.hybrid) ~library ~clock_factor
+    ~original:(Hybrid.original r.hybrid) ~clock_factor
     ~foundry:(Hybrid.foundry_view r.hybrid)
     ~luts:(Hybrid.lut_ids r.hybrid) ()
 

@@ -37,6 +37,11 @@ type hardening = {
 
 val no_hardening : hardening
 
+val hardened : hardening
+(** Two dummy inputs per LUT and driver absorption: what a manifest
+    config's [harden], the [sttc protect --harden] flag and the serve
+    protect verb mean by hardening. *)
+
 val default_algorithms : algorithm list
 (** The three configurations used across the paper's experiments. *)
 
@@ -49,49 +54,17 @@ type result = {
       (** wall-clock of selection + replacement only (Table II metric) *)
   lint : Sttc_lint.Diagnostic.t list;
       (** structural diagnostics of the programmed hybrid (warnings and
-          infos; error-severity findings make {!protect} raise) *)
+          infos; error-severity findings make {!run} raise) *)
   parametric_meta : Algorithms.parametric_meta option;
       (** selection metadata when the algorithm was parametric-aware *)
 }
 
-(** {1 The unified entry point}
-
-    One function covers both failure semantics; callers choose with a
-    {!policy} value rather than between differently-named entry points:
-
-    - [run ~policy:Strict] fails hard — parametric selection that cannot
-      meet its clock budget, or a netlist whose hybrid trips the
-      structural lint, raises [Invalid_argument] and takes the run with
-      it;
-    - [run ~policy:(Resilient r)] retries with fresh seeds and then
-      walks an explicit graceful-degradation chain
-      (parametric → dependent → independent), recording every rejected
-      attempt so the caller can see what it actually got. *)
-
-type resilience = {
-  max_reseeds : int;
-      (** extra seeds tried per degradation step before moving on *)
-}
-
-type policy =
-  | Strict
-  | Resilient of resilience
-
-type rejection = {
-  attempted : algorithm;
-  attempt_seed : int;
-  reason : string;  (** timing miss or the exception message *)
-}
-
-type resilient = {
-  accepted : result;  (** the first attempt that passed *)
-  requested : algorithm;
-  rejections : rejection list;  (** failed attempts, in order *)
-  degraded : bool;
-      (** the accepted algorithm is weaker than the requested one *)
-}
-(** What {!run} produces.  Under [Strict] the outcome is always
-    [{ accepted; requested; rejections = []; degraded = false }]. *)
+type policy = Strict
+type resilient = { accepted : result }
+(** {!run}'s [policy] argument and return wrapper.  There is one protect
+    path, so both carry nothing; they are kept only because the
+    performance ledger's workloads ([bench/ledger/]) name
+    [~policy:Flow.Strict] and [.Flow.accepted]. *)
 
 val run :
   ?seed:int ->
@@ -104,7 +77,7 @@ val run :
   Sttc_netlist.Netlist.t ->
   resilient
 (** Run the full selection-and-replacement stage and the evaluation
-    around it.  Deterministic for a fixed seed at either policy.
+    around it.  Deterministic for a fixed seed.
     Selection times the netlist, and the structural lint checks the
     hybrid, under {!Sttc_tech.Library.cmos90}.
 
@@ -112,39 +85,31 @@ val run :
     technology.  Selection and hybrid construction are backend
     independent — the same (netlist, algorithm, seed) yields the same
     hybrid under every backend — while the PPA pricing, the Eq. 1-3
-    constants and the provisioning cost are the backend's.  Hardening
-    raises [Invalid_argument] under a candidate-restricted backend
-    (e.g. [tvd]): its cells cannot realize the expanded functions.
+    constants and the provisioning cost are the backend's.
 
     [baseline] supplies the input netlist's memoized PPA baseline (e.g.
     from [Runner.rows]' build task or the serve session cache), computed
     once per netlist instead of once per run.  It is used only where it
     {!Ppa.matches} — this exact netlist value and an equal library: its
     timing analysis for selection under the 90 nm library, the whole
-    baseline for the evaluation under the backend's pricing library
-    (counter [flow.baseline_reused]).  So it can never change results,
-    only skip the base [Sta.analyze] and [Activity.analyze].
+    baseline for the evaluation under the backend's pricing library,
+    {!Sttc_backend.Backend.eval_library} (counter [flow.baseline_reused]).
+    So it can never change results, only skip the base [Sta.analyze] and
+    [Activity.analyze].
 
-    The run gates every attempt on the structural pack only.  The
+    The run gates the hybrid on the structural pack only.  The
     {!Sttc_lint.Semantic_rules} pack (the Eq. 1 prover on the foundry
     view with the true bitstream) runs in [sttc lint --semantic], through
     [Sttc_serve.Handler.lint_diagnostics], which reports its findings
     instead of failing the protect.
 
-    [Strict]: a single attempt at [seed]; any failure raises
-    [Invalid_argument].
-
-    [Resilient { max_reseeds }]: try the requested algorithm at seeds
-    [seed, seed+1, .., seed+max_reseeds], then degrade along
-    {e parametric → dependent → independent} with the same reseed budget
-    per step.  Raises [Invalid_argument] only when every attempt of
-    every step failed (e.g. a netlist with no replaceable gates), with
-    the full rejection list in the message. *)
-
-val eval_library : Sttc_backend.Backend.t -> Sttc_tech.Library.t
-(** The library {!run} prices the PPA overheads under:
-    {!Sttc_tech.Library.cmos90} with the backend's own cell technology.
-    A shared [?baseline] is computed under it. *)
+    One attempt at [seed].  Raises [Invalid_argument] when the netlist
+    has no CMOS gates, when hardening is asked of a candidate-restricted
+    backend (e.g. [tvd], whose cells cannot realize the expanded
+    functions), or when the hybrid has an error-severity structural lint
+    finding.  A parametric selection that misses its clock budget does
+    not raise: the miss shows in the overhead report, and
+    {!lint_security}'s SEC005 flags it. *)
 
 val lint_security : result -> Sttc_lint.Diagnostic.t list
 (** Run the {!Sttc_lint.Security_rules} pack on the result's security

@@ -58,7 +58,7 @@ val programming_cost : ?backend:Sttc_backend.Backend.t -> Hybrid.t -> cost
 
 val pp_cost : Format.formatter -> cost -> unit
 
-(** {1 Resilient programming} *)
+(** {1 Programming under write faults} *)
 
 type resilience = {
   retry_budget : int;

@@ -17,7 +17,7 @@ let strict ~seed ?hardening ?backend ?baseline alg nl =
 (* The unprotected [nl]'s PPA under [backend]'s pricing, computed once by
    a loop that protects [nl] several times and passed to each [strict]. *)
 let baseline_of ?(backend = Backend.stt) nl =
-  Sttc_core.Ppa.baseline (Flow.eval_library backend) nl
+  Sttc_core.Ppa.baseline (Backend.eval_library backend) nl
 
 (* ---------- configuration ---------- *)
 
@@ -376,7 +376,7 @@ let ablation_hardening ?(seed = master_seed) () =
       ("plain", Flow.no_hardening);
       ("+2 dummy inputs", { Flow.extra_inputs_per_lut = 2; absorb_drivers = false });
       ("+absorb drivers", { Flow.extra_inputs_per_lut = 0; absorb_drivers = true });
-      ("both", { Flow.extra_inputs_per_lut = 2; absorb_drivers = true });
+      ("both", Flow.hardened);
     ]
   in
   List.iter
@@ -473,9 +473,7 @@ let baselines ?(seed = master_seed) () =
   in
   List.iter
     (fun (label, style, volatile, exposed) ->
-      let lib =
-        Sttc_tech.Library.with_lut_style Sttc_tech.Library.cmos90 style
-      in
+      let lib = Sttc_tech.Library.of_lut_style style in
       let o = Sttc_core.Ppa.evaluate lib ~base:nl ~hybrid:hybrid_nl in
       Sttc_util.Table.add_row t2
         [

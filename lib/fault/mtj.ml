@@ -1,23 +1,19 @@
 module Rng = Sttc_util.Rng
 
-type spec = {
-  write_error_rate : float;
-  stuck_cell_rate : float;
-  escalation_gain : float;
-}
+type spec = { write_error_rate : float; stuck_cell_rate : float }
 
-let default_faulty =
-  { write_error_rate = 1e-3; stuck_cell_rate = 0.; escalation_gain = 10. }
+(* Each escalation step divides the transient error rate by this factor
+   and multiplies the write energy by it (a higher write current). *)
+let gain = 10.
 
-let spec ?(write_error_rate = default_faulty.write_error_rate)
-    ?(stuck_cell_rate = default_faulty.stuck_cell_rate) () =
+let spec ?(write_error_rate = 1e-3) ?(stuck_cell_rate = 0.) () =
   let rate name r =
     if not (r >= 0. && r <= 1.) then
       invalid_arg (Printf.sprintf "Mtj.spec: %s %g outside [0,1]" name r)
   in
   rate "write_error_rate" write_error_rate;
   rate "stuck_cell_rate" stuck_cell_rate;
-  { default_faulty with write_error_rate; stuck_cell_rate }
+  { write_error_rate; stuck_cell_rate }
 
 type cell_state = {
   stuck : bool;
@@ -58,11 +54,11 @@ let write ch ~lut ~cell ?(escalation = 0) target =
   ch.attempts <- ch.attempts + 1;
   ch.verify_reads <- ch.verify_reads + 1;
   ch.energy_units <-
-    ch.energy_units +. (ch.spec.escalation_gain ** float_of_int escalation);
+    ch.energy_units +. (gain ** float_of_int escalation);
   if not s.stuck then begin
     let rate =
       ch.spec.write_error_rate
-      /. (ch.spec.escalation_gain ** float_of_int escalation)
+      /. (gain ** float_of_int escalation)
     in
     let fails = rate > 0. && Rng.float s.rng 1.0 < rate in
     if not fails then s.value <- target

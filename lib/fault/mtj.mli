@@ -22,10 +22,6 @@ type spec = {
   stuck_cell_rate : float;
       (** per-cell probability that the cell is permanently stuck at its
           as-fabricated value — no write ever changes it *)
-  escalation_gain : float;
-      (** >= 1.  Each escalation step divides the transient error rate
-          by this factor and multiplies the write energy by the same
-          factor (a higher write current). *)
 }
 
 val spec :
@@ -33,8 +29,7 @@ val spec :
   ?stuck_cell_rate:float ->
   unit ->
   spec
-(** By default a 1e-3 write-error rate and no stuck cells; the escalation
-    gain is 10.  Raises [Invalid_argument] on rates outside [0, 1]. *)
+(** By default a 1e-3 write-error rate and no stuck cells.  Raises [Invalid_argument] on rates outside [0, 1]. *)
 
 type channel
 
@@ -47,8 +42,8 @@ val write :
 (** [write ch ~lut ~cell target] attempts to store [target] and returns
     the value the cell actually holds afterwards (the read-back of a
     program-verify cycle).  [escalation] (default 0) selects the write
-    current: step [k] divides the transient error rate by
-    [escalation_gain ^ k]. *)
+    current: step [k] divides the transient error rate by [10 ^ k]
+    (a higher write current). *)
 
 val read : channel -> lut:string -> cell:int -> bool
 (** Current cell content (as-fabricated value if never written). *)
@@ -61,7 +56,7 @@ val attempts : channel -> int
 (** Total write attempts issued so far. *)
 
 val energy_units : channel -> float
-(** Sum over attempts of [escalation_gain ^ escalation] — the write
+(** Sum over attempts of [10 ^ escalation] — the write
     energy spent, in units of one nominal-current MTJ write. *)
 
 val verify_reads : channel -> int

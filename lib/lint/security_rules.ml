@@ -16,13 +16,11 @@ type view = {
   algorithm : algorithm option;
   meta : parametric_meta option;
   original : Netlist.t option;
-  library : Sttc_tech.Library.t;
   clock_factor : float;
 }
 
-let view ?algorithm ?meta ?original ?(library = Sttc_tech.Library.cmos90)
-    ?(clock_factor = 1.08) ~foundry ~luts () =
-  { foundry; luts; algorithm; meta; original; library; clock_factor }
+let view ?algorithm ?meta ?original ?(clock_factor = 1.08) ~foundry ~luts () =
+  { foundry; luts; algorithm; meta; original; clock_factor }
 
 type rule = Structural.rule = {
   id : string;
@@ -256,8 +254,8 @@ let check_timing v =
   match v.original with
   | None -> []
   | Some original ->
-      let base = Sta.analyze v.library original in
-      let hyb = Sta.analyze v.library v.foundry in
+      let base = Sta.analyze Sttc_tech.Library.cmos90 original in
+      let hyb = Sta.analyze Sttc_tech.Library.cmos90 v.foundry in
       let budget = v.clock_factor *. Sta.critical_delay_ps base in
       let delay = Sta.critical_delay_ps hyb in
       if delay <= budget +. 1e-6 then []

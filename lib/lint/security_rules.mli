@@ -40,7 +40,6 @@ type view = {
   algorithm : algorithm option;
   meta : parametric_meta option;
   original : Sttc_netlist.Netlist.t option;
-  library : Sttc_tech.Library.t;
   clock_factor : float;
       (** clock budget as a multiple of the original critical delay *)
 }
@@ -49,14 +48,14 @@ val view :
   ?algorithm:algorithm ->
   ?meta:parametric_meta ->
   ?original:Sttc_netlist.Netlist.t ->
-  ?library:Sttc_tech.Library.t ->
   ?clock_factor:float ->
   foundry:Sttc_netlist.Netlist.t ->
   luts:Sttc_netlist.Netlist.node_id list ->
   unit ->
   view
-(** Defaults: no algorithm/meta/original, {!Sttc_tech.Library.cmos90},
-    clock factor 1.08 (the paper's worst accepted degradation). *)
+(** Defaults: no algorithm/meta/original, clock factor 1.08 (the paper's
+    worst accepted degradation).  SEC005 times both netlists under
+    {!Sttc_tech.Library.cmos90}. *)
 
 val rules : Structural.rule list
 (** The catalog above, in ID order. *)

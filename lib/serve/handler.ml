@@ -21,8 +21,7 @@ let with_budget timeout_s f =
 (* ---------- protect ---------- *)
 
 let hardening_of_config (c : Sttc_campaign.Manifest.config) =
-  if c.harden then { Flow.extra_inputs_per_lut = 2; absorb_drivers = true }
-  else Flow.no_hardening
+  if c.harden then Flow.hardened else Flow.no_hardening
 
 let do_protect session (p : Request.protect) =
   match Session.netlist session p.source with

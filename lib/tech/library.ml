@@ -5,10 +5,8 @@ type lut_style =
 
 type t = { lut_style : lut_style }
 
-let cmos90 = { lut_style = Stt }
-
-let with_lut_style _t style = { lut_style = style }
-let lut_style t = t.lut_style
+let of_lut_style lut_style = { lut_style }
+let cmos90 = of_lut_style Stt
 
 let gate_cell _t fn = Cmos_lib.gate fn
 

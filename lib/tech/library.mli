@@ -14,11 +14,10 @@ type t
 val cmos90 : t
 (** The default hybrid library (90 nm CMOS + STT LUT cells). *)
 
-val with_lut_style : t -> lut_style -> t
-(** Swap the reconfigurable-cell technology, e.g. to price the same
-    hybrid netlist in SRAM-LUT form for the Section II comparison. *)
-
-val lut_style : t -> lut_style
+val of_lut_style : lut_style -> t
+(** The 90 nm CMOS library with the given reconfigurable-cell
+    technology, e.g. to price the same hybrid netlist in SRAM-LUT form
+    for the Section II comparison.  [cmos90] is [of_lut_style Stt]. *)
 
 val cell_of_kind : t -> Sttc_netlist.Netlist.kind -> Cell.t option
 (** [None] for primary inputs and constants (they carry no cell). *)

@@ -504,42 +504,6 @@ let test_flow_seed_identical_artifacts () =
       Alcotest.(check string) (name ^ " lint identical") l1 l2)
     Flow.default_algorithms
 
-let test_protect_resilient_passthrough () =
-  let nl = medium_circuit 24 in
-  let r =
-    Flow.run ~seed:5 ~policy:(Flow.Resilient { Flow.max_reseeds = 2 })
-      Flow.Dependent nl
-  in
-  Alcotest.(check bool) "not degraded" false r.Flow.degraded;
-  Alcotest.(check (list string)) "no rejections" []
-    (List.map (fun rj -> rj.Flow.reason) r.Flow.rejections);
-  Alcotest.(check string) "kept algorithm" "dependent"
-    (Flow.algorithm_name r.Flow.accepted.Flow.algorithm)
-
-let test_protect_resilient_degrades () =
-  let nl = medium_circuit 25 in
-  (* a clock factor this tight leaves no slack at all, so parametric
-     selection cannot meet its own timing budget and the chain must
-     fall back *)
-  let options =
-    { Sttc_core.Algorithms.default_parametric with clock_factor = 1.000001 }
-  in
-  let r =
-    Flow.run ~seed:5
-      ~policy:(Flow.Resilient { Flow.max_reseeds = 1 })
-      (Flow.Parametric options) nl
-  in
-  if r.Flow.degraded then begin
-    Alcotest.(check bool) "recorded rejections" true (r.Flow.rejections <> []);
-    Alcotest.(check string) "degraded to the next chain step" "dependent"
-      (Flow.algorithm_name r.Flow.accepted.Flow.algorithm)
-  end
-  else
-    (* the tight budget happened to hold: then there is nothing to
-       degrade and the result must be the parametric one *)
-    Alcotest.(check string) "kept parametric" "parametric"
-      (Flow.algorithm_name r.Flow.accepted.Flow.algorithm)
-
 let test_flow_independent_uses_count () =
   let nl = medium_circuit 19 in
   let r = protect ~seed:4 (Flow.Independent { count = 7 }) nl in
@@ -597,9 +561,7 @@ let test_expand_absorptions () =
 
 let test_flow_hardening () =
   let nl = medium_circuit 23 in
-  let hardening =
-    { Flow.extra_inputs_per_lut = 2; absorb_drivers = true }
-  in
+  let hardening = Flow.hardened in
   let plain = protect ~seed:4 (Flow.Independent { count = 5 }) nl in
   let hard = protect ~seed:4 ~hardening (Flow.Independent { count = 5 }) nl in
   (* hardening must preserve functionality *)
@@ -852,10 +814,6 @@ let () =
             test_flow_seed_identical_artifacts;
           Alcotest.test_case "no forced minor collection" `Quick
             test_flow_no_forced_minor;
-          Alcotest.test_case "resilient passthrough" `Quick
-            test_protect_resilient_passthrough;
-          Alcotest.test_case "resilient degradation" `Quick
-            test_protect_resilient_degrades;
           Alcotest.test_case "independent count" `Quick
             test_flow_independent_uses_count;
           Alcotest.test_case "rejects gateless" `Quick test_flow_rejects_gateless;

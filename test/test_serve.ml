@@ -328,6 +328,47 @@ let test_session_baseline_memo () =
         [ ("stt", protect 2); ("tvd", protect ~backend:"tvd" 3) ];
       Alcotest.(check int) "two memo hits" (before + 2) (hits ()))
 
+(* A manifest config's [harden] means one hardening on every path: the
+   serve protect verb (and so [sttc protect --harden]) and the campaign
+   worker's unit, [Runner.run_unit ~hardening:Flow.hardened], ship the
+   same bitstream bytes for s641 under dependent selection at seed 3. *)
+let test_hardened_protect_matches_unit () =
+  let served harden =
+    let r =
+      req
+        (Request.Protect
+           {
+             source = Request.Named "s641";
+             algorithm = Flow.Dependent;
+             config = { Manifest.default_config with harden };
+             seed = 3;
+             backend = "stt";
+             sign_off = false;
+             emit_foundry = false;
+             emit_bitstream = true;
+             emit_verilog = false;
+             timing = false;
+           })
+    in
+    match Handler.handle (Session.create ()) r with
+    | Response.Ok { payload = Response.Protect { bitstream = Some b; _ }; _ } ->
+        b
+    | other -> Alcotest.failf "protect failed: %s" (Response.to_string other)
+  in
+  let unit_bitstream =
+    match
+      Sttc_experiments.Runner.run_unit ~hardening:Flow.hardened ~seed:3
+        ~benchmark:"s641" Flow.Dependent
+    with
+    | Ok r ->
+        Sttc_core.Provision.(to_string (of_hybrid r.Flow.hybrid))
+    | Error e -> Alcotest.failf "run_unit failed: %s" e
+  in
+  let hardened = served true in
+  Alcotest.(check string) "serve == campaign unit" unit_bitstream hardened;
+  Alcotest.(check bool) "hardening changes the bitstream" true
+    (hardened <> served false)
+
 (* ---------- daemon integration ---------- *)
 
 let start_server cfg =
@@ -603,6 +644,8 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_session_eviction;
           Alcotest.test_case "bad sources" `Quick test_session_bad_source;
           Alcotest.test_case "baseline memo" `Quick test_session_baseline_memo;
+          Alcotest.test_case "hardened protect matches the campaign unit"
+            `Quick test_hardened_protect_matches_unit;
         ] );
       ( "server",
         [

@@ -174,9 +174,9 @@ let test_sram_baseline () =
     (sram2.Cell.area_um2 > stt2.Cell.area_um2);
   (* library style switch reaches the analyses *)
   let stt_lib = Library.cmos90 in
-  let sram_lib = Library.with_lut_style stt_lib Library.Sram in
-  Alcotest.(check bool) "style recorded" true
-    (Library.lut_style sram_lib = Library.Sram);
+  let sram_lib = Library.of_lut_style Library.Sram in
+  Alcotest.(check bool) "cmos90 is the stt style" true
+    (stt_lib = Library.of_lut_style Library.Stt);
   let kind = Sttc_netlist.Netlist.Lut { arity = 2; config = None } in
   Alcotest.(check bool) "delays differ" true
     (Library.node_delay_ps stt_lib kind <> Library.node_delay_ps sram_lib kind)

@@ -71,6 +71,16 @@ if grep -rnE 'Brute_force\.search_space|Camouflage\.(search_space|sat_candidates
   exit 1
 fi
 
+echo "== flow-policy gate (one protect path, no one-valued settings)"
+# Flow.run makes one pass (the paper's Fig. 2): the reseed-and-degrade
+# policy, the library swap that ignored its library and the MTJ gain
+# every spec set to 10 are retired and must not come back.
+if grep -rnE '\b(Resilient|protect_resilient|degradation_chain|max_reseeds|with_lut_style|escalation_gain)\b' \
+     lib bin test bench/main.ml examples; then
+  echo "FLOW-POLICY GATE FAILED: a retired flow policy or one-valued setting is back (see above)" >&2
+  exit 1
+fi
+
 echo "== reachability gate (every library module, exported value and optional parameter is reached from a product path)"
 # A fixpoint from the product paths, bin/, examples/ and bench/ledger/:
 # a reached file reaches every module it names, either qualified

@@ -75,8 +75,8 @@ type hardening = {
 let no_hardening = { extra_inputs_per_lut = 0; absorb_drivers = false }
 let hardened = { extra_inputs_per_lut = 2; absorb_drivers = true }
 
-(* The technology library selection times the netlist under; the
-   structural lint and SEC005 default to it too. *)
+(* The technology library selection times the netlist under; SEC005
+   times under it too. *)
 let library = Sttc_tech.Library.cmos90
 
 let protect ?(seed = 1) ?(fraction = 0.02) ?(hardening = no_hardening)
@@ -178,19 +178,9 @@ let protect ?(seed = 1) ?(fraction = 0.02) ?(hardening = no_hardening)
         (Sttc_util.Lognum.log10 r.security.Security.n_bf));
     r
   in
-  (* Every protect run is statically checked: a malformed hybrid would
-     silently produce wrong security numbers downstream. *)
+  (* the hybrid's dead logic (STR004); Netlist.with_kinds, beneath
+     Hybrid.make's transforms, already refused any malformed hybrid *)
   let lint = Sttc_lint.Structural.check (Hybrid.programmed hybrid) in
-  (match
-     List.filter
-       (fun d -> d.Sttc_lint.Diagnostic.severity = Sttc_lint.Diagnostic.Error)
-       lint
-   with
-  | [] -> ()
-  | d :: _ ->
-      invalid_arg
-        ("Flow.run: hybrid fails structural lint: "
-        ^ Sttc_lint.Diagnostic.to_text d));
   let security =
     Security.evaluate
       ~constants:{ Security.alpha = backend.Backend.alpha; p = backend.Backend.p }

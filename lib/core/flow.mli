@@ -53,8 +53,9 @@ type result = {
   selection_seconds : float;
       (** wall-clock of selection + replacement only (Table II metric) *)
   lint : Sttc_lint.Diagnostic.t list;
-      (** structural diagnostics of the programmed hybrid (warnings and
-          infos; error-severity findings make {!run} raise) *)
+      (** the structural pack's findings on the programmed hybrid: STR004
+          dead-logic warnings only, since the netlist builder refuses
+          every malformation the pack's other rows name *)
   parametric_meta : Algorithms.parametric_meta option;
       (** selection metadata when the algorithm was parametric-aware *)
 }
@@ -78,8 +79,7 @@ val run :
   resilient
 (** Run the full selection-and-replacement stage and the evaluation
     around it.  Deterministic for a fixed seed.
-    Selection times the netlist, and the structural lint checks the
-    hybrid, under {!Sttc_tech.Library.cmos90}.
+    Selection times the netlist under {!Sttc_tech.Library.cmos90}.
 
     [backend] (default {!Sttc_backend.Backend.stt}) picks the protection
     technology.  Selection and hybrid construction are backend
@@ -97,19 +97,18 @@ val run :
     So it can never change results, only skip the base [Sta.analyze] and
     [Activity.analyze].
 
-    The run gates the hybrid on the structural pack only.  The
-    {!Sttc_lint.Semantic_rules} pack (the Eq. 1 prover on the foundry
-    view with the true bitstream) runs in [sttc lint --semantic], through
-    [Sttc_serve.Handler.lint_diagnostics], which reports its findings
-    instead of failing the protect.
+    The run records the structural pack's findings in [lint] and gates
+    on none of them.  The {!Sttc_lint.Semantic_rules} pack (the Eq. 1
+    prover on the foundry view with the true bitstream) runs in
+    [sttc lint --semantic], through [Sttc_serve.Handler.lint_diagnostics],
+    which reports its findings instead of failing the protect.
 
     One attempt at [seed].  Raises [Invalid_argument] when the netlist
-    has no CMOS gates, when hardening is asked of a candidate-restricted
-    backend (e.g. [tvd], whose cells cannot realize the expanded
-    functions), or when the hybrid has an error-severity structural lint
-    finding.  A parametric selection that misses its clock budget does
-    not raise: the miss shows in the overhead report, and
-    {!lint_security}'s SEC005 flags it. *)
+    has no CMOS gates, or when hardening is asked of a
+    candidate-restricted backend (e.g. [tvd], whose cells cannot realize
+    the expanded functions).  A parametric selection that misses its
+    clock budget does not raise: the miss shows in the overhead report,
+    and {!lint_security}'s SEC005 flags it. *)
 
 val lint_security : result -> Sttc_lint.Diagnostic.t list
 (** Run the {!Sttc_lint.Security_rules} pack on the result's security

@@ -71,13 +71,14 @@ let lex_line lineno line =
           | _ -> fail lineno ("malformed right-hand side: " ^ rhs))
 
 let parse_string ?(design_name = "bench") text =
+  let lines = String.split_on_char '\n' text in
   let stmts = ref [] in
   List.iteri
     (fun i line ->
       match lex_line (i + 1) line with
       | Some s -> stmts := (i + 1, s) :: !stmts
       | None -> ())
-    (String.split_on_char '\n' text);
+    lines;
   let stmts = List.rev !stmts in
   let b = Netlist.Builder.create ~design_name () in
   (* Two passes: declare all signals (so forward references through DFFs
@@ -192,7 +193,14 @@ let parse_string ?(design_name = "bench") text =
             Netlist.Builder.set_dff_input b ff (node_of ln d)
         | _ -> fail ln "DFF takes one argument")
     assigns;
-  (* Outputs. *)
+  (* Outputs: none at all is the input's fault, reported at its last
+     line (a final newline ends that line; it starts no line of its own). *)
+  if !outs = [] then begin
+    let n = List.length lines in
+    fail
+      (if n > 1 && String.ends_with ~suffix:"\n" text then n - 1 else n)
+      "no OUTPUT declaration"
+  end;
   List.iter
     (fun (ln, a) -> Netlist.Builder.add_output b a (node_of ln a))
     (List.rev !outs);

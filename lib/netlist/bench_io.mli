@@ -18,6 +18,12 @@ exception Parse_error of int * string
 (** Line number and message. *)
 
 val parse_string : ?design_name:string -> string -> Netlist.t
+(** Raises [Parse_error] on every input {!Netlist.Builder} would refuse,
+    at the offending line: an undefined or redefined signal, a duplicate
+    declaration, a combinational cycle, an impossible fan-in count.  An
+    input with no [OUTPUT] line is refused at its last line, with the
+    message [no OUTPUT declaration]. *)
+
 val parse_file : string -> Netlist.t
 (** Design name defaults to the file's base name. *)
 

@@ -8,8 +8,6 @@ type t = { lut_style : lut_style }
 let of_lut_style lut_style = { lut_style }
 let cmos90 = of_lut_style Stt
 
-let gate_cell _t fn = Cmos_lib.gate fn
-
 let lut_cell t n =
   match t.lut_style with
   | Stt -> Stt_lib.lut n
@@ -21,7 +19,7 @@ let dff_cell _t = Cmos_lib.dff
 let cell_of_kind t kind =
   match kind with
   | Sttc_netlist.Netlist.Pi | Sttc_netlist.Netlist.Const _ -> None
-  | Sttc_netlist.Netlist.Gate fn -> Some (gate_cell t fn)
+  | Sttc_netlist.Netlist.Gate fn -> Some (Cmos_lib.gate fn)
   | Sttc_netlist.Netlist.Lut { arity; _ } -> Some (lut_cell t arity)
   | Sttc_netlist.Netlist.Dff -> Some (dff_cell t)
 

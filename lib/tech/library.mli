@@ -22,8 +22,6 @@ val of_lut_style : lut_style -> t
 val cell_of_kind : t -> Sttc_netlist.Netlist.kind -> Cell.t option
 (** [None] for primary inputs and constants (they carry no cell). *)
 
-val gate_cell : t -> Sttc_logic.Gate_fn.t -> Cell.t
-val lut_cell : t -> int -> Cell.t
 val dff_cell : t -> Cell.t
 
 val node_delay_ps : t -> Sttc_netlist.Netlist.kind -> float

@@ -1,13 +1,14 @@
-(* Tests for Sttc_lint: the diagnostics core, both rule packs (each rule
-   fires on a minimal violating design), and the clean-on-valid-input
+(* Tests for Sttc_lint: the diagnostics core, the rule packs (each rule
+   fires on a minimal violating design, except the structural error rows,
+   whose faults the netlist reader refuses), and the clean-on-valid-input
    properties the subsystem guarantees. *)
 
 module D = Sttc_lint.Diagnostic
-module Graph = Sttc_lint.Graph
 module Structural = Sttc_lint.Structural
 module Sec = Sttc_lint.Security_rules
 module Lint = Sttc_lint.Lint
 module Netlist = Sttc_netlist.Netlist
+module Bench_io = Sttc_netlist.Bench_io
 module Transform = Sttc_netlist.Transform
 module Generator = Sttc_netlist.Generator
 module Gate_fn = Sttc_logic.Gate_fn
@@ -115,36 +116,49 @@ let test_catalog () =
          go 0))
     [ "STR"; "SEC"; "SEM" ]
 
-(* ---------- structural rules on minimal violating graphs ---------- *)
+(* ---------- structural rules ---------- *)
 
-let graph ?(design = "g") ?(outputs = [||]) nodes =
-  { Graph.design; nodes = Array.of_list nodes; outputs }
+let parse text = Bench_io.parse_string ~design_name:"t" text
 
-let n name kind fanins = { Netlist.name; kind; fanins = Array.of_list fanins }
+(* The six error rows name faults the netlist reader refuses: [text],
+   which holds [rule]'s fault, fails to parse at [line], so no lint run
+   ever sees it, and the row still resolves for --rules and --suppress. *)
+let refused rule text line =
+  (match Lint.find_rule rule with
+  | Some r ->
+      Alcotest.(check bool) (rule ^ " is an error row") true
+        (r.Structural.severity = D.Error)
+  | None -> Alcotest.failf "%s is not in the catalog" rule);
+  match parse text with
+  | _ -> Alcotest.failf "%s: the reader accepted its fault" rule
+  | exception Bench_io.Parse_error (l, _) ->
+      Alcotest.(check int) (rule ^ " refused at line") line l
 
 let test_str_comb_loop () =
-  (* g1 = AND(a, g2); g2 = BUF(g1): a two-gate combinational cycle *)
-  let g =
-    graph
-      ~outputs:[| ("y", 1) |]
-      [
-        n "a" Netlist.Pi [];
-        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "g2" (Netlist.Gate Gate_fn.Buf) [ 1 ];
-      ]
-  in
-  check_fires "loop" "comb-loop" (Structural.run g);
+  refused "comb-loop" "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = BUFF(y)\n" 3;
   (* the same shape through a flip-flop is legal *)
-  let ok =
-    graph
-      ~outputs:[| ("y", 1) |]
-      [
-        n "a" Netlist.Pi [];
-        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "ff" Netlist.Dff [ 1 ];
-      ]
-  in
-  check_silent "dff breaks loop" "comb-loop" (Structural.run ok)
+  let ok = parse "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = DFF(y)\n" in
+  Alcotest.(check int) "dff breaks loop" 0 (D.errors (Structural.check ok))
+
+let test_str_undriven () =
+  refused "undriven-net" "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n" 3;
+  refused "undriven-net" "INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\ny = NOT(a)\n" 3;
+  refused "undriven-net" "INPUT(a)\nOUTPUT(y)\nff = DFF(ghost)\ny = AND(a, ff)\n" 3
+
+let test_str_multi_driver () =
+  refused "multi-driver" "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUFF(a)\n" 4;
+  refused "multi-driver" "INPUT(a)\nOUTPUT(y)\na = NOT(a)\ny = BUFF(a)\n" 3
+
+let test_str_arity () =
+  refused "arity-mismatch" "INPUT(a)\nOUTPUT(y)\ny = NOT(a, a)\n" 3;
+  refused "arity-mismatch"
+    "INPUT(a)\nOUTPUT(y)\ny = LUT(a, a, a, a, a, a, a)\n" 3;
+  refused "arity-mismatch" "INPUT(a)\nOUTPUT(y)\nff = DFF(a, a)\ny = BUFF(ff)\n" 3
+
+let test_str_duplicate_output () =
+  refused "duplicate-name" "INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = NOT(a)\n" 3
+
+let test_str_no_output () = refused "no-output" "INPUT(a)\ny = NOT(a)\n" 2
 
 let render ds =
   List.map
@@ -154,194 +168,26 @@ let render ds =
         d.D.detail)
     ds
 
-(* The exact STR001 findings and their order, recorded before the rule's
-   Tarjan moved onto arrays. *)
-let test_str_comb_loop_pinned () =
-  let str001 g = render (D.filter_rules ~only:[ "STR001" ] (Structural.run g)) in
-  let two_cycles =
-    graph
-      ~outputs:[| ("y", 2); ("z", 5) |]
-      [
-        n "a" Netlist.Pi [];
-        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "g2" (Netlist.Gate Gate_fn.Buf) [ 1 ];
-        n "h1" (Netlist.Gate (Gate_fn.Or 2)) [ 0; 5 ];
-        n "h2" (Netlist.Gate Gate_fn.Not) [ 3 ];
-        n "h0" (Netlist.Gate Gate_fn.Buf) [ 4 ];
-      ]
-  in
-  Alcotest.(check (list string)) "two disjoint cycles"
-    [
-      "STR001@g1: combinational cycle through 2 node(s): g1 -> g2";
-      "STR001@h0: combinational cycle through 3 node(s): h0 -> h1 -> h2";
-    ]
-    (str001 two_cycles);
-  let self_loop =
-    graph
-      ~outputs:[| ("y", 2) |]
-      [
-        n "a" Netlist.Pi [];
-        n "s" (Netlist.Gate (Gate_fn.And 2)) [ 0; 1 ];
-        n "t" (Netlist.Gate Gate_fn.Not) [ 1 ];
-      ]
-  in
-  Alcotest.(check (list string)) "self-loop"
-    [ "STR001@s: combinational cycle through 1 node(s): s" ]
-    (str001 self_loop);
-  (* c1 -> c2 -> c3 -> c4 -> c1 with chords c1 -> c4 and c4 -> c2, and
-     a tail off the cycle *)
-  let chord =
-    graph
-      ~outputs:[| ("y", 5) |]
-      [
-        n "a" Netlist.Pi [];
-        n "c1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 4 ];
-        n "c2" (Netlist.Gate (Gate_fn.Or 2)) [ 1; 4 ];
-        n "c3" (Netlist.Gate Gate_fn.Buf) [ 2 ];
-        n "c4" (Netlist.Gate (Gate_fn.And 2)) [ 3; 1 ];
-        n "tail" (Netlist.Gate Gate_fn.Not) [ 4 ];
-      ]
-  in
-  Alcotest.(check (list string)) "SCC with a chord"
-    [ "STR001@c1: combinational cycle through 4 node(s): c1 -> c2 -> c3 -> c4" ]
-    (str001 chord);
-  let dff_broken =
-    graph
-      ~outputs:[| ("y", 1) |]
-      [
-        n "a" Netlist.Pi [];
-        n "g1" (Netlist.Gate (Gate_fn.And 2)) [ 0; 2 ];
-        n "ff" Netlist.Dff [ 1 ];
-      ]
-  in
-  Alcotest.(check (list string)) "DFF-broken loop" [] (str001 dff_broken)
-
-(* STR002's missing-fanin counts and STR003's driver counts, recorded
-   before either stopped building per-node lists and tables. *)
-let test_str_counts_pinned () =
-  let g =
-    graph
-      ~outputs:[| ("y", 1); ("z", 9) |]
-      [
-        n "a" Netlist.Pi [];
-        n "s" (Netlist.Gate (Gate_fn.And 3)) [ -1; 0; 42 ];
-        n "s" (Netlist.Gate Gate_fn.Buf) [ -3 ];
-        n "b" (Netlist.Gate Gate_fn.Buf) [ 0 ];
-        n "s" (Netlist.Gate Gate_fn.Not) [ 3 ];
-        n "b" (Netlist.Gate Gate_fn.Buf) [ 3 ];
-      ]
-  in
-  Alcotest.(check (list string)) "STR002 and STR003"
-    [
-      "STR002@s: 2 fanin(s) have no driver";
-      "STR002@s: 1 fanin(s) have no driver";
-      "STR002@z: primary output references no driver";
-      "STR003@b: signal is driven by 2 nodes";
-      "STR003@s: signal is driven by 3 nodes";
-    ]
-    (render (D.filter_rules ~only:[ "STR002"; "STR003" ] (Structural.run g)))
-
-let test_str_undriven () =
-  let g =
-    graph ~outputs:[| ("y", 0) |]
-      [ n "g" (Netlist.Gate Gate_fn.Buf) [ -1 ] ]
-  in
-  check_fires "bad fanin" "undriven-net" (Structural.run g);
-  (* an output naming a nonexistent driver too *)
-  let g2 =
-    graph ~outputs:[| ("y", 7) |] [ n "a" Netlist.Pi [] ]
-  in
-  check_fires "bad po" "undriven-net" (Structural.run g2)
-
-let test_str_multi_driver () =
-  let g =
-    graph ~outputs:[| ("y", 1) |]
-      [
-        n "a" Netlist.Pi [];
-        n "s" (Netlist.Gate Gate_fn.Buf) [ 0 ];
-        n "s" (Netlist.Gate Gate_fn.Not) [ 0 ];
-      ]
-  in
-  check_fires "two drivers of s" "multi-driver" (Structural.run g)
-
 let test_str_dangling () =
-  let g =
-    graph ~outputs:[| ("y", 1) |]
-      [
-        n "a" Netlist.Pi [];
-        n "live" (Netlist.Gate Gate_fn.Buf) [ 0 ];
-        n "dead" (Netlist.Gate Gate_fn.Not) [ 0 ];
-      ]
+  let ds =
+    Structural.check
+      (parse "INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\ndead = NOT(a)\n")
   in
-  let ds = Structural.run g in
   check_fires "dead gate" "dangling-gate" ds;
   (* it is a warning, not an error *)
   Alcotest.(check int) "no errors" 0 (D.errors ds);
   (* a gate feeding only a flip-flop is not dangling *)
   let ok =
-    graph ~outputs:[| ("y", 1) |]
-      [
-        n "a" Netlist.Pi [];
-        n "live" (Netlist.Gate Gate_fn.Buf) [ 0 ];
-        n "pre" (Netlist.Gate Gate_fn.Not) [ 0 ];
-        n "ff" Netlist.Dff [ 2 ];
-      ]
+    parse
+      "INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\npre = NOT(a)\nff = DFF(pre)\n"
   in
-  check_silent "ff fanin live" "dangling-gate" (Structural.run ok)
+  check_silent "ff fanin live" "dangling-gate" (Structural.check ok)
 
-let test_str_arity () =
-  let g =
-    graph ~outputs:[| ("y", 1) |]
-      [ n "a" Netlist.Pi []; n "g" (Netlist.Gate (Gate_fn.And 2)) [ 0 ] ]
-  in
-  check_fires "AND2 with one fanin" "arity-mismatch" (Structural.run g);
-  let wide =
-    graph ~outputs:[| ("y", 1) |]
-      [
-        n "a" Netlist.Pi [];
-        n "l" (Netlist.Lut { arity = 7; config = None })
-          [ 0; 0; 0; 0; 0; 0; 0 ];
-      ]
-  in
-  check_fires "7-LUT beyond tech max" "arity-mismatch" (Structural.run wide);
-  let dff =
-    graph ~outputs:[| ("y", 1) |]
-      [ n "a" Netlist.Pi []; n "ff" Netlist.Dff [] ]
-  in
-  check_fires "unwired dff" "arity-mismatch" (Structural.run dff)
-
-let test_str_duplicate_output () =
-  let g =
-    graph
-      ~outputs:[| ("y", 1); ("y", 0) |]
-      [ n "a" Netlist.Pi []; n "g" (Netlist.Gate Gate_fn.Buf) [ 0 ] ]
-  in
-  check_fires "duplicate PO name" "duplicate-name" (Structural.run g)
-
-let test_str_no_output () =
-  let g = graph [ n "a" Netlist.Pi [] ] in
-  check_fires "no outputs" "no-output" (Structural.run g)
-
-(* The graph of a netlist holds the netlist's own node records. *)
-let test_graph_of_netlist_shares () =
-  let nl = Sttc_experiments.Runner.build_circuit "s641" in
-  let g = Graph.of_netlist nl in
-  Alcotest.(check string) "design" (Netlist.design_name nl) g.Graph.design;
-  Alcotest.(check int) "node count" (Netlist.node_count nl)
-    (Array.length g.Graph.nodes);
-  Alcotest.(check bool) "outputs" true (g.Graph.outputs == Netlist.outputs nl);
-  Array.iteri
-    (fun id node ->
-      if node != Netlist.node nl id then
-        Alcotest.failf "node %d is a copy, not the netlist's record" id)
-    g.Graph.nodes
-
-(* The structural pack on the product path: a parsed .bench, not a
-   hand-built graph.  The findings were recorded before the pack read the
-   netlist's own nodes. *)
+(* STR004 on a parsed .bench, message for message: the findings were
+   recorded when the pack still read a copy of the netlist's nodes. *)
 let test_str_dangling_parsed () =
   let nl =
-    Sttc_netlist.Bench_io.parse_string ~design_name:"dead"
+    Bench_io.parse_string ~design_name:"dead"
       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\nd1 = NOT(a)\n\
        d2 = OR(d1, b)\n"
   in
@@ -979,17 +825,12 @@ let () =
       ( "structural",
         [
           Alcotest.test_case "comb-loop" `Quick test_str_comb_loop;
-          Alcotest.test_case "comb-loop pinned" `Quick test_str_comb_loop_pinned;
-          Alcotest.test_case "undriven and multi-driver pinned" `Quick
-            test_str_counts_pinned;
           Alcotest.test_case "undriven-net" `Quick test_str_undriven;
           Alcotest.test_case "multi-driver" `Quick test_str_multi_driver;
           Alcotest.test_case "dangling-gate" `Quick test_str_dangling;
           Alcotest.test_case "arity-mismatch" `Quick test_str_arity;
           Alcotest.test_case "duplicate-name" `Quick test_str_duplicate_output;
           Alcotest.test_case "no-output" `Quick test_str_no_output;
-          Alcotest.test_case "graph shares netlist nodes" `Quick
-            test_graph_of_netlist_shares;
           Alcotest.test_case "dangling-gate on a parsed netlist" `Quick
             test_str_dangling_parsed;
         ] );

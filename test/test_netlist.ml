@@ -208,6 +208,30 @@ let test_builder_no_outputs () =
     (Invalid_argument "Builder.finalize: no outputs") (fun () ->
       ignore (Netlist.Builder.finalize b))
 
+let test_builder_duplicate_output () =
+  let b = Netlist.Builder.create () in
+  let a = Netlist.Builder.add_pi b "a" in
+  Netlist.Builder.add_output b "y" a;
+  Alcotest.check_raises "duplicate output"
+    (Invalid_argument "Builder: duplicate output name y") (fun () ->
+      Netlist.Builder.add_output b "y" a)
+
+(* [with_kinds] re-validates every node it changes: a fanin out of range
+   first, then a fanin count the kind does not take. *)
+let test_with_kinds_refusals () =
+  let nl = small_circuit () in
+  let g1 = Netlist.find_exn nl "g1" in
+  let rewire fanins_of =
+    Netlist.with_kinds nl (fun id kind fanins ->
+        if id = g1 then (kind, fanins_of fanins) else (kind, fanins))
+  in
+  Alcotest.check_raises "fanin out of range"
+    (Invalid_argument "Netlist.with_kinds: fanin out of range at g1")
+    (fun () -> ignore (rewire (fun f -> [| f.(0); Netlist.node_count nl |])));
+  Alcotest.check_raises "fanin count"
+    (Invalid_argument "Netlist.with_kinds: fanin arity mismatch at g1")
+    (fun () -> ignore (rewire (fun f -> [| f.(0) |])))
+
 let test_builder_combinational_cycle () =
   (* cycles through DFFs are fine (small_circuit); a pure combinational
      cycle must be rejected: build via with_kinds rewiring *)
@@ -528,7 +552,16 @@ let test_bench_strict_errors () =
     "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\nINPUT(g)\n\
      OUTPUT(y)\ny = LUT(a, b, c, d, e, f, g)\n"
   in
-  expect_line wide_lut 9
+  expect_line wide_lut 9;
+  (* no OUTPUT line at all: refused by the reader, at the input's last
+     line, not by the builder at line 0 *)
+  expect_line "INPUT(a)" 1;
+  expect_line "INPUT(a)\nx = NOT(a)\n" 2;
+  try
+    ignore (Bench_io.parse_string "INPUT(a)\n");
+    Alcotest.fail "expected Parse_error"
+  with Bench_io.Parse_error (_, m) ->
+    Alcotest.(check string) "no output message" "no OUTPUT declaration" m
 
 let test_bench_constants () =
   let nl =
@@ -1420,6 +1453,10 @@ let () =
           Alcotest.test_case "arity mismatch" `Quick test_builder_arity_mismatch;
           Alcotest.test_case "unwired dff" `Quick test_builder_unwired_dff;
           Alcotest.test_case "no outputs" `Quick test_builder_no_outputs;
+          Alcotest.test_case "duplicate output" `Quick
+            test_builder_duplicate_output;
+          Alcotest.test_case "with_kinds refusals" `Quick
+            test_with_kinds_refusals;
           Alcotest.test_case "combinational cycle" `Quick test_builder_combinational_cycle;
           Alcotest.test_case "shared kinds" `Quick test_builder_shared_kinds;
           Alcotest.test_case "fanouts" `Quick test_fanouts;

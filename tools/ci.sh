@@ -48,16 +48,34 @@ if grep -rnE 'encode_netlist|encode_fixed_lut' lib bin test bench/main.ml exampl
   exit 1
 fi
 
-echo "== lint-model gate (the structural pack reads the netlist's own nodes)"
-# Graph.t is an array of Netlist.node records; lib/lint declares no node
-# or kind type of its own, and the packs run through their own modules
-# (Structural.check, Semantic_rules.run), not Lint pass-throughs.
+echo "== lint-model gate (the rule packs read the netlist's own nodes)"
+# The packs read Netlist.node records directly; lib/lint declares no
+# node or kind type of its own, and the packs run through their own
+# modules (Structural.check, Semantic_rules.run), not Lint pass-throughs.
 if grep -nE '^[[:space:]]*(and|type)[[:space:]]+(kind|node)\b' lib/lint/*.ml lib/lint/*.mli; then
   echo "LINT-MODEL GATE FAILED: lib/lint declares its own node or kind type (see above)" >&2
   exit 1
 fi
 if grep -rnE 'Lint\.(structural|semantic)\b' lib bin test bench/main.ml examples; then
   echo "LINT-MODEL GATE FAILED: a Lint pass-through to a rule pack is back (see above)" >&2
+  exit 1
+fi
+
+echo "== well-formedness gate (the netlist builder is its one owner)"
+# Netlist.Builder, Netlist.with_kinds and the .bench reader refuse
+# cycles, undriven references, second drivers, impossible fan-ins,
+# duplicate outputs and empty output lists, so no Netlist.t holds one:
+# the lint-side graph mirror and the checks that re-proved those
+# refusals are retired, and Flow gates on no structural finding.
+# Truth's own check_arity (a truth table's input count) is another job.
+if grep -rnE 'Sttc_lint\.Graph|Graph\.of_netlist|check_(comb_loop|undriven|multi_driver|arity|dup_name|no_output)' \
+     lib bin test bench/main.ml examples \
+     | grep -vE '^lib/logic/truth\.ml:[0-9]+:.*\bcheck_arity\b'; then
+  echo "WELL-FORMEDNESS GATE FAILED: a second well-formedness check is back (see above)" >&2
+  exit 1
+fi
+if grep -rn 'fails structural lint' lib/core; then
+  echo "WELL-FORMEDNESS GATE FAILED: a protect-time structural lint gate is back (see above)" >&2
   exit 1
 fi
 
@@ -121,7 +139,6 @@ sttc_campaign:Shard.checkpoint_path          seam: the checkpoint file the campa
 sttc_campaign:Shard.result_path              seam: the result file the campaign tests stash and replay
 sttc_fault:Mtj.is_stuck                      seam: per-cell channel state the fault-injection tests read
 sttc_fault:Mtj.read                          seam: per-cell channel state the fault-injection tests read
-sttc_lint:Structural.run                     seam: the structural pack on a raw Graph.t, which can hold the loops and multiple drivers a netlist refuses
 sttc_logic:Ternary.eval_gate                 reference: the scalar gate Simulator's three-valued lanes are checked against
 sttc_logic:Ternary.eval_truth                reference: the scalar LUT Simulator's three-valued lanes are checked against
 sttc_logic:Ternary.of_bool                   reference: builds the scalar inputs of the three-valued reference

@@ -69,7 +69,6 @@ module Config = struct
   let with_sat_timeout_s sat_timeout_s t = { t with sat_timeout_s }
   let with_tt_budget tt_budget t = { t with tt_budget }
   let with_guess_rounds guess_rounds t = { t with guess_rounds }
-  let with_seed seed t = { t with seed }
   let with_jobs jobs t = { t with jobs }
   let with_solver_mode solver_mode t = { t with solver_mode }
 

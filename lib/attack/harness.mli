@@ -54,7 +54,6 @@ module Config : sig
   val with_sat_timeout_s : float -> t -> t
   val with_tt_budget : int -> t -> t
   val with_guess_rounds : int -> t -> t
-  val with_seed : int -> t -> t
   val with_jobs : int -> t -> t
   val with_solver_mode : Sat_attack.solver_mode -> t -> t
 

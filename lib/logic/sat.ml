@@ -706,8 +706,7 @@ end
 
 (* ---- one-shot wrappers over a throwaway solver ---- *)
 
-let solve ?assumptions ?max_conflicts cnf =
-  Solver.solve ?assumptions ?max_conflicts (Solver.of_cnf cnf)
+let solve ?max_conflicts cnf = Solver.solve ?max_conflicts (Solver.of_cnf cnf)
 
 let model_value model v =
   if v <= 0 || v >= Array.length model then

@@ -89,8 +89,7 @@ end
     Each call builds a fresh throwaway {!Solver.t} — the scratch
     baseline the incremental interface is benchmarked against. *)
 
-val solve :
-  ?assumptions:Cnf.lit list -> ?max_conflicts:int -> Cnf.t -> result
+val solve : ?max_conflicts:int -> Cnf.t -> result
 (** [solve cnf] decides satisfiability of a formula from scratch. *)
 
 val last_stats : unit -> stats

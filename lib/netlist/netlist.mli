@@ -137,7 +137,6 @@ module Builder : sig
 
   val set_dff_input : t -> node_id -> node_id -> unit
   val add_output : t -> string -> node_id -> unit
-  val node_count : t -> int
 
   val finalize : t -> netlist
   (** Validates, indexes the node names and freezes.  Raises

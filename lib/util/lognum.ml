@@ -44,7 +44,6 @@ let pow_float a x =
   else a *. x
 
 let ( * ) = mul
-let ( + ) = add
 let max a b = Float.max a b
 let prod l = List.fold_left mul one l
 let sum l = List.fold_left add zero l

@@ -29,7 +29,6 @@ val pow_float : t -> float -> t
 (** [pow_float a x] is [a ** x] for [x >= 0.]. *)
 
 val ( * ) : t -> t -> t
-val ( + ) : t -> t -> t
 
 val max : t -> t -> t
 

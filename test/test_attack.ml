@@ -856,9 +856,10 @@ let test_harness_config_json_roundtrip () =
     C.(
       {
         (default |> with_sat_timeout_s 12.5 |> with_tt_budget 123
-       |> with_guess_rounds 2 |> with_seed 42 |> with_jobs 3
+       |> with_guess_rounds 2 |> with_jobs 3
        |> with_solver_mode Sttc_attack.Sat_attack.Scratch)
         with
+        seed = 42;
         seq_timeout_s = Some 3.;
         brute_max_bits = 8;
         seq_frames = 6;

@@ -271,12 +271,12 @@ let test_sat_assumptions () =
   let a = Cnf.fresh_var cnf and b = Cnf.fresh_var cnf in
   Cnf.add_clause cnf [ a; b ];
   Alcotest.(check bool) "sat under a" true
-    (match Sat.solve ~assumptions:[ a ] cnf with
+    (match Sat.Solver.(solve ~assumptions:[ a ] (of_cnf cnf)) with
     | Sat.Sat _ -> true
     | Sat.Unsat | Sat.Unknown _ -> false);
   Cnf.add_clause cnf [ -a ];
   Alcotest.(check bool) "unsat under a" true
-    (match Sat.solve ~assumptions:[ a ] cnf with
+    (match Sat.Solver.(solve ~assumptions:[ a ] (of_cnf cnf)) with
     | Sat.Sat _ | Sat.Unknown _ -> false
     | Sat.Unsat -> true);
   Alcotest.(check bool) "still sat without assumption" true

@@ -4,8 +4,13 @@
 #   tools/ci.sh          # build + tests + lint the sub-1000-gate set
 #   tools/ci.sh --full   # also lint the four large benchmarks
 #
-# Exit is nonzero on the first build failure, test failure, or
-# error-severity lint diagnostic (the `sttc lint` CI contract).
+# Exit is nonzero on the first failure of: the build and the tests; a
+# source gate (tools/checker's typed-tree gate for reachability, exported
+# values, optional parameters and retired names; the library, harness and
+# budget greps); an error-severity lint diagnostic (the `sttc lint` CI
+# contract); or a runtime or byte-identity gate (ledger, generator bytes,
+# parallel table, traces, solver keys, semantic lint, campaign, serve,
+# budget, scale, minor collections, backend, power column, lint output).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,481 +29,14 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== evaluator gate (Simulator is the only netlist evaluator)"
-# Two- and three-valued simulation share one compiled dual-rail loop in
-# Sttc_sim.Simulator; the retired scalar evaluators, and the BDD package
-# whose equivalence engine interpreted gates on its own, must not come
-# back.
-if grep -rnE 'Ternary_sim|eval_pass|gate_lanes|eval_truth_lanes|Sttc_logic\.Bdd|Bdd\.|check_bdd' \
-     lib bin test bench/main.ml examples; then
-  echo "EVALUATOR GATE FAILED: a retired netlist evaluator is back (see above)" >&2
-  exit 1
-fi
-
-echo "== encoder gate (Sttc_sim.Encode is the only netlist-to-CNF encoder)"
-# Sign-off and every SAT attack share one Tseitin encoder and one miter
-# helper; no second encoder, and no hand-written XOR miter, may return.
-if grep -rnE 'Cnf\.encode_(gate|truth_lut|xor)\b' lib bin \
-     | grep -vE '^lib/(sim/encode\.ml|logic/cnf\.mli?):'; then
-  echo "ENCODER GATE FAILED: netlist clauses encoded outside lib/sim/encode.ml (see above)" >&2
-  exit 1
-fi
-if grep -rnE 'encode_netlist|encode_fixed_lut' lib bin test bench/main.ml examples; then
-  echo "ENCODER GATE FAILED: the retired Equiv encoder is back (see above)" >&2
-  exit 1
-fi
-
-echo "== lint-model gate (the rule packs read the netlist's own nodes)"
-# The packs read Netlist.node records directly; lib/lint declares no
-# node or kind type of its own, and the packs run through their own
-# modules (Structural.check, Semantic_rules.run), not Lint pass-throughs.
-if grep -nE '^[[:space:]]*(and|type)[[:space:]]+(kind|node)\b' lib/lint/*.ml lib/lint/*.mli; then
-  echo "LINT-MODEL GATE FAILED: lib/lint declares its own node or kind type (see above)" >&2
-  exit 1
-fi
-if grep -rnE 'Lint\.(structural|semantic)\b' lib bin test bench/main.ml examples; then
-  echo "LINT-MODEL GATE FAILED: a Lint pass-through to a rule pack is back (see above)" >&2
-  exit 1
-fi
-
-echo "== well-formedness gate (the netlist builder is its one owner)"
-# Netlist.Builder, Netlist.with_kinds and the .bench reader refuse
-# cycles, undriven references, second drivers, impossible fan-ins,
-# duplicate outputs and empty output lists, so no Netlist.t holds one:
-# the lint-side graph mirror and the checks that re-proved those
-# refusals are retired, and Flow gates on no structural finding.
-# Truth's own check_arity (a truth table's input count) is another job.
-if grep -rnE 'Sttc_lint\.Graph|Graph\.of_netlist|check_(comb_loop|undriven|multi_driver|arity|dup_name|no_output)' \
-     lib bin test bench/main.ml examples \
-     | grep -vE '^lib/logic/truth\.ml:[0-9]+:.*\bcheck_arity\b'; then
-  echo "WELL-FORMEDNESS GATE FAILED: a second well-formedness check is back (see above)" >&2
-  exit 1
-fi
-if grep -rn 'fails structural lint' lib/core; then
-  echo "WELL-FORMEDNESS GATE FAILED: a protect-time structural lint gate is back (see above)" >&2
-  exit 1
-fi
-
-echo "== keyspace gate (Backend owns the only key count)"
-# Brute force, the camouflage baseline and the reports count keys with
-# Backend.cell_keyspace/search_space over a candidate family; the
-# per-module counts they replaced must not come back.
-if grep -rnE 'Brute_force\.search_space|Camouflage\.(search_space|sat_candidates)|candidates_left' \
-     lib bin test bench/main.ml examples; then
-  echo "KEYSPACE GATE FAILED: a key count outside Backend is back (see above)" >&2
-  exit 1
-fi
-
-echo "== flow-policy gate (one protect path, no one-valued settings)"
-# Flow.run makes one pass (the paper's Fig. 2): the reseed-and-degrade
-# policy, the library swap that ignored its library and the MTJ gain
-# every spec set to 10 are retired and must not come back.
-if grep -rnE '\b(Resilient|protect_resilient|degradation_chain|max_reseeds|with_lut_style|escalation_gain)\b' \
-     lib bin test bench/main.ml examples; then
-  echo "FLOW-POLICY GATE FAILED: a retired flow policy or one-valued setting is back (see above)" >&2
-  exit 1
-fi
-
-echo "== reachability gate (every library module, exported value and optional parameter is reached from a product path)"
-# A fixpoint from the product paths, bin/, examples/ and bench/ledger/:
-# a reached file reaches every module it names, either qualified
-# (Sttc_lib.Module, or L.Module after `module L = Sttc_lib`) or, inside
-# its own library, bare (Module.x or `module X = Module`).  Comments and
-# string and character literals name nothing, and a bare name that the
-# file itself binds with `module` is that binding.  Modules are keyed
-# by library: Sttc_attack.Encode and Sttc_sim.Encode share a name.  An
-# unreached module fails the gate unless it is listed here with its
-# reason:
-#   sttc_attack:Scan_oracle  open-scan query oracle, used only by tests;
-#                            kept until the executed testing attack
-#                            decides whether it becomes a Fig. 3 column
-#   sttc_netlist:Scan        the scan chain Scan_oracle shifts through
-REACH_EXEMPT="sttc_attack:Scan_oracle sttc_netlist:Scan"
-# Every `val` a reached module's .mli exports must be named by a reached
-# file other than its own module's: as Module.value through any of the
-# paths above or an alias `module M = Path`, or under a local open of
-# its module (M.( ... ), open M), which names every word of the file.
-# Values in a submodule (Sat.Solver.solve) count under the top module,
-# and a module that includes another (Sttc_attack.Encode) names for it.
-# An unnamed value fails the gate unless it is listed below, one a line,
-# as library:Module.value and a reason of one of two kinds:
-#   reference:  an independent implementation a test compares product
-#               output against
-#   seam:       an entry point for input the product's own types cannot
-#               hold (a raw graph, a corrupted file, a channel's state)
-# A value only its own tests call is neither: delete it, or, when its
-# module uses it, drop it from the .mli and test it through the export
-# that calls it.  A listed value must also be named by a test under
-# test/, and a listed value a product path names fails the gate until
-# its line is dropped.
-VAL_EXEMPT=$(cat <<'EOF'
-sttc_analysis:Paths.gates_on_path            reference: the gate list Paths.segments must partition
-sttc_analysis:Sta.arrival_ps                 reference: per-node arrivals the incremental-STA properties compare with full analysis
-sttc_campaign:Aggregate.validate             seam: the report check, fed broken report documents no Aggregate.t can hold
-sttc_campaign:Shard.checkpoint_path          seam: the checkpoint file the campaign tests corrupt
-sttc_campaign:Shard.result_path              seam: the result file the campaign tests stash and replay
-sttc_fault:Mtj.is_stuck                      seam: per-cell channel state the fault-injection tests read
-sttc_fault:Mtj.read                          seam: per-cell channel state the fault-injection tests read
-sttc_logic:Ternary.eval_gate                 reference: the scalar gate Simulator's three-valued lanes are checked against
-sttc_logic:Ternary.eval_truth                reference: the scalar LUT Simulator's three-valued lanes are checked against
-sttc_logic:Ternary.of_bool                   reference: builds the scalar inputs of the three-valued reference
-EOF
-)
-# Every optional parameter of a reached module's exported value must be
-# passed, as ~label or ?label, in a call of that value by a reached file
-# other than its own module's: a knob nothing sets is a constant.  Labels
-# count at the call's own bracket depth, so a label inside a parenthesized
-# argument belongs to the call it sits in.  An unset parameter fails the
-# gate unless it is listed below, one a line, as library:Module.value?label
-# with a seam: or reference: reason as above; a seam here is a limit a test
-# must reach in under a second.  A listed parameter must be passed by a
-# test under test/, and a listed parameter a product path sets fails the
-# gate until its line is dropped.  Config-record fields are not
-# parameters.
-KNOB_EXEMPT=$(cat <<'EOF'
-sttc_attack:Sat_attack.run?max_conflicts_per_call             seam: a conflict budget one solver call exhausts, where the default takes seconds
-sttc_attack:Sat_attack.run?max_iterations                     seam: an iteration limit one DIP reaches
-sttc_attack:Sat_attack.run_sequential?max_conflicts_per_call  seam: a conflict budget one solver call exhausts, where the default takes seconds
-sttc_campaign:Supervisor.config?backoff_base_s                seam: retry back-off a test waits out in milliseconds, not the default 0.25 s
-sttc_campaign:Supervisor.config?backoff_cap_s                 seam: retry back-off a test waits out in milliseconds, not the default 10 s
-sttc_campaign:Supervisor.config?poll_interval_s               seam: a worker poll a test turns around in milliseconds, not the default 50 ms
-EOF
-)
-REACH_AWK=$(cat <<'EOF'
-# input: one "library file" line per source file, library "-" for a
-# product-path file and "+" for a test; output: "module key" for each
-# unreached library:Module, "val key.value named" for each exported
-# value of a reached module that no reached file names, with named 1
-# when a test names it, and "knob key.value?label set" for each optional
-# parameter of such a value that no reached file passes, with set 1 when
-# a test passes it
-
-# one source line with comments and literals blanked; depth, instr and
-# inquote carry the lexer state across lines
-function clean(line,   out, i, n, c, j) {
-  out = ""; n = length(line); i = 1
-  while (i <= n) {
-    c = substr(line, i, 1)
-    if (instr) {
-      if (c == "\\") i++; else if (c == "\"") instr = 0
-      i++; continue
-    }
-    if (inquote) {
-      if (substr(line, i, 2) == "|}") { inquote = 0; i++ }
-      i++; continue
-    }
-    if (substr(line, i, 2) == "(*") { depth++; i += 2; continue }
-    if (depth > 0 && substr(line, i, 2) == "*)") { depth--; i += 2; continue }
-    if (c == "\"") { instr = 1; i++; c = " " }
-    else if (depth == 0 && substr(line, i, 2) == "{|") { inquote = 1; i += 2; c = " " }
-    else if (c == "'" && substr(line, i - 1, 1) !~ /[A-Za-z0-9_]/ \
-             && substr(line, i + 2, 1) == "'") { i += 3; c = " " }
-    else if (c == "'" && substr(line, i + 1, 1) == "\\") {
-      j = index(substr(line, i + 2), "'")
-      i += (j > 0 ? j + 2 : 2); c = " "
-    }
-    else i++
-    if (depth == 0) out = out c
-  }
-  return out
-}
-function edge(to) { if (to != owner) adj[owner] = adj[owner] " " to }
-# the library:Module a module path names in the current file, or ""
-function resolve(path, local, libs,   part, m) {
-  m = split(path, part, ".")
-  if (part[1] ~ /^Sttc_/) return (m > 1 && part[2] != "") ? tolower(part[1]) ":" part[2] : ""
-  if (part[1] in libs) return (m > 1 && part[2] != "") ? libs[part[1]] ":" part[2] : ""
-  if (part[1] in alias) return alias[part[1]]
-  if (lib !~ /^[-+]$/ && !(part[1] in local) && ((lib ":" part[1]) in known))
-    return lib ":" part[1]
-  return ""
-}
-function scan(file,   line, s, t, m, off, q, pre, part, local, libs, k, w, nw, words) {
-  depth = 0; instr = 0; inquote = 0; split("", alias)
-  sigval = ""; cdepth = 0; split("", callee)
-  while ((getline line < file) > 0) {
-    line = " " clean(line)
-    if (file ~ /\.mli$/ && lib !~ /^[-+]$/ && match(line, /^[ \t]*val[ \t]+/)) {
-      t = substr(line, RSTART + RLENGTH)
-      if (match(t, /^[a-z_][A-Za-z0-9_']*/)) vals[owner "." substr(t, 1, RLENGTH)] = owner
-      else if (match(t, /^\([^)]*\)/)) ops[owner "." substr(t, 1, RLENGTH)] = owner
-    }
-    # `module M = Path`, `include Path`, `open Path` and `let open Path`,
-    # read before this line's own bindings shadow the path
-    s = line
-    while (match(s, /(module[ \t]+[A-Z][A-Za-z0-9_']*[ \t]*=|include|open!?)[ \t]+[A-Z][A-Za-z0-9_'.]*/)) {
-      t = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
-      m = t; sub(/.*[ \t=]/, "", m); k = resolve(m, local, libs)
-      if (k == "") continue
-      if (t ~ /^module/) { sub(/^module[ \t]+/, "", t); sub(/[ \t=].*/, "", t); alias[t] = k }
-      else if (t ~ /^include/) includes[owner] = k
-      else opens[nf_at SUBSEP k] = 1
-    }
-    # bindings come before their uses: from here on a bare name the file
-    # binds is that binding, and L.Module after `module L = Sttc_lib` is
-    # a qualified reference
-    s = line
-    while (match(s, /module[ \t]+(rec[ \t]+)?[A-Z][A-Za-z0-9_']*/)) {
-      t = substr(s, RSTART, RLENGTH); sub(/.*[ \t]/, "", t)
-      local[t] = 1; s = substr(s, RSTART + RLENGTH)
-    }
-    s = line " "
-    while (match(s, /module[ \t]+[A-Z][A-Za-z0-9_']*[ \t]*=[ \t]*Sttc_[a-z0-9_]+[^A-Za-z0-9_'.]/)) {
-      t = substr(s, RSTART, RLENGTH - 1); s = substr(s, RSTART + RLENGTH)
-      m = t; sub(/^module[ \t]+/, "", m); sub(/[ \t=].*/, "", m)
-      sub(/.*[ \t=]/, "", t); libs[m] = tolower(t)
-    }
-    # every module path: Lib.Module, or a bare Module followed by a dot
-    # or bound by `module X = Module`
-    s = line; off = 0
-    while (match(s, /[^A-Za-z0-9_'.][A-Z][A-Za-z0-9_']*(\.[A-Z][A-Za-z0-9_']*)*\.?/)) {
-      pre = substr(line, 1, off + RSTART)
-      t = substr(s, RSTART + 1, RLENGTH - 1)
-      off += RSTART + RLENGTH - 1; s = substr(s, RSTART + RLENGTH)
-      m = split(t, part, ".")
-      q = ""
-      if (part[1] ~ /^Sttc_/) q = tolower(part[1])
-      else if (part[1] in libs) q = libs[part[1]]
-      if (q != "") { if (m > 1 && part[2] != "") edge(q ":" part[2]) }
-      else if (lib !~ /^[-+]$/ && !(part[1] in local) && ((lib ":" part[1]) in known) \
-               && (m > 1 || pre ~ /module[ \t]+[A-Z][A-Za-z0-9_']*[ \t]*=[ \t]*$/))
-        edge(lib ":" part[1])
-      # the value or local open that follows a dotted path
-      if (t !~ /\.$/ || (k = resolve(t, local, libs)) == "") continue
-      if (match(s, /^[a-z_][A-Za-z0-9_']*/)) refs[nf_at SUBSEP k "." substr(s, 1, RLENGTH)] = 1
-      else if (s ~ /^\(/) opens[nf_at SUBSEP k] = 1
-    }
-    nw = split(line, words, /[^A-Za-z0-9_']+/)
-    for (w = 1; w <= nw; w++) if (words[w] ~ /^[a-z_]/) fileword[nf_at SUBSEP words[w]] = 1
-    if (file !~ /\.mli$/) calls(line, local, libs)
-    else if (lib !~ /^[-+]$/) sig_knobs(line)
-  }
-  close(file)
-}
-# the optional labels of the `val` being declared, whose type runs on
-# until the next signature item; a label inside brackets belongs to an
-# argument's type
-function sig_knobs(line,   c, i, n) {
-  if (match(line, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_']*/)) {
-    sigval = substr(line, RSTART, RLENGTH); sub(/^[ \t]*val[ \t]+/, "", sigval)
-    sigval = owner "." sigval; sigdepth = 0
-    line = substr(line, RSTART + RLENGTH)
-  } else if (line ~ /^[ \t]*(type|module|end|exception|external|include|open|class|and|val)([^A-Za-z0-9_']|$)/)
-    sigval = ""
-  if (sigval == "") return
-  n = length(line)
-  for (i = 1; i <= n; i++) {
-    c = substr(line, i, 1)
-    if (c == "(" || c == "[" || c == "{") sigdepth++
-    else if (c == ")" || c == "]" || c == "}") sigdepth--
-    else if (c == "?" && sigdepth == 0 && match(substr(line, i + 1), /^[a-z_][A-Za-z0-9_']*:/)) {
-      knobs[sigval "?" substr(line, i + 1, RLENGTH - 1)] = owner
-      i += RLENGTH
-    }
-  }
-}
-# the labels each call passes: the first path at a bracket depth heads
-# an application, and a ~label or ?label at that depth belongs to it
-# until a closing bracket, a separator, an operator or a keyword ends
-# the application; a top-level item starts afresh
-function calls(line, local, libs,   s, t, m, k, v, c) {
-  if (line ~ /^ (let|and|type|module|open|include|exception|external)([^A-Za-z0-9_']|$)/) {
-    cdepth = 0; split("", callee)
-  }
-  s = line
-  while (s != "") {
-    if (match(s, /^[ \t]+/)) { s = substr(s, RLENGTH + 1); continue }
-    if (match(s, /^[~?][a-z_][A-Za-z0-9_']*:?/)) {
-      t = substr(s, 2, RLENGTH - 1); sub(/:$/, "", t); s = substr(s, RLENGTH + 1)
-      if ((cdepth in callee) && callee[cdepth] != "")
-        passes[nf_at SUBSEP callee[cdepth] "?" t] = 1
-      continue
-    }
-    if (match(s, /^[A-Za-z_][A-Za-z0-9_']*(\.[A-Za-z_][A-Za-z0-9_']*)*/)) {
-      t = substr(s, 1, RLENGTH); s = substr(s, RLENGTH + 1)
-      if (t ~ /^(begin|struct|sig|object|do)$/) cdepth++
-      else if (t ~ /^(end|done)$/) { delete callee[cdepth]; cdepth-- }
-      else if (t ~ /^(let|in|and|if|then|else|match|with|when|fun|function|try|of|val|type|module|open|include|as|or|mod|land|lor|lxor|lsl|lsr|asr|to|downto|for|while|rec|lazy|assert|mutable)$/)
-        delete callee[cdepth]
-      else if (!(cdepth in callee)) {
-        callee[cdepth] = ""
-        if (match(t, /\.[a-z_][A-Za-z0-9_']*$/)) {
-          v = substr(t, RSTART + 1); m = substr(t, 1, RSTART)
-          if ((k = resolve(m, local, libs)) != "") callee[cdepth] = k "." v
-        } else if (t ~ /^[a-z_]/) callee[cdepth] = "." t
-      }
-      continue
-    }
-    c = substr(s, 1, 1)
-    if (c == "(" || c == "[" || c == "{") cdepth++
-    else if (c == ")" || c == "]" || c == "}") { delete callee[cdepth]; cdepth-- }
-    else if (c ~ /[0-9'!.~?]/) { if (!(cdepth in callee)) callee[cdepth] = "" }
-    else delete callee[cdepth]
-    s = substr(s, 2)
-  }
-}
-{
-  nf++; file_at[nf] = $2; lib_at[nf] = $1; owner_at[nf] = $1
-  if ($1 !~ /^[-+]$/) {
-    m = $2; sub(/^.*\//, "", m); sub(/\.mli?$/, "", m)
-    owner_at[nf] = $1 ":" toupper(substr(m, 1, 1)) substr(m, 2)
-    known[owner_at[nf]] = 1
-  }
-}
-END {
-  for (i = 1; i <= nf; i++) {
-    lib = lib_at[i]; owner = owner_at[i]; nf_at = i; scan(file_at[i])
-  }
-  reached["-"] = 1; queue[1] = "-"; head = 1; tail = 1
-  while (head <= tail) {
-    n = split(adj[queue[head++]], next_keys, " ")
-    for (j = 1; j <= n; j++)
-      if (!(next_keys[j] in reached)) {
-        reached[next_keys[j]] = 1; queue[++tail] = next_keys[j]
-      }
-  }
-  for (k in known) if (!(k in reached)) print "module " k
-  # a reference names a value for its module and for the module that
-  # module includes; product and reached files count, tests only as
-  # tests, and a module's own files not at all
-  for (r in refs) {
-    split(r, part, SUBSEP); i = part[1]; v = part[2]
-    k = v; sub(/\.[^.]*$/, "", k); name = substr(v, length(k) + 2)
-    if (k == owner_at[i]) continue
-    hit = (owner_at[i] in reached) ? "product" : (lib_at[i] == "+" ? "test" : "")
-    if (hit == "") continue
-    named[hit SUBSEP v] = 1
-    if (k in includes) named[hit SUBSEP includes[k] "." name] = 1
-  }
-  for (o in opens) {
-    split(o, part, SUBSEP); i = part[1]; k = part[2]
-    if (k == owner_at[i]) continue
-    hit = (owner_at[i] in reached) ? "product" : (lib_at[i] == "+" ? "test" : "")
-    if (hit == "") continue
-    for (v in vals)
-      if (vals[v] == k && ((i SUBSEP substr(v, length(k) + 2)) in fileword))
-        named[hit SUBSEP v] = 1
-    for (v in ops) if (ops[v] == k) named[hit SUBSEP v] = 1
-  }
-  for (v in vals)
-    if ((vals[v] in reached) && !(("product" SUBSEP v) in named))
-      print "val " v " " ((("test" SUBSEP v) in named) ? 1 : 0)
-  for (v in ops)
-    if ((ops[v] in reached) && !(("product" SUBSEP v) in named))
-      print "val " v " " ((("test" SUBSEP v) in named) ? 1 : 0)
-  # a label passed in a call of Module.value sets that value's knob, and
-  # one passed to a bare value under an open of its module sets the knob
-  # of the same name; again a module's own files do not count
-  for (p in passes) {
-    split(p, part, SUBSEP); i = part[1]; v = part[2]
-    hit = (owner_at[i] in reached) ? "product" : (lib_at[i] == "+" ? "test" : "")
-    if (hit == "") continue
-    if (v ~ /^\./) { bare[i SUBSEP substr(v, 2)] = hit; continue }
-    k = v; sub(/\.[^.]*$/, "", k)
-    if (k == owner_at[i]) continue
-    knobset[hit SUBSEP v] = 1
-    if (k in includes) knobset[hit SUBSEP includes[k] substr(v, length(k) + 1)] = 1
-  }
-  for (o in opens) {
-    split(o, part, SUBSEP); i = part[1]; k = part[2]
-    if (k == owner_at[i]) continue
-    for (v in knobs)
-      if (knobs[v] == k && ((i SUBSEP substr(v, length(k) + 2)) in bare))
-        knobset[bare[i SUBSEP substr(v, length(k) + 2)] SUBSEP v] = 1
-  }
-  for (v in knobs)
-    if ((knobs[v] in reached) && !(("product" SUBSEP v) in knobset))
-      print "knob " v " " ((("test" SUBSEP v) in knobset) ? 1 : 0)
-}
-EOF
-)
-unreached=$({
-  for d in lib/*/; do
-    lib=$(sed -n 's/^ *(name \([a-z0-9_]*\)).*/\1/p' "${d}dune")
-    for f in "$d"*.ml "$d"*.mli; do echo "$lib $f"; done
-  done
-  for f in bin/*.ml examples/*.ml bench/ledger/*.ml; do echo "- $f"; done
-  for f in test/*.ml; do echo "+ $f"; done
-} | awk "$REACH_AWK" | sort)
-reach_failed=0
-for m in $(echo "$unreached" | sed -n 's/^module //p'); do
-  case " $REACH_EXEMPT " in
-    *" $m "*) echo "unreached (listed): $m" ;;
-    *) echo "REACHABILITY GATE FAILED: no product path reaches $m" >&2
-       reach_failed=1 ;;
-  esac
-done
-# a listed module that a product path now reaches leaves the list
-for m in $REACH_EXEMPT; do
-  case " $(echo "$unreached" | sed -n 's/^module //p' | tr '\n' ' ') " in
-    *" $m "*) ;;
-    *) echo "REACHABILITY GATE FAILED: $m is reached; drop it from REACH_EXEMPT" >&2
-       reach_failed=1 ;;
-  esac
-done
-# values: each unnamed one needs a VAL_EXEMPT line, and each line needs a
-# reason, a test that names its value, and no product path that does
-unnamed_vals=$(echo "$unreached" | sed -n 's/^val //p')
-while read -r v tested; do
-  [ -n "$v" ] || continue
-  if ! echo "$VAL_EXEMPT" | awk '{ print $1 }' | grep -qxF "$v"; then
-    echo "REACHABILITY GATE FAILED: no product path names $v" >&2
-    reach_failed=1
-  elif [ "$tested" -ne 1 ]; then
-    echo "REACHABILITY GATE FAILED: VAL_EXEMPT lists $v, but no test names it" >&2
-    reach_failed=1
-  fi
-done <<VALS
-$unnamed_vals
-VALS
-while read -r v reason; do
-  [ -n "$v" ] || continue
-  case "$reason" in
-    reference:?* | seam:?*) ;;
-    *) echo "REACHABILITY GATE FAILED: VAL_EXEMPT lists $v with a reason that is neither reference: nor seam:" >&2
-       reach_failed=1 ;;
-  esac
-  if ! echo "$unnamed_vals" | awk '{ print $1 }' | grep -qxF "$v"; then
-    echo "REACHABILITY GATE FAILED: VAL_EXEMPT lists $v, which a product path names or no reached .mli exports; drop its line" >&2
-    reach_failed=1
-  fi
-done <<VALS
-$VAL_EXEMPT
-VALS
-echo "unnamed values listed in VAL_EXEMPT: $(echo "$VAL_EXEMPT" | grep -c .)"
-# knobs: each unset one needs a KNOB_EXEMPT line, and each line needs a
-# reason, a test that passes its label, and no product path that does
-unset_knobs=$(echo "$unreached" | sed -n 's/^knob //p')
-while read -r k tested; do
-  [ -n "$k" ] || continue
-  if ! echo "$KNOB_EXEMPT" | awk '{ print $1 }' | grep -qxF "$k"; then
-    echo "KNOB GATE FAILED: no product path sets $k; make it a constant" >&2
-    reach_failed=1
-  elif [ "$tested" -ne 1 ]; then
-    echo "KNOB GATE FAILED: KNOB_EXEMPT lists $k, but no test passes it" >&2
-    reach_failed=1
-  fi
-done <<KNOBS
-$unset_knobs
-KNOBS
-while read -r k reason; do
-  [ -n "$k" ] || continue
-  case "$reason" in
-    reference:?* | seam:?*) ;;
-    *) echo "KNOB GATE FAILED: KNOB_EXEMPT lists $k with a reason that is neither reference: nor seam:" >&2
-       reach_failed=1 ;;
-  esac
-  if ! echo "$unset_knobs" | awk '{ print $1 }' | grep -qxF "$k"; then
-    echo "KNOB GATE FAILED: KNOB_EXEMPT lists $k, which a product path sets or no reached .mli declares; drop its line" >&2
-    reach_failed=1
-  fi
-done <<KNOBS
-$KNOB_EXEMPT
-KNOBS
-echo "unset optional parameters listed in KNOB_EXEMPT: $(echo "$KNOB_EXEMPT" | grep -c .)"
-if [ "$reach_failed" -ne 0 ]; then
-  exit 1
-fi
+echo "== typed-tree gate (reachability, exported values, optional parameters, retired names)"
+# Names as the compiler resolved them (the .cmt/.cmti files of @check):
+# no library module, exported value or optional parameter unused by the
+# product paths, and no retired name (evaluator, encoder, lint-model,
+# well-formedness, keyspace, flow-policy, sweep, timing-trial, trial-set,
+# clock); tools/checker/gates.txt holds the lists and the retired table.
+dune build @check
+./_build/default/tools/checker/checker.exe _build/default tools/checker/gates.txt
 
 echo "== library gate (every listed external library is used)"
 # Each external library a dune file lists must be named by a .ml file
@@ -513,11 +51,12 @@ lib_module() {
     qcheck-alcotest) printf '%s' '\bQCheck_alcotest\.' ;;
     bechamel.monotonic_clock) printf '%s' 'Monotonic_clock' ;;
     fmt) printf '%s' '\bFmt\.' ;;
+    compiler-libs.common) printf '%s' '\bCmt_format\.' ;;
     *) return 1 ;;
   esac
 }
 libs_failed=0
-for d in lib/*/ bin/ examples/ test/; do
+for d in lib/*/ bin/ examples/ test/ tools/checker/; do
   for l in $(tr '\n' ' ' < "${d}dune" | grep -o '(libraries [^)]*)' \
                | sed 's/^(libraries //; s/)$//'); do
     case "$l" in sttc_*) continue ;; esac
@@ -531,15 +70,6 @@ for d in lib/*/ bin/ examples/ test/; do
   done
 done
 if [ "$libs_failed" -ne 0 ]; then
-  exit 1
-fi
-
-echo "== clock gate (elapsed times are read from Timing.now_s, a monotonic clock)"
-# The wall clock can step backwards: a negative selection time makes
-# Table II's MM:SS.d rendering raise.  Elapsed times are read from
-# Sttc_util.Timing.now_s, the clock Budget keeps its deadlines on.
-if grep -rn 'gettimeofday' lib bin examples bench/main.ml; then
-  echo "CLOCK GATE FAILED: an elapsed time is read from the wall clock (see above)" >&2
   exit 1
 fi
 
@@ -675,16 +205,6 @@ sttc table1 --quick -j 1 > "$tmpdir/table1.j1"
 sttc table1 --quick -j 2 > "$tmpdir/table1.j2"
 if ! diff -u "$tmpdir/table1.j1" "$tmpdir/table1.j2"; then
   echo "PARALLEL MISMATCH: sttc table1 --quick differs between -j 1 and -j 2" >&2
-  exit 1
-fi
-
-echo "== sweep gate (one Runner.rows path; resume belongs to the campaign engine)"
-# Runner.rows has one body at every job count and no checkpoint or
-# event stream of its own.  Supervisor.string_of_event is the campaign
-# engine's and stays.
-if grep -rnE 'rows_serial|rows_parallel|benchmark-rows-v3|string_of_event|resume_selftest' \
-     lib bin | grep -vE '^lib/campaign/supervisor\.mli?:|Supervisor\.string_of_event'; then
-  echo "SWEEP GATE FAILED: a retired Runner mechanism is back (see above)" >&2
   exit 1
 fi
 
@@ -947,25 +467,6 @@ if ! (cd "$tmpdir" && STTC_SCALE_SIZES=1000,10000 "$BENCH_BIN" scale \
         > "$tmpdir/scale.record.out" 2>&1); then
   echo "SCALE GATE FAILED: bench/main.exe scale failed its identity checks" >&2
   cat "$tmpdir/scale.record.out" >&2
-  exit 1
-fi
-
-echo "== timing-trial gate (one candidate-timing mode)"
-# Candidate sets are timed only through a persistent Sta.trial session:
-# the full-re-analysis switch and the one-shot undo trial are retired
-# and must not come back.
-if grep -rnE 'STTC_FULL_STA|incremental_enabled|trial_delay_ps' \
-     lib bin bench test; then
-  echo "TIMING-TRIAL GATE FAILED: a retired timing-trial mode is back (see above)" >&2
-  exit 1
-fi
-
-echo "== trial-set gate (Sta.trial owns the replaced set)"
-# The session diffs each requested gate set against its own and
-# re-propagates the delta (Sta.trial_set); the staging overlay and the
-# caller-kept kind view it replaced must not come back.
-if grep -rnE 'Overlay|trial_advance' lib bin bench test examples; then
-  echo "TRIAL-SET GATE FAILED: a second owner of the trial's replaced set is back (see above)" >&2
   exit 1
 fi
 

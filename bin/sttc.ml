@@ -627,7 +627,7 @@ let attack_cmd =
             "SAT engine discipline for the SAT attacks: $(b,incremental) \
              keeps one persistent solver across all attack iterations; \
              $(b,scratch) rebuilds the solver from the full formula on \
-             every call (the pre-incremental baseline).  Both recover the \
+             every call (the from-scratch reference).  Both recover the \
              same key.")
   in
   let key_out =

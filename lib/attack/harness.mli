@@ -92,8 +92,9 @@ val attack :
 
     [solver_mode] selects the SAT engine discipline for both SAT
     attacks: one persistent incremental solver per attack (the default,
-    [Sat_attack.Incremental]) or a scratch solver per iteration
-    ([Sat_attack.Scratch], the benchmark baseline).
+    [Sat_attack.Incremental]) or a throwaway solver per call
+    ([Sat_attack.Scratch], the from-scratch reference the incremental
+    engine is checked against).
 
     [jobs > 1] runs the six attacks concurrently on a
     {!Sttc_util.Pool}; every attack is seeded from [seed] alone, so the

@@ -35,37 +35,39 @@ let add_stats (a : Sat.stats) (b : Sat.stats) : Sat.stats =
 (* The whole attack talks to the solver through one closure.
    Incremental: a single live solver accumulates every clause of [cnf]
    (via the sync cursor) together with everything it learns, and each
-   call just pulls in the new clauses.  Scratch: every call rebuilds a
-   throwaway solver from the full formula — the pre-incremental cost
-   profile, kept as the benchmark baseline.  Either way the answers are
-   exact, so both modes agree on every SAT/UNSAT question. *)
+   call just pulls in the new clauses; the run's stats are that
+   solver's.  Scratch: every call rebuilds a throwaway solver from the
+   full formula, and the run's stats sum theirs — the from-scratch
+   reference that the incremental engine's keys are checked against.
+   Either way the answers are exact, so both modes agree on every
+   SAT/UNSAT question. *)
 let make_solver ?reuse mode cnf =
-  let stats = ref Sat.zero_stats in
-  let live =
-    match mode with
-    | Incremental -> (
-        (* a recycled arena behaves exactly like a fresh solver
-           (Sat.Solver.reset contract), so reuse cannot change the
-           recovered key *)
+  match mode with
+  | Incremental ->
+      (* a recycled arena behaves exactly like a fresh solver, statistics
+         included (Sat.Solver.reset contract), so reuse cannot change the
+         recovered key or the run's stats *)
+      let s =
         match reuse with
         | Some s ->
             Sat.Solver.reset s;
-            Some s
-        | None -> Some (Sat.Solver.create ()))
-    | Scratch -> None
-  in
-  let solve ?assumptions ?max_conflicts () =
-    let r =
-      match live with
-      | Some s ->
-          Sat.Solver.sync s cnf;
-          Sat.Solver.solve ?assumptions ?max_conflicts s
-      | None -> Sat.Solver.solve ?assumptions ?max_conflicts (Sat.Solver.of_cnf cnf)
-    in
-    stats := add_stats !stats (Sat.last_stats ());
-    r
-  in
-  (solve, fun () -> !stats)
+            s
+        | None -> Sat.Solver.create ()
+      in
+      let solve ?assumptions ?max_conflicts () =
+        Sat.Solver.sync s cnf;
+        Sat.Solver.solve ?assumptions ?max_conflicts s
+      in
+      (solve, fun () -> Sat.Solver.stats s)
+  | Scratch ->
+      let stats = ref Sat.zero_stats in
+      let solve ?assumptions ?max_conflicts () =
+        let s = Sat.Solver.of_cnf cnf in
+        Fun.protect
+          ~finally:(fun () -> stats := add_stats !stats (Sat.Solver.stats s))
+          (fun () -> Sat.Solver.solve ?assumptions ?max_conflicts s)
+      in
+      (solve, fun () -> !stats)
 
 (* Canonical key extraction: the lexicographically minimal key (in key
    declaration order, preferring 0 bits) consistent with the accumulated

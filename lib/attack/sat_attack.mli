@@ -19,8 +19,8 @@ type solver_mode =
       (** One persistent solver across all iterations (the default). *)
   | Scratch
       (** Rebuild a throwaway solver from the full CNF on every call —
-          the pre-incremental cost profile, kept as the benchmark
-          baseline.  Recovers the same key and verdict as
+          the from-scratch reference the incremental engine is checked
+          against.  Recovers the same key and verdict as
           [Incremental]. *)
 
 type outcome =
@@ -29,7 +29,11 @@ type outcome =
       queries : int;  (** distinguishing patterns applied to the oracle *)
       iterations : int;
       seconds : float;
-      stats : Sttc_logic.Sat.stats;  (** accumulated over all solver calls *)
+      stats : Sttc_logic.Sat.stats;
+          (** the run's solver work: the live solver's statistics
+              under [Incremental] (counted from its reset when
+              recycled), the sum over every call's throwaway solver
+              under [Scratch] *)
     }
       (** A functionally correct configuration was recovered (it may
           differ syntactically from the secret one).  The bitstream is
@@ -43,7 +47,8 @@ type outcome =
     }
       (** Resource limit hit before convergence.  A conflict-budget
           exhaustion surfaces here (via [Sat.Unknown]) — it is never
-          conflated with a proven UNSAT. *)
+          conflated with a proven UNSAT.  Under a ["timeout"], [stats]
+          include the work of the solver call the deadline cut. *)
 
 val run :
   ?max_iterations:int ->

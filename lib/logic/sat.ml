@@ -56,11 +56,6 @@ let zero_stats =
     restarts = 0;
   }
 
-(* domain-local: parallel solves (pool tasks) each see their own last
-   stats instead of racing on one global cell *)
-let stats_key = Domain.DLS.new_key (fun () -> ref zero_stats)
-let last_stats () = !(Domain.DLS.get stats_key)
-
 type value = Vfree | Vtrue | Vfalse
 
 let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1
@@ -591,31 +586,20 @@ module Solver = struct
     Sttc_util.Budget.check ();
     let at_entry = stats s in
     let finish r =
-      let now = stats s in
-      let d =
-        {
-          decisions = now.decisions - at_entry.decisions;
-          propagations = now.propagations - at_entry.propagations;
-          conflicts = now.conflicts - at_entry.conflicts;
-          learned = now.learned - at_entry.learned;
-          kept = now.kept;
-          removed = now.removed - at_entry.removed;
-          restarts = now.restarts - at_entry.restarts;
-        }
-      in
-      Domain.DLS.get stats_key := d;
       (* per-call deltas only: the search loop itself stays untouched,
          so tracing cost is per solve call, not per propagation *)
-      if Sttc_obs.Obs.enabled () then
+      if Sttc_obs.Obs.enabled () then begin
+        let now = stats s in
         Sttc_obs.Metrics.(
           incr "sat.solve_calls";
-          incr ~by:d.decisions "sat.decisions";
-          incr ~by:d.propagations "sat.propagations";
-          incr ~by:d.conflicts "sat.conflicts";
-          incr ~by:d.learned "sat.learned";
-          incr ~by:d.removed "sat.removed";
-          incr ~by:d.restarts "sat.restarts";
-          peak_gauge "sat.kept_clauses" (float_of_int d.kept));
+          incr ~by:(now.decisions - at_entry.decisions) "sat.decisions";
+          incr ~by:(now.propagations - at_entry.propagations) "sat.propagations";
+          incr ~by:(now.conflicts - at_entry.conflicts) "sat.conflicts";
+          incr ~by:(now.learned - at_entry.learned) "sat.learned";
+          incr ~by:(now.removed - at_entry.removed) "sat.removed";
+          incr ~by:(now.restarts - at_entry.restarts) "sat.restarts";
+          peak_gauge "sat.kept_clauses" (float_of_int now.kept))
+      end;
       r
     in
     if s.unsat then finish Unsat

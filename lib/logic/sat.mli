@@ -80,22 +80,17 @@ module Solver : sig
       solver stays usable for later calls. *)
 
   val stats : t -> stats
-  (** Cumulative statistics over the solver's lifetime; [kept] is the
-      current retained learned-clause count. *)
+  (** Cumulative statistics since {!create} or the last {!reset};
+      [kept] is the current retained learned-clause count. *)
 end
 
 (** {1 One-shot convenience wrappers}
 
-    Each call builds a fresh throwaway {!Solver.t} — the scratch
-    baseline the incremental interface is benchmarked against. *)
+    Each call builds a fresh throwaway {!Solver.t}; tests also use it
+    as the from-scratch reference for the incremental interface. *)
 
 val solve : ?max_conflicts:int -> Cnf.t -> result
 (** [solve cnf] decides satisfiability of a formula from scratch. *)
-
-val last_stats : unit -> stats
-(** Statistics of the most recent solve call on the current domain —
-    per-call deltas, domain-local so parallel solver tasks do not
-    race. *)
 
 val model_value : bool array -> int -> bool
 (** [model_value model v] reads variable [v] from a {!Sat} model. *)

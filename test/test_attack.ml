@@ -183,9 +183,10 @@ let test_sat_attack_modes_agree () =
       Alcotest.(check string) "same reason" s.reason i.reason
   | _ -> Alcotest.fail "solver modes reached different verdicts"
 
-(* The trajectories of both SAT attacks and of the targeted truth-table
-   attack on the s27 hybrids, pinned: iterations, oracle queries, solver
-   decisions and conflicts, and the md5 of the recovered key.  Any change
+(* The trajectories of both SAT attacks (the combinational one in both
+   solver modes) and of the targeted truth-table attack on the s27
+   hybrids, pinned: iterations, oracle queries, solver decisions and
+   conflicts, and the md5 of the recovered key.  Any change
    to the attack formulas (variable order, clause order, miter shape)
    moves them. *)
 let test_attack_trajectories_pinned () =
@@ -209,18 +210,27 @@ let test_attack_trajectories_pinned () =
         Alcotest.fail (label ^ ": exhausted " ^ e.reason)
   in
   List.iter2
-    (fun alg (comb, seq) ->
+    (fun alg (comb, scratch, seq) ->
       let h = hybrid alg in
       let name = Flow.algorithm_name alg in
       Alcotest.(check string) (name ^ " run") comb
         (trajectory name (Sat_attack.run ~timeout_s:60. h));
+      Alcotest.(check string) (name ^ " run scratch") scratch
+        (trajectory name
+           (Sat_attack.run ~timeout_s:60. ~mode:Sat_attack.Scratch h));
       Alcotest.(check string) (name ^ " run_sequential") seq
         (trajectory name (Sat_attack.run_sequential ~timeout_s:60. h)))
     Flow.default_algorithms
     [
-      ("12/12/894/321/59ab28bf", "7/35/2349/912/59ab28bf");
-      ("21/21/1725/551/628b5797", "9/45/5512/2589/628b5797");
-      ("4/4/73/23/7aa67298", "5/25/377/113/7aa67298");
+      ( "12/12/894/321/59ab28bf",
+        "14/14/4428/2074/59ab28bf",
+        "7/35/2349/912/59ab28bf" );
+      ( "21/21/1725/551/628b5797",
+        "16/16/5449/2395/628b5797",
+        "9/45/5512/2589/628b5797" );
+      ( "4/4/73/23/7aa67298",
+        "4/4/101/41/7aa67298",
+        "5/25/377/113/7aa67298" );
     ];
   let parametric = List.nth Flow.default_algorithms 2 in
   let r =

@@ -418,11 +418,20 @@ let test_equiv_pi_order () =
     (verdict (Equiv.check_random ~seed:1 a b))
 
 (* The solver work of the sign-off miter (original vs programmed hybrid)
-   at seed 1, per algorithm: any change to the formula's variable or
-   clause order moves these counts. *)
+   at seed 1, per algorithm, read from the solver's metrics counters
+   ([Equiv.check_sat] makes one solve call): any change to the formula's
+   variable or clause order moves these counts. *)
 let test_equiv_signoff_solver_work () =
   let module Flow = Sttc_core.Flow in
-  let module Sat = Sttc_logic.Sat in
+  let module Obs = Sttc_obs.Obs in
+  let module Metrics = Sttc_obs.Metrics in
+  let sat_work () =
+    let snap = Metrics.snapshot () in
+    let c = Metrics.counter_value snap in
+    (c "sat.decisions", c "sat.propagations", c "sat.conflicts")
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
   List.iter
     (fun (bench, pins) ->
       let nl = Sttc_experiments.Runner.build_circuit bench in
@@ -433,14 +442,14 @@ let test_equiv_signoff_solver_work () =
             Sttc_core.Hybrid.programmed r.Flow.accepted.Flow.hybrid
           in
           let label = bench ^ " " ^ Flow.algorithm_name algorithm in
+          Metrics.reset ();
           (match Equiv.check_sat nl programmed with
           | Equiv.Equivalent -> ()
           | _ -> Alcotest.fail (label ^ ": sign-off must be equivalent"));
-          let s = Sat.last_stats () in
           Alcotest.(check (triple int int int))
             label
             (decisions, propagations, conflicts)
-            (s.Sat.decisions, s.Sat.propagations, s.Sat.conflicts))
+            (sat_work ()))
         Flow.default_algorithms pins)
     [
       ("s27", [ (32, 462, 26); (28, 369, 22); (28, 355, 19) ]);

@@ -190,7 +190,7 @@ let interruptible ~budget attack f =
             seconds = budget;
           })
 
-let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.default)
+let attack ?(backend = Sttc_backend.Backend.stt) ?(config = Config.default)
     ~circuit ~algorithm hybrid =
   Sttc_obs.Metrics.incr
     ("backend.attack." ^ Sttc_backend.Backend.name backend);
@@ -218,15 +218,11 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
   let seq_timeout_s =
     match seq_timeout_s with Some s -> s | None -> sat_timeout_s
   in
-  (* An external solver arena may only be recycled when the attacks run
-     sequentially: with [jobs > 1] the two SAT attacks are live at once
-     and must not share one arena. *)
-  let solver = if jobs <= 1 then solver else None in
   let sat_entry () =
     budgeted ~budget:sat_timeout_s "sat" @@ fun () ->
     match
       Sat_attack.run ~timeout_s:sat_timeout_s ~candidates ~mode:solver_mode
-        ?solver hybrid
+        hybrid
     with
     | Sat_attack.Broken b ->
         {
@@ -331,7 +327,7 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
     budgeted ~budget:seq_timeout_s "sat-seq" @@ fun () ->
     match
       Sat_attack.run_sequential ~frames:seq_frames ~timeout_s:seq_timeout_s
-        ~candidates ~mode:solver_mode ?solver hybrid
+        ~candidates ~mode:solver_mode hybrid
     with
     | Sat_attack.Broken b ->
         {
@@ -372,21 +368,15 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
       instrumented "brute-force" brute_entry;
     ]
   in
-  let entries =
-    if jobs <= 1 then List.map (fun f -> f ()) attacks
-    else begin
-      (* the attacks read the hybrid's three netlist views concurrently:
-         force their lazy topology caches before the fan-out *)
-      List.iter Sttc_netlist.Netlist.warm
-        [
-          Sttc_core.Hybrid.original hybrid;
-          Sttc_core.Hybrid.programmed hybrid;
-          Sttc_core.Hybrid.foundry_view hybrid;
-        ];
-      Sttc_util.Pool.with_pool ~jobs (fun pool ->
-          Sttc_util.Pool.map_exn pool (fun f -> f ()) attacks)
-    end
-  in
+  (* the attacks may read the hybrid's three netlist views from several
+     domains: force their lazy topology caches first *)
+  List.iter Sttc_netlist.Netlist.warm
+    [
+      Sttc_core.Hybrid.original hybrid;
+      Sttc_core.Hybrid.programmed hybrid;
+      Sttc_core.Hybrid.foundry_view hybrid;
+    ];
+  let entries = Sttc_util.Pool.map ~jobs (fun f -> f ()) attacks in
   {
     circuit;
     algorithm;

@@ -67,7 +67,6 @@ module Config : sig
 end
 
 val attack :
-  ?solver:Sttc_logic.Sat.Solver.t ->
   ?backend:Sttc_backend.Backend.t ->
   ?config:Config.t ->
   circuit:string ->
@@ -96,16 +95,10 @@ val attack :
     ([Sat_attack.Scratch], the from-scratch reference the incremental
     engine is checked against).
 
-    [jobs > 1] runs the six attacks concurrently on a
-    {!Sttc_util.Pool}; every attack is seeded from [seed] alone, so the
-    campaign is identical at any job count.
-
-    [solver] recycles a persistent {!Sttc_logic.Sat.Solver} arena for
-    the SAT attacks (the serve daemon holds one per worker).  It is
-    honoured only when [config.jobs <= 1]: with concurrent attacks the
-    two SAT engines would race on one arena, so the harness silently
-    falls back to fresh solvers.  Recycling never changes results —
-    {!Sttc_logic.Sat.Solver.reset} restores fresh-solver semantics.
+    The six attacks are one {!Sttc_util.Pool.map} bag at [jobs]: with
+    [jobs > 1] they run concurrently, each on its own domain's recycled
+    solver arena ({!Sat_attack.run}); every attack is seeded from [seed]
+    alone, so the campaign is identical at any job count.
 
     [backend] (default {!Sttc_backend.Backend.stt}) shapes the
     attacker's knowledge: under a candidate-restricted backend the two

@@ -32,8 +32,17 @@ let add_stats (a : Sat.stats) (b : Sat.stats) : Sat.stats =
     restarts = a.restarts + b.restarts;
   }
 
+(* One recycled solver arena per domain, created on first use and
+   reset by every Incremental attack, which then owns it for its whole
+   run.  Two attacks are never live on one domain at once (the harness
+   runs its attacks in sequence or on separate pool domains), and
+   [Sat.Solver.reset] restores fresh-solver semantics, statistics
+   included, so recycling cannot change the recovered key or the run's
+   stats.  An arena lives as long as its domain. *)
+let arena = Domain.DLS.new_key Sat.Solver.create
+
 (* The whole attack talks to the solver through one closure.
-   Incremental: a single live solver accumulates every clause of [cnf]
+   Incremental: the domain's arena accumulates every clause of [cnf]
    (via the sync cursor) together with everything it learns, and each
    call just pulls in the new clauses; the run's stats are that
    solver's.  Scratch: every call rebuilds a throwaway solver from the
@@ -41,19 +50,11 @@ let add_stats (a : Sat.stats) (b : Sat.stats) : Sat.stats =
    reference that the incremental engine's keys are checked against.
    Either way the answers are exact, so both modes agree on every
    SAT/UNSAT question. *)
-let make_solver ?reuse mode cnf =
+let make_solver mode cnf =
   match mode with
   | Incremental ->
-      (* a recycled arena behaves exactly like a fresh solver, statistics
-         included (Sat.Solver.reset contract), so reuse cannot change the
-         recovered key or the run's stats *)
-      let s =
-        match reuse with
-        | Some s ->
-            Sat.Solver.reset s;
-            s
-        | None -> Sat.Solver.create ()
-      in
+      let s = Domain.DLS.get arena in
+      Sat.Solver.reset s;
       let solve ?assumptions ?max_conflicts () =
         Sat.Solver.sync s cnf;
         Sat.Solver.solve ?assumptions ?max_conflicts s
@@ -159,8 +160,7 @@ let dip_loop p
   loop ()
 
 let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
-    ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) ?solver hybrid
-    =
+    ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) hybrid =
   budgeted ~timeout_s @@ fun p ->
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
@@ -181,7 +181,7 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
   in
   let act = Cnf.fresh_var cnf in
   Cnf.add_clause cnf (-act :: diffs);
-  let solve, stats = make_solver ?reuse:solver mode cnf in
+  let solve, stats = make_solver mode cnf in
   p.stats <- stats;
   (* Constrain both key copies with an observed I/O pair.  The miter's
      inputs must stay free, so each observation gets fresh circuit copies
@@ -229,7 +229,7 @@ let verify_break hybrid bitstream =
   | _ -> false
 
 let run_sequential ?(frames = 5) ?(max_conflicts_per_call = 200_000)
-    ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) ?solver hybrid =
+    ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) hybrid =
   budgeted ~timeout_s @@ fun p ->
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
@@ -253,7 +253,7 @@ let run_sequential ?(frames = 5) ?(max_conflicts_per_call = 200_000)
   let act = Cnf.fresh_var cnf in
   (* the clause lists the XORs in reverse order, as it always has *)
   Cnf.add_clause cnf (-act :: List.rev diffs);
-  let solve, stats = make_solver ?reuse:solver mode cnf in
+  let solve, stats = make_solver mode cnf in
   p.stats <- stats;
   (* pin an observed sequence into fresh unrolled copies of both keys *)
   let constrain_io pi_seq po_seq =

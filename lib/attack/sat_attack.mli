@@ -31,9 +31,8 @@ type outcome =
       seconds : float;
       stats : Sttc_logic.Sat.stats;
           (** the run's solver work: the live solver's statistics
-              under [Incremental] (counted from its reset when
-              recycled), the sum over every call's throwaway solver
-              under [Scratch] *)
+              under [Incremental] (counted from the arena's reset), the
+              sum over every call's throwaway solver under [Scratch] *)
     }
       (** A functionally correct configuration was recovered (it may
           differ syntactically from the secret one).  The bitstream is
@@ -56,7 +55,6 @@ val run :
   ?timeout_s:float ->
   ?candidates:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list ->
   ?mode:solver_mode ->
-  ?solver:Sttc_logic.Sat.Solver.t ->
   Sttc_core.Hybrid.t ->
   outcome
 (** Defaults: 2000 iterations, 200k conflicts per solver call, 60 s,
@@ -64,14 +62,13 @@ val run :
     hybrid's secret programmed view — the attacker code only ever
     touches the foundry view and the oracle interface.
 
-    [solver] recycles an existing solver arena for the [Incremental]
-    engine instead of allocating a fresh one: the attack
-    {!Sttc_logic.Sat.Solver.reset}s it and then owns it for the whole
-    run — the reuse discipline of a long-running service holding one
-    solver per worker.  Because [reset] restores fresh-solver
-    semantics, the recovered key is byte-identical with or without
-    reuse.  Ignored under [Scratch].  Never share one arena across
-    concurrently running attacks.
+    The [Incremental] engine runs on its domain's solver arena, created
+    on the domain's first attack and recycled by every later one: the
+    attack {!Sttc_logic.Sat.Solver.reset}s it and then owns it for the
+    whole run.  Because [reset] restores fresh-solver semantics, the
+    recovered key and the run's [stats] are those of a fresh solver.
+    One domain runs one attack at a time, so no two attacks share an
+    arena.
 
     [candidates] restricts the key space of specific LUTs to an explicit
     candidate list — the attacker model against {e camouflaged} cells,
@@ -91,7 +88,6 @@ val run_sequential :
   ?timeout_s:float ->
   ?candidates:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list ->
   ?mode:solver_mode ->
-  ?solver:Sttc_logic.Sat.Solver.t ->
   Sttc_core.Hybrid.t ->
   outcome
 (** The scan-disabled variant — the access model the paper assumes for

@@ -65,9 +65,9 @@ type resilience = {
       (** extra write attempts per cell after a failed verify (0 = one
           shot, the legacy behaviour) *)
   escalate : bool;
-      (** raise the write current on each retry — divides the transient
-          error rate and multiplies the per-write energy by the channel's
-          escalation gain *)
+      (** raise the write current on each retry — each escalation step
+          divides the transient error rate and multiplies the per-write
+          energy by {!Sttc_fault.Mtj}'s fixed factor of 10 *)
   ecc : bool;
       (** store a per-LUT SECDED parity word ({!Sttc_fault.Ecc}) in extra
           MTJ cells; one bad cell per LUT is then corrected at read-out *)
@@ -115,8 +115,9 @@ type program_report = {
   failed_bits : (string * int) list;
   write_attempts : int;
   cost : cost;
-      (** as actually spent: escalated writes weighted by the channel's
-          escalation gain, verify cycles counted per read-back *)
+      (** as actually spent: an escalated write weighs 10 per
+          escalation step ({!Sttc_fault.Mtj}'s fixed factor), verify
+          cycles counted per read-back *)
 }
 
 val program :

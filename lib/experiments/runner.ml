@@ -97,8 +97,9 @@ let timed name f =
 
 (* One body at every job count: a build task per benchmark, then a
    protect task per benchmark x algorithm, then the rows assembled here
-   in benchmark order.  The executor is the only thing [jobs] changes:
-   each task depends on [seed] alone, so a pool gives the serial rows. *)
+   in benchmark order.  [jobs] only reaches the pool, which picks the
+   executor: each task depends on [seed] alone, so a pool gives the
+   serial rows. *)
 let rows (cfg : Config.t) =
   let { Config.seed; only; timeout_s; isolate; jobs; backend } = cfg in
   if jobs < 1 then invalid_arg "Runner.rows: jobs must be >= 1";
@@ -171,38 +172,31 @@ let rows (cfg : Config.t) =
           outcomes;
     }
   in
-  let sweep pool =
-    let map f xs =
-      match pool with None -> List.map f xs | Some p -> Pool.map_exn p f xs
-    in
-    let builds = map build infos in
-    let units =
-      List.concat_map
-        (fun (info, built) ->
-          match built with
-          | Ok nl -> List.map (fun alg -> (info, nl, alg)) Flow.default_algorithms
-          | Error _ -> [])
-        builds
-    in
-    let protects = map protect units in
-    List.map (row protects) builds
-  in
-  (* Work in gate-level units: protect + re-simulate cost scales with
-     circuit size times the algorithm count.  Small bags (the quick
-     Table I set is ~9k units) lose more to domain spawning than they
-     gain, so they run on the calling domain even when the caller asked
-     for workers.  Chunks of one task keep a worker from being handed
+  (* Work in gate-level units, scaled so that 30 000 of them pay for the
+     domains: protect + re-simulate cost scales with circuit size times
+     the algorithm count.  Small bags (the quick Table I set is ~9k
+     units) lose more to domain spawning than they gain, so the pool
+     runs them on the calling domain even when the caller asked for
+     workers.  Chunks of one task keep a worker from being handed
      several large consecutive units. *)
   let work =
     float_of_int
       (List.fold_left (fun acc i -> acc + i.Profiles.n_gates) 0 infos
       * List.length Flow.default_algorithms)
+    /. 30_000.
   in
-  if
-    Pool.worthwhile ~min_work:30_000. ~jobs ~tasks:(List.length infos) ~work
-      ()
-  then Pool.with_pool ~chunk:1 ~jobs (fun p -> sweep (Some p))
-  else sweep None
+  let map f xs = Pool.map ~chunk:1 ~work ~jobs f xs in
+  let builds = map build infos in
+  let units =
+    List.concat_map
+      (fun (info, built) ->
+        match built with
+        | Ok nl -> List.map (fun alg -> (info, nl, alg)) Flow.default_algorithms
+        | Error _ -> [])
+      builds
+  in
+  let protects = map protect units in
+  List.map (row protects) builds
 
 (* ---------- shard-scoped entry points (campaign engine) ---------- *)
 
@@ -627,8 +621,7 @@ let fault_sweep ?(seed = master_seed) ?(bench = "s641")
   Buffer.add_string buf (Sttc_util.Table.render t);
   (* yield: many dies per rate.  Every die's channel seed is derived up
      front from the master seed, so the table is identical at any job
-     count; with [jobs > 1] the dies of each rate are programmed on a
-     pool. *)
+     count; the dies of each rate are one pool bag. *)
   let t2 =
     Sttc_util.Table.create
       ~headers:
@@ -644,7 +637,7 @@ let fault_sweep ?(seed = master_seed) ?(bench = "s641")
     | Provision.Programmed | Provision.Degraded _ -> true
     | Provision.Failed _ -> false
   in
-  let yield_row pool rate =
+  let yield_row rate =
     let spec =
       Mtj.spec ~write_error_rate:rate ~stuck_cell_rate:stuck_rate ()
     in
@@ -661,13 +654,11 @@ let fault_sweep ?(seed = master_seed) ?(bench = "s641")
         (if ok r1 then 1 else 0),
         r1.Provision.write_attempts - ideal.Provision.mtj_cells )
     in
-    let die_indices = List.init dies Fun.id in
     let good0, good1, extra =
-      let reduce (a, b, c) (x, y, z) = (a + x, b + y, c + z) in
-      match pool with
-      | None -> List.fold_left reduce (0, 0, 0) (List.map one_die die_indices)
-      | Some pool ->
-          Pool.map_reduce pool ~map:one_die ~reduce ~init:(0, 0, 0) die_indices
+      List.fold_left
+        (fun (a, b, c) (x, y, z) -> (a + x, b + y, c + z))
+        (0, 0, 0)
+        (Pool.map ~jobs one_die (List.init dies Fun.id))
     in
     Sttc_util.Table.add_row t2
       [
@@ -677,12 +668,9 @@ let fault_sweep ?(seed = master_seed) ?(bench = "s641")
         Printf.sprintf "%.1f" (float_of_int extra /. float_of_int dies);
       ]
   in
-  if jobs <= 1 then List.iter (yield_row None) rates
-  else begin
-    Sttc_netlist.Netlist.warm foundry;
-    Pool.with_pool ~jobs (fun pool ->
-        List.iter (yield_row (Some pool)) rates)
-  end;
+  (* the dies read the foundry view from several domains *)
+  Sttc_netlist.Netlist.warm foundry;
+  List.iter yield_row rates;
   Buffer.add_string buf "\nprogramming yield over dies:\n";
   Buffer.add_string buf (Sttc_util.Table.render t2);
   Buffer.contents buf

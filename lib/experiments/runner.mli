@@ -5,9 +5,9 @@
     the Table I / Table II / Fig. 3 renderers.  The attack campaign runs
     the empirical attacks on a small circuit where they terminate.
 
-    The driver fans its work out over {!Sttc_util.Pool} when
-    [Config.jobs > 1]; per-task seeds are derived before submission, so
-    rows are bit-identical at any job count. *)
+    The driver hands its bags and [Config.jobs] to {!Sttc_util.Pool.map},
+    which fans out the ones worth it; per-task seeds are derived before
+    submission, so rows are bit-identical at any job count. *)
 
 val master_seed : int
 (** 20160605 — fixed so published output is reproducible. *)
@@ -54,11 +54,11 @@ val rows : Config.t -> Sttc_core.Report.benchmark_row list
     One body at every job count: a build task per benchmark, then a
     protect task per benchmark x algorithm (the guarded unit
     {!run_unit} also runs), then the rows are assembled on the calling
-    domain in benchmark order.  With [jobs > 1] and a bag large enough
-    to pay for the domains ({!Sttc_util.Pool.worthwhile}) the tasks run
-    on a {!Sttc_util.Pool}, one task per chunk; otherwise they run in
-    order on the calling domain.  Rows are bit-identical either way,
-    because each task's result depends only on [seed].
+    domain in benchmark order.  Each bag goes to {!Sttc_util.Pool.map}
+    with [jobs] and a gate-count work estimate, one task per chunk: a
+    bag large enough to pay for the domains runs on [jobs] of them,
+    any other in order on the calling domain.  Rows are bit-identical
+    either way, because each task's result depends only on [seed].
 
     Crash tolerance (see the {!Config} fields): [timeout_s] budgets each
     build and protect stage with a {!Sttc_util.Budget} (a stage stops at
@@ -166,8 +166,8 @@ val fault_sweep :
     (outcome, retried/corrected/spared bits, write attempts, energy
     overhead versus the ideal channel, SAT sign-off of the effective
     view), and a programming-yield summary over [dies] independent
-    dies per rate.  [jobs > 1] programs the yield table's dies in
-    parallel; every die's channel seed is derived up front, so the
+    dies per rate.  Each rate's dies are one {!Sttc_util.Pool.map} bag
+    at [jobs]; every die's channel seed is derived up front, so the
     output is identical at any job count. *)
 
 val ablation_constants : ?seed:int -> unit -> string

@@ -58,8 +58,8 @@ module Solver : sig
   val reset : t -> unit
   (** Return the solver to the empty-formula state of {!create} while
       keeping every allocated array, so the arena can be recycled
-      across unrelated formulas — the reuse discipline of a
-      long-running service that holds one solver per worker.
+      across unrelated formulas — the per-domain arena the SAT attacks
+      keep.
       Behaviourally identical to a fresh solver: clauses, learned
       clauses, activities, saved phases, the restart schedule and
       {!stats} all restart from zero, so a recycled solver recovers

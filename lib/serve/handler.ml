@@ -86,7 +86,7 @@ let zero_seconds (c : Harness.campaign) =
       List.map (fun e -> { e with Harness.seconds = 0. }) c.Harness.entries;
   }
 
-let do_attack ?solver session (a : Request.attack) =
+let do_attack session (a : Request.attack) =
   match Session.netlist session a.source with
   | Error _ as e -> e
   | Ok nl -> (
@@ -100,7 +100,7 @@ let do_attack ?solver session (a : Request.attack) =
       | resilient ->
           let hybrid = resilient.Flow.accepted.Flow.hybrid in
           let campaign =
-            Harness.attack ?solver ~backend ~config:a.config
+            Harness.attack ~backend ~config:a.config
               ~circuit:(Netlist.design_name nl)
               ~algorithm:(Flow.algorithm_name a.algorithm)
               hybrid
@@ -188,7 +188,7 @@ let do_lint session (l : Request.lint) =
 
 let max_ping_sleep_s = 10.
 
-let handle ?solver session (req : Request.t) =
+let handle session (req : Request.t) =
   Metrics.incr "serve.requests";
   let t0 = Sttc_util.Pool.now_s () in
   let result =
@@ -201,8 +201,7 @@ let handle ?solver session (req : Request.t) =
     | Request.Protect p ->
         with_budget req.Request.timeout_s (fun () -> do_protect session p)
     | Request.Attack a ->
-        with_budget req.Request.timeout_s (fun () ->
-            do_attack ?solver session a)
+        with_budget req.Request.timeout_s (fun () -> do_attack session a)
     | Request.Lint l ->
         with_budget req.Request.timeout_s (fun () -> do_lint session l)
   in

@@ -14,16 +14,11 @@
     Metrics: [serve.requests], [serve.errors] and the
     [serve.request_seconds] histogram. *)
 
-val handle :
-  ?solver:Sttc_logic.Sat.Solver.t ->
-  Session.t ->
-  Request.t ->
-  Response.t
-(** Execute one request.  [solver] is the calling worker's persistent
-    SAT arena, recycled across requests via
-    {!Sttc_logic.Sat.Solver.reset} (results are byte-identical with or
-    without it); pass it only from a context that owns the solver
-    exclusively for the duration of the call. *)
+val handle : Session.t -> Request.t -> Response.t
+(** Execute one request.  An attack request runs its SAT attacks on
+    the calling domain's recycled solver arena ({!Sttc_attack.Sat_attack.run}),
+    so a daemon worker keeps one arena across requests; results are
+    byte-identical to a fresh solver's. *)
 
 val lint_diagnostics :
   algorithms:Sttc_core.Flow.algorithm list ->

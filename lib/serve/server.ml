@@ -38,6 +38,7 @@ let counters =
     "serve.cache_hits";
     "serve.cache_misses";
     "serve.cache_evictions";
+    "serve.internal_errors";
   ]
 
 type conn = {
@@ -93,11 +94,10 @@ let signal_stop t =
 
 (* ---------- worker domains ---------- *)
 
-(* Each worker owns one persistent SAT solver arena for its whole
-   lifetime, recycled across requests by the attack engine — the
+(* A worker domain lives as long as the daemon, so the SAT attacks'
+   per-domain solver arena is recycled across its requests — the
    warm-solver half of the daemon's persistence story. *)
 let worker t =
-  let solver = Sttc_logic.Sat.Solver.create () in
   let rec loop () =
     Mutex.lock t.qlock;
     while Queue.is_empty t.queue && not t.stopping do
@@ -118,7 +118,15 @@ let worker t =
         | None ->
             { job.request with Request.timeout_s = t.cfg.Config.default_timeout_s }
       in
-      let response = Handler.handle ~solver t.session request in
+      (* last resort, outside the request's budget: a request that
+         escapes the handler still gets a reply, and the worker lives
+         on to serve the next one *)
+      let response =
+        try Handler.handle t.session request
+        with _ ->
+          Metrics.incr "serve.internal_errors";
+          Response.Error { id = request.Request.id; message = "internal error" }
+      in
       send job.conn response;
       (match job.request.Request.payload with
       | Request.Shutdown -> signal_stop t

@@ -11,10 +11,12 @@
       immediately — the daemon never buffers unboundedly and never
       blocks the intake loop on a slow request;
     - each {e worker domain} pops requests, executes them through
-      {!Handler.handle} with its own persistent SAT solver arena, and
-      writes the response to the client under a per-connection write
-      lock (responses to pipelined requests may arrive out of order —
-      correlate with the echoed [id]);
+      {!Handler.handle} (the SAT attacks recycle the domain's solver
+      arena across requests), and writes the response to the client
+      under a per-connection write lock (responses to pipelined
+      requests may arrive out of order — correlate with the echoed
+      [id]); an exception that escapes the handler is answered with
+      an [internal error] reply and counted, and the worker goes on;
     - the netlist cache ({!Session}) is shared by all workers.
 
     Shutdown: a [shutdown] request is answered first, then the daemon
@@ -22,7 +24,8 @@
     removes the socket file — no orphans, verified by the CI gate.
 
     Metrics: [serve.requests], [serve.errors], [serve.overloaded],
-    [serve.cache_hits]/[misses]/[evictions] (all pre-seeded at start),
+    [serve.cache_hits]/[misses]/[evictions], [serve.internal_errors]
+    (all pre-seeded at start),
     the [serve.queue_depth] gauge and the [serve.request_seconds]
     histogram.  [stats] responses snapshot the live registry, so a
     snapshot taken mid-request may trail by the in-flight updates. *)

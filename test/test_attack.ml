@@ -903,25 +903,37 @@ let test_harness_backend_default () =
   in
   Alcotest.(check bool) "explicit stt equals default" true (implicit = explicit)
 
-(* Recycling one solver arena across attacks (the serve daemon's
-   per-worker discipline) must recover the exact bitstream a fresh
-   solver does. *)
+(* Every domain recycles one solver arena across its attacks.  After
+   an unrelated attack has dirtied this domain's arena, [run] and
+   [run_sequential] must report what the same attacks report on the
+   fresh arena of a newly spawned domain: bitstream, iterations,
+   queries and solver statistics (everything but the wall clock). *)
 let test_solver_reuse_identical () =
-  let nl = small_circuit 17 in
-  let h = protect_n nl 2 17 in
-  let nl2 = small_circuit 18 in
-  let h2 = protect_n nl2 2 18 in
-  let bitstream = function
-    | Sttc_attack.Sat_attack.Broken b -> b.bitstream
-    | Sttc_attack.Sat_attack.Exhausted _ ->
-        Alcotest.fail "sat attack must break 2 LUTs on a small circuit"
+  let module S = Sttc_attack.Sat_attack in
+  let h = protect_n (small_circuit 17) 2 17 in
+  let h2 = protect_n (small_circuit 18) 2 18 in
+  let fields = function
+    | S.Broken b -> (Some b.bitstream, b.iterations, b.queries, "", b.stats)
+    | S.Exhausted e -> (None, e.iterations, 0, e.reason, e.stats)
   in
-  let fresh = bitstream (Sttc_attack.Sat_attack.run h) in
-  let solver = Sttc_logic.Sat.Solver.create () in
-  (* dirty the arena on an unrelated formula first *)
-  ignore (bitstream (Sttc_attack.Sat_attack.run ~solver h2));
-  let recycled = bitstream (Sttc_attack.Sat_attack.run ~solver h) in
-  Alcotest.(check bool) "recycled arena = fresh solver" true (fresh = recycled)
+  let attacks =
+    [
+      ("run", fun () -> fields (S.run h));
+      ("run_sequential", fun () -> fields (S.run_sequential ~frames:2 h));
+    ]
+  in
+  (match S.run h2 with
+  | S.Broken _ -> ()
+  | S.Exhausted _ ->
+      Alcotest.fail "sat attack must break 2 LUTs on a small circuit");
+  List.iter
+    (fun (name, attack) ->
+      let recycled = attack () in
+      let fresh = Domain.join (Domain.spawn attack) in
+      Alcotest.(check bool)
+        (name ^ ": recycled arena = fresh domain")
+        true (recycled = fresh))
+    attacks
 
 let () =
   Alcotest.run "sttc_attack"

@@ -457,11 +457,8 @@ let test_pool_probe =
   recording (fun () ->
       Obs.attach_pool ();
       Fun.protect ~finally:Obs.detach_pool (fun () ->
-          Pool.with_pool ~jobs:2 (fun pool ->
-              let out =
-                Pool.map_exn pool (fun x -> x * x) (List.init 64 Fun.id)
-              in
-              Alcotest.(check int) "results intact" 64 (List.length out));
+          let out = Pool.map ~jobs:2 (fun x -> x * x) (List.init 64 Fun.id) in
+          Alcotest.(check int) "results intact" 64 (List.length out);
           let snap = Metrics.snapshot () in
           Alcotest.(check int)
             "one submission" 1

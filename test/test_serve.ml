@@ -622,6 +622,247 @@ let test_attack_request_budget () =
   shutdown_server socket d;
   Alcotest.(check string) "daemon matches offline" offline daemon
 
+(* ---------- total handler ---------- *)
+
+(* Frames drawn from the request grammar: every verb, field values at
+   and past their ranges, inline .bench text with lines dropped,
+   duplicated, swapped or truncated, and frames cut short.  One frame
+   in five also gives some fields a value of the wrong type.  Heavy
+   verbs always carry a short request budget, so a case ends within
+   about a second. *)
+let frame_gen =
+  let open QCheck2.Gen in
+  let int_v =
+    map (fun i -> Json.Int i) (oneofl [ -1; 0; 1; 2; 3; 64; max_int; min_int ])
+  in
+  let num_v =
+    oneof
+      [
+        int_v;
+        map
+          (fun f -> Json.Float f)
+          (oneofl [ -1.; 0.; 0.01; 0.2; 1.; 2.; 1e308; -1e308 ]);
+      ]
+  in
+  (* mostly inside [ok], sometimes just past it *)
+  let ok_or_past ok past =
+    frequency
+      (List.map (fun v -> (6, pure v)) ok @ List.map (fun v -> (1, pure v)) past)
+  in
+  let ranged ok past = map (fun i -> Json.Int i) (ok_or_past ok past) in
+  let named ok past = map (fun s -> Json.String s) (ok_or_past ok past) in
+  let bool_v = map (fun b -> Json.Bool b) bool in
+  let junk =
+    oneofl
+      [ Json.Null; Json.Bool true; Json.String "x"; Json.List []; Json.Obj [] ]
+  in
+  (* s27 and the smallest shapes: gateless, one gate, one state loop *)
+  let bases =
+    List.map
+      (String.split_on_char '\n')
+      [
+        s27_text;
+        "INPUT(a)\nOUTPUT(a)\n";
+        "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
+        "INPUT(a)\nOUTPUT(q)\nq = DFF(d)\nd = AND(a, q)\n";
+      ]
+  in
+  let line = int_bound 24 in
+  let edit =
+    oneof
+      [
+        map (fun i l -> List.filteri (fun j _ -> j <> i) l) line;
+        map
+          (fun i l ->
+            List.concat
+              (List.mapi (fun j x -> if j = i then [ x; x ] else [ x ]) l))
+          line;
+        map2
+          (fun i k l ->
+            let a = Array.of_list l in
+            let n = Array.length a in
+            let i = i mod n and k = k mod n in
+            let t = a.(i) in
+            a.(i) <- a.(k);
+            a.(k) <- t;
+            Array.to_list a)
+          line line;
+        map2
+          (fun i cut l ->
+            List.mapi
+              (fun j x ->
+                if j = i then String.sub x 0 (min cut (String.length x)) else x)
+              l)
+          line (int_bound 12);
+      ]
+  in
+  let bench =
+    map2
+      (fun base edits ->
+        String.concat "\n"
+          (List.fold_left (fun l e -> if l = [] then l else e l) base edits))
+      (frequency [ (3, pure (List.hd bases)); (1, oneofl bases) ])
+      (list_size (int_range 0 3) edit)
+  in
+  let request corrupt =
+    (* a field is absent, drawn from [g], or (in a corrupt frame) now
+       and then of the wrong type *)
+    let field ?(absent = 3) name g =
+      frequency
+        [
+          (absent, pure []);
+          (16, map (fun v -> [ (name, v) ]) g);
+          ((if corrupt then 2 else 0), map (fun v -> [ (name, v) ]) junk);
+        ]
+    in
+    let obj fields =
+      map (fun fs -> Json.Obj (List.concat fs)) (flatten_l fields)
+    in
+    let netlist =
+      frequency
+        [
+          (2, named [ "s27" ] [ "nope"; "" ]);
+          ( 12,
+            obj
+              [
+                field "name" (named [ "m"; "s27" ] [ "" ]);
+                map (fun b -> [ ("bench", Json.String b) ]) bench;
+              ] );
+          (1, obj [ field ~absent:0 "name" (named [ "s27" ] [ "nope" ]) ]);
+        ]
+    in
+    let algorithm =
+      frequency
+        [
+          (1, named [ "independent"; "dependent"; "parametric" ] [ "other" ]);
+          ( 1,
+            obj
+              [
+                field ~absent:0 "name" (named [ "independent"; "parametric" ] []);
+                field "count" int_v;
+                field "clock_factor" num_v;
+              ] );
+        ]
+    in
+    let common =
+      [
+        field ~absent:0 "netlist" netlist;
+        field "algorithm" algorithm;
+        field "seed" int_v;
+        field "backend" (named [ "stt"; "tvd" ] [ "sram" ]);
+      ]
+    in
+    let flags names = List.map (fun n -> field n bool_v) names in
+    let protect =
+      common
+      @ [ field "config" (obj [ field "fraction" num_v; field "harden" bool_v ]) ]
+      @ flags
+          [ "sign_off"; "emit_foundry"; "emit_bitstream"; "emit_verilog"; "timing" ]
+    in
+    let attack =
+      common
+      @ [
+          field "timing" bool_v;
+          field "config"
+            (obj
+               [
+                 field "sat_timeout_s" num_v;
+                 field "seq_timeout_s" num_v;
+                 field "tt_budget" int_v;
+                 field "guess_rounds" int_v;
+                 field "brute_max_bits" (ranged [ 0; 1; 16; 62 ] [ -1; 63 ]);
+                 field "seq_frames" (ranged [ 1; 2 ] [ 0; -1 ]);
+                 field "seed" int_v;
+                 field "jobs" (ranged [ 1; 2; 3 ] [ 0; -1 ]);
+                 field "solver_mode"
+                   (named [ "incremental"; "scratch" ] [ "other" ]);
+               ]);
+        ]
+    in
+    let rules =
+      map
+        (fun l -> Json.List l)
+        (list_size (int_range 0 2)
+           (named [ "STR004"; "SEM001"; "SEC001" ] [ "bogus" ]))
+    in
+    let lint =
+      common
+      @ [
+          field "algorithms"
+            (map (fun l -> Json.List l) (list_size (int_range 0 2) algorithm));
+          field "semantic" bool_v;
+          field "fraction" num_v;
+          field "budget" int_v;
+          field "rules" rules;
+          field "suppress" rules;
+          field "format" (named [ "text"; "json" ] [ "xml" ]);
+        ]
+    in
+    (* the budget bounds a heavy verb; a light one may go without *)
+    let budget heavy =
+      let seconds =
+        map
+          (fun f -> [ ("timeout_s", Json.Float f) ])
+          (frequencyl [ (1, -1.); (1, 0.); (4, 0.1); (4, 0.3) ])
+      in
+      if heavy then seconds else oneof [ pure []; seconds ]
+    in
+    let verb name heavy fields =
+      obj
+        ([
+           field "id" (oneof [ named [ "a"; "" ] []; int_v ]);
+           pure [ ("verb", Json.String name) ];
+           budget heavy;
+         ]
+        @ fields)
+    in
+    frequency
+      [
+        (4, verb "protect" true protect);
+        (4, verb "attack" true attack);
+        (4, verb "lint" true lint);
+        ( 1,
+          verb "ping" false
+            [
+              field "sleep_s"
+                (map (fun f -> Json.Float f) (oneofl [ -1.; 0.; 0.001 ]));
+            ]
+        );
+        (1, verb "stats" false []);
+        (1, verb "shutdown" false []);
+        (1, obj [ field "verb" (oneof [ named [] [ "explode" ]; int_v ]) ]);
+      ]
+  in
+  let text =
+    map (Json.to_string ~minify:true)
+      (frequency [ (4, request false); (1, request true) ])
+  in
+  frequency
+    [
+      (19, text);
+      ( 1,
+        map2
+          (fun t cut -> String.sub t 0 (cut mod (String.length t + 1)))
+          text nat );
+    ]
+
+(* What the daemon does with a frame, short of the socket: parse, then
+   handle, then encode the reply. *)
+let reply session frame =
+  Response.to_string
+    (match Request.of_string frame with
+    | Error e -> Response.Error { id = None; message = "bad request: " ^ e }
+    | Ok request -> Handler.handle session request)
+
+let prop_handler_total =
+  let session = Session.create ~capacity:4 () in
+  QCheck2.Test.make ~name:"every frame gets a reply" ~count:200 ~print:Fun.id
+    frame_gen (fun frame ->
+      match reply session frame with
+      | _ -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "serve"
     [
@@ -658,4 +899,5 @@ let () =
           Alcotest.test_case "attack request budget" `Quick
             test_attack_request_budget;
         ] );
+      ("handler", [ QCheck_alcotest.to_alcotest prop_handler_total ]);
     ]

@@ -287,100 +287,75 @@ let test_timing_time () =
 module Pool = Sttc_util.Pool
 
 let test_pool_map_orders_results () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let items = List.init 97 Fun.id in
-      let out = Pool.map_exn pool (fun x -> (2 * x) + 1) items in
-      Alcotest.(check (list int))
-        "submission order kept"
-        (List.map (fun x -> (2 * x) + 1) items)
-        out)
+  let items = List.init 97 Fun.id in
+  Alcotest.(check (list int))
+    "submission order kept"
+    (List.map (fun x -> (2 * x) + 1) items)
+    (Pool.map ~jobs:3 (fun x -> (2 * x) + 1) items)
 
 let test_pool_single_worker_matches_serial () =
   let items = List.init 23 (fun i -> i * i) in
   let serial = List.map string_of_int items in
-  Pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check (list string))
-        "jobs=1 equals List.map" serial
-        (Pool.map_exn pool string_of_int items))
-
-let test_pool_zero_jobs_rejected () =
-  Alcotest.check_raises "jobs=0"
-    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
-      Pool.with_pool ~jobs:0 (fun _ -> Alcotest.fail "no pool at -j 0"))
+  Alcotest.(check (list string))
+    "jobs=1 equals List.map" serial
+    (Pool.map ~jobs:1 string_of_int items)
 
 let test_pool_captures_exceptions () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let ran = Atomic.make 0 in
-      (match
-         Pool.map_exn pool
-           (fun x ->
-             if x mod 10 = 3 then failwith "boom" else Atomic.incr ran)
-           (List.init 30 Fun.id)
-       with
-      | _ -> Alcotest.fail "must raise"
-      | exception Pool.Task_error e ->
-          Alcotest.(check int) "first failing index" 3 e.Pool.index;
-          Alcotest.(check string) "message captured" "Failure(\"boom\")"
-            e.Pool.exn);
-      (* the failures abort no other task *)
-      Alcotest.(check int) "27 successes" 27 (Atomic.get ran))
+  let ran = Atomic.make 0 in
+  (match
+     Pool.map ~jobs:2
+       (fun x -> if x mod 10 = 3 then failwith "boom" else Atomic.incr ran)
+       (List.init 30 Fun.id)
+   with
+  | _ -> Alcotest.fail "must raise"
+  | exception Pool.Task_error e ->
+      Alcotest.(check int) "first failing index" 3 e.Pool.index;
+      Alcotest.(check string) "message captured" "Failure(\"boom\")"
+        e.Pool.exn);
+  (* the failures abort no other task *)
+  Alcotest.(check int) "27 successes" 27 (Atomic.get ran)
 
-let test_pool_map_exn_raises_first_error () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      match
-        Pool.map_exn pool
-          (fun x -> if x >= 5 then raise Exit else x)
-          (List.init 9 Fun.id)
-      with
-      | _ -> Alcotest.fail "must raise"
-      | exception Pool.Task_error e ->
-          Alcotest.(check int) "smallest failing index" 5 e.Pool.index)
-
-let test_pool_map_reduce_order_stable () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let words = List.init 26 (fun i -> String.make 1 (Char.chr (65 + i))) in
-      (* string concatenation is non-commutative: only a submission-order
-         reduction gives the alphabet back *)
-      let s =
-        Pool.map_reduce pool ~map:Fun.id ~reduce:( ^ ) ~init:"" words
-      in
-      Alcotest.(check string) "alphabet" "ABCDEFGHIJKLMNOPQRSTUVWXYZ" s)
-
-let test_pool_shutdown_refuses_new_work () =
-  let pool =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Alcotest.(check (list int)) "works before shutdown" [ 2; 4 ]
-          (Pool.map_exn pool (fun x -> 2 * x) [ 1; 2 ]);
-        pool)
-  in
-  Alcotest.check_raises "map after shutdown"
-    (Invalid_argument "Pool.map: pool is shut down") (fun () ->
-      ignore (Pool.map_exn pool Fun.id [ 1 ]))
+let test_pool_map_raises_first_error () =
+  (match
+     Pool.map ~jobs:2
+       (fun x -> if x >= 5 then raise Exit else x)
+       (List.init 9 Fun.id)
+   with
+  | _ -> Alcotest.fail "must raise"
+  | exception Pool.Task_error e ->
+      Alcotest.(check int) "smallest failing index" 5 e.Pool.index);
+  (* a serial bag raises the task's own exception on the calling domain *)
+  Alcotest.check_raises "serial bag" Exit (fun () ->
+      ignore (Pool.map ~jobs:1 (fun x -> if x >= 5 then raise Exit) [ 4; 5 ]))
 
 let test_pool_empty_and_chunked () =
-  Pool.with_pool ~chunk:2 ~jobs:3 (fun pool ->
-      Alcotest.(check (list int)) "empty bag" [] (Pool.map_exn pool Fun.id []);
-      Alcotest.(check (list int))
-        "chunked bag keeps order"
-        (List.init 11 Fun.id)
-        (Pool.map_exn pool Fun.id (List.init 11 Fun.id)))
+  Alcotest.(check (list int))
+    "empty bag" []
+    (Pool.map ~chunk:2 ~jobs:3 Fun.id []);
+  Alcotest.(check (list int))
+    "chunked bag keeps order"
+    (List.init 11 Fun.id)
+    (Pool.map ~chunk:2 ~jobs:3 Fun.id (List.init 11 Fun.id))
 
+(* the bag runs on the calling domain unless jobs, the item count and
+   the work estimate all pay for spawning domains *)
 let test_pool_worthwhile () =
+  let caller = Domain.self () in
+  let on_caller ?work ~jobs n =
+    List.for_all
+      (fun d -> d = caller)
+      (Pool.map ?work ~jobs (fun _ -> Domain.self ()) (List.init n Fun.id))
+  in
   (* one worker or one task can never beat the serial loop *)
-  Alcotest.(check bool) "jobs=1" false
-    (Pool.worthwhile ~jobs:1 ~tasks:100 ~work:infinity ());
-  Alcotest.(check bool) "single task" false
-    (Pool.worthwhile ~jobs:4 ~tasks:1 ~work:infinity ());
-  (* the work estimate gates fan-out at min_work *)
-  Alcotest.(check bool) "below min_work" false
-    (Pool.worthwhile ~min_work:10. ~jobs:4 ~tasks:8 ~work:9.99 ());
-  Alcotest.(check bool) "at min_work" true
-    (Pool.worthwhile ~min_work:10. ~jobs:4 ~tasks:8 ~work:10. ());
-  Alcotest.(check bool) "default min_work" true
-    (Pool.worthwhile ~jobs:2 ~tasks:2 ~work:1. ());
-  (* callers with no estimate pass infinity and rely on the task count *)
-  Alcotest.(check bool) "unknown work fans out" true
-    (Pool.worthwhile ~jobs:2 ~tasks:2 ~work:infinity ())
+  Alcotest.(check bool) "jobs=1" true (on_caller ~jobs:1 100);
+  Alcotest.(check bool) "jobs=0" true (on_caller ~jobs:0 100);
+  Alcotest.(check bool) "single task" true (on_caller ~jobs:4 1);
+  (* the work estimate gates fan-out at 1 *)
+  Alcotest.(check bool) "below the threshold" true
+    (on_caller ~work:0.999 ~jobs:4 8);
+  Alcotest.(check bool) "at the threshold" false (on_caller ~work:1. ~jobs:4 8);
+  (* callers with no estimate rely on the task count *)
+  Alcotest.(check bool) "unknown work fans out" false (on_caller ~jobs:2 2)
 
 (* ---------- Budget ---------- *)
 
@@ -440,23 +415,22 @@ let test_budget_nesting () =
 let test_budget_pool_inheritance () =
   List.iter
     (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let t0 = Pool.now_s () in
-          (match
-             Budget.run ~seconds:0.05 (fun () ->
-                 Pool.map_exn pool (fun slow -> if slow then spin 5.) [ true; false ])
-           with
-          | Ok _ -> Alcotest.failf "-j%d: task must inherit the deadline" jobs
-          | Error `Timeout -> ());
-          Alcotest.(check bool)
-            (Printf.sprintf "-j%d: bag abandoned at the deadline" jobs)
-            true
-            (Pool.now_s () -. t0 < 1.);
-          (* no budget installed: tasks run to completion *)
-          Alcotest.(check (list int))
-            (Printf.sprintf "-j%d: unbudgeted bag" jobs)
-            [ 1; 2 ]
-            (Pool.map_exn pool (fun x -> x) [ 1; 2 ])))
+      let t0 = Pool.now_s () in
+      (match
+         Budget.run ~seconds:0.05 (fun () ->
+             Pool.map ~jobs (fun slow -> if slow then spin 5.) [ true; false ])
+       with
+      | Ok _ -> Alcotest.failf "-j%d: task must inherit the deadline" jobs
+      | Error `Timeout -> ());
+      Alcotest.(check bool)
+        (Printf.sprintf "-j%d: bag abandoned at the deadline" jobs)
+        true
+        (Pool.now_s () -. t0 < 1.);
+      (* no budget installed: tasks run to completion *)
+      Alcotest.(check (list int))
+        (Printf.sprintf "-j%d: unbudgeted bag" jobs)
+        [ 1; 2 ]
+        (Pool.map ~jobs (fun x -> x) [ 1; 2 ]))
     [ 1; 4 ]
 
 (* ---------- Table ---------- *)
@@ -534,16 +508,10 @@ let () =
             test_pool_map_orders_results;
           Alcotest.test_case "jobs=1 matches serial" `Quick
             test_pool_single_worker_matches_serial;
-          Alcotest.test_case "jobs=0 rejected" `Quick
-            test_pool_zero_jobs_rejected;
           Alcotest.test_case "exceptions captured per task" `Quick
             test_pool_captures_exceptions;
-          Alcotest.test_case "map_exn raises first error" `Quick
-            test_pool_map_exn_raises_first_error;
-          Alcotest.test_case "map_reduce order stable" `Quick
-            test_pool_map_reduce_order_stable;
-          Alcotest.test_case "shutdown refuses new work" `Quick
-            test_pool_shutdown_refuses_new_work;
+          Alcotest.test_case "map raises first error" `Quick
+            test_pool_map_raises_first_error;
           Alcotest.test_case "empty and chunked bags" `Quick
             test_pool_empty_and_chunked;
           Alcotest.test_case "worthwhile heuristic" `Quick

@@ -34,7 +34,7 @@ echo "== typed-tree gate (reachability, exported values, optional parameters, re
 # no library module, exported value or optional parameter unused by the
 # product paths, and no retired name (evaluator, encoder, lint-model,
 # well-formedness, keyspace, flow-policy, sweep, timing-trial, trial-set,
-# clock, budget); tools/checker/gates.txt holds the lists and the retired
+# clock, budget, arena); tools/checker/gates.txt holds the lists and the retired
 # table.
 dune build @check
 ./_build/default/tools/checker/checker.exe _build/default tools/checker/gates.txt
@@ -188,9 +188,9 @@ check_protect_pin parametric 7cab0d6852ab11d7c4e320d7b555dd08 \
   ae371cb4ddb493086fac69d5da94fa69
 
 echo "== parallel gate (full sttc table1: -j 2 fans out and must match -j 1 byte for byte)"
-# The quick set is too small a bag to fan out (Pool.worthwhile keeps it
-# on the calling domain), so the gate runs the full table and requires
-# the pool to have run.
+# The quick set is too small a bag to fan out (Pool.map runs it on the
+# calling domain at any -j), so the gate runs the full table and
+# requires the pool to have run.
 sttc table1 -j 1 > "$tmpdir/table1.full.j1"
 sttc table1 -j 2 --metrics "$tmpdir/table1.full.metrics.json" \
   > "$tmpdir/table1.full.j2"

@@ -92,71 +92,45 @@ module Config = struct
           ("solver_mode", Json.String (solver_mode_name t.solver_mode));
         ])
 
-  let ( let* ) = Result.bind
-  let mem name j = Option.value (Json.member name j) ~default:Json.Null
-
-  let float_field j name default =
-    match mem name j with
-    | Json.Null -> Ok default
-    | Json.Int n -> Ok (float_of_int n)
-    | Json.Float f -> Ok f
-    | _ -> Error (Printf.sprintf "harness config: %S must be a number" name)
-
-  let int_field j name default =
-    match mem name j with
-    | Json.Null -> Ok default
-    | Json.Int n -> Ok n
-    | _ -> Error (Printf.sprintf "harness config: %S must be an integer" name)
-
   let of_json j =
-    match j with
-    | Json.Obj _ ->
-        let* sat_timeout_s =
-          float_field j "sat_timeout_s" default.sat_timeout_s
-        in
-        let* seq_timeout_s =
-          match mem "seq_timeout_s" j with
-          | Json.Null -> Ok None
-          | Json.Int n -> Ok (Some (float_of_int n))
-          | Json.Float f -> Ok (Some f)
-          | _ -> Error "harness config: \"seq_timeout_s\" must be a number"
-        in
-        let* tt_budget = int_field j "tt_budget" default.tt_budget in
-        let* guess_rounds = int_field j "guess_rounds" default.guess_rounds in
-        let* brute_max_bits =
-          int_field j "brute_max_bits" default.brute_max_bits
-        in
-        let* seq_frames = int_field j "seq_frames" default.seq_frames in
-        let* () =
-          if brute_max_bits < 0 || brute_max_bits > 62 then
-            Error "harness config: \"brute_max_bits\" must be in [0, 62]"
-          else if seq_frames < 1 then
-            Error "harness config: \"seq_frames\" must be at least 1"
-          else Ok ()
-        in
-        let* seed = int_field j "seed" default.seed in
-        let* jobs = int_field j "jobs" default.jobs in
-        let* solver_mode =
-          match mem "solver_mode" j with
-          | Json.Null -> Ok default.solver_mode
-          | Json.String "incremental" -> Ok Sat_attack.Incremental
-          | Json.String "scratch" -> Ok Sat_attack.Scratch
-          | Json.String s -> Error ("harness config: unknown solver_mode " ^ s)
-          | _ -> Error "harness config: \"solver_mode\" must be a string"
-        in
-        Ok
-          {
-            sat_timeout_s;
-            seq_timeout_s;
-            tt_budget;
-            guess_rounds;
-            brute_max_bits;
-            seq_frames;
-            seed;
-            jobs;
-            solver_mode;
-          }
-    | _ -> Error "harness config: not a JSON object"
+    let ( let* ) = Result.bind in
+    let ctx = "harness config" in
+    let int name default = Json.field_or ctx Json.int name default j in
+    let* sat_timeout_s =
+      Json.field_or ctx Json.number "sat_timeout_s" default.sat_timeout_s j
+    in
+    let* seq_timeout_s = Json.field_opt ctx Json.number "seq_timeout_s" j in
+    let* tt_budget = int "tt_budget" default.tt_budget in
+    let* guess_rounds = int "guess_rounds" default.guess_rounds in
+    let* brute_max_bits = int "brute_max_bits" default.brute_max_bits in
+    let* () =
+      Json.in_range ctx "brute_max_bits" "in [0, 62]"
+        (0 <= brute_max_bits && brute_max_bits <= 62)
+    in
+    let* seq_frames = int "seq_frames" default.seq_frames in
+    let* () = Json.in_range ctx "seq_frames" "at least 1" (seq_frames >= 1) in
+    let* seed = int "seed" default.seed in
+    let* jobs = int "jobs" default.jobs in
+    let* solver_mode =
+      match Json.field_opt ctx Json.string "solver_mode" j with
+      | Ok None -> Ok default.solver_mode
+      | Ok (Some "incremental") -> Ok Sat_attack.Incremental
+      | Ok (Some "scratch") -> Ok Sat_attack.Scratch
+      | Ok (Some s) -> Error (ctx ^ ": unknown solver_mode " ^ s)
+      | Error _ as e -> e
+    in
+    Ok
+      {
+        sat_timeout_s;
+        seq_timeout_s;
+        tt_budget;
+        guess_rounds;
+        brute_max_bits;
+        seq_frames;
+        seed;
+        jobs;
+        solver_mode;
+      }
 end
 
 let resisted attack detail =

@@ -123,48 +123,36 @@ let to_json t =
 
 (* {2 Validation} *)
 
-let mem name j = Option.value (Json.member name j) ~default:Json.Null
 let ( let* ) = Result.bind
 
-let need_int name j =
-  Option.to_result
-    ~none:(Printf.sprintf "report: missing integer %S" name)
-    (Json.to_int_opt (mem name j))
-
-let need_string name j =
-  Option.to_result
-    ~none:(Printf.sprintf "report: missing string %S" name)
-    (Json.to_string_opt (mem name j))
-
 let validate_row i j =
-  let* _ = need_int "index" j in
-  let* _ = need_string "circuit" j in
-  let* _ = need_string "config" j in
-  let* _ = need_string "algorithm" j in
-  let* _ = need_int "seed" j in
-  let* status = need_string "status" j in
+  let ctx = Printf.sprintf "report: row %d" i in
+  let* _ = Json.field ctx Json.int "index" j in
+  let* _ = Json.field ctx Json.string "circuit" j in
+  let* _ = Json.field ctx Json.string "config" j in
+  let* _ = Json.field ctx Json.string "algorithm" j in
+  let* _ = Json.field ctx Json.int "seed" j in
+  let* status = Json.field ctx Json.string "status" j in
   match status with
   | "ok" ->
-      let* _ = need_int "luts" j in
-      let* _ = need_int "config_bits" j in
-      let* _ = need_string "n_bf" j in
+      let* _ = Json.field ctx Json.int "luts" j in
+      let* _ = Json.field ctx Json.int "config_bits" j in
+      let* _ = Json.field ctx Json.string "n_bf" j in
       Ok ()
   | "failed" ->
-      let* _ = need_string "reason" j in
+      let* _ = Json.field ctx Json.string "reason" j in
       Ok ()
   | "missing" -> Ok ()
-  | s -> Error (Printf.sprintf "report: row %d: unknown status %S" i s)
+  | s -> Error (Printf.sprintf "%s: unknown status %S" ctx s)
 
 let validate j =
-  let* _ = need_string "campaign" j in
-  let* total = need_int "total_runs" j in
-  let* completed = need_int "completed" j in
-  let* missing = need_int "missing" j in
-  let* _ = need_int "failed_runs" j in
-  let* rows =
-    Option.to_result ~none:"report: missing \"rows\" list"
-      (Json.to_list_opt (mem "rows" j))
-  in
+  let ctx = "report" in
+  let* _ = Json.field ctx Json.string "campaign" j in
+  let* total = Json.field ctx Json.int "total_runs" j in
+  let* completed = Json.field ctx Json.int "completed" j in
+  let* missing = Json.field ctx Json.int "missing" j in
+  let* _ = Json.field ctx Json.int "failed_runs" j in
+  let* rows = Json.field ctx (Json.list Json.obj) "rows" j in
   if completed + missing <> total then
     Error
       (Printf.sprintf "report: completed %d + missing %d <> total %d" completed
@@ -174,13 +162,8 @@ let validate j =
       (Printf.sprintf "report: %d rows but total_runs %d" (List.length rows)
          total)
   else
-    let rec go i = function
-      | [] -> Ok (List.length rows)
-      | r :: rest ->
-          let* () = validate_row i r in
-          go (i + 1) rest
-    in
-    go 0 rows
+    let* _ = Json.all (List.mapi validate_row rows) in
+    Ok (List.length rows)
 
 (* {2 Text rendering} *)
 
@@ -321,10 +304,11 @@ let merge_metrics ~dir (m : Manifest.t) =
       | contents -> (
           match Json.of_string contents with
           | Error _ -> None
-          | Ok j -> (
-              match mem "metrics" j with
-              | Json.Null -> None
-              | metrics -> Result.to_option (Metrics.of_json metrics)))
+          | Ok j ->
+              Result.to_option
+                (Result.bind
+                   (Json.field "metrics file" Json.obj "metrics" j)
+                   Metrics.of_json))
   in
   List.fold_left
     (fun acc shard ->

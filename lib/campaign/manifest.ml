@@ -34,10 +34,6 @@ let validate m =
   else if m.algorithms = [] then fail "manifest: no algorithms"
   else if m.configs = [] then fail "manifest: no configs"
   else if m.seeds = [] then fail "manifest: no seeds"
-  else if m.shards < 1 then fail "manifest: shards must be >= 1"
-  else if m.retries < 0 then fail "manifest: retries must be >= 0"
-  else if m.heartbeat_timeout_s <= 0. then
-    fail "manifest: heartbeat_timeout_s must be > 0"
   else if Option.is_none (Sttc_backend.Backend.find m.backend) then
     fail "manifest: unknown backend %s" m.backend
   else
@@ -46,18 +42,7 @@ let validate m =
     | None -> (
         match find_dup [] (List.map (fun c -> c.label) m.configs) with
         | Some l -> fail "manifest: duplicate config label %s" l
-        | None -> (
-            match
-              List.find_opt
-                (fun c ->
-                  match c.fraction with
-                  | Some f -> not (f > 0. && f <= 1.)
-                  | None -> false)
-                m.configs
-            with
-            | Some c ->
-                fail "manifest: config %s: fraction out of (0, 1]" c.label
-            | None -> Ok ()))
+        | None -> Ok ())
 
 (* {2 The run list} *)
 
@@ -94,9 +79,6 @@ let run_count m =
 
 (* {2 JSON codec} *)
 
-let algorithm_to_json = Flow.algorithm_to_json
-let algorithm_of_json = Flow.algorithm_of_json
-let mem name j = Option.value (Json.member name j) ~default:Json.Null
 let ( let* ) = Result.bind
 
 let config_to_json c =
@@ -110,48 +92,24 @@ let config_to_json c =
 
 (* [default_label] names a config without a "label" *)
 let labelled_config_of_json ~default_label j =
-  match j with
-  | Json.Obj _ ->
-      let label =
-        match Json.to_string_opt (mem "label" j) with
-        | Some l -> l
-        | None -> default_label
-      in
-      let fraction = Json.to_float_opt (mem "fraction" j) in
-      let* harden =
-        match mem "harden" j with
-        | Json.Null -> Ok false
-        | Json.Bool b -> Ok b
-        | _ -> Error "config \"harden\" must be a boolean"
-      in
-      Ok { label; fraction; harden }
-  | _ -> Error "config must be an object"
+  let ctx = "config" in
+  let* label = Json.field_or ctx Json.string "label" default_label j in
+  let* fraction = Json.field_opt ctx Json.number "fraction" j in
+  let* () =
+    Json.in_range ctx "fraction" "in (0, 1]"
+      (Option.fold ~none:true ~some:(fun f -> 0. < f && f <= 1.) fraction)
+  in
+  let* harden = Json.field_or ctx Json.bool "harden" false j in
+  Ok { label; fraction; harden }
 
 let config_of_json j = labelled_config_of_json ~default_label:"default" j
-
-let seeds_of_json = function
-  | Json.List items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Int s :: rest -> go (s :: acc) rest
-        | _ -> Error "seeds list must contain integers"
-      in
-      go [] items
-  | Json.Obj _ as j -> (
-      match
-        (Json.to_int_opt (mem "base" j), Json.to_int_opt (mem "count" j))
-      with
-      | Some base, Some count when count >= 1 ->
-          Ok (List.init count (fun i -> base + i))
-      | _ -> Error "seeds object needs integer \"base\" and \"count\" >= 1")
-  | _ -> Error "seeds must be a list or {\"base\", \"count\"}"
 
 let to_json m =
   Json.Obj
     ([
        ("name", Json.String m.name);
        ("circuits", Json.List (List.map (fun c -> Json.String c) m.circuits));
-       ("algorithms", Json.List (List.map algorithm_to_json m.algorithms));
+       ("algorithms", Json.List (List.map Flow.algorithm_to_json m.algorithms));
        ("configs", Json.List (List.map config_to_json m.configs));
        ("seeds", Json.List (List.map (fun s -> Json.Int s) m.seeds));
        ("shards", Json.Int m.shards);
@@ -168,96 +126,73 @@ let to_json m =
     if m.backend = "stt" then []
     else [ ("backend", Json.String m.backend) ])
 
-let map_result f items =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> (
-        match f i x with Ok y -> go (i + 1) (y :: acc) rest | Error _ as e -> e)
-  in
-  go 0 [] items
-
 let of_json j =
-  match j with
-  | Json.Obj _ ->
-      let* name =
-        Option.to_result ~none:"manifest: missing \"name\""
-          (Json.to_string_opt (mem "name" j))
-      in
-      let* circuits =
-        match mem "circuits" j with
-        | Json.List items ->
-            map_result
-              (fun _ c ->
-                Option.to_result ~none:"manifest: circuits must be strings"
-                  (Json.to_string_opt c))
-              items
-        | _ -> Error "manifest: missing \"circuits\" list"
-      in
-      let* algorithms =
-        match mem "algorithms" j with
-        | Json.Null -> Ok Flow.default_algorithms
-        | Json.List items -> map_result (fun _ a -> algorithm_of_json a) items
-        | _ -> Error "manifest: \"algorithms\" must be a list"
-      in
-      let* configs =
-        match mem "configs" j with
-        | Json.Null -> Ok [ default_config ]
-        | Json.List items ->
-            map_result
-              (fun i c ->
-                labelled_config_of_json
-                  ~default_label:("config-" ^ string_of_int i)
-                  c)
-              items
-        | _ -> Error "manifest: \"configs\" must be a list"
-      in
-      let* seeds =
-        match mem "seeds" j with
-        | Json.Null -> Error "manifest: missing \"seeds\""
-        | s -> seeds_of_json s
-      in
-      let int_field name default =
-        match mem name j with
-        | Json.Null -> Ok default
-        | Json.Int n -> Ok n
-        | _ -> Error (Printf.sprintf "manifest: %S must be an integer" name)
-      in
-      let float_field name =
-        match mem name j with
-        | Json.Null -> Ok None
-        | Json.Int n -> Ok (Some (float_of_int n))
-        | Json.Float f -> Ok (Some f)
-        | _ -> Error (Printf.sprintf "manifest: %S must be a number" name)
-      in
-      let* shards = int_field "shards" 1 in
-      let* retries = int_field "retries" 2 in
-      let* timeout_s = float_field "timeout_s" in
-      let* attempt_timeout_s = float_field "attempt_timeout_s" in
-      let* heartbeat_timeout_s =
-        let* v = float_field "heartbeat_timeout_s" in
-        Ok (Option.value v ~default:60.)
-      in
-      let* backend =
-        match mem "backend" j with
-        | Json.Null -> Ok "stt"
-        | Json.String s -> Ok s
-        | _ -> Error "manifest: \"backend\" must be a string"
-      in
-      Ok
-        {
-          name;
-          circuits;
-          algorithms;
-          configs;
-          seeds;
-          shards;
-          timeout_s;
-          retries;
-          heartbeat_timeout_s;
-          attempt_timeout_s;
-          backend;
-        }
-  | _ -> Error "manifest: not a JSON object"
+  let ctx = "manifest" in
+  let* name = Json.field ctx Json.string "name" j in
+  let* circuits = Json.field ctx (Json.list Json.string) "circuits" j in
+  let* algorithms =
+    match Json.field_opt ctx (Json.list Json.any) "algorithms" j with
+    | Ok None -> Ok Flow.default_algorithms
+    | Ok (Some items) -> Json.all (List.map Flow.algorithm_of_json items)
+    | Error _ as e -> e
+  in
+  let* configs =
+    match Json.field_opt ctx (Json.list Json.obj) "configs" j with
+    | Ok None -> Ok [ default_config ]
+    | Ok (Some items) ->
+        Json.all
+          (List.mapi
+             (fun i c ->
+               labelled_config_of_json
+                 ~default_label:("config-" ^ string_of_int i)
+                 c)
+             items)
+    | Error _ as e -> e
+  in
+  let* seeds =
+    match Json.field ctx Json.any "seeds" j with
+    | Ok (Json.List _) -> Json.field ctx (Json.list Json.int) "seeds" j
+    | Ok range ->
+        let* base = Json.field "seeds" Json.int "base" range in
+        let* count = Json.field "seeds" Json.int "count" range in
+        (* the range is expanded into a list, so a count is bounded *)
+        let* () =
+          Json.in_range "seeds" "count" "in [1, 1000000]"
+            (1 <= count && count <= 1_000_000)
+        in
+        Ok (List.init count (fun i -> base + i))
+    | Error _ as e -> e
+  in
+  let* shards = Json.field_or ctx Json.int "shards" 1 j in
+  let* () = Json.in_range ctx "shards" "at least 1" (shards >= 1) in
+  let* retries = Json.field_or ctx Json.int "retries" 2 j in
+  let* () = Json.in_range ctx "retries" "at least 0" (retries >= 0) in
+  let* timeout_s = Json.field_opt ctx Json.number "timeout_s" j in
+  let* attempt_timeout_s =
+    Json.field_opt ctx Json.number "attempt_timeout_s" j
+  in
+  let* heartbeat_timeout_s =
+    Json.field_or ctx Json.number "heartbeat_timeout_s" 60. j
+  in
+  let* () =
+    Json.in_range ctx "heartbeat_timeout_s" "positive"
+      (heartbeat_timeout_s > 0.)
+  in
+  let* backend = Json.field_or ctx Json.string "backend" "stt" j in
+  Ok
+    {
+      name;
+      circuits;
+      algorithms;
+      configs;
+      seeds;
+      shards;
+      timeout_s;
+      retries;
+      heartbeat_timeout_s;
+      attempt_timeout_s;
+      backend;
+    }
 
 let to_string m = Json.to_string (to_json m) ^ "\n"
 

@@ -22,6 +22,7 @@
                    {"label": "hardened", "harden": true,
                     "fraction": 0.05}],
       "seeds": [1, 2, 3],            // or {"base": 1, "count": 100}
+                                     //   with count in [1, 10^6]
       "shards": 4,                   ?  // default 1
       "timeout_s": 60.0,             ?  // per-run wall budget
       "retries": 2,                  ?  // per-shard retry budget
@@ -99,4 +100,5 @@ val save : string -> t -> unit
 val load : string -> (t, string) result
 (** Parse, then check structural sanity: non-empty dimensions, known
     circuit names, unique config labels, [shards >= 1], [retries >= 0],
-    positive watchdog budgets, known backend name. *)
+    a positive heartbeat budget, fractions in (0, 1], known backend
+    name.  A wrong-typed field is an error that names it. *)

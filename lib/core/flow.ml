@@ -32,30 +32,25 @@ let algorithm_to_json = function
           ("clock_factor", Json.Float opts.clock_factor);
         ]
 
-let json_mem name j = Option.value (Json.member name j) ~default:Json.Null
-
 let algorithm_of_json j =
-  let of_name ?count ?clock_factor = function
-    | "dependent" -> Ok Dependent
-    | "independent" -> Ok (Independent { count = Option.value count ~default:5 })
-    | "parametric" ->
-        let base = Algorithms.default_parametric in
-        let clock_factor =
-          Option.value clock_factor ~default:base.clock_factor
-        in
-        Ok (Parametric { base with clock_factor })
-    | s -> Error ("unknown algorithm " ^ s)
-  in
-  match j with
-  | Json.String s -> of_name s
-  | Json.Obj _ -> (
-      match Json.to_string_opt (json_mem "name" j) with
-      | None -> Error "algorithm object without \"name\""
-      | Some name ->
-          let count = Json.to_int_opt (json_mem "count" j) in
-          let clock_factor = Json.to_float_opt (json_mem "clock_factor" j) in
-          of_name ?count ?clock_factor name)
-  | _ -> Error "algorithm must be a string or an object"
+  let ( let* ) = Result.bind in
+  let ctx = "algorithm" in
+  (* a bare name is the object with every default *)
+  let j = match j with Json.String _ -> Json.Obj [ ("name", j) ] | j -> j in
+  let* name = Json.field ctx Json.string "name" j in
+  match name with
+  | "dependent" -> Ok Dependent
+  | "independent" ->
+      let* count = Json.field_or ctx Json.int "count" 5 j in
+      let* () = Json.in_range ctx "count" "at least 1" (count >= 1) in
+      Ok (Independent { count })
+  | "parametric" ->
+      let base = Algorithms.default_parametric in
+      let* clock_factor =
+        Json.field_or ctx Json.number "clock_factor" base.clock_factor j
+      in
+      Ok (Parametric { base with clock_factor })
+  | s -> Error ("unknown algorithm " ^ s)
 
 type result = {
   algorithm : algorithm;

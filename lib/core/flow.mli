@@ -22,8 +22,9 @@ val algorithm_to_json : algorithm -> Sttc_obs.Json.t
 
 val algorithm_of_json : Sttc_obs.Json.t -> (algorithm, string) result
 (** Inverse of {!algorithm_to_json}; also accepts a bare string for any
-    of the three names ([count] defaults to 5, [clock_factor] to the
-    default parametric budget). *)
+    of the three names ([count] defaults to 5 and must be at least 1,
+    [clock_factor] defaults to the default parametric budget).  A
+    wrong-typed field is an error. *)
 
 type hardening = {
   extra_inputs_per_lut : int;

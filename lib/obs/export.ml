@@ -86,27 +86,10 @@ let write_file path j = write_text path (Json.to_string j ^ "\n")
 
 (* ---------- validation ---------- *)
 
-let need msg = function Some x -> Ok x | None -> Error msg
-
-let str_field ctx k j =
-  need
-    (Printf.sprintf "%s: missing or non-string field %S" ctx k)
-    (Option.bind (Json.member k j) Json.to_string_opt)
-
-let int_field ctx k j =
-  need
-    (Printf.sprintf "%s: missing or non-integer field %S" ctx k)
-    (Option.bind (Json.member k j) Json.to_int_opt)
-
-let num_field ctx k j =
-  need
-    (Printf.sprintf "%s: missing or non-numeric field %S" ctx k)
-    (Option.bind (Json.member k j) Json.to_float_opt)
-
 let check_meta ctx j =
-  let* _ = str_field ctx "version" j in
-  let* _ = str_field ctx "commit" j in
-  let* _ = str_field ctx "tool" j in
+  let* _ = Json.field ctx Json.string "version" j in
+  let* _ = Json.field ctx Json.string "commit" j in
+  let* _ = Json.field ctx Json.string "tool" j in
   Ok ()
 
 (* Span containment tolerance: timestamps round-trip through a %.12g
@@ -145,11 +128,8 @@ let check_nesting tid spans =
   sweep [] sorted
 
 let validate_trace j =
-  let* events =
-    need "traceEvents: missing or not a list"
-      (Option.bind (Json.member "traceEvents" j) Json.to_list_opt)
-  in
-  let* other = need "otherData: missing" (Json.member "otherData" j) in
+  let* events = Json.field "trace file" (Json.list Json.obj) "traceEvents" j in
+  let* other = Json.field "trace file" Json.obj "otherData" j in
   let* () = check_meta "otherData" other in
   let by_tid : (int, (float * float * string) list ref) Hashtbl.t =
     Hashtbl.create 8
@@ -159,21 +139,21 @@ let validate_trace j =
     | [] -> Ok ()
     | ev :: rest ->
         let ctx = Printf.sprintf "event %d" i in
-        let* name = str_field ctx "name" ev in
-        let* ph = str_field ctx "ph" ev in
-        let* _pid = int_field ctx "pid" ev in
-        let* tid = int_field ctx "tid" ev in
+        let* name = Json.field ctx Json.string "name" ev in
+        let* ph = Json.field ctx Json.string "ph" ev in
+        let* _pid = Json.field ctx Json.int "pid" ev in
+        let* tid = Json.field ctx Json.int "tid" ev in
         let ctx = Printf.sprintf "event %d (%s)" i name in
         let* () =
           if ph = "M" then Ok ()
           else
-            let* ts = num_field ctx "ts" ev in
+            let* ts = Json.field ctx Json.number "ts" ev in
             let* () =
               if ts < 0. then Error (ctx ^ ": negative ts") else Ok ()
             in
             match ph with
             | "X" ->
-                let* dur = num_field ctx "dur" ev in
+                let* dur = Json.field ctx Json.number "dur" ev in
                 if dur < 0. then Error (ctx ^ ": negative dur")
                 else begin
                   incr spans;
@@ -203,32 +183,17 @@ let validate_trace j =
   in
   Ok !spans
 
-let check_series (name, v) =
-  let ctx = Printf.sprintf "series %s" name in
-  let* ty = str_field ctx "type" v in
-  match ty with
-  | "counter" ->
-      let* value = int_field ctx "value" v in
-      if value < 0 then Error (ctx ^ ": negative counter") else Ok ()
-  | "gauge" ->
-      let* _ = num_field ctx "value" v in
-      Ok ()
-  | "histogram" ->
-      let* count = int_field ctx "count" v in
-      let* _sum = num_field ctx "sum" v in
-      let* _min = num_field ctx "min" v in
-      let* _max = num_field ctx "max" v in
-      let* overflow = int_field ctx "overflow" v in
-      let* buckets =
-        need
-          (ctx ^ ": missing or non-list field \"buckets\"")
-          (Option.bind (Json.member "buckets" v) Json.to_list_opt)
-      in
+(* The invariants a metrics file's snapshot must hold beyond its
+   shape, which {!Metrics.of_json} reads. *)
+let check_point (name, p) =
+  let ctx = "series " ^ name in
+  match p with
+  | Metrics.Counter n when n < 0 -> Error (ctx ^ ": negative counter")
+  | Metrics.Counter _ | Metrics.Gauge _ -> Ok ()
+  | Metrics.Histogram { count; buckets; overflow; _ } ->
       let rec walk prev_le total = function
         | [] -> Ok total
-        | b :: rest ->
-            let* le = num_field ctx "le" b in
-            let* c = int_field ctx "count" b in
+        | (le, c) :: rest ->
             if le <= prev_le then
               Error (ctx ^ ": bucket bounds not strictly increasing")
             else if c <= 0 then
@@ -243,24 +208,14 @@ let check_series (name, v) =
           (Printf.sprintf "%s: bucket counts (%d) + overflow (%d) <> count (%d)"
              ctx in_buckets overflow count)
       else Ok ()
-  | other -> Error (Printf.sprintf "%s: unknown type %S" ctx other)
 
 let validate_metrics ?(min_series = 0) ?(require = []) j =
-  let* meta = need "meta: missing" (Json.member "meta" j) in
+  let* meta = Json.field "metrics file" Json.obj "meta" j in
   let* () = check_meta "meta" meta in
   let* series =
-    need "metrics: missing or not an object"
-      (match Json.member "metrics" j with
-      | Some (Json.Obj fields) -> Some fields
-      | _ -> None)
+    Result.bind (Json.field "metrics file" Json.obj "metrics" j) Metrics.of_json
   in
-  let rec each = function
-    | [] -> Ok ()
-    | s :: rest ->
-        let* () = check_series s in
-        each rest
-  in
-  let* () = each series in
+  let* _ = Json.all (List.map check_point series) in
   let* () =
     match
       List.filter (fun name -> not (List.mem_assoc name series)) require

@@ -314,7 +314,6 @@ let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | _ -> None
 
-let to_list_opt = function List xs -> Some xs | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
 
 let to_float_opt = function
@@ -323,3 +322,73 @@ let to_float_opt = function
   | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
+
+(* ---------- field readers ---------- *)
+
+(* [what] names one value of the kind in an error, [many] a list's
+   elements *)
+type 'a kind = { what : string; many : string; read : t -> 'a option }
+
+let int = { what = "an integer"; many = "integers"; read = to_int_opt }
+let number = { what = "a number"; many = "numbers"; read = to_float_opt }
+
+let bool =
+  {
+    what = "a boolean";
+    many = "booleans";
+    read = (function Bool b -> Some b | _ -> None);
+  }
+
+let string = { what = "a string"; many = "strings"; read = to_string_opt }
+
+let obj =
+  {
+    what = "an object";
+    many = "objects";
+    read = (function Obj _ as j -> Some j | _ -> None);
+  }
+
+let any = { what = "a value"; many = "values"; read = Option.some }
+
+let all results =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | Ok x :: rest -> go (x :: acc) rest
+    | Error e :: _ -> Error e
+  in
+  go [] results
+
+let list k =
+  {
+    what = "a list of " ^ k.many;
+    many = "lists";
+    read =
+      (function
+      | List xs ->
+          let ys = List.filter_map k.read xs in
+          if List.compare_lengths xs ys = 0 then Some ys else None
+      | _ -> None);
+  }
+
+let field_opt ctx k name = function
+  | Obj kvs -> (
+      match List.assoc_opt name kvs with
+      | None | Some Null -> Ok None
+      | Some v -> (
+          match k.read v with
+          | Some x -> Ok (Some x)
+          | None -> Error (Printf.sprintf "%s: %S must be %s" ctx name k.what)))
+  | _ -> Error (ctx ^ ": not a JSON object")
+
+let field ctx k name j =
+  match field_opt ctx k name j with
+  | Ok (Some x) -> Ok x
+  | Ok None -> Error (Printf.sprintf "%s: missing %S" ctx name)
+  | Error _ as e -> e
+
+let field_or ctx k name default j =
+  Result.map (Option.value ~default) (field_opt ctx k name j)
+
+let in_range ctx name range ok =
+  if ok then Ok ()
+  else Error (Printf.sprintf "%s: %S must be %s" ctx name range)

@@ -267,61 +267,40 @@ let canonical_bound le =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let need msg = function Some x -> Ok x | None -> Error msg in
-  let int_field ctx k v =
-    need (ctx ^ ": missing or non-integer " ^ k)
-      (Option.bind (Json.member k v) Json.to_int_opt)
-  in
-  let num_field ctx k v =
-    need (ctx ^ ": missing or non-numeric " ^ k)
-      (Option.bind (Json.member k v) Json.to_float_opt)
-  in
   let series (name, v) =
     let ctx = "series " ^ name in
-    let* ty =
-      need (ctx ^ ": missing type")
-        (Option.bind (Json.member "type" v) Json.to_string_opt)
-    in
-    match ty with
-    | "counter" ->
-        let* n = int_field ctx "value" v in
+    let int k = Json.field ctx Json.int k v in
+    let num k = Json.field ctx Json.number k v in
+    match Json.field ctx Json.string "type" v with
+    | Ok "counter" ->
+        let* n = int "value" in
         Ok (name, Counter n)
-    | "gauge" ->
-        let* x = num_field ctx "value" v in
+    | Ok "gauge" ->
+        let* x = num "value" in
         Ok (name, Gauge x)
-    | "histogram" ->
-        let* count = int_field ctx "count" v in
-        let* sum = num_field ctx "sum" v in
-        let* min = num_field ctx "min" v in
-        let* max = num_field ctx "max" v in
-        let* overflow = int_field ctx "overflow" v in
-        let* bs =
-          need (ctx ^ ": missing buckets")
-            (Option.bind (Json.member "buckets" v) Json.to_list_opt)
-        in
+    | Ok "histogram" ->
+        let* count = int "count" in
+        let* sum = num "sum" in
+        let* min = num "min" in
+        let* max = num "max" in
+        let* overflow = int "overflow" in
+        let* bs = Json.field ctx (Json.list Json.obj) "buckets" v in
         let* buckets =
-          List.fold_left
-            (fun acc b ->
-              let* acc = acc in
-              let* le = num_field ctx "le" b in
-              let* c = int_field ctx "count" b in
-              Ok ((canonical_bound le, c) :: acc))
-            (Ok []) bs
+          Json.all
+            (List.map
+               (fun b ->
+                 let* le = Json.field ctx Json.number "le" b in
+                 let* c = Json.field ctx Json.int "count" b in
+                 Ok (canonical_bound le, c))
+               bs)
         in
-        Ok (name, Histogram { count; sum; min; max;
-                              buckets = List.rev buckets; overflow })
-    | other -> Error (ctx ^ ": unknown type " ^ other)
+        Ok (name, Histogram { count; sum; min; max; buckets; overflow })
+    | Ok other -> Error (Printf.sprintf "%s: unknown type %S" ctx other)
+    | Error _ as e -> e
   in
   match j with
   | Json.Obj fields ->
-      let* points =
-        List.fold_left
-          (fun acc f ->
-            let* acc = acc in
-            let* p = series f in
-            Ok (p :: acc))
-          (Ok []) fields
-      in
+      let* points = Json.all (List.map series fields) in
       Ok (List.sort (fun (a, _) (b, _) -> compare a b) points)
   | _ -> Error "metrics: not a JSON object"
 

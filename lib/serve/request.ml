@@ -71,7 +71,8 @@ let flag name b = if b then [ (name, Json.Bool true) ] else []
 
 (* emitted only off its default so pre-backend requests render
    byte-identically *)
-let backend_field b = if b = "stt" then [] else [ ("backend", Json.String b) ]
+let non_default_backend b =
+  if b = "stt" then [] else [ ("backend", Json.String b) ]
 
 let to_json t =
   let common = opt "id" (fun s -> Json.String s) t.id in
@@ -85,7 +86,7 @@ let to_json t =
           ("config", Manifest.config_to_json p.config);
           ("seed", Json.Int p.seed);
         ]
-        @ backend_field p.backend
+        @ non_default_backend p.backend
         @ flag "sign_off" p.sign_off
         @ flag "emit_foundry" p.emit_foundry
         @ flag "emit_bitstream" p.emit_bitstream
@@ -98,7 +99,7 @@ let to_json t =
           ("seed", Json.Int a.seed);
           ("config", Harness.Config.to_json a.config);
         ]
-        @ backend_field a.backend
+        @ non_default_backend a.backend
         @ flag "timing" a.timing
     | Lint l ->
         [
@@ -135,68 +136,56 @@ let to_string t = Json.to_string ~minify:true (to_json t)
 (* ---------- decoding ---------- *)
 
 let ( let* ) = Result.bind
-let mem name j = Option.value (Json.member name j) ~default:Json.Null
 
-let source_of_json = function
-  | Json.Null -> Error "missing \"netlist\""
-  | Json.String n -> Ok (Named n)
-  | Json.Obj _ as j -> (
-      match (Json.to_string_opt (mem "bench" j), mem "name" j) with
-      | Some text, name_field ->
-          let name =
-            Option.value (Json.to_string_opt name_field) ~default:"bench"
-          in
-          Ok (Inline { name; text })
-      | None, Json.String n -> Ok (Named n)
-      | None, _ -> Error "\"netlist\" object needs \"bench\" or \"name\"")
-  | _ -> Error "\"netlist\" must be a string or an object"
+let source_of_json ctx j =
+  match Json.field ctx Json.any "netlist" j with
+  | Ok (Json.String n) -> Ok (Named n)
+  | Ok j -> (
+      let* text = Json.field_opt "netlist" Json.string "bench" j in
+      let* name = Json.field_opt "netlist" Json.string "name" j in
+      match (text, name) with
+      | Some text, name ->
+          Ok (Inline { name = Option.value name ~default:"bench"; text })
+      | None, Some n -> Ok (Named n)
+      | None, None -> Error "netlist: needs \"bench\" or \"name\"")
+  | Error _ as e -> e
 
-let bool_field j name =
-  match mem name j with
-  | Json.Null -> Ok false
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "%S must be a boolean" name)
+let seed_of_json ctx j =
+  Json.field_or ctx Json.int "seed" Sttc_experiments.Runner.master_seed j
 
-let algorithm_field j =
-  match mem "algorithm" j with
-  | Json.Null -> Ok (Flow.Independent { count = 5 })
-  | a -> Flow.algorithm_of_json a
-
-let seed_field j =
-  match mem "seed" j with
-  | Json.Null -> Ok Sttc_experiments.Runner.master_seed
-  | Json.Int n -> Ok n
-  | _ -> Error "\"seed\" must be an integer"
-
-(* the name is validated here so a typo fails the request parse, not the
-   handler *)
-let backend_of_json j =
-  match mem "backend" j with
-  | Json.Null -> Ok "stt"
-  | Json.String s -> (
-      match Sttc_backend.Backend.find s with
-      | Some _ -> Ok s
-      | None ->
-          Error
-            (Printf.sprintf "unknown backend %s (expected one of %s)" s
-               (String.concat ", " (Sttc_backend.Backend.names ()))))
-  | _ -> Error "\"backend\" must be a string"
+(* The fields protect and attack share; a missing algorithm is the bare
+   name (count 5).  The backend name is validated here so a typo fails
+   the request parse, not the handler. *)
+let common ctx j =
+  let* source = source_of_json ctx j in
+  let* algorithm =
+    Result.bind
+      (Json.field_or ctx Json.any "algorithm" (Json.String "independent") j)
+      Flow.algorithm_of_json
+  in
+  let* seed = seed_of_json ctx j in
+  let* backend = Json.field_or ctx Json.string "backend" "stt" j in
+  match Sttc_backend.Backend.find backend with
+  | Some _ -> Ok (source, algorithm, seed, backend)
+  | None ->
+      Error
+        (Printf.sprintf "unknown backend %s (expected one of %s)" backend
+           (String.concat ", " (Sttc_backend.Backend.names ())))
 
 let protect_of_json j =
-  let* source = source_of_json (mem "netlist" j) in
-  let* algorithm = algorithm_field j in
+  let ctx = "protect" in
+  let flag name = Json.field_or ctx Json.bool name false j in
+  let* source, algorithm, seed, backend = common ctx j in
   let* config =
-    match mem "config" j with
-    | Json.Null -> Ok Manifest.default_config
-    | c -> Manifest.config_of_json c
+    Result.bind
+      (Json.field_or ctx Json.obj "config" (Json.Obj []) j)
+      Manifest.config_of_json
   in
-  let* seed = seed_field j in
-  let* backend = backend_of_json j in
-  let* sign_off = bool_field j "sign_off" in
-  let* emit_foundry = bool_field j "emit_foundry" in
-  let* emit_bitstream = bool_field j "emit_bitstream" in
-  let* emit_verilog = bool_field j "emit_verilog" in
-  let* timing = bool_field j "timing" in
+  let* sign_off = flag "sign_off" in
+  let* emit_foundry = flag "emit_foundry" in
+  let* emit_bitstream = flag "emit_bitstream" in
+  let* emit_verilog = flag "emit_verilog" in
+  let* timing = flag "timing" in
   Ok
     (Protect
        {
@@ -213,105 +202,63 @@ let protect_of_json j =
        })
 
 let attack_of_json j =
-  let* source = source_of_json (mem "netlist" j) in
-  let* algorithm = algorithm_field j in
-  let* seed = seed_field j in
-  let* backend = backend_of_json j in
+  let ctx = "attack" in
+  let* source, algorithm, seed, backend = common ctx j in
   let* config =
-    match mem "config" j with
-    | Json.Null -> Ok Harness.Config.default
-    | c -> Harness.Config.of_json c
+    Result.bind
+      (Json.field_or ctx Json.obj "config" (Json.Obj []) j)
+      Harness.Config.of_json
   in
-  let* timing = bool_field j "timing" in
+  let* timing = Json.field_or ctx Json.bool "timing" false j in
   Ok (Attack { source; algorithm; seed; backend; config; timing })
 
-let string_list_field j name =
-  match mem name j with
-  | Json.Null -> Ok []
-  | Json.List items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.String s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "%S must list strings" name)
-      in
-      go [] items
-  | _ -> Error (Printf.sprintf "%S must be a list" name)
-
 let lint_of_json j =
-  let* source = source_of_json (mem "netlist" j) in
+  let ctx = "lint" in
+  let* source = source_of_json ctx j in
   let* algorithms =
-    match mem "algorithms" j with
-    | Json.Null -> Ok []
-    | Json.List items ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | a :: rest -> (
-              match Flow.algorithm_of_json a with
-              | Ok alg -> go (alg :: acc) rest
-              | Error _ as e -> e)
-        in
-        go [] items
-    | _ -> Error "\"algorithms\" must be a list"
+    Result.bind
+      (Json.field_or ctx (Json.list Json.any) "algorithms" [] j)
+      (fun items -> Json.all (List.map Flow.algorithm_of_json items))
   in
-  let* semantic = bool_field j "semantic" in
-  let* seed = seed_field j in
-  let* fraction =
-    match mem "fraction" j with
-    | Json.Null -> Ok None
-    | Json.Int n -> Ok (Some (float_of_int n))
-    | Json.Float f -> Ok (Some f)
-    | _ -> Error "\"fraction\" must be a number"
+  let* semantic = Json.field_or ctx Json.bool "semantic" false j in
+  let* seed = seed_of_json ctx j in
+  let* fraction = Json.field_opt ctx Json.number "fraction" j in
+  let* () =
+    Json.in_range ctx "fraction" "in (0, 1]"
+      (Option.fold ~none:true ~some:(fun f -> 0. < f && f <= 1.) fraction)
   in
-  let* budget =
-    match mem "budget" j with
-    | Json.Null -> Ok None
-    | Json.Int n -> Ok (Some n)
-    | _ -> Error "\"budget\" must be an integer"
-  in
-  let* rules = string_list_field j "rules" in
-  let* suppress = string_list_field j "suppress" in
+  let* budget = Json.field_opt ctx Json.int "budget" j in
+  let* rules = Json.field_or ctx (Json.list Json.string) "rules" [] j in
+  let* suppress = Json.field_or ctx (Json.list Json.string) "suppress" [] j in
   let* format =
-    match mem "format" j with
-    | Json.Null | Json.String "text" -> Ok `Text
-    | Json.String "json" -> Ok `Json
-    | _ -> Error "\"format\" must be \"text\" or \"json\""
+    match Json.field_or ctx Json.string "format" "text" j with
+    | Ok "text" -> Ok `Text
+    | Ok "json" -> Ok `Json
+    | Ok _ -> Error "lint: \"format\" must be \"text\" or \"json\""
+    | Error _ as e -> e
   in
   Ok
     (Lint
        { source; algorithms; semantic; seed; fraction; budget; rules; suppress; format })
 
 let of_json j =
-  match j with
-  | Json.Obj _ ->
-      let id = Json.to_string_opt (mem "id" j) in
-      let* timeout_s =
-        match mem "timeout_s" j with
-        | Json.Null -> Ok None
-        | Json.Int n -> Ok (Some (float_of_int n))
-        | Json.Float f -> Ok (Some f)
-        | _ -> Error "\"timeout_s\" must be a number"
-      in
-      let* payload =
-        match Json.to_string_opt (mem "verb" j) with
-        | None -> Error "missing \"verb\""
-        | Some "protect" -> protect_of_json j
-        | Some "attack" -> attack_of_json j
-        | Some "lint" -> lint_of_json j
-        | Some "stats" -> Ok Stats
-        | Some "shutdown" -> Ok Shutdown
-        | Some "ping" ->
-            let* sleep_s =
-              match mem "sleep_s" j with
-              | Json.Null -> Ok 0.
-              | Json.Int n -> Ok (float_of_int n)
-              | Json.Float f -> Ok f
-              | _ -> Error "\"sleep_s\" must be a number"
-            in
-            Ok (Ping { sleep_s })
-        | Some v -> Error ("unknown verb " ^ v)
-      in
-      Ok { id; timeout_s; payload }
-  | _ -> Error "request must be a JSON object"
+  let ctx = "frame" in
+  let* id = Json.field_opt ctx Json.string "id" j in
+  let* timeout_s = Json.field_opt ctx Json.number "timeout_s" j in
+  let* payload =
+    match Json.field ctx Json.string "verb" j with
+    | Ok "protect" -> protect_of_json j
+    | Ok "attack" -> attack_of_json j
+    | Ok "lint" -> lint_of_json j
+    | Ok "stats" -> Ok Stats
+    | Ok "shutdown" -> Ok Shutdown
+    | Ok "ping" ->
+        let* sleep_s = Json.field_or "ping" Json.number "sleep_s" 0. j in
+        Ok (Ping { sleep_s })
+    | Ok v -> Error ("unknown verb " ^ v)
+    | Error _ as e -> e
+  in
+  Ok { id; timeout_s; payload }
 
 let of_string s =
   match Json.of_string s with Error e -> Error e | Ok j -> of_json j

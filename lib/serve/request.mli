@@ -89,3 +89,6 @@ val to_string : t -> string
     trailing newline. *)
 
 val of_string : string -> (t, string) result
+(** A missing field takes its default; a wrong-typed one, an
+    [independent] count below 1 or a [fraction] outside (0, 1] is an
+    error that names the field. *)

@@ -33,17 +33,14 @@ let verdict_to_json = function
   | Harness.Resisted -> Json.String "resisted"
   | Harness.Partial f -> Json.Obj [ ("partial", Json.Float f) ]
 
-let mem name j = Option.value (Json.member name j) ~default:Json.Null
 let ( let* ) = Result.bind
 
 let verdict_of_json = function
   | Json.String "recovered" -> Stdlib.Ok Harness.Recovered
   | Json.String "resisted" -> Stdlib.Ok Harness.Resisted
-  | Json.Obj _ as j -> (
-      match Json.to_float_opt (mem "partial" j) with
-      | Some f -> Stdlib.Ok (Harness.Partial f)
-      | None -> Stdlib.Error "verdict object needs \"partial\"")
-  | _ -> Stdlib.Error "bad verdict"
+  | j ->
+      let* f = Json.field "verdict" Json.number "partial" j in
+      Stdlib.Ok (Harness.Partial f)
 
 let entry_to_json (e : Harness.entry) =
   Json.Obj
@@ -60,29 +57,19 @@ let entry_to_json (e : Harness.entry) =
     | None -> [])
 
 let entry_of_json j =
-  let* attack =
-    Option.to_result ~none:"entry: missing \"attack\""
-      (Json.to_string_opt (mem "attack" j))
+  let ctx = "entry" in
+  let* attack = Json.field ctx Json.string "attack" j in
+  let* verdict =
+    Result.bind (Json.field ctx Json.any "verdict" j) verdict_of_json
   in
-  let* verdict = verdict_of_json (mem "verdict" j) in
-  let* seconds =
-    Option.to_result ~none:"entry: missing \"seconds\""
-      (Json.to_float_opt (mem "seconds" j))
-  in
-  let* oracle_queries =
-    Option.to_result ~none:"entry: missing \"oracle_queries\""
-      (Json.to_int_opt (mem "oracle_queries" j))
-  in
-  let* detail =
-    Option.to_result ~none:"entry: missing \"detail\""
-      (Json.to_string_opt (mem "detail" j))
-  in
+  let* seconds = Json.field ctx Json.number "seconds" j in
+  let* oracle_queries = Json.field ctx Json.int "oracle_queries" j in
+  let* detail = Json.field ctx Json.string "detail" j in
   let* sat_stats =
-    match mem "sat_stats" j with
-    | Json.Null -> Stdlib.Ok None
-    | s ->
-        let* snap = Metrics.of_json s in
-        Stdlib.Ok (Some snap)
+    match Json.field_opt ctx Json.obj "sat_stats" j with
+    | Stdlib.Ok (Some s) -> Result.map Option.some (Metrics.of_json s)
+    | Stdlib.Ok None -> Stdlib.Ok None
+    | Stdlib.Error _ as e -> e
   in
   Stdlib.Ok
     { Harness.attack; verdict; seconds; oracle_queries; detail; sat_stats }
@@ -97,31 +84,12 @@ let campaign_to_json (c : Harness.campaign) =
     ]
 
 let campaign_of_json j =
-  let* circuit =
-    Option.to_result ~none:"campaign: missing \"circuit\""
-      (Json.to_string_opt (mem "circuit" j))
-  in
-  let* algorithm =
-    Option.to_result ~none:"campaign: missing \"algorithm\""
-      (Json.to_string_opt (mem "algorithm" j))
-  in
-  let* lut_count =
-    Option.to_result ~none:"campaign: missing \"lut_count\""
-      (Json.to_int_opt (mem "lut_count" j))
-  in
-  let* entries =
-    match mem "entries" j with
-    | Json.List items ->
-        let rec go acc = function
-          | [] -> Stdlib.Ok (List.rev acc)
-          | e :: rest -> (
-              match entry_of_json e with
-              | Stdlib.Ok e -> go (e :: acc) rest
-              | Stdlib.Error _ as err -> err)
-        in
-        go [] items
-    | _ -> Stdlib.Error "campaign: missing \"entries\""
-  in
+  let ctx = "campaign" in
+  let* circuit = Json.field ctx Json.string "circuit" j in
+  let* algorithm = Json.field ctx Json.string "algorithm" j in
+  let* lut_count = Json.field ctx Json.int "lut_count" j in
+  let* entries = Json.field ctx (Json.list Json.obj) "entries" j in
+  let* entries = Json.all (List.map entry_of_json entries) in
   Stdlib.Ok { Harness.circuit; algorithm; lut_count; entries }
 
 (* ---------- response codec ---------- *)
@@ -179,65 +147,58 @@ let to_json t =
 
 let to_string t = Json.to_string ~minify:true (to_json t)
 
-let string_field j name =
-  Option.to_result
-    ~none:(Printf.sprintf "response: missing %S" name)
-    (Json.to_string_opt (mem name j))
-
-let opt_string j name = Json.to_string_opt (mem name j)
-
 let of_json j =
-  match j with
-  | Json.Obj _ -> (
-      let id = Json.to_string_opt (mem "id" j) in
-      match Json.to_string_opt (mem "status" j) with
-      | Some "overloaded" -> Stdlib.Ok (Overloaded { id })
-      | Some "error" ->
-          let* message = string_field j "message" in
-          Stdlib.Ok (Error { id; message })
-      | Some "ok" ->
-          let* payload =
-            match Json.to_string_opt (mem "verb" j) with
-            | Some "protect" ->
-                let* report = string_field j "report" in
-                let sign_off =
-                  match mem "sign_off" j with
-                  | Json.Bool b -> Some b
-                  | _ -> None
-                in
-                Stdlib.Ok
-                  (Protect
-                     {
-                       report;
-                       foundry_bench = opt_string j "foundry_bench";
-                       bitstream = opt_string j "bitstream";
-                       programming_cost = opt_string j "programming_cost";
-                       verilog = opt_string j "verilog";
-                       sign_off;
-                     })
-            | Some "attack" ->
-                let* campaign = campaign_of_json (mem "campaign" j) in
-                let* rendered = string_field j "rendered" in
-                Stdlib.Ok (Attack { campaign; rendered })
-            | Some "lint" ->
-                let* rendered = string_field j "rendered" in
-                let* exit_code =
-                  Option.to_result ~none:"response: missing \"exit_code\""
-                    (Json.to_int_opt (mem "exit_code" j))
-                in
-                Stdlib.Ok (Lint { rendered; exit_code })
-            | Some "stats" ->
-                let* snap = Metrics.of_json (mem "metrics" j) in
-                Stdlib.Ok (Stats snap)
-            | Some "ping" -> Stdlib.Ok Pong
-            | Some "shutdown" -> Stdlib.Ok Shutting_down
-            | Some v -> Stdlib.Error ("response: unknown verb " ^ v)
-            | None -> Stdlib.Error "response: missing \"verb\""
-          in
-          Stdlib.Ok (Ok { id; payload })
-      | Some s -> Stdlib.Error ("response: unknown status " ^ s)
-      | None -> Stdlib.Error "response: missing \"status\"")
-  | _ -> Stdlib.Error "response must be a JSON object"
+  let ctx = "response" in
+  let str name = Json.field ctx Json.string name j in
+  let opt_str name = Json.field_opt ctx Json.string name j in
+  let* id = opt_str "id" in
+  match str "status" with
+  | Stdlib.Ok "overloaded" -> Stdlib.Ok (Overloaded { id })
+  | Stdlib.Ok "error" ->
+      let* message = str "message" in
+      Stdlib.Ok (Error { id; message })
+  | Stdlib.Ok "ok" ->
+      let* payload =
+        match str "verb" with
+        | Stdlib.Ok "protect" ->
+            let* report = str "report" in
+            let* foundry_bench = opt_str "foundry_bench" in
+            let* bitstream = opt_str "bitstream" in
+            let* programming_cost = opt_str "programming_cost" in
+            let* verilog = opt_str "verilog" in
+            let* sign_off = Json.field_opt ctx Json.bool "sign_off" j in
+            Stdlib.Ok
+              (Protect
+                 {
+                   report;
+                   foundry_bench;
+                   bitstream;
+                   programming_cost;
+                   verilog;
+                   sign_off;
+                 })
+        | Stdlib.Ok "attack" ->
+            let* campaign = Json.field ctx Json.obj "campaign" j in
+            let* campaign = campaign_of_json campaign in
+            let* rendered = str "rendered" in
+            Stdlib.Ok (Attack { campaign; rendered })
+        | Stdlib.Ok "lint" ->
+            let* rendered = str "rendered" in
+            let* exit_code = Json.field ctx Json.int "exit_code" j in
+            Stdlib.Ok (Lint { rendered; exit_code })
+        | Stdlib.Ok "stats" ->
+            let* snap =
+              Result.bind (Json.field ctx Json.obj "metrics" j) Metrics.of_json
+            in
+            Stdlib.Ok (Stats snap)
+        | Stdlib.Ok "ping" -> Stdlib.Ok Pong
+        | Stdlib.Ok "shutdown" -> Stdlib.Ok Shutting_down
+        | Stdlib.Ok v -> Stdlib.Error ("response: unknown verb " ^ v)
+        | Stdlib.Error _ as e -> e
+      in
+      Stdlib.Ok (Ok { id; payload })
+  | Stdlib.Ok s -> Stdlib.Error ("response: unknown status " ^ s)
+  | Stdlib.Error _ as e -> e
 
 let of_string s =
   match Json.of_string s with

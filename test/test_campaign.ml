@@ -16,6 +16,11 @@ module Metrics = Sttc_obs.Metrics
 module Obs = Sttc_obs.Obs
 module Runner = Sttc_experiments.Runner
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let all_complete o =
   List.for_all (fun (_, s) -> s = Supervisor.Complete) o.Supervisor.statuses
 
@@ -153,28 +158,165 @@ let test_manifest_defaults_and_seeds_object () =
         (Manifest.run_count m)
 
 let test_manifest_rejections () =
+  (* each refusal names what it refuses *)
   let bad =
     [
       ( "unknown circuit",
+        "nosuch",
         {|{"name": "x", "circuits": ["nosuch"], "seeds": [1]}|} );
-      ("no seeds", {|{"name": "x", "circuits": ["s27"], "seeds": []}|});
+      ( "no seeds",
+        "no seeds",
+        {|{"name": "x", "circuits": ["s27"], "seeds": []}|} );
       ( "bad shards",
+        {|"shards"|},
         {|{"name": "x", "circuits": ["s27"], "seeds": [1], "shards": 0}|} );
       ( "dup labels",
+        "duplicate config label a",
         {|{"name": "x", "circuits": ["s27"], "seeds": [1],
            "configs": [{"label": "a"}, {"label": "a"}]}|} );
       ( "bad fraction",
+        {|"fraction"|},
         {|{"name": "x", "circuits": ["s27"], "seeds": [1],
            "configs": [{"label": "a", "fraction": 1.5}]}|} );
-      ("not json", "][");
+      (* a wrong-typed count must not run with the default of 5 *)
+      ( "string count",
+        {|"count"|},
+        {|{"name": "x", "circuits": ["s27"], "seeds": [1],
+           "algorithms": [{"name": "independent", "count": "3"}]}|} );
+      (* the range is expanded into a list, which must not exhaust memory *)
+      ( "seed range past its bound",
+        {|"count"|},
+        {|{"name": "x", "circuits": ["s27"],
+           "seeds": {"base": 1, "count": 4611686018427387903}}|} );
+      ("not json", "manifest: offset", "][");
     ]
   in
   List.iter
-    (fun (what, text) ->
+    (fun (what, names, text) ->
       match load_text text with
       | Ok _ -> Alcotest.fail (what ^ ": accepted")
-      | Error _ -> ())
+      | Error e ->
+          if not (contains e names) then
+            Alcotest.failf "%s: %S does not name %s" what e names)
     bad
+
+(* Documents drawn from the manifest grammar: fields dropped,
+   duplicated or (in one document of four) of the wrong type, values at
+   and past their ranges, and texts cut short.  Loading one gives [Ok]
+   or [Error], never an exception. *)
+let manifest_gen =
+  let open QCheck2.Gen in
+  let module Json = Sttc_obs.Json in
+  (* mostly inside [ok], sometimes just past it *)
+  let ok_or_past ok past =
+    frequency
+      (List.map (fun v -> (6, pure v)) ok @ List.map (fun v -> (1, pure v)) past)
+  in
+  let int_v ok past = map (fun i -> Json.Int i) (ok_or_past ok past) in
+  (* a number may also be written as an integer *)
+  let num_v ok past =
+    oneof
+      [
+        map (fun f -> Json.Float f) (ok_or_past ok past); int_v [ 1 ] [ 0; -1 ];
+      ]
+  in
+  let str_v ok past = map (fun s -> Json.String s) (ok_or_past ok past) in
+  let list_of g =
+    map
+      (fun l -> Json.List l)
+      (list_size (frequencyl [ (1, 0); (6, 1); (3, 2) ]) g)
+  in
+  let junk =
+    oneofl
+      [ Json.Null; Json.Bool true; Json.Int 2; Json.String "x"; Json.List [];
+        Json.Obj [] ]
+  in
+  let doc corrupt =
+    (* a field is absent, present, repeated, or (in a corrupt document)
+       now and then of the wrong type *)
+    let field ?(absent = 1) name g =
+      frequency
+        [
+          (absent, pure []);
+          (12, map (fun v -> [ (name, v) ]) g);
+          (1, map2 (fun a b -> [ (name, a); (name, b) ]) g g);
+          ((if corrupt then 2 else 0), map (fun v -> [ (name, v) ]) junk);
+        ]
+    in
+    let obj fields =
+      map (fun fs -> Json.Obj (List.concat fs)) (flatten_l fields)
+    in
+    let algorithm =
+      oneof
+        [
+          str_v [ "independent"; "dependent"; "parametric" ] [ "other" ];
+          obj
+            [
+              field ~absent:0 "name" (str_v [ "independent"; "parametric" ] []);
+              field "count" (int_v [ 1; 2; 5 ] [ 0; -1; max_int ]);
+              field "clock_factor" (num_v [ 1.02; 1.5; 2. ] [ -1.; 0.; 1e308 ]);
+            ];
+        ]
+    in
+    let config =
+      obj
+        [
+          field "label" (str_v [ "a"; "b" ] [ "" ]);
+          field "fraction" (num_v [ 0.25; 1. ] [ 0.; -1.; 1.5; 1e308 ]);
+          field "harden" (map (fun b -> Json.Bool b) bool);
+        ]
+    in
+    let seeds =
+      oneof
+        [
+          list_of (int_v [ 1; 2; max_int ] [ min_int ]);
+          obj
+            [
+              field ~absent:0 "base" (int_v [ 1; 7 ] [ min_int ]);
+              field ~absent:0 "count"
+                (int_v [ 1; 3 ] [ 0; -1; 1_000_001; max_int ]);
+            ];
+        ]
+    in
+    let seconds = num_v [ 0.5; 60. ] [ 0.; -1.; 1e308 ] in
+    obj
+      [
+        field ~absent:0 "name" (str_v [ "m" ] [ "" ]);
+        field ~absent:0 "circuits"
+          (list_of (str_v [ "s27"; "s641" ] [ "nosuch" ]));
+        field "algorithms" (list_of algorithm);
+        field "configs" (list_of config);
+        field ~absent:0 "seeds" seeds;
+        field "shards" (int_v [ 1; 2; 4 ] [ 0; -1 ]);
+        field "retries" (int_v [ 0; 2 ] [ -1 ]);
+        field "timeout_s" seconds;
+        field "heartbeat_timeout_s" seconds;
+        field "attempt_timeout_s" seconds;
+        field "backend" (str_v [ "stt"; "tvd" ] [ "sram" ]);
+      ]
+  in
+  let text =
+    map (Json.to_string ~minify:true)
+      (frequency [ (3, doc false); (1, doc true) ])
+  in
+  frequency
+    [
+      (9, text);
+      ( 1,
+        map2
+          (fun t cut -> String.sub t 0 (cut mod (String.length t + 1)))
+          text nat );
+    ]
+
+let prop_manifest_load_total =
+  let path = Filename.concat (fresh_dir ()) "manifest.json" in
+  QCheck2.Test.make ~name:"load is total" ~count:500 ~print:Fun.id
+    manifest_gen (fun text ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      match Manifest.load path with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 (* ---------- shard assignment ---------- *)
 
@@ -610,6 +752,7 @@ let () =
           Alcotest.test_case "defaults and seeds object" `Quick
             test_manifest_defaults_and_seeds_object;
           Alcotest.test_case "rejections" `Quick test_manifest_rejections;
+          QCheck_alcotest.to_alcotest prop_manifest_load_total;
         ] );
       ( "shard",
         [

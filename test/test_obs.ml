@@ -178,11 +178,44 @@ let test_json_accessors () =
     (Option.bind (Json.member "n" sample_json) Json.to_float_opt);
   Alcotest.(check bool)
     "missing member" true
-    (Json.member "absent" sample_json = None);
-  Alcotest.(check (option int))
-    "list length" (Some 3)
-    (Option.map List.length
-       (Option.bind (Json.member "l" sample_json) Json.to_list_opt))
+    (Json.member "absent" sample_json = None)
+
+let test_json_field_readers () =
+  let int = Alcotest.(result int string) in
+  Alcotest.check int "required int" (Ok (-42))
+    (Json.field "t" Json.int "n" sample_json);
+  Alcotest.(check (result (float 0.) string))
+    "an int is a number" (Ok (-42.))
+    (Json.field "t" Json.number "n" sample_json);
+  Alcotest.check int "list of any" (Ok 3)
+    (Result.map List.length
+       (Json.field "t" (Json.list Json.any) "l" sample_json));
+  Alcotest.(check (result (list int) string))
+    "list of the wrong kind"
+    (Error {|t: "l" must be a list of integers|})
+    (Json.field "t" (Json.list Json.int) "l" sample_json);
+  Alcotest.check int "null is missing" (Error {|t: missing "null"|})
+    (Json.field "t" Json.int "null" sample_json);
+  Alcotest.check int "default" (Ok 7)
+    (Json.field_or "t" Json.int "absent" 7 sample_json);
+  Alcotest.check int "wrong kind with a default"
+    (Error {|t: "s" must be an integer|})
+    (Json.field_or "t" Json.int "s" 7 sample_json);
+  Alcotest.(check (result (option bool) string))
+    "optional" (Ok (Some true))
+    (Json.field_opt "t" Json.bool "yes" sample_json);
+  Alcotest.(check (result (option int) string))
+    "optional and missing" (Ok None)
+    (Json.field_opt "t" Json.int "absent" sample_json);
+  Alcotest.(check (result (option int) string))
+    "not an object" (Error "t: not a JSON object")
+    (Json.field_opt "t" Json.int "n" (Json.List []));
+  Alcotest.(check (result unit string))
+    "out of range" (Error {|t: "n" must be at least 1|})
+    (Json.in_range "t" "n" "at least 1" false);
+  Alcotest.(check (result (list int) string))
+    "first error of a list" (Error "b")
+    (Json.all [ Ok 1; Error "b"; Error "c" ])
 
 let test_json_rejects_nan () =
   Alcotest.(check bool)
@@ -514,6 +547,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "numbers" `Quick test_json_numbers;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "field readers" `Quick test_json_field_readers;
           Alcotest.test_case "rejects nan" `Quick test_json_rejects_nan;
           QCheck_alcotest.to_alcotest prop_json_round_trip;
         ] );

@@ -19,6 +19,11 @@ module Json = Sttc_obs.Json
 module Metrics = Sttc_obs.Metrics
 module Obs = Sttc_obs.Obs
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let req ?id ?timeout_s payload = { Request.id; timeout_s; payload }
 
 let s27_text =
@@ -149,7 +154,38 @@ let test_malformed_frames () =
   reject "brute-force cap past 62 bits"
     {|{"verb":"attack","netlist":"s1196","algorithm":"parametric","config":{"brute_max_bits":100}}|};
   reject "brute-force cap of 64 bits"
-    {|{"verb":"attack","netlist":"s27","config":{"brute_max_bits":64}}|}
+    {|{"verb":"attack","netlist":"s27","config":{"brute_max_bits":64}}|};
+  (* A wrong-typed field must not fall back to its default, and an
+     out-of-range one must not reach the handler, which would answer
+     with an internal function's Invalid_argument text: the parse
+     refuses each with an error that names the field. *)
+  let names field label line =
+    match Request.of_string line with
+    | Error e ->
+        let quoted = Printf.sprintf "%S" field in
+        if not (contains e quoted) then
+          Alcotest.failf "%s: %S does not name %s" label e quoted
+    | Ok _ -> Alcotest.failf "%s was accepted: %s" label line
+  in
+  names "count" "string count"
+    {|{"verb":"protect","netlist":"s27","algorithm":{"name":"independent","count":"3"}}|};
+  names "count" "zero count"
+    {|{"verb":"protect","netlist":"s27","algorithm":{"name":"independent","count":0}}|};
+  names "count" "negative count in a lint list"
+    {|{"verb":"lint","netlist":"s27","algorithms":[{"name":"independent","count":-2}]}|};
+  names "clock_factor" "string clock factor"
+    {|{"verb":"attack","netlist":"s27","algorithm":{"name":"parametric","clock_factor":"big"}}|};
+  names "fraction" "string config fraction"
+    {|{"verb":"protect","netlist":"s27","config":{"fraction":"0.5"}}|};
+  names "fraction" "config fraction past 1"
+    {|{"verb":"protect","netlist":"s27","config":{"fraction":7}}|};
+  names "fraction" "zero config fraction"
+    {|{"verb":"protect","netlist":"s27","config":{"fraction":0}}|};
+  names "fraction" "lint fraction past 1"
+    {|{"verb":"lint","netlist":"s27","fraction":7}|};
+  names "name" "numeric inline netlist name"
+    {|{"verb":"protect","netlist":{"name":5,"bench":"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"}}|};
+  names "id" "numeric id" {|{"verb":"ping","id":5}|}
 
 (* ---------- response codec ---------- *)
 
@@ -859,7 +895,14 @@ let prop_handler_total =
   QCheck2.Test.make ~name:"every frame gets a reply" ~count:200 ~print:Fun.id
     frame_gen (fun frame ->
       match reply session frame with
-      | _ -> true
+      | text -> (
+          (* the reply decodes, and re-encodes to the same bytes *)
+          match Response.of_string text with
+          | Ok r when Response.to_string r = text -> true
+          | Ok r ->
+              QCheck2.Test.fail_reportf "reply %s re-encodes as %s" text
+                (Response.to_string r)
+          | Error e -> QCheck2.Test.fail_reportf "reply %s: %s" text e)
       | exception e ->
           QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
 

@@ -339,7 +339,7 @@ let test_pool_empty_and_chunked () =
 
 (* the bag runs on the calling domain unless jobs, the item count and
    the work estimate all pay for spawning domains *)
-let test_pool_worthwhile () =
+let test_pool_map_picks_serial_or_pooled () =
   let caller = Domain.self () in
   let on_caller ?work ~jobs n =
     List.for_all
@@ -514,8 +514,8 @@ let () =
             test_pool_map_raises_first_error;
           Alcotest.test_case "empty and chunked bags" `Quick
             test_pool_empty_and_chunked;
-          Alcotest.test_case "worthwhile heuristic" `Quick
-            test_pool_worthwhile;
+          Alcotest.test_case "map picks serial or pooled work" `Quick
+            test_pool_map_picks_serial_or_pooled;
         ] );
       ( "budget",
         [

@@ -34,8 +34,8 @@ echo "== typed-tree gate (reachability, exported values, optional parameters, re
 # no library module, exported value or optional parameter unused by the
 # product paths, and no retired name (evaluator, encoder, lint-model,
 # well-formedness, keyspace, flow-policy, sweep, timing-trial, trial-set,
-# clock, budget, arena); tools/checker/gates.txt holds the lists and the retired
-# table.
+# clock, budget, arena, json-reader); tools/checker/gates.txt holds the
+# lists and the retired table.
 dune build @check
 ./_build/default/tools/checker/checker.exe _build/default tools/checker/gates.txt
 

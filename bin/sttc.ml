@@ -51,6 +51,19 @@ let backend_doc =
           (fun n -> Printf.sprintf "$(b,%s)" n)
           (Sttc_backend.Backend.names ())))
 
+(* A flag's converter narrowed to the range of the wire field that
+   carries the same value, so the flag and the frame refuse alike. *)
+let ranged kind conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v -> (
+        match Sttc_obs.Json.refusal kind v with
+        | None -> Ok v
+        | Some range -> Error (`Msg ("must be " ^ range)))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
 let backend_conv =
   let parse s =
     match Sttc_backend.Backend.find s with
@@ -465,7 +478,10 @@ let lint_cmd =
       "Timing budget for parametric selection as a multiple of the \
        baseline critical delay (paper: 1.08)."
     in
-    Arg.(value & opt float 1.08 & info [ "clock-factor" ] ~doc)
+    Arg.(
+      value
+      & opt (ranged Sttc_core.Flow.clock_factor float) 1.08
+      & info [ "clock-factor" ] ~doc)
   in
   let budget =
     let doc =
@@ -474,7 +490,8 @@ let lint_cmd =
     in
     Arg.(
       value
-      & opt int Sttc_lint.Semantic_rules.default_budget
+      & opt (ranged Sttc_obs.Json.nat int)
+          Sttc_lint.Semantic_rules.default_budget
       & info [ "budget" ] ~doc)
   in
   let rules =

@@ -72,65 +72,29 @@ module Config = struct
   let with_jobs jobs t = { t with jobs }
   let with_solver_mode solver_mode t = { t with solver_mode }
 
-  let solver_mode_name = function
-    | Sat_attack.Incremental -> "incremental"
-    | Sat_attack.Scratch -> "scratch"
-
-  let to_json t =
-    Json.Obj
-      ([ ("sat_timeout_s", Json.Float t.sat_timeout_s) ]
-      @ (match t.seq_timeout_s with
-        | Some s -> [ ("seq_timeout_s", Json.Float s) ]
-        | None -> [])
-      @ [
-          ("tt_budget", Json.Int t.tt_budget);
-          ("guess_rounds", Json.Int t.guess_rounds);
-          ("brute_max_bits", Json.Int t.brute_max_bits);
-          ("seq_frames", Json.Int t.seq_frames);
-          ("seed", Json.Int t.seed);
-          ("jobs", Json.Int t.jobs);
-          ("solver_mode", Json.String (solver_mode_name t.solver_mode));
-        ])
-
-  let of_json j =
-    let ( let* ) = Result.bind in
-    let ctx = "harness config" in
-    let int name default = Json.field_or ctx Json.int name default j in
-    let* sat_timeout_s =
-      Json.field_or ctx Json.number "sat_timeout_s" default.sat_timeout_s j
+  let json =
+    let dflt name k proj = Json.with_default name k (proj default) proj in
+    let solver_mode =
+      Json.enum
+        [ ("incremental", Sat_attack.Incremental); ("scratch", Sat_attack.Scratch) ]
     in
-    let* seq_timeout_s = Json.field_opt ctx Json.number "seq_timeout_s" j in
-    let* tt_budget = int "tt_budget" default.tt_budget in
-    let* guess_rounds = int "guess_rounds" default.guess_rounds in
-    let* brute_max_bits = int "brute_max_bits" default.brute_max_bits in
-    let* () =
-      Json.in_range ctx "brute_max_bits" "in [0, 62]"
-        (0 <= brute_max_bits && brute_max_bits <= 62)
-    in
-    let* seq_frames = int "seq_frames" default.seq_frames in
-    let* () = Json.in_range ctx "seq_frames" "at least 1" (seq_frames >= 1) in
-    let* seed = int "seed" default.seed in
-    let* jobs = int "jobs" default.jobs in
-    let* solver_mode =
-      match Json.field_opt ctx Json.string "solver_mode" j with
-      | Ok None -> Ok default.solver_mode
-      | Ok (Some "incremental") -> Ok Sat_attack.Incremental
-      | Ok (Some "scratch") -> Ok Sat_attack.Scratch
-      | Ok (Some s) -> Error (ctx ^ ": unknown solver_mode " ^ s)
-      | Error _ as e -> e
-    in
-    Ok
-      {
-        sat_timeout_s;
-        seq_timeout_s;
-        tt_budget;
-        guess_rounds;
-        brute_max_bits;
-        seq_frames;
-        seed;
-        jobs;
-        solver_mode;
-      }
+    let brute_max_bits = Json.(within "in [0, 62]" (fun b -> 0 <= b && b <= 62) int) in
+    Json.(
+      record "harness config"
+        (let+ sat_timeout_s = dflt "sat_timeout_s" duration (fun t -> t.sat_timeout_s)
+         and+ seq_timeout_s = opt "seq_timeout_s" duration (fun t -> t.seq_timeout_s)
+         and+ tt_budget = dflt "tt_budget" nat (fun t -> t.tt_budget)
+         and+ guess_rounds = dflt "guess_rounds" nat (fun t -> t.guess_rounds)
+         and+ brute_max_bits =
+           dflt "brute_max_bits" brute_max_bits (fun t -> t.brute_max_bits)
+         and+ seq_frames =
+           dflt "seq_frames" (within "at least 1" (fun n -> n >= 1) int) (fun t ->
+               t.seq_frames)
+         and+ seed = dflt "seed" int (fun t -> t.seed)
+         and+ jobs = dflt "jobs" int (fun t -> t.jobs)
+         and+ solver_mode = dflt "solver_mode" solver_mode (fun t -> t.solver_mode) in
+         { sat_timeout_s; seq_timeout_s; tt_budget; guess_rounds; brute_max_bits;
+           seq_frames; seed; jobs; solver_mode }))
 end
 
 let resisted attack detail =

@@ -57,13 +57,12 @@ module Config : sig
   val with_jobs : int -> t -> t
   val with_solver_mode : Sat_attack.solver_mode -> t -> t
 
-  val to_json : t -> Sttc_obs.Json.t
-  (** Every field, [seq_timeout_s] omitted when [None];
-      [solver_mode] as ["incremental"] / ["scratch"]. *)
-
-  val of_json : Sttc_obs.Json.t -> (t, string) result
-  (** Any object whose present fields are well-typed and in range (see
-      {!t}); missing fields take their {!default}s, so [{}] parses. *)
+  val json : t Sttc_obs.Json.record
+  (** Every field, [seq_timeout_s] omitted when [None]; [solver_mode] as
+      ["incremental"] / ["scratch"].  Decoding takes any object whose
+      fields are all of {!t}, well-typed and in range (the budgets, times
+      and rounds at least 0); missing fields take their {!default}s, so
+      [{}] parses. *)
 end
 
 val attack :

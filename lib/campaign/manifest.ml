@@ -81,126 +81,82 @@ let run_count m =
 
 let ( let* ) = Result.bind
 
-let config_to_json c =
-  Json.Obj
-    (("label", Json.String c.label)
-     ::
-     (match c.fraction with
-     | Some f -> [ ("fraction", Json.Float f) ]
-     | None -> [])
-    @ if c.harden then [ ("harden", Json.Bool true) ] else [])
+let config_json =
+  Json.(
+    record "config"
+      (let+ label = with_default "label" string "default" (fun c -> c.label)
+       and+ fraction = opt "fraction" Flow.fraction (fun c -> c.fraction)
+       and+ harden = omit_default "harden" bool false (fun c -> c.harden) in
+       { label; fraction; harden }))
 
-(* [default_label] names a config without a "label" *)
-let labelled_config_of_json ~default_label j =
-  let ctx = "config" in
-  let* label = Json.field_or ctx Json.string "label" default_label j in
-  let* fraction = Json.field_opt ctx Json.number "fraction" j in
-  let* () =
-    Json.in_range ctx "fraction" "in (0, 1]"
-      (Option.fold ~none:true ~some:(fun f -> 0. < f && f <= 1.) fraction)
+(* a manifest's configs list names an unlabelled config by position *)
+let configs =
+  let each = Json.list (Json.nested config_json) in
+  let label i = function
+    | Json.Obj kvs as c -> (
+        match List.assoc_opt "label" kvs with
+        | None | Some Json.Null ->
+            Json.Obj (("label", Json.String ("config-" ^ string_of_int i)) :: kvs)
+        | Some _ -> c)
+    | c -> c
   in
-  let* harden = Json.field_or ctx Json.bool "harden" false j in
-  Ok { label; fraction; harden }
+  let read must = function
+    | Json.List items -> each.read must (Json.List (List.mapi label items))
+    | j -> each.read must j
+  in
+  { each with read }
 
-let config_of_json j = labelled_config_of_json ~default_label:"default" j
+(* a list, or a range the decoder expands into one, so its count is
+   bounded *)
+let seeds =
+  let count = Json.(within "in [1, 1000000]" (fun c -> 1 <= c && c <= 1_000_000) int) in
+  let range =
+    Json.(
+      record "seeds"
+        (let+ base = req "base" int fst and+ count = req "count" count snd in
+         (base, count)))
+  in
+  let each = Json.list Json.int in
+  let read must = function
+    | Json.List _ as j -> each.read must j
+    | j -> Result.map (fun (base, n) -> List.init n (( + ) base)) (Json.decode range j)
+  in
+  { each with read }
 
-let to_json m =
-  Json.Obj
-    ([
-       ("name", Json.String m.name);
-       ("circuits", Json.List (List.map (fun c -> Json.String c) m.circuits));
-       ("algorithms", Json.List (List.map Flow.algorithm_to_json m.algorithms));
-       ("configs", Json.List (List.map config_to_json m.configs));
-       ("seeds", Json.List (List.map (fun s -> Json.Int s) m.seeds));
-       ("shards", Json.Int m.shards);
-       ("retries", Json.Int m.retries);
-       ("heartbeat_timeout_s", Json.Float m.heartbeat_timeout_s);
-     ]
-    @ (match m.timeout_s with
-      | Some t -> [ ("timeout_s", Json.Float t) ]
-      | None -> [])
-    @ (match m.attempt_timeout_s with
-      | Some t -> [ ("attempt_timeout_s", Json.Float t) ]
-      | None -> [])
-    @
-    if m.backend = "stt" then []
-    else [ ("backend", Json.String m.backend) ])
+let json =
+  Json.(
+    record "manifest"
+      (let+ name = req "name" string (fun m -> m.name)
+       and+ circuits = req "circuits" (list string) (fun m -> m.circuits)
+       and+ algorithms =
+         with_default "algorithms" (list Flow.algorithm_json)
+           Flow.default_algorithms (fun m -> m.algorithms)
+       and+ configs =
+         with_default "configs" configs [ default_config ] (fun m -> m.configs)
+       and+ seeds = req "seeds" seeds (fun m -> m.seeds)
+       and+ shards =
+         with_default "shards" (within "at least 1" (fun n -> n >= 1) int) 1
+           (fun m -> m.shards)
+       and+ retries = with_default "retries" nat 2 (fun m -> m.retries)
+       and+ heartbeat_timeout_s =
+         with_default "heartbeat_timeout_s"
+           (within "positive" (fun s -> s > 0.) number)
+           60.
+           (fun m -> m.heartbeat_timeout_s)
+       and+ timeout_s = opt "timeout_s" number (fun m -> m.timeout_s)
+       and+ attempt_timeout_s =
+         opt "attempt_timeout_s" number (fun m -> m.attempt_timeout_s)
+       and+ backend = omit_default "backend" string "stt" (fun m -> m.backend) in
+       { name; circuits; algorithms; configs; seeds; shards; timeout_s; retries;
+         heartbeat_timeout_s; attempt_timeout_s; backend }))
 
-let of_json j =
-  let ctx = "manifest" in
-  let* name = Json.field ctx Json.string "name" j in
-  let* circuits = Json.field ctx (Json.list Json.string) "circuits" j in
-  let* algorithms =
-    match Json.field_opt ctx (Json.list Json.any) "algorithms" j with
-    | Ok None -> Ok Flow.default_algorithms
-    | Ok (Some items) -> Json.all (List.map Flow.algorithm_of_json items)
-    | Error _ as e -> e
-  in
-  let* configs =
-    match Json.field_opt ctx (Json.list Json.obj) "configs" j with
-    | Ok None -> Ok [ default_config ]
-    | Ok (Some items) ->
-        Json.all
-          (List.mapi
-             (fun i c ->
-               labelled_config_of_json
-                 ~default_label:("config-" ^ string_of_int i)
-                 c)
-             items)
-    | Error _ as e -> e
-  in
-  let* seeds =
-    match Json.field ctx Json.any "seeds" j with
-    | Ok (Json.List _) -> Json.field ctx (Json.list Json.int) "seeds" j
-    | Ok range ->
-        let* base = Json.field "seeds" Json.int "base" range in
-        let* count = Json.field "seeds" Json.int "count" range in
-        (* the range is expanded into a list, so a count is bounded *)
-        let* () =
-          Json.in_range "seeds" "count" "in [1, 1000000]"
-            (1 <= count && count <= 1_000_000)
-        in
-        Ok (List.init count (fun i -> base + i))
-    | Error _ as e -> e
-  in
-  let* shards = Json.field_or ctx Json.int "shards" 1 j in
-  let* () = Json.in_range ctx "shards" "at least 1" (shards >= 1) in
-  let* retries = Json.field_or ctx Json.int "retries" 2 j in
-  let* () = Json.in_range ctx "retries" "at least 0" (retries >= 0) in
-  let* timeout_s = Json.field_opt ctx Json.number "timeout_s" j in
-  let* attempt_timeout_s =
-    Json.field_opt ctx Json.number "attempt_timeout_s" j
-  in
-  let* heartbeat_timeout_s =
-    Json.field_or ctx Json.number "heartbeat_timeout_s" 60. j
-  in
-  let* () =
-    Json.in_range ctx "heartbeat_timeout_s" "positive"
-      (heartbeat_timeout_s > 0.)
-  in
-  let* backend = Json.field_or ctx Json.string "backend" "stt" j in
-  Ok
-    {
-      name;
-      circuits;
-      algorithms;
-      configs;
-      seeds;
-      shards;
-      timeout_s;
-      retries;
-      heartbeat_timeout_s;
-      attempt_timeout_s;
-      backend;
-    }
-
-let to_string m = Json.to_string (to_json m) ^ "\n"
+let to_string m = Json.to_string (Json.encode json m) ^ "\n"
 
 let of_string s =
   match Json.of_string s with
   | Error e -> Error ("manifest: " ^ e)
   | Ok j ->
-      let* m = of_json j in
+      let* m = Json.decode json j in
       let* () = validate m in
       Ok m
 

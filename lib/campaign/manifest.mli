@@ -18,6 +18,7 @@
       "algorithms": ["dependent",
                      {"name": "independent", "count": 5},
                      {"name": "parametric", "clock_factor": 1.08}],
+                                     // count >= 1, clock_factor >= 1
       "configs":  [{"label": "plain"},                            ?
                    {"label": "hardened", "harden": true,
                     "fraction": 0.05}],
@@ -33,7 +34,8 @@
     v}
 
     [algorithms] defaults to the paper's three; [configs] to one plain
-    entry. *)
+    entry.  A key outside this schema, at any level, is refused by
+    name. *)
 
 type config = {
   label : string;  (** row tag; unique within the manifest *)
@@ -44,12 +46,11 @@ type config = {
 val default_config : config
 (** [{ label = "default"; fraction = None; harden = false }] *)
 
-val config_to_json : config -> Sttc_obs.Json.t
-val config_of_json : Sttc_obs.Json.t -> (config, string) result
+val config_json : config Sttc_obs.Json.record
 (** The per-run protect-config codec, shared with serve requests:
-    [{"label"?, "fraction"?, "harden"?}].  A missing [label] is
-    ["default"] (a manifest's configs list names it by position,
-    ["config-<i>"], instead). *)
+    [{"label"?, "fraction"?, "harden"?}], nothing else.  A missing
+    [label] is ["default"] (a manifest's configs list names it by
+    position, ["config-<i>"], instead). *)
 
 type t = {
   name : string;
@@ -101,4 +102,5 @@ val load : string -> (t, string) result
 (** Parse, then check structural sanity: non-empty dimensions, known
     circuit names, unique config labels, [shards >= 1], [retries >= 0],
     a positive heartbeat budget, fractions in (0, 1], known backend
-    name.  A wrong-typed field is an error that names it. *)
+    name.  A wrong-typed, out-of-range or unknown field is an error that
+    names it. *)

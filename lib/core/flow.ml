@@ -21,36 +21,49 @@ let default_algorithms =
 
 module Json = Sttc_obs.Json
 
-let algorithm_to_json = function
-  | Dependent -> Json.String "dependent"
-  | Independent { count } ->
-      Json.Obj [ ("name", Json.String "independent"); ("count", Json.Int count) ]
-  | Parametric opts ->
-      Json.Obj
-        [
-          ("name", Json.String "parametric");
-          ("clock_factor", Json.Float opts.clock_factor);
-        ]
+let fraction = Json.(within "in (0, 1]" (fun f -> 0. < f && f <= 1.) number)
+let clock_factor = Json.(within "at least 1" (fun f -> f >= 1.) number)
 
-let algorithm_of_json j =
-  let ( let* ) = Result.bind in
-  let ctx = "algorithm" in
-  (* a bare name is the object with every default *)
-  let j = match j with Json.String _ -> Json.Obj [ ("name", j) ] | j -> j in
-  let* name = Json.field ctx Json.string "name" j in
-  match name with
-  | "dependent" -> Ok Dependent
-  | "independent" ->
-      let* count = Json.field_or ctx Json.int "count" 5 j in
-      let* () = Json.in_range ctx "count" "at least 1" (count >= 1) in
-      Ok (Independent { count })
-  | "parametric" ->
-      let base = Algorithms.default_parametric in
-      let* clock_factor =
-        Json.field_or ctx Json.number "clock_factor" base.clock_factor j
-      in
-      Ok (Parametric { base with clock_factor })
-  | s -> Error ("unknown algorithm " ^ s)
+(* one table per name, each holding the name itself *)
+let dependent = Json.(record "algorithm" (tag "name" "dependent"))
+
+let independent =
+  let count = Json.(within "at least 1" (fun c -> c >= 1) int) in
+  Json.(
+    record "algorithm"
+      (let+ () = tag "name" "independent"
+       and+ count = with_default "count" count 5 Fun.id in
+       count))
+
+let parametric =
+  let base = Algorithms.default_parametric in
+  Json.(
+    record "algorithm"
+      (let+ () = tag "name" "parametric"
+       and+ clock_factor =
+         with_default "clock_factor" clock_factor base.clock_factor (fun o ->
+             o.Algorithms.clock_factor)
+       in
+       { base with clock_factor }))
+
+let algorithm_json =
+  let decode record wrap j = Result.map wrap (Json.decode record j) in
+  let read _ j =
+    (* a bare name is the object with every default *)
+    let j = match j with Json.String _ -> Json.Obj [ ("name", j) ] | j -> j in
+    match Json.field "algorithm" Json.string "name" j with
+    | Ok "dependent" -> decode dependent (fun () -> Dependent) j
+    | Ok "independent" -> decode independent (fun count -> Independent { count }) j
+    | Ok "parametric" -> decode parametric (fun o -> Parametric o) j
+    | Ok s -> Error ("unknown algorithm " ^ s)
+    | Error _ as e -> e
+  in
+  let write = function
+    | Dependent -> Json.String "dependent"
+    | Independent { count } -> Json.encode independent count
+    | Parametric o -> Json.encode parametric o
+  in
+  { Json.many = "values"; read; write }
 
 type result = {
   algorithm : algorithm;

@@ -14,17 +14,23 @@ type algorithm =
 val algorithm_name : algorithm -> string
 (** "independent" / "dependent" / "parametric". *)
 
-val algorithm_to_json : algorithm -> Sttc_obs.Json.t
-(** The canonical wire form shared by campaign manifests, CLI flags and
-    serve requests: ["dependent"] as a bare string,
+val algorithm_json : algorithm Sttc_obs.Json.kind
+(** The canonical wire form shared by campaign manifests and serve
+    requests: ["dependent"] as a bare string,
     [{"name": "independent", "count": n}] and
-    [{"name": "parametric", "clock_factor": f}] as objects. *)
+    [{"name": "parametric", "clock_factor": f}] as objects.  A bare
+    string stands for any of the three names with its defaults ([count]
+    5, [clock_factor] the default parametric budget).  Each name's
+    object holds its own keys only: [clock_factor] on an independent
+    algorithm is an unknown field. *)
 
-val algorithm_of_json : Sttc_obs.Json.t -> (algorithm, string) result
-(** Inverse of {!algorithm_to_json}; also accepts a bare string for any
-    of the three names ([count] defaults to 5 and must be at least 1,
-    [clock_factor] defaults to the default parametric budget).  A
-    wrong-typed field is an error. *)
+val fraction : float Sttc_obs.Json.kind
+(** A selection fraction, in (0, 1]. *)
+
+val clock_factor : float Sttc_obs.Json.kind
+(** A parametric clock budget, at least 1: below 1 no LUT meets a budget
+    the unmodified design already misses, so every such factor selects
+    the same set.  [sttc lint --clock-factor] is checked against it. *)
 
 type hardening = {
   extra_inputs_per_lut : int;

@@ -323,32 +323,33 @@ let to_float_opt = function
 
 let to_string_opt = function String s -> Some s | _ -> None
 
-(* ---------- field readers ---------- *)
+(* ---------- kinds ---------- *)
 
-(* [what] names one value of the kind in an error, [many] a list's
-   elements *)
-type 'a kind = { what : string; many : string; read : t -> 'a option }
+(* [read must j]: [must] turns what the value must be ("an integer",
+   "at least 1") into the whole error, so a kind words its refusal
+   without knowing the field or decoder it serves *)
+type 'a kind = {
+  many : string;
+  read : (string -> string) -> t -> ('a, string) result;
+  write : 'a -> t;
+}
 
-let int = { what = "an integer"; many = "integers"; read = to_int_opt }
-let number = { what = "a number"; many = "numbers"; read = to_float_opt }
+let scalar what many read write =
+  let read must j = Option.to_result ~none:(must what) (read j) in
+  { many; read; write }
+
+let int = scalar "an integer" "integers" to_int_opt (fun i -> Int i)
+let number = scalar "a number" "numbers" to_float_opt (fun f -> Float f)
 
 let bool =
-  {
-    what = "a boolean";
-    many = "booleans";
-    read = (function Bool b -> Some b | _ -> None);
-  }
+  scalar "a boolean" "booleans"
+    (function Bool b -> Some b | _ -> None)
+    (fun b -> Bool b)
 
-let string = { what = "a string"; many = "strings"; read = to_string_opt }
+let string = scalar "a string" "strings" to_string_opt (fun s -> String s)
 
 let obj =
-  {
-    what = "an object";
-    many = "objects";
-    read = (function Obj _ as j -> Some j | _ -> None);
-  }
-
-let any = { what = "a value"; many = "values"; read = Option.some }
+  scalar "an object" "objects" (function Obj _ as j -> Some j | _ -> None) Fun.id
 
 let all results =
   let rec go acc = function
@@ -359,36 +360,110 @@ let all results =
   go [] results
 
 let list k =
-  {
-    what = "a list of " ^ k.many;
-    many = "lists";
-    read =
-      (function
-      | List xs ->
-          let ys = List.filter_map k.read xs in
-          if List.compare_lengths xs ys = 0 then Some ys else None
-      | _ -> None);
-  }
+  let what = "a list of " ^ k.many in
+  let read must = function
+    | List xs -> all (List.map (k.read (fun _ -> must what)) xs)
+    | _ -> Error (must what)
+  in
+  { many = "lists"; read; write = (fun xs -> List (List.map k.write xs)) }
 
-let field_opt ctx k name = function
-  | Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | None | Some Null -> Ok None
-      | Some v -> (
-          match k.read v with
-          | Some x -> Ok (Some x)
-          | None -> Error (Printf.sprintf "%s: %S must be %s" ctx name k.what)))
+let within range ok k =
+  let read must j =
+    match k.read must j with
+    | Ok x when not (ok x) -> Error (must range)
+    | r -> r
+  in
+  { k with read }
+
+let nat = within "at least 0" (fun n -> n >= 0) int
+let duration = within "at least 0" (fun s -> s >= 0.) number
+
+let enum cases =
+  let what =
+    match List.rev_map (fun (name, _) -> Printf.sprintf "%S" name) cases with
+    | last :: (_ :: _ as rest) -> String.concat ", " (List.rev rest) ^ " or " ^ last
+    | names -> String.concat "" names
+  in
+  let read must = function
+    | String s -> Option.to_result ~none:(must what) (List.assoc_opt s cases)
+    | _ -> Error (must "a string")
+  in
+  let write v = String (fst (List.find (fun (_, w) -> w = v) cases)) in
+  { many = "strings"; read; write }
+
+let refusal k v =
+  match k.read Fun.id (k.write v) with Ok _ -> None | Error range -> Some range
+
+(* ---------- record codecs ---------- *)
+
+(* [take ctx kvs] decodes this part of a record from the object's
+   fields, [emit] renders it; [keys] in emit order *)
+type ('r, 'a) fields = {
+  keys : string list;
+  emit : 'r -> (string * t) list;
+  take : string -> (string * t) list -> ('a, string) result;
+}
+
+(* one member: a [null] counts as missing, and [absent ctx] decides *)
+let one name read emit absent =
+  let take ctx kvs =
+    match List.assoc_opt name kvs with
+    | None | Some Null -> absent ctx
+    | Some v -> read (Printf.sprintf "%s: %S must be %s" ctx name) v
+  in
+  { keys = [ name ]; emit; take }
+
+let missing name ctx = Error (Printf.sprintf "%s: missing %S" ctx name)
+let always name k proj r = [ (name, k.write (proj r)) ]
+let req name k proj = one name k.read (always name k proj) (missing name)
+
+let field ctx k name = function
+  | Obj kvs -> (one name k.read (fun () -> []) (missing name)).take ctx kvs
   | _ -> Error (ctx ^ ": not a JSON object")
 
-let field ctx k name j =
-  match field_opt ctx k name j with
-  | Ok (Some x) -> Ok x
-  | Ok None -> Error (Printf.sprintf "%s: missing %S" ctx name)
-  | Error _ as e -> e
+let opt name k proj =
+  let emit r = Option.fold ~none:[] ~some:(fun v -> [ (name, k.write v) ]) (proj r) in
+  one name (fun must j -> Result.map Option.some (k.read must j)) emit (fun _ -> Ok None)
 
-let field_or ctx k name default j =
-  Result.map (Option.value ~default) (field_opt ctx k name j)
+let with_default name k default proj =
+  one name k.read (always name k proj) (fun _ -> Ok default)
 
-let in_range ctx name range ok =
-  if ok then Ok ()
-  else Error (Printf.sprintf "%s: %S must be %s" ctx name range)
+let omit_default name k default proj =
+  let emit r = if proj r = default then [] else always name k proj r in
+  one name k.read emit (fun _ -> Ok default)
+
+let tag name value = req name (enum [ (value, ()) ]) ignore
+let no_fields = { keys = []; emit = (fun _ -> []); take = (fun _ _ -> Ok ()) }
+let ( let+ ) f g = { f with take = (fun ctx kvs -> Result.map g (f.take ctx kvs)) }
+
+let ( and+ ) a b =
+  let both x = Result.map (fun y -> (x, y)) in
+  let take ctx kvs = Result.bind (a.take ctx kvs) (fun x -> both x (b.take ctx kvs)) in
+  { keys = a.keys @ b.keys; emit = (fun r -> a.emit r @ b.emit r); take }
+
+type 'r record = { ctx : string; fields : ('r, 'r) fields }
+
+let record ctx fields = { ctx; fields }
+let emit r x = r.fields.emit x
+let encode r x = Obj (emit r x)
+let mine r (k, _) = List.mem k r.fields.keys
+
+let strict r kvs =
+  match List.find_opt (fun kv -> not (mine r kv)) kvs with
+  | Some (k, _) -> Error (Printf.sprintf "%s: unknown field %S" r.ctx k)
+  | None -> r.fields.take r.ctx kvs
+
+let on_object r f = function
+  | Obj kvs -> f kvs
+  | _ -> Error (r.ctx ^ ": not a JSON object")
+
+let decode r = on_object r (strict r)
+
+let take r =
+  on_object r (fun kvs ->
+      let own, rest = List.partition (mine r) kvs in
+      Result.map (fun x -> (x, Obj rest)) (r.fields.take r.ctx own))
+
+let nested r =
+  let read must = function Obj kvs -> strict r kvs | _ -> Error (must "an object") in
+  { many = "objects"; read; write = encode r }

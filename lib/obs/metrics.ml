@@ -204,36 +204,6 @@ let find snap name = List.assoc_opt name snap
 let counter_value snap name =
   match find snap name with Some (Counter n) -> n | _ -> 0
 
-let to_json snap =
-  let point_json = function
-    | Counter n -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Int n) ]
-    | Gauge v ->
-        Json.Obj [ ("type", Json.String "gauge"); ("value", Json.Float v) ]
-    | Histogram s ->
-        Json.Obj
-          [
-            ("type", Json.String "histogram");
-            ("count", Json.Int s.count);
-            ("sum", Json.Float s.sum);
-            ("min", Json.Float s.min);
-            ("max", Json.Float s.max);
-            ( "buckets",
-              Json.List
-                (List.filter_map
-                   (fun (le, c) ->
-                     (* the grid has 36 buckets; only occupied ones are
-                        worth the bytes *)
-                     if c = 0 then None
-                     else
-                       Some
-                         (Json.Obj
-                            [ ("le", Json.Float le); ("count", Json.Int c) ]))
-                   s.buckets) );
-            ("overflow", Json.Int s.overflow);
-          ]
-  in
-  Json.Obj (List.map (fun (name, p) -> (name, point_json p)) snap)
-
 let merge a b =
   let rec go a b =
     match (a, b) with
@@ -265,43 +235,62 @@ let canonical_bound le =
   in
   find 0
 
+(* A point's table names its series in every error, so it is built per
+   series: [ctx] is ["series <name>"]. *)
+let single kind k ctx =
+  Json.(record ctx (let+ () = tag "type" kind and+ v = req "value" k Fun.id in v))
+
+let counter = single "counter" Json.int
+let gauge = single "gauge" Json.number
+
+let bucket ctx =
+  Json.(
+    record ctx
+      (let+ le = req "le" number fst and+ c = req "count" int snd in
+       (canonical_bound le, c)))
+
+let histogram ctx =
+  Json.(
+    record ctx
+      (let+ () = tag "type" "histogram"
+       and+ count = req "count" int (fun s -> s.count)
+       and+ sum = req "sum" number (fun s -> s.sum)
+       and+ min = req "min" number (fun s -> s.min)
+       and+ max = req "max" number (fun s -> s.max)
+       and+ buckets =
+         req "buckets" (list (nested (bucket ctx))) (fun s ->
+             (* the grid has 36 buckets; only occupied ones are worth the
+                bytes *)
+             List.filter (fun (_, c) -> c <> 0) s.buckets)
+       and+ overflow = req "overflow" int (fun s -> s.overflow) in
+       { count; sum; min; max; buckets; overflow }))
+
+let to_json snap =
+  let point = function
+    | Counter n -> Json.encode (counter "") n
+    | Gauge v -> Json.encode (gauge "") v
+    | Histogram s -> Json.encode (histogram "") s
+  in
+  Json.Obj (List.map (fun (name, p) -> (name, point p)) snap)
+
 let of_json j =
-  let ( let* ) = Result.bind in
   let series (name, v) =
     let ctx = "series " ^ name in
-    let int k = Json.field ctx Json.int k v in
-    let num k = Json.field ctx Json.number k v in
+    let decode record wrap =
+      Result.map (fun x -> (name, wrap x)) (Json.decode (record ctx) v)
+    in
     match Json.field ctx Json.string "type" v with
-    | Ok "counter" ->
-        let* n = int "value" in
-        Ok (name, Counter n)
-    | Ok "gauge" ->
-        let* x = num "value" in
-        Ok (name, Gauge x)
-    | Ok "histogram" ->
-        let* count = int "count" in
-        let* sum = num "sum" in
-        let* min = num "min" in
-        let* max = num "max" in
-        let* overflow = int "overflow" in
-        let* bs = Json.field ctx (Json.list Json.obj) "buckets" v in
-        let* buckets =
-          Json.all
-            (List.map
-               (fun b ->
-                 let* le = Json.field ctx Json.number "le" b in
-                 let* c = Json.field ctx Json.int "count" b in
-                 Ok (canonical_bound le, c))
-               bs)
-        in
-        Ok (name, Histogram { count; sum; min; max; buckets; overflow })
+    | Ok "counter" -> decode counter (fun n -> Counter n)
+    | Ok "gauge" -> decode gauge (fun x -> Gauge x)
+    | Ok "histogram" -> decode histogram (fun s -> Histogram s)
     | Ok other -> Error (Printf.sprintf "%s: unknown type %S" ctx other)
     | Error _ as e -> e
   in
   match j with
   | Json.Obj fields ->
-      let* points = Json.all (List.map series fields) in
-      Ok (List.sort (fun (a, _) (b, _) -> compare a b) points)
+      Result.map
+        (List.sort (fun (a, _) (b, _) -> compare a b))
+        (Json.all (List.map series fields))
   | _ -> Error "metrics: not a JSON object"
 
 let reset () =

@@ -76,7 +76,8 @@ val of_json : Json.t -> (snapshot, string) result
     bucket bounds are snapped onto the canonical log-scale grid when
     they are within rounding distance of it, so a parsed snapshot
     {!merge}s exactly with a live one despite the [%.12g] float
-    round-trip. *)
+    round-trip.  Each series' point is one record table per type:
+    a key outside it is refused, naming the series. *)
 
 val find : snapshot -> string -> point option
 val counter_value : snapshot -> string -> int

@@ -59,204 +59,150 @@ let verb = function
   | Ping _ -> "ping"
   | Shutdown -> "shutdown"
 
-(* ---------- encoding ---------- *)
-
-let source_to_json = function
-  | Named n -> Json.String n
-  | Inline { name; text } ->
-      Json.Obj [ ("name", Json.String name); ("bench", Json.String text) ]
-
-let opt name f = function Some v -> [ (name, f v) ] | None -> []
-let flag name b = if b then [ (name, Json.Bool true) ] else []
-
-(* emitted only off its default so pre-backend requests render
-   byte-identically *)
-let non_default_backend b =
-  if b = "stt" then [] else [ ("backend", Json.String b) ]
-
-let to_json t =
-  let common = opt "id" (fun s -> Json.String s) t.id in
-  let budgeted = opt "timeout_s" (fun s -> Json.Float s) t.timeout_s in
-  let fields =
-    match t.payload with
-    | Protect p ->
-        [
-          ("netlist", source_to_json p.source);
-          ("algorithm", Flow.algorithm_to_json p.algorithm);
-          ("config", Manifest.config_to_json p.config);
-          ("seed", Json.Int p.seed);
-        ]
-        @ non_default_backend p.backend
-        @ flag "sign_off" p.sign_off
-        @ flag "emit_foundry" p.emit_foundry
-        @ flag "emit_bitstream" p.emit_bitstream
-        @ flag "emit_verilog" p.emit_verilog
-        @ flag "timing" p.timing
-    | Attack a ->
-        [
-          ("netlist", source_to_json a.source);
-          ("algorithm", Flow.algorithm_to_json a.algorithm);
-          ("seed", Json.Int a.seed);
-          ("config", Harness.Config.to_json a.config);
-        ]
-        @ non_default_backend a.backend
-        @ flag "timing" a.timing
-    | Lint l ->
-        [
-          ("netlist", source_to_json l.source);
-          ( "algorithms",
-            Json.List (List.map Flow.algorithm_to_json l.algorithms) );
-          ("seed", Json.Int l.seed);
-        ]
-        @ flag "semantic" l.semantic
-        @ opt "fraction" (fun f -> Json.Float f) l.fraction
-        @ opt "budget" (fun b -> Json.Int b) l.budget
-        @ (if l.rules = [] then []
-           else
-             [ ("rules", Json.List (List.map (fun r -> Json.String r) l.rules)) ])
-        @ (if l.suppress = [] then []
-           else
-             [
-               ( "suppress",
-                 Json.List (List.map (fun r -> Json.String r) l.suppress) );
-             ])
-        @ [
-            ( "format",
-              Json.String (match l.format with `Text -> "text" | `Json -> "json")
-            );
-          ]
-    | Stats | Shutdown -> []
-    | Ping { sleep_s } ->
-        if sleep_s = 0. then [] else [ ("sleep_s", Json.Float sleep_s) ]
-  in
-  Json.Obj (common @ [ ("verb", Json.String (verb t.payload)) ] @ budgeted @ fields)
-
-let to_string t = Json.to_string ~minify:true (to_json t)
-
-(* ---------- decoding ---------- *)
+(* ---------- codec ---------- *)
 
 let ( let* ) = Result.bind
 
-let source_of_json ctx j =
-  match Json.field ctx Json.any "netlist" j with
-  | Ok (Json.String n) -> Ok (Named n)
-  | Ok j -> (
-      let* text = Json.field_opt "netlist" Json.string "bench" j in
-      let* name = Json.field_opt "netlist" Json.string "name" j in
-      match (text, name) with
-      | Some text, name ->
-          Ok (Inline { name = Option.value name ~default:"bench"; text })
-      | None, Some n -> Ok (Named n)
-      | None, None -> Error "netlist: needs \"bench\" or \"name\"")
-  | Error _ as e -> e
-
-let seed_of_json ctx j =
-  Json.field_or ctx Json.int "seed" Sttc_experiments.Runner.master_seed j
-
-(* The fields protect and attack share; a missing algorithm is the bare
-   name (count 5).  The backend name is validated here so a typo fails
-   the request parse, not the handler. *)
-let common ctx j =
-  let* source = source_of_json ctx j in
-  let* algorithm =
-    Result.bind
-      (Json.field_or ctx Json.any "algorithm" (Json.String "independent") j)
-      Flow.algorithm_of_json
+(* A bundled benchmark's name, or inline .bench text with an optional
+   design name *)
+let source =
+  let inline =
+    Json.(
+      record "netlist"
+        (let+ name = opt "name" string fst and+ text = opt "bench" string snd in
+         (name, text)))
   in
-  let* seed = seed_of_json ctx j in
-  let* backend = Json.field_or ctx Json.string "backend" "stt" j in
-  match Sttc_backend.Backend.find backend with
-  | Some _ -> Ok (source, algorithm, seed, backend)
-  | None ->
+  let read _ = function
+    | Json.String n -> Ok (Named n)
+    | j -> (
+        match Json.decode inline j with
+        | Ok (name, Some text) ->
+            Ok (Inline { name = Option.value name ~default:"bench"; text })
+        | Ok (Some n, None) -> Ok (Named n)
+        | Ok (None, None) -> Error "netlist: needs \"bench\" or \"name\""
+        | Error e -> Error e)
+  in
+  let write = function
+    | Named n -> Json.String n
+    | Inline { name; text } -> Json.encode inline (Some name, Some text)
+  in
+  { Json.many = "values"; read; write }
+
+(* The backend name is checked here so a typo fails the request parse,
+   not the handler; it is emitted only off its default so pre-backend
+   requests render byte-identically. *)
+let backend =
+  let read must j =
+    let* b = Json.string.read must j in
+    if Option.is_some (Sttc_backend.Backend.find b) then Ok b
+    else
       Error
-        (Printf.sprintf "unknown backend %s (expected one of %s)" backend
+        (Printf.sprintf "unknown backend %s (expected one of %s)" b
            (String.concat ", " (Sttc_backend.Backend.names ())))
+  in
+  { Json.string with read }
 
-let protect_of_json j =
-  let ctx = "protect" in
-  let flag name = Json.field_or ctx Json.bool name false j in
-  let* source, algorithm, seed, backend = common ctx j in
-  let* config =
-    Result.bind
-      (Json.field_or ctx Json.obj "config" (Json.Obj []) j)
-      Manifest.config_of_json
-  in
-  let* sign_off = flag "sign_off" in
-  let* emit_foundry = flag "emit_foundry" in
-  let* emit_bitstream = flag "emit_bitstream" in
-  let* emit_verilog = flag "emit_verilog" in
-  let* timing = flag "timing" in
-  Ok
-    (Protect
-       {
-         source;
-         algorithm;
-         config;
-         seed;
-         backend;
-         sign_off;
-         emit_foundry;
-         emit_bitstream;
-         emit_verilog;
-         timing;
-       })
+let seed = Sttc_experiments.Runner.master_seed
+let bare_independent = Flow.Independent { count = 5 }
+let flag name proj = Json.(omit_default name bool false proj)
 
-let attack_of_json j =
-  let ctx = "attack" in
-  let* source, algorithm, seed, backend = common ctx j in
-  let* config =
-    Result.bind
-      (Json.field_or ctx Json.obj "config" (Json.Obj []) j)
-      Harness.Config.of_json
-  in
-  let* timing = Json.field_or ctx Json.bool "timing" false j in
-  Ok (Attack { source; algorithm; seed; backend; config; timing })
+let protect =
+  Json.(
+    record "protect"
+      (let+ source = req "netlist" source (fun (p : protect) -> p.source)
+       and+ algorithm =
+         with_default "algorithm" Flow.algorithm_json bare_independent
+           (fun (p : protect) -> p.algorithm)
+       and+ config =
+         with_default "config" (nested Manifest.config_json)
+           Manifest.default_config (fun (p : protect) -> p.config)
+       and+ seed = with_default "seed" int seed (fun (p : protect) -> p.seed)
+       and+ backend =
+         omit_default "backend" backend "stt" (fun (p : protect) -> p.backend)
+       and+ sign_off = flag "sign_off" (fun p -> p.sign_off)
+       and+ emit_foundry = flag "emit_foundry" (fun p -> p.emit_foundry)
+       and+ emit_bitstream = flag "emit_bitstream" (fun p -> p.emit_bitstream)
+       and+ emit_verilog = flag "emit_verilog" (fun p -> p.emit_verilog)
+       and+ timing = flag "timing" (fun (p : protect) -> p.timing) in
+       { source; algorithm; config; seed; backend; sign_off; emit_foundry;
+         emit_bitstream; emit_verilog; timing }))
 
-let lint_of_json j =
-  let ctx = "lint" in
-  let* source = source_of_json ctx j in
-  let* algorithms =
-    Result.bind
-      (Json.field_or ctx (Json.list Json.any) "algorithms" [] j)
-      (fun items -> Json.all (List.map Flow.algorithm_of_json items))
+let attack =
+  Json.(
+    record "attack"
+      (let+ source = req "netlist" source (fun (a : attack) -> a.source)
+       and+ algorithm =
+         with_default "algorithm" Flow.algorithm_json bare_independent
+           (fun (a : attack) -> a.algorithm)
+       and+ seed = with_default "seed" int seed (fun (a : attack) -> a.seed)
+       and+ config =
+         with_default "config" (nested Harness.Config.json)
+           Harness.Config.default (fun (a : attack) -> a.config)
+       and+ backend =
+         omit_default "backend" backend "stt" (fun (a : attack) -> a.backend)
+       and+ timing = flag "timing" (fun (a : attack) -> a.timing) in
+       { source; algorithm; seed; backend; config; timing }))
+
+let lint =
+  Json.(
+    record "lint"
+      (let+ source = req "netlist" source (fun l -> l.source)
+       and+ algorithms =
+         with_default "algorithms" (list Flow.algorithm_json) [] (fun l ->
+             l.algorithms)
+       and+ seed = with_default "seed" int seed (fun l -> l.seed)
+       and+ semantic = flag "semantic" (fun l -> l.semantic)
+       and+ fraction = opt "fraction" Flow.fraction (fun l -> l.fraction)
+       and+ budget = opt "budget" nat (fun l -> l.budget)
+       and+ rules = omit_default "rules" (list string) [] (fun l -> l.rules)
+       and+ suppress =
+         omit_default "suppress" (list string) [] (fun l -> l.suppress)
+       and+ format =
+         with_default "format" (enum [ ("text", `Text); ("json", `Json) ]) `Text
+           (fun l -> l.format)
+       in
+       { source; algorithms; semantic; seed; fraction; budget; rules; suppress;
+         format }))
+
+let ping = Json.(record "ping" (omit_default "sleep_s" duration 0. Fun.id))
+let stats = Json.record "stats" Json.no_fields
+let shutdown = Json.record "shutdown" Json.no_fields
+
+(* The fields every frame carries, before its verb's own *)
+let header =
+  Json.(
+    record "frame"
+      (let+ id = opt "id" string (fun (id, _, _) -> id)
+       and+ verb = req "verb" string (fun (_, verb, _) -> verb)
+       and+ timeout_s = opt "timeout_s" duration (fun (_, _, t) -> t) in
+       (id, verb, timeout_s)))
+
+let to_json t =
+  let fields =
+    match t.payload with
+    | Protect p -> Json.emit protect p
+    | Attack a -> Json.emit attack a
+    | Lint l -> Json.emit lint l
+    | Stats -> Json.emit stats ()
+    | Ping { sleep_s } -> Json.emit ping sleep_s
+    | Shutdown -> Json.emit shutdown ()
   in
-  let* semantic = Json.field_or ctx Json.bool "semantic" false j in
-  let* seed = seed_of_json ctx j in
-  let* fraction = Json.field_opt ctx Json.number "fraction" j in
-  let* () =
-    Json.in_range ctx "fraction" "in (0, 1]"
-      (Option.fold ~none:true ~some:(fun f -> 0. < f && f <= 1.) fraction)
-  in
-  let* budget = Json.field_opt ctx Json.int "budget" j in
-  let* rules = Json.field_or ctx (Json.list Json.string) "rules" [] j in
-  let* suppress = Json.field_or ctx (Json.list Json.string) "suppress" [] j in
-  let* format =
-    match Json.field_or ctx Json.string "format" "text" j with
-    | Ok "text" -> Ok `Text
-    | Ok "json" -> Ok `Json
-    | Ok _ -> Error "lint: \"format\" must be \"text\" or \"json\""
-    | Error _ as e -> e
-  in
-  Ok
-    (Lint
-       { source; algorithms; semantic; seed; fraction; budget; rules; suppress; format })
+  Json.Obj (Json.emit header (t.id, verb t.payload, t.timeout_s) @ fields)
+
+let to_string t = Json.to_string ~minify:true (to_json t)
 
 let of_json j =
-  let ctx = "frame" in
-  let* id = Json.field_opt ctx Json.string "id" j in
-  let* timeout_s = Json.field_opt ctx Json.number "timeout_s" j in
+  let* (id, verb, timeout_s), rest = Json.take header j in
+  let decode record wrap = Result.map wrap (Json.decode record rest) in
   let* payload =
-    match Json.field ctx Json.string "verb" j with
-    | Ok "protect" -> protect_of_json j
-    | Ok "attack" -> attack_of_json j
-    | Ok "lint" -> lint_of_json j
-    | Ok "stats" -> Ok Stats
-    | Ok "shutdown" -> Ok Shutdown
-    | Ok "ping" ->
-        let* sleep_s = Json.field_or "ping" Json.number "sleep_s" 0. j in
-        Ok (Ping { sleep_s })
-    | Ok v -> Error ("unknown verb " ^ v)
-    | Error _ as e -> e
+    match verb with
+    | "protect" -> decode protect (fun p -> Protect p)
+    | "attack" -> decode attack (fun a -> Attack a)
+    | "lint" -> decode lint (fun l -> Lint l)
+    | "stats" -> decode stats (fun () -> Stats)
+    | "ping" -> decode ping (fun sleep_s -> Ping { sleep_s })
+    | "shutdown" -> decode shutdown (fun () -> Shutdown)
+    | v -> Error ("unknown verb " ^ v)
   in
   Ok { id; timeout_s; payload }
 

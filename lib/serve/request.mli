@@ -9,9 +9,10 @@
 
     Wire form: one JSON object per line.  Common fields: ["verb"]
     (required), ["id"] (optional, echoed in the response), ["timeout_s"]
-    (optional per-request wall budget).  Per-verb fields reuse the
-    codecs of the subsystems they configure — {!Sttc_core.Flow}
-    algorithms, {!Sttc_campaign.Manifest} protect configs and
+    (optional per-request wall budget, at least 0).  Each verb's fields
+    are one {!Sttc_obs.Json.record} table, which reuses the codecs of
+    the subsystems it configures — {!Sttc_core.Flow} algorithms,
+    {!Sttc_campaign.Manifest} protect configs and
     {!Sttc_attack.Harness.Config} attack configs — so a campaign
     manifest entry, a CLI flag set and a serve request all parse through
     the same schema. *)
@@ -77,7 +78,8 @@ type payload =
   | Stats  (** live metrics snapshot of the daemon *)
   | Ping of { sleep_s : float }
       (** liveness probe; [sleep_s > 0] holds a worker for that long —
-          a load-testing aid, clamped server-side *)
+          a load-testing aid, clamped server-side; omitted from the wire
+          at 0, and never negative *)
   | Shutdown
 
 type t = { id : string option; timeout_s : float option; payload : payload }
@@ -90,5 +92,7 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** A missing field takes its default; a wrong-typed one, an
-    [independent] count below 1 or a [fraction] outside (0, 1] is an
-    error that names the field. *)
+    out-of-range one (an [independent] count below 1, a [fraction]
+    outside (0, 1], a [clock_factor] below 1, a negative [timeout_s],
+    [sleep_s], lint [budget] or harness budget) and a key the verb's
+    table does not hold, at any level, are errors that name the field. *)

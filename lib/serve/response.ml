@@ -28,177 +28,138 @@ type t =
 
 (* ---------- campaign codec ---------- *)
 
-let verdict_to_json = function
-  | Harness.Recovered -> Json.String "recovered"
-  | Harness.Resisted -> Json.String "resisted"
-  | Harness.Partial f -> Json.Obj [ ("partial", Json.Float f) ]
-
 let ( let* ) = Result.bind
 
-let verdict_of_json = function
-  | Json.String "recovered" -> Stdlib.Ok Harness.Recovered
-  | Json.String "resisted" -> Stdlib.Ok Harness.Resisted
-  | j ->
-      let* f = Json.field "verdict" Json.number "partial" j in
-      Stdlib.Ok (Harness.Partial f)
-
-let entry_to_json (e : Harness.entry) =
-  Json.Obj
-    ([
-       ("attack", Json.String e.attack);
-       ("verdict", verdict_to_json e.verdict);
-       ("seconds", Json.Float e.seconds);
-       ("oracle_queries", Json.Int e.oracle_queries);
-       ("detail", Json.String e.detail);
-     ]
-    @
-    match e.sat_stats with
-    | Some snap -> [ ("sat_stats", Metrics.to_json snap) ]
-    | None -> [])
-
-let entry_of_json j =
-  let ctx = "entry" in
-  let* attack = Json.field ctx Json.string "attack" j in
-  let* verdict =
-    Result.bind (Json.field ctx Json.any "verdict" j) verdict_of_json
+let verdict =
+  let partial = Json.(record "verdict" (req "partial" number Fun.id)) in
+  let read _ = function
+    | Json.String "recovered" -> Stdlib.Ok Harness.Recovered
+    | Json.String "resisted" -> Stdlib.Ok Harness.Resisted
+    | j -> Result.map (fun f -> Harness.Partial f) (Json.decode partial j)
   in
-  let* seconds = Json.field ctx Json.number "seconds" j in
-  let* oracle_queries = Json.field ctx Json.int "oracle_queries" j in
-  let* detail = Json.field ctx Json.string "detail" j in
-  let* sat_stats =
-    match Json.field_opt ctx Json.obj "sat_stats" j with
-    | Stdlib.Ok (Some s) -> Result.map Option.some (Metrics.of_json s)
-    | Stdlib.Ok None -> Stdlib.Ok None
-    | Stdlib.Error _ as e -> e
+  let write = function
+    | Harness.Recovered -> Json.String "recovered"
+    | Harness.Resisted -> Json.String "resisted"
+    | Harness.Partial f -> Json.encode partial f
   in
-  Stdlib.Ok
-    { Harness.attack; verdict; seconds; oracle_queries; detail; sat_stats }
+  { Json.many = "values"; read; write }
 
-let campaign_to_json (c : Harness.campaign) =
-  Json.Obj
-    [
-      ("circuit", Json.String c.circuit);
-      ("algorithm", Json.String c.algorithm);
-      ("lut_count", Json.Int c.lut_count);
-      ("entries", Json.List (List.map entry_to_json c.entries));
-    ]
+(* a metrics snapshot as a field's value *)
+let snapshot =
+  let read must j = Result.bind (Json.obj.read must j) Metrics.of_json in
+  { Json.obj with read; write = Metrics.to_json }
 
-let campaign_of_json j =
-  let ctx = "campaign" in
-  let* circuit = Json.field ctx Json.string "circuit" j in
-  let* algorithm = Json.field ctx Json.string "algorithm" j in
-  let* lut_count = Json.field ctx Json.int "lut_count" j in
-  let* entries = Json.field ctx (Json.list Json.obj) "entries" j in
-  let* entries = Json.all (List.map entry_of_json entries) in
-  Stdlib.Ok { Harness.circuit; algorithm; lut_count; entries }
+let entry =
+  Json.(
+    record "entry"
+      (let+ attack = req "attack" string (fun e -> e.Harness.attack)
+       and+ verdict = req "verdict" verdict (fun e -> e.Harness.verdict)
+       and+ seconds = req "seconds" number (fun e -> e.Harness.seconds)
+       and+ oracle_queries =
+         req "oracle_queries" int (fun e -> e.Harness.oracle_queries)
+       and+ detail = req "detail" string (fun e -> e.Harness.detail)
+       and+ sat_stats = opt "sat_stats" snapshot (fun e -> e.Harness.sat_stats) in
+       { Harness.attack; verdict; seconds; oracle_queries; detail; sat_stats }))
+
+let campaign =
+  Json.(
+    record "campaign"
+      (let+ circuit = req "circuit" string (fun c -> c.Harness.circuit)
+       and+ algorithm = req "algorithm" string (fun c -> c.Harness.algorithm)
+       and+ lut_count = req "lut_count" int (fun c -> c.Harness.lut_count)
+       and+ entries =
+         req "entries" (list (nested entry)) (fun c -> c.Harness.entries) in
+       { Harness.circuit; algorithm; lut_count; entries }))
 
 (* ---------- response codec ---------- *)
 
-let opt name f = function Some v -> [ (name, f v) ] | None -> []
+(* an ok payload's table holds its verb *)
+let protect =
+  Json.(
+    record "response"
+      (let+ () = tag "verb" "protect"
+       and+ report = req "report" string (fun p -> p.report)
+       and+ foundry_bench = opt "foundry_bench" string (fun p -> p.foundry_bench)
+       and+ bitstream = opt "bitstream" string (fun p -> p.bitstream)
+       and+ programming_cost =
+         opt "programming_cost" string (fun p -> p.programming_cost)
+       and+ verilog = opt "verilog" string (fun p -> p.verilog)
+       and+ sign_off = opt "sign_off" bool (fun p -> p.sign_off) in
+       { report; foundry_bench; bitstream; programming_cost; verilog; sign_off }))
 
-let payload_verb = function
-  | Protect _ -> "protect"
-  | Attack _ -> "attack"
-  | Lint _ -> "lint"
-  | Stats _ -> "stats"
-  | Pong -> "ping"
-  | Shutting_down -> "shutdown"
+let attack =
+  Json.(
+    record "response"
+      (let+ () = tag "verb" "attack"
+       and+ campaign = req "campaign" (nested campaign) fst
+       and+ rendered = req "rendered" string snd in
+       (campaign, rendered)))
+
+let lint =
+  Json.(
+    record "response"
+      (let+ () = tag "verb" "lint"
+       and+ rendered = req "rendered" string (fun l -> l.rendered)
+       and+ exit_code = req "exit_code" int (fun l -> l.exit_code) in
+       { rendered; exit_code }))
+
+let stats =
+  Json.(
+    record "response"
+      (let+ () = tag "verb" "stats" and+ snap = req "metrics" snapshot Fun.id in
+       snap))
+
+let bare verb = Json.(record "response" (tag "verb" verb))
+let pong = bare "ping"
+let shutting_down = bare "shutdown"
+let error = Json.(record "response" (req "message" string Fun.id))
+let overloaded = Json.record "response" Json.no_fields
+
+(* The fields every response carries, before its status's own *)
+let header =
+  Json.(
+    record "response"
+      (let+ id = opt "id" string fst and+ status = req "status" string snd in
+       (id, status)))
 
 let to_json t =
+  let head id status = Json.emit header (id, status) in
   match t with
   | Ok { id; payload } ->
       let fields =
         match payload with
-        | Protect p ->
-            [ ("report", Json.String p.report) ]
-            @ opt "foundry_bench" (fun s -> Json.String s) p.foundry_bench
-            @ opt "bitstream" (fun s -> Json.String s) p.bitstream
-            @ opt "programming_cost" (fun s -> Json.String s) p.programming_cost
-            @ opt "verilog" (fun s -> Json.String s) p.verilog
-            @ opt "sign_off" (fun b -> Json.Bool b) p.sign_off
-        | Attack { campaign; rendered } ->
-            [
-              ("campaign", campaign_to_json campaign);
-              ("rendered", Json.String rendered);
-            ]
-        | Lint l ->
-            [
-              ("rendered", Json.String l.rendered);
-              ("exit_code", Json.Int l.exit_code);
-            ]
-        | Stats snap -> [ ("metrics", Metrics.to_json snap) ]
-        | Pong | Shutting_down -> []
+        | Protect p -> Json.emit protect p
+        | Attack { campaign; rendered } -> Json.emit attack (campaign, rendered)
+        | Lint l -> Json.emit lint l
+        | Stats snap -> Json.emit stats snap
+        | Pong -> Json.emit pong ()
+        | Shutting_down -> Json.emit shutting_down ()
       in
-      Json.Obj
-        (opt "id" (fun s -> Json.String s) id
-        @ [
-            ("status", Json.String "ok");
-            ("verb", Json.String (payload_verb payload));
-          ]
-        @ fields)
-  | Error { id; message } ->
-      Json.Obj
-        (opt "id" (fun s -> Json.String s) id
-        @ [ ("status", Json.String "error"); ("message", Json.String message) ])
-  | Overloaded { id } ->
-      Json.Obj
-        (opt "id" (fun s -> Json.String s) id
-        @ [ ("status", Json.String "overloaded") ])
+      Json.Obj (head id "ok" @ fields)
+  | Error { id; message } -> Json.Obj (head id "error" @ Json.emit error message)
+  | Overloaded { id } -> Json.Obj (head id "overloaded")
 
 let to_string t = Json.to_string ~minify:true (to_json t)
 
 let of_json j =
-  let ctx = "response" in
-  let str name = Json.field ctx Json.string name j in
-  let opt_str name = Json.field_opt ctx Json.string name j in
-  let* id = opt_str "id" in
-  match str "status" with
-  | Stdlib.Ok "overloaded" -> Stdlib.Ok (Overloaded { id })
-  | Stdlib.Ok "error" ->
-      let* message = str "message" in
-      Stdlib.Ok (Error { id; message })
-  | Stdlib.Ok "ok" ->
-      let* payload =
-        match str "verb" with
-        | Stdlib.Ok "protect" ->
-            let* report = str "report" in
-            let* foundry_bench = opt_str "foundry_bench" in
-            let* bitstream = opt_str "bitstream" in
-            let* programming_cost = opt_str "programming_cost" in
-            let* verilog = opt_str "verilog" in
-            let* sign_off = Json.field_opt ctx Json.bool "sign_off" j in
-            Stdlib.Ok
-              (Protect
-                 {
-                   report;
-                   foundry_bench;
-                   bitstream;
-                   programming_cost;
-                   verilog;
-                   sign_off;
-                 })
-        | Stdlib.Ok "attack" ->
-            let* campaign = Json.field ctx Json.obj "campaign" j in
-            let* campaign = campaign_of_json campaign in
-            let* rendered = str "rendered" in
-            Stdlib.Ok (Attack { campaign; rendered })
-        | Stdlib.Ok "lint" ->
-            let* rendered = str "rendered" in
-            let* exit_code = Json.field ctx Json.int "exit_code" j in
-            Stdlib.Ok (Lint { rendered; exit_code })
-        | Stdlib.Ok "stats" ->
-            let* snap =
-              Result.bind (Json.field ctx Json.obj "metrics" j) Metrics.of_json
-            in
-            Stdlib.Ok (Stats snap)
-        | Stdlib.Ok "ping" -> Stdlib.Ok Pong
-        | Stdlib.Ok "shutdown" -> Stdlib.Ok Shutting_down
-        | Stdlib.Ok v -> Stdlib.Error ("response: unknown verb " ^ v)
-        | Stdlib.Error _ as e -> e
-      in
-      Stdlib.Ok (Ok { id; payload })
-  | Stdlib.Ok s -> Stdlib.Error ("response: unknown status " ^ s)
-  | Stdlib.Error _ as e -> e
+  let* (id, status), rest = Json.take header j in
+  let decode record wrap = Result.map wrap (Json.decode record rest) in
+  match status with
+  | "overloaded" -> decode overloaded (fun () -> Overloaded { id })
+  | "error" -> decode error (fun message -> Error { id; message })
+  | "ok" -> (
+      let ok record wrap = decode record (fun x -> Ok { id; payload = wrap x }) in
+      match Json.field "response" Json.string "verb" rest with
+      | Stdlib.Ok "protect" -> ok protect (fun p -> Protect p)
+      | Stdlib.Ok "attack" ->
+          ok attack (fun (campaign, rendered) -> Attack { campaign; rendered })
+      | Stdlib.Ok "lint" -> ok lint (fun l -> Lint l)
+      | Stdlib.Ok "stats" -> ok stats (fun snap -> Stats snap)
+      | Stdlib.Ok "ping" -> ok pong (fun () -> Pong)
+      | Stdlib.Ok "shutdown" -> ok shutting_down (fun () -> Shutting_down)
+      | Stdlib.Ok v -> Stdlib.Error ("response: unknown verb " ^ v)
+      | Stdlib.Error _ as e -> e)
+  | s -> Stdlib.Error ("response: unknown status " ^ s)
 
 let of_string s =
   match Json.of_string s with

@@ -47,3 +47,5 @@ val to_string : t -> string
     ride as a {!Sttc_obs.Metrics} snapshot object. *)
 
 val of_string : string -> (t, string) result
+(** The inverse of {!to_string}, strict as requests are: a key outside
+    the reply's table is refused by name. *)

@@ -875,14 +875,14 @@ let test_harness_config_json_roundtrip () =
         seq_frames = 6;
       })
   in
-  (match C.of_json (C.to_json config) with
+  (match Sttc_obs.Json.(decode C.json (encode C.json config)) with
   | Ok c -> Alcotest.(check bool) "round-trip" true (c = config)
   | Error e -> Alcotest.fail e);
-  (match C.of_json (Sttc_obs.Json.Obj []) with
+  (match Sttc_obs.Json.decode C.json (Sttc_obs.Json.Obj []) with
   | Ok c -> Alcotest.(check bool) "empty object = default" true (c = C.default)
   | Error e -> Alcotest.fail e);
   match
-    C.of_json
+    Sttc_obs.Json.decode C.json
       (Sttc_obs.Json.Obj [ ("solver_mode", Sttc_obs.Json.String "magic") ])
   with
   | Ok _ -> Alcotest.fail "unknown solver_mode must be rejected"

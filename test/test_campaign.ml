@@ -188,6 +188,18 @@ let test_manifest_rejections () =
         {|"count"|},
         {|{"name": "x", "circuits": ["s27"],
            "seeds": {"base": 1, "count": 4611686018427387903}}|} );
+      (* a misspelt key no longer runs the default *)
+      ( "misspelt config key",
+        {|config: unknown field "fracton"|},
+        {|{"name": "x", "circuits": ["s27"], "seeds": [1],
+           "configs": [{"label": "a", "fracton": 0.5}]}|} );
+      ( "misspelt manifest key",
+        {|manifest: unknown field "shard"|},
+        {|{"name": "x", "circuits": ["s27"], "seeds": [1], "shard": 2}|} );
+      ( "clock factor below 1",
+        {|"clock_factor" must be at least 1|},
+        {|{"name": "x", "circuits": ["s27"], "seeds": [1],
+           "algorithms": [{"name": "parametric", "clock_factor": 0.99}]}|} );
       ("not json", "manifest: offset", "][");
     ]
   in
@@ -200,10 +212,30 @@ let test_manifest_rejections () =
             Alcotest.failf "%s: %S does not name %s" what e names)
     bad
 
+(* Keys no table holds, and a document without them *)
+let typos = [ "fracton"; "sede"; "clock_facter"; "retires" ]
+
+(* [keep k] decides on each key of the document as read: of a repeated
+   key only the first counts *)
+let rec filter_keys keep =
+  let module Json = Sttc_obs.Json in
+  function
+  | Json.Obj kvs ->
+      let first i k = List.find_index (fun (k', _) -> k' = k) kvs = Some i in
+      Json.Obj
+        (List.filteri (fun i (k, _) -> keep k && first i k) kvs
+        |> List.map (fun (k, v) -> (k, filter_keys keep v)))
+  | Json.List l -> Json.List (List.map (filter_keys keep) l)
+  | j -> j
+
+let as_read = filter_keys (fun _ -> true)
+let without_typos = filter_keys (fun k -> not (List.mem k typos))
+
 (* Documents drawn from the manifest grammar: fields dropped,
    duplicated or (in one document of four) of the wrong type, values at
-   and past their ranges, and texts cut short.  Loading one gives [Ok]
-   or [Error], never an exception. *)
+   and past their ranges, a misspelt key now and then, and texts cut
+   short.  Loading one gives [Ok] or [Error], never an exception; a
+   misspelt key is refused, and named when it is the only fault. *)
 let manifest_gen =
   let open QCheck2.Gen in
   let module Json = Sttc_obs.Json in
@@ -246,15 +278,28 @@ let manifest_gen =
     let obj fields =
       map (fun fs -> Json.Obj (List.concat fs)) (flatten_l fields)
     in
+    (* now and then an object carries a misspelt key *)
+    let typo =
+      frequency
+        [ (12, pure []); (1, map (fun k -> [ (k, Json.Int 1) ]) (oneofl typos)) ]
+    in
+    (* each name's object carries its own keys *)
     let algorithm =
       oneof
         [
           str_v [ "independent"; "dependent"; "parametric" ] [ "other" ];
           obj
             [
-              field ~absent:0 "name" (str_v [ "independent"; "parametric" ] []);
+              field ~absent:0 "name" (str_v [ "independent" ] []);
               field "count" (int_v [ 1; 2; 5 ] [ 0; -1; max_int ]);
-              field "clock_factor" (num_v [ 1.02; 1.5; 2. ] [ -1.; 0.; 1e308 ]);
+              typo;
+            ];
+          obj
+            [
+              field ~absent:0 "name" (str_v [ "parametric" ] []);
+              field "clock_factor"
+                (num_v [ 1.02; 1.5; 2. ] [ 0.99; -1.; 0.; 1e308 ]);
+              typo;
             ];
         ]
     in
@@ -264,6 +309,7 @@ let manifest_gen =
           field "label" (str_v [ "a"; "b" ] [ "" ]);
           field "fraction" (num_v [ 0.25; 1. ] [ 0.; -1.; 1.5; 1e308 ]);
           field "harden" (map (fun b -> Json.Bool b) bool);
+          typo;
         ]
     in
     let seeds =
@@ -275,6 +321,7 @@ let manifest_gen =
               field ~absent:0 "base" (int_v [ 1; 7 ] [ min_int ]);
               field ~absent:0 "count"
                 (int_v [ 1; 3 ] [ 0; -1; 1_000_001; max_int ]);
+              typo;
             ];
         ]
     in
@@ -293,6 +340,7 @@ let manifest_gen =
         field "heartbeat_timeout_s" seconds;
         field "attempt_timeout_s" seconds;
         field "backend" (str_v [ "stt"; "tvd" ] [ "sram" ]);
+        typo;
       ]
   in
   let text =
@@ -312,11 +360,90 @@ let prop_manifest_load_total =
   let path = Filename.concat (fresh_dir ()) "manifest.json" in
   QCheck2.Test.make ~name:"load is total" ~count:500 ~print:Fun.id
     manifest_gen (fun text ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc text);
-      match Manifest.load path with
-      | Ok _ | Error _ -> true
+      let load text =
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        Manifest.load path
+      in
+      match load text with
       | exception e ->
-          QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+          QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | result -> (
+          let named e =
+            List.exists
+              (fun k -> contains e (Printf.sprintf "unknown field %S" k))
+              typos
+          in
+          match Sttc_obs.Json.of_string text with
+          | Ok j when without_typos j <> as_read j -> (
+              let clean =
+                load (Sttc_obs.Json.to_string ~minify:true (without_typos j))
+              in
+              match (result, clean) with
+              | Ok _, _ -> QCheck2.Test.fail_reportf "misspelt key accepted"
+              | Error e, Ok _ when not (named e) ->
+                  QCheck2.Test.fail_reportf "refusal %s names no misspelt key" e
+              | Error _, _ -> true)
+          | _ -> true))
+
+(* Valid manifests, every field inside its range, load back as saved.
+   Times are quarters, which the printer's %.12g renders exactly. *)
+let prop_manifest_round_trip =
+  let open QCheck2.Gen in
+  let quarter lo hi = map (fun q -> float_of_int q /. 4.) (int_range (4 * lo) (4 * hi)) in
+  let algorithm =
+    oneof
+      [
+        pure Flow.Dependent;
+        map (fun count -> Flow.Independent { count }) (int_range 1 9);
+        map
+          (fun clock_factor ->
+            Flow.Parametric
+              { Sttc_core.Algorithms.default_parametric with clock_factor })
+          (quarter 1 4);
+      ]
+  in
+  let configs =
+    map
+      (List.mapi (fun i (fraction, harden) ->
+           { Manifest.label = "c" ^ string_of_int i; fraction; harden }))
+      (list_size (int_range 1 3)
+         (pair (opt (map (fun q -> float_of_int q /. 8.) (int_range 1 8))) bool))
+  in
+  let gen =
+    map
+      (fun ((circuits, algorithms, configs), (seeds, shards, retries),
+            ((timeout_s, heartbeat_timeout_s, attempt_timeout_s), backend)) ->
+        {
+          Manifest.name = "m";
+          circuits;
+          algorithms;
+          configs;
+          seeds;
+          shards;
+          timeout_s;
+          retries;
+          heartbeat_timeout_s;
+          attempt_timeout_s;
+          backend;
+        })
+      (triple
+         (triple
+            (list_size (int_range 1 3) (oneofl [ "s27"; "s641"; "c17" ]))
+            (list_size (int_range 1 3) algorithm)
+            configs)
+         (triple (list_size (int_range 1 4) int) (int_range 1 8) (int_range 0 5))
+         (pair
+            (triple (opt (quarter 0 60)) (quarter 1 60) (opt (quarter 0 60)))
+            (oneofl [ "stt"; "tvd" ])))
+  in
+  let path = Filename.concat (fresh_dir ()) "manifest.json" in
+  QCheck2.Test.make ~name:"generated manifests load as saved" ~count:200 gen
+    (fun m ->
+      Manifest.save path m;
+      match Manifest.load path with
+      | Ok m' when m' = m -> true
+      | Ok _ -> QCheck2.Test.fail_reportf "loads as another manifest"
+      | Error e -> QCheck2.Test.fail_reportf "refused: %s" e)
 
 (* ---------- shard assignment ---------- *)
 
@@ -753,6 +880,7 @@ let () =
             test_manifest_defaults_and_seeds_object;
           Alcotest.test_case "rejections" `Quick test_manifest_rejections;
           QCheck_alcotest.to_alcotest prop_manifest_load_total;
+          QCheck_alcotest.to_alcotest prop_manifest_round_trip;
         ] );
       ( "shard",
         [

@@ -180,6 +180,18 @@ let test_json_accessors () =
     "missing member" true
     (Json.member "absent" sample_json = None)
 
+(* A small record table: one member of each presence rule, one ranged *)
+type sample = { n : int; x : float option; s : string; l : int list }
+
+let sample_record =
+  Json.(
+    record "t"
+      (let+ n = req "n" (within "at most 0" (fun n -> n <= 0) int) (fun r -> r.n)
+       and+ x = opt "x" number (fun r -> r.x)
+       and+ s = with_default "s" string "dflt" (fun r -> r.s)
+       and+ l = omit_default "l" (list int) [] (fun r -> r.l) in
+       { n; x; s; l }))
+
 let test_json_field_readers () =
   let int = Alcotest.(result int string) in
   Alcotest.check int "required int" (Ok (-42))
@@ -187,32 +199,56 @@ let test_json_field_readers () =
   Alcotest.(check (result (float 0.) string))
     "an int is a number" (Ok (-42.))
     (Json.field "t" Json.number "n" sample_json);
-  Alcotest.check int "list of any" (Ok 3)
+  Alcotest.check int "list of objects" (Ok 3)
     (Result.map List.length
-       (Json.field "t" (Json.list Json.any) "l" sample_json));
+       (Json.field "t" (Json.list Json.obj) "l"
+          (Json.Obj [ ("l", Json.List [ Json.Obj []; Json.Obj []; Json.Obj [] ]) ])));
   Alcotest.(check (result (list int) string))
     "list of the wrong kind"
     (Error {|t: "l" must be a list of integers|})
     (Json.field "t" (Json.list Json.int) "l" sample_json);
   Alcotest.check int "null is missing" (Error {|t: missing "null"|})
     (Json.field "t" Json.int "null" sample_json);
-  Alcotest.check int "default" (Ok 7)
-    (Json.field_or "t" Json.int "absent" 7 sample_json);
-  Alcotest.check int "wrong kind with a default"
-    (Error {|t: "s" must be an integer|})
-    (Json.field_or "t" Json.int "s" 7 sample_json);
-  Alcotest.(check (result (option bool) string))
-    "optional" (Ok (Some true))
-    (Json.field_opt "t" Json.bool "yes" sample_json);
-  Alcotest.(check (result (option int) string))
-    "optional and missing" (Ok None)
-    (Json.field_opt "t" Json.int "absent" sample_json);
-  Alcotest.(check (result (option int) string))
-    "not an object" (Error "t: not a JSON object")
-    (Json.field_opt "t" Json.int "n" (Json.List []));
-  Alcotest.(check (result unit string))
-    "out of range" (Error {|t: "n" must be at least 1|})
-    (Json.in_range "t" "n" "at least 1" false);
+  Alcotest.check int "not an object" (Error "t: not a JSON object")
+    (Json.field "t" Json.int "n" (Json.List []));
+  let decode fields =
+    Result.map
+      (fun r -> Json.to_string ~minify:true (Json.encode sample_record r))
+      (Json.decode sample_record (Json.Obj fields))
+  in
+  let text = Alcotest.(result string string) in
+  Alcotest.check text "defaults, and omitted at the default"
+    (Ok {|{"n":-1,"s":"dflt"}|})
+    (decode [ ("n", Json.Int (-1)); ("x", Json.Null) ]);
+  Alcotest.check text "every member present, in table order"
+    (Ok {|{"n":0,"x":2.0,"s":"a","l":[1]}|})
+    (decode
+       [ ("l", Json.List [ Json.Int 1 ]); ("s", Json.String "a");
+         ("x", Json.Int 2); ("n", Json.Int 0); ("n", Json.Int 5) ]);
+  Alcotest.check text "wrong kind with a default"
+    (Error {|t: "s" must be a string|})
+    (decode [ ("n", Json.Int 0); ("s", Json.Int 7) ]);
+  Alcotest.check text "missing" (Error {|t: missing "n"|}) (decode []);
+  Alcotest.check text "out of range" (Error {|t: "n" must be at most 0|})
+    (decode [ ("n", Json.Int 1) ]);
+  Alcotest.check text "unknown field" (Error {|t: unknown field "nn"|})
+    (decode [ ("n", Json.Int 0); ("nn", Json.Null) ]);
+  Alcotest.(check (result (pair int string) string))
+    "take leaves the other keys"
+    (Ok (-3, {|{"extra":1}|}))
+    (Result.map
+       (fun (r, rest) -> (r.n, Json.to_string ~minify:true rest))
+       (Json.take sample_record
+          (Json.Obj [ ("n", Json.Int (-3)); ("extra", Json.Int 1) ])));
+  Alcotest.(check (result string string))
+    "enum" (Error {|t: "e" must be "a", "b" or "c"|})
+    (Json.field "t" (Json.enum [ ("a", 1); ("b", 2); ("c", 3) ]) "e"
+       (Json.Obj [ ("e", Json.String "d") ])
+    |> Result.map string_of_int);
+  Alcotest.(check (option string))
+    "refusal" (Some "at least 0")
+    (Json.refusal Json.nat (-1));
+  Alcotest.(check (option string)) "no refusal" None (Json.refusal Json.nat 0);
   Alcotest.(check (result (list int) string))
     "first error of a list" (Error "b")
     (Json.all [ Ok 1; Error "b"; Error "c" ])

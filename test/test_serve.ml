@@ -185,7 +185,26 @@ let test_malformed_frames () =
     {|{"verb":"lint","netlist":"s27","fraction":7}|};
   names "name" "numeric inline netlist name"
     {|{"verb":"protect","netlist":{"name":5,"bench":"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"}}|};
-  names "id" "numeric id" {|{"verb":"ping","id":5}|}
+  names "id" "numeric id" {|{"verb":"ping","id":5}|};
+  (* Each answered ok before every table refused keys outside it and
+     ranged its numbers: the misspelt config key ran the default
+     fraction (s27 protected with M=5), and both factors below 1 selected
+     the same set (M=1, perf 0.00%). *)
+  names "fracton" "misspelt config key"
+    {|{"verb":"protect","netlist":"s27","config":{"fracton":0.5},"seed":1}|};
+  names "clock_factor" "negative clock factor"
+    {|{"verb":"protect","netlist":"s27","algorithm":{"name":"parametric","clock_factor":-1},"seed":1}|};
+  names "clock_factor" "clock factor below 1"
+    {|{"verb":"protect","netlist":"s27","algorithm":{"name":"parametric","clock_factor":0.99},"seed":1}|};
+  names "clock_factor" "clock factor on an independent algorithm"
+    {|{"verb":"protect","netlist":"s27","algorithm":{"name":"independent","clock_factor":1.5}}|};
+  names "timeout_s" "negative request budget" {|{"verb":"ping","timeout_s":-1}|};
+  names "sleep_s" "negative ping sleep" {|{"verb":"ping","sleep_s":-1}|};
+  names "budget" "negative lint budget"
+    {|{"verb":"lint","netlist":"s27","budget":-1}|};
+  names "sat_timeout_s" "negative attack budget"
+    {|{"verb":"attack","netlist":"s27","config":{"sat_timeout_s":-1}}|};
+  names "netlist" "extra key on a light verb" {|{"verb":"stats","netlist":"s27"}|}
 
 (* ---------- response codec ---------- *)
 
@@ -275,6 +294,243 @@ let test_campaign_codec () =
          id = Some "a";
          payload = Response.Attack { campaign; rendered = "campaign\n" };
        })
+
+(* ---------- generated round trips ---------- *)
+
+(* Values of every record the wire carries, each field inside its range.
+   Numbers are quarters, which the printer's %.12g renders exactly. *)
+module Gen_values = struct
+  open QCheck2.Gen
+
+  let quarter lo hi = map (fun q -> float_of_int q /. 4.) (int_range (4 * lo) (4 * hi))
+  let name = oneofl [ "s27"; "c17"; "x"; ""; "a \"b\"\n" ]
+  let text = oneofl [ "INPUT(a)\nOUTPUT(a)\n"; "line\twith \\ and \"" ]
+
+  let algorithm =
+    oneof
+      [
+        pure Flow.Dependent;
+        map (fun count -> Flow.Independent { count }) (int_range 1 64);
+        map
+          (fun clock_factor ->
+            Flow.Parametric
+              { Sttc_core.Algorithms.default_parametric with clock_factor })
+          (quarter 1 8);
+      ]
+
+  let source =
+    oneof
+      [
+        map (fun n -> Request.Named n) name;
+        map2 (fun name text -> Request.Inline { name; text }) name text;
+      ]
+
+  let fraction = map (fun q -> float_of_int q /. 64.) (int_range 1 64)
+
+  let config =
+    map3
+      (fun label fraction harden -> { Manifest.label; fraction; harden })
+      name (opt fraction) bool
+
+  let harness =
+    let open Harness.Config in
+    map
+      (fun (((sat, seq, tt), (guess, brute, frames)), (seed, jobs, scratch)) ->
+        {
+          sat_timeout_s = sat;
+          seq_timeout_s = seq;
+          tt_budget = tt;
+          guess_rounds = guess;
+          brute_max_bits = brute;
+          seq_frames = frames;
+          seed;
+          jobs;
+          solver_mode =
+            (if scratch then Sttc_attack.Sat_attack.Scratch
+             else Sttc_attack.Sat_attack.Incremental);
+        })
+      (pair
+         (pair
+            (triple (quarter 0 60) (opt (quarter 0 60)) nat)
+            (triple nat (int_range 0 62) (int_range 1 8)))
+         (triple int (int_range 1 4) bool))
+
+  let backend = oneofl [ "stt"; "tvd" ]
+
+  let protect =
+    map
+      (fun ((source, algorithm, config), (seed, backend), flags) ->
+        match flags with
+        | [ sign_off; emit_foundry; emit_bitstream; emit_verilog; timing ] ->
+            Request.Protect
+              {
+                source;
+                algorithm;
+                config;
+                seed;
+                backend;
+                sign_off;
+                emit_foundry;
+                emit_bitstream;
+                emit_verilog;
+                timing;
+              }
+        | _ -> assert false)
+      (triple
+         (triple source algorithm config)
+         (pair int backend)
+         (list_repeat 5 bool))
+
+  let attack =
+    map
+      (fun ((source, algorithm, seed), (backend, config, timing)) ->
+        Request.Attack { source; algorithm; seed; backend; config; timing })
+      (pair (triple source algorithm int) (triple backend harness bool))
+
+  let rules = list_size (int_bound 2) (oneofl [ "STR004"; "SEC001" ])
+
+  let lint =
+    map
+      (fun ((source, algorithms, semantic), (seed, fraction, budget), (rules, suppress, json)) ->
+        Request.Lint
+          {
+            source;
+            algorithms;
+            semantic;
+            seed;
+            fraction;
+            budget;
+            rules;
+            suppress;
+            format = (if json then `Json else `Text);
+          })
+      (triple
+         (triple source (list_size (int_bound 3) algorithm) bool)
+         (triple int (opt fraction) (opt nat))
+         (triple rules rules bool))
+
+  let request =
+    map3
+      (fun id timeout_s payload -> { Request.id; timeout_s; payload })
+      (opt name) (opt (quarter 0 60))
+      (oneof
+         [
+           protect;
+           attack;
+           lint;
+           pure Request.Stats;
+           map (fun sleep_s -> Request.Ping { sleep_s }) (quarter 0 2);
+           pure Request.Shutdown;
+         ])
+
+  (* canonical histogram bucket bounds, read off a live snapshot *)
+  let bounds =
+    Obs.reset ();
+    Obs.enable ();
+    List.iter (Metrics.observe "h") [ 1e-3; 0.5; 7.; 1e3 ];
+    let snap = Metrics.snapshot () in
+    Obs.disable ();
+    Obs.reset ();
+    match Metrics.find snap "h" with
+    | Some (Metrics.Histogram s) ->
+        List.filter_map (fun (le, c) -> if c > 0 then Some le else None) s.buckets
+    | _ -> assert false
+
+  let point =
+    oneof
+      [
+        map (fun n -> Metrics.Counter n) nat;
+        map (fun v -> Metrics.Gauge v) (quarter (-10) 10);
+        map
+          (fun ((count, sum, min), (max, overflow, counts)) ->
+            Metrics.Histogram
+              {
+                count;
+                sum;
+                min;
+                max;
+                overflow;
+                buckets =
+                  List.filteri (fun i _ -> i < List.length counts) bounds
+                  |> List.mapi (fun i le -> (le, List.nth counts i));
+              })
+          (pair
+             (triple nat (quarter 0 100) (quarter 0 10))
+             (triple (quarter 0 100) nat
+                (list_size (int_bound (List.length bounds)) (int_range 1 9))));
+      ]
+
+  let snapshot =
+    map
+      (fun points ->
+        List.sort_uniq (fun (a, _) (b, _) -> compare a b) points)
+      (list_size (int_bound 4) (pair (oneofl [ "a.x"; "b"; "sat.conflicts" ]) point))
+
+  let entry =
+    map
+      (fun ((attack, verdict, seconds), (oracle_queries, detail, sat_stats)) ->
+        { Harness.attack; verdict; seconds; oracle_queries; detail; sat_stats })
+      (pair
+         (triple name
+            (oneof
+               [
+                 pure Harness.Recovered;
+                 pure Harness.Resisted;
+                 map (fun f -> Harness.Partial f) (quarter 0 1);
+               ])
+            (quarter 0 100))
+         (triple nat name (opt snapshot)))
+
+  let campaign =
+    map
+      (fun ((circuit, algorithm), (lut_count, entries)) ->
+        { Harness.circuit; algorithm; lut_count; entries })
+      (pair (pair name name) (pair nat (list_size (int_bound 3) entry)))
+
+  let response =
+    let ok payload = map2 (fun id payload -> Response.Ok { id; payload }) (opt name) payload in
+    let s = opt name in
+    oneof
+      [
+        ok
+          (map
+             (fun ((report, foundry_bench, bitstream), (programming_cost, verilog, sign_off)) ->
+               Response.Protect
+                 { report; foundry_bench; bitstream; programming_cost; verilog; sign_off })
+             (pair (triple name s s) (triple s s (opt bool))));
+        ok (map2 (fun campaign rendered -> Response.Attack { campaign; rendered }) campaign name);
+        ok (map2 (fun rendered exit_code -> Response.Lint { rendered; exit_code }) name int);
+        ok (map (fun snap -> Response.Stats snap) snapshot);
+        ok (pure Response.Pong);
+        ok (pure Response.Shutting_down);
+        map2 (fun id message -> Response.Error { id; message }) (opt name) name;
+        map (fun id -> Response.Overloaded { id }) (opt name);
+      ]
+end
+
+let prop_round_trips =
+  let same what decode x =
+    match decode with
+    | Ok y when y = x -> true
+    | Ok _ -> QCheck2.Test.fail_reportf "%s decodes to another value" what
+    | Error e -> QCheck2.Test.fail_reportf "%s refused: %s" what e
+  in
+  let json record x = Json.decode record (Json.encode record x) in
+  QCheck2.Test.make ~name:"generated values decode to themselves" ~count:300
+    QCheck2.Gen.(
+      triple
+        (pair Gen_values.request Gen_values.response)
+        (pair Gen_values.harness Gen_values.config)
+        (pair Gen_values.algorithm Gen_values.snapshot))
+    (fun ((request, response), (harness, config), (algorithm, snapshot)) ->
+      same "request" (Request.of_string (Request.to_string request)) request
+      && same "response" (Response.of_string (Response.to_string response)) response
+      && same "harness config" (json Harness.Config.json harness) harness
+      && same "protect config" (json Manifest.config_json config) config
+      && same "algorithm"
+           (Flow.algorithm_json.read Fun.id (Flow.algorithm_json.write algorithm))
+           algorithm
+      && same "metrics" (Metrics.of_json (Metrics.to_json snapshot)) snapshot)
 
 (* ---------- session cache ---------- *)
 
@@ -660,8 +916,25 @@ let test_attack_request_budget () =
 
 (* ---------- total handler ---------- *)
 
+(* Keys no table holds, and a frame without them *)
+let typos = [ "fracton"; "sede"; "clock_facter"; "timout_s" ]
+
+(* [keep k] decides on each key of the frame as read: of a repeated key
+   only the first counts *)
+let rec filter_keys keep = function
+  | Json.Obj kvs ->
+      let first i k = List.find_index (fun (k', _) -> k' = k) kvs = Some i in
+      Json.Obj
+        (List.filteri (fun i (k, _) -> keep k && first i k) kvs
+        |> List.map (fun (k, v) -> (k, filter_keys keep v)))
+  | Json.List l -> Json.List (List.map (filter_keys keep) l)
+  | j -> j
+
+let as_read = filter_keys (fun _ -> true)
+let without_typos = filter_keys (fun k -> not (List.mem k typos))
+
 (* Frames drawn from the request grammar: every verb, field values at
-   and past their ranges, inline .bench text with lines dropped,
+   and past their ranges, a misspelt key now and then, inline .bench text with lines dropped,
    duplicated, swapped or truncated, and frames cut short.  One frame
    in five also gives some fields a value of the wrong type.  Heavy
    verbs always carry a short request budget, so a case ends within
@@ -740,6 +1013,11 @@ let frame_gen =
       (frequency [ (3, pure (List.hd bases)); (1, oneofl bases) ])
       (list_size (int_range 0 3) edit)
   in
+  (* now and then an object carries a misspelt key *)
+  let typo =
+    frequency
+      [ (12, pure []); (1, map (fun k -> [ (k, Json.Int 1) ]) (oneofl typos)) ]
+  in
   let request corrupt =
     (* a field is absent, drawn from [g], or (in a corrupt frame) now
        and then of the wrong type *)
@@ -763,35 +1041,47 @@ let frame_gen =
               [
                 field "name" (named [ "m"; "s27" ] [ "" ]);
                 map (fun b -> [ ("bench", Json.String b) ]) bench;
+                typo;
               ] );
           (1, obj [ field ~absent:0 "name" (named [ "s27" ] [ "nope" ]) ]);
         ]
     in
+    (* each name's object carries its own keys *)
     let algorithm =
       frequency
         [
-          (1, named [ "independent"; "dependent"; "parametric" ] [ "other" ]);
+          (2, named [ "independent"; "dependent"; "parametric" ] [ "other" ]);
           ( 1,
             obj
               [
-                field ~absent:0 "name" (named [ "independent"; "parametric" ] []);
+                field ~absent:0 "name" (named [ "independent" ] []);
                 field "count" int_v;
+                typo;
+              ] );
+          ( 1,
+            obj
+              [
+                field ~absent:0 "name" (named [ "parametric" ] []);
                 field "clock_factor" num_v;
+                typo;
               ] );
         ]
     in
+    let source = [ field ~absent:0 "netlist" netlist; field "seed" int_v ] in
     let common =
-      [
-        field ~absent:0 "netlist" netlist;
-        field "algorithm" algorithm;
-        field "seed" int_v;
-        field "backend" (named [ "stt"; "tvd" ] [ "sram" ]);
-      ]
+      source
+      @ [
+          field "algorithm" algorithm;
+          field "backend" (named [ "stt"; "tvd" ] [ "sram" ]);
+        ]
     in
     let flags names = List.map (fun n -> field n bool_v) names in
     let protect =
       common
-      @ [ field "config" (obj [ field "fraction" num_v; field "harden" bool_v ]) ]
+      @ [
+          field "config"
+            (obj [ field "fraction" num_v; field "harden" bool_v; typo ]);
+        ]
       @ flags
           [ "sign_off"; "emit_foundry"; "emit_bitstream"; "emit_verilog"; "timing" ]
     in
@@ -812,6 +1102,7 @@ let frame_gen =
                  field "jobs" (ranged [ 1; 2; 3 ] [ 0; -1 ]);
                  field "solver_mode"
                    (named [ "incremental"; "scratch" ] [ "other" ]);
+                 typo;
                ]);
         ]
     in
@@ -822,7 +1113,7 @@ let frame_gen =
            (named [ "STR004"; "SEM001"; "SEC001" ] [ "bogus" ]))
     in
     let lint =
-      common
+      source
       @ [
           field "algorithms"
             (map (fun l -> Json.List l) (list_size (int_range 0 2) algorithm));
@@ -850,7 +1141,7 @@ let frame_gen =
            pure [ ("verb", Json.String name) ];
            budget heavy;
          ]
-        @ fields)
+        @ fields @ [ typo ])
     in
     frequency
       [
@@ -890,6 +1181,26 @@ let reply session frame =
     | Error e -> Response.Error { id = None; message = "bad request: " ^ e }
     | Ok request -> Handler.handle session request)
 
+(* A frame with a misspelt key is refused, and when it is the frame's
+   only fault the refusal names the key. *)
+let typo_refused frame text =
+  match Json.of_string frame with
+  | Ok j when without_typos j <> as_read j -> (
+      let named =
+        List.exists
+          (fun k -> contains text (Printf.sprintf {|unknown field \"%s\"|} k))
+          typos
+      in
+      match
+        ( Request.of_string frame,
+          Request.of_string (Json.to_string ~minify:true (without_typos j)) )
+      with
+      | Ok _, _ -> QCheck2.Test.fail_reportf "misspelt key accepted"
+      | Error _, Ok _ when not named ->
+          QCheck2.Test.fail_reportf "refusal %s names no misspelt key" text
+      | Error _, _ -> true)
+  | _ -> true
+
 let prop_handler_total =
   let session = Session.create ~capacity:4 () in
   QCheck2.Test.make ~name:"every frame gets a reply" ~count:200 ~print:Fun.id
@@ -898,7 +1209,7 @@ let prop_handler_total =
       | text -> (
           (* the reply decodes, and re-encodes to the same bytes *)
           match Response.of_string text with
-          | Ok r when Response.to_string r = text -> true
+          | Ok r when Response.to_string r = text -> typo_refused frame text
           | Ok r ->
               QCheck2.Test.fail_reportf "reply %s re-encodes as %s" text
                 (Response.to_string r)
@@ -919,6 +1230,7 @@ let () =
           Alcotest.test_case "response round trips" `Quick
             test_response_roundtrip;
           Alcotest.test_case "campaign codec" `Quick test_campaign_codec;
+          QCheck_alcotest.to_alcotest prop_round_trips;
         ] );
       ( "session",
         [

@@ -162,11 +162,16 @@ let scan retired messages u source annots =
   in
   let super = Tast_iterator.default_iterator in
   let hook f next sub x = f x; next sub x in
+  let value loc p (vd : Types.value_description) =
+    seen Value loc (comps p);
+    declared Value loc (Path.last p) vd.val_uid
+  in
   let expr e =
     match e.exp_desc with
-    | Texp_ident (p, _, vd) ->
-        seen Value e.exp_loc (comps p);
-        declared Value e.exp_loc (Path.last p) vd.val_uid
+    | Texp_ident (p, _, vd) -> value e.exp_loc p vd
+    (* a binding operator ([let+], [and+]) names its definition too *)
+    | Texp_letop { let_; ands; _ } ->
+        List.iter (fun b -> value b.bop_loc b.bop_op_path b.bop_op_val) (let_ :: ands)
     | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
         List.iter
           (function

@@ -355,6 +355,16 @@ if [ "$budget_out" != "$BUDGET_ERR" ]; then
   echo "BUDGET GATE FAILED: offline 0.5 s attack request answered '$budget_out'" >&2
   exit 1
 fi
+# A misspelt field is refused by name, not run with its default, and the
+# daemon refuses it in the same bytes.  (An error reply makes `client`
+# exit 1, so the frame stays out of serve.requests.)
+TYPO_REQ='{"verb":"protect","netlist":"s27","config":{"fracton":0.5},"seed":1}'
+TYPO_ERR='{"status":"error","message":"bad request: config: unknown field \"fracton\""}'
+typo_out=$("$STTC_BIN" client --offline --request "$TYPO_REQ" 2> /dev/null || true)
+if [ "$typo_out" != "$TYPO_ERR" ]; then
+  echo "TYPO GATE FAILED: offline misspelt-field request answered '$typo_out'" >&2
+  exit 1
+fi
 "$STTC_BIN" serve --socket "$SOCK" -j 2 --metrics "$SERVE_METRICS" \
   2> "$tmpdir/serve.log" &
 SERVE_PID=$!
@@ -393,6 +403,12 @@ budget_out=$(timeout 10 "$STTC_BIN" client --socket "$SOCK" \
   --request "$BUDGET_REQ" 2> /dev/null || true)
 if [ "$budget_out" != "$BUDGET_ERR" ]; then
   echo "BUDGET GATE FAILED: daemon 0.5 s attack request answered '$budget_out'" >&2
+  exit 1
+fi
+typo_out=$("$STTC_BIN" client --socket "$SOCK" --request "$TYPO_REQ" \
+  2> /dev/null || true)
+if [ "$typo_out" != "$TYPO_ERR" ]; then
+  echo "TYPO GATE FAILED: daemon misspelt-field request answered '$typo_out'" >&2
   exit 1
 fi
 "$STTC_BIN" client --socket "$SOCK" --request '{"verb":"shutdown"}' > /dev/null
